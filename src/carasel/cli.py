@@ -17,16 +17,9 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import (
-    ConstructionError,
-    DomainError,
-    NoCertificateError,
-    ParseError,
-    PreconditionError,
-)
+from .errors import DomainError, ParseError, PreconditionError
 from .pipelines import Certificate, run_problem
 from .problems import canonical_json, load_problem
-from .reporting import CheckSet
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -98,19 +91,13 @@ def cmd_run(args) -> int:
     except (PreconditionError, DomainError) as e:
         print(f"precondition error: {e}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (NoCertificateError, ConstructionError) as e:
-        cert = Certificate("no-certificate", "unknown", CheckSet())
-        cert.outputs = {"error": str(e)}
-        if isinstance(e, NoCertificateError) and e.best_residual is not None:
-            cert.outputs["best_residual"] = e.best_residual
-        path = _certificate_path(Path(args.problem), args.out)
-        _write_certificate(cert, path)
-        print(f"no certificate: {e}", file=sys.stderr)
-        print(f"wrote {path}", file=sys.stderr)
-        return EXIT_NO_CERTIFICATE
 
     path = _certificate_path(Path(args.problem), args.out)
     _write_certificate(cert, path)
+    if cert.status == "no-certificate":
+        print(f"no certificate: {cert.outputs['error']}", file=sys.stderr)
+        print(f"wrote {path}", file=sys.stderr)
+        return EXIT_NO_CERTIFICATE
     print(f"wrote {path} (status: {cert.status})")
     return EXIT_OK if cert.status == "ok" else EXIT_FAILED
 

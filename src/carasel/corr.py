@@ -219,10 +219,6 @@ class Corr:
         """Nodes where atom t has a nonempty value."""
         return [z for z in range(len(self.grid)) if self.nonempty_at(t, z)]
 
-    def x_section(self, z: int) -> list[int]:
-        """Atoms where node z has a nonempty value."""
-        return [t for t in range(len(self.space)) if self.nonempty_at(t, z)]
-
 
 def domain(psi: Corr) -> frozenset:
     """U = {(t, z) : value nonempty}."""
@@ -400,27 +396,6 @@ def capture_matrix(psi: Corr, w: CipWitness, t: int) -> np.ndarray:
         if psi.nonempty_at(t, z):
             radius_row[z] = w.radius(t, z)
     return psi.grid.metric < radius_row[None, :]
-
-
-def witness_index_set(psi: Corr, w: CipWitness, t: int, x: int) -> list[int]:
-    """Nodes z whose ball around z captures x: psi(t,z) nonempty and
-    d(x, z) < r(t, z).  Nonempty exactly on the domain of psi."""
-    out = []
-    for z in range(len(psi.grid)):
-        if not psi.nonempty_at(t, z):
-            continue
-        if psi.grid.metric[x, z] < w.radius(t, z):
-            out.append(z)
-    return out
-
-
-def index_table(psi: Corr, w: CipWitness) -> dict:
-    """Full tabulation (t, x) -> list of capturing witness nodes."""
-    return {
-        (t, x): witness_index_set(psi, w, t, x)
-        for t in range(len(psi.space))
-        for x in range(len(psi.grid))
-    }
 
 
 def canonical_witness(psi: Corr) -> CipWitness:
@@ -607,46 +582,33 @@ def scip_verify(
     psi: Corr,
     w: CipWitness,
     part: InfoPartition,
-    eps: float,
+    cip: CipReport,
     tol: float = SET_EQUALITY_TOL,
-    strict: bool = False,
 ) -> ScipReport:
-    """Verify the strong continuous inclusion property: the plain
-    verification plus joint lower measurability of the local hulls
-    (cell-wise constancy in t) and the mode-specific conditions."""
-    cip = cip_verify(psi, w, eps, tol=tol, strict=strict)
+    """Verify the strong continuous inclusion property on top of cip, the
+    finished plain verification of (psi, w): joint lower measurability of
+    the local hulls (cell-wise constancy in t) and the mode-specific
+    conditions."""
     if not cip.ok:
         raise PreconditionError("plain continuous-inclusion verification failed")
     report = ScipReport(True, w.mode, cip)
 
-    seen_ids = set()
-    for z, f in sorted(w.locals.items()):
-        if id(f) in seen_ids:
-            continue
-        seen_ids.add(id(f))
-        _cell_constant_local(f, part, f"F_{z}", report.failures)
+    groups = w.distinct_locals()
+    for f, zs in sorted(groups, key=lambda group: group[1][0]):
+        _cell_constant_local(f, part, f"F_{zs[0]}", report.failures)
 
     if w.mode == "shared":
-        first = next(iter(w.locals.values()))
-        if any(f is not first for f in w.locals.values()):
+        if len(groups) > 1:
             report.failures.append(("mode", -1, -1, -1, "locals differ in shared mode"))
     elif w.mode == "countable":
         # finiteness of the tables is automatic; the ball-membership
         # indicator {(t,x): x in O_z^t} must be cell-constant in t
-        for z in range(len(psi.grid)):
-            for x in range(len(psi.grid)):
-                for cell in part.cells:
-                    flags = []
-                    for t in cell:
-                        inside = (
-                            psi.nonempty_at(t, z)
-                            and psi.grid.metric[x, z] < w.radius(t, z)
-                        )
-                        flags.append(inside)
-                    if len(set(flags)) > 1:
-                        report.failures.append(
-                            ("ball-measurability", cell[0], z, x, "ball indicator not cell-constant")
-                        )
+        caps = np.array([capture_matrix(psi, w, t) for t in range(len(psi.space))])
+        varies = np.array([(caps[list(cell)] != caps[cell[0]]).any(axis=0)
+                           for cell in part.cells])
+        for z, x, c in np.argwhere(varies.transpose(2, 1, 0)):
+            report.failures.append(("ball-measurability", part.cells[c][0], int(z), int(x),
+                                    "ball indicator not cell-constant"))
     elif w.mode == "indexed":
         # domain of psi must be cell-constant in t
         for z in range(len(psi.grid)):
@@ -657,11 +619,11 @@ def scip_verify(
                         ("domain-measurability", cell[0], z, -1, "nonemptiness not cell-constant")
                     )
         # the capture-index map must have cell-constant (finite) values
+        caps = np.array([capture_matrix(psi, w, t) for t in range(len(psi.space))])
         for x in range(len(psi.grid)):
             for cell in part.cells:
-                base = witness_index_set(psi, w, cell[0], x)
                 for t in cell[1:]:
-                    if witness_index_set(psi, w, t, x) != base:
+                    if (caps[t, x] != caps[cell[0], x]).any():
                         report.failures.append(
                             ("index-measurability", t, -1, x, "capture set not cell-constant")
                         )
@@ -670,7 +632,7 @@ def scip_verify(
         else:
             lo, hi = w.box
             worst = 0.0
-            for z, f in sorted(w.locals.items()):
+            for f, _ in groups:
                 for t in range(len(psi.space)):
                     for x in range(len(psi.grid)):
                         v = f.value(t, x)
@@ -705,38 +667,40 @@ def scip_verify(
     return report
 
 
-def _interior_samples(fv: PointSet) -> list:
-    """Points of the list interior to the list's own hull."""
-    if fv.is_empty:
-        return []
+def pool_captured(psi: Corr, w: CipWitness, take=None) -> Corr:
+    """Pool, at every (t, x), take(local value) over the witness nodes
+    whose ball captures x (all of the value when take is None); distinct
+    locals are grouped so a shared table is read once per (t, x)."""
+    groups = w.distinct_locals()
+    rows = []
+    for t in range(len(psi.space)):
+        captures = capture_matrix(psi, w, t)
+        active = [captures[:, zs].any(axis=1) for (_, zs) in groups]
+        row = []
+        for x in range(len(psi.grid)):
+            pts = []
+            for (f, _), on in zip(groups, active):
+                fv = f.value(t, x)
+                if on[x] and not fv.is_empty:
+                    pts.append(fv.points if take is None else take(fv))
+            pts = [p for p in pts if len(p)]
+            row.append(PointSet.of(psi.dim, np.vstack(pts)) if pts
+                       else PointSet.empty(psi.dim))
+        rows.append(tuple(row))
+    return Corr(psi.space, psi.grid, psi.dim, tuple(rows))
+
+
+def _interior_samples(fv: PointSet) -> np.ndarray:
+    """Points of a nonempty list interior to the list's own hull."""
     hull = ConvexSet.from_point_set(fv)
-    return [p for p in fv.points if interior_point_margin(p, hull) > 0.0]
+    return fv.points[[interior_point_margin(p, hull) > 0.0 for p in fv.points]]
 
 
 def k_operator(psi: Corr, w: CipWitness) -> Corr:
     """Collect, at every (t, x), the witness sample points interior to
     their own local hull, over all witness nodes whose ball captures x.
     Empty wherever no local value has ambient interior."""
-    groups = w.distinct_locals()
-    n = len(psi.grid)
-    rows = []
-    for t in range(len(psi.space)):
-        captures = capture_matrix(psi, w, t)
-        active = [captures[:, zs].any(axis=1) for (_, zs) in groups]
-        interior_cache: list[dict[int, list]] = [{} for _ in groups]
-        row = []
-        for x in range(n):
-            pts = []
-            for gi, (f, _) in enumerate(groups):
-                if not active[gi][x]:
-                    continue
-                if x not in interior_cache[gi]:
-                    interior_cache[gi][x] = _interior_samples(f.value(t, x))
-                pts.extend(interior_cache[gi][x])
-            row.append(PointSet.of(psi.dim, np.vstack(pts)) if pts
-                       else PointSet.empty(psi.dim))
-        rows.append(tuple(row))
-    return Corr(psi.space, psi.grid, psi.dim, tuple(rows))
+    return pool_captured(psi, w, _interior_samples)
 
 
 def n_operator(t: int, x: int, c, w: CipWitness) -> PointSet:

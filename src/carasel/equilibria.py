@@ -354,16 +354,17 @@ def _spot_check_quasiconcavity(g: GameSpec, seed: int, trials: int = 20) -> list
 
 def random_equilibrium(
     g: GameSpec,
+    prefs: list[Corr],
     witnesses: list[CipWitness],
     part: InfoPartition,
     eps_eq: float,
-    strict_margin: float = 0.0,
     run_selection: bool = True,
-    seed: int = 0,
 ) -> EquilibriumCertificate:
     """Certify a profile at which every player's strict-improvement set
     is empty up to eps_eq at every atom.
 
+    prefs holds each player's preference table on the joint grid (as
+    pref_from_payoff builds it) and witnesses its inclusion witness.
     Verifies irreflexivity and the inclusion property per player, builds
     the selection-plus-fallback tables whose product the profile is a
     fixed point of, and selects the profile by exhaustive enumeration:
@@ -371,7 +372,8 @@ def random_equilibrium(
     """
     if eps_eq < 0:
         raise DomainError("eps_eq must be nonnegative")
-    prefs = [pref_from_payoff(g, i, strict_margin) for i in range(g.n_players)]
+    if not len(prefs) == len(witnesses) == g.n_players:
+        raise DomainError("one preference table and one witness per player are required")
     _check_irreflexivity(g, prefs)
 
     checks = CheckSet()
@@ -450,10 +452,7 @@ def random_nash(
 
     prefs = [pref_from_payoff(g, i, strict_margin) for i in range(g.n_players)]
     witnesses = [canonical_witness(p) for p in prefs]
-    cert = random_equilibrium(
-        g, witnesses, part, eps_eq, strict_margin=strict_margin,
-        run_selection=run_selection, seed=seed,
-    )
+    cert = random_equilibrium(g, prefs, witnesses, part, eps_eq, run_selection=run_selection)
     return EquilibriumCertificate(
         cert.profile, cert.profile_indices, cert.regrets,
         cert.measurable_wrt, cert.checks, warnings + cert.warnings,
@@ -532,7 +531,6 @@ def maximal_element(
     p: Corr,
     w: CipWitness,
     part: InfoPartition,
-    eps_eq: float = 0.0,
     run_selection: bool = True,
 ) -> MaximalResult:
     """Find, per atom, a grid node whose preferred set is empty.
@@ -565,7 +563,7 @@ def maximal_element(
                "cell-wise constancy of the preferred sets (reported separately "
                "from the witness checks)")
     bad_w = 0
-    for f in {id(f): f for f in w.locals.values()}.values():
+    for f, _ in w.distinct_locals():
         for z in range(len(grid)):
             if not lower_measurable_check(f, part, z):
                 bad_w += 1

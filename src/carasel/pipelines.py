@@ -16,7 +16,7 @@ from .equilibria import (
     random_fixed_point,
     random_nash,
 )
-from .errors import ParseError, PreconditionError
+from .errors import ConstructionError, NoCertificateError, ParseError, PreconditionError
 from .reporting import CheckSet
 from .selection import caratheodory_select
 
@@ -49,7 +49,7 @@ def _provenance(doc: dict, opts: dict) -> dict:
         "input_sha256": problems.problem_hash(doc),
         "tool": "carasel",
         "version": __version__,
-        "seed": int(opts.get("seed", 0)),
+        "seed": opts["seed"],
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
 
@@ -78,8 +78,7 @@ def _resolve_mode(doc: dict, opts: dict, witness) -> str:
 
 def _verification_checks(psi, witness, part, mode, opts, checks: CheckSet):
     eps = opts["eps"] if opts["eps"] is not None else psi.grid.adjacency_radius
-    strict = bool(opts["strict_cip"])
-    rep = cip_verify(psi, witness, eps, tol=opts["inclusion_tol"], strict=strict)
+    rep = cip_verify(psi, witness, eps, tol=opts["inclusion_tol"], strict=opts["strict_cip"])
     nonempty = sum(1 for f in rep.failures if f[0] == "nonempty")
     lsc_bad = sum(1 for f in rep.failures if f[0].startswith("lsc"))
     checks.add("cip-local-nonempty", nonempty, 0,
@@ -89,8 +88,7 @@ def _verification_checks(psi, witness, part, mode, opts, checks: CheckSet):
     checks.add("cip-lsc", lsc_bad, 0,
                f"local-hull l.s.c. at eps={eps:g} (max gap {rep.lsc_gap:.3g})")
     if rep.ok and mode != "atomic":
-        srep = scip_verify(psi, witness, part, eps,
-                           tol=opts["inclusion_tol"], strict=strict)
+        srep = scip_verify(psi, witness, part, rep, tol=opts["inclusion_tol"])
         checks.add(f"scip-{mode}", len(srep.failures), 0,
                    "strong-variant measurability and mode conditions")
         if mode == "indexed":
@@ -131,13 +129,13 @@ def run_select(doc: dict, opts: dict) -> Certificate:
         raise PreconditionError("inclusion-property verification failed")
     sel = caratheodory_select(
         psi, witness, part,
-        closed_valued=bool(opts["closed_valued"]),
-        tol=float(opts["tol"]),
+        closed_valued=opts["closed_valued"],
+        tol=opts["tol"],
         eps=eps,
         atomic=(mode == "atomic"),
-        k_max=int(opts["k_max"]),
-        restarts=int(opts["restarts"]),
-        seed=int(opts["seed"]),
+        k_max=opts["k_max"],
+        restarts=opts["restarts"],
+        seed=opts["seed"],
     )
     checks.extend(sel.checks)
     outputs = {
@@ -156,11 +154,11 @@ def run_fixpoint(doc: dict, opts: dict) -> Certificate:
         raise PreconditionError("inclusion-property verification failed")
     profile = random_fixed_point(
         psi, witness, part,
-        tol=float(opts["tol"]),
-        damping=float(opts["damping"]),
-        max_iter=int(opts["max_iter"]),
+        tol=opts["tol"],
+        damping=opts["damping"],
+        max_iter=opts["max_iter"],
         eps=eps,
-        seed=int(opts["seed"]),
+        seed=opts["seed"],
     )
     checks.extend(profile.checks)
     outputs = {
@@ -188,10 +186,8 @@ def _profile_outputs(space, cert) -> dict:
 def run_nash(doc: dict, opts: dict) -> Certificate:
     game = problems.build_game(doc)
     part = problems.build_partition(doc, game.state_space)
-    cert = random_nash(
-        game, part, float(opts["eps_eq"]),
-        strict_margin=float(opts["strict_margin"]), seed=int(opts["seed"]),
-    )
+    cert = random_nash(game, part, opts["eps_eq"],
+                       strict_margin=opts["strict_margin"], seed=opts["seed"])
     return Certificate(
         "ok" if cert.checks.ok else "failed", "nash", cert.checks,
         _profile_outputs(game.state_space, cert), warnings=cert.warnings,
@@ -201,10 +197,8 @@ def run_nash(doc: dict, opts: dict) -> Certificate:
 def run_bayes(doc: dict, opts: dict) -> Certificate:
     game = problems.build_game(doc)
     bayes = problems.build_bayes(doc, game)
-    cert = bayes_equilibrium(
-        bayes, float(opts["eps_eq"]),
-        strict_margin=float(opts["strict_margin"]), seed=int(opts["seed"]),
-    )
+    cert = bayes_equilibrium(bayes, opts["eps_eq"],
+                             strict_margin=opts["strict_margin"], seed=opts["seed"])
     return Certificate(
         "ok" if cert.checks.ok else "failed", "bayes", cert.checks,
         _profile_outputs(game.state_space, cert), warnings=cert.warnings,
@@ -213,7 +207,7 @@ def run_bayes(doc: dict, opts: dict) -> Certificate:
 
 def run_maximal(doc: dict, opts: dict) -> Certificate:
     space, part, grid, pref, witness, mode = _select_common(doc, opts)
-    result = maximal_element(pref, witness, part, eps_eq=float(opts["eps_eq"]))
+    result = maximal_element(pref, witness, part)
     outputs = {
         "maximal": [
             {"atom": space.atoms[t], "node": result.indices[t], "value": _vector(v)}
@@ -235,8 +229,15 @@ _RUNNERS = {
 
 
 def run_problem(doc: dict, overrides: dict | None = None) -> Certificate:
-    """Dispatch a parsed problem to its pipeline and stamp provenance."""
+    """Dispatch a parsed problem to its pipeline and stamp provenance.  A
+    solve that cannot certify yields a no-certificate record carrying the
+    error and, when known, the best residual reached."""
     opts = problems.merge_options(doc, overrides or {})
-    cert = _RUNNERS[doc["kind"]](doc, opts)
+    try:
+        cert = _RUNNERS[doc["kind"]](doc, opts)
+    except (NoCertificateError, ConstructionError) as e:
+        cert = Certificate("no-certificate", doc["kind"], CheckSet(), {"error": str(e)})
+        if isinstance(e, NoCertificateError) and e.best_residual is not None:
+            cert.outputs["best_residual"] = e.best_residual
     cert.provenance = _provenance(doc, opts)
     return cert

@@ -38,6 +38,8 @@ OPTION_DEFAULTS = {
     "damping": 0.5,
     "max_iter": 500,
 }
+_OPTION_TYPES = {**{k: type(v) for k, v in OPTION_DEFAULTS.items()}, "eps": float, "mode": str}
+_POSITIVE_OPTIONS = ("tol", "inclusion_tol", "eps", "eps_eq")
 
 
 def parse_problem(text: str) -> dict:
@@ -51,14 +53,7 @@ def parse_problem(text: str) -> dict:
     kind = doc.get("kind")
     if kind not in KINDS:
         raise ParseError(f"kind must be one of {KINDS}, got {kind!r}")
-    options = doc.get("options", {})
-    if not isinstance(options, dict):
-        raise ParseError("options must be an object")
-    for key in ("tol", "inclusion_tol", "eps", "eps_eq"):
-        if key in options and options[key] is not None and not (
-            isinstance(options[key], (int, float)) and options[key] > 0
-        ):
-            raise ParseError(f"option {key} must be strictly positive")
+    merge_options(doc, {})  # rejects malformed file options before any build
     if "space" not in doc:
         raise ParseError("a space section is required")
     if kind in ("nash", "bayes"):
@@ -91,11 +86,34 @@ def problem_hash(doc: dict) -> str:
 
 
 def merge_options(doc: dict, overrides: dict) -> dict:
+    """The defaults, updated by the file's options and then by the
+    overrides, each value coerced to its option's type.  An unknown key,
+    a value that does not coerce, or a tolerance that is not strictly
+    positive raises a ParseError naming the key."""
+    options = doc.get("options", {})
+    if not isinstance(options, dict):
+        raise ParseError("options must be an object")
     opts = dict(OPTION_DEFAULTS)
-    opts.update(doc.get("options", {}))
-    for key, value in overrides.items():
-        opts[key] = value
+    for key, value in {**options, **overrides}.items():
+        opts[key] = _option_value(key, value)
     return opts
+
+
+def _option_value(key: str, value):
+    kind = _OPTION_TYPES.get(key)
+    if kind is None:
+        raise ParseError(f"unknown option {key!r}")
+    if value is None and OPTION_DEFAULTS[key] is None:
+        return None
+    try:
+        if isinstance(value, bool) != (kind is bool) or (kind is str and not isinstance(value, str)):
+            raise TypeError
+        value = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ParseError(f"option {key!r} must be of type {kind.__name__}, got {value!r}") from None
+    if key in _POSITIVE_OPTIONS and not value > 0:
+        raise ParseError(f"option {key!r} must be strictly positive, got {value!r}")
+    return value
 
 
 def _wrap(fn):

@@ -1,32 +1,12 @@
-"""Per-atom fan-out control.
+"""Per-atom fan-out.
 
-Atoms decouple in every pipeline, so per-atom work may run on a small
-thread pool.  CARASEL_THREADS caps the pool; the default of 1 keeps
-everything sequential.  Results are always assembled in atom order, so
-the output never depends on scheduling.
+Atoms decouple in every pipeline; per-atom work goes through atom_map,
+which runs it in atom order, so the output never depends on scheduling.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-
-ENV_VAR = "CARASEL_THREADS"
-
-
-def thread_count() -> int:
-    raw = os.environ.get(ENV_VAR, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
 
 def atom_map(fn, items):
-    """Map fn over items, in order, using up to CARASEL_THREADS workers."""
-    items = list(items)
-    n = thread_count()
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=min(n, len(items))) as pool:
-        return list(pool.map(fn, items))
+    """Map fn over items, in order."""
+    return [fn(x) for x in items]

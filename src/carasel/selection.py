@@ -19,11 +19,11 @@ from .corr import (
     Corr,
     SET_EQUALITY_TOL,
     _inclusion_residual,
-    capture_matrix,
     domain,
     k_operator,
     lower_measurable_check,
     lsc_check,
+    pool_captured,
     usc_check,
 )
 from .errors import ConstructionError, DomainError, PreconditionError
@@ -85,29 +85,6 @@ class GlueResult:
     checks: CheckSet
 
 
-def _pooled_table(psi: Corr, w: CipWitness) -> Corr:
-    """Pool the local values over every witness node whose ball captures
-    the point; distinct locals are grouped so shared tables are read
-    once."""
-    groups = w.distinct_locals()
-    rows = []
-    for t in range(len(psi.space)):
-        captures = capture_matrix(psi, w, t)
-        active = [captures[:, zs].any(axis=1) for (_, zs) in groups]
-        row = []
-        for x in range(len(psi.grid)):
-            pts = []
-            for gi, (f, _) in enumerate(groups):
-                if active[gi][x]:
-                    fv = f.value(t, x)
-                    if not fv.is_empty:
-                        pts.append(fv.points)
-            row.append(PointSet.of(psi.dim, np.vstack(pts)) if pts
-                       else PointSet.empty(psi.dim))
-        rows.append(tuple(row))
-    return Corr(psi.space, psi.grid, psi.dim, tuple(rows))
-
-
 def construct_phi(
     psi: Corr,
     w: CipWitness,
@@ -118,19 +95,21 @@ def construct_phi(
     """Glue the witness family into a sub-correspondence of psi.
 
     In shared mode (unless atomic gluing is forced) the result is the
-    common local correspondence read as its convex hulls; otherwise each
-    value pools the local values over every witness node whose ball
-    captures the point, representing the hull of the union.  eps is the
-    l.s.c. tolerance the witness was certified at (default: the grid's
+    common local correspondence read as its convex hulls (the local
+    itself when it lives on psi's space and grid); otherwise each value
+    pools the local values over every witness node whose ball captures
+    the point, representing the hull of the union.  eps is the l.s.c.
+    tolerance the witness was certified at (default: the grid's
     adjacency radius).
     """
     if eps is None:
         eps = psi.grid.adjacency_radius
     if w.mode == "shared" and not atomic:
-        shared = next(iter(w.locals.values()))
-        phi = Corr(psi.space, psi.grid, psi.dim, shared.values)
+        phi = next(iter(w.locals.values()))
+        if not (phi.space is psi.space and phi.grid is psi.grid and phi.dim == psi.dim):
+            phi = Corr(psi.space, psi.grid, psi.dim, phi.values)
     else:
-        phi = _pooled_table(psi, w)
+        phi = pool_captured(psi, w)
 
     cert = CheckSet()
     u_psi = domain(psi)
@@ -433,7 +412,7 @@ def _inputs_cell_constant(psi: Corr, w: CipWitness, part: InfoPartition) -> bool
     for z in range(len(psi.grid)):
         if not lower_measurable_check(psi, part, z):
             return False
-    for f in {id(f): f for f in w.locals.values()}.values():
+    for f, _ in w.distinct_locals():
         for z in range(len(psi.grid)):
             if not lower_measurable_check(f, part, z):
                 return False

@@ -1,14 +1,16 @@
 """Problem-file round trips, pipeline dispatch, exit codes, reports."""
 
 import json
-import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import carasel.corr
+import carasel.pipelines
+from carasel import __version__
 from carasel.cli import main
-from carasel.problems import canonical_json, parse_problem
+from carasel.problems import canonical_json, parse_problem, problem_hash
 from carasel.errors import ParseError
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
@@ -103,6 +105,11 @@ def test_no_certificate_exit_4(tmp_path):
     cert = json.loads((tmp_path / "drift.cert.json").read_text())
     assert cert["status"] == "no-certificate"
     assert cert["outputs"]["best_residual"] >= 0.1
+    assert cert["kind"] == "fixpoint"
+    prov = cert["provenance"]
+    assert prov["input_sha256"] == problem_hash(doc)
+    assert prov["seed"] == 0
+    assert prov["version"] == __version__
 
 
 def test_failed_checks_exit_1(tmp_path):
@@ -187,22 +194,43 @@ def test_out_flag(tmp_path):
     assert dest.exists()
 
 
-def test_thread_env_does_not_change_output(tmp_path):
-    d1, d2 = tmp_path / "seq", tmp_path / "par"
-    d1.mkdir(), d2.mkdir()
-    _, c1, _ = run_fixture(d1, "example-3-2.json")
-    old = os.environ.get("CARASEL_THREADS")
-    os.environ["CARASEL_THREADS"] = "4"
-    try:
-        _, c2, _ = run_fixture(d2, "example-3-2.json")
-    finally:
-        if old is None:
-            del os.environ["CARASEL_THREADS"]
-        else:
-            os.environ["CARASEL_THREADS"] = old
-    c1["provenance"].pop("timestamp")
-    c2["provenance"].pop("timestamp")
-    assert canonical_json(c1) == canonical_json(c2)
+@pytest.mark.parametrize("fixture, override, key", [
+    ("example-3-2.json", "restart=3", "restart"),      # unknown key
+    ("example-3-2.json", "restarts=abc", "restarts"),  # not an integer
+    ("example-3-2.json", "tol=-1", "tol"),             # not positive
+    ("lsc-canonical.json", "eps=-1", "eps"),           # not positive
+])
+def test_bad_option_override_exit_2(tmp_path, capsys, fixture, override, key):
+    code, cert, _ = run_fixture(tmp_path, fixture, "-O", override)
+    assert code == 2
+    assert cert is None
+    assert repr(key) in capsys.readouterr().err
+
+
+def test_bad_file_option_exit_2(tmp_path):
+    doc = json.loads((DOCS / "lsc-canonical.json").read_text())
+    doc["options"]["strict_cip"] = "yes"
+    p = tmp_path / "p.json"
+    p.write_text(json.dumps(doc))
+    assert main(["run", str(p)]) == 2
+
+
+@pytest.mark.parametrize("name", ["example-3-2.json", "lsc-canonical.json"])
+def test_run_problem_verifies_inclusion_once(monkeypatch, name):
+    # the strong-variant checks reuse the plain report instead of
+    # verifying the inclusion property a second time
+    calls = []
+    original = carasel.corr.cip_verify
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(carasel.corr, "cip_verify", counting)
+    monkeypatch.setattr(carasel.pipelines, "cip_verify", counting)
+    doc = parse_problem((DOCS / name).read_text())
+    assert carasel.pipelines.run_problem(doc).status == "ok"
+    assert len(calls) == 1
 
 
 def test_parse_problem_validates_tolerances():

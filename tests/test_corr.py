@@ -179,7 +179,7 @@ def test_cip_strict_flag_checks_whole_grid():
 def test_scip_shared_mode_jump(jump):
     space, grid, psi, witness = jump
     part = InfoPartition.trivial(space)
-    rep = scip_verify(psi, witness, part, eps=0.1)
+    rep = scip_verify(psi, witness, part, cip_verify(psi, witness, eps=0.1))
     assert rep.ok and rep.mode == "shared"
 
 
@@ -193,7 +193,7 @@ def test_scip_countable_mode_rejects_non_measurable_radii():
     # cell-constant
     radii = {(t, z): (0.35 if t == 0 else 0.15) for t in range(2) for z in range(5)}
     witness = CipWitness("countable", {z: f for z in range(5)}, radii)
-    rep = scip_verify(psi, witness, part, eps=0.5)
+    rep = scip_verify(psi, witness, part, cip_verify(psi, witness, eps=0.5))
     assert not rep.ok
     assert any(kind == "ball-measurability" for (kind, *_unused) in rep.failures)
 
@@ -209,9 +209,44 @@ def test_scip_indexed_mode_moving_point():
     radii = {(0, z): 0.45 for z in range(6)}
     witness = CipWitness("indexed", locs, radii, box=([-5.0], [5.0]))
     part = InfoPartition.finest(space)
-    rep = scip_verify(psi, witness, part, eps=0.5)
+    rep = scip_verify(psi, witness, part, cip_verify(psi, witness, eps=0.5))
     assert rep.ok
     assert rep.hull_modulus == pytest.approx(0.5, rel=1e-6)  # 0.1 per 0.2 step
+
+
+def _loop_capture_failures(psi, w, part):
+    """Reference: the ball- and index-measurability failures computed
+    entry by entry, in the order scip_verify reports them."""
+    n = len(psi.grid)
+
+    def captures(t, x, z):
+        return psi.nonempty_at(t, z) and psi.grid.metric[x, z] < w.radius(t, z)
+
+    ball = [("ball-measurability", cell[0], z, x, "ball indicator not cell-constant")
+            for z in range(n) for x in range(n) for cell in part.cells
+            if len({captures(t, x, z) for t in cell}) > 1]
+    index = [("index-measurability", t, -1, x, "capture set not cell-constant")
+             for x in range(n) for cell in part.cells for t in cell[1:]
+             if any(captures(t, x, z) != captures(cell[0], x, z) for z in range(n))]
+    return ball, index
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_scip_capture_checks_match_loop_reference(seed):
+    rng = np.random.default_rng(seed)
+    space = AtomSpace(("a", "b", "c", "d"), [1.0] * 4)
+    grid = line_grid(7)
+    part = InfoPartition(space, ((0, 1, 2), (3,)))
+    psi = Corr.constant(space, grid, PointSet.of(1, [[0.0], [1.0]]))
+    f = Corr.constant(space, grid, PointSet.of(1, [[0.5]]))
+    radii = {(t, z): float(rng.choice([0.1, 0.2, 0.4])) for t in range(4) for z in range(7)}
+    ball, index = _loop_capture_failures(psi, CipWitness.shared(grid, f, radii), part)
+    for mode, kind, expected in (("countable", "ball-measurability", ball),
+                                 ("indexed", "index-measurability", index)):
+        witness = CipWitness(mode, {z: f for z in range(7)}, radii, box=([-1.0], [2.0]))
+        rep = scip_verify(psi, witness, part, cip_verify(psi, witness, eps=10.0))
+        assert expected
+        assert [fl for fl in rep.failures if fl[0] == kind] == expected
 
 
 def test_scip_requires_cip():
@@ -222,7 +257,8 @@ def test_scip_requires_cip():
     from carasel import PreconditionError
 
     with pytest.raises(PreconditionError):
-        scip_verify(psi, witness, InfoPartition.trivial(space), eps=0.1)
+        scip_verify(psi, witness, InfoPartition.trivial(space),
+                    cip_verify(psi, witness, eps=0.1))
 
 
 # --------------------------------------------------------------- operators

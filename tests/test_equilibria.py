@@ -8,6 +8,7 @@ from carasel import (
     AtomSpace,
     BayesSpec,
     Corr,
+    DomainError,
     GameSpec,
     GridSpace,
     InfoPartition,
@@ -132,7 +133,7 @@ def test_random_equilibrium_independent_quadratics():
     prefs = [pref_from_payoff(g, i) for i in range(2)]
     witnesses = [canonical_witness(p) for p in prefs]
     part = InfoPartition.finest(space)
-    cert = random_equilibrium(g, witnesses, part, eps_eq=0.01)
+    cert = random_equilibrium(g, prefs, witnesses, part, eps_eq=0.01)
     for t in range(2):
         for i in range(2):
             nearest = round(a[t][i] * 20) / 20
@@ -145,7 +146,7 @@ def test_random_equilibrium_constant_payoffs_zero_regret():
     g = two_player_game(space, (lambda t, x: 0.0, lambda t, x: 0.0), n_nodes=5)
     prefs = [pref_from_payoff(g, i) for i in range(2)]
     witnesses = [canonical_witness(p) for p in prefs]
-    cert = random_equilibrium(g, witnesses, InfoPartition.finest(space), eps_eq=0.0)
+    cert = random_equilibrium(g, prefs, witnesses, InfoPartition.finest(space), eps_eq=0.0)
     assert cert.worst_regret == 0.0
 
 
@@ -153,7 +154,7 @@ def test_random_equilibrium_single_player_boundary():
     space = single_atom()
     g = GameSpec(("p",), space, (line_grid(21),), (lambda t, x: float(x[0]),), (True,))
     p = pref_from_payoff(g, 0)
-    cert = random_equilibrium(g, [canonical_witness(p)],
+    cert = random_equilibrium(g, [p], [canonical_witness(p)],
                               InfoPartition.finest(space), eps_eq=1e-9)
     assert cert.profile[0][0] == pytest.approx(1.0)
 
@@ -180,6 +181,35 @@ def test_random_nash_dominant_quadratics():
     for t in range(2):
         assert np.allclose(cert.profile[t], [0.5, 0.5])
     assert not cert.warnings
+
+
+def test_random_nash_builds_each_preference_table_once(monkeypatch):
+    import carasel.equilibria as eq
+
+    calls = []
+    original = eq.pref_from_payoff
+
+    def counting(g, i, *args, **kwargs):
+        calls.append(i)
+        return original(g, i, *args, **kwargs)
+
+    monkeypatch.setattr(eq, "pref_from_payoff", counting)
+    space = single_atom()
+    g = two_player_game(
+        space,
+        (lambda t, x: -(x[0] - 0.5) ** 2, lambda t, x: -(x[1] - 0.5) ** 2),
+        n_nodes=5,
+    )
+    random_nash(g, InfoPartition.finest(space), eps_eq=1e-9)
+    assert sorted(calls) == [0, 1]
+
+
+def test_random_equilibrium_needs_one_table_per_player():
+    space = single_atom()
+    g = two_player_game(space, (lambda t, x: 0.0, lambda t, x: 0.0), n_nodes=5)
+    p = pref_from_payoff(g, 0)
+    with pytest.raises(DomainError):
+        random_equilibrium(g, [p], [canonical_witness(p)], InfoPartition.finest(space), 0.0)
 
 
 def test_random_nash_zero_payoffs():

@@ -60,6 +60,22 @@ def test_phi_canonical_witness_reproduces_table():
         assert res.phi.value(t, z).same_as(psi.value(t, z))
 
 
+def test_phi_shared_local_on_psi_grid_is_reused():
+    # the glued table is the witness's own table, so its gap cache from
+    # the inclusion check carries over instead of being recomputed
+    space = AtomSpace(("a", "b"), [1.0, 1.0])
+    grid = line_grid(9)
+    psi = Corr.from_function(
+        space, grid, 1,
+        lambda t, z: PointSet.of(1, [[0.0], [grid.points[z, 0]]]),
+    )
+    part = InfoPartition.finest(space)
+    assert construct_phi(psi, canonical_witness(psi), part).phi is psi
+    moved = Corr(space, line_grid(9), 1, psi.values)  # equal grid, other object
+    res = construct_phi(psi, CipWitness.shared(grid, moved, canonical_witness(psi).radii), part)
+    assert res.phi is not moved and res.phi.grid is grid
+
+
 def test_phi_empty_domain_vacuous():
     space = single_atom()
     grid = line_grid(4)
