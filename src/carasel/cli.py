@@ -6,8 +6,11 @@
 run parses a problem file, dispatches to the matching pipeline and
 writes a certificate beside the input (suffix .cert.json).  Exit codes:
 0 all checks passed, 1 checks ran and failed, 2 parse error, 3
-precondition violated, 4 no certificate at the requested tolerance.
-report pretty-prints a certificate without recomputing anything.
+precondition violated, 4 no certificate at the requested tolerance or a
+numerical failure (LinAlgError, QhullError); on exit 4 a no-certificate
+file is still written, its outputs.error naming the cause.
+report pretty-prints a certificate, provenance included, without
+recomputing anything.
 """
 
 from __future__ import annotations
@@ -115,6 +118,9 @@ def cmd_report(args) -> int:
 
     print(f"certificate: {path}")
     print(f"kind: {doc.get('kind', '?')}    status: {doc.get('status', '?')}")
+    prov = doc.get("provenance", {})
+    print(f"input sha256: {prov.get('input_sha256', '?')}")
+    print(f"seed: {prov.get('seed', '?')}    version: {prov.get('version', '?')}")
     checks = doc.get("checks", [])
     ordered = [c for c in checks if not c.get("pass")] + [c for c in checks if c.get("pass")]
     print(f"checks ({len(checks)}):")

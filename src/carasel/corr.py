@@ -21,12 +21,15 @@ from .setops import (
     _cross_dists,
     convex_distance,
     dist_to_point_set,
-    interior_point_margin,
+    vertex_margins,
 )
 
 SET_EQUALITY_TOL = 1e-9
 METRIC_TOL = 1e-9
 ADJ_TOL = 1e-12
+# Padded distance entries (pairs x kmax x kmax) evaluated at once by
+# Corr.directed_gaps; bounds its temporaries to a few MiB.
+GAP_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -192,24 +195,15 @@ class Corr:
         """Per-directed-adjacent-pair one-sided gaps of the atom-t row:
         entry k is the farthest any point of the value at source k must
         travel to reach the value at target k; NaN when either side is
-        empty.  Cached (the table is immutable)."""
+        empty, 0.0 when both ends hold the same PointSet object.  The
+        row is packed once into a NaN-padded (nodes, kmax, dim) block
+        and both gaps of every other pair come from padded array
+        reductions over chunks of at most about GAP_CHUNK distance
+        entries.  Cached (the table is immutable)."""
         cache = self.__dict__.setdefault("_gap_cache", {})
         if t not in cache:
             pi, pj = self.grid.directed_pair_arrays()
-            half = len(pi) // 2
-            out = np.full(len(pi), np.nan)
-            row = self.values[t]
-            for k in range(half):
-                a, b = row[pi[k]], row[pj[k]]
-                if a.is_empty or b.is_empty:
-                    continue
-                if a is b:
-                    out[k] = out[k + half] = 0.0
-                    continue
-                d = _cross_dists(a.points, b.points)
-                out[k] = d.min(axis=1).max()
-                out[k + half] = d.min(axis=0).max()
-            cache[t] = out
+            cache[t] = _packed_gaps(self.values[t], self.dim, pi, pj)
         return cache[t]
 
     def nonempty_at(self, t: int, z: int) -> bool:
@@ -218,6 +212,43 @@ class Corr:
     def t_section(self, t: int) -> list[int]:
         """Nodes where atom t has a nonempty value."""
         return [z for z in range(len(self.grid)) if self.nonempty_at(t, z)]
+
+
+def _packed_gaps(row: tuple, dim: int, pi: np.ndarray, pj: np.ndarray) -> np.ndarray:
+    """Both one-sided gaps of every adjacent pair of one correspondence
+    row (see Corr.directed_gaps).  Squared distances are reduced before
+    the square root, which is exact: sqrt is monotone and correctly
+    rounded, so it commutes with min and max."""
+    half = len(pi) // 2
+    out = np.full(len(pi), np.nan)
+    src, dst = pi[:half], pj[:half]
+    counts = np.array([len(ps) for ps in row], dtype=int)
+    first = {}  # nodes holding one PointSet object share its first node as owner
+    owner = np.array([first.setdefault(id(ps), z) for z, ps in enumerate(row)], dtype=int)
+    live = (counts[src] > 0) & (counts[dst] > 0)
+    same = live & (owner[src] == owner[dst])
+    out[:half][same] = 0.0
+    out[half:][same] = 0.0
+    todo = np.nonzero(live & ~same)[0]
+    if not len(todo):
+        return out
+    block = np.full((len(row), int(counts.max()), dim), np.nan)
+    for z, ps in enumerate(row):
+        block[z, :counts[z]] = ps.points
+    # widest pairs first, so each chunk is padded only to its own widest value
+    width = np.maximum(counts[src[todo]], counts[dst[todo]])
+    order = np.argsort(-width, kind="stable")
+    todo, width = todo[order], width[order]
+    start = 0
+    while start < len(todo):
+        m = int(width[start])
+        k = todo[start:start + max(1, GAP_CHUNK // (m * m))]
+        start += len(k)
+        diff = block[src[k], :m][:, :, None, :] - block[dst[k], :m][:, None, :, :]
+        d2 = np.einsum("pijk,pijk->pij", diff, diff)
+        out[k] = np.sqrt(np.fmax.reduce(np.fmin.reduce(d2, axis=2), axis=1))
+        out[k + half] = np.sqrt(np.fmax.reduce(np.fmin.reduce(d2, axis=1), axis=1))
+    return out
 
 
 def domain(psi: Corr) -> frozenset:
@@ -692,8 +723,7 @@ def pool_captured(psi: Corr, w: CipWitness, take=None) -> Corr:
 
 def _interior_samples(fv: PointSet) -> np.ndarray:
     """Points of a nonempty list interior to the list's own hull."""
-    hull = ConvexSet.from_point_set(fv)
-    return fv.points[[interior_point_margin(p, hull) > 0.0 for p in fv.points]]
+    return fv.points[vertex_margins(ConvexSet.from_point_set(fv)) > 0.0]
 
 
 def k_operator(psi: Corr, w: CipWitness) -> Corr:

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
 import numpy as np
+from scipy.spatial import QhullError
 
 from . import __version__, problems
 from .corr import cip_verify, domain, scip_verify
@@ -231,7 +232,9 @@ _RUNNERS = {
 def run_problem(doc: dict, overrides: dict | None = None) -> Certificate:
     """Dispatch a parsed problem to its pipeline and stamp provenance.  A
     solve that cannot certify yields a no-certificate record carrying the
-    error and, when known, the best residual reached."""
+    error and, when known, the best residual reached.  So does a numerical
+    failure of a geometry kernel (a LinAlgError or QhullError), whose
+    error names the exception class."""
     opts = problems.merge_options(doc, overrides or {})
     try:
         cert = _RUNNERS[doc["kind"]](doc, opts)
@@ -239,5 +242,8 @@ def run_problem(doc: dict, overrides: dict | None = None) -> Certificate:
         cert = Certificate("no-certificate", doc["kind"], CheckSet(), {"error": str(e)})
         if isinstance(e, NoCertificateError) and e.best_residual is not None:
             cert.outputs["best_residual"] = e.best_residual
+    except (np.linalg.LinAlgError, QhullError) as e:
+        cert = Certificate("no-certificate", doc["kind"], CheckSet(),
+                           {"error": f"{type(e).__name__}: {e}"})
     cert.provenance = _provenance(doc, opts)
     return cert

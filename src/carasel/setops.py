@@ -117,9 +117,21 @@ class ConvexSet:
 
     @classmethod
     def from_point_set(cls, ps: PointSet) -> "ConvexSet":
-        if ps.is_empty:
-            raise DomainError("cannot take the convex hull of the empty set")
-        return cls(ps.dim, ps.points)
+        """The hull of a nonempty PointSet, built once per PointSet and
+        cached on it (both are immutable), so every caller shares one
+        object.  Its vertices are ps.points itself: a PointSet's points
+        are already finite, read-only and pairwise farther apart than
+        DEDUP_TOL, so validating and deduplicating them again would keep
+        every point."""
+        hull = ps.__dict__.get("_hull")
+        if hull is None:
+            if ps.is_empty:
+                raise DomainError("cannot take the convex hull of the empty set")
+            hull = object.__new__(cls)
+            object.__setattr__(hull, "dim", ps.dim)
+            object.__setattr__(hull, "vertices", ps.points)
+            object.__setattr__(ps, "_hull", hull)
+        return hull
 
     def barycenter(self) -> np.ndarray:
         return self.vertices.mean(axis=0)
@@ -308,27 +320,39 @@ def interior_point_margin(x, c: ConvexSet) -> float:
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.shape[0] != c.dim:
         raise DomainError(f"point has dim {x.shape[0]}, set has dim {c.dim}")
+    return float(_margins(x.reshape(1, -1), c)[0])
+
+
+def vertex_margins(c: ConvexSet) -> np.ndarray:
+    """interior_point_margin of every vertex/sample of c, in order, from
+    one hull."""
+    return _margins(c.vertices, c)
+
+
+def _margins(X: np.ndarray, c: ConvexSet) -> np.ndarray:
+    """interior_point_margin of every row of X: the closed form in R^1,
+    one Qhull call for all rows otherwise."""
     V = c.vertices
     if c.dim == 1:
         lo, hi = float(V[:, 0].min()), float(V[:, 0].max())
         if hi <= lo:
-            return 0.0
-        return float(max(0.0, min(x[0] - lo, hi - x[0])))
+            return np.zeros(len(X))
+        return np.maximum(0.0, np.minimum(X[:, 0] - lo, hi - X[:, 0]))
     if len(V) <= c.dim:
-        return 0.0  # too few vertices to be full-dimensional
+        return np.zeros(len(X))  # too few vertices to be full-dimensional
     try:
-        hull = ConvexHull(V)
+        facets = ConvexHull(V).equations
     except QhullError:
-        return 0.0  # degenerate: empty ambient interior
+        return np.zeros(len(X))  # degenerate: empty ambient interior
     # hull facet normals are unit-length, so these are signed distances
-    margins = -(hull.equations[:, :-1] @ x + hull.equations[:, -1])
-    return float(max(0.0, margins.min()))
+    return np.array([max(0.0, float((-(facets[:, :-1] @ x + facets[:, -1])).min()))
+                     for x in X])
 
 
 def max_vertex_margin(c: ConvexSet) -> float:
     """max over the vertex/sample list of interior_point_margin; positive
     iff the list carries a point interior to its own hull."""
-    return max(interior_point_margin(v, c) for v in c.vertices)
+    return float(vertex_margins(c).max())
 
 
 def convex_hausdorff_dist(a: ConvexSet, b: ConvexSet) -> float:

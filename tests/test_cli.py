@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.spatial import QhullError
 
 import carasel.corr
 import carasel.pipelines
@@ -14,6 +15,7 @@ from carasel.problems import canonical_json, parse_problem, problem_hash
 from carasel.errors import ParseError
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 FIXTURES = ["example-3-2.json", "lsc-canonical.json", "quadratic-bayes.json"]
 
 
@@ -112,6 +114,23 @@ def test_no_certificate_exit_4(tmp_path):
     assert prov["version"] == __version__
 
 
+@pytest.mark.parametrize("fixture, step, error", [
+    ("lsc-canonical.json", "cip_verify", QhullError("QH6154 initial simplex is flat")),
+    ("example-3-2.json", "caratheodory_select", np.linalg.LinAlgError("SVD did not converge")),
+])
+def test_numerical_failure_exit_4(tmp_path, monkeypatch, fixture, step, error):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(carasel.pipelines, step, fail)
+    code, cert, _ = run_fixture(tmp_path, fixture)
+    assert code == 4
+    assert cert["status"] == "no-certificate"
+    assert cert["outputs"]["error"] == f"{type(error).__name__}: {error}"
+    assert cert["kind"] == json.loads((DOCS / fixture).read_text())["kind"]
+    assert cert["provenance"]["version"] == __version__
+
+
 def test_failed_checks_exit_1(tmp_path):
     # cip-check on the jump table with the table as its own witness:
     # the l.s.c. check fails, the certificate records it
@@ -136,6 +155,17 @@ def test_report_row_count_and_footer(tmp_path, capsys):
     rows = [l for l in out.splitlines() if " pass" in l or " FAIL" in l]
     assert len(rows) == len(cert["checks"])
     assert out.strip().endswith("ALL CHECKS PASSED")
+
+
+def test_report_prints_provenance(tmp_path, capsys):
+    code, cert, cert_path = run_fixture(tmp_path, "lsc-canonical.json", "--seed", "7")
+    capsys.readouterr()
+    assert main(["report", str(cert_path)]) == 0
+    out = capsys.readouterr().out
+    prov = cert["provenance"]
+    assert f"input sha256: {prov['input_sha256']}" in out
+    assert "seed: 7" in out
+    assert f"version: {__version__}" in out
 
 
 def test_report_failing_first(tmp_path, capsys):
@@ -242,3 +272,35 @@ def test_parse_problem_validates_tolerances():
             "grid": {"points": [[0.0]]},
             "correspondence": [],
         }))
+
+
+def _assert_close(got, want, where):
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want), where
+        for key in want:
+            _assert_close(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), where
+        for k, (g, w) in enumerate(zip(got, want)):
+            _assert_close(g, w, f"{where}[{k}]")
+    elif isinstance(want, float):
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0), where
+    else:
+        assert got == want, where
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_fixture_certificate_matches_golden(tmp_path, name):
+    # the committed certificates of the docs/ fixtures, timestamp removed;
+    # a change that moves any residual or output fails here
+    want = json.loads((GOLDEN / name).read_text())
+    code, got, _ = run_fixture(tmp_path, name)
+    assert code == 0
+    assert got["status"] == want["status"]
+    assert got["kind"] == want["kind"]
+    assert [(c["name"], c["pass"]) for c in got["checks"]] == \
+        [(c["name"], c["pass"]) for c in want["checks"]]
+    for g, w in zip(got["checks"], want["checks"]):
+        _assert_close(g["residual"], w["residual"], f"{w['name']}.residual")
+        _assert_close(g["tolerance"], w["tolerance"], f"{w['name']}.tolerance")
+    _assert_close(got["outputs"], want["outputs"], "outputs")

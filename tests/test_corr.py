@@ -23,7 +23,7 @@ from carasel import (
     scip_verify,
     usc_check,
 )
-from carasel.setops import ConvexSet, convex_distance
+from carasel.setops import ConvexSet, _cross_dists, convex_distance
 
 from conftest import jump_problem, line_grid
 from instances import random_cip_instance
@@ -374,3 +374,75 @@ def test_grid_defaults_and_connectivity():
     assert grid.is_connected()
     sparse = GridSpace(np.array([[0.0], [10.0]]), mesh=0.5)
     assert not sparse.is_connected()
+
+
+# ---------------------------------------------------------- packed gap kernel
+
+def _pair_loop_gaps(psi, t):
+    """The per-pair loop the packed kernel replaced, kept as its reference."""
+    pi, pj = psi.grid.directed_pair_arrays()
+    half = len(pi) // 2
+    out = np.full(len(pi), np.nan)
+    row = psi.values[t]
+    for k in range(half):
+        a, b = row[pi[k]], row[pj[k]]
+        if a.is_empty or b.is_empty:
+            continue
+        if a is b:
+            out[k] = out[k + half] = 0.0
+            continue
+        d = _cross_dists(a.points, b.points)
+        out[k] = d.min(axis=1).max()
+        out[k + half] = d.min(axis=0).max()
+    return out
+
+
+def _random_rows(rng, dim, grid):
+    """Two atoms of values with 0-8 points at scales 1e-3..1e3, empty
+    values, and one PointSet object shared by several nodes."""
+    space = AtomSpace(("a", "b"), [0.5, 0.5])
+    shared = PointSet.of(dim, rng.normal(size=(3, dim)))
+
+    def value(t, z):
+        u = rng.uniform()
+        if u < 0.3:
+            return shared
+        k = int(rng.integers(0, 9))
+        return PointSet.of(dim, rng.normal(size=(k, dim)) * 10.0 ** rng.integers(-3, 4))
+
+    return Corr.from_function(space, grid, dim, value)
+
+
+def _same_report(a, b):
+    assert a.ok == b.ok
+    assert a.max_gap == b.max_gap
+    assert [(z, y) for z, y, _ in a.violations] == [(z, y) for z, y, _ in b.violations]
+    for (_, _, p), (_, _, q) in zip(a.violations, b.violations):
+        assert np.array_equal(p, q)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_packed_gaps_match_pair_loop_reference(seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+    grids = [
+        GridSpace(rng.uniform(size=(int(rng.integers(2, 30)), 2))),
+        line_grid(int(rng.integers(2, 20))),
+        GridSpace(np.array([[0.0], [10.0]]), mesh=0.5),  # no adjacent pairs
+    ]
+    cases = [_random_rows(rng, dim, grid) for dim in (1, 2, 3) for grid in grids]
+    packed = []
+    for psi in cases:
+        for t in range(len(psi.space)):
+            gaps = psi.directed_gaps(t)
+            assert np.array_equal(gaps, _pair_loop_gaps(psi, t), equal_nan=True)
+            finite = gaps[~np.isnan(gaps)]
+            eps = float(np.median(finite)) if len(finite) and np.median(finite) > 0 else 1.0
+            packed.append((eps, lsc_check(psi, t, eps), usc_check(psi, t, eps)))
+
+    monkeypatch.setattr(Corr, "directed_gaps", _pair_loop_gaps)
+    reports = iter(packed)
+    for psi in cases:
+        for t in range(len(psi.space)):
+            eps, lsc, usc = next(reports)
+            _same_report(lsc, lsc_check(psi, t, eps))
+            _same_report(usc, usc_check(psi, t, eps))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import ConvexHull, QhullError
 
 from carasel import (
     ConvexSet,
@@ -18,7 +19,8 @@ from carasel import (
     li_limit,
     ls_limit,
 )
-from carasel.setops import max_vertex_margin
+from carasel.corr import _interior_samples
+from carasel.setops import max_vertex_margin, vertex_margins
 
 
 def ps(dim, pts):
@@ -192,6 +194,62 @@ def test_positive_margin_implies_membership(data):
     x = verts.mean(axis=0)
     if interior_point_margin(x, c) > 0:
         assert convex_membership(x, c, tol=0.0)
+
+
+def test_hull_of_point_set_is_built_once():
+    p = ps(2, [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.2, 0.2]])
+    hull = ConvexSet.from_point_set(p)
+    assert ConvexSet.from_point_set(p) is hull
+    assert hull.dim == 2
+    assert np.array_equal(hull.vertices, p.points)
+    assert np.array_equal(ConvexSet(2, p.points).vertices, hull.vertices)
+    with pytest.raises(DomainError):
+        ConvexSet.from_point_set(PointSet.empty(2))
+
+
+def _one_hull_per_point_margin(x, V):
+    """The per-sample margin that one hull per value replaced, kept as
+    its reference."""
+    if V.shape[1] == 1:
+        lo, hi = float(V[:, 0].min()), float(V[:, 0].max())
+        return 0.0 if hi <= lo else float(max(0.0, min(x[0] - lo, hi - x[0])))
+    if len(V) <= V.shape[1]:
+        return 0.0
+    try:
+        hull = ConvexHull(V)
+    except QhullError:
+        return 0.0
+    return float(max(0.0, (-(hull.equations[:, :-1] @ x + hull.equations[:, -1])).min()))
+
+
+_CUBE = [[x, y, z] for x in (0.0, 1.0) for y in (0.0, 1.0) for z in (0.0, 1.0)]
+
+
+@pytest.mark.parametrize("dim, points", [
+    (1, [[0.3]]),                                              # single point
+    (1, [[0.0], [1.0], [0.25], [0.5]]),                        # closed form
+    (2, [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.5, 0.4]]),
+    (3, _CUBE + [[0.5, 0.5, 0.25]]),
+    (2, [[0.0, 0.0], [1.0, 1.0], [0.5, 0.5], [2.0, 2.0]]),     # collinear: QhullError
+    (3, [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),  # len(V) <= dim
+    (2, np.random.default_rng(5).uniform(size=(9, 2))),
+    (3, np.random.default_rng(6).uniform(size=(12, 3))),
+])
+def test_vertex_margins_match_per_point_loop(dim, points):
+    p = ps(dim, points)
+    hull = ConvexSet.from_point_set(p)
+    loop = np.array([interior_point_margin(v, hull) for v in hull.vertices])
+    assert np.array_equal(loop, [_one_hull_per_point_margin(v, hull.vertices)
+                                 for v in hull.vertices])
+    assert np.array_equal(vertex_margins(hull), loop)
+    assert max_vertex_margin(hull) == loop.max()
+    assert np.array_equal(_interior_samples(p), p.points[loop > 0.0])
+
+
+def test_vertex_margins_interval_closed_form():
+    interval = ConvexSet(1, [[0.0], [1.0], [0.25], [0.5]])
+    assert vertex_margins(interval).tolist() == [0.0, 0.0, 0.25, 0.5]
+    assert vertex_margins(ConvexSet(1, [[0.3]])).tolist() == [0.0]
 
 
 def test_max_vertex_margin_detects_interior_sample():
