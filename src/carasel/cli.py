@@ -10,7 +10,8 @@ precondition violated, 4 no certificate at the requested tolerance or a
 numerical failure (LinAlgError, QhullError); on exit 4 a no-certificate
 file is still written, its outputs.error naming the cause.
 report pretty-prints a certificate, provenance included, without
-recomputing anything.
+recomputing anything; it exits 2 when the file is missing, is not JSON
+or is not shaped like a certificate.
 """
 
 from __future__ import annotations
@@ -105,6 +106,21 @@ def cmd_run(args) -> int:
     return EXIT_OK if cert.status == "ok" else EXIT_FAILED
 
 
+def _check_certificate_shape(doc) -> None:
+    """Raise ParseError unless doc has the fields report reads with the
+    types it prints: objects, lists, string names, numeric residuals."""
+    if not isinstance(doc, dict):
+        raise ParseError("a certificate must be a JSON object")
+    for key, kind in (("provenance", dict), ("outputs", dict), ("warnings", list), ("checks", list)):
+        if not isinstance(doc.get(key, kind()), kind):
+            raise ParseError(f"{key} must be a JSON {'object' if kind is dict else 'array'}")
+    for c in doc.get("checks", []):
+        values = (c.get("residual", 0), c.get("tolerance", 0)) if isinstance(c, dict) else ()
+        if (not values or not isinstance(c.get("name", ""), str)
+                or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values)):
+            raise ParseError(f"check {c!r} needs a string name and numeric residual and tolerance")
+
+
 def cmd_report(args) -> int:
     path = Path(args.certificate)
     if not path.exists():
@@ -114,6 +130,11 @@ def cmd_report(args) -> int:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as e:
         print(f"parse error (line {e.lineno}, column {e.colno}): {e.msg}", file=sys.stderr)
+        return EXIT_PARSE
+    try:
+        _check_certificate_shape(doc)
+    except ParseError as e:
+        print(f"parse error: {e}", file=sys.stderr)
         return EXIT_PARSE
 
     print(f"certificate: {path}")

@@ -21,6 +21,7 @@ from .setops import (
     _cross_dists,
     convex_distance,
     dist_to_point_set,
+    hausdorff_dist,
     vertex_margins,
 )
 
@@ -481,37 +482,12 @@ def _inclusion_residual(points: PointSet, target: PointSet) -> float:
     return worst
 
 
-class _LocalTables:
-    """Per-(local, atom) caches shared across witness nodes: emptiness
-    and inclusion residual per node; gap tables come from the local's
-    own cache."""
-
-    def __init__(self, psi: Corr, f: Corr):
-        self.psi = psi
-        self.f = f
-        self._empty: dict[int, np.ndarray] = {}
-        self._residual: dict[int, np.ndarray] = {}
-        self.pair_i, self.pair_j = psi.grid.directed_pair_arrays()
-
-    def empty(self, t: int) -> np.ndarray:
-        if t not in self._empty:
-            self._empty[t] = np.array(
-                [self.f.value(t, x).is_empty for x in range(len(self.psi.grid))]
-            )
-        return self._empty[t]
-
-    def residual(self, t: int) -> np.ndarray:
-        if t not in self._residual:
-            empty = self.empty(t)
-            res = np.zeros(len(self.psi.grid))
-            for x in range(len(self.psi.grid)):
-                if not empty[x]:
-                    res[x] = _inclusion_residual(self.f.value(t, x), self.psi.value(t, x))
-            self._residual[t] = res
-        return self._residual[t]
-
-    def gaps(self, t: int) -> np.ndarray:
-        return self.f.directed_gaps(t)
+def _residual_row(psi: Corr, f: Corr, t: int) -> np.ndarray:
+    """Inclusion residual of F(t, x) in psi(t, x) at every node x, 0
+    where F(t, x) is empty."""
+    return np.array([0.0 if f.value(t, x).is_empty else
+                     _inclusion_residual(f.value(t, x), psi.value(t, x))
+                     for x in range(len(psi.grid))])
 
 
 def cip_verify(
@@ -529,59 +505,53 @@ def cip_verify(
     must pass the discrete l.s.c. check at eps inside the ball (on the
     whole grid when strict=True), and on the whole grid for atoms t with
     psi(t, z) empty.
+
+    The directed pairs that lose a value point at eps are found once per
+    (local, atom); each witness node keeps those with both ends in its
+    ball, or all of them when strict or off the section.
     """
     report = CipReport(True, eps=eps)
     n_nodes = len(psi.grid)
     metric = psi.grid.metric
+    pi, pj = psi.grid.directed_pair_arrays()
     for f, zs in w.distinct_locals():
         if f.grid is not psi.grid and len(f.grid) != n_nodes:
             raise DomainError("witness locals must live on psi's grid")
-        tables = _LocalTables(psi, f)
-        pi, pj = tables.pair_i, tables.pair_j
         for t in range(len(psi.space)):
-            gaps = tables.gaps(t)
+            gaps = f.directed_gaps(t)
             finite = ~np.isnan(gaps)
             if finite.any():
                 report.lsc_gap = max(report.lsc_gap, float(np.nanmax(gaps)))
+            lost = np.nonzero(finite & (gaps >= eps))[0]
+            empty = np.array([f.value(t, x).is_empty for x in range(n_nodes)])
+            res = None  # residual row, computed once the first ball needs it
             for z in zs:
                 if psi.nonempty_at(t, z):
                     in_ball = metric[:, z] < w.radius(t, z)
-                    empty = tables.empty(t)
                     for x in np.nonzero(in_ball & empty)[0]:
                         report.failures.append(
                             ("nonempty", t, z, int(x), "local value empty in ball")
                         )
                     usable = in_ball & ~empty
                     if usable.any():
-                        res = tables.residual(t)[usable]
-                        worst = float(res.max())
+                        if res is None:
+                            res = _residual_row(psi, f, t)
+                        worst = float(res[usable].max())
                         report.inclusion_residual = max(report.inclusion_residual, worst)
-                        if worst > tol:
-                            for x in np.nonzero(usable)[0]:
-                                r = tables.residual(t)[x]
-                                if r > tol:
-                                    report.failures.append((
-                                        "inclusion", t, z, int(x),
-                                        f"local value escapes psi by {r:.3e}",
-                                    ))
-                    if len(pi):
-                        scope = finite if strict else (
-                            finite & in_ball[pi] & in_ball[pj]
-                        )
-                        bad = scope & (gaps >= eps)
-                        for k in np.nonzero(bad)[0]:
+                        for x in np.nonzero(usable & (res > tol))[0]:
                             report.failures.append((
-                                "lsc", t, z, int(pi[k]),
-                                f"value point lost toward node {int(pj[k])}",
+                                "inclusion", t, z, int(x),
+                                f"local value escapes psi by {res[x]:.3e}",
                             ))
+                    kind = "lsc"
+                    scoped = lost if strict else lost[in_ball[pi[lost]] & in_ball[pj[lost]]]
                 else:
-                    if len(pi):
-                        bad = finite & (gaps >= eps)
-                        for k in np.nonzero(bad)[0]:
-                            report.failures.append((
-                                "lsc-offsection", t, z, int(pi[k]),
-                                f"value point lost toward node {int(pj[k])}",
-                            ))
+                    kind, scoped = "lsc-offsection", lost
+                for k in scoped:
+                    report.failures.append((
+                        kind, t, z, int(pi[k]),
+                        f"value point lost toward node {int(pj[k])}",
+                    ))
     report.ok = not report.failures
     return report
 
@@ -688,11 +658,7 @@ def scip_verify(
                     d = psi.grid.metric[i, j]
                     if d <= 0:
                         continue
-                    gap = max(
-                        float(_cross_dists(a.points, b.points).min(axis=1).max()),
-                        float(_cross_dists(b.points, a.points).min(axis=1).max()),
-                    )
-                    modulus = max(modulus, gap / d)
+                    modulus = max(modulus, hausdorff_dist(a, b) / d)
         report.hull_modulus = modulus
     report.ok = not report.failures
     return report

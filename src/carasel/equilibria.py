@@ -280,21 +280,27 @@ def pref_from_payoff(g: GameSpec, i: int, strict_margin: float = 0.0) -> Corr:
     return Corr(g.state_space, grid, dim_i, tuple(rows))
 
 
+def _reflexive_at(p: Corr, own: np.ndarray) -> tuple[int, int] | None:
+    """The first (atom, node) whose own point own[node] lies in the hull
+    of its preferred set, or None when p is irreflexive."""
+    for t in range(len(p.space)):
+        for z in range(len(own)):
+            v = p.value(t, z)
+            if not v.is_empty and convex_membership(
+                    own[z], ConvexSet.from_point_set(v), SET_EQUALITY_TOL):
+                return t, z
+    return None
+
+
 def _check_irreflexivity(g: GameSpec, prefs: list[Corr]) -> None:
     nodes = g.joint_nodes()
     for i, p in enumerate(prefs):
-        sl = g.own_slices[i]
-        for t in range(len(g.state_space)):
-            for flat in range(len(nodes)):
-                v = p.value(t, flat)
-                if v.is_empty:
-                    continue
-                hull = ConvexSet.from_point_set(v)
-                if convex_membership(nodes[flat][sl], hull, SET_EQUALITY_TOL):
-                    raise PreconditionError(
-                        f"irreflexivity violated: own strategy inside the hull of the "
-                        f"preferred set at atom {t}, joint node {flat}, player {i}"
-                    )
+        hit = _reflexive_at(p, nodes[:, g.own_slices[i]])
+        if hit is not None:
+            raise PreconditionError(
+                f"irreflexivity violated: own strategy inside the hull of the "
+                f"preferred set at atom {hit[0]}, joint node {hit[1]}, player {i}"
+            )
 
 
 def _payoff_cell_constancy(g: GameSpec, part: InfoPartition) -> float:
@@ -540,16 +546,9 @@ def maximal_element(
     runs the selection-plus-fallback construction, and returns the
     lexicographically first empty-preference node per atom."""
     grid = p.grid
-    for t in range(len(p.space)):
-        for z in range(len(grid)):
-            v = p.value(t, z)
-            if v.is_empty:
-                continue
-            hull = ConvexSet.from_point_set(v)
-            if convex_membership(grid.points[z], hull, SET_EQUALITY_TOL):
-                raise PreconditionError(
-                    f"irreflexivity violated at atom {t}, node {z}"
-                )
+    hit = _reflexive_at(p, grid.points)
+    if hit is not None:
+        raise PreconditionError(f"irreflexivity violated at atom {hit[0]}, node {hit[1]}")
 
     checks = CheckSet()
     probe = cip_verify(p, w, eps=grid.diameter + 1.0)

@@ -42,14 +42,21 @@ def _as_points(dim: int, points) -> np.ndarray:
 
 
 def _dedup(points: np.ndarray, tol: float = DEDUP_TOL) -> np.ndarray:
+    """The one distinctness kernel: the points farther than tol from
+    every earlier kept point, in order (greedy, the first of a close
+    pair is kept).  One pairwise comparison; when it shows only the
+    diagonal, the input object itself is returned, so `_dedup(arr) is
+    not arr` tells whether arr holds points within tol of each other."""
     if len(points) <= 1:
         return points
-    d = _cross_dists(points, points)
+    close = _cross_dists(points, points) <= tol
     n = len(points)
+    if np.count_nonzero(close) == n:
+        return points
     keep = np.ones(n, dtype=bool)
     for i in range(n):
         if keep[i]:
-            keep[i + 1:] &= d[i, i + 1:] > tol
+            keep[i + 1:] &= ~close[i, i + 1:]
     out = points[keep].copy()
     out.flags.writeable = False
     return out
@@ -66,11 +73,8 @@ class PointSet:
         if self.dim < 1:
             raise DomainError("dim must be a positive integer")
         arr = _as_points(self.dim, self.points)
-        if len(arr) > 1:
-            d = _cross_dists(arr, arr)
-            d[np.diag_indices_from(d)] = np.inf
-            if float(d.min()) <= DEDUP_TOL:
-                raise DomainError("duplicate points beyond tolerance 1e-12")
+        if _dedup(arr) is not arr:
+            raise DomainError("duplicate points beyond tolerance 1e-12")
         object.__setattr__(self, "points", arr)
 
     @classmethod

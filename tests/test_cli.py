@@ -188,6 +188,20 @@ def test_report_missing_file_exit_2(capsys):
     assert main(["report", "/nonexistent/cert.json"]) == 2
 
 
+@pytest.mark.parametrize("mangle", [
+    lambda cert: [1, 2],
+    lambda cert: {**cert, "checks": [{**cert["checks"][0], "residual": "small"}]},
+    lambda cert: {**cert, "checks": {"cip-lsc": 0.0}},
+    lambda cert: {**cert, "outputs": [1]},
+], ids=["array", "text-residual", "checks-object", "outputs-list"])
+def test_report_malformed_certificate_exit_2(tmp_path, capsys, mangle):
+    _, cert, cert_path = run_fixture(tmp_path, "example-3-2.json")
+    cert_path.write_text(json.dumps(mangle(cert)))
+    capsys.readouterr()
+    assert main(["report", str(cert_path)]) == 2
+    assert capsys.readouterr().err.startswith("parse error: ")
+
+
 def test_roundtrip_idempotent():
     for name in FIXTURES:
         text = (DOCS / name).read_text()

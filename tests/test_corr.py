@@ -23,6 +23,7 @@ from carasel import (
     scip_verify,
     usc_check,
 )
+from carasel.corr import SET_EQUALITY_TOL, CipReport, _inclusion_residual
 from carasel.setops import ConvexSet, _cross_dists, convex_distance
 
 from conftest import jump_problem, line_grid
@@ -174,6 +175,103 @@ def test_cip_strict_flag_checks_whole_grid():
     assert lenient.ok
     assert not strict.ok
     assert any(kind == "lsc" for (kind, *_rest) in strict.failures)
+
+
+def _per_node_cip_reference(psi, w, eps, strict, residuals, tol=SET_EQUALITY_TOL):
+    """The per-node loop cip_verify ran before it found the lost pairs
+    once per (local, atom), kept as its reference.  residuals caches each
+    (local, atom) residual row across calls on the same psi."""
+    report = CipReport(True, eps=eps)
+    metric = psi.grid.metric
+    pi, pj = psi.grid.directed_pair_arrays()
+    n = len(psi.grid)
+    for f, zs in w.distinct_locals():
+        for t in range(len(psi.space)):
+            gaps = f.directed_gaps(t)
+            finite = ~np.isnan(gaps)
+            if finite.any():
+                report.lsc_gap = max(report.lsc_gap, float(np.nanmax(gaps)))
+            empty = np.array([f.value(t, x).is_empty for x in range(n)])
+            key = (id(f), t)
+            if key not in residuals:
+                residuals[key] = np.array([0.0 if empty[x] else
+                                           _inclusion_residual(f.value(t, x), psi.value(t, x))
+                                           for x in range(n)])
+            residual = residuals[key]
+            for z in zs:
+                if psi.nonempty_at(t, z):
+                    in_ball = metric[:, z] < w.radius(t, z)
+                    for x in np.nonzero(in_ball & empty)[0]:
+                        report.failures.append(
+                            ("nonempty", t, z, int(x), "local value empty in ball"))
+                    usable = in_ball & ~empty
+                    if usable.any():
+                        worst = float(residual[usable].max())
+                        report.inclusion_residual = max(report.inclusion_residual, worst)
+                        if worst > tol:
+                            for x in np.nonzero(usable)[0]:
+                                r = residual[x]
+                                if r > tol:
+                                    report.failures.append((
+                                        "inclusion", t, z, int(x),
+                                        f"local value escapes psi by {r:.3e}"))
+                    if len(pi):
+                        scope = finite if strict else finite & in_ball[pi] & in_ball[pj]
+                        for k in np.nonzero(scope & (gaps >= eps))[0]:
+                            report.failures.append((
+                                "lsc", t, z, int(pi[k]),
+                                f"value point lost toward node {int(pj[k])}"))
+                elif len(pi):
+                    for k in np.nonzero(finite & (gaps >= eps))[0]:
+                        report.failures.append((
+                            "lsc-offsection", t, z, int(pi[k]),
+                            f"value point lost toward node {int(pj[k])}"))
+    report.ok = not report.failures
+    return report
+
+
+def _planted(rng, f):
+    """f with one value moved far outside every psi hull and one value
+    emptied, at random (atom, node) pairs."""
+    far = (int(rng.integers(len(f.space))), int(rng.integers(len(f.grid))))
+    gone = (int(rng.integers(len(f.space))), int(rng.integers(len(f.grid))))
+
+    def value(t, x):
+        if (t, x) == far:
+            return PointSet.of(f.dim, np.full((1, f.dim), 5.0))
+        if (t, x) == gone:
+            return PointSet.empty(f.dim)
+        return f.value(t, x)
+
+    return Corr.from_function(f.space, f.grid, f.dim, value)
+
+
+def test_cip_matches_per_node_reference():
+    kinds, modes, offsection = set(), set(), False
+    for seed in range(9):  # all three styles, both multi-local modes
+        rng = np.random.default_rng(seed)
+        inst = random_cip_instance(rng)
+        w = inst.witness
+        swap = {id(f): _planted(rng, f) for f, _ in w.distinct_locals()[:3]}
+        planted = CipWitness(w.mode, {z: swap.get(id(f), f) for z, f in w.locals.items()},
+                             w.radii, w.box)
+        offsection |= not all(inst.psi.nonempty_at(t, z) for t in range(len(inst.psi.space))
+                              for z in range(len(inst.psi.grid)))
+        residuals = {}
+        for witness in (w, planted):
+            modes.add((witness.mode, len(witness.distinct_locals()) > 1))
+            for eps in (inst.eps, inst.eps / 100):
+                for strict in (False, True):
+                    got = cip_verify(inst.psi, witness, eps, strict=strict)
+                    want = _per_node_cip_reference(inst.psi, witness, eps, strict, residuals)
+                    assert got.failures == want.failures
+                    assert got.inclusion_residual == want.inclusion_residual
+                    assert got.lsc_gap == want.lsc_gap
+                    assert got.ok == want.ok
+                    kinds |= {kind for kind, *_ in got.failures}
+    assert kinds == {"nonempty", "inclusion", "lsc", "lsc-offsection"}
+    assert {("shared", False), ("countable", True), ("indexed", True)} <= modes
+    assert offsection
 
 
 def test_scip_shared_mode_jump(jump):

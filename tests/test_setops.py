@@ -20,7 +20,7 @@ from carasel import (
     ls_limit,
 )
 from carasel.corr import _interior_samples
-from carasel.setops import max_vertex_margin, vertex_margins
+from carasel.setops import _as_points, _cross_dists, _dedup, max_vertex_margin, vertex_margins
 
 
 def ps(dim, pts):
@@ -312,6 +312,58 @@ def test_pointset_rejects_duplicates():
 
 def test_pointset_of_dedups():
     assert len(ps(1, [[0.0], [0.0], [1.0]])) == 2
+
+
+def _greedy_dedup_reference(points, tol=1e-12):
+    """The distance-matrix loop _dedup ran on every input before it
+    learned to return a distinct input unchanged, kept as its reference."""
+    if len(points) <= 1:
+        return points
+    d = _cross_dists(points, points)
+    keep = np.ones(len(points), dtype=bool)
+    for i in range(len(points)):
+        if keep[i]:
+            keep[i + 1:] &= d[i, i + 1:] > tol
+    return points[keep]
+
+
+def _dedup_cases(rng, dim):
+    """Lists of 0-8 points at scales that do and do not collide at 1e-12,
+    lists with exact duplicates, and chains a, b, c with a-b and b-c
+    within 1e-12 but a-c not, in both orders of a and b."""
+    cases = []
+    for k in range(9):
+        pts = rng.normal(size=(k, dim)) * 10.0 ** rng.choice([-13, -12, 0])
+        cases.append(pts)
+        for extra in (1, 2) if k else ():
+            dup = np.vstack([pts, pts[rng.integers(0, k, size=extra)]])
+            cases.append(dup[rng.permutation(len(dup))])
+    a = rng.uniform(-1.0, 1.0, size=dim)
+    step = np.zeros(dim)
+    step[0] = 0.8e-12
+    cases.append(np.array([a, a + step, a + 2 * step]))
+    cases.append(np.array([a + step, a, a + 2 * step]))
+    return cases
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_dedup_and_pointset_match_greedy_reference(dim):
+    rng = np.random.default_rng(dim)
+    dropped = 0
+    for pts in _dedup_cases(rng, dim):
+        arr = _as_points(dim, pts)
+        want = _greedy_dedup_reference(arr)
+        got = _dedup(arr)
+        assert np.array_equal(got, want)
+        assert (got is arr) == (len(want) == len(arr))
+        assert np.array_equal(PointSet.of(dim, pts).points, want)
+        if len(want) < len(arr):
+            dropped += 1
+            with pytest.raises(DomainError):
+                PointSet(dim, pts)
+        else:
+            assert np.array_equal(PointSet(dim, pts).points, arr)
+    assert dropped >= 17  # every duplicated list and both chains
 
 
 def test_convex_set_needs_a_vertex():
