@@ -19,8 +19,7 @@ from .setops import (
     ConvexSet,
     PointSet,
     _cross_dists,
-    convex_distance,
-    dist_to_point_set,
+    _hull_distances,
     hausdorff_dist,
     vertex_margins,
 )
@@ -439,14 +438,13 @@ def canonical_witness(psi: Corr) -> CipWitness:
     big = psi.grid.diameter + 1.0
     radii = {}
     for t in range(len(psi.space)):
-        empty_nodes = [z for z in range(len(psi.grid)) if not psi.nonempty_at(t, z)]
-        for z in range(len(psi.grid)):
-            if not psi.nonempty_at(t, z):
-                continue
-            if empty_nodes:
-                radii[(t, z)] = float(min(psi.grid.metric[z, e] for e in empty_nodes))
-            else:
-                radii[(t, z)] = big
+        nonempty = np.array([psi.nonempty_at(t, z) for z in range(len(psi.grid))])
+        if nonempty.all():
+            reach = np.full(len(psi.grid), big)
+        else:
+            reach = psi.grid.metric[:, ~nonempty].min(axis=1)
+        for z in np.flatnonzero(nonempty):
+            radii[(t, int(z))] = float(reach[z])
     return CipWitness.shared(psi.grid, psi, radii)
 
 
@@ -473,13 +471,12 @@ def _inclusion_residual(points: PointSet, target: PointSet) -> float:
         return float("inf")
     if points.points is target.points or np.array_equal(points.points, target.points):
         return 0.0
-    hull = ConvexSet.from_point_set(target)
-    worst = 0.0
-    for p in points.points:
-        if dist_to_point_set(p, target) == 0.0:
-            continue  # p is literally one of the target samples
-        worst = max(worst, convex_distance(p, hull))
-    return worst
+    pts = points.points
+    literal = (pts[:, None, :] == target.points[None, :, :]).all(axis=2).any(axis=1)
+    rest = pts[~literal]  # a point that is one of the target samples is at 0
+    if not len(rest):
+        return 0.0
+    return float(_hull_distances(rest, ConvexSet.from_point_set(target)).max())
 
 
 def _residual_row(psi: Corr, f: Corr, t: int) -> np.ndarray:

@@ -29,7 +29,14 @@ from .corr import (
 from .errors import ConstructionError, DomainError, PreconditionError
 from .measure import InfoPartition
 from .reporting import CheckSet
-from .setops import ConvexSet, PointSet, convex_distance, convex_project, max_vertex_margin
+from .setops import (
+    ConvexSet,
+    PointSet,
+    _hull_distances,
+    _nearest_in_hulls,
+    _pack_hulls,
+    max_vertex_margin,
+)
 
 DEFAULT_SELECTION_TOL = 1e-7
 DEFAULT_K_MAX = 40
@@ -73,6 +80,11 @@ class AtomSelection:
     values: dict  # node -> vector
     modulus: float
     residual: float
+    # Jacobi sweeps run, and whether the stop rule fired within
+    # max_sweeps; a combination of several runs reports the most sweeps
+    # and whether every run converged
+    sweeps: int
+    converged: bool
 
 
 @dataclass
@@ -183,17 +195,17 @@ def grid_select(
             )
         hulls[z] = ConvexSet.from_point_set(v)
     if not section:
-        return AtomSelection({}, 0.0, 0.0)
+        return AtomSelection({}, 0.0, 0.0, 0, True)
 
-    dim = phi.dim
     n = len(section)
     pos = {z: k for k, z in enumerate(section)}
-    x = np.empty((n, dim))
-    for z in section:
+    V = _pack_hulls([hulls[z] for z in section])
+    x = np.empty((n, phi.dim))
+    for k, z in enumerate(section):
         if init is not None and z in init:
-            x[pos[z]] = np.asarray(init[z], dtype=float)
+            x[k] = np.asarray(init[z], dtype=float)
         else:
-            x[pos[z]] = hulls[z].vertices.mean(axis=0)
+            x[k] = hulls[z].vertices.mean(axis=0)
 
     in_section = set(section)
     nbr_rows, nbr_cols = [], []
@@ -206,35 +218,24 @@ def grid_select(
     if nbr_rows:
         weights[nbr_rows, nbr_cols] = 1.0
         degree = weights.sum(axis=1)
-        has_nbrs = degree > 0
-        weights[has_nbrs] /= degree[has_nbrs, None]
+        moving = np.flatnonzero(degree > 0)
+        weights[moving] /= degree[moving, None]
     else:
-        has_nbrs = np.zeros(n, dtype=bool)
-
-    one_dim = dim == 1
-    if one_dim:
-        lo = np.array([hulls[z].vertices[:, 0].min() for z in section])
-        hi = np.array([hulls[z].vertices[:, 0].max() for z in section])
+        moving = np.zeros(0, dtype=int)
+    V_moving = V[moving]
 
     scale = max(1.0, max(float(np.abs(h.vertices).max()) for h in hulls.values()))
-    for _ in range(max_sweeps):
-        target = weights @ x
-        if one_dim:
-            projected = np.clip(target[:, 0], lo, hi)[:, None]
-        else:
-            projected = x.copy()
-            for z in section:
-                k = pos[z]
-                if has_nbrs[k]:
-                    projected[k] = convex_project(target[k], hulls[z])[0]
-        new = np.where(has_nbrs[:, None],
-                       (1.0 - relaxation) * x + relaxation * projected, x)
-        move = float(np.linalg.norm(new - x, axis=1).max())
-        x = new
-        if move <= _SWEEP_STOP * scale:
-            break
+    sweeps, converged = 0, False
+    while sweeps < max_sweeps and not converged:
+        sweeps += 1
+        target = (weights @ x)[moving]
+        projected = _nearest_in_hulls(target, V_moving)[0]
+        new = (1.0 - relaxation) * x[moving] + relaxation * projected
+        move = float(np.linalg.norm(new - x[moving], axis=1).max(initial=0.0))
+        x[moving] = new
+        converged = move <= _SWEEP_STOP * scale
 
-    values = {z: x[pos[z]].copy() for z in section}
+    values = {z: x[k].copy() for k, z in enumerate(section)}
     modulus = 0.0
     if nbr_rows:
         diffs = np.linalg.norm(x[nbr_rows] - x[nbr_cols], axis=1)
@@ -245,12 +246,12 @@ def grid_select(
         if positive.any():
             modulus = float((diffs[positive] / dists[positive]).max())
 
-    residual = max(convex_distance(values[z], hulls[z]) for z in section)
+    residual = float(_nearest_in_hulls(x, V)[1].max())
     if residual > tol:
         raise ConstructionError(
             f"selection escaped its value set by {residual:.3e} at atom {t}"
         )
-    return AtomSelection(values, modulus, residual)
+    return AtomSelection(values, modulus, residual, sweeps, converged)
 
 
 def interior_series(b: ConvexSet, dense, k_max: int) -> np.ndarray:
@@ -264,11 +265,10 @@ def interior_series(b: ConvexSet, dense, k_max: int) -> np.ndarray:
     pts = [np.asarray(p, dtype=float).reshape(-1) for p in dense]
     if len(pts) < 2:
         raise PreconditionError("the dense list needs at least two points")
-    for p in pts:
-        if p.shape[0] != b.dim:
-            raise DomainError("dense points must match the ambient dim")
-        if convex_distance(p, b) > SET_EQUALITY_TOL:
-            raise PreconditionError("dense point outside the set")
+    if any(p.shape[0] != b.dim for p in pts):
+        raise DomainError("dense points must match the ambient dim")
+    if _hull_distances(np.array(pts), b).max() > SET_EQUALITY_TOL:
+        raise PreconditionError("dense point outside the set")
 
     y1 = pts[0]
     total = np.zeros(b.dim)
@@ -335,7 +335,7 @@ def caratheodory_select(
             return base
         arng = np.random.default_rng(int(atom_seeds[t]))
         section = sorted(base.values)
-        family: list[dict] = []
+        runs: list[AtomSelection] = []
         for _ in range(max(0, restarts - 1)):
             init = {}
             for z in section:
@@ -343,12 +343,10 @@ def caratheodory_select(
                 wts = arng.exponential(size=len(verts))
                 wts /= wts.sum()
                 init[z] = verts.T @ wts
-            family.append(
-                grid_select(phi, t, tol, init=init, max_sweeps=max_sweeps).values
-            )
+            runs.append(grid_select(phi, t, tol, init=init, max_sweeps=max_sweeps))
         values = {}
         for z in section:
-            values[z] = _series_combine(base.values[z], [f[z] for f in family], k_max)
+            values[z] = _series_combine(base.values[z], [r.values[z] for r in runs], k_max)
         modulus = 0.0
         for z in section:
             for j in phi.grid.neighbors(z):
@@ -358,7 +356,9 @@ def caratheodory_select(
                         modulus = max(
                             modulus, float(np.linalg.norm(values[z] - values[j])) / d
                         )
-        return AtomSelection(values, modulus, base.residual)
+        return AtomSelection(values, modulus, base.residual,
+                             max(r.sweeps for r in [base, *runs]),
+                             all(r.converged for r in [base, *runs]))
 
     solved = runtime.atom_map(solve_atom, atoms)
 
@@ -372,15 +372,16 @@ def caratheodory_select(
     checks = CheckSet()
     checks.extend(phi_res.certificate)
 
-    worst = 0.0
-    worst_node = None
-    for (t, z) in sorted(u_psi):
+    nodes = sorted(u_psi)
+    for (t, z) in nodes:
         if (t, z) not in values:
             raise ConstructionError(f"no selected value at (t={t}, z={z})")
-        hull = ConvexSet.from_point_set(psi.value(t, z))
-        res = convex_distance(values[(t, z)], hull)
-        if res > worst:
-            worst, worst_node = res, (t, z)
+    worst = 0.0
+    if nodes:
+        V = _pack_hulls([ConvexSet.from_point_set(psi.value(t, z)) for t, z in nodes])
+        res = _nearest_in_hulls(np.array([values[key] for key in nodes]), V)[1]
+        worst_node = nodes[int(res.argmax())]
+        worst = float(res.max())
     checks.add("selection-membership", worst, tol,
                "selected point inside the hull of the original value at every domain node")
     if worst > tol:

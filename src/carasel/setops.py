@@ -25,8 +25,18 @@ DEFAULT_CLUSTER_TOL = 1e-6
 # feasibility solve, so that genuine members pass even at tol=0.
 _FEASIBILITY_BAND = 1e-9
 
+# Min-norm-point search, in units of the largest vertex distance from x:
+# a row is optimal once no vertex improves on its point p by more than
+# _OPT_BAND * |p| (or |p| itself is below _OPT_BAND), which bounds the
+# distance error by _OPT_BAND; a support weight at or below _WEIGHT_CUT
+# counts as dead.
+_OPT_BAND = 1e-12
+_WEIGHT_CUT = 1e-14
+
 
 def _as_points(dim: int, points) -> np.ndarray:
+    if dim < 1:
+        raise DomainError("dim must be a positive integer")
     arr = np.asarray(points, dtype=float)
     if arr.size == 0:
         arr = arr.reshape(0, dim)
@@ -70,8 +80,6 @@ class PointSet:
     points: np.ndarray
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise DomainError("dim must be a positive integer")
         arr = _as_points(self.dim, self.points)
         if _dedup(arr) is not arr:
             raise DomainError("duplicate points beyond tolerance 1e-12")
@@ -79,8 +87,13 @@ class PointSet:
 
     @classmethod
     def of(cls, dim: int, points) -> "PointSet":
-        """Build a PointSet, silently deduplicating near-equal points."""
-        return cls(dim, _dedup(_as_points(dim, points)))
+        """Build a PointSet, silently deduplicating near-equal points.
+        The points are checked once: the deduplicated array holds no
+        close pair, so __post_init__ would find nothing to reject."""
+        ps = object.__new__(cls)
+        object.__setattr__(ps, "dim", dim)
+        object.__setattr__(ps, "points", _dedup(_as_points(dim, points)))
+        return ps
 
     @classmethod
     def empty(cls, dim: int) -> "PointSet":
@@ -173,13 +186,6 @@ def hausdorff_dist(a: PointSet, b: PointSet) -> float:
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
 
 
-def dist_to_point_set(x: np.ndarray, b: PointSet) -> float:
-    """dist(x, B) = min over b in B of ||x - b||."""
-    if b.is_empty:
-        raise DomainError("distance to the empty set is undefined")
-    return float(np.linalg.norm(b.points - np.asarray(x, dtype=float), axis=1).min())
-
-
 def eps_neighborhood_contains(a: PointSet, b: PointSet, eps: float) -> bool:
     """True iff every point of a lies strictly within eps of b
     (a is contained in the open eps-neighborhood of b).  Vacuously true
@@ -194,86 +200,147 @@ def eps_neighborhood_contains(a: PointSet, b: PointSet, eps: float) -> bool:
     return bool(d.min(axis=1).max() < eps)
 
 
-def _affine_minimizer(gram: np.ndarray) -> np.ndarray:
-    """Weights of the min-norm point over the affine hull of the rows
-    behind gram (KKT solve of min ||W^T b||^2 s.t. sum b = 1)."""
-    m = len(gram)
-    kkt = np.zeros((m + 1, m + 1))
-    kkt[:m, :m] = 2.0 * gram
-    kkt[:m, m] = 1.0
-    kkt[m, :m] = 1.0
-    rhs = np.zeros(m + 1)
-    rhs[m] = 1.0
-    sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-    return sol[:m]
+def _pack_hulls(hulls) -> np.ndarray:
+    """The vertex lists of a nonempty list of hulls in one dim as one
+    (len(hulls), mmax, dim) block, the layout _nearest_in_hulls takes.
+    A shorter list is padded by repeating its first vertex, which leaves
+    its hull unchanged."""
+    counts = np.array([len(h.vertices) for h in hulls])
+    first = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    slot = np.arange(counts.max())
+    take = first[:, None] + np.where(slot < counts[:, None], slot, 0)
+    return np.concatenate([h.vertices for h in hulls])[take]
 
 
-def _nearest_in_hull(x: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Min-norm-point (Wolfe) search for the Euclidean projection of x
-    onto con(rows of V): maintain a small support set, alternate affine
-    minimization with boundary line searches, stop at the variational
-    optimality condition.  Supports stay affinely independent, so the
-    inner solves are at most (dim+2)-sized."""
-    W = V - x
-    G = W @ W.T
-    norms2 = np.diag(G)
-    scale = max(1.0, float(norms2.max()))
-    support = [int(norms2.argmin())]
-    lam = np.array([1.0])
-    p = W[support[0]].copy()
-    for _ in range(16 * (len(V) + 2)):
-        dots = W @ p
-        j = int(dots.argmin())
-        if float(dots[j]) >= float(p @ p) - 1e-14 * scale:
-            break  # no vertex improves: p is the projection
-        if j in support:
-            break  # numerically stalled on the current support
-        support.append(j)
-        lam = np.append(lam, 0.0)
-        while True:
-            beta = _affine_minimizer(G[np.ix_(support, support)])
-            if beta.min() > 0.0:
-                lam = beta
-                break
-            # walk toward the affine minimizer until a weight dies
-            shrinking = beta < lam
-            with np.errstate(divide="ignore", invalid="ignore"):
-                steps = lam / (lam - beta)
-            theta = float(steps[shrinking & (beta <= 0)].min())
-            lam = (1.0 - theta) * lam + theta * beta
-            keep = lam > 1e-15
-            if keep.all():
-                lam = np.clip(lam, 0.0, None)
-                lam /= lam.sum()
-                break
-            support = [s for s, k in zip(support, keep) if k]
-            lam = lam[keep]
-            lam /= lam.sum()
-        p = W[support].T @ lam
-    return x + p
+def _nearest_in_hulls(X: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Euclidean projection of every row x_b of X onto the hull of the
+    rows of V[b] (which may repeat); returns the projected points and
+    their distances.
+
+    The closed form in R^1.  Otherwise Wolfe's (1976) min-norm-point
+    search, run in lockstep over the rows.  Each row is translated to its
+    x and divided by its largest vertex distance, so the optimality band
+    and the weight cut-off are relative.  A row alternates major steps
+    (stop at the optimality condition, else add the most improving
+    vertex to its support) with minimizations over the affine hull of its
+    support, one stacked KKT solve for all rows with identity rows off
+    the support, and boundary line searches that drop the vertex whose
+    weight dies.  Weights stay a convex combination, so every point
+    returned lies in its hull.  A row stops once its best vertex is
+    already in its support, its norm stops decreasing or its KKT block is
+    singular (it keeps its last point), and leaves the stacked arrays;
+    every row stops after 16 (m + 2) iterations, m the padded vertex
+    count."""
+    B, m, dim = V.shape
+    if dim == 1:
+        P = np.minimum(np.maximum(X[:, 0], V[:, :, 0].min(axis=1)), V[:, :, 0].max(axis=1))
+        return P[:, None], np.abs(X[:, 0] - P)
+    W = V - X[:, None, :]
+    norms2 = np.einsum("bmd,bmd->bm", W, W)
+    R = np.sqrt(norms2.max(axis=1))
+    R[R == 0.0] = 1.0  # x is the only vertex: the start is exact
+    W /= R[:, None, None]
+    # KKT matrix over every vertex plus the multiplier; each solve keeps
+    # the rows and columns of the support and the multiplier
+    K_all = np.ones((B, m + 1, m + 1))
+    K_all[:, :m, :m] = W @ W.transpose(0, 2, 1)
+    K_all[:, m, m] = 0.0
+    eye = np.eye(m + 1)
+    e_last = eye[:, m:]
+    rows = np.arange(B)
+    start = norms2.argmin(axis=1)  # a repeated vertex is never preferred to its first copy
+    support = np.zeros((B, m + 1), dtype=bool)
+    support[:, m] = True
+    support[rows, start] = True
+    lam = support[:, :m].astype(float)
+    p = W[rows, start]
+    out = np.empty((B, dim))
+    live = rows  # the rows still searching, in the order of the stacked arrays
+    last_pp = np.full(B, np.inf)
+    at_minimizer = np.ones(B, dtype=bool)  # lam minimizes over the support's affine hull
+    for _ in range(16 * (m + 2)):
+        pp = np.einsum("bd,bd->b", p, p)
+        dots = (W @ p[:, :, None])[:, :, 0]
+        j = dots.argmin(axis=1)
+        norm_p = np.sqrt(pp)
+        stop = at_minimizer & ((norm_p <= _OPT_BAND) | (pp - dots[rows, j] <= _OPT_BAND * norm_p)
+                               | support[rows, j] | (pp >= last_pp))
+        if stop.all():
+            break
+        if stop.any():
+            out[live[stop]] = p[stop]
+            go = ~stop
+            live, W, K_all, support, lam, p, pp, j, last_pp, at_minimizer = (
+                a[go] for a in (live, W, K_all, support, lam, p, pp, j, last_pp, at_minimizer))
+            rows = np.arange(len(live))
+        support[rows, j] |= at_minimizer
+        last_pp = np.where(at_minimizer, pp, last_pp)
+        beta, singular = _solve_blocks(
+            np.where(support[:, :, None] & support[:, None, :], K_all, eye), e_last)
+        s = support[:, :m]
+        low = s & (beta <= _WEIGHT_CUT)
+        at_minimizer = ~low.any(axis=1)
+        new = beta
+        if not at_minimizer.all():
+            # walk from lam toward beta until the first weight at or below
+            # the cut dies, and drop that vertex
+            walk = np.flatnonzero(~at_minimizer)
+            lw, bw = lam[walk], beta[walk]
+            shrink = lw - bw
+            steps = np.where(low[walk], np.divide(lw, shrink, out=np.zeros_like(lw),
+                                                  where=shrink > 0), np.inf)
+            k = steps.argmin(axis=1)
+            theta = np.minimum(steps[np.arange(len(walk)), k], 1.0)
+            new[walk] = lw + theta[:, None] * (bw - lw)
+            new[walk, k] = 0.0
+        if singular.any():
+            # that row alone keeps its last point and stops at the next test
+            new[singular] = lam[singular]
+            at_minimizer[singular] = True
+            last_pp[singular] = -np.inf
+        support[:, :m] = s & (new > _WEIGHT_CUT)
+        lam = np.where(support[:, :m], new, 0.0)
+        lam /= lam.sum(axis=1, keepdims=True)
+        p = (lam[:, None, :] @ W)[:, 0]
+    out[live] = p
+    return X + R[:, None] * out, R * np.sqrt(np.einsum("bd,bd->b", out, out))
+
+
+def _solve_blocks(K: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first m entries of the solution of every block K[b] x = rhs,
+    m = len(rhs) - 1, and the mask of singular blocks, whose solution
+    rows are left 0."""
+    m = len(rhs) - 1
+    try:
+        return np.linalg.solve(K, rhs)[:, :m, 0], np.zeros(len(K), dtype=bool)
+    except np.linalg.LinAlgError:
+        out = np.zeros((len(K), m))
+        singular = np.zeros(len(K), dtype=bool)
+        for b in range(len(K)):
+            try:
+                out[b] = np.linalg.solve(K[b], rhs)[:m, 0]
+            except np.linalg.LinAlgError:
+                singular[b] = True
+        return out, singular
 
 
 def convex_project(x, c: ConvexSet) -> tuple[np.ndarray, float]:
     """Euclidean projection of x onto con(vertices); returns the projected
-    point and the distance.  Closed forms for intervals in R^1, vertices
-    and single points; the min-norm-point search otherwise."""
+    point and the distance.  One row of the batched kernel
+    _nearest_in_hulls: the closed form for intervals in R^1, otherwise a
+    min-norm-point search in units of the largest vertex distance from
+    x, so its accuracy does not depend on the coordinates' scale or
+    offset.  An exact vertex hit gives distance 0."""
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.shape[0] != c.dim:
         raise DomainError(f"point has dim {x.shape[0]}, set has dim {c.dim}")
-    V = c.vertices
-    if c.dim == 1:
-        lo, hi = float(V[:, 0].min()), float(V[:, 0].max())
-        p = min(max(x[0], lo), hi)
-        return np.array([p]), abs(x[0] - p)
-    # exact-vertex fast path
-    norms = np.linalg.norm(V - x, axis=1)
-    hit = int(norms.argmin())
-    if norms[hit] == 0.0:
-        return V[hit].copy(), 0.0
-    if len(V) == 1:
-        return V[0].copy(), float(norms[0])
-    p = _nearest_in_hull(x, V)
-    return p, float(np.linalg.norm(p - x))
+    P, d = _nearest_in_hulls(x[None, :], c.vertices[None])
+    return P[0], float(d[0])
+
+
+def _hull_distances(X: np.ndarray, c: ConvexSet) -> np.ndarray:
+    """dist(x, con(c.vertices)) for every row x of X, from one kernel call."""
+    return _nearest_in_hulls(X, np.broadcast_to(c.vertices, (len(X),) + c.vertices.shape))[1]
 
 
 def convex_distance(x, c: ConvexSet) -> float:
@@ -365,8 +432,8 @@ def convex_hausdorff_dist(a: ConvexSet, b: ConvexSet) -> float:
     vertex-to-hull projections suffice."""
     if a.dim != b.dim:
         raise DomainError("convex_hausdorff_dist requires matching dims")
-    d_ab = max(convex_distance(v, b) for v in a.vertices)
-    d_ba = max(convex_distance(v, a) for v in b.vertices)
+    d_ab = _hull_distances(a.vertices, b).max()
+    d_ba = _hull_distances(b.vertices, a).max()
     return float(max(d_ab, d_ba))
 
 

@@ -158,6 +158,39 @@ def test_cip_canonical_witness_on_lsc_table():
     assert rep.ok
 
 
+def _canonical_radii_reference(psi):
+    """The radii canonical_witness took with one generator per (atom,
+    node) before it reduced each atom's metric columns at once, kept as
+    its reference."""
+    big = psi.grid.diameter + 1.0
+    radii = {}
+    for t in range(len(psi.space)):
+        empty_nodes = [z for z in range(len(psi.grid)) if not psi.nonempty_at(t, z)]
+        for z in range(len(psi.grid)):
+            if psi.nonempty_at(t, z):
+                radii[(t, z)] = (float(min(psi.grid.metric[z, e] for e in empty_nodes))
+                                 if empty_nodes else big)
+    return radii
+
+
+def test_canonical_witness_radii_match_generator_reference():
+    rng = np.random.default_rng(4)
+    space = AtomSpace(("a", "b", "c"), [1.0, 1.0, 1.0])
+    grid = GridSpace(rng.uniform(0.0, 1.0, size=(30, 2)))
+    empty = rng.random((3, 30)) < np.array([[0.0], [0.3], [0.9]])  # none, some, most
+    psi = Corr.from_function(
+        space, grid, 1,
+        lambda t, z: PointSet.empty(1) if empty[t, z] else PointSet.of(1, [[float(z)]]),
+    )
+    radii = canonical_witness(psi).radii
+    want = _canonical_radii_reference(psi)
+    assert radii == want  # same keys, bit-identical floats
+    assert all(type(r) is float for r in radii.values())
+    for inst_seed in range(3):
+        inst = random_cip_instance(np.random.default_rng(inst_seed))
+        assert canonical_witness(inst.psi).radii == _canonical_radii_reference(inst.psi)
+
+
 def test_cip_strict_flag_checks_whole_grid():
     # sub-mesh balls contain single nodes, so the ball-restricted check
     # sees no pairs; only the whole-grid form catches the jump in F

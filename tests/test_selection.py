@@ -16,7 +16,9 @@ from carasel import (
     canonical_witness,
     caratheodory_select,
     construct_phi,
+    convex_distance,
     convex_membership,
+    convex_project,
     domain,
     glue,
     grid_select,
@@ -25,6 +27,7 @@ from carasel import (
     usc_check,
 )
 
+from carasel.selection import DEFAULT_MAX_SWEEPS
 from conftest import line_grid, single_atom
 from instances import random_cip_instance
 
@@ -127,6 +130,91 @@ def test_grid_select_sliding_intervals_members():
     for z in range(5):
         candidates = np.linspace(grid.points[z, 0], grid.points[z, 0] + 1.0, 21)
         assert any(abs(sel.values[z][0] - c) <= 0.05 + 1e-9 for c in candidates)
+
+
+def _grid_select_reference(phi, t, init=None, max_sweeps=DEFAULT_MAX_SWEEPS, relaxation=0.7):
+    """The per-node loop grid_select ran before it projected a whole sweep
+    in one kernel call, kept as its reference: one convex_project per
+    node with neighbours per sweep, one convex_distance per node for the
+    residual.  Returns (values, modulus, residual)."""
+    section = phi.t_section(t)
+    hulls = {z: ConvexSet.from_point_set(phi.value(t, z)) for z in section}
+    n = len(section)
+    pos = {z: k for k, z in enumerate(section)}
+    x = np.array([np.asarray(init[z], dtype=float) if init and z in init
+                  else hulls[z].vertices.mean(axis=0) for z in section])
+    pairs = [(pos[z], pos[j]) for z in section for j in phi.grid.neighbors(z) if j in pos]
+    weights = np.zeros((n, n))
+    for r, c in pairs:
+        weights[r, c] = 1.0
+    degree = weights.sum(axis=1)
+    has_nbrs = degree > 0
+    weights[has_nbrs] /= degree[has_nbrs, None]
+    scale = max(1.0, max(float(np.abs(h.vertices).max()) for h in hulls.values()))
+    for _ in range(max_sweeps):
+        target = weights @ x
+        projected = x.copy()
+        for z in section:
+            if has_nbrs[pos[z]]:
+                projected[pos[z]] = convex_project(target[pos[z]], hulls[z])[0]
+        new = np.where(has_nbrs[:, None], (1.0 - relaxation) * x + relaxation * projected, x)
+        move = float(np.linalg.norm(new - x, axis=1).max())
+        x = new
+        if move <= 1e-10 * scale:
+            break
+    modulus = max((np.linalg.norm(x[r] - x[c]) / phi.grid.metric[section[r], section[c]]
+                   for r, c in pairs), default=0.0)
+    residual = max(convex_distance(x[pos[z]], hulls[z]) for z in section)
+    return {z: x[pos[z]] for z in section}, modulus, residual
+
+
+def test_grid_select_matches_per_node_projection_reference():
+    rng = np.random.default_rng(8)
+    per_dim = {2: 0, 3: 0}  # two instances in each of dims 2 and 3
+    while min(per_dim.values()) < 2:
+        psi = random_cip_instance(rng).psi
+        if per_dim.get(psi.dim, 2) == 2:
+            continue
+        per_dim[psi.dim] += 1
+        for t in range(len(psi.space)):
+            section = psi.t_section(t)
+            init = None
+            if t == 0:  # a random feasible start as caratheodory_select's restarts use
+                init = {}
+                for z in section:
+                    wts = rng.exponential(size=len(psi.value(t, z)))
+                    init[z] = psi.value(t, z).points.T @ (wts / wts.sum())
+            sel = grid_select(psi, t, tol=1e-7, init=init)
+            values, modulus, residual = _grid_select_reference(psi, t, init=init)
+            scale = max(1.0, max(float(np.abs(psi.value(t, z).points).max()) for z in section))
+            for z in section:
+                assert np.abs(sel.values[z] - values[z]).max() <= 1e-12 * scale
+            assert abs(sel.modulus - modulus) <= 1e-12 * scale
+            assert abs(sel.residual - residual) <= 1e-12 * scale
+
+
+def test_grid_select_reports_sweeps_and_convergence():
+    space = single_atom()
+    tri = PointSet.of(2, [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    phi = Corr.constant(space, line_grid(2), tri)
+    start = {0: [0.0, 0.0], 1: [1.0, 0.0]}
+    # two nodes pulled together: each moves 0.7 of their gap g toward the
+    # other, so g shrinks by -0.4 per sweep and sweep k moves 0.7 * 0.4^(k-1);
+    # that is first below the 1e-10 stop at k = 26
+    done = grid_select(phi, 0, tol=1e-9, init=start)
+    assert done.converged and done.sweeps == 26
+    assert np.allclose(done.values[0], [0.5, 0.0]) and np.allclose(done.values[1], [0.5, 0.0])
+    capped = grid_select(phi, 0, tol=1e-9, init=start, max_sweeps=5)
+    assert capped.sweeps == 5 and not capped.converged
+    gap = 0.4 ** 5  # node 0 ends at 0.5 + gap / 2 after five sweeps
+    assert np.allclose(capped.values[0], [0.5 + gap / 2, 0.0], rtol=0, atol=1e-12)
+    assert np.allclose(capped.values[1], [0.5 - gap / 2, 0.0], rtol=0, atol=1e-12)
+    # barycentres of one shared value do not move: the first sweep stops
+    still = grid_select(phi, 0, tol=1e-9)
+    assert still.converged and still.sweeps == 1
+    empty = Corr.from_function(space, line_grid(2), 2, lambda t, z: PointSet.empty(2))
+    none = grid_select(empty, 0, tol=1e-9)
+    assert none.values == {} and none.sweeps == 0 and none.converged
 
 
 def test_grid_select_inconsistent_domain_raises():

@@ -1,9 +1,12 @@
 """Finite-geometry core: distances, memberships, margins, set limits."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, QhullError
 
 from carasel import (
@@ -13,6 +16,7 @@ from carasel import (
     SetSequence,
     convex_distance,
     convex_membership,
+    convex_project,
     eps_neighborhood_contains,
     hausdorff_dist,
     interior_point_margin,
@@ -20,7 +24,16 @@ from carasel import (
     ls_limit,
 )
 from carasel.corr import _interior_samples
-from carasel.setops import _as_points, _cross_dists, _dedup, max_vertex_margin, vertex_margins
+import carasel.setops as setops
+from carasel.setops import (
+    _as_points,
+    _cross_dists,
+    _dedup,
+    _nearest_in_hulls,
+    _pack_hulls,
+    max_vertex_margin,
+    vertex_margins,
+)
 
 
 def ps(dim, pts):
@@ -157,6 +170,138 @@ def test_membership_monotone_in_tol(data):
 
 def test_convex_distance_matches_projection():
     assert convex_distance([2.0, 0.0], UNIT_SQUARE) == pytest.approx(1.0, abs=1e-9)
+
+
+# ------------------------------------------------- projection against an oracle
+
+def _exact_hull_distance(x, V):
+    """Exact dist(x, con(V)) by face enumeration: project x onto the
+    affine hull of every affinely independent subset of at most dim+1
+    vertices and keep the candidates whose weights are nonnegative; the
+    nearest point of the hull is one of them."""
+    W = np.asarray(V, dtype=float) - np.asarray(x, dtype=float)
+    k, dim = W.shape
+    best = np.inf
+    for r in range(1, min(k, dim + 1) + 1):
+        for sub in itertools.combinations(range(k), r):
+            S = W[list(sub)]
+            E = (S[1:] - S[0]).T
+            if r > 1:
+                sv = np.linalg.svd(E, compute_uv=False)
+                if sv.min() <= 1e-12 * sv.max():
+                    continue  # affinely dependent
+                coef = np.linalg.lstsq(E, -S[0], rcond=None)[0]
+                weights = np.concatenate([[1.0 - coef.sum()], coef])
+            else:
+                weights = np.ones(1)
+            if weights.min() >= -1e-12:
+                best = min(best, float(np.linalg.norm(weights @ S)))
+    return best
+
+
+def _lp_inside(x, V):
+    """Is x a convex combination of the rows of V?  An LP feasibility
+    solve in coordinates translated to x and scaled to the vertex spread."""
+    W = np.asarray(V, dtype=float) - x
+    s = max(float(np.abs(W).max()), 1e-300)
+    a_eq = np.vstack([W.T / s, np.ones((1, len(W)))])
+    b_eq = np.concatenate([np.zeros(len(x)), [1.0]])
+    res = linprog(np.zeros(len(W)), A_eq=a_eq, b_eq=b_eq, bounds=[(0, None)] * len(W),
+                  method="highs")
+    return res.status == 0
+
+
+SCALES = [1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3, 1e4]
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_convex_distance_matches_face_enumeration_oracle(data):
+    dim = data.draw(st.integers(2, 3))
+    k = data.draw(st.integers(1, 8))
+    scale = data.draw(st.sampled_from(SCALES))
+    offset = data.draw(st.sampled_from([0.0, 1e3]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    c = ConvexSet(dim, offset + scale * rng.uniform(-1.0, 1.0, size=(k, dim)))
+    V = c.vertices
+    lam = rng.exponential(size=len(V))
+    points = [offset + scale * rng.uniform(-1.5, 1.5, size=dim),  # inside or out
+              lam @ V / lam.sum(),                                # inside
+              V[rng.integers(len(V))]]                            # a vertex
+    for x in points:
+        exact = _exact_hull_distance(x, V)
+        assert abs(convex_distance(x, c) - exact) <= 1e-9 * scale
+        if exact > 1e-9 * (1.0 + scale) and not _lp_inside(x, V):
+            assert not convex_membership(x, c, 1e-9)
+
+
+def test_convex_distance_large_scale_outside_point():
+    # a triangle at coordinate scale 1e4 and a point more than 1e4 away
+    # from it; a KKT solve whose cut-off dropped the sum-to-one row
+    # returned distance 0 here, and membership at 1e-9 said yes
+    c = ConvexSet(2, [[2258.0, -6067.0], [-6394.0, 4937.0], [5044.0, 1340.0]])
+    x = np.array([12632.0, -8827.0])
+    exact = _exact_hull_distance(x, c.vertices)
+    assert exact > 1e4
+    assert convex_distance(x, c) == pytest.approx(exact, rel=1e-12)
+    assert not convex_membership(x, c, 1e-9)
+
+
+def _random_hulls(rng, dim, n):
+    hulls = []
+    for _ in range(n):
+        scale = 10.0 ** rng.integers(-3, 5)
+        k = int(rng.integers(1, 9))
+        hulls.append(ConvexSet(dim, scale * rng.uniform(-1.0, 1.0, size=(k, dim))))
+    return hulls
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_batched_rows_match_single_projections(dim):
+    rng = np.random.default_rng(dim)
+    hulls = _random_hulls(rng, dim, 40)
+    X = np.array([1.5 * np.abs(h.vertices).max() * rng.uniform(-1.0, 1.0, size=dim)
+                  for h in hulls])
+    P, d = _nearest_in_hulls(X, _pack_hulls(hulls))
+    for x, h, p, dist in zip(X, hulls, P, d):
+        scale = float(np.abs(h.vertices).max())
+        alone_p, alone_d = convex_project(x, h)
+        assert np.abs(alone_p - p).max() <= 1e-15 * scale
+        assert abs(alone_d - dist) <= 1e-15 * scale
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_exact_vertex_hit_is_zero(dim):
+    rng = np.random.default_rng(10 + dim)
+    hulls = _random_hulls(rng, dim, 20)
+    X = np.array([h.vertices[rng.integers(len(h.vertices))] for h in hulls])
+    P, d = _nearest_in_hulls(X, _pack_hulls(hulls))
+    assert np.array_equal(P, X)
+    assert np.all(d == 0.0)
+    for x, h in zip(X, hulls):
+        p, dist = convex_project(x, h)
+        assert dist == 0.0 and np.array_equal(p, x)
+        assert convex_membership(x, h, tol=0.0)
+
+
+def test_projection_degenerate_hulls_match_oracle():
+    # repeated, collinear and coplanar vertex lists, where the affine
+    # minimizations meet singular or nearly singular systems
+    cases = [
+        ([[0.0, 0.0], [1.0, 1.0], [0.5, 0.5]], [[1.0, 0.0], [0.25, 0.25], [3.0, 3.0]]),
+        ([[0.0, 0.0], [2.0, 0.0], [1.0, 0.0], [0.5, 0.0]], [[1.0, 1.0], [1.5, -2.0]]),
+        ([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0],
+          [0.5, 0.5, 0.0]], [[0.5, 0.5, 1.0], [2.0, 2.0, 0.0], [0.2, 0.7, -1e-3]]),
+        ([[1e4, 1e4], [1e4 + 1e-3, 1e4], [1e4, 1e4 + 1e-3]], [[1e4 - 1.0, 1e4 - 1.0]]),
+        # a vertex 1e-6 beyond the edge the search reaches first: the
+        # point's distance is 1.25e-7 less than its distance to the edge
+        ([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.2, 1.0 + 1e-6]], [[0.9, 2.0]]),
+    ]
+    for verts, points in cases:
+        c = ConvexSet(len(verts[0]), verts)
+        for x in points:
+            exact = _exact_hull_distance(x, c.vertices)
+            assert convex_distance(x, c) == pytest.approx(exact, rel=1e-12, abs=1e-15)
 
 
 # ----------------------------------------------------------------- margins
@@ -364,6 +509,42 @@ def test_dedup_and_pointset_match_greedy_reference(dim):
         else:
             assert np.array_equal(PointSet(dim, pts).points, arr)
     assert dropped >= 17  # every duplicated list and both chains
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_projection_is_scale_and_offset_invariant(dim):
+    # the kernel works in units of each row's largest vertex distance, so
+    # scaling and translating a batch scales its distances exactly
+    # (up to rounding), far outside the range of any fixed tolerance
+    rng = np.random.default_rng(20 + dim)
+    V = _pack_hulls(_random_hulls(rng, dim, 30))
+    V /= np.abs(V).max(axis=(1, 2), keepdims=True)
+    X = rng.uniform(-1.5, 1.5, size=(30, dim))
+    X[:10] = np.einsum("bm,bmd->bd", rng.dirichlet(np.ones(V.shape[1]), size=10), V[:10])
+    d = _nearest_in_hulls(X, V)[1]
+    for s, shift in [(1e-15, 0.0), (1e15, 0.0), (1e-3, 1e3)]:
+        ds = _nearest_in_hulls(shift + s * X, shift + s * V)[1]
+        assert np.all(np.abs(ds - s * d) <= 1e-9 * s)
+
+
+def test_pointset_of_checks_each_list_once(monkeypatch):
+    calls = {"_dedup": 0, "_as_points": 0}
+
+    def counted(name):
+        inner = getattr(setops, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(setops, name, counted(name))
+    p = PointSet.of(2, [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    assert calls == {"_dedup": 1, "_as_points": 1}
+    assert len(p) == 3 and not p.points.flags.writeable
+    with pytest.raises(DomainError):
+        PointSet.of(0, [])
 
 
 def test_convex_set_needs_a_vertex():
