@@ -19,7 +19,7 @@ from .setops import (
     ConvexSet,
     PointSet,
     _cross_dists,
-    _hull_distances,
+    convex_distance,
     hausdorff_dist,
     vertex_margins,
 )
@@ -476,7 +476,7 @@ def _inclusion_residual(points: PointSet, target: PointSet) -> float:
     rest = pts[~literal]  # a point that is one of the target samples is at 0
     if not len(rest):
         return 0.0
-    return float(_hull_distances(rest, ConvexSet.from_point_set(target)).max())
+    return float(convex_distance(rest, ConvexSet.from_point_set(target)).max())
 
 
 def _residual_row(psi: Corr, f: Corr, t: int) -> np.ndarray:

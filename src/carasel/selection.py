@@ -32,9 +32,9 @@ from .reporting import CheckSet
 from .setops import (
     ConvexSet,
     PointSet,
-    _hull_distances,
-    _nearest_in_hulls,
     _pack_hulls,
+    convex_distance,
+    convex_project,
     max_vertex_margin,
 )
 
@@ -80,11 +80,6 @@ class AtomSelection:
     values: dict  # node -> vector
     modulus: float
     residual: float
-    # Jacobi sweeps run, and whether the stop rule fired within
-    # max_sweeps; a combination of several runs reports the most sweeps
-    # and whether every run converged
-    sweeps: int
-    converged: bool
 
 
 @dataclass
@@ -195,7 +190,7 @@ def grid_select(
             )
         hulls[z] = ConvexSet.from_point_set(v)
     if not section:
-        return AtomSelection({}, 0.0, 0.0, 0, True)
+        return AtomSelection({}, 0.0, 0.0)
 
     n = len(section)
     pos = {z: k for k, z in enumerate(section)}
@@ -225,15 +220,14 @@ def grid_select(
     V_moving = V[moving]
 
     scale = max(1.0, max(float(np.abs(h.vertices).max()) for h in hulls.values()))
-    sweeps, converged = 0, False
-    while sweeps < max_sweeps and not converged:
-        sweeps += 1
+    for _ in range(max_sweeps):
         target = (weights @ x)[moving]
-        projected = _nearest_in_hulls(target, V_moving)[0]
+        projected = convex_project(target, V_moving)[0]
         new = (1.0 - relaxation) * x[moving] + relaxation * projected
         move = float(np.linalg.norm(new - x[moving], axis=1).max(initial=0.0))
         x[moving] = new
-        converged = move <= _SWEEP_STOP * scale
+        if move <= _SWEEP_STOP * scale:
+            break
 
     values = {z: x[k].copy() for k, z in enumerate(section)}
     modulus = 0.0
@@ -246,12 +240,12 @@ def grid_select(
         if positive.any():
             modulus = float((diffs[positive] / dists[positive]).max())
 
-    residual = float(_nearest_in_hulls(x, V)[1].max())
+    residual = float(convex_distance(x, V).max())
     if residual > tol:
         raise ConstructionError(
             f"selection escaped its value set by {residual:.3e} at atom {t}"
         )
-    return AtomSelection(values, modulus, residual, sweeps, converged)
+    return AtomSelection(values, modulus, residual)
 
 
 def interior_series(b: ConvexSet, dense, k_max: int) -> np.ndarray:
@@ -267,7 +261,7 @@ def interior_series(b: ConvexSet, dense, k_max: int) -> np.ndarray:
         raise PreconditionError("the dense list needs at least two points")
     if any(p.shape[0] != b.dim for p in pts):
         raise DomainError("dense points must match the ambient dim")
-    if _hull_distances(np.array(pts), b).max() > SET_EQUALITY_TOL:
+    if convex_distance(np.array(pts), b).max() > SET_EQUALITY_TOL:
         raise PreconditionError("dense point outside the set")
 
     y1 = pts[0]
@@ -335,7 +329,7 @@ def caratheodory_select(
             return base
         arng = np.random.default_rng(int(atom_seeds[t]))
         section = sorted(base.values)
-        runs: list[AtomSelection] = []
+        family: list[dict] = []
         for _ in range(max(0, restarts - 1)):
             init = {}
             for z in section:
@@ -343,10 +337,12 @@ def caratheodory_select(
                 wts = arng.exponential(size=len(verts))
                 wts /= wts.sum()
                 init[z] = verts.T @ wts
-            runs.append(grid_select(phi, t, tol, init=init, max_sweeps=max_sweeps))
+            family.append(
+                grid_select(phi, t, tol, init=init, max_sweeps=max_sweeps).values
+            )
         values = {}
         for z in section:
-            values[z] = _series_combine(base.values[z], [r.values[z] for r in runs], k_max)
+            values[z] = _series_combine(base.values[z], [f[z] for f in family], k_max)
         modulus = 0.0
         for z in section:
             for j in phi.grid.neighbors(z):
@@ -356,9 +352,7 @@ def caratheodory_select(
                         modulus = max(
                             modulus, float(np.linalg.norm(values[z] - values[j])) / d
                         )
-        return AtomSelection(values, modulus, base.residual,
-                             max(r.sweeps for r in [base, *runs]),
-                             all(r.converged for r in [base, *runs]))
+        return AtomSelection(values, modulus, base.residual)
 
     solved = runtime.atom_map(solve_atom, atoms)
 
@@ -379,7 +373,7 @@ def caratheodory_select(
     worst = 0.0
     if nodes:
         V = _pack_hulls([ConvexSet.from_point_set(psi.value(t, z)) for t, z in nodes])
-        res = _nearest_in_hulls(np.array([values[key] for key in nodes]), V)[1]
+        res = convex_distance(np.array([values[key] for key in nodes]), V)
         worst_node = nodes[int(res.argmax())]
         worst = float(res.max())
     checks.add("selection-membership", worst, tol,

@@ -202,7 +202,7 @@ def eps_neighborhood_contains(a: PointSet, b: PointSet, eps: float) -> bool:
 
 def _pack_hulls(hulls) -> np.ndarray:
     """The vertex lists of a nonempty list of hulls in one dim as one
-    (len(hulls), mmax, dim) block, the layout _nearest_in_hulls takes.
+    (len(hulls), mmax, dim) block, the layout convex_project takes.
     A shorter list is padded by repeating its first vertex, which leaves
     its hull unchanged."""
     counts = np.array([len(h.vertices) for h in hulls])
@@ -214,8 +214,8 @@ def _pack_hulls(hulls) -> np.ndarray:
 
 def _nearest_in_hulls(X: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Euclidean projection of every row x_b of X onto the hull of the
-    rows of V[b] (which may repeat); returns the projected points and
-    their distances.
+    rows of V[b] (which may repeat), or of V[0] for every row when V
+    holds one hull; returns the projected points and their distances.
 
     The closed form in R^1.  Otherwise Wolfe's (1976) min-norm-point
     search, run in lockstep over the rows.  Each row is translated to its
@@ -231,7 +231,7 @@ def _nearest_in_hulls(X: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndar
     singular (it keeps its last point), and leaves the stacked arrays;
     every row stops after 16 (m + 2) iterations, m the padded vertex
     count."""
-    B, m, dim = V.shape
+    B, (m, dim) = len(X), V.shape[1:]
     if dim == 1:
         P = np.minimum(np.maximum(X[:, 0], V[:, :, 0].min(axis=1)), V[:, :, 0].max(axis=1))
         return P[:, None], np.abs(X[:, 0] - P)
@@ -240,24 +240,17 @@ def _nearest_in_hulls(X: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndar
     R = np.sqrt(norms2.max(axis=1))
     R[R == 0.0] = 1.0  # x is the only vertex: the start is exact
     W /= R[:, None, None]
-    # KKT matrix over every vertex plus the multiplier; each solve keeps
-    # the rows and columns of the support and the multiplier
-    K_all = np.ones((B, m + 1, m + 1))
-    K_all[:, :m, :m] = W @ W.transpose(0, 2, 1)
-    K_all[:, m, m] = 0.0
-    eye = np.eye(m + 1)
-    e_last = eye[:, m:]
     rows = np.arange(B)
     start = norms2.argmin(axis=1)  # a repeated vertex is never preferred to its first copy
-    support = np.zeros((B, m + 1), dtype=bool)
+    support = np.arange(m + 1) == start[:, None]
     support[:, m] = True
-    support[rows, start] = True
     lam = support[:, :m].astype(float)
     p = W[rows, start]
     out = np.empty((B, dim))
     live = rows  # the rows still searching, in the order of the stacked arrays
     last_pp = np.full(B, np.inf)
     at_minimizer = np.ones(B, dtype=bool)  # lam minimizes over the support's affine hull
+    K_all = None  # built once some row goes on past its start vertex
     for _ in range(16 * (m + 2)):
         pp = np.einsum("bd,bd->b", p, p)
         dots = (W @ p[:, :, None])[:, :, 0]
@@ -265,14 +258,25 @@ def _nearest_in_hulls(X: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndar
         norm_p = np.sqrt(pp)
         stop = at_minimizer & ((norm_p <= _OPT_BAND) | (pp - dots[rows, j] <= _OPT_BAND * norm_p)
                                | support[rows, j] | (pp >= last_pp))
-        if stop.all():
+        n_stop = np.count_nonzero(stop)
+        if n_stop == len(stop):
             break
-        if stop.any():
+        if n_stop:
             out[live[stop]] = p[stop]
             go = ~stop
-            live, W, K_all, support, lam, p, pp, j, last_pp, at_minimizer = (
-                a[go] for a in (live, W, K_all, support, lam, p, pp, j, last_pp, at_minimizer))
+            live, W, support, lam, p, pp, j, last_pp, at_minimizer = (
+                a[go] for a in (live, W, support, lam, p, pp, j, last_pp, at_minimizer))
             rows = np.arange(len(live))
+            if K_all is not None:
+                K_all = K_all[go]
+        if K_all is None:
+            # KKT matrix over every vertex plus the multiplier; each solve
+            # keeps the rows and columns of the support and the multiplier
+            K_all = np.ones((len(live), m + 1, m + 1))
+            K_all[:, :m, :m] = W @ W.transpose(0, 2, 1)
+            K_all[:, m, m] = 0.0
+            eye = np.eye(m + 1)
+            e_last = eye[:, m:]
         support[rows, j] |= at_minimizer
         last_pp = np.where(at_minimizer, pp, last_pp)
         beta, singular = _solve_blocks(
@@ -281,7 +285,7 @@ def _nearest_in_hulls(X: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndar
         low = s & (beta <= _WEIGHT_CUT)
         at_minimizer = ~low.any(axis=1)
         new = beta
-        if not at_minimizer.all():
+        if np.count_nonzero(low):
             # walk from lam toward beta until the first weight at or below
             # the cut dies, and drop that vertex
             walk = np.flatnonzero(~at_minimizer)
@@ -293,7 +297,7 @@ def _nearest_in_hulls(X: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndar
             theta = np.minimum(steps[np.arange(len(walk)), k], 1.0)
             new[walk] = lw + theta[:, None] * (bw - lw)
             new[walk, k] = 0.0
-        if singular.any():
+        if np.count_nonzero(singular):
             # that row alone keeps its last point and stops at the next test
             new[singular] = lam[singular]
             at_minimizer[singular] = True
@@ -324,27 +328,39 @@ def _solve_blocks(K: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarra
         return out, singular
 
 
-def convex_project(x, c: ConvexSet) -> tuple[np.ndarray, float]:
-    """Euclidean projection of x onto con(vertices); returns the projected
-    point and the distance.  One row of the batched kernel
+def convex_project(x, c) -> tuple[np.ndarray, float | np.ndarray]:
+    """Euclidean projection onto con(vertices); returns the projected
+    point and the distance.
+
+    x is one point, or a (B, dim) stack of points projected in one call,
+    which returns a (B, dim) stack and B distances.  c is a ConvexSet,
+    the hull for every point, or a (B, m, dim) block whose row b lists
+    the vertices (repeats allowed) of point b's hull, the layout of
+    _pack_hulls.  The work is one call of the batched kernel
     _nearest_in_hulls: the closed form for intervals in R^1, otherwise a
     min-norm-point search in units of the largest vertex distance from
-    x, so its accuracy does not depend on the coordinates' scale or
-    offset.  An exact vertex hit gives distance 0."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape[0] != c.dim:
-        raise DomainError(f"point has dim {x.shape[0]}, set has dim {c.dim}")
-    P, d = _nearest_in_hulls(x[None, :], c.vertices[None])
-    return P[0], float(d[0])
+    each point, so its accuracy does not depend on the coordinates'
+    scale or offset.  An exact vertex hit gives distance 0."""
+    X = np.asarray(x, dtype=float)
+    single = X.ndim <= 1
+    X = X.reshape(1, -1) if single else X
+    if isinstance(c, ConvexSet):
+        V = c.vertices[None]  # one hull, broadcast over the rows
+    else:
+        V = c
+        if V.ndim != 3 or len(V) != len(X):
+            raise DomainError(f"{len(X)} points need {len(X)} hulls, got a block of shape {V.shape}")
+    if X.ndim != 2 or X.shape[1] != V.shape[2]:
+        raise DomainError(f"point has dim {X.shape[-1]}, set has dim {V.shape[2]}")
+    P, d = _nearest_in_hulls(X, V)
+    if single:
+        return P[0], float(d[0])
+    return P, d
 
 
-def _hull_distances(X: np.ndarray, c: ConvexSet) -> np.ndarray:
-    """dist(x, con(c.vertices)) for every row x of X, from one kernel call."""
-    return _nearest_in_hulls(X, np.broadcast_to(c.vertices, (len(X),) + c.vertices.shape))[1]
-
-
-def convex_distance(x, c: ConvexSet) -> float:
-    """dist(x, con(vertices))."""
+def convex_distance(x, c) -> float | np.ndarray:
+    """dist(x, con(vertices)): a float for one point, an array for a
+    stack; x and c as in convex_project."""
     return convex_project(x, c)[1]
 
 
@@ -374,8 +390,6 @@ def convex_membership(x, c: ConvexSet, tol: float = DEFAULT_MEMBERSHIP_TOL) -> b
     if c.dim == 1:
         lo, hi = float(c.vertices[:, 0].min()), float(c.vertices[:, 0].max())
         return lo - tol <= x[0] <= hi + tol
-    if any(np.array_equal(v, x) for v in c.vertices):
-        return True
     dist = convex_distance(x, c)
     if dist <= tol:
         return True
@@ -432,8 +446,8 @@ def convex_hausdorff_dist(a: ConvexSet, b: ConvexSet) -> float:
     vertex-to-hull projections suffice."""
     if a.dim != b.dim:
         raise DomainError("convex_hausdorff_dist requires matching dims")
-    d_ab = _hull_distances(a.vertices, b).max()
-    d_ba = _hull_distances(b.vertices, a).max()
+    d_ab = convex_distance(a.vertices, b).max()
+    d_ba = convex_distance(b.vertices, a).max()
     return float(max(d_ab, d_ba))
 
 

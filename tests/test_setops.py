@@ -29,7 +29,6 @@ from carasel.setops import (
     _as_points,
     _cross_dists,
     _dedup,
-    _nearest_in_hulls,
     _pack_hulls,
     max_vertex_margin,
     vertex_margins,
@@ -262,7 +261,7 @@ def test_batched_rows_match_single_projections(dim):
     hulls = _random_hulls(rng, dim, 40)
     X = np.array([1.5 * np.abs(h.vertices).max() * rng.uniform(-1.0, 1.0, size=dim)
                   for h in hulls])
-    P, d = _nearest_in_hulls(X, _pack_hulls(hulls))
+    P, d = convex_project(X, _pack_hulls(hulls))
     for x, h, p, dist in zip(X, hulls, P, d):
         scale = float(np.abs(h.vertices).max())
         alone_p, alone_d = convex_project(x, h)
@@ -270,12 +269,35 @@ def test_batched_rows_match_single_projections(dim):
         assert abs(alone_d - dist) <= 1e-15 * scale
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_stack_against_one_hull_matches_single_projections(dim):
+    rng = np.random.default_rng(30 + dim)
+    c = ConvexSet(dim, rng.uniform(-1.0, 1.0, size=(6, dim)))
+    X = rng.uniform(-2.0, 2.0, size=(12, dim))
+    P, d = convex_project(X, c)
+    assert P.shape == X.shape and d.shape == (12,)
+    assert np.array_equal(convex_distance(X, c), d)
+    for x, p, dist in zip(X, P, d):
+        alone_p, alone_d = convex_project(x, c)
+        assert isinstance(alone_d, float)
+        assert np.abs(alone_p - p).max() <= 1e-15 and abs(alone_d - dist) <= 1e-15
+
+
+def test_convex_project_rejects_mismatched_shapes():
+    with pytest.raises(DomainError):
+        convex_project(np.zeros((3, 3)), UNIT_SQUARE)
+    with pytest.raises(DomainError):
+        convex_project(np.zeros((3, 2)), _pack_hulls([UNIT_SQUARE, UNIT_SQUARE]))
+    with pytest.raises(DomainError):
+        convex_project(np.zeros((2, 3)), _pack_hulls([UNIT_SQUARE, UNIT_SQUARE]))
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 def test_exact_vertex_hit_is_zero(dim):
     rng = np.random.default_rng(10 + dim)
     hulls = _random_hulls(rng, dim, 20)
     X = np.array([h.vertices[rng.integers(len(h.vertices))] for h in hulls])
-    P, d = _nearest_in_hulls(X, _pack_hulls(hulls))
+    P, d = convex_project(X, _pack_hulls(hulls))
     assert np.array_equal(P, X)
     assert np.all(d == 0.0)
     for x, h in zip(X, hulls):
@@ -521,9 +543,9 @@ def test_projection_is_scale_and_offset_invariant(dim):
     V /= np.abs(V).max(axis=(1, 2), keepdims=True)
     X = rng.uniform(-1.5, 1.5, size=(30, dim))
     X[:10] = np.einsum("bm,bmd->bd", rng.dirichlet(np.ones(V.shape[1]), size=10), V[:10])
-    d = _nearest_in_hulls(X, V)[1]
+    d = convex_distance(X, V)
     for s, shift in [(1e-15, 0.0), (1e15, 0.0), (1e-3, 1e3)]:
-        ds = _nearest_in_hulls(shift + s * X, shift + s * V)[1]
+        ds = convex_distance(shift + s * X, shift + s * V)
         assert np.all(np.abs(ds - s * d) <= 1e-9 * s)
 
 
