@@ -39,7 +39,8 @@ OPTION_DEFAULTS = {
     "max_iter": 500,
 }
 _OPTION_TYPES = {**{k: type(v) for k, v in OPTION_DEFAULTS.items()}, "eps": float, "mode": str}
-_POSITIVE_OPTIONS = ("tol", "inclusion_tol", "eps", "eps_eq")
+_POSITIVE_OPTIONS = ("tol", "inclusion_tol", "eps", "eps_eq",
+                     "damping", "k_max", "restarts", "max_iter")
 
 
 def parse_problem(text: str) -> dict:
@@ -87,9 +88,9 @@ def problem_hash(doc: dict) -> str:
 
 def merge_options(doc: dict, overrides: dict) -> dict:
     """The defaults, updated by the file's options and then by the
-    overrides, each value coerced to its option's type.  An unknown key,
-    a value that does not coerce, or a tolerance that is not strictly
-    positive raises a ParseError naming the key."""
+    overrides, each value coerced to its option's type.  An unknown key, a
+    value that does not coerce, or one out of range (not positive, or a
+    damping above 1) raises a ParseError naming the key."""
     options = doc.get("options", {})
     if not isinstance(options, dict):
         raise ParseError("options must be an object")
@@ -113,6 +114,8 @@ def _option_value(key: str, value):
         raise ParseError(f"option {key!r} must be of type {kind.__name__}, got {value!r}") from None
     if key in _POSITIVE_OPTIONS and not value > 0:
         raise ParseError(f"option {key!r} must be strictly positive, got {value!r}")
+    if key == "damping" and value > 1:
+        raise ParseError(f"option 'damping' must be at most 1, got {value!r}")
     return value
 
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import runtime
 from .corr import (
     CipWitness,
     Corr,
@@ -43,6 +42,7 @@ DEFAULT_K_MAX = 40
 DEFAULT_RESTARTS = 8
 DEFAULT_MAX_SWEEPS = 40
 _SWEEP_STOP = 1e-10
+_RELAXATION = 0.7
 
 
 @dataclass(frozen=True)
@@ -163,6 +163,82 @@ def construct_phi(
     return PhiResult(phi, cert, kpsi)
 
 
+def _atom_block(phi: Corr, t: int, section: list) -> tuple[list, tuple]:
+    """The hulls of phi(t, z) over a section and the section's adjacent
+    pairs in both directions: (sources, targets) as section positions,
+    and their distances."""
+    hulls = []
+    for z in section:
+        v = phi.value(t, z)
+        if v.is_empty:
+            raise ConstructionError(
+                f"inconsistent domain: empty value at node {z} of atom {t}"
+            )
+        hulls.append(ConvexSet.from_point_set(v))
+    pos = np.full(len(phi.grid), -1)
+    pos[section] = np.arange(len(section))
+    pi, pj = phi.grid.directed_pair_arrays()
+    inside = (pos[pi] >= 0) & (pos[pj] >= 0)
+    pi, pj = pi[inside], pj[inside]
+    return hulls, (pos[pi], pos[pj], phi.grid.metric[pi, pj])
+
+
+def _modulus(x: np.ndarray, edges: tuple) -> float:
+    """The largest ratio |x_i - x_j| / d(i, j) over the pairs with d > 0."""
+    src, dst, dist = edges
+    positive = dist > 0
+    gaps = np.linalg.norm(x[src[positive]] - x[dst[positive]], axis=1)
+    return float((gaps / dist[positive]).max(initial=0.0))
+
+
+def _sweep(blocks: list, tol: float, max_sweeps: int) -> tuple[list, np.ndarray]:
+    """Damped Jacobi sweeps of project-onto-value steps minimizing the sum
+    of squared adjacent differences, for many groups at once.  blocks
+    lists (t, section, hulls, edges, starts), hulls and edges as
+    _atom_block gives them and starts an (R, n, dim) stack: R groups,
+    disjoint row blocks of one stack.  Each sweep projects the rows with
+    neighbours of every live group in one convex_project call; a group
+    freezes once no row moved more than _SWEEP_STOP times its hull scale.
+    Steps combine feasible points, so iterates stay feasible, and a
+    residual above tol raises.  Returns the (R, n, dim) results per block
+    and the residual per group."""
+    groups = [(t, hulls, edges) for t, _, hulls, edges, starts in blocks for _ in starts]
+    first = np.cumsum([0] + [len(hulls) for _, hulls, _ in groups])[:-1]
+    V = _pack_hulls([h for _, hulls, _ in groups for h in hulls])
+    X = np.concatenate([starts.reshape(-1, starts.shape[-1]) for *_, starts in blocks])
+    group = np.repeat(np.arange(len(groups)), [len(hulls) for _, hulls, _ in groups])
+    src = np.concatenate([edges[0] + f for (_, _, edges), f in zip(groups, first)])
+    dst = np.concatenate([edges[1] + f for (_, _, edges), f in zip(groups, first)])
+    scale = np.maximum(1.0, np.maximum.reduceat(np.abs(V).max(axis=(1, 2)), first))
+    degree = np.bincount(src, minlength=len(X))
+    edge_group = group[src]
+    live = np.bincount(edge_group, minlength=len(groups)) > 0
+    for _ in range(max_sweeps):
+        rows = np.flatnonzero(live[group] & (degree > 0))
+        if not rows.size:
+            break
+        edges = live[edge_group]
+        sums = np.column_stack([
+            np.bincount(src[edges], X[dst[edges], k], len(X)) for k in range(X.shape[1])
+        ])
+        projected = convex_project(sums[rows] / degree[rows, None], V[rows])[0]
+        new = (1.0 - _RELAXATION) * X[rows] + _RELAXATION * projected
+        move = np.zeros(len(groups))
+        np.maximum.at(move, group[rows], np.linalg.norm(new - X[rows], axis=1))
+        X[rows] = new
+        live &= move > _SWEEP_STOP * scale
+
+    residual = np.maximum.reduceat(convex_distance(X, V), first)
+    g = int(np.argmax(residual > tol))  # the first group above tol, if any
+    if residual[g] > tol:
+        raise ConstructionError(
+            f"selection escaped its value set by {residual[g]:.3e} at atom {groups[g][0]}"
+        )
+    splits = np.cumsum([len(starts) * len(section) for _, section, *_, starts in blocks])[:-1]
+    return [x.reshape(starts.shape)
+            for x, (*_, starts) in zip(np.split(X, splits), blocks)], residual
+
+
 def grid_select(
     phi: Corr,
     t: int,
@@ -170,126 +246,57 @@ def grid_select(
     nodes=None,
     init: dict | None = None,
     max_sweeps: int = DEFAULT_MAX_SWEEPS,
-    relaxation: float = 0.7,
 ) -> AtomSelection:
-    """Select one point per node of phi(t, .) on its nonempty section,
-    minimizing the sum of squared adjacent differences by damped Jacobi
-    sweeps of project-onto-value steps.  Every step combines feasible
-    points, so iterates stay feasible; the output is deterministic and
-    the returned modulus is the achieved per-adjacent-pair Lipschitz
-    ratio."""
+    """Select one point per node of phi(t, .) on its nonempty section (or
+    the given nodes), minimizing the sum of squared adjacent differences
+    by damped Jacobi sweeps from init (default: each hull's barycenter):
+    the one-group case of the sweep caratheodory_select runs for all its
+    atoms and restarts.  The output is deterministic; the returned
+    modulus is the achieved per-adjacent-pair Lipschitz ratio."""
     if tol <= 0:
         raise DomainError("tol must be positive")
     section = phi.t_section(t) if nodes is None else sorted(nodes)
-    hulls = {}
-    for z in section:
-        v = phi.value(t, z)
-        if v.is_empty:
-            raise ConstructionError(
-                f"inconsistent domain: empty value at node {z} of atom {t}"
-            )
-        hulls[z] = ConvexSet.from_point_set(v)
+    hulls, edges = _atom_block(phi, t, section)
     if not section:
         return AtomSelection({}, 0.0, 0.0)
+    init = init or {}
+    x = np.array([np.asarray(init[z], dtype=float) if z in init else h.vertices.mean(axis=0)
+                  for z, h in zip(section, hulls)])
+    (solved,), residual = _sweep([(t, section, hulls, edges, x[None])], tol, max_sweeps)
+    return AtomSelection(dict(zip(section, solved[0])), _modulus(solved[0], edges),
+                         float(residual[0]))
 
-    n = len(section)
-    pos = {z: k for k, z in enumerate(section)}
-    V = _pack_hulls([hulls[z] for z in section])
-    x = np.empty((n, phi.dim))
-    for k, z in enumerate(section):
-        if init is not None and z in init:
-            x[k] = np.asarray(init[z], dtype=float)
-        else:
-            x[k] = hulls[z].vertices.mean(axis=0)
 
-    in_section = set(section)
-    nbr_rows, nbr_cols = [], []
-    for z in section:
-        for j in phi.grid.neighbors(z):
-            if j in in_section:
-                nbr_rows.append(pos[z])
-                nbr_cols.append(pos[j])
-    weights = np.zeros((n, n))
-    if nbr_rows:
-        weights[nbr_rows, nbr_cols] = 1.0
-        degree = weights.sum(axis=1)
-        moving = np.flatnonzero(degree > 0)
-        weights[moving] /= degree[moving, None]
-    else:
-        moving = np.zeros(0, dtype=int)
-    V_moving = V[moving]
-
-    scale = max(1.0, max(float(np.abs(h.vertices).max()) for h in hulls.values()))
-    for _ in range(max_sweeps):
-        target = (weights @ x)[moving]
-        projected = convex_project(target, V_moving)[0]
-        new = (1.0 - relaxation) * x[moving] + relaxation * projected
-        move = float(np.linalg.norm(new - x[moving], axis=1).max(initial=0.0))
-        x[moving] = new
-        if move <= _SWEEP_STOP * scale:
-            break
-
-    values = {z: x[k].copy() for k, z in enumerate(section)}
-    modulus = 0.0
-    if nbr_rows:
-        diffs = np.linalg.norm(x[nbr_rows] - x[nbr_cols], axis=1)
-        dists = np.array([
-            phi.grid.metric[section[r], section[c]] for r, c in zip(nbr_rows, nbr_cols)
-        ])
-        positive = dists > 0
-        if positive.any():
-            modulus = float((diffs[positive] / dists[positive]).max())
-
-    residual = float(convex_distance(x, V).max())
-    if residual > tol:
-        raise ConstructionError(
-            f"selection escaped its value set by {residual:.3e} at atom {t}"
-        )
-    return AtomSelection(values, modulus, residual)
+def _halving_weights(count: int, k_max: int) -> np.ndarray:
+    """The fixed weights of a k_max-term halving series cycling through
+    count points: term k puts 2^-k on point (k - 1) mod count, and the
+    truncated tail mass 2^-k_max goes to the first point, so they sum
+    to 1."""
+    if k_max < 1:
+        raise DomainError("k_max must be a positive integer")
+    terms = 0.5 ** np.arange(1, k_max + 1)
+    weights = np.bincount(np.arange(k_max) % count, terms, minlength=count)
+    weights[0] += terms[-1]
+    return weights
 
 
 def interior_series(b: ConvexSet, dense, k_max: int) -> np.ndarray:
     """Geometric series reaching a non-support point of b from a point
     list covering it: each term pushes the base point toward (and one
     unit past, when far) a cover point, weights halve, and the truncated
-    tail mass is assigned to the first term.  Truncation error is at most
-    2^-k_max times the diameter scale of b."""
-    if k_max < 1:
-        raise DomainError("k_max must be a positive integer")
+    tail mass is assigned to the first term (_halving_weights).
+    Truncation error is at most 2^-k_max times the diameter scale of b."""
     pts = [np.asarray(p, dtype=float).reshape(-1) for p in dense]
     if len(pts) < 2:
         raise PreconditionError("the dense list needs at least two points")
+    weights = _halving_weights(len(pts), k_max)
     if any(p.shape[0] != b.dim for p in pts):
         raise DomainError("dense points must match the ambient dim")
-    if convex_distance(np.array(pts), b).max() > SET_EQUALITY_TOL:
+    y = np.array(pts)
+    if convex_distance(y, b).max() > SET_EQUALITY_TOL:
         raise PreconditionError("dense point outside the set")
-
-    y1 = pts[0]
-    total = np.zeros(b.dim)
-    for i in range(1, k_max + 1):
-        yi = pts[(i - 1) % len(pts)]
-        diff = yi - y1
-        zi = yi + diff / max(1.0, float(np.linalg.norm(diff)))
-        total += 0.5 ** i * zi
-    total += 0.5 ** k_max * y1  # tail mass on the first term (z_1 = y_1)
-    return total
-
-
-def _series_combine(base: np.ndarray, others: list[np.ndarray], k_max: int) -> np.ndarray:
-    """Halving-weight combination of pushed selections with the base as
-    first term and the tail mass on it."""
-    count = len(others) + 1
-    total = np.zeros_like(base)
-    for k in range(1, k_max + 1):
-        idx = (k - 1) % count
-        if idx == 0:
-            pushed = base
-        else:
-            diff = others[idx - 1] - base
-            pushed = base + diff / max(1.0, float(np.linalg.norm(diff)))
-        total += 0.5 ** k * pushed
-    total += 0.5 ** k_max * base
-    return total
+    diff = y - y[0]
+    return weights @ (y + diff / np.maximum(1.0, np.linalg.norm(diff, axis=1))[:, None])
 
 
 def caratheodory_select(
@@ -303,65 +310,54 @@ def caratheodory_select(
     k_max: int = DEFAULT_K_MAX,
     restarts: int = DEFAULT_RESTARTS,
     seed: int = 0,
-    max_sweeps: int = DEFAULT_MAX_SWEEPS,
 ) -> Selection:
     """Produce a certified selection through psi on its domain.
 
-    Pipeline: glue the witness into the sub-correspondence, then either
-    select once per atom (closed-valued branch) or combine a finite
-    family of perturbed energy-minimal selections through the halving
-    series (general branch).  The certificate is independent of the
-    branch: direct membership of every selected point in the hull of
-    psi's value within tol, the achieved modulus, and cell-wise
-    measurability whenever the inputs are cell-wise constant.
+    Pipeline: glue the witness into the sub-correspondence, then solve
+    every atom in one sweep loop (see grid_select): from the barycenters
+    only (closed-valued branch), or also from restarts - 1 random
+    feasible starts per atom, whose pushed results the halving series
+    combines with the barycentric one (general branch).  The certificate is
+    independent of the branch: direct membership of every selected point
+    in the hull of psi's value within tol, the achieved modulus, and
+    cell-wise measurability whenever the inputs are cell-wise constant.
     """
+    if tol <= 0:
+        raise DomainError("tol must be positive")
+    if restarts < 1:
+        raise DomainError("restarts must be a positive integer")
+    weights = _halving_weights(restarts, k_max)
     phi_res = construct_phi(psi, w, part, eps=eps, atomic=atomic)
     phi = phi_res.phi
     u_psi = domain(psi)
 
-    atoms = list(range(len(psi.space)))
     rng = np.random.default_rng(seed)
-    atom_seeds = rng.integers(0, 2 ** 31 - 1, size=len(atoms))
-
-    def solve_atom(t: int) -> AtomSelection:
-        base = grid_select(phi, t, tol, max_sweeps=max_sweeps)
-        if closed_valued or not base.values:
-            return base
+    atom_seeds = rng.integers(0, 2 ** 31 - 1, size=len(psi.space))
+    blocks = []
+    for t in range(len(psi.space)):
+        section = phi.t_section(t)
+        if not section:
+            continue
+        hulls, edges = _atom_block(phi, t, section)
+        starts = [[h.vertices.mean(axis=0) for h in hulls]]
         arng = np.random.default_rng(int(atom_seeds[t]))
-        section = sorted(base.values)
-        family: list[dict] = []
-        for _ in range(max(0, restarts - 1)):
-            init = {}
-            for z in section:
-                verts = phi.value(t, z).points
-                wts = arng.exponential(size=len(verts))
-                wts /= wts.sum()
-                init[z] = verts.T @ wts
-            family.append(
-                grid_select(phi, t, tol, init=init, max_sweeps=max_sweeps).values
-            )
-        values = {}
-        for z in section:
-            values[z] = _series_combine(base.values[z], [f[z] for f in family], k_max)
-        modulus = 0.0
-        for z in section:
-            for j in phi.grid.neighbors(z):
-                if j in values:
-                    d = phi.grid.metric[z, j]
-                    if d > 0:
-                        modulus = max(
-                            modulus, float(np.linalg.norm(values[z] - values[j])) / d
-                        )
-        return AtomSelection(values, modulus, base.residual)
-
-    solved = runtime.atom_map(solve_atom, atoms)
+        for _ in range(0 if closed_valued else restarts - 1):
+            wts = [arng.exponential(size=len(h.vertices)) for h in hulls]
+            starts.append([h.vertices.T @ (u / u.sum()) for h, u in zip(hulls, wts)])
+        blocks.append((t, section, hulls, edges, np.array(starts)))
+    solved = _sweep(blocks, tol, DEFAULT_MAX_SWEEPS)[0] if blocks else []
 
     values = {}
     modulus = 0.0
-    for t, sel in zip(atoms, solved):
-        modulus = max(modulus, sel.modulus)
-        for z, v in sel.values.items():
-            values[(t, z)] = v
+    for (t, section, _, edges, _), x in zip(blocks, solved):
+        if closed_valued:
+            x = x[0]
+        else:  # the series over the base and the restarts pushed from it
+            diff = x - x[0]
+            pushed = x[0] + diff / np.maximum(1.0, np.linalg.norm(diff, axis=2))[..., None]
+            x = np.tensordot(weights, pushed, axes=1)
+        modulus = max(modulus, _modulus(x, edges))
+        values.update({(t, z): v for z, v in zip(section, x)})
 
     checks = CheckSet()
     checks.extend(phi_res.certificate)

@@ -243,6 +243,13 @@ def test_out_flag(tmp_path):
     ("example-3-2.json", "restarts=abc", "restarts"),  # not an integer
     ("example-3-2.json", "tol=-1", "tol"),             # not positive
     ("lsc-canonical.json", "eps=-1", "eps"),           # not positive
+    ("example-3-2.json", "k_max=-3", "k_max"),         # series weights would not sum to 1
+    ("example-3-2.json", "k_max=0", "k_max"),          # would skip the series
+    ("example-3-2.json", "restarts=-2", "restarts"),   # would run one solve silently
+    ("example-3-2.json", "restarts=0", "restarts"),
+    ("example-3-2.json", "max_iter=0", "max_iter"),
+    ("example-3-2.json", "damping=0", "damping"),      # damping lies in (0, 1]
+    ("example-3-2.json", "damping=1.5", "damping"),
 ])
 def test_bad_option_override_exit_2(tmp_path, capsys, fixture, override, key):
     code, cert, _ = run_fixture(tmp_path, fixture, "-O", override)

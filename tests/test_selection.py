@@ -9,6 +9,7 @@ from carasel import (
     ConstructionError,
     Corr,
     ConvexSet,
+    DomainError,
     GridSpace,
     InfoPartition,
     PointSet,
@@ -27,6 +28,7 @@ from carasel import (
     usc_check,
 )
 
+import carasel.selection
 from carasel.selection import DEFAULT_MAX_SWEEPS
 from conftest import line_grid, single_atom
 from instances import random_cip_instance
@@ -333,6 +335,108 @@ def test_select_measurability_under_coarse_partition():
     assert "trivially" not in names["selection-measurability"].detail
     for z in range(6):
         assert np.array_equal(sel.value(0, z), sel.value(1, z))
+
+
+
+def _caratheodory_reference(inst, closed_valued, k_max=40, restarts=8, seed=0):
+    """caratheodory_select as it ran before one sweep took every atom and
+    restart: a grid_select call per restart with the same draws, the
+    halving series as a term-by-term loop, and the modulus as a loop over
+    each node's neighbours.  Returns (values, modulus)."""
+    phi = construct_phi(inst.psi, inst.witness, inst.part, eps=inst.eps).phi
+    atom_seeds = np.random.default_rng(seed).integers(0, 2 ** 31 - 1, size=len(phi.space))
+    values, modulus = {}, 0.0
+    for t in range(len(phi.space)):
+        base = grid_select(phi, t, 1e-7).values
+        family = []
+        arng = np.random.default_rng(int(atom_seeds[t]))
+        for _ in range(0 if closed_valued or not base else restarts - 1):
+            init = {}
+            for z in base:
+                verts = phi.value(t, z).points
+                wts = arng.exponential(size=len(verts))
+                init[z] = verts.T @ (wts / wts.sum())
+            family.append(grid_select(phi, t, 1e-7, init=init).values)
+        for z in base:
+            if closed_valued:
+                values[(t, z)] = base[z]
+                continue
+            total = np.zeros_like(base[z])
+            for k in range(1, k_max + 1):
+                idx = (k - 1) % restarts
+                pushed = base[z]
+                if idx > 0:
+                    diff = family[idx - 1][z] - base[z]
+                    pushed = base[z] + diff / max(1.0, float(np.linalg.norm(diff)))
+                total += 0.5 ** k * pushed
+            values[(t, z)] = total + 0.5 ** k_max * base[z]
+        for z in base:
+            for j in phi.grid.neighbors(z):
+                if j in base and phi.grid.metric[z, j] > 0:
+                    gap = np.linalg.norm(values[(t, z)] - values[(t, j)])
+                    modulus = max(modulus, float(gap) / phi.grid.metric[z, j])
+    return values, modulus
+
+
+def test_caratheodory_select_matches_per_restart_reference():
+    rng = np.random.default_rng(12)
+    per_dim = {1: 0, 2: 0, 3: 0}  # two instances in each of dims 1-3
+    while min(per_dim.values()) < 2:
+        inst = random_cip_instance(rng)
+        if per_dim[inst.psi.dim] == 2:
+            continue
+        per_dim[inst.psi.dim] += 1
+        scale = max(1.0, max(float(np.abs(inst.psi.value(t, z).points).max())
+                             for t, z in domain(inst.psi)))
+        for closed_valued in (False, True):
+            sel = caratheodory_select(inst.psi, inst.witness, inst.part,
+                                      closed_valued=closed_valued, eps=inst.eps)
+            values, modulus = _caratheodory_reference(inst, closed_valued)
+            assert sel.values.keys() == values.keys()
+            for key in values:
+                assert np.abs(sel.values[key] - values[key]).max() <= 1e-12 * scale
+            assert abs(sel.modulus - modulus) <= 1e-12 * scale
+
+
+def test_caratheodory_select_projects_all_restarts_of_all_atoms_per_sweep(monkeypatch):
+    # one convex_project call per sweep for every restart of every atom,
+    # where one grid_select per restart made up to max_sweeps calls each
+    rng = np.random.default_rng(4)
+    while True:  # a glued table whose values are not all single points, in 2 or more atoms
+        inst = random_cip_instance(rng)
+        phi = construct_phi(inst.psi, inst.witness, inst.part, eps=inst.eps).phi
+        if inst.psi.dim > 1 and sum(len(phi.value(t, z)) > 1 for t, z in domain(phi)) > 20:
+            break
+    calls = []
+    project = carasel.selection.convex_project
+    monkeypatch.setattr(carasel.selection, "convex_project",
+                        lambda *args: calls.append(len(args[0])) or project(*args))
+    caratheodory_select(inst.psi, inst.witness, inst.part, restarts=8, eps=inst.eps)
+    assert 0 < len(calls) <= DEFAULT_MAX_SWEEPS
+    assert calls[0] == 8 * len(domain(phi))  # every node of every section has a neighbour
+
+
+def test_selection_escaping_its_value_set_raises(monkeypatch):
+    # a projection that lands outside its hull is caught after the sweeps,
+    # naming the atom, in both the one-group and the all-atoms solve
+    space = AtomSpace(("a", "b"), [1.0, 1.0])
+    tri = PointSet.of(2, [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    psi = Corr.constant(space, line_grid(5), tri)
+    project = carasel.selection.convex_project
+    monkeypatch.setattr(carasel.selection, "convex_project",
+                        lambda x, c: (project(x, c)[0] + 5.0, None))
+    with pytest.raises(ConstructionError, match="escaped its value set .* at atom 1"):
+        grid_select(psi, 1, tol=1e-9)
+    with pytest.raises(ConstructionError, match="escaped its value set .* at atom 0"):
+        caratheodory_select(psi, canonical_witness(psi), InfoPartition.finest(space))
+
+
+@pytest.mark.parametrize("option", [{"k_max": 0}, {"k_max": -3}, {"restarts": 0},
+                                    {"restarts": -2}])
+def test_caratheodory_select_rejects_series_bounds(jump, option):
+    space, grid, psi, witness = jump
+    with pytest.raises(DomainError):
+        caratheodory_select(psi, witness, InfoPartition.finest(space), **option)
 
 
 # --------------------------------------------------------------------- glue
