@@ -155,110 +155,129 @@ def _validate_metric(d: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class Corr:
-    """Correspondence table: (atom index, node index) -> PointSet."""
+    """Correspondence table: (atom index, node index) -> finite point set,
+    packed as one read-only (P, dim) points array and an int bounds array
+    of shape (atoms, nodes, 2) whose [start, stop) rows index the points
+    of each cell; cells holding one value share one segment."""
 
     space: AtomSpace
     grid: GridSpace
     dim: int
-    values: tuple  # tuple (per atom) of tuples (per node) of PointSet
+    points: np.ndarray
+    bounds: np.ndarray
 
     def __post_init__(self):
-        rows = []
-        for t in range(len(self.space)):
-            row = tuple(self.values[t])
-            if len(row) != len(self.grid):
-                raise DomainError("each atom row must cover every grid node")
-            for ps in row:
-                if not isinstance(ps, PointSet) or ps.dim != self.dim:
-                    raise DomainError("all values must be PointSets of the common dim")
-            rows.append(row)
-        if len(self.values) != len(self.space):
-            raise DomainError("one row of values per atom is required")
-        object.__setattr__(self, "values", tuple(rows))
+        pts = np.asarray(self.points, dtype=float)
+        bounds = np.asarray(self.bounds, dtype=int)
+        if pts.ndim != 2 or pts.shape[1] != self.dim or not np.all(np.isfinite(pts)):
+            raise DomainError("values must be finite points of the common dim")
+        if bounds.shape != (len(self.space), len(self.grid), 2):
+            raise DomainError("bounds must hold one [start, stop) row per (atom, node)")
+        counts = bounds[..., 1] - bounds[..., 0]
+        if bounds.size and (bounds.min() < 0 or bounds.max() > len(pts) or counts.min() < 0):
+            raise DomainError("bounds must be [start, stop) rows into the points")
+        for name, arr in (("points", pts), ("bounds", bounds), ("counts", counts)):
+            if arr.flags.writeable:
+                arr = arr.copy()
+                arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @classmethod
     def from_function(cls, space: AtomSpace, grid: GridSpace, dim: int, fn) -> "Corr":
-        """Tabulate fn(atom_index, node_index) -> PointSet."""
-        rows = tuple(
-            tuple(fn(t, z) for z in range(len(grid))) for t in range(len(space))
-        )
-        return cls(space, grid, dim, rows)
+        """Tabulate fn(atom_index, node_index) -> PointSet; the cells
+        given one PointSet object share its segment."""
+        seen, chunks, size = {}, [np.zeros((0, dim))], 0
+        bounds = np.zeros((len(space), len(grid), 2), dtype=int)
+        for t in range(len(space)):
+            for z in range(len(grid)):
+                ps = fn(t, z)
+                if not isinstance(ps, PointSet) or ps.dim != dim:
+                    raise DomainError("all values must be PointSets of the common dim")
+                if id(ps) not in seen:  # holding ps keeps its id unique
+                    seen[id(ps)] = (ps, size, size + len(ps))
+                    chunks.append(ps.points)
+                    size += len(ps)
+                bounds[t, z] = seen[id(ps)][1:]
+        return cls(space, grid, dim, np.concatenate(chunks), bounds)
 
     @classmethod
     def constant(cls, space: AtomSpace, grid: GridSpace, value: PointSet) -> "Corr":
         return cls.from_function(space, grid, value.dim, lambda t, z: value)
 
     def value(self, t: int, z: int) -> PointSet:
-        return self.values[t][z]
+        """The cell's points: an unvalidated PointSet view of its slice."""
+        start, stop = self.bounds[t, z]
+        return PointSet._view(self.dim, self.points[start:stop])
 
     def directed_gaps(self, t: int) -> np.ndarray:
         """Per-directed-adjacent-pair one-sided gaps of the atom-t row:
         entry k is the farthest any point of the value at source k must
         travel to reach the value at target k; NaN when either side is
-        empty, 0.0 when both ends hold the same PointSet object.  The
-        row is packed once into a NaN-padded (nodes, kmax, dim) block
-        and both gaps of every other pair come from padded array
-        reductions over chunks of at most about GAP_CHUNK distance
-        entries.  Cached (the table is immutable)."""
+        empty, 0.0 when both ends share one segment.  Both gaps of every
+        other pair come from array reductions over the pairs' segments,
+        padded to a common width, in chunks of at most about GAP_CHUNK
+        distance entries.  Cached (the table is immutable)."""
         cache = self.__dict__.setdefault("_gap_cache", {})
         if t not in cache:
             pi, pj = self.grid.directed_pair_arrays()
-            cache[t] = _packed_gaps(self.values[t], self.dim, pi, pj)
+            cache[t] = _packed_gaps(self.points, self.bounds[t], pi, pj)
         return cache[t]
 
     def nonempty_at(self, t: int, z: int) -> bool:
-        return not self.values[t][z].is_empty
+        return bool(self.counts[t, z])
 
     def t_section(self, t: int) -> list[int]:
         """Nodes where atom t has a nonempty value."""
-        return [z for z in range(len(self.grid)) if self.nonempty_at(t, z)]
+        return np.flatnonzero(self.counts[t]).tolist()
 
 
-def _packed_gaps(row: tuple, dim: int, pi: np.ndarray, pj: np.ndarray) -> np.ndarray:
+def _segments(counts: np.ndarray) -> np.ndarray:
+    """The [start, stop) rows that lay out segments of the given lengths
+    back to back, in C order of counts."""
+    stop = np.cumsum(counts).reshape(np.shape(counts))
+    return np.stack([stop - counts, stop], axis=-1)
+
+
+def _packed_gaps(points: np.ndarray, bounds: np.ndarray, pi: np.ndarray,
+                 pj: np.ndarray) -> np.ndarray:
     """Both one-sided gaps of every adjacent pair of one correspondence
-    row (see Corr.directed_gaps).  Squared distances are reduced before
-    the square root, which is exact: sqrt is monotone and correctly
-    rounded, so it commutes with min and max."""
+    row (see Corr.directed_gaps).  A shorter segment is padded by
+    repeating its first point, as _pack_hulls does, which changes no
+    nearest distance and no farthest one.  Squared distances are reduced
+    before the square root, which is exact: sqrt is monotone and
+    correctly rounded, so it commutes with min and max."""
     half = len(pi) // 2
     out = np.full(len(pi), np.nan)
     src, dst = pi[:half], pj[:half]
-    counts = np.array([len(ps) for ps in row], dtype=int)
-    first = {}  # nodes holding one PointSet object share its first node as owner
-    owner = np.array([first.setdefault(id(ps), z) for z, ps in enumerate(row)], dtype=int)
+    start, counts = bounds[:, 0], bounds[:, 1] - bounds[:, 0]
     live = (counts[src] > 0) & (counts[dst] > 0)
-    same = live & (owner[src] == owner[dst])
+    same = live & (start[src] == start[dst]) & (counts[src] == counts[dst])
     out[:half][same] = 0.0
     out[half:][same] = 0.0
     todo = np.nonzero(live & ~same)[0]
     if not len(todo):
         return out
-    block = np.full((len(row), int(counts.max()), dim), np.nan)
-    for z, ps in enumerate(row):
-        block[z, :counts[z]] = ps.points
+    slot = np.arange(counts.max())
+    take = start[:, None] + np.where(slot < counts[:, None], slot, 0)
     # widest pairs first, so each chunk is padded only to its own widest value
     width = np.maximum(counts[src[todo]], counts[dst[todo]])
     order = np.argsort(-width, kind="stable")
     todo, width = todo[order], width[order]
-    start = 0
-    while start < len(todo):
-        m = int(width[start])
-        k = todo[start:start + max(1, GAP_CHUNK // (m * m))]
-        start += len(k)
-        diff = block[src[k], :m][:, :, None, :] - block[dst[k], :m][:, None, :, :]
+    first = 0
+    while first < len(todo):
+        m = int(width[first])
+        k = todo[first:first + max(1, GAP_CHUNK // (m * m))]
+        first += len(k)
+        diff = points[take[src[k], :m]][:, :, None, :] - points[take[dst[k], :m]][:, None, :, :]
         d2 = np.einsum("pijk,pijk->pij", diff, diff)
-        out[k] = np.sqrt(np.fmax.reduce(np.fmin.reduce(d2, axis=2), axis=1))
-        out[k + half] = np.sqrt(np.fmax.reduce(np.fmin.reduce(d2, axis=1), axis=1))
+        out[k] = np.sqrt(d2.min(axis=2).max(axis=1))
+        out[k + half] = np.sqrt(d2.min(axis=1).max(axis=1))
     return out
 
 
 def domain(psi: Corr) -> frozenset:
     """U = {(t, z) : value nonempty}."""
-    return frozenset(
-        (t, z)
-        for t in range(len(psi.space))
-        for z in range(len(psi.grid))
-        if psi.nonempty_at(t, z)
-    )
+    return frozenset(map(tuple, np.argwhere(psi.counts).tolist()))
 
 
 @dataclass
@@ -279,28 +298,16 @@ def _lost_point(a: PointSet, b: PointSet) -> np.ndarray:
     return a.points[int(d.argmax())]
 
 
-def lsc_check(
-    psi: Corr,
-    t: int,
-    eps: float,
-    nodes: set | None = None,
-) -> SemicontinuityReport:
+def lsc_check(psi: Corr, t: int, eps: float) -> SemicontinuityReport:
     """Discrete lower-semicontinuity surrogate for psi(t, .): for every
     ordered adjacent pair (z, z') with both values nonempty, every point
     of the value at z must lie within eps of the value at z' (no value
-    point may vanish when stepping to a neighbor).
-
-    nodes, when given, restricts the pairs to both endpoints inside it.
-    """
+    point may vanish when stepping to a neighbor)."""
     if eps <= 0:
         raise DomainError("eps must be positive")
     pi, pj = psi.grid.directed_pair_arrays()
     gaps = psi.directed_gaps(t)
     mask = ~np.isnan(gaps)
-    if nodes is not None and len(pi):
-        inside = np.zeros(len(psi.grid), dtype=bool)
-        inside[list(nodes)] = True
-        mask &= inside[pi] & inside[pj]
     if not mask.any():
         return SemicontinuityReport(True, [], 0.0)
     max_gap = float(gaps[mask].max())
@@ -342,9 +349,8 @@ def lower_measurable_check(psi: Corr, part: InfoPartition, z: int) -> bool:
     under a finite partition: the value is constant as a set (within
     1e-9) on every cell."""
     for cell in part.cells:
-        base = psi.value(cell[0], z)
         for t in cell[1:]:
-            if not psi.value(t, z).same_as(base, SET_EQUALITY_TOL):
+            if not psi.value(t, z).same_as(psi.value(cell[0], z), SET_EQUALITY_TOL):
                 return False
     return True
 
@@ -421,11 +427,9 @@ class CipWitness:
 def capture_matrix(psi: Corr, w: CipWitness, t: int) -> np.ndarray:
     """Boolean matrix M[x, z]: witness node z has a nonempty value of psi
     at atom t and its ball reaches x."""
-    n = len(psi.grid)
-    radius_row = np.full(n, -np.inf)
-    for z in range(n):
-        if psi.nonempty_at(t, z):
-            radius_row[z] = w.radius(t, z)
+    radius_row = np.full(len(psi.grid), -np.inf)
+    for z in psi.t_section(t):
+        radius_row[z] = w.radius(t, z)
     return psi.grid.metric < radius_row[None, :]
 
 
@@ -438,7 +442,7 @@ def canonical_witness(psi: Corr) -> CipWitness:
     big = psi.grid.diameter + 1.0
     radii = {}
     for t in range(len(psi.space)):
-        nonempty = np.array([psi.nonempty_at(t, z) for z in range(len(psi.grid))])
+        nonempty = psi.counts[t] > 0
         if nonempty.all():
             reach = np.full(len(psi.grid), big)
         else:
@@ -481,10 +485,12 @@ def _inclusion_residual(points: PointSet, target: PointSet) -> float:
 
 def _residual_row(psi: Corr, f: Corr, t: int) -> np.ndarray:
     """Inclusion residual of F(t, x) in psi(t, x) at every node x, 0
-    where F(t, x) is empty."""
-    return np.array([0.0 if f.value(t, x).is_empty else
-                     _inclusion_residual(f.value(t, x), psi.value(t, x))
-                     for x in range(len(psi.grid))])
+    where F(t, x) is empty or is psi's own segment."""
+    res = np.zeros(len(psi.grid))
+    same = (f.points is psi.points) & (f.bounds[t] == psi.bounds[t]).all(axis=1)
+    for x in np.flatnonzero((f.counts[t] > 0) & ~same):
+        res[x] = _inclusion_residual(f.value(t, x), psi.value(t, x))
+    return res
 
 
 def cip_verify(
@@ -520,7 +526,7 @@ def cip_verify(
             if finite.any():
                 report.lsc_gap = max(report.lsc_gap, float(np.nanmax(gaps)))
             lost = np.nonzero(finite & (gaps >= eps))[0]
-            empty = np.array([f.value(t, x).is_empty for x in range(n_nodes)])
+            empty = f.counts[t] == 0
             res = None  # residual row, computed once the first ball needs it
             for z in zs:
                 if psi.nonempty_at(t, z):
@@ -609,13 +615,11 @@ def scip_verify(
                                     "ball indicator not cell-constant"))
     elif w.mode == "indexed":
         # domain of psi must be cell-constant in t
-        for z in range(len(psi.grid)):
-            for cell in part.cells:
-                flags = {psi.nonempty_at(t, z) for t in cell}
-                if len(flags) > 1:
-                    report.failures.append(
-                        ("domain-measurability", cell[0], z, -1, "nonemptiness not cell-constant")
-                    )
+        nonempty = psi.counts > 0
+        varies = [(nonempty[list(cell)] != nonempty[cell[0]]).any(axis=0) for cell in part.cells]
+        for z, c in np.argwhere(np.transpose(varies)):
+            report.failures.append(("domain-measurability", part.cells[c][0], int(z), -1,
+                                    "nonemptiness not cell-constant"))
         # the capture-index map must have cell-constant (finite) values
         caps = np.array([capture_matrix(psi, w, t) for t in range(len(psi.space))])
         for x in range(len(psi.grid)):
@@ -631,14 +635,13 @@ def scip_verify(
             lo, hi = w.box
             worst = 0.0
             for f, _ in groups:
-                for t in range(len(psi.space)):
-                    for x in range(len(psi.grid)):
-                        v = f.value(t, x)
-                        if v.is_empty:
-                            continue
-                        over = np.maximum(v.points - hi, 0.0).max(initial=0.0)
-                        under = np.maximum(lo - v.points, 0.0).max(initial=0.0)
-                        worst = max(worst, float(over), float(under))
+                # the rows some cell's segment covers
+                edges = np.zeros(len(f.points) + 1, dtype=int)
+                np.add.at(edges, f.bounds[..., 0].ravel(), 1)
+                np.add.at(edges, f.bounds[..., 1].ravel(), -1)
+                v = f.points[np.cumsum(edges)[:-1] > 0]
+                worst = max(worst, float(np.maximum(v - hi, 0.0).max(initial=0.0)),
+                            float(np.maximum(lo - v, 0.0).max(initial=0.0)))
             if worst > tol:
                 report.failures.append(("box", -1, -1, -1, f"values escape the box by {worst:.3e}"))
         # discrete modulus of z -> local value at fixed (t, x): finite by
@@ -663,25 +666,29 @@ def scip_verify(
 
 def pool_captured(psi: Corr, w: CipWitness, take=None) -> Corr:
     """Pool, at every (t, x), take(local value) over the witness nodes
-    whose ball captures x (all of the value when take is None); distinct
-    locals are grouped so a shared table is read once per (t, x)."""
+    whose ball captures x (all of the value when take is None).  One
+    local (every shared witness) keeps its own table with its segments
+    masked, take applied once per distinct segment; several are pooled
+    cell by cell."""
     groups = w.distinct_locals()
-    rows = []
-    for t in range(len(psi.space)):
-        captures = capture_matrix(psi, w, t)
-        active = [captures[:, zs].any(axis=1) for (_, zs) in groups]
-        row = []
-        for x in range(len(psi.grid)):
-            pts = []
-            for (f, _), on in zip(groups, active):
-                fv = f.value(t, x)
-                if on[x] and not fv.is_empty:
-                    pts.append(fv.points if take is None else take(fv))
-            pts = [p for p in pts if len(p)]
-            row.append(PointSet.of(psi.dim, np.vstack(pts)) if pts
-                       else PointSet.empty(psi.dim))
-        rows.append(tuple(row))
-    return Corr(psi.space, psi.grid, psi.dim, tuple(rows))
+    captures = [capture_matrix(psi, w, t) for t in range(len(psi.space))]
+    active = np.array([[c[:, zs].any(axis=1) for c in captures] for _, zs in groups])
+    if len(groups) > 1:
+        def pooled(t, x):
+            vals = [f.value(t, x) for (f, _), on in zip(groups, active[:, t]) if on[x]]
+            pts = [fv.points if take is None else take(fv) for fv in vals if not fv.is_empty]
+            return PointSet.of(psi.dim, np.vstack(pts)) if pts else PointSet.empty(psi.dim)
+
+        return Corr.from_function(psi.space, psi.grid, psi.dim, pooled)
+    f = groups[0][0]
+    on = active[0] & (f.counts > 0)
+    points, bounds = f.points, np.where(on[..., None], f.bounds, 0)
+    if take is not None:
+        segs, inv = np.unique(bounds[on], axis=0, return_inverse=True)
+        chunks = [take(PointSet._view(f.dim, points[a:b])) for a, b in segs]
+        bounds[on] = _segments(np.array([len(c) for c in chunks], dtype=int))[inv.ravel()]
+        points = np.concatenate([np.zeros((0, f.dim))] + chunks)
+    return Corr(psi.space, psi.grid, psi.dim, points, bounds)
 
 
 def _interior_samples(fv: PointSet) -> np.ndarray:
@@ -700,18 +707,6 @@ def n_operator(t: int, x: int, c, w: CipWitness) -> PointSet:
     """Union of the (closed) convex hulls of the local values at (t, x)
     over witness nodes z in c, returned as the pooled vertex list (the
     union of V-polytopes, not their joint hull)."""
-    members = sorted(int(z) for z in c)
-    pts = []
-    dim = None
-    for z in members:
-        fv = w.local(z).value(t, x)
-        dim = fv.dim
-        if fv.is_empty:
-            continue
-        pts.append(fv.points)
-    if dim is None:
-        first = next(iter(w.locals.values()))
-        dim = first.dim
-    if not pts:
-        return PointSet.empty(dim)
-    return PointSet.of(dim, np.vstack(pts))
+    pts = [w.local(z).value(t, x).points for z in sorted(int(z) for z in c)]
+    dim = next(iter(w.locals.values())).dim
+    return PointSet.of(dim, np.vstack(pts)) if pts else PointSet.empty(dim)

@@ -20,6 +20,7 @@ from .corr import (
     Corr,
     GridSpace,
     SET_EQUALITY_TOL,
+    _segments,
     canonical_witness,
     cip_verify,
     domain,
@@ -29,7 +30,7 @@ from .errors import ConstructionError, DomainError, NoCertificateError, Precondi
 from .measure import AtomSpace, InfoPartition, Prior, conditional_density
 from .reporting import CheckSet
 from .selection import Selection, caratheodory_select, glue
-from .setops import ConvexSet, PointSet, convex_membership
+from .setops import DEDUP_TOL, ConvexSet, PointSet, _cross_dists, convex_membership
 
 JOINT_NODE_CAP = 10_000
 DEFAULT_FIXPOINT_TOL = 1e-6
@@ -260,34 +261,31 @@ def pref_from_payoff(g: GameSpec, i: int, strict_margin: float = 0.0) -> Corr:
     deviation improves the payoff by more than strict_margin."""
     if strict_margin < 0:
         raise DomainError("strict_margin must be nonnegative")
-    grid = g.joint_grid()
     own = g.strategy_grids[i].points
-    shape = g.joint_shape
-    dim_i = g.strategy_grids[i].dim
-
-    rows = []
+    better = []  # (joint nodes, own nodes) improvement mask per atom
     for t in range(len(g.state_space)):
         u = g.payoff_table(i, t)
-        moved = np.moveaxis(u, i, -1)  # (..., n_i) with own axis last
-        row = []
-        for flat in range(int(np.prod(shape))):
-            idx = np.unravel_index(flat, shape)
-            rest = tuple(idx[k] for k in range(len(shape)) if k != i)
-            gains = moved[rest] - u[idx]
-            better = own[gains > strict_margin]
-            row.append(PointSet.of(dim_i, better) if len(better) else PointSet.empty(dim_i))
-        rows.append(tuple(row))
-    return Corr(g.state_space, grid, dim_i, tuple(rows))
+        # own axis last, then broadcast back along axis i: gains[x, y] is
+        # u_i(t, y, x_-i) - u_i(t, x)
+        gains = np.expand_dims(np.moveaxis(u, i, -1), i) - u[..., None]
+        better.append((gains > strict_margin).reshape(-1, len(own)))
+    better = np.array(better)
+    # an own point within DEDUP_TOL of an earlier kept one is dropped, as
+    # PointSet.of would
+    close = np.tril(_cross_dists(own, own) <= DEDUP_TOL, -1)
+    for k in np.flatnonzero(close.any(axis=1)):
+        better[..., k] &= ~(better[..., :k] & close[k, :k]).any(axis=-1)
+    return Corr(g.state_space, g.joint_grid(), own.shape[1], own[np.nonzero(better)[2]],
+                _segments(better.sum(axis=-1)))
 
 
 def _reflexive_at(p: Corr, own: np.ndarray) -> tuple[int, int] | None:
     """The first (atom, node) whose own point own[node] lies in the hull
     of its preferred set, or None when p is irreflexive."""
     for t in range(len(p.space)):
-        for z in range(len(own)):
-            v = p.value(t, z)
-            if not v.is_empty and convex_membership(
-                    own[z], ConvexSet.from_point_set(v), SET_EQUALITY_TOL):
+        for z in p.t_section(t):
+            hull = ConvexSet.from_point_set(p.value(t, z))
+            if convex_membership(own[z], hull, SET_EQUALITY_TOL):
                 return t, z
     return None
 
@@ -582,11 +580,11 @@ def maximal_element(
     values, indices = {}, {}
     missing = []
     for t in range(len(p.space)):
-        empty_nodes = [z for z in range(len(grid)) if p.value(t, z).is_empty]
-        if not empty_nodes:
+        empty_nodes = np.flatnonzero(p.counts[t] == 0)
+        if not len(empty_nodes):
             missing.append(t)
             continue
-        z = empty_nodes[0]
+        z = int(empty_nodes[0])
         indices[t] = z
         values[t] = grid.points[z].copy()
     if missing:

@@ -17,7 +17,8 @@ from .corr import (
     CipWitness,
     Corr,
     SET_EQUALITY_TOL,
-    _inclusion_residual,
+    _residual_row,
+    _segments,
     domain,
     k_operator,
     lower_measurable_check,
@@ -30,7 +31,6 @@ from .measure import InfoPartition
 from .reporting import CheckSet
 from .setops import (
     ConvexSet,
-    PointSet,
     _pack_hulls,
     convex_distance,
     convex_project,
@@ -114,18 +114,15 @@ def construct_phi(
     if w.mode == "shared" and not atomic:
         phi = next(iter(w.locals.values()))
         if not (phi.space is psi.space and phi.grid is psi.grid and phi.dim == psi.dim):
-            phi = Corr(psi.space, psi.grid, psi.dim, phi.values)
+            phi = Corr(psi.space, psi.grid, psi.dim, phi.points, phi.bounds)
     else:
         phi = pool_captured(psi, w)
 
     cert = CheckSet()
     u_psi = domain(psi)
 
-    worst_inclusion = 0.0
-    for (t, z) in sorted(u_psi):
-        worst_inclusion = max(
-            worst_inclusion, _inclusion_residual(phi.value(t, z), psi.value(t, z))
-        )
+    worst_inclusion = max(float(_residual_row(psi, phi, t)[psi.counts[t] > 0].max(initial=0.0))
+                          for t in range(len(psi.space)))
     cert.add("phi-inclusion", worst_inclusion, SET_EQUALITY_TOL,
              "every glued vertex lies in the hull of the original value")
 
@@ -340,7 +337,7 @@ def caratheodory_select(
             continue
         hulls, edges = _atom_block(phi, t, section)
         starts = [[h.vertices.mean(axis=0) for h in hulls]]
-        arng = np.random.default_rng(int(atom_seeds[t]))
+        arng = np.random.default_rng(int(atom_seeds[part.cell_of(t)[0]]))
         for _ in range(0 if closed_valued else restarts - 1):
             wts = [arng.exponential(size=len(h.vertices)) for h in hulls]
             starts.append([h.vertices.T @ (u / u.sum()) for h, u in zip(hulls, wts)])
@@ -433,17 +430,17 @@ def glue(
         eps = psi.grid.adjacency_radius
     if part is None:
         part = InfoPartition.finest(psi.space)
-    for t in range(len(psi.space)):
-        for z in range(len(psi.grid)):
-            if (t, z) not in sel.domain and fallback.value(t, z).is_empty:
-                raise DomainError(f"fallback is empty off the domain at (t={t}, z={z})")
-
-    def build(t: int, z: int) -> PointSet:
-        if (t, z) in sel.domain:
-            return PointSet(psi.dim, sel.value(t, z).reshape(1, -1))
-        return fallback.value(t, z)
-
-    glued = Corr.from_function(psi.space, psi.grid, psi.dim, build)
+    on = psi.counts > 0
+    off = np.argwhere(~on & (fallback.counts == 0))
+    if len(off):
+        t, z = off[0]
+        raise DomainError(f"fallback is empty off the domain at (t={t}, z={z})")
+    # one singleton row per domain cell, in (t, z) order, after the fallback's points
+    bounds = np.array(fallback.bounds)
+    bounds[on] = len(fallback.points) + _segments(np.ones(np.count_nonzero(on), dtype=int))
+    single = [sel.value(t, z) for t, z in np.argwhere(on).tolist()]
+    glued = Corr(psi.space, psi.grid, psi.dim,
+                 np.concatenate([fallback.points, np.reshape(single, (-1, psi.dim))]), bounds)
 
     checks = CheckSet()
     broken_usc = broken_lsc = 0

@@ -90,9 +90,15 @@ class PointSet:
         """Build a PointSet, silently deduplicating near-equal points.
         The points are checked once: the deduplicated array holds no
         close pair, so __post_init__ would find nothing to reject."""
+        return cls._view(dim, _dedup(_as_points(dim, points)))
+
+    @classmethod
+    def _view(cls, dim: int, points: np.ndarray) -> "PointSet":
+        """Wrap finite, read-only, pairwise distinct (dim)-vectors as they
+        are, without checking them."""
         ps = object.__new__(cls)
         object.__setattr__(ps, "dim", dim)
-        object.__setattr__(ps, "points", _dedup(_as_points(dim, points)))
+        object.__setattr__(ps, "points", points)
         return ps
 
     @classmethod

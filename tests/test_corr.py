@@ -23,7 +23,14 @@ from carasel import (
     scip_verify,
     usc_check,
 )
-from carasel.corr import SET_EQUALITY_TOL, CipReport, _inclusion_residual
+from carasel.corr import (
+    SET_EQUALITY_TOL,
+    CipReport,
+    _inclusion_residual,
+    _interior_samples,
+    capture_matrix,
+    pool_captured,
+)
 from carasel.setops import ConvexSet, _cross_dists, convex_distance
 
 from conftest import jump_problem, line_grid
@@ -200,7 +207,7 @@ def test_cip_strict_flag_checks_whole_grid():
         space, grid, 1,
         lambda t, z: PointSet.of(1, [[0.0], [0.9]]) if z == 10 else PointSet.of(1, [[0.0]]),
     )
-    f = Corr(space, grid, 1, psi.values)
+    f = Corr.from_function(space, grid, 1, psi.value)
     radii = {(0, z): 0.05 for z in range(11)}
     witness = CipWitness.shared(grid, f, radii)
     lenient = cip_verify(psi, witness, eps=0.05)
@@ -345,6 +352,48 @@ def test_scip_indexed_mode_moving_point():
     assert rep.hull_modulus == pytest.approx(0.5, rel=1e-6)  # 0.1 per 0.2 step
 
 
+def _box_case(box):
+    """Indexed witness whose local values sit at 3.0 (atom 0, node 2) and
+    -2.5 (atom 1, node 1), 0.0 elsewhere, empty at node 4 like psi."""
+    space = AtomSpace(("a", "b"), [1.0, 1.0])
+    grid = line_grid(5)
+    wide, empty = PointSet.of(1, [[-3.0], [4.0]]), PointSet.empty(1)
+    psi = Corr.from_function(space, grid, 1, lambda t, z: empty if z == 4 else wide)
+    spots = {(0, 2): 3.0, (1, 1): -2.5}
+    f = Corr.from_function(space, grid, 1, lambda t, x: empty if x == 4
+                           else PointSet.of(1, [[spots.get((t, x), 0.0)]]))
+    radii = {(t, z): 0.1 for t in range(2) for z in range(4)}
+    witness = CipWitness("indexed", {z: f for z in range(5)}, radii, box=box)
+    part = InfoPartition.finest(space)
+    return scip_verify(psi, witness, part, cip_verify(psi, witness, eps=10.0))
+
+
+def test_scip_indexed_box_failures():
+    assert _box_case(([-3.0], [3.0])).ok
+    escaped = _box_case(([-1.0], [2.0]))
+    assert escaped.failures == [("box", -1, -1, -1, "values escape the box by 1.500e+00")]
+    missing = _box_case(None)
+    assert missing.failures == [("box", -1, -1, -1, "indexed mode requires a bounding box")]
+
+
+def test_scip_indexed_domain_measurability():
+    # atom t is empty from node 5 - t on: nonemptiness varies inside cell
+    # (2, 3) at node 2 and inside cell (0, 1) at node 4
+    space = AtomSpace(("a", "b", "c", "d"), [1.0] * 4)
+    grid = line_grid(5)
+    zero, empty = PointSet.of(1, [[0.0]]), PointSet.empty(1)
+    psi = Corr.from_function(space, grid, 1, lambda t, z: empty if z >= 5 - t else zero)
+    f = Corr.constant(space, grid, zero)
+    radii = {(t, z): 0.1 for t in range(4) for z in range(5) if z < 5 - t}
+    witness = CipWitness("indexed", {z: f for z in range(5)}, radii, box=([-1.0], [1.0]))
+    part = InfoPartition(space, ((0, 1), (2, 3)))
+    rep = scip_verify(psi, witness, part, cip_verify(psi, witness, eps=0.5))
+    assert [fl for fl in rep.failures if fl[0] == "domain-measurability"] == [
+        ("domain-measurability", 2, 2, -1, "nonemptiness not cell-constant"),
+        ("domain-measurability", 0, 4, -1, "nonemptiness not cell-constant"),
+    ]
+
+
 def _loop_capture_failures(psi, w, part):
     """Reference: the ball- and index-measurability failures computed
     entry by entry, in the order scip_verify reports them."""
@@ -433,6 +482,60 @@ def test_k_operator_values_inside_hull_of_psi():
             assert max(convex_distance(p, hull) for p in kv.points) <= 1e-9
 
 
+def _pool_reference(psi, w, take=None):
+    """The per-(t, x) loop pool_captured ran for every witness before it
+    masked a single local's segments, kept as its reference."""
+    groups = w.distinct_locals()
+    rows = []
+    for t in range(len(psi.space)):
+        captures = capture_matrix(psi, w, t)
+        active = [captures[:, zs].any(axis=1) for (_, zs) in groups]
+        row = []
+        for x in range(len(psi.grid)):
+            pts = []
+            for (f, _), on in zip(groups, active):
+                fv = f.value(t, x)
+                if on[x] and not fv.is_empty:
+                    pts.append(fv.points if take is None else take(fv))
+            pts = [p for p in pts if len(p)]
+            row.append(PointSet.of(psi.dim, np.vstack(pts)) if pts else PointSet.empty(psi.dim))
+        rows.append(row)
+    return rows
+
+
+def test_pool_captured_one_local_matches_cell_loop():
+    rng = np.random.default_rng(11)
+    cases = []
+    while len(cases) < 8:
+        inst = random_cip_instance(rng)
+        if inst.witness.mode == "shared":
+            cases.append((inst.psi, inst.witness))
+    # one shared segment, and balls that miss the nodes where psi is empty
+    space, grid = AtomSpace(("a", "b"), [1.0, 1.0]), line_grid(9)
+    seg = PointSet.of(1, [[0.0], [0.5], [1.0]])
+    psi = Corr.from_function(space, grid, 1, lambda t, z: PointSet.empty(1) if z > 4 + t else seg)
+    radii = {key: 0.1 for key in domain(psi)}
+    cases.append((psi, CipWitness.shared(grid, Corr.constant(space, grid, seg), radii)))
+    for psi, w in cases:
+        for take in (None, _interior_samples):
+            pooled = pool_captured(psi, w, take)
+            want = _pool_reference(psi, w, take)
+            for t in range(len(psi.space)):
+                for x in range(len(psi.grid)):
+                    assert np.array_equal(pooled.value(t, x).points, want[t][x].points)
+
+
+def test_constant_stores_its_value_once():
+    space = AtomSpace(("a", "b"), [1.0, 1.0])
+    grid = GridSpace(np.random.default_rng(2).uniform(size=(12, 2)))
+    value = PointSet.of(2, [[0.0, 0.0], [1.0, 0.5], [0.2, 0.9]])
+    psi = Corr.constant(space, grid, value)
+    assert len(psi.points) == len(value)
+    for t in range(2):
+        gaps = psi.directed_gaps(t)
+        assert len(gaps) and np.all(gaps == 0.0)
+
+
 def test_n_operator_union_not_hull():
     space = AtomSpace(("a",), [1.0])
     grid = line_grid(2)
@@ -514,7 +617,7 @@ def _pair_loop_gaps(psi, t):
     pi, pj = psi.grid.directed_pair_arrays()
     half = len(pi) // 2
     out = np.full(len(pi), np.nan)
-    row = psi.values[t]
+    row = [psi.value(t, z) for z in range(len(psi.grid))]
     for k in range(half):
         a, b = row[pi[k]], row[pj[k]]
         if a.is_empty or b.is_empty:

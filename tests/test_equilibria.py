@@ -120,6 +120,57 @@ def test_pref_strict_margin_shrinks_sets():
     assert len(p1.value(0, 0)) < len(p0.value(0, 0))
 
 
+def _pref_reference(g, i, strict_margin=0.0):
+    """The per-node loop pref_from_payoff ran before it built the packed
+    table from one improvement mask per atom, kept as its reference."""
+    own, shape = g.strategy_grids[i].points, g.joint_shape
+    rows = []
+    for t in range(len(g.state_space)):
+        u = g.payoff_table(i, t)
+        moved = np.moveaxis(u, i, -1)
+        row = []
+        for flat in range(int(np.prod(shape))):
+            idx = np.unravel_index(flat, shape)
+            rest = tuple(idx[k] for k in range(len(shape)) if k != i)
+            better = own[moved[rest] - u[idx] > strict_margin]
+            row.append(PointSet.of(own.shape[1], better) if len(better)
+                       else PointSet.empty(own.shape[1]))
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_pref_matches_per_node_reference(seed):
+    rng = np.random.default_rng(seed)
+    space = AtomSpace(("a", "b", "c"), [1.0] * 3)
+    plane = GridSpace(rng.uniform(size=(4, 2)))
+    twice = GridSpace(np.array([[0.0], [0.5], [0.5], [1.0], [0.5 + 1e-13]]), mesh=0.5)
+    grids = (line_grid(int(rng.integers(2, 7))), plane, twice)  # twice repeats a point
+    tables = [rng.integers(-2, 3, size=(3, len(grids[0]), 4, 5)).astype(float)
+              for _ in grids]
+    nodes = {i: {tuple(p): k for k, p in enumerate(g.points)} for i, g in enumerate(grids)}
+
+    def payoff(i):
+        def u(t, x):
+            idx = []
+            for j, g in enumerate(grids):
+                part = x[sum(h.dim for h in grids[:j]):][:g.dim]
+                idx.append(nodes[j][tuple(part)])
+            return tables[i][(t, *idx)]
+        return u
+
+    g = GameSpec(("p", "q", "r"), space, grids, tuple(payoff(i) for i in range(3)),
+                 (True,) * 3)
+    for i in range(3):
+        for margin in (0.0, 1.0):
+            want = _pref_reference(g, i, margin)
+            p = pref_from_payoff(g, i, margin)
+            assert p.dim == g.strategy_grids[i].dim
+            for t in range(3):
+                for z in range(len(g.joint_grid())):
+                    assert np.array_equal(p.value(t, z).points, want[t][z].points)
+
+
 # ------------------------------------------------------------- equilibria
 
 def test_random_equilibrium_independent_quadratics():

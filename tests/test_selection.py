@@ -76,7 +76,7 @@ def test_phi_shared_local_on_psi_grid_is_reused():
     )
     part = InfoPartition.finest(space)
     assert construct_phi(psi, canonical_witness(psi), part).phi is psi
-    moved = Corr(space, line_grid(9), 1, psi.values)  # equal grid, other object
+    moved = Corr.from_function(space, line_grid(9), 1, psi.value)  # equal grid, other object
     res = construct_phi(psi, CipWitness.shared(grid, moved, canonical_witness(psi).radii), part)
     assert res.phi is not moved and res.phi.grid is grid
 
@@ -337,6 +337,21 @@ def test_select_measurability_under_coarse_partition():
         assert np.array_equal(sel.value(0, z), sel.value(1, z))
 
 
+def test_series_selection_measurable_under_coarse_partitions():
+    # atoms of one cell draw their restarts from the cell's first atom, so
+    # cell-constant inputs give cell-constant selections
+    rng = np.random.default_rng(4)
+    checked = 0
+    for _ in range(40):
+        inst = random_cip_instance(rng)
+        if inst.part.is_finest:
+            continue
+        sel = caratheodory_select(inst.psi, inst.witness, inst.part, eps=inst.eps)
+        check = next(c for c in sel.checks if c.name == "selection-measurability")
+        assert check.ok, (checked, check.residual)
+        checked += 1
+    assert checked == 27
+
 
 def _caratheodory_reference(inst, closed_valued, k_max=40, restarts=8, seed=0):
     """caratheodory_select as it ran before one sweep took every atom and
@@ -349,7 +364,7 @@ def _caratheodory_reference(inst, closed_valued, k_max=40, restarts=8, seed=0):
     for t in range(len(phi.space)):
         base = grid_select(phi, t, 1e-7).values
         family = []
-        arng = np.random.default_rng(int(atom_seeds[t]))
+        arng = np.random.default_rng(int(atom_seeds[inst.part.cell_of(t)[0]]))
         for _ in range(0 if closed_valued or not base else restarts - 1):
             init = {}
             for z in base:
