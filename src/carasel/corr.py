@@ -19,9 +19,11 @@ from .setops import (
     ConvexSet,
     PointSet,
     _cross_dists,
+    _padded_rows,
+    _segment_rows,
     convex_distance,
     hausdorff_dist,
-    vertex_margins,
+    segment_margins,
 )
 
 SET_EQUALITY_TOL = 1e-9
@@ -217,11 +219,64 @@ class Corr:
         other pair come from array reductions over the pairs' segments,
         padded to a common width, in chunks of at most about GAP_CHUNK
         distance entries.  Cached (the table is immutable)."""
+        return self._gap_entry(t)[0]
+
+    def farthest_rows(self, t: int) -> np.ndarray:
+        """Per directed adjacent pair of the atom-t row, the row of points
+        holding the source point that is farthest from the target value
+        (the first such point), found with directed_gaps; -1 where the
+        gap is NaN or 0.0 by a shared segment."""
+        return self._gap_entry(t)[1]
+
+    def _gap_entry(self, t: int) -> tuple[np.ndarray, np.ndarray]:
         cache = self.__dict__.setdefault("_gap_cache", {})
         if t not in cache:
             pi, pj = self.grid.directed_pair_arrays()
             cache[t] = _packed_gaps(self.points, self.bounds[t], pi, pj)
         return cache[t]
+
+    def segment_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """(segs, cell_seg): the distinct [start, stop) rows of the
+        nonempty cells in sorted order, and the index into segs of each
+        cell's row, -1 where the cell is empty.  Cached."""
+        if "_segment_index" not in self.__dict__:
+            on = self.counts > 0
+            segs, inv = np.unique(self.bounds[on], axis=0, return_inverse=True)
+            cell_seg = np.full(self.counts.shape, -1)
+            cell_seg[on] = inv.ravel()
+            self.__dict__["_segment_index"] = (segs.reshape(-1, 2), cell_seg)
+        return self.__dict__["_segment_index"]
+
+    def segment_margins(self, used: np.ndarray) -> np.ndarray:
+        """The interior margin of every point of every row of
+        segment_index() within that row's own hull, flat in row order
+        (setops.segment_margins), valid on the rows listed in used; each
+        row is computed once and cached, so k_operator and the
+        interiority check of construct_phi share the work."""
+        segs = self.segment_index()[0]
+        counts = segs[:, 1] - segs[:, 0]
+        if "_margins" not in self.__dict__:
+            self.__dict__["_margins"] = (np.zeros(counts.sum()), np.zeros(len(segs), dtype=bool))
+        margins, done = self.__dict__["_margins"]
+        todo = used[~done[used]]
+        if len(todo):
+            first = (np.cumsum(counts) - counts)[todo]
+            margins[_segment_rows(np.column_stack([first, first + counts[todo]]))[0]] = (
+                segment_margins(self.points, segs[todo]))
+            done[todo] = True
+        return margins
+
+    def interior_cells(self, on: np.ndarray) -> np.ndarray:
+        """Boolean (atoms, nodes) table: the cell is in the mask on and its
+        value carries a point interior to its own hull (a positive
+        segment_margins entry)."""
+        segs, cell_seg = self.segment_index()
+        on = on & (self.counts > 0)
+        margins = self.segment_margins(np.unique(cell_seg[on]))
+        has = np.zeros(len(segs) + 1, dtype=bool)  # the last entry serves cell_seg == -1
+        if len(segs):
+            has[:-1] = np.maximum.reduceat(margins, _segment_rows(segs)[1]) > 0.0
+        return on & has[cell_seg]
 
     def nonempty_at(self, t: int, z: int) -> bool:
         return bool(self.counts[t, z])
@@ -239,15 +294,18 @@ def _segments(counts: np.ndarray) -> np.ndarray:
 
 
 def _packed_gaps(points: np.ndarray, bounds: np.ndarray, pi: np.ndarray,
-                 pj: np.ndarray) -> np.ndarray:
+                 pj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Both one-sided gaps of every adjacent pair of one correspondence
-    row (see Corr.directed_gaps).  A shorter segment is padded by
-    repeating its first point, as _pack_hulls does, which changes no
-    nearest distance and no farthest one.  Squared distances are reduced
-    before the square root, which is exact: sqrt is monotone and
-    correctly rounded, so it commutes with min and max."""
+    row, and the row of points of each gap's farthest source point (see
+    Corr.directed_gaps and Corr.farthest_rows).  A shorter segment is
+    padded by repeating its first point (setops._padded_rows), which
+    changes no nearest distance and no farthest one.  The nearest
+    squared distances are reduced before the square root, which is
+    exact: sqrt is monotone and correctly rounded, so it commutes with
+    min and max."""
     half = len(pi) // 2
     out = np.full(len(pi), np.nan)
+    far = np.full(len(pi), -1)
     src, dst = pi[:half], pj[:half]
     start, counts = bounds[:, 0], bounds[:, 1] - bounds[:, 0]
     live = (counts[src] > 0) & (counts[dst] > 0)
@@ -256,9 +314,8 @@ def _packed_gaps(points: np.ndarray, bounds: np.ndarray, pi: np.ndarray,
     out[half:][same] = 0.0
     todo = np.nonzero(live & ~same)[0]
     if not len(todo):
-        return out
-    slot = np.arange(counts.max())
-    take = start[:, None] + np.where(slot < counts[:, None], slot, 0)
+        return out, far
+    take = _padded_rows(bounds)
     # widest pairs first, so each chunk is padded only to its own widest value
     width = np.maximum(counts[src[todo]], counts[dst[todo]])
     order = np.argsort(-width, kind="stable")
@@ -270,9 +327,11 @@ def _packed_gaps(points: np.ndarray, bounds: np.ndarray, pi: np.ndarray,
         first += len(k)
         diff = points[take[src[k], :m]][:, :, None, :] - points[take[dst[k], :m]][:, None, :, :]
         d2 = np.einsum("pijk,pijk->pij", diff, diff)
-        out[k] = np.sqrt(d2.min(axis=2).max(axis=1))
-        out[k + half] = np.sqrt(d2.min(axis=1).max(axis=1))
-    return out
+        for ends, near, at in ((src[k], d2.min(axis=2), k), (dst[k], d2.min(axis=1), k + half)):
+            near = np.sqrt(near)  # each source point's distance to the target value
+            out[at] = near.max(axis=1)
+            far[at] = take[ends, near.argmax(axis=1)]
+    return out, far
 
 
 def domain(psi: Corr) -> frozenset:
@@ -293,16 +352,15 @@ class SemicontinuityReport:
     max_gap: float = 0.0
 
 
-def _lost_point(a: PointSet, b: PointSet) -> np.ndarray:
-    d = _cross_dists(a.points, b.points).min(axis=1)
-    return a.points[int(d.argmax())]
-
-
 def lsc_check(psi: Corr, t: int, eps: float) -> SemicontinuityReport:
     """Discrete lower-semicontinuity surrogate for psi(t, .): for every
     ordered adjacent pair (z, z') with both values nonempty, every point
     of the value at z must lie within eps of the value at z' (no value
-    point may vanish when stepping to a neighbor)."""
+    point may vanish when stepping to a neighbor).
+
+    Decided from the cached gap table in one pass: each violation's
+    witness point is the source point farthest from the target value,
+    gathered through Corr.farthest_rows."""
     if eps <= 0:
         raise DomainError("eps must be positive")
     pi, pj = psi.grid.directed_pair_arrays()
@@ -311,10 +369,9 @@ def lsc_check(psi: Corr, t: int, eps: float) -> SemicontinuityReport:
     if not mask.any():
         return SemicontinuityReport(True, [], 0.0)
     max_gap = float(gaps[mask].max())
-    violations = []
-    for k in np.nonzero(mask & (gaps >= eps))[0]:
-        z, z_adj = int(pi[k]), int(pj[k])
-        violations.append((z, z_adj, _lost_point(psi.value(t, z), psi.value(t, z_adj))))
+    bad = np.flatnonzero(mask & (gaps >= eps))
+    lost = psi.points[psi.farthest_rows(t)[bad]]
+    violations = list(zip(pi[bad].tolist(), pj[bad].tolist(), lost))
     return SemicontinuityReport(not violations, violations, max_gap)
 
 
@@ -322,7 +379,8 @@ def usc_check(psi: Corr, t: int, eps: float) -> SemicontinuityReport:
     """Discrete upper-semicontinuity surrogate for psi(t, .): for every
     unordered adjacent pair with both values nonempty, at least one value
     must collapse into the eps-neighborhood of the other (growth at a
-    node is tolerated, mutual separation is not).
+    node is tolerated, mutual separation is not).  One pass over the
+    cached gap table, as in lsc_check.
     """
     if eps <= 0:
         raise DomainError("eps must be positive")
@@ -335,12 +393,11 @@ def usc_check(psi: Corr, t: int, eps: float) -> SemicontinuityReport:
         return SemicontinuityReport(True, [], 0.0)
     pair_gap = np.minimum(fwd, bwd)
     max_gap = float(pair_gap[mask].max())
-    violations = []
-    for k in np.nonzero(mask & (pair_gap >= eps))[0]:
-        i, j = int(pi[k]), int(pj[k])
-        a, b = psi.value(t, i), psi.value(t, j)
-        src, dst = (a, b) if fwd[k] <= bwd[k] else (b, a)
-        violations.append((i, j, _lost_point(src, dst)))
+    bad = np.flatnonzero(mask & (pair_gap >= eps))
+    # the witness point leaves the side with the smaller one-sided gap
+    side = np.where(fwd[bad] <= bwd[bad], bad, bad + half)
+    lost = psi.points[psi.farthest_rows(t)[side]]
+    violations = list(zip(pi[bad].tolist(), pj[bad].tolist(), lost))
     return SemicontinuityReport(not violations, violations, max_gap)
 
 
@@ -463,10 +520,6 @@ class CipReport:
     eps: float = 0.0
 
 
-def _local_hull(f: Corr, t: int, x: int) -> ConvexSet:
-    return ConvexSet.from_point_set(f.value(t, x))
-
-
 def _inclusion_residual(points: PointSet, target: PointSet) -> float:
     """Max distance from the points to the convex hull of the target;
     zero fast path when the point arrays coincide or every point appears
@@ -507,19 +560,31 @@ def cip_verify(
     convex hull of psi(t, x) within tol.  The convex hulls of F_z(t, .)
     must pass the discrete l.s.c. check at eps inside the ball (on the
     whole grid when strict=True), and on the whole grid for atoms t with
-    psi(t, z) empty.
+    psi(t, z) empty.  Every local must live on psi's grid points and
+    atom count.
 
-    The directed pairs that lose a value point at eps are found once per
-    (local, atom); each witness node keeps those with both ends in its
-    ball, or all of them when strict or off the section.
+    Array passes per (local, atom): the witness nodes' balls form one
+    boolean matrix ball[x, z] = d(x, z) < r(t, z) (what capture_matrix
+    computes; no ball off psi's section), and the nonempty, inclusion
+    and l.s.c. failures of every node, the worst residual and each
+    ball's share of the pairs that lose a value point at eps all come
+    from it.  Only the witness nodes that fail are visited one by one,
+    in node order, to list their failures.
     """
     report = CipReport(True, eps=eps)
     n_nodes = len(psi.grid)
     metric = psi.grid.metric
     pi, pj = psi.grid.directed_pair_arrays()
-    for f, zs in w.distinct_locals():
-        if f.grid is not psi.grid and len(f.grid) != n_nodes:
+    groups = w.distinct_locals()
+    for f, _ in groups:
+        if f.grid is not psi.grid and not np.array_equal(f.grid.points, psi.grid.points):
             raise DomainError("witness locals must live on psi's grid")
+        if len(f.space) != len(psi.space):
+            raise DomainError("witness locals must live on psi's atoms")
+    for f, zs in groups:
+        zs = np.array(zs)
+        whole = len(zs) == n_nodes and np.array_equal(zs, np.arange(n_nodes))
+        dists = metric if whole else metric[:, zs]
         for t in range(len(psi.space)):
             gaps = f.directed_gaps(t)
             finite = ~np.isnan(gaps)
@@ -527,27 +592,40 @@ def cip_verify(
                 report.lsc_gap = max(report.lsc_gap, float(np.nanmax(gaps)))
             lost = np.nonzero(finite & (gaps >= eps))[0]
             empty = f.counts[t] == 0
-            res = None  # residual row, computed once the first ball needs it
-            for z in zs:
-                if psi.nonempty_at(t, z):
-                    in_ball = metric[:, z] < w.radius(t, z)
-                    for x in np.nonzero(in_ball & empty)[0]:
+            on = psi.counts[t, zs] > 0
+            radius = np.full(len(zs), -np.inf)
+            for c in np.flatnonzero(on):
+                radius[c] = w.radius(t, int(zs[c]))
+            ball = dists < radius
+            unfilled = ball & empty[:, None]
+            usable = ball & ~empty[:, None]
+            escapes = np.zeros_like(ball)
+            reached = usable.any(axis=1)
+            if reached.any():
+                res = _residual_row(psi, f, t)
+                report.inclusion_residual = max(report.inclusion_residual,
+                                                float(res[reached].max()))
+                escapes = usable & (res > tol)[:, None]
+            if strict:
+                scope = np.ones((len(lost), len(zs)), dtype=bool)
+            else:
+                scope = ball[pi[lost]] & ball[pj[lost]]
+            fails = unfilled.any(axis=0) | escapes.any(axis=0) | scope.any(axis=0)
+            if len(lost):
+                fails |= ~on
+            for c in np.flatnonzero(fails):
+                z = int(zs[c])
+                if on[c]:
+                    for x in np.flatnonzero(unfilled[:, c]):
                         report.failures.append(
                             ("nonempty", t, z, int(x), "local value empty in ball")
                         )
-                    usable = in_ball & ~empty
-                    if usable.any():
-                        if res is None:
-                            res = _residual_row(psi, f, t)
-                        worst = float(res[usable].max())
-                        report.inclusion_residual = max(report.inclusion_residual, worst)
-                        for x in np.nonzero(usable & (res > tol))[0]:
-                            report.failures.append((
-                                "inclusion", t, z, int(x),
-                                f"local value escapes psi by {res[x]:.3e}",
-                            ))
-                    kind = "lsc"
-                    scoped = lost if strict else lost[in_ball[pi[lost]] & in_ball[pj[lost]]]
+                    for x in np.flatnonzero(escapes[:, c]):
+                        report.failures.append((
+                            "inclusion", t, z, int(x),
+                            f"local value escapes psi by {res[x]:.3e}",
+                        ))
+                    kind, scoped = "lsc", lost[scope[:, c]]
                 else:
                     kind, scoped = "lsc-offsection", lost
                 for k in scoped:
@@ -664,43 +742,54 @@ def scip_verify(
     return report
 
 
-def pool_captured(psi: Corr, w: CipWitness, take=None) -> Corr:
-    """Pool, at every (t, x), take(local value) over the witness nodes
-    whose ball captures x (all of the value when take is None).  One
-    local (every shared witness) keeps its own table with its segments
-    masked, take applied once per distinct segment; several are pooled
-    cell by cell."""
+def pool_captured(psi: Corr, w: CipWitness, interior: bool = False) -> Corr:
+    """Pool, at every (t, x), the local values over the witness nodes
+    whose ball captures x, or only the points of each value interior to
+    that value's own hull when interior.  Each local's captured cells
+    come from one array pass over its segments: a mask of the cells,
+    and for interior the local's cached Corr.segment_margins, gathered
+    once per distinct segment.  One local (every shared witness) keeps
+    that table; several are pooled cell by cell."""
     groups = w.distinct_locals()
     captures = [capture_matrix(psi, w, t) for t in range(len(psi.space))]
-    active = np.array([[c[:, zs].any(axis=1) for c in captures] for _, zs in groups])
+    parts = []
+    for f, zs in groups:
+        on = np.array([c[:, zs].any(axis=1) for c in captures]) & (f.counts > 0)
+        parts.append(_captured_part(f, on, interior))
     if len(groups) > 1:
         def pooled(t, x):
-            vals = [f.value(t, x) for (f, _), on in zip(groups, active[:, t]) if on[x]]
-            pts = [fv.points if take is None else take(fv) for fv in vals if not fv.is_empty]
+            pts = [points[a:b] for points, bounds in parts for a, b in [bounds[t, x]] if b > a]
             return PointSet.of(psi.dim, np.vstack(pts)) if pts else PointSet.empty(psi.dim)
 
         return Corr.from_function(psi.space, psi.grid, psi.dim, pooled)
-    f = groups[0][0]
-    on = active[0] & (f.counts > 0)
-    points, bounds = f.points, np.where(on[..., None], f.bounds, 0)
-    if take is not None:
-        segs, inv = np.unique(bounds[on], axis=0, return_inverse=True)
-        chunks = [take(PointSet._view(f.dim, points[a:b])) for a, b in segs]
-        bounds[on] = _segments(np.array([len(c) for c in chunks], dtype=int))[inv.ravel()]
-        points = np.concatenate([np.zeros((0, f.dim))] + chunks)
-    return Corr(psi.space, psi.grid, psi.dim, points, bounds)
+    return Corr(psi.space, psi.grid, psi.dim, *parts[0])
 
 
-def _interior_samples(fv: PointSet) -> np.ndarray:
-    """Points of a nonempty list interior to the list's own hull."""
-    return fv.points[vertex_margins(ConvexSet.from_point_set(fv)) > 0.0]
+def _captured_part(f: Corr, on: np.ndarray, interior: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(points, bounds) of f on the cells of the mask on, empty elsewhere;
+    with interior, only the points with a positive margin in their own
+    value's hull, laid out once per distinct segment in sorted order."""
+    bounds = np.where(on[..., None], f.bounds, 0)
+    if not interior:
+        return f.points, bounds
+    segs, cell_seg = f.segment_index()
+    used = np.unique(cell_seg[on])
+    counts = segs[:, 1] - segs[:, 0]
+    owner = np.repeat(np.arange(len(segs)), counts)
+    picked = np.zeros(len(segs), dtype=bool)
+    picked[used] = True
+    keep = picked[owner] & (f.segment_margins(used) > 0.0)
+    kept = np.bincount(owner[keep], minlength=len(segs))[used]
+    bounds[on] = _segments(kept)[np.searchsorted(used, cell_seg[on])]
+    return f.points[_segment_rows(segs)[0][keep]], bounds
 
 
 def k_operator(psi: Corr, w: CipWitness) -> Corr:
     """Collect, at every (t, x), the witness sample points interior to
-    their own local hull, over all witness nodes whose ball captures x.
-    Empty wherever no local value has ambient interior."""
-    return pool_captured(psi, w, _interior_samples)
+    their own local hull, over all witness nodes whose ball captures x
+    (pool_captured with interior, so the margins are the locals' cached
+    ones).  Empty wherever no local value has ambient interior."""
+    return pool_captured(psi, w, interior=True)
 
 
 def n_operator(t: int, x: int, c, w: CipWitness) -> PointSet:

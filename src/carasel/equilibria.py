@@ -30,7 +30,14 @@ from .errors import ConstructionError, DomainError, NoCertificateError, Precondi
 from .measure import AtomSpace, InfoPartition, Prior, conditional_density
 from .reporting import CheckSet
 from .selection import Selection, caratheodory_select, glue
-from .setops import DEDUP_TOL, ConvexSet, PointSet, _cross_dists, convex_membership
+from .setops import (
+    DEDUP_TOL,
+    ConvexSet,
+    PointSet,
+    _cross_dists,
+    convex_membership,
+    segment_extents,
+)
 
 JOINT_NODE_CAP = 10_000
 DEFAULT_FIXPOINT_TOL = 1e-6
@@ -281,7 +288,22 @@ def pref_from_payoff(g: GameSpec, i: int, strict_margin: float = 0.0) -> Corr:
 
 def _reflexive_at(p: Corr, own: np.ndarray) -> tuple[int, int] | None:
     """The first (atom, node) whose own point own[node] lies in the hull
-    of its preferred set, or None when p is irreflexive."""
+    of its preferred set, or None when p is irreflexive.  In R^1 one
+    array pass: convex_membership's interval test against every distinct
+    segment's extent at once; otherwise one membership call per cell."""
+    if p.dim == 1:
+        segs, cell_seg = p.segment_index()
+        if not len(segs):
+            return None
+        lo, hi = (e[:, 0] for e in segment_extents(p.points, segs))
+        cells = np.argwhere(cell_seg >= 0)  # C order: atom by atom, nodes ascending
+        k = cell_seg[cells[:, 0], cells[:, 1]]
+        x = own[cells[:, 1], 0]
+        hit = (lo[k] - SET_EQUALITY_TOL <= x) & (x <= hi[k] + SET_EQUALITY_TOL)
+        if not hit.any():
+            return None
+        t, z = cells[int(hit.argmax())]
+        return int(t), int(z)
     for t in range(len(p.space)):
         for z in p.t_section(t):
             hull = ConvexSet.from_point_set(p.value(t, z))

@@ -31,10 +31,9 @@ from .measure import InfoPartition
 from .reporting import CheckSet
 from .setops import (
     ConvexSet,
-    _pack_hulls,
+    _pack_segments,
     convex_distance,
     convex_project,
-    max_vertex_margin,
 )
 
 DEFAULT_SELECTION_TOL = 1e-7
@@ -108,6 +107,12 @@ def construct_phi(
     the point, representing the hull of the union.  eps is the l.s.c.
     tolerance the witness was certified at (default: the grid's
     adjacency radius).
+
+    The interiority check is one array pass: wherever psi and the
+    interior-union table are both nonempty, phi's value must carry a
+    sample interior to its own hull, read from phi's cached segment
+    margins (Corr.interior_cells), which in shared mode are the ones
+    k_operator has just computed for the same local.
     """
     if eps is None:
         eps = psi.grid.adjacency_radius
@@ -144,14 +149,9 @@ def construct_phi(
     cert.add("phi-measurability", bad_nodes, 0, "cell-wise set constancy per node")
 
     kpsi = k_operator(psi, w)
-    interiority_failures = 0
-    k_nonempty = 0
-    for (t, z) in sorted(u_psi):
-        if kpsi.nonempty_at(t, z):
-            k_nonempty += 1
-            hull = ConvexSet.from_point_set(phi.value(t, z))
-            if max_vertex_margin(hull) <= 0.0:
-                interiority_failures += 1
+    need = (psi.counts > 0) & (kpsi.counts > 0)
+    k_nonempty = np.count_nonzero(need)
+    interiority_failures = np.count_nonzero(need & ~phi.interior_cells(need))
     detail = "interior margin positive wherever the interior union is nonempty"
     if k_nonempty == 0:
         detail = "interior union empty everywhere (vacuous)"
@@ -160,24 +160,34 @@ def construct_phi(
     return PhiResult(phi, cert, kpsi)
 
 
-def _atom_block(phi: Corr, t: int, section: list) -> tuple[list, tuple]:
-    """The hulls of phi(t, z) over a section and the section's adjacent
-    pairs in both directions: (sources, targets) as section positions,
-    and their distances."""
-    hulls = []
-    for z in section:
-        v = phi.value(t, z)
-        if v.is_empty:
-            raise ConstructionError(
-                f"inconsistent domain: empty value at node {z} of atom {t}"
-            )
-        hulls.append(ConvexSet.from_point_set(v))
+def _atom_block(phi: Corr, t: int, section: list) -> tuple[np.ndarray, tuple]:
+    """The [start, stop) rows of phi(t, z) over a section and the
+    section's adjacent pairs in both directions: (sources, targets) as
+    section positions, and their distances."""
+    segs = phi.bounds[t, section]
+    empty = np.flatnonzero(segs[:, 1] == segs[:, 0])
+    if len(empty):
+        raise ConstructionError(
+            f"inconsistent domain: empty value at node {section[empty[0]]} of atom {t}"
+        )
     pos = np.full(len(phi.grid), -1)
     pos[section] = np.arange(len(section))
     pi, pj = phi.grid.directed_pair_arrays()
     inside = (pos[pi] >= 0) & (pos[pj] >= 0)
     pi, pj = pi[inside], pj[inside]
-    return hulls, (pos[pi], pos[pj], phi.grid.metric[pi, pj])
+    return segs, (pos[pi], pos[pj], phi.grid.metric[pi, pj])
+
+
+def _barycenters(points: np.ndarray, segs: np.ndarray) -> np.ndarray:
+    """The mean of the points of every nonempty [start, stop) row, one
+    (rows, k, dim) mean over axis 1 per row length k, the same reduction
+    as a mean over each row's (k, dim) slice."""
+    counts = segs[:, 1] - segs[:, 0]
+    out = np.empty((len(segs), points.shape[1]))
+    for k in np.unique(counts):
+        rows = np.flatnonzero(counts == k)
+        out[rows] = points[segs[rows, :1] + np.arange(k)].mean(axis=1)
+    return out
 
 
 def _modulus(x: np.ndarray, edges: tuple) -> float:
@@ -188,22 +198,24 @@ def _modulus(x: np.ndarray, edges: tuple) -> float:
     return float((gaps / dist[positive]).max(initial=0.0))
 
 
-def _sweep(blocks: list, tol: float, max_sweeps: int) -> tuple[list, np.ndarray]:
+def _sweep(points: np.ndarray, blocks: list, tol: float,
+           max_sweeps: int) -> tuple[list, np.ndarray]:
     """Damped Jacobi sweeps of project-onto-value steps minimizing the sum
     of squared adjacent differences, for many groups at once.  blocks
-    lists (t, section, hulls, edges, starts), hulls and edges as
-    _atom_block gives them and starts an (R, n, dim) stack: R groups,
-    disjoint row blocks of one stack.  Each sweep projects the rows with
+    lists (t, section, segs, edges, starts), segs (the rows of points
+    whose hulls are the values) and edges as _atom_block gives them and
+    starts an (R, n, dim) stack: R groups, disjoint row blocks of one
+    stack.  Each sweep projects the rows with
     neighbours of every live group in one convex_project call; a group
     freezes once no row moved more than _SWEEP_STOP times its hull scale.
     Steps combine feasible points, so iterates stay feasible, and a
     residual above tol raises.  Returns the (R, n, dim) results per block
     and the residual per group."""
-    groups = [(t, hulls, edges) for t, _, hulls, edges, starts in blocks for _ in starts]
-    first = np.cumsum([0] + [len(hulls) for _, hulls, _ in groups])[:-1]
-    V = _pack_hulls([h for _, hulls, _ in groups for h in hulls])
+    groups = [(t, segs, edges) for t, _, segs, edges, starts in blocks for _ in starts]
+    first = np.cumsum([0] + [len(segs) for _, segs, _ in groups])[:-1]
+    V = _pack_segments(points, np.concatenate([segs for _, segs, _ in groups]))
     X = np.concatenate([starts.reshape(-1, starts.shape[-1]) for *_, starts in blocks])
-    group = np.repeat(np.arange(len(groups)), [len(hulls) for _, hulls, _ in groups])
+    group = np.repeat(np.arange(len(groups)), [len(segs) for _, segs, _ in groups])
     src = np.concatenate([edges[0] + f for (_, _, edges), f in zip(groups, first)])
     dst = np.concatenate([edges[1] + f for (_, _, edges), f in zip(groups, first)])
     scale = np.maximum(1.0, np.maximum.reduceat(np.abs(V).max(axis=(1, 2)), first))
@@ -253,13 +265,16 @@ def grid_select(
     if tol <= 0:
         raise DomainError("tol must be positive")
     section = phi.t_section(t) if nodes is None else sorted(nodes)
-    hulls, edges = _atom_block(phi, t, section)
+    segs, edges = _atom_block(phi, t, section)
     if not section:
         return AtomSelection({}, 0.0, 0.0)
     init = init or {}
-    x = np.array([np.asarray(init[z], dtype=float) if z in init else h.vertices.mean(axis=0)
-                  for z, h in zip(section, hulls)])
-    (solved,), residual = _sweep([(t, section, hulls, edges, x[None])], tol, max_sweeps)
+    x = _barycenters(phi.points, segs)
+    for c, z in enumerate(section):
+        if z in init:
+            x[c] = np.asarray(init[z], dtype=float)
+    (solved,), residual = _sweep(phi.points, [(t, section, segs, edges, x[None])], tol,
+                                 max_sweeps)
     return AtomSelection(dict(zip(section, solved[0])), _modulus(solved[0], edges),
                          float(residual[0]))
 
@@ -335,14 +350,14 @@ def caratheodory_select(
         section = phi.t_section(t)
         if not section:
             continue
-        hulls, edges = _atom_block(phi, t, section)
-        starts = [[h.vertices.mean(axis=0) for h in hulls]]
+        segs, edges = _atom_block(phi, t, section)
+        starts = [_barycenters(phi.points, segs)]
         arng = np.random.default_rng(int(atom_seeds[part.cell_of(t)[0]]))
         for _ in range(0 if closed_valued else restarts - 1):
-            wts = [arng.exponential(size=len(h.vertices)) for h in hulls]
-            starts.append([h.vertices.T @ (u / u.sum()) for h, u in zip(hulls, wts)])
-        blocks.append((t, section, hulls, edges, np.array(starts)))
-    solved = _sweep(blocks, tol, DEFAULT_MAX_SWEEPS)[0] if blocks else []
+            wts = [arng.exponential(size=b - a) for a, b in segs]
+            starts.append([phi.points[a:b].T @ (u / u.sum()) for (a, b), u in zip(segs, wts)])
+        blocks.append((t, section, segs, edges, np.array(starts)))
+    solved = _sweep(phi.points, blocks, tol, DEFAULT_MAX_SWEEPS)[0] if blocks else []
 
     values = {}
     modulus = 0.0
@@ -365,7 +380,8 @@ def caratheodory_select(
             raise ConstructionError(f"no selected value at (t={t}, z={z})")
     worst = 0.0
     if nodes:
-        V = _pack_hulls([ConvexSet.from_point_set(psi.value(t, z)) for t, z in nodes])
+        cells = np.array(nodes)
+        V = _pack_segments(psi.points, psi.bounds[cells[:, 0], cells[:, 1]])
         res = convex_distance(np.array([values[key] for key in nodes]), V)
         worst_node = nodes[int(res.argmax())]
         worst = float(res.max())

@@ -206,16 +206,29 @@ def eps_neighborhood_contains(a: PointSet, b: PointSet, eps: float) -> bool:
     return bool(d.min(axis=1).max() < eps)
 
 
+def _padded_rows(segs: np.ndarray) -> np.ndarray:
+    """Point indices of nonempty [start, stop) rows as one (len(segs),
+    mmax) index block; a shorter row is padded by repeating its first
+    index, which changes no hull, no nearest distance and no farthest
+    one."""
+    counts = segs[:, 1] - segs[:, 0]
+    slot = np.arange(counts.max())
+    return segs[:, :1] + np.where(slot < counts[:, None], slot, 0)
+
+
+def _pack_segments(points: np.ndarray, segs: np.ndarray) -> np.ndarray:
+    """The points of every nonempty [start, stop) row of segs as one
+    (len(segs), mmax, dim) block, the layout convex_project takes."""
+    return points[_padded_rows(segs)]
+
+
 def _pack_hulls(hulls) -> np.ndarray:
     """The vertex lists of a nonempty list of hulls in one dim as one
-    (len(hulls), mmax, dim) block, the layout convex_project takes.
-    A shorter list is padded by repeating its first vertex, which leaves
-    its hull unchanged."""
+    padded block, laid out as _pack_segments lays out segments."""
     counts = np.array([len(h.vertices) for h in hulls])
-    first = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    slot = np.arange(counts.max())
-    take = first[:, None] + np.where(slot < counts[:, None], slot, 0)
-    return np.concatenate([h.vertices for h in hulls])[take]
+    stop = np.cumsum(counts)
+    return _pack_segments(np.concatenate([h.vertices for h in hulls]),
+                          np.column_stack([stop - counts, stop]))
 
 
 def _nearest_in_hulls(X: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -411,25 +424,57 @@ def interior_point_margin(x, c: ConvexSet) -> float:
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.shape[0] != c.dim:
         raise DomainError(f"point has dim {x.shape[0]}, set has dim {c.dim}")
-    return float(_margins(x.reshape(1, -1), c)[0])
+    return float(_margins(x.reshape(1, -1), c.vertices)[0])
 
 
 def vertex_margins(c: ConvexSet) -> np.ndarray:
     """interior_point_margin of every vertex/sample of c, in order, from
     one hull."""
-    return _margins(c.vertices, c)
+    return segment_margins(c.vertices, np.array([[0, len(c.vertices)]]))
 
 
-def _margins(X: np.ndarray, c: ConvexSet) -> np.ndarray:
-    """interior_point_margin of every row of X: the closed form in R^1,
-    one Qhull call for all rows otherwise."""
-    V = c.vertices
-    if c.dim == 1:
+def _segment_rows(segs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The point indices of the [start, stop) rows of segs back to back,
+    and where each row begins in that list."""
+    counts = segs[:, 1] - segs[:, 0]
+    first = np.cumsum(counts) - counts
+    return np.arange(counts.sum()) + np.repeat(segs[:, 0] - first, counts), first
+
+
+def segment_extents(points: np.ndarray, segs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinate-wise min and max of the points of every nonempty
+    [start, stop) row of segs, each of shape (len(segs), dim)."""
+    rows, first = _segment_rows(segs)
+    return np.minimum.reduceat(points[rows], first), np.maximum.reduceat(points[rows], first)
+
+
+def segment_margins(points: np.ndarray, segs: np.ndarray) -> np.ndarray:
+    """interior_point_margin of every point of every nonempty [start,
+    stop) row of segs within the hull of that row's points, flat in the
+    order of segs and of the points in each row.  In R^1 the closed
+    form for all rows at once, from segment_extents; otherwise one Qhull
+    call per row."""
+    if not len(segs):
+        return np.zeros(0)
+    if points.shape[1] > 1:
+        return np.concatenate([_margins(points[a:b], points[a:b]) for a, b in segs])
+    counts = segs[:, 1] - segs[:, 0]
+    lo, hi = (np.repeat(e[:, 0], counts) for e in segment_extents(points, segs))
+    x = points[_segment_rows(segs)[0], 0]
+    return np.where(hi > lo, np.maximum(0.0, np.minimum(x - lo, hi - x)), 0.0)
+
+
+def _margins(X: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """interior_point_margin of every row of X in the hull of the rows
+    of V: the closed form in R^1, one Qhull call for all rows
+    otherwise."""
+    dim = V.shape[1]
+    if dim == 1:
         lo, hi = float(V[:, 0].min()), float(V[:, 0].max())
         if hi <= lo:
             return np.zeros(len(X))
         return np.maximum(0.0, np.minimum(X[:, 0] - lo, hi - X[:, 0]))
-    if len(V) <= c.dim:
+    if len(V) <= dim:
         return np.zeros(len(X))  # too few vertices to be full-dimensional
     try:
         facets = ConvexHull(V).equations

@@ -27,11 +27,17 @@ from carasel.corr import (
     SET_EQUALITY_TOL,
     CipReport,
     _inclusion_residual,
-    _interior_samples,
+    _segments,
     capture_matrix,
     pool_captured,
 )
-from carasel.setops import ConvexSet, _cross_dists, convex_distance
+from carasel.setops import (
+    ConvexSet,
+    _cross_dists,
+    convex_distance,
+    max_vertex_margin,
+    vertex_margins,
+)
 
 from conftest import jump_problem, line_grid
 from instances import random_cip_instance
@@ -314,6 +320,30 @@ def test_cip_matches_per_node_reference():
     assert offsection
 
 
+def test_cip_rejects_a_local_on_other_grid_points():
+    space = AtomSpace(("a",), [1.0])
+    psi = Corr.constant(space, line_grid(5), PointSet.of(1, [[0.5]]))
+    far = line_grid(5, 10.0, 20.0)  # as many nodes as psi's grid, other points
+    f = Corr.constant(space, far, PointSet.of(1, [[0.5]]))
+    witness = CipWitness.shared(far, f, {(0, z): 0.3 for z in range(5)})
+    with pytest.raises(DomainError, match="grid"):
+        cip_verify(psi, witness, eps=0.5)
+    # the same points on another grid object are psi's grid
+    same = Corr.constant(space, line_grid(5), PointSet.of(1, [[0.5]]))
+    witness = CipWitness.shared(same.grid, same, {(0, z): 0.3 for z in range(5)})
+    assert cip_verify(psi, witness, eps=0.5).ok
+
+
+def test_cip_rejects_a_local_with_fewer_atoms():
+    grid = line_grid(5)
+    space = AtomSpace(("a", "b"), [1.0, 1.0])
+    psi = Corr.constant(space, grid, PointSet.of(1, [[0.5]]))
+    f = Corr.constant(AtomSpace(("a",), [1.0]), grid, PointSet.of(1, [[0.5]]))
+    witness = CipWitness.shared(grid, f, {(t, z): 0.3 for t in range(2) for z in range(5)})
+    with pytest.raises(DomainError, match="atoms"):
+        cip_verify(psi, witness, eps=0.5)
+
+
 def test_scip_shared_mode_jump(jump):
     space, grid, psi, witness = jump
     part = InfoPartition.trivial(space)
@@ -482,6 +512,13 @@ def test_k_operator_values_inside_hull_of_psi():
             assert max(convex_distance(p, hull) for p in kv.points) <= 1e-9
 
 
+def _interior_samples(fv):
+    """Points of a nonempty list interior to the list's own hull: the
+    per-cell take the interior pooling ran before it read each local's
+    cached segment margins."""
+    return fv.points[vertex_margins(ConvexSet.from_point_set(fv)) > 0.0]
+
+
 def _pool_reference(psi, w, take=None):
     """The per-(t, x) loop pool_captured ran for every witness before it
     masked a single local's segments, kept as its reference."""
@@ -518,7 +555,7 @@ def test_pool_captured_one_local_matches_cell_loop():
     cases.append((psi, CipWitness.shared(grid, Corr.constant(space, grid, seg), radii)))
     for psi, w in cases:
         for take in (None, _interior_samples):
-            pooled = pool_captured(psi, w, take)
+            pooled = pool_captured(psi, w, interior=take is not None)
             want = _pool_reference(psi, w, take)
             for t in range(len(psi.space)):
                 for x in range(len(psi.grid)):
@@ -680,3 +717,129 @@ def test_packed_gaps_match_pair_loop_reference(seed, monkeypatch):
             eps, lsc, usc = next(reports)
             _same_report(lsc, lsc_check(psi, t, eps))
             _same_report(usc, usc_check(psi, t, eps))
+
+
+# ------------------------------------------- array passes against per-cell code
+
+def _lost_point(a, b):
+    """The per-pair witness point lsc_check and usc_check built before
+    they gathered it from the gap kernel: the point of a farthest from b
+    (the first such point)."""
+    d = _cross_dists(a.points, b.points).min(axis=1)
+    return a.points[int(d.argmax())]
+
+
+def _violations_reference(psi, t, eps, kind):
+    """The per-pair violation loops of lsc_check ("lsc") and usc_check
+    ("usc") before the array pass."""
+    pi, pj = psi.grid.directed_pair_arrays()
+    gaps = psi.directed_gaps(t)
+    half = len(pi) // 2
+    out = []
+    if kind == "lsc":
+        for k in np.nonzero(~np.isnan(gaps) & (gaps >= eps))[0]:
+            z, y = int(pi[k]), int(pj[k])
+            out.append((z, y, _lost_point(psi.value(t, z), psi.value(t, y))))
+        return out
+    fwd, bwd = gaps[:half], gaps[half:]
+    for k in np.nonzero(~np.isnan(fwd) & (np.minimum(fwd, bwd) >= eps))[0]:
+        i, j = int(pi[k]), int(pj[k])
+        a, b = psi.value(t, i), psi.value(t, j)
+        src, dst = (a, b) if fwd[k] <= bwd[k] else (b, a)
+        out.append((i, j, _lost_point(src, dst)))
+    return out
+
+
+def test_semicontinuity_violations_match_per_pair_reference():
+    rng = np.random.default_rng(21)
+    cases = [_random_rows(rng, dim, grid) for dim in (1, 2, 3)
+             for grid in (line_grid(int(rng.integers(2, 25))),
+                          GridSpace(rng.uniform(size=(int(rng.integers(2, 30)), 2))))]
+    # ties: both outer points of {-1, 0, 1} are farthest from {0}
+    space = AtomSpace(("a",), [1.0])
+    wide, narrow = PointSet.of(1, [[-1.0], [0.0], [1.0]]), PointSet.of(1, [[0.0]])
+    cases.append(Corr.from_function(space, line_grid(6), 1,
+                                    lambda t, z: wide if z % 2 else narrow))
+    seen = 0
+    for psi in cases:
+        for t in range(len(psi.space)):
+            finite = psi.directed_gaps(t)[~np.isnan(psi.directed_gaps(t))]
+            for q in (0.1, 0.5, 0.9):
+                eps = float(np.quantile(finite, q)) if len(finite) else 1.0
+                eps = eps if eps > 0 else 1e-3
+                for kind, check in (("lsc", lsc_check), ("usc", usc_check)):
+                    got = check(psi, t, eps).violations
+                    want = _violations_reference(psi, t, eps, kind)
+                    assert [(z, y) for z, y, _ in got] == [(z, y) for z, y, _ in want]
+                    for (_, _, p), (_, _, q_) in zip(got, want):
+                        assert np.array_equal(p, q_)
+                    seen += len(got)
+    assert seen > 100
+
+
+def _segment_pool_reference(psi, w, take=None):
+    """pool_captured as it ran before the interior points came from the
+    locals' cached segment margins: take applied once per distinct
+    active segment of one local, and per cell when pooling several."""
+    groups = w.distinct_locals()
+    captures = [capture_matrix(psi, w, t) for t in range(len(psi.space))]
+    active = np.array([[c[:, zs].any(axis=1) for c in captures] for _, zs in groups])
+    if len(groups) > 1:
+        def pooled(t, x):
+            vals = [f.value(t, x) for (f, _), on in zip(groups, active[:, t]) if on[x]]
+            pts = [fv.points if take is None else take(fv) for fv in vals if not fv.is_empty]
+            return PointSet.of(psi.dim, np.vstack(pts)) if pts else PointSet.empty(psi.dim)
+
+        return Corr.from_function(psi.space, psi.grid, psi.dim, pooled)
+    f = groups[0][0]
+    on = active[0] & (f.counts > 0)
+    points, bounds = f.points, np.where(on[..., None], f.bounds, 0)
+    if take is not None:
+        segs, inv = np.unique(bounds[on], axis=0, return_inverse=True)
+        chunks = [take(PointSet._view(f.dim, points[a:b])) for a, b in segs]
+        bounds[on] = _segments(np.array([len(c) for c in chunks], dtype=int))[inv.ravel()]
+        points = np.concatenate([np.zeros((0, f.dim))] + chunks)
+    return Corr(psi.space, psi.grid, psi.dim, points, bounds)
+
+
+def _pooling_cases(rng, dim):
+    """(psi, witness) pairs with empty cells: a canonical and a shared
+    witness, and countable and indexed ones with three distinct locals."""
+    grid = line_grid(int(rng.integers(3, 14)))
+    psi = _random_rows(rng, dim, grid)
+    radii = {key: float(rng.uniform(0.5, 3.0)) * grid.mesh for key in domain(psi)}
+    locs = [_random_rows(rng, dim, grid) for _ in range(3)]
+    box = (np.full(dim, -1e4), np.full(dim, 1e4))
+    return [
+        (psi, canonical_witness(psi)),
+        (psi, CipWitness.shared(grid, _random_rows(rng, dim, grid), radii)),
+        (psi, CipWitness("countable", {z: locs[z % 3] for z in range(len(grid))}, radii)),
+        (psi, CipWitness("indexed", {z: locs[z % 2] for z in range(len(grid))}, radii, box)),
+    ]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_k_operator_matches_per_segment_reference(dim):
+    rng = np.random.default_rng(40 + dim)
+    interior = 0
+    for _ in range(3):
+        for psi, w in _pooling_cases(rng, dim):
+            pairs = ((k_operator(psi, w), _segment_pool_reference(psi, w, _interior_samples)),
+                     (pool_captured(psi, w), _segment_pool_reference(psi, w)))
+            for got, want in pairs:
+                assert np.array_equal(got.points, want.points)
+                assert np.array_equal(got.bounds, want.bounds)
+            interior += int(k_operator(psi, w).counts.sum())
+    assert interior > 0
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_interior_cells_match_per_cell_margins(dim):
+    rng = np.random.default_rng(50 + dim)
+    for _ in range(3):
+        psi = _random_rows(rng, dim, line_grid(int(rng.integers(2, 14))))
+        for on in (psi.counts > 0, rng.random(psi.counts.shape) < 0.4):
+            want = np.zeros(psi.counts.shape, dtype=bool)
+            for t, z in np.argwhere(on & (psi.counts > 0)):
+                want[t, z] = max_vertex_margin(ConvexSet.from_point_set(psi.value(t, z))) > 0.0
+            assert np.array_equal(psi.interior_cells(on), want)

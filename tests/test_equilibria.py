@@ -25,6 +25,9 @@ from carasel import (
     random_fixed_point,
     random_nash,
 )
+from carasel.corr import SET_EQUALITY_TOL
+from carasel.equilibria import _reflexive_at
+from carasel.setops import ConvexSet, convex_membership
 
 from conftest import line_grid, single_atom
 
@@ -487,3 +490,54 @@ def test_maximal_no_empty_node_raises():
     p = Corr.from_function(space, grid, 1, pref_value)
     with pytest.raises(NoCertificateError):
         maximal_element(p, canonical_witness(p), InfoPartition.finest(space))
+
+
+# ------------------------------------------- array passes against per-cell code
+
+def _reflexive_reference(p, own):
+    """The per-cell loop _reflexive_at ran before its 1-D array pass."""
+    for t in range(len(p.space)):
+        for z in p.t_section(t):
+            if convex_membership(own[z], ConvexSet.from_point_set(p.value(t, z)),
+                                 SET_EQUALITY_TOL):
+                return t, z
+    return None
+
+
+def _planted(p, cell, value):
+    """p with the value at cell replaced."""
+    return Corr.from_function(p.space, p.grid, p.dim,
+                              lambda t, z: value if (t, z) == cell else p.value(t, z))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_reflexive_at_matches_per_cell_reference(dim):
+    rng = np.random.default_rng(90 + dim)
+    space = AtomSpace(("a", "b", "c"), [1.0, 1.0, 1.0])
+    hits = 0
+    for _ in range(6):
+        grid = GridSpace(rng.uniform(size=(int(rng.integers(2, 12)), dim)))
+        own = grid.points
+        cases = []
+        if dim == 1:
+            g = GameSpec(("p",), space, (grid,),
+                         (lambda t, x, c=rng.normal(size=3): -(x[0] - c[t]) ** 2,), (True,))
+            p = pref_from_payoff(g, 0)
+            assert _reflexive_at(p, own) is None
+        else:
+            p = Corr.from_function(space, grid, dim, lambda t, z: PointSet.of(
+                dim, own[z] + 0.1 + rng.uniform(size=(int(rng.integers(0, 5)), dim))))
+        cases.append(p)
+        t, z = int(rng.integers(3)), int(rng.integers(len(grid)))
+        x = own[z]
+        tilt = np.concatenate([[0.1], np.full(dim - 1, -0.1)])
+        around = PointSet.of(dim, np.vstack([x - 0.1, x + 0.1, x + tilt]))
+        cases.append(_planted(p, (t, z), around))  # own point strictly inside
+        for shift in (0.0, 5e-10, 2e-9):  # on the boundary, within tol, beyond tol
+            edge = PointSet.of(dim, np.vstack([x + shift, x + shift + 1.0]))
+            cases.append(_planted(p, (t, z), edge))
+        for q in cases:
+            got, want = _reflexive_at(q, own), _reflexive_reference(q, own)
+            assert got == want
+            hits += got is not None
+    assert hits > 6

@@ -25,11 +25,13 @@ from carasel import (
     grid_select,
     interior_point_margin,
     interior_series,
+    k_operator,
     usc_check,
 )
 
 import carasel.selection
-from carasel.selection import DEFAULT_MAX_SWEEPS
+from carasel.selection import DEFAULT_MAX_SWEEPS, _atom_block, _barycenters
+from carasel.setops import _pack_hulls, _pack_segments, max_vertex_margin
 from conftest import line_grid, single_atom
 from instances import random_cip_instance
 
@@ -497,3 +499,86 @@ def test_glue_reports_lsc_break_at_boundary():
     names = {c.name: c for c in res.checks}
     assert not names["glue-lsc-preserved"].ok
     assert names["glue-usc-preserved"].ok
+
+
+# ------------------------------------------- array passes against per-cell code
+
+def _random_table(rng, dim, grid, empty_share=0.2):
+    """Three atoms of values with 1-7 points at scales 1e-2..1e2, some
+    empty, and one PointSet object shared by several nodes."""
+    space = AtomSpace(("a", "b", "c"), [1.0, 1.0, 1.0])
+    shared = PointSet.of(dim, rng.normal(size=(4, dim)))
+
+    def value(t, z):
+        u = rng.uniform()
+        if u < empty_share:
+            return PointSet.empty(dim)
+        if u < empty_share + 0.2:
+            return shared
+        k = int(rng.integers(1, 8))
+        return PointSet.of(dim, rng.normal(size=(k, dim)) * 10.0 ** rng.integers(-2, 3))
+
+    return Corr.from_function(space, grid, dim, value)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_selection_blocks_match_per_node_hulls(dim):
+    rng = np.random.default_rng(70 + dim)
+    for _ in range(4):
+        phi = _random_table(rng, dim, line_grid(int(rng.integers(2, 16))))
+        all_segs, all_hulls = [], []
+        for t in range(len(phi.space)):
+            section = phi.t_section(t)
+            if not section:
+                continue
+            segs, _ = _atom_block(phi, t, section)
+            hulls = [ConvexSet.from_point_set(phi.value(t, z)) for z in section]
+            assert np.array_equal(_pack_segments(phi.points, segs), _pack_hulls(hulls))
+            assert np.array_equal(_barycenters(phi.points, segs),
+                                  np.array([h.vertices.mean(axis=0) for h in hulls]))
+            all_segs.append(segs)
+            all_hulls += hulls
+        # the sweep packs every atom at once, padded to the widest value
+        assert np.array_equal(_pack_segments(phi.points, np.concatenate(all_segs)),
+                              _pack_hulls(all_hulls))
+        empty = np.argwhere(phi.counts == 0)
+        if len(empty):
+            t, z = empty[0]
+            with pytest.raises(ConstructionError, match=f"empty value at node {z} "):
+                _atom_block(phi, int(t), sorted(phi.t_section(int(t)) + [int(z)]))
+
+
+def _interiority_reference(psi, w, phi):
+    """The per-cell interiority loop of construct_phi before it read
+    phi's cached segment margins: (failures, cells checked)."""
+    kpsi = k_operator(psi, w)
+    failures = checked = 0
+    for (t, z) in sorted(domain(psi)):
+        if kpsi.nonempty_at(t, z):
+            checked += 1
+            if max_vertex_margin(ConvexSet.from_point_set(phi.value(t, z))) <= 0.0:
+                failures += 1
+    return failures, checked
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_phi_interiority_matches_per_cell_reference(dim):
+    rng = np.random.default_rng(80 + dim)
+    checked = 0
+    for _ in range(3):
+        grid = line_grid(int(rng.integers(3, 12)))
+        psi = _random_table(rng, dim, grid)
+        radii = {key: float(rng.uniform(0.5, 3.0)) * grid.mesh for key in domain(psi)}
+        locs = [_random_table(rng, dim, grid, empty_share=0.0) for _ in range(3)]
+        part = InfoPartition.finest(psi.space)
+        for w, atomic in ((canonical_witness(psi), False), (canonical_witness(psi), True),
+                          (CipWitness.shared(grid, locs[0], radii), False),
+                          (CipWitness("countable", {z: locs[z % 3] for z in range(len(grid))},
+                                      radii), False)):
+            res = construct_phi(psi, w, part, atomic=atomic)
+            got = next(c for c in res.certificate if c.name == "phi-interiority")
+            failures, n = _interiority_reference(psi, w, res.phi)
+            assert got.residual == failures
+            assert ("vacuous" in got.detail) == (n == 0)
+            checked += n
+    assert checked > 0

@@ -23,7 +23,6 @@ from carasel import (
     li_limit,
     ls_limit,
 )
-from carasel.corr import _interior_samples
 import carasel.setops as setops
 from carasel.setops import (
     _as_points,
@@ -31,6 +30,7 @@ from carasel.setops import (
     _dedup,
     _pack_hulls,
     max_vertex_margin,
+    segment_margins,
     vertex_margins,
 )
 
@@ -410,7 +410,9 @@ def test_vertex_margins_match_per_point_loop(dim, points):
                                  for v in hull.vertices])
     assert np.array_equal(vertex_margins(hull), loop)
     assert max_vertex_margin(hull) == loop.max()
-    assert np.array_equal(_interior_samples(p), p.points[loop > 0.0])
+    n = len(p)
+    twice = segment_margins(np.vstack([p.points, p.points]), np.array([[0, n], [n, 2 * n]]))
+    assert np.array_equal(twice, np.concatenate([loop, loop]))
 
 
 def test_vertex_margins_interval_closed_form():
