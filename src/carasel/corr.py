@@ -99,24 +99,14 @@ class GridSpace:
     def diameter(self) -> float:
         return float(self.metric.max())
 
-    def adjacent_pairs(self) -> list[tuple[int, int]]:
-        """Unordered node pairs (i < j) within the adjacency radius."""
-        cached = self.__dict__.get("_pairs")
-        if cached is None:
-            i, j = np.nonzero(self.metric <= self.adjacency_radius + ADJ_TOL)
-            cached = [(int(a), int(b)) for a, b in zip(i, j) if a < b]
-            object.__setattr__(self, "_pairs", cached)
-        return cached
-
     def directed_pair_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Index arrays (sources, targets) listing every adjacent pair in
-        both directions; the first half is (i, j) with i < j."""
+        """Index arrays (sources, targets) listing every node pair within
+        the adjacency radius in both directions; the first half is each
+        pair (i, j) with i < j, in row-major order."""
         cached = self.__dict__.get("_pair_arrays")
         if cached is None:
-            pairs = self.adjacent_pairs()
-            pi = np.array([i for (i, j) in pairs] + [j for (i, j) in pairs], dtype=int)
-            pj = np.array([j for (i, j) in pairs] + [i for (i, j) in pairs], dtype=int)
-            cached = (pi, pj)
+            i, j = np.nonzero(np.triu(self.metric <= self.adjacency_radius + ADJ_TOL, 1))
+            cached = (np.concatenate([i, j]), np.concatenate([j, i]))
             object.__setattr__(self, "_pair_arrays", cached)
         return cached
 
@@ -401,15 +391,47 @@ def usc_check(psi: Corr, t: int, eps: float) -> SemicontinuityReport:
     return SemicontinuityReport(not violations, violations, max_gap)
 
 
+def cell_varying(f: Corr, part: InfoPartition) -> np.ndarray:
+    """Boolean (atoms, nodes) table marking each cell (t, z) whose value
+    differs as a set from the value at (head[t], z), t's cell head: their
+    Hausdorff distance, the larger one-sided gap of the gap kernel,
+    exceeds SET_EQUALITY_TOL.  Cells sharing a segment, or both empty,
+    are equal; an empty and a nonempty one are not.  f is constant on
+    every cell at node z iff column z is unmarked."""
+    flat = np.arange(f.counts.size).reshape(f.counts.shape)  # (t, z) -> row of bounds
+    off = part.head != np.arange(len(flat))  # the atoms that are not heads
+    a, b = flat[off].ravel(), flat[part.head[off]].ravel()
+    gaps = _packed_gaps(f.points, f.bounds.reshape(-1, 2), np.concatenate([a, b]),
+                        np.concatenate([b, a]))[0].reshape(2, -1)
+    counts = f.counts.reshape(-1)
+    equal = np.where(np.isnan(gaps[0]), (counts[a] > 0) == (counts[b] > 0),
+                     gaps.max(axis=0) <= SET_EQUALITY_TOL)
+    varying = np.zeros(f.counts.shape, dtype=bool)
+    varying[off] = ~equal.reshape(-1, flat.shape[1])
+    return varying
+
+
 def lower_measurable_check(psi: Corr, part: InfoPartition, z: int) -> bool:
     """Sufficient-condition check for lower measurability of t -> psi(t,z)
     under a finite partition: the value is constant as a set (within
-    1e-9) on every cell."""
-    for cell in part.cells:
-        for t in cell[1:]:
-            if not psi.value(t, z).same_as(psi.value(cell[0], z), SET_EQUALITY_TOL):
-                return False
-    return True
+    1e-9) on every cell, decided by cell_varying."""
+    return not cell_varying(psi, part)[:, z].any()
+
+
+def _atom_failures(varying: np.ndarray, part: InfoPartition) -> list[tuple[int, int]]:
+    """The (node, atom) index of every marked entry of an (atoms, nodes)
+    table: nodes ascending, then atoms in part.cells order."""
+    order = np.argsort(part.cell_index, kind="stable")
+    x, k = np.nonzero(varying[order].T)
+    return list(zip(x.tolist(), order[k].tolist()))
+
+
+def _cell_failures(varying: np.ndarray, part: InfoPartition) -> np.ndarray:
+    """The sorted rows (index..., c) of a boolean (atoms, ...) table read
+    with its axes reversed: one per index and cell c with a marked atom."""
+    rows = np.argwhere(varying.T)
+    rows[:, -1] = part.cell_index[rows[:, -1]]
+    return np.unique(rows, axis=0)
 
 
 @dataclass(frozen=True)
@@ -648,18 +670,6 @@ class ScipReport:
     hull_modulus: float = 0.0  # indexed mode: discrete modulus of z -> con F_z(t,x)
 
 
-def _cell_constant_local(f: Corr, part: InfoPartition, z_label: str, failures: list) -> None:
-    for x in range(len(f.grid)):
-        for cell in part.cells:
-            base = f.value(cell[0], x)
-            for t in cell[1:]:
-                if not f.value(t, x).same_as(base, SET_EQUALITY_TOL):
-                    failures.append(
-                        ("measurability", t, z_label, x, "local value not cell-constant")
-                    )
-                    return
-
-
 def scip_verify(
     psi: Corr,
     w: CipWitness,
@@ -670,14 +680,19 @@ def scip_verify(
     """Verify the strong continuous inclusion property on top of cip, the
     finished plain verification of (psi, w): joint lower measurability of
     the local hulls (cell-wise constancy in t) and the mode-specific
-    conditions."""
+    conditions.  Each measurability check compares every atom's table
+    with its cell head's (InfoPartition.head); a local's values go
+    through cell_varying, which names its first failing node."""
     if not cip.ok:
         raise PreconditionError("plain continuous-inclusion verification failed")
     report = ScipReport(True, w.mode, cip)
 
     groups = w.distinct_locals()
     for f, zs in sorted(groups, key=lambda group: group[1][0]):
-        _cell_constant_local(f, part, f"F_{zs[0]}", report.failures)
+        for x, t in _atom_failures(cell_varying(f, part), part)[:1]:
+            report.failures.append(
+                ("measurability", t, f"F_{zs[0]}", x, "local value not cell-constant")
+            )
 
     if w.mode == "shared":
         if len(groups) > 1:
@@ -686,27 +701,21 @@ def scip_verify(
         # finiteness of the tables is automatic; the ball-membership
         # indicator {(t,x): x in O_z^t} must be cell-constant in t
         caps = np.array([capture_matrix(psi, w, t) for t in range(len(psi.space))])
-        varies = np.array([(caps[list(cell)] != caps[cell[0]]).any(axis=0)
-                           for cell in part.cells])
-        for z, x, c in np.argwhere(varies.transpose(2, 1, 0)):
-            report.failures.append(("ball-measurability", part.cells[c][0], int(z), int(x),
+        for z, x, c in _cell_failures(caps != caps[part.head], part).tolist():
+            report.failures.append(("ball-measurability", part.cells[c][0], z, x,
                                     "ball indicator not cell-constant"))
     elif w.mode == "indexed":
         # domain of psi must be cell-constant in t
         nonempty = psi.counts > 0
-        varies = [(nonempty[list(cell)] != nonempty[cell[0]]).any(axis=0) for cell in part.cells]
-        for z, c in np.argwhere(np.transpose(varies)):
-            report.failures.append(("domain-measurability", part.cells[c][0], int(z), -1,
+        for z, c in _cell_failures(nonempty != nonempty[part.head], part).tolist():
+            report.failures.append(("domain-measurability", part.cells[c][0], z, -1,
                                     "nonemptiness not cell-constant"))
         # the capture-index map must have cell-constant (finite) values
         caps = np.array([capture_matrix(psi, w, t) for t in range(len(psi.space))])
-        for x in range(len(psi.grid)):
-            for cell in part.cells:
-                for t in cell[1:]:
-                    if (caps[t, x] != caps[cell[0], x]).any():
-                        report.failures.append(
-                            ("index-measurability", t, -1, x, "capture set not cell-constant")
-                        )
+        for x, t in _atom_failures((caps != caps[part.head]).any(axis=2), part):
+            report.failures.append(
+                ("index-measurability", t, -1, x, "capture set not cell-constant")
+            )
         if w.box is None:
             report.failures.append(("box", -1, -1, -1, "indexed mode requires a bounding box"))
         else:
@@ -725,7 +734,8 @@ def scip_verify(
         # discrete modulus of z -> local value at fixed (t, x): finite by
         # construction; record the largest ratio over adjacent node pairs
         modulus = 0.0
-        pairs = psi.grid.adjacent_pairs()
+        pi, pj = psi.grid.directed_pair_arrays()
+        pairs = list(zip(pi[:len(pi) // 2].tolist(), pj[:len(pj) // 2].tolist()))
         for t in range(len(psi.space)):
             for x in range(len(psi.grid)):
                 for (i, j) in pairs:

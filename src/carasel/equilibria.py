@@ -22,9 +22,9 @@ from .corr import (
     SET_EQUALITY_TOL,
     _segments,
     canonical_witness,
+    cell_varying,
     cip_verify,
     domain,
-    lower_measurable_check,
 )
 from .errors import ConstructionError, DomainError, NoCertificateError, PreconditionError
 from .measure import AtomSpace, InfoPartition, Prior, conditional_density
@@ -238,10 +238,10 @@ class BayesSpec:
         for q in priors:
             if not isinstance(q, Prior):
                 raise DomainError("priors must be Prior instances")
-            for cell in self.partition.cells:
-                idx = np.array(cell, dtype=int)
-                if float(q.density[idx] @ q.space.weights[idx]) <= 0:
-                    raise DomainError("every cell needs positive prior mass")
+            if q.space != self.game.state_space or self.partition.space != q.space:
+                raise DomainError("priors and partition must live on the game's atom space")
+            if (np.bincount(self.partition.cell_index, q.density * q.space.weights) <= 0).any():
+                raise DomainError("every cell needs positive prior mass")
         object.__setattr__(self, "priors", priors)
 
 
@@ -324,22 +324,17 @@ def _check_irreflexivity(g: GameSpec, prefs: list[Corr]) -> None:
 
 
 def _payoff_cell_constancy(g: GameSpec, part: InfoPartition) -> float:
-    worst = 0.0
-    for i in range(g.n_players):
-        for cell in part.cells:
-            base = g.payoff_table(i, cell[0])
-            for t in cell[1:]:
-                worst = max(worst, float(np.abs(g.payoff_table(i, t) - base).max()))
-    return worst
+    """The largest payoff difference between an atom and its cell head."""
+    u = np.array([[g.payoff_table(i, t) for t in range(len(g.state_space))]
+                  for i in range(g.n_players)])
+    return float(np.abs(u - u[:, part.head]).max())
 
 
 def _profile_cell_constancy(profile: dict, part: InfoPartition) -> float:
-    worst = 0.0
-    for cell in part.cells:
-        base = profile[cell[0]]
-        for t in cell[1:]:
-            worst = max(worst, float(np.linalg.norm(profile[t] - base)))
-    return worst
+    """The largest distance between an atom's profile and its cell head's."""
+    x = np.array([profile[t] for t in range(len(part.head))])
+    diff = x - x[part.head]
+    return float(np.sqrt(np.vecdot(diff, diff)).max())
 
 
 def _spot_check_quasiconcavity(g: GameSpec, seed: int, trials: int = 20) -> list[str]:
@@ -577,15 +572,12 @@ def maximal_element(
     if not probe.ok:
         raise PreconditionError("inclusion property fails for the preference table")
 
-    bad = sum(0 if lower_measurable_check(p, part, z) else 1 for z in range(len(grid)))
+    bad = np.count_nonzero(cell_varying(p, part).any(axis=0))
     checks.add("preference-measurability", bad, 0,
                "cell-wise constancy of the preferred sets (reported separately "
                "from the witness checks)")
-    bad_w = 0
-    for f, _ in w.distinct_locals():
-        for z in range(len(grid)):
-            if not lower_measurable_check(f, part, z):
-                bad_w += 1
+    bad_w = sum(np.count_nonzero(cell_varying(f, part).any(axis=0))
+                for f, _ in w.distinct_locals())
     checks.add("witness-measurability", bad_w, 0,
                "cell-wise constancy of the witness locals")
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -13,7 +13,8 @@ PRIOR_NORMALIZATION_TOL = 1e-9
 
 @dataclass(frozen=True)
 class AtomSpace:
-    """A finite list of atoms with strictly positive weights."""
+    """A finite list of atoms with strictly positive weights.  Two spaces
+    are equal when their labels and weights are."""
 
     atoms: tuple
     weights: np.ndarray
@@ -34,6 +35,10 @@ class AtomSpace:
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "weights", w)
 
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, AtomSpace) and self.atoms == other.atoms
+                and np.array_equal(self.weights, other.weights))
+
     def __len__(self) -> int:
         return len(self.atoms)
 
@@ -50,26 +55,37 @@ class AtomSpace:
 
 @dataclass(frozen=True)
 class InfoPartition:
-    """Disjoint nonempty cells of atom indices covering the whole space."""
+    """Disjoint nonempty cells of atom indices covering the whole space.
+
+    cell_index[t] is the number of atom t's cell in cells, and head[t]
+    that cell's first (smallest) atom, both read-only int arrays built
+    once: a per-atom array a is constant on every cell iff a == a[head]
+    (within a tolerance, for floats)."""
 
     space: AtomSpace
     cells: tuple
+    cell_index: np.ndarray = field(init=False, repr=False, compare=False)
+    head: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cells = tuple(tuple(sorted(int(i) for i in cell)) for cell in self.cells)
-        seen: set[int] = set()
-        for cell in cells:
+        index = np.full(len(self.space), -1)
+        for c, cell in enumerate(cells):
             if not cell:
                 raise DomainError("partition cells must be nonempty")
             for i in cell:
                 if i < 0 or i >= len(self.space):
                     raise DomainError(f"atom index {i} out of range")
-                if i in seen:
+                if index[i] >= 0:
                     raise DomainError(f"atom index {i} appears in two cells")
-                seen.add(i)
-        if len(seen) != len(self.space):
+                index[i] = c
+        if (index < 0).any():
             raise DomainError("partition cells must cover every atom")
+        head = np.array([cell[0] for cell in cells])[index]
+        index.flags.writeable = head.flags.writeable = False
         object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "cell_index", index)
+        object.__setattr__(self, "head", head)
 
     @classmethod
     def finest(cls, space: AtomSpace) -> "InfoPartition":
@@ -80,20 +96,16 @@ class InfoPartition:
         return cls(space, (tuple(range(len(space))),))
 
     def cell_of(self, atom_index: int) -> tuple:
-        for cell in self.cells:
-            if atom_index in cell:
-                return cell
-        raise DomainError(f"atom index {atom_index} out of range")
+        return self.cells[self.cell_id(atom_index)]
 
     def cell_id(self, atom_index: int) -> int:
-        for k, cell in enumerate(self.cells):
-            if atom_index in cell:
-                return k
-        raise DomainError(f"atom index {atom_index} out of range")
+        if not 0 <= atom_index < len(self.cell_index):
+            raise DomainError(f"atom index {atom_index} out of range")
+        return int(self.cell_index[atom_index])
 
     @property
     def is_finest(self) -> bool:
-        return all(len(cell) == 1 for cell in self.cells)
+        return len(self.cells) == len(self.space)
 
 
 @dataclass(frozen=True)
@@ -138,7 +150,7 @@ def conditional_density(prior: Prior, part: InfoPartition, omega: int) -> np.nda
     omega: zero off the cell, q(t) / integral of q over the cell on it.
     Integrates to 1 over the cell; depends on omega only through its cell.
     """
-    if part.space is not prior.space and part.space != prior.space:
+    if part.space != prior.space:
         raise DomainError("prior and partition must share one atom space")
     cell = part.cell_of(int(omega))
     idx = np.array(cell, dtype=int)

@@ -19,9 +19,9 @@ from .corr import (
     SET_EQUALITY_TOL,
     _residual_row,
     _segments,
+    cell_varying,
     domain,
     k_operator,
-    lower_measurable_check,
     lsc_check,
     pool_captured,
     usc_check,
@@ -143,9 +143,7 @@ def construct_phi(
     cert.add("phi-lsc", worst_gap if lsc_ok else float("inf"), eps,
              f"per-atom l.s.c. at the certified eps={eps:g}")
 
-    bad_nodes = sum(
-        0 if lower_measurable_check(phi, part, z) else 1 for z in range(len(psi.grid))
-    )
+    bad_nodes = np.count_nonzero(cell_varying(phi, part).any(axis=0))
     cert.add("phi-measurability", bad_nodes, 0, "cell-wise set constancy per node")
 
     kpsi = k_operator(psi, w)
@@ -222,20 +220,26 @@ def _sweep(points: np.ndarray, blocks: list, tol: float,
     degree = np.bincount(src, minlength=len(X))
     edge_group = group[src]
     live = np.bincount(edge_group, minlength=len(groups)) > 0
+    dim = X.shape[1]
+    froze = True
     for _ in range(max_sweeps):
-        rows = np.flatnonzero(live[group] & (degree > 0))
-        if not rows.size:
-            break
-        edges = live[edge_group]
-        sums = np.column_stack([
-            np.bincount(src[edges], X[dst[edges], k], len(X)) for k in range(X.shape[1])
-        ])
+        if froze:  # refilter the rows and edges of the live groups
+            rows = np.flatnonzero(live[group] & (degree > 0))
+            if not rows.size:
+                break
+            edges = live[edge_group]
+            # bin src * dim + k sums coordinate k; each bin adds in edge order
+            bins = (src[edges, None] * dim + np.arange(dim)).ravel()
+            near = dst[edges]
+        sums = np.bincount(bins, X[near].ravel(), len(X) * dim).reshape(-1, dim)
         projected = convex_project(sums[rows] / degree[rows, None], V[rows])[0]
         new = (1.0 - _RELAXATION) * X[rows] + _RELAXATION * projected
         move = np.zeros(len(groups))
         np.maximum.at(move, group[rows], np.linalg.norm(new - X[rows], axis=1))
         X[rows] = new
-        live &= move > _SWEEP_STOP * scale
+        moving = move > _SWEEP_STOP * scale
+        froze = bool((live & ~moving).any())
+        live &= moving
 
     residual = np.maximum.reduceat(convex_distance(X, V), first)
     g = int(np.argmax(residual > tol))  # the first group above tol, if any
@@ -352,14 +356,14 @@ def caratheodory_select(
             continue
         segs, edges = _atom_block(phi, t, section)
         starts = [_barycenters(phi.points, segs)]
-        arng = np.random.default_rng(int(atom_seeds[part.cell_of(t)[0]]))
+        arng = np.random.default_rng(int(atom_seeds[part.head[t]]))
         for _ in range(0 if closed_valued else restarts - 1):
             wts = [arng.exponential(size=b - a) for a, b in segs]
             starts.append([phi.points[a:b].T @ (u / u.sum()) for (a, b), u in zip(segs, wts)])
         blocks.append((t, section, segs, edges, np.array(starts)))
     solved = _sweep(phi.points, blocks, tol, DEFAULT_MAX_SWEEPS)[0] if blocks else []
 
-    values = {}
+    table = np.zeros(psi.counts.shape + (psi.dim,))  # the selected points, by (t, z)
     modulus = 0.0
     for (t, section, _, edges, _), x in zip(blocks, solved):
         if closed_valued:
@@ -369,22 +373,21 @@ def caratheodory_select(
             pushed = x[0] + diff / np.maximum(1.0, np.linalg.norm(diff, axis=2))[..., None]
             x = np.tensordot(weights, pushed, axes=1)
         modulus = max(modulus, _modulus(x, edges))
-        values.update({(t, z): v for z, v in zip(section, x)})
+        table[t, section] = x
+    values = {(t, z): table[t, z] for t, z in np.argwhere(phi.counts > 0).tolist()}
 
     checks = CheckSet()
     checks.extend(phi_res.certificate)
 
-    nodes = sorted(u_psi)
-    for (t, z) in nodes:
-        if (t, z) not in values:
-            raise ConstructionError(f"no selected value at (t={t}, z={z})")
+    t, z = np.nonzero(psi.counts > 0)  # the domain, in sorted order
+    missing = np.flatnonzero(phi.counts[t, z] == 0)
+    if len(missing):
+        raise ConstructionError(f"no selected value at (t={t[missing[0]]}, z={z[missing[0]]})")
     worst = 0.0
-    if nodes:
-        cells = np.array(nodes)
-        V = _pack_segments(psi.points, psi.bounds[cells[:, 0], cells[:, 1]])
-        res = convex_distance(np.array([values[key] for key in nodes]), V)
-        worst_node = nodes[int(res.argmax())]
-        worst = float(res.max())
+    if len(t):
+        res = convex_distance(table[t, z], _pack_segments(psi.points, psi.bounds[t, z]))
+        k = int(res.argmax())
+        worst_node, worst = (t[k], z[k]), float(res[k])
     checks.add("selection-membership", worst, tol,
                "selected point inside the hull of the original value at every domain node")
     if worst > tol:
@@ -393,14 +396,12 @@ def caratheodory_select(
             f"residual {worst:.3e} > tol {tol:g}"
         )
 
-    measurable_inputs = _inputs_cell_constant(psi, w, part)
-    if measurable_inputs:
-        gap = 0.0
-        for cell in part.cells:
-            for z in range(len(psi.grid)):
-                present = [t for t in cell if (t, z) in values]
-                for t in present[1:]:
-                    gap = max(gap, float(np.linalg.norm(values[(t, z)] - values[(present[0], z)])))
+    if _inputs_cell_constant(psi, w, part):
+        # the inputs fix each cell's presence pattern, so every selected
+        # point has one at its cell head to compare with
+        t, z = np.nonzero(phi.counts > 0)
+        diff = table[t, z] - table[part.head[t], z]
+        gap = float(np.sqrt(np.vecdot(diff, diff)).max(initial=0.0))
         checks.add("selection-measurability", gap, SET_EQUALITY_TOL,
                    "cell-wise constant selection under cell-wise constant inputs")
     else:
@@ -411,21 +412,17 @@ def caratheodory_select(
 
 
 def _inputs_cell_constant(psi: Corr, w: CipWitness, part: InfoPartition) -> bool:
+    """psi, every witness local and the radii (NaN where absent) are
+    constant on every cell of a coarser than finest partition."""
     if part.is_finest:
         return False
-    for z in range(len(psi.grid)):
-        if not lower_measurable_check(psi, part, z):
-            return False
-    for f, _ in w.distinct_locals():
-        for z in range(len(psi.grid)):
-            if not lower_measurable_check(f, part, z):
-                return False
-    for cell in part.cells:
-        for z in range(len(psi.grid)):
-            rs = {w.radii.get((t, z)) for t in cell}
-            if len(rs) > 1:
-                return False
-    return True
+    radii = np.full(psi.counts.shape, np.nan)
+    for (t, z), r in w.radii.items():
+        if 0 <= t < radii.shape[0] and 0 <= z < radii.shape[1]:
+            radii[t, z] = r
+    return (np.array_equal(radii, radii[part.head], equal_nan=True)
+            and not any(cell_varying(f, part).any()
+                        for f in [psi] + [f for f, _ in w.distinct_locals()]))
 
 
 def glue(
@@ -470,26 +467,13 @@ def glue(
     checks.add("glue-lsc-preserved", broken_lsc, 0,
                "atoms where the fallback is l.s.c. but the glued table is not")
 
-    broken_meas = 0
-    for z in range(len(psi.grid)):
-        if not lower_measurable_check(fallback, part, z):
-            continue
-        if not _selection_cell_constant(sel, part, z):
-            continue
-        if not lower_measurable_check(glued, part, z):
-            broken_meas += 1
+    # nodes where the fallback and the selection (its presence and its
+    # points, the glued singletons on the domain) are cell-constant but
+    # the glued table is not
+    varying = cell_varying(glued, part)
+    sel_varies = (on != on[part.head]) | (on & varying)
+    broken_meas = np.count_nonzero(~cell_varying(fallback, part).any(axis=0)
+                                   & ~sel_varies.any(axis=0) & varying.any(axis=0))
     checks.add("glue-measurability-preserved", broken_meas, 0,
                "nodes where cell-constant inputs fail to glue to a cell-constant table")
     return GlueResult(glued, checks)
-
-
-def _selection_cell_constant(sel: Selection, part: InfoPartition, z: int) -> bool:
-    """Selection values (and their presence pattern) constant per cell."""
-    for cell in part.cells:
-        present = [t for t in cell if (t, z) in sel.domain]
-        if present and len(present) != len(cell):
-            return False
-        for t in present[1:]:
-            if np.linalg.norm(sel.value(t, z) - sel.value(present[0], z)) > SET_EQUALITY_TOL:
-                return False
-    return True

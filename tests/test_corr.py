@@ -647,6 +647,20 @@ def test_grid_defaults_and_connectivity():
     assert not sparse.is_connected()
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_directed_pairs_match_list_reference(seed):
+    # the pairs as a list of tuples filtered from the full mask, the
+    # representation the arrays used to be built from
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(size=(int(rng.integers(2, 25)), 2))
+    d = _cross_dists(pts, pts) * rng.uniform(1.0, 1.2)
+    for grid in (GridSpace(pts), GridSpace(pts, metric=d, adjacency_radius=0.4)):
+        i, j = np.nonzero(grid.metric <= grid.adjacency_radius + 1e-12)
+        pairs = [(int(a), int(b)) for a, b in zip(i, j) if a < b]
+        pi, pj = grid.directed_pair_arrays()
+        assert list(zip(pi.tolist(), pj.tolist())) == pairs + [(b, a) for a, b in pairs]
+
+
 # ---------------------------------------------------------- packed gap kernel
 
 def _pair_loop_gaps(psi, t):

@@ -426,6 +426,21 @@ def test_regret_bound_equals_empty_margin_preference():
             assert empty_up_to_margin
 
 
+def test_bayes_priors_must_live_on_the_game_space():
+    b = make_bayes({0: (0.5, 0.5), 1: (0.5, 0.5), 2: (0.5, 0.5)}, ((0, 1), (2,)),
+                   weights=(0.4, 0.3, 0.3))
+    copy = AtomSpace(b.game.state_space.atoms, [0.4, 0.3, 0.3])
+    assert BayesSpec(b.game, b.partition, (Prior.uniform(copy),) * 2).priors
+    two_atoms = AtomSpace(("w1", "w2"), [0.5, 0.5])
+    relabelled = AtomSpace(("v1", "v2", "v3"), [0.4, 0.3, 0.3])
+    reweighted = AtomSpace(b.game.state_space.atoms, [0.2, 0.3, 0.5])
+    for space in (two_atoms, relabelled, reweighted):
+        with pytest.raises(DomainError, match="game's atom space"):
+            BayesSpec(b.game, b.partition, (Prior.uniform(space),) * 2)
+        with pytest.raises(DomainError, match="game's atom space"):
+            BayesSpec(b.game, InfoPartition.trivial(space), b.priors)
+
+
 def test_bayes_requires_concavity_declared():
     b = make_bayes({0: (0.5, 0.5), 1: (0.5, 0.5)}, ((0, 1),))
     g = GameSpec(b.game.players, b.game.state_space, b.game.strategy_grids,

@@ -105,6 +105,22 @@ def test_partition_validation():
     assert part.cell_id(2) == 1
 
 
+def test_conditional_density_compares_spaces_by_value():
+    space = AtomSpace(("a", "b", "c"), [0.5, 0.3, 0.2])
+    prior = Prior.uniform(space)
+    part = InfoPartition(space, ((0, 2), (1,)))
+    copy = AtomSpace(("a", "b", "c"), [0.5, 0.3, 0.2])
+    assert copy == space and copy is not space
+    same = conditional_density(prior, InfoPartition(copy, part.cells), 0)
+    assert np.array_equal(same, conditional_density(prior, part, 0))
+    for other in (AtomSpace(("a", "b", "c"), [0.2, 0.3, 0.5]),
+                  AtomSpace(("x", "y", "z"), [0.5, 0.3, 0.2]),
+                  AtomSpace(("a", "b"), [0.5, 0.5])):
+        assert other != space
+        with pytest.raises(DomainError, match="share one atom space"):
+            conditional_density(prior, InfoPartition.trivial(other), 0)
+
+
 def test_prior_validation():
     space = AtomSpace(("a", "b"), [0.5, 0.5])
     with pytest.raises(DomainError):

@@ -415,6 +415,57 @@ def test_caratheodory_select_matches_per_restart_reference():
             assert abs(sel.modulus - modulus) <= 1e-12 * scale
 
 
+def _sweep_per_coordinate(points, blocks, tol, max_sweeps):
+    """selection._sweep as it was before its neighbour sums became one
+    bincount: the live edges refiltered every sweep and one bincount per
+    coordinate.  Returns what _sweep returns."""
+    sel = carasel.selection
+    groups = [(t, segs, edges) for t, _, segs, edges, starts in blocks for _ in starts]
+    first = np.cumsum([0] + [len(segs) for _, segs, _ in groups])[:-1]
+    V = _pack_segments(points, np.concatenate([segs for _, segs, _ in groups]))
+    X = np.concatenate([starts.reshape(-1, starts.shape[-1]) for *_, starts in blocks])
+    group = np.repeat(np.arange(len(groups)), [len(segs) for _, segs, _ in groups])
+    src = np.concatenate([edges[0] + f for (_, _, edges), f in zip(groups, first)])
+    dst = np.concatenate([edges[1] + f for (_, _, edges), f in zip(groups, first)])
+    scale = np.maximum(1.0, np.maximum.reduceat(np.abs(V).max(axis=(1, 2)), first))
+    degree = np.bincount(src, minlength=len(X))
+    live = np.bincount(group[src], minlength=len(groups)) > 0
+    for _ in range(max_sweeps):
+        rows = np.flatnonzero(live[group] & (degree > 0))
+        if not rows.size:
+            break
+        edges = live[group[src]]
+        sums = np.column_stack([
+            np.bincount(src[edges], X[dst[edges], k], len(X)) for k in range(X.shape[1])
+        ])
+        projected = sel.convex_project(sums[rows] / degree[rows, None], V[rows])[0]
+        new = (1.0 - sel._RELAXATION) * X[rows] + sel._RELAXATION * projected
+        move = np.zeros(len(groups))
+        np.maximum.at(move, group[rows], np.linalg.norm(new - X[rows], axis=1))
+        X[rows] = new
+        live &= move > sel._SWEEP_STOP * scale
+    residual = np.maximum.reduceat(convex_distance(X, V), first)
+    splits = np.cumsum([len(starts) * len(section) for _, section, *_, starts in blocks])[:-1]
+    return [x.reshape(starts.shape)
+            for x, (*_, starts) in zip(np.split(X, splits), blocks)], residual
+
+
+def test_sweep_matches_per_coordinate_reference(monkeypatch):
+    # bincount adds each bin's weights in input order, so the one-bincount
+    # sums, refiltered only after a group froze, give bit-identical values
+    rng = np.random.default_rng(21)
+    instances = [random_cip_instance(rng) for _ in range(8)]
+    selected = [caratheodory_select(inst.psi, inst.witness, inst.part, eps=inst.eps)
+                for inst in instances]
+    monkeypatch.setattr(carasel.selection, "_sweep", _sweep_per_coordinate)
+    assert {inst.psi.dim for inst in instances} == {1, 2, 3}
+    for inst, sel in zip(instances, selected):
+        ref = caratheodory_select(inst.psi, inst.witness, inst.part, eps=inst.eps)
+        assert sel.values.keys() == ref.values.keys()
+        for key in ref.values:
+            assert np.array_equal(sel.values[key], ref.values[key])
+
+
 def test_caratheodory_select_projects_all_restarts_of_all_atoms_per_sweep(monkeypatch):
     # one convex_project call per sweep for every restart of every atom,
     # where one grid_select per restart made up to max_sweeps calls each
