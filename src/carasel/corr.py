@@ -77,15 +77,15 @@ class GridSpace:
             else:
                 off = d + np.diag(np.full(len(pts), np.inf))
                 mesh = float(off.min(axis=1).max())  # max nearest-neighbor gap
-        if mesh <= 0:
-            raise DomainError("mesh must be positive")
+        if not 0 < mesh < np.inf:
+            raise DomainError("mesh must be finite and positive")
         object.__setattr__(self, "mesh", float(mesh))
 
         radius = self.adjacency_radius
         if radius is None:
             radius = 2.0 * mesh
-        if radius <= 0:
-            raise DomainError("adjacency_radius must be positive")
+        if not 0 < radius < np.inf:
+            raise DomainError("adjacency_radius must be finite and positive")
         object.__setattr__(self, "adjacency_radius", float(radius))
 
     def __len__(self) -> int:
@@ -464,8 +464,8 @@ class CipWitness:
         for key, r in dict(self.radii).items():
             t, z = int(key[0]), int(key[1])
             r = float(r)
-            if r <= 0:
-                raise DomainError("witness radii must be positive")
+            if not 0 < r < np.inf:
+                raise DomainError("witness radii must be finite and positive")
             radii[(t, z)] = r
         box = self.box
         if box is not None:

@@ -110,7 +110,8 @@ class InfoPartition:
 
 @dataclass(frozen=True)
 class Prior:
-    """Strictly positive density q with integral q d(mu) = 1."""
+    """Strictly positive density q with integral q d(mu) = 1.  Two priors
+    are equal when their spaces and densities are."""
 
     space: AtomSpace
     density: np.ndarray
@@ -127,6 +128,10 @@ class Prior:
         q = q.copy()
         q.flags.writeable = False
         object.__setattr__(self, "density", q)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, Prior) and self.space == other.space
+                and np.array_equal(self.density, other.density))
 
     @classmethod
     def uniform(cls, space: AtomSpace) -> "Prior":

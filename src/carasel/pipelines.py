@@ -3,11 +3,11 @@ assemble a certificate with every residual embedded."""
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
 import numpy as np
-from scipy.spatial import QhullError
 
 from . import __version__, problems
 from .corr import cip_verify, domain, scip_verify
@@ -229,6 +229,16 @@ _RUNNERS = {
 }
 
 
+def _numerical_failures() -> tuple[type[BaseException], ...]:
+    """The exception classes of a geometry kernel's numerical failure.
+    A QhullError can only have been raised if scipy.spatial is loaded,
+    so it is read from sys.modules rather than imported here."""
+    spatial = sys.modules.get("scipy.spatial")
+    if spatial is None:
+        return (np.linalg.LinAlgError,)
+    return (np.linalg.LinAlgError, spatial.QhullError)
+
+
 def run_problem(doc: dict, overrides: dict | None = None) -> Certificate:
     """Dispatch a parsed problem to its pipeline and stamp provenance.  A
     solve that cannot certify yields a no-certificate record carrying the
@@ -242,7 +252,7 @@ def run_problem(doc: dict, overrides: dict | None = None) -> Certificate:
         cert = Certificate("no-certificate", doc["kind"], CheckSet(), {"error": str(e)})
         if isinstance(e, NoCertificateError) and e.best_residual is not None:
             cert.outputs["best_residual"] = e.best_residual
-    except (np.linalg.LinAlgError, QhullError) as e:
+    except _numerical_failures() as e:
         cert = Certificate("no-certificate", doc["kind"], CheckSet(),
                            {"error": f"{type(e).__name__}: {e}"})
     cert.provenance = _provenance(doc, opts)

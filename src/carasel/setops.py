@@ -5,6 +5,10 @@ their vertex (or sample) lists.  Everything here is exact enumeration or
 small convex solves: Hausdorff distances, eps-neighborhood inclusions,
 convex membership and projection, ambient interior margins, and the
 tail-window surrogates for lower/upper set-sequence limits.
+
+scipy is imported inside the two functions that call it (the LP
+fallback of convex membership and the Qhull margins in dimension > 1),
+so a 1-D problem never loads it.
 """
 
 from __future__ import annotations
@@ -12,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.spatial import ConvexHull, QhullError
 
 from .errors import DomainError
 
@@ -386,6 +388,8 @@ def convex_distance(x, c) -> float | np.ndarray:
 def _feasible_combination(x: np.ndarray, V: np.ndarray) -> bool:
     """Exact linear feasibility: does some lam >= 0, sum lam = 1 satisfy
     V^T lam = x?  Decided by the HiGHS LP solver."""
+    from scipy.optimize import linprog
+
     k = len(V)
     a_eq = np.vstack([V.T, np.ones((1, k))])
     b_eq = np.concatenate([x, [1.0]])
@@ -476,6 +480,8 @@ def _margins(X: np.ndarray, V: np.ndarray) -> np.ndarray:
         return np.maximum(0.0, np.minimum(X[:, 0] - lo, hi - X[:, 0]))
     if len(V) <= dim:
         return np.zeros(len(X))  # too few vertices to be full-dimensional
+    from scipy.spatial import ConvexHull, QhullError
+
     try:
         facets = ConvexHull(V).equations
     except QhullError:

@@ -1,6 +1,9 @@
 """Problem-file round trips, pipeline dispatch, exit codes, reports."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +19,7 @@ from carasel.errors import ParseError
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 GOLDEN = Path(__file__).resolve().parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 FIXTURES = ["example-3-2.json", "lsc-canonical.json", "quadratic-bayes.json"]
 
 
@@ -129,6 +133,18 @@ def test_numerical_failure_exit_4(tmp_path, monkeypatch, fixture, step, error):
     assert cert["outputs"]["error"] == f"{type(error).__name__}: {error}"
     assert cert["kind"] == json.loads((DOCS / fixture).read_text())["kind"]
     assert cert["provenance"]["version"] == __version__
+
+
+def test_nan_witness_radius_exit_2(tmp_path, capsys):
+    # a NaN ball captures nothing, so every check would pass vacuously
+    doc = json.loads((DOCS / "example-3-2.json").read_text())
+    doc["kind"] = "cip-check"
+    doc["witness"]["radii"] = {"default": float("nan")}
+    p = tmp_path / "nan-radius.json"
+    p.write_text(json.dumps(doc))
+    assert main(["run", str(p)]) == 2
+    assert "radii must be finite and positive" in capsys.readouterr().err
+    assert not (tmp_path / "nan-radius.cert.json").exists()
 
 
 def test_failed_checks_exit_1(tmp_path):
@@ -325,3 +341,63 @@ def test_fixture_certificate_matches_golden(tmp_path, name):
         _assert_close(g["residual"], w["residual"], f"{w['name']}.residual")
         _assert_close(g["tolerance"], w["tolerance"], f"{w['name']}.tolerance")
     _assert_close(got["outputs"], want["outputs"], "outputs")
+
+
+def run_fresh(tmp_path, problem):
+    """Run carasel.cli.main on a problem file in a fresh interpreter;
+    returns the exit code, the certificate and the scipy modules loaded
+    by the end of the run."""
+    script = (
+        "import json, sys\n"
+        "from carasel.cli import main\n"
+        f"code = main(['run', {str(problem)!r}])\n"
+        "mods = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print(json.dumps({'code': code, 'scipy': mods}))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    cert = json.loads(problem.with_suffix(".cert.json").read_text())
+    return result["code"], cert, result["scipy"]
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_fixture_run_never_loads_scipy(tmp_path, name):
+    # every docs/ fixture is 1-D, so no kernel call needs scipy
+    problem = tmp_path / name
+    problem.write_text((DOCS / name).read_text())
+    code, cert, scipy_modules = run_fresh(tmp_path, problem)
+    assert code == 0
+    assert cert["status"] == "ok"
+    assert scipy_modules == []
+
+
+def _triangle_problem(kind):
+    """Two atoms on a 3x3 grid in the plane, every value the triangle
+    (0,0), (1,0), (0,1) with one interior sample; canonical witness."""
+    tri = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.25, 0.25]]
+    return {
+        "kind": kind,
+        "options": {"eps": 1.0},
+        "dim": 2,
+        "space": {"atoms": ["a", "b"], "weights": [0.5, 0.5]},
+        "grid": {"points": [[x / 2, y / 2] for x in range(3) for y in range(3)]},
+        "correspondence": [{"atom": a, "node": z, "vertices": tri}
+                           for a in ("a", "b") for z in range(9)],
+        "witness": "canonical",
+    }
+
+
+@pytest.mark.parametrize("kind", ["cip-check", "select"])
+def test_planar_run_certifies_in_fresh_interpreter(tmp_path, kind):
+    # the select pipeline takes Qhull margins in dimension 2, so its run
+    # imports scipy.spatial from inside setops
+    problem = tmp_path / f"planar-{kind}.json"
+    problem.write_text(json.dumps(_triangle_problem(kind)))
+    code, cert, scipy_modules = run_fresh(tmp_path, problem)
+    assert code == 0
+    assert cert["status"] == "ok"
+    if kind == "select":
+        assert "scipy.spatial" in scipy_modules

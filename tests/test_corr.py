@@ -144,6 +144,15 @@ def test_cip_jump_shared_witness_ok(jump):
     assert rep.inclusion_residual <= 1e-12
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+def test_witness_radii_must_be_finite_and_positive(jump, bad):
+    # a NaN ball captures nothing, so cip_verify would pass it vacuously
+    space, grid, psi, w = jump
+    f = w.locals[0]
+    with pytest.raises(DomainError, match="radii must be finite and positive"):
+        CipWitness.shared(grid, f, {**w.radii, (0, 0): bad})
+
+
 def test_cip_planted_violation_names_node(jump):
     space, grid, psi, _ = jump
     # local value 2.0 at one node is not inside any psi hull there
@@ -636,6 +645,15 @@ def test_grid_metric_validation():
     bad_triangle = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
     with pytest.raises(DomainError):
         GridSpace(np.array([[0.0], [1.0], [2.0]]), metric=bad_triangle)
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.1, float("nan"), float("inf")])
+@pytest.mark.parametrize("field", ["mesh", "adjacency_radius"])
+def test_grid_mesh_and_radius_must_be_finite_and_positive(field, bad):
+    # a NaN radius would leave the grid with no adjacent pairs and make
+    # every semicontinuity check vacuous
+    with pytest.raises(DomainError, match=f"{field} must be finite and positive"):
+        GridSpace(np.linspace(0.0, 1.0, 5).reshape(-1, 1), **{field: bad})
 
 
 def test_grid_defaults_and_connectivity():

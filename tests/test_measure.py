@@ -121,6 +121,15 @@ def test_conditional_density_compares_spaces_by_value():
             conditional_density(prior, InfoPartition.trivial(other), 0)
 
 
+def test_prior_compares_space_and_density_by_value():
+    space = AtomSpace(("a", "b"), [0.5, 0.5])
+    prior = Prior.uniform(space)
+    assert prior == Prior.uniform(AtomSpace(("a", "b"), [0.5, 0.5]))
+    assert prior != Prior(space, [1.5, 0.5])
+    assert prior != Prior.uniform(AtomSpace(("a", "c"), [0.5, 0.5]))
+    assert prior != prior.density
+
+
 def test_prior_validation():
     space = AtomSpace(("a", "b"), [0.5, 0.5])
     with pytest.raises(DomainError):
