@@ -16,13 +16,12 @@ import numpy as np
 from .errors import DomainError, PreconditionError
 from .measure import AtomSpace, InfoPartition
 from .setops import (
-    ConvexSet,
     PointSet,
     _cross_dists,
     _padded_rows,
     _segment_rows,
-    convex_distance,
     hausdorff_dist,
+    segment_distances,
     segment_margins,
 )
 
@@ -542,29 +541,20 @@ class CipReport:
     eps: float = 0.0
 
 
-def _inclusion_residual(points: PointSet, target: PointSet) -> float:
-    """Max distance from the points to the convex hull of the target;
-    zero fast path when the point arrays coincide or every point appears
-    in the target list."""
-    if target.is_empty:
-        return float("inf")
-    if points.points is target.points or np.array_equal(points.points, target.points):
-        return 0.0
-    pts = points.points
-    literal = (pts[:, None, :] == target.points[None, :, :]).all(axis=2).any(axis=1)
-    rest = pts[~literal]  # a point that is one of the target samples is at 0
-    if not len(rest):
-        return 0.0
-    return float(convex_distance(rest, ConvexSet.from_point_set(target)).max())
-
-
 def _residual_row(psi: Corr, f: Corr, t: int) -> np.ndarray:
-    """Inclusion residual of F(t, x) in psi(t, x) at every node x, 0
-    where F(t, x) is empty or is psi's own segment."""
+    """Inclusion residual of F(t, x) in psi(t, x) at every node x: 0 where
+    F(t, x) is empty or is psi's own segment, inf where psi(t, x) is
+    empty, else one segment_distances pass over the points of every
+    such cell (a vertex of its hull is at exactly 0), max per cell."""
     res = np.zeros(len(psi.grid))
     same = (f.points is psi.points) & (f.bounds[t] == psi.bounds[t]).all(axis=1)
-    for x in np.flatnonzero((f.counts[t] > 0) & ~same):
-        res[x] = _inclusion_residual(f.value(t, x), psi.value(t, x))
+    nodes = np.flatnonzero((f.counts[t] > 0) & ~same)
+    res[nodes[psi.counts[t, nodes] == 0]] = np.inf
+    nodes = nodes[psi.counts[t, nodes] > 0]
+    rows, first = _segment_rows(f.bounds[t, nodes])
+    owner = np.repeat(nodes, f.counts[t, nodes])
+    res[nodes] = np.maximum.reduceat(
+        segment_distances(f.points[rows], psi.points, psi.bounds[t, owner]), first)
     return res
 
 

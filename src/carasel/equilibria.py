@@ -30,14 +30,7 @@ from .errors import ConstructionError, DomainError, NoCertificateError, Precondi
 from .measure import AtomSpace, InfoPartition, Prior, conditional_density
 from .reporting import CheckSet
 from .selection import Selection, caratheodory_select, glue
-from .setops import (
-    DEDUP_TOL,
-    ConvexSet,
-    PointSet,
-    _cross_dists,
-    convex_membership,
-    segment_extents,
-)
+from .setops import DEDUP_TOL, PointSet, _cross_dists, segment_distances
 
 JOINT_NODE_CAP = 10_000
 DEFAULT_FIXPOINT_TOL = 1e-6
@@ -288,28 +281,17 @@ def pref_from_payoff(g: GameSpec, i: int, strict_margin: float = 0.0) -> Corr:
 
 def _reflexive_at(p: Corr, own: np.ndarray) -> tuple[int, int] | None:
     """The first (atom, node) whose own point own[node] lies in the hull
-    of its preferred set, or None when p is irreflexive.  In R^1 one
-    array pass: convex_membership's interval test against every distinct
-    segment's extent at once; otherwise one membership call per cell."""
-    if p.dim == 1:
-        segs, cell_seg = p.segment_index()
-        if not len(segs):
-            return None
-        lo, hi = (e[:, 0] for e in segment_extents(p.points, segs))
-        cells = np.argwhere(cell_seg >= 0)  # C order: atom by atom, nodes ascending
-        k = cell_seg[cells[:, 0], cells[:, 1]]
-        x = own[cells[:, 1], 0]
-        hit = (lo[k] - SET_EQUALITY_TOL <= x) & (x <= hi[k] + SET_EQUALITY_TOL)
-        if not hit.any():
-            return None
-        t, z = cells[int(hit.argmax())]
-        return int(t), int(z)
-    for t in range(len(p.space)):
-        for z in p.t_section(t):
-            hull = ConvexSet.from_point_set(p.value(t, z))
-            if convex_membership(own[z], hull, SET_EQUALITY_TOL):
-                return t, z
-    return None
+    of its preferred set, or None when p is irreflexive: one
+    segment_distances pass over every nonempty cell, in every dim, with
+    convex_membership's decision at SET_EQUALITY_TOL (its LP fallback
+    only serves distances in (tol, 1e-9], an empty band here)."""
+    cells = np.argwhere(p.counts > 0)  # C order: atom by atom, nodes ascending
+    hit = segment_distances(own[cells[:, 1]], p.points,
+                            p.bounds[cells[:, 0], cells[:, 1]]) <= SET_EQUALITY_TOL
+    if not hit.any():
+        return None
+    t, z = cells[int(hit.argmax())]
+    return int(t), int(z)
 
 
 def _check_irreflexivity(g: GameSpec, prefs: list[Corr]) -> None:
@@ -373,6 +355,19 @@ def _spot_check_quasiconcavity(g: GameSpec, seed: int, trials: int = 20) -> list
     return warnings
 
 
+def _add_glue_checks(checks: CheckSet, p: Corr, w: CipWitness, part: InfoPartition,
+                     fallback: np.ndarray, suffix: str = "") -> None:
+    """Glue a closed-valued selection through p with the constant point
+    list fallback off p's domain, and add every gluing check but
+    glue-lsc-preserved to checks, named with suffix: the fixed-point
+    construction needs the u.s.c. and measurability claims, not l.s.c."""
+    sel = caratheodory_select(p, w, part, closed_valued=True)
+    glued = glue(p, sel, Corr.constant(p.space, p.grid, PointSet.of(p.dim, fallback)), part=part)
+    for c in glued.checks:
+        if c.name != "glue-lsc-preserved":
+            checks.add(c.name + suffix, c.residual, c.tolerance, c.detail)
+
+
 def random_equilibrium(
     g: GameSpec,
     prefs: list[Corr],
@@ -407,17 +402,7 @@ def random_equilibrium(
         if not probe.ok:
             raise PreconditionError(f"inclusion property fails for player {i}")
         if run_selection and domain(p):
-            sel = caratheodory_select(p, w, part, closed_valued=True)
-            fallback = Corr.constant(
-                g.state_space, grid, PointSet.of(p.dim, g.strategy_grids[i].points)
-            )
-            glued = glue(p, sel, fallback, part=part)
-            # the product construction relies on u.s.c. and measurability
-            # of the glued tables; the l.s.c. claim plays no role here
-            for c in glued.checks:
-                if c.name == "glue-lsc-preserved":
-                    continue
-                checks.add(f"{c.name}-player-{i}", c.residual, c.tolerance, c.detail)
+            _add_glue_checks(checks, p, w, part, g.strategy_grids[i].points, f"-player-{i}")
 
     n_nodes = len(grid)
     def solve_atom(t: int) -> tuple[int, np.ndarray]:
@@ -582,14 +567,7 @@ def maximal_element(
                "cell-wise constancy of the witness locals")
 
     if run_selection and domain(p):
-        sel = caratheodory_select(p, w, part, closed_valued=True)
-        fallback = Corr.constant(p.space, grid, PointSet.of(p.dim, grid.points))
-        glued = glue(p, sel, fallback, part=part)
-        # as in the game pipeline: the fixed-point construction needs the
-        # u.s.c. and measurability claims of the gluing, not the l.s.c. one
-        for c in glued.checks:
-            if c.name != "glue-lsc-preserved":
-                checks.add(c.name, c.residual, c.tolerance, c.detail)
+        _add_glue_checks(checks, p, w, part, grid.points)
 
     values, indices = {}, {}
     missing = []

@@ -99,12 +99,7 @@ def _verification_checks(psi, witness, part, mode, opts, checks: CheckSet):
 
 
 def run_cip_check(doc: dict, opts: dict) -> Certificate:
-    space = problems.build_space(doc)
-    part = problems.build_partition(doc, space)
-    grid = problems.build_grid(doc)
-    psi = problems.build_correspondence(doc, space, grid)
-    witness = problems.build_witness(doc, psi)
-    mode = _resolve_mode(doc, opts, witness)
+    _, part, _, psi, witness, mode = _select_common(doc, opts)
     checks = CheckSet()
     _verification_checks(psi, witness, part, mode, opts, checks)
     status = "ok" if checks.ok else "failed"

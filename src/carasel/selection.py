@@ -34,6 +34,7 @@ from .setops import (
     _pack_segments,
     convex_distance,
     convex_project,
+    segment_distances,
 )
 
 DEFAULT_SELECTION_TOL = 1e-7
@@ -385,7 +386,7 @@ def caratheodory_select(
         raise ConstructionError(f"no selected value at (t={t[missing[0]]}, z={z[missing[0]]})")
     worst = 0.0
     if len(t):
-        res = convex_distance(table[t, z], _pack_segments(psi.points, psi.bounds[t, z]))
+        res = segment_distances(table[t, z], psi.points, psi.bounds[t, z])
         k = int(res.argmax())
         worst_node, worst = (t[k], z[k]), float(res[k])
     checks.add("selection-membership", worst, tol,

@@ -6,6 +6,11 @@ small convex solves: Hausdorff distances, eps-neighborhood inclusions,
 convex membership and projection, ambient interior margins, and the
 tail-window surrogates for lower/upper set-sequence limits.
 
+The inclusion residual, the irreflexivity test and a selection's
+membership certificate share one grouped pass, segment_distances: the
+distance of each point from the hull of its own segment of one points
+array, one batched projection per segment length, no segment padded.
+
 scipy is imported inside the two functions that call it (the LP
 fallback of convex membership and the Qhull margins in dimension > 1),
 so a 1-D problem never loads it.
@@ -114,11 +119,6 @@ class PointSet:
     def __len__(self) -> int:
         return len(self.points)
 
-    def union(self, other: "PointSet") -> "PointSet":
-        if self.dim != other.dim:
-            raise DomainError("union of point sets with mismatched dim")
-        return PointSet.of(self.dim, np.vstack([self.points, other.points]))
-
     def same_as(self, other: "PointSet", tol: float = DEDUP_TOL) -> bool:
         """Set equality within tol (both empty, or mutual containment)."""
         if self.is_empty or other.is_empty:
@@ -157,9 +157,6 @@ class ConvexSet:
             object.__setattr__(hull, "vertices", ps.points)
             object.__setattr__(ps, "_hull", hull)
         return hull
-
-    def barycenter(self) -> np.ndarray:
-        return self.vertices.mean(axis=0)
 
 
 @dataclass(frozen=True)
@@ -383,6 +380,21 @@ def convex_distance(x, c) -> float | np.ndarray:
     """dist(x, con(vertices)): a float for one point, an array for a
     stack; x and c as in convex_project."""
     return convex_project(x, c)[1]
+
+
+def segment_distances(X: np.ndarray, points: np.ndarray, segs: np.ndarray) -> np.ndarray:
+    """dist(X[k], hull of the points of the nonempty [start, stop) row
+    segs[k]) for every k: one convex_distance call per distinct row
+    length k, over the (rows, k, dim) block of the rows of that length.
+    No row is padded and the kernel's rows do not interact, so every
+    distance has the bits of a lone convex_distance call on its row's
+    hull."""
+    counts = segs[:, 1] - segs[:, 0]
+    out = np.empty(len(segs))
+    for k in np.unique(counts):
+        rows = np.flatnonzero(counts == k)
+        out[rows] = convex_distance(X[rows], points[segs[rows, :1] + np.arange(k)])
+    return out
 
 
 def _feasible_combination(x: np.ndarray, V: np.ndarray) -> bool:

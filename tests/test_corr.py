@@ -14,6 +14,7 @@ from carasel import (
     PointSet,
     canonical_witness,
     cip_verify,
+    construct_phi,
     domain,
     hausdorff_dist,
     k_operator,
@@ -26,7 +27,6 @@ from carasel import (
 from carasel.corr import (
     SET_EQUALITY_TOL,
     CipReport,
-    _inclusion_residual,
     _segments,
     capture_matrix,
     pool_captured,
@@ -232,6 +232,23 @@ def test_cip_strict_flag_checks_whole_grid():
     assert any(kind == "lsc" for (kind, *_rest) in strict.failures)
 
 
+def _inclusion_residual(points, target):
+    """Max distance from the points to the convex hull of the target, one
+    projection call per node: the per-node residual cip_verify computed
+    before its grouped pass, with its zero fast paths (the point arrays
+    coincide, or every point appears in the target list)."""
+    if target.is_empty:
+        return float("inf")
+    if points.points is target.points or np.array_equal(points.points, target.points):
+        return 0.0
+    pts = points.points
+    literal = (pts[:, None, :] == target.points[None, :, :]).all(axis=2).any(axis=1)
+    rest = pts[~literal]  # a point that is one of the target samples is at 0
+    if not len(rest):
+        return 0.0
+    return float(convex_distance(rest, ConvexSet.from_point_set(target)).max())
+
+
 def _per_node_cip_reference(psi, w, eps, strict, residuals, tol=SET_EQUALITY_TOL):
     """The per-node loop cip_verify ran before it found the lost pairs
     once per (local, atom), kept as its reference.  residuals caches each
@@ -327,6 +344,26 @@ def test_cip_matches_per_node_reference():
     assert kinds == {"nonempty", "inclusion", "lsc", "lsc-offsection"}
     assert {("shared", False), ("countable", True), ("indexed", True)} <= modes
     assert offsection
+
+
+def test_phi_inclusion_matches_per_node_reference():
+    # pooled witnesses (countable and indexed) glue values that are not
+    # psi's own segments, so every nonempty cell goes through the grouped
+    # pass; its worst residual must be the per-node loop's, bit for bit
+    modes = set()
+    for seed in range(40):
+        inst = random_cip_instance(np.random.default_rng(seed))
+        if inst.style != "moving":
+            continue
+        modes.add(inst.witness.mode)
+        res = construct_phi(inst.psi, inst.witness, inst.part, eps=inst.eps)
+        psi, phi = inst.psi, res.phi
+        cells = np.argwhere((psi.counts > 0) & (phi.counts > 0)).tolist()
+        want = max((_inclusion_residual(phi.value(t, x), psi.value(t, x)) for t, x in cells),
+                   default=0.0)
+        got = next(c.residual for c in res.certificate if c.name == "phi-inclusion")
+        assert got == want
+    assert modes == {"countable", "indexed"}
 
 
 def test_cip_rejects_a_local_on_other_grid_points():

@@ -15,6 +15,7 @@ from carasel import (
     PointSet,
     SetSequence,
     convex_distance,
+    convex_hausdorff_dist,
     convex_membership,
     convex_project,
     eps_neighborhood_contains,
@@ -30,6 +31,7 @@ from carasel.setops import (
     _dedup,
     _pack_hulls,
     max_vertex_margin,
+    segment_distances,
     segment_margins,
     vertex_margins,
 )
@@ -324,6 +326,75 @@ def test_projection_degenerate_hulls_match_oracle():
         for x in points:
             exact = _exact_hull_distance(x, c.vertices)
             assert convex_distance(x, c) == pytest.approx(exact, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_segment_distances_equal_lone_projections(dim):
+    # segments of 1-7 points at scales 0.1 to 1e3, one query row each
+    # outside, one inside and one on a vertex; the rows of one length
+    # share a kernel call, rows of other lengths do not pad it
+    rng = np.random.default_rng(60 + dim)
+    chunks, segs, X, hits = [], [], [], []
+    start = 0
+    for _ in range(40):
+        k = int(rng.integers(1, 8))
+        scale = 10.0 ** rng.uniform(-1.0, 3.0)
+        V = scale * rng.uniform(-1.0, 1.0, size=(k, dim))
+        chunks.append(V)
+        lam = rng.exponential(size=k)
+        for x, vertex in ((1.5 * scale * rng.uniform(-1.0, 1.0, size=dim), False),
+                          (lam @ V / lam.sum(), False),
+                          (V[rng.integers(k)], True)):
+            segs.append([start, start + k])
+            X.append(x)
+            hits.append(vertex)
+        start += k
+    points, segs, X = np.concatenate(chunks), np.array(segs), np.array(X)
+    assert set(segs[:, 1] - segs[:, 0]) == set(range(1, 8))
+    d = segment_distances(X, points, segs)
+    for x, (a, b), dist, vertex in zip(X, segs, d, hits):
+        assert dist == convex_distance(x, ConvexSet(dim, points[a:b]))
+        if vertex:
+            assert dist == 0.0
+
+
+def test_segment_distances_of_no_rows():
+    assert segment_distances(np.zeros((0, 2)), np.zeros((3, 2)),
+                             np.zeros((0, 2), dtype=int)).shape == (0,)
+
+
+# ---------------------------------------------- hausdorff distance of hulls
+
+@pytest.mark.parametrize("scale", [0.1, 1.0, 1e3])
+def test_convex_hausdorff_dist_of_intervals_is_the_endpoint_gap(scale):
+    rng = np.random.default_rng(int(scale * 10))
+    for _ in range(30):
+        a = ConvexSet(1, scale * rng.uniform(-1.0, 1.0, size=(int(rng.integers(1, 6)), 1)))
+        b = ConvexSet(1, scale * rng.uniform(-1.0, 1.0, size=(int(rng.integers(1, 6)), 1)))
+        lo_a, hi_a = a.vertices.min(), a.vertices.max()
+        lo_b, hi_b = b.vertices.min(), b.vertices.max()
+        want = max(abs(lo_a - lo_b), abs(hi_a - hi_b))
+        assert abs(convex_hausdorff_dist(a, b) - want) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_convex_hausdorff_dist_matches_face_enumeration_oracle(dim):
+    # the sup of dist(., hull) over a polytope sits at a vertex, so the
+    # oracle takes the exact distance of every vertex from the other hull
+    rng = np.random.default_rng(70 + dim)
+    for _ in range(25):
+        scale = 10.0 ** rng.integers(-1, 4)
+        a = ConvexSet(dim, scale * rng.uniform(-1.0, 1.0, size=(int(rng.integers(1, 7)), dim)))
+        b = ConvexSet(dim, scale * rng.uniform(-0.5, 1.5, size=(int(rng.integers(1, 7)), dim)))
+        want = max(max(_exact_hull_distance(v, b.vertices) for v in a.vertices),
+                   max(_exact_hull_distance(v, a.vertices) for v in b.vertices))
+        assert abs(convex_hausdorff_dist(a, b) - want) <= 1e-12 * scale
+        assert convex_hausdorff_dist(a, a) == 0.0
+
+
+def test_convex_hausdorff_dist_rejects_mismatched_dims():
+    with pytest.raises(DomainError):
+        convex_hausdorff_dist(UNIT_SQUARE, ConvexSet(1, [[0.0]]))
 
 
 # ----------------------------------------------------------------- margins
