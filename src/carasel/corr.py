@@ -20,7 +20,6 @@ from .setops import (
     _cross_dists,
     _padded_rows,
     _segment_rows,
-    hausdorff_dist,
     segment_distances,
     segment_margins,
 )
@@ -28,8 +27,9 @@ from .setops import (
 SET_EQUALITY_TOL = 1e-9
 METRIC_TOL = 1e-9
 ADJ_TOL = 1e-12
-# Padded distance entries (pairs x kmax x kmax) evaluated at once by
-# Corr.directed_gaps; bounds its temporaries to a few MiB.
+# Distance entries evaluated at once by Corr.directed_gaps: pairs x kmax
+# x kmax padded ones, or in R^1 GAP_CHUNK // 16 source points, each with
+# about 16 temporaries; bounds the temporaries to a few MiB.
 GAP_CHUNK = 1 << 18
 
 
@@ -193,7 +193,9 @@ class Corr:
 
     @classmethod
     def constant(cls, space: AtomSpace, grid: GridSpace, value: PointSet) -> "Corr":
-        return cls.from_function(space, grid, value.dim, lambda t, z: value)
+        """value in every cell: one segment [0, len(value)) of its points."""
+        return cls(space, grid, value.dim, value.points,
+                   np.full((len(space), len(grid), 2), [0, len(value)]))
 
     def value(self, t: int, z: int) -> PointSet:
         """The cell's points: an unvalidated PointSet view of its slice."""
@@ -204,10 +206,9 @@ class Corr:
         """Per-directed-adjacent-pair one-sided gaps of the atom-t row:
         entry k is the farthest any point of the value at source k must
         travel to reach the value at target k; NaN when either side is
-        empty, 0.0 when both ends share one segment.  Both gaps of every
-        other pair come from array reductions over the pairs' segments,
-        padded to a common width, in chunks of at most about GAP_CHUNK
-        distance entries.  Cached (the table is immutable)."""
+        empty, 0.0 when both ends share one segment; every other pair's
+        two gaps come from _packed_gaps (sorted rows in R^1, padded blocks
+        otherwise).  Cached (the table is immutable)."""
         return self._gap_entry(t)[0]
 
     def farthest_rows(self, t: int) -> np.ndarray:
@@ -286,12 +287,11 @@ def _packed_gaps(points: np.ndarray, bounds: np.ndarray, pi: np.ndarray,
                  pj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Both one-sided gaps of every adjacent pair of one correspondence
     row, and the row of points of each gap's farthest source point (see
-    Corr.directed_gaps and Corr.farthest_rows).  A shorter segment is
-    padded by repeating its first point (setops._padded_rows), which
-    changes no nearest distance and no farthest one.  The nearest
-    squared distances are reduced before the square root, which is
-    exact: sqrt is monotone and correctly rounded, so it commutes with
-    min and max."""
+    Corr.directed_gaps and Corr.farthest_rows).  In R^1 from sorted rows
+    (_ordered_gaps); otherwise a shorter segment is padded by repeating
+    its first point (setops._padded_rows), which changes no nearest or
+    farthest distance.  Nearest squared distances are reduced before
+    the square root, exactly: sqrt is monotone and correctly rounded."""
     half = len(pi) // 2
     out = np.full(len(pi), np.nan)
     far = np.full(len(pi), -1)
@@ -303,6 +303,10 @@ def _packed_gaps(points: np.ndarray, bounds: np.ndarray, pi: np.ndarray,
     out[half:][same] = 0.0
     todo = np.nonzero(live & ~same)[0]
     if not len(todo):
+        return out, far
+    if points.shape[1] == 1:
+        at = np.concatenate([todo, todo + half])
+        out[at], far[at] = _ordered_gaps(points[:, 0], bounds, pi[at], pj[at])
         return out, far
     take = _padded_rows(bounds)
     # widest pairs first, so each chunk is padded only to its own widest value
@@ -321,6 +325,37 @@ def _packed_gaps(points: np.ndarray, bounds: np.ndarray, pi: np.ndarray,
             out[at] = near.max(axis=1)
             far[at] = take[ends, near.argmax(axis=1)]
     return out, far
+
+
+def _ordered_gaps(x: np.ndarray, bounds: np.ndarray, src: np.ndarray,
+                  dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_packed_gaps in R^1 for the directed pairs src[k] -> dst[k] of
+    nonempty rows of bounds over the values x.  Each row is sorted once
+    by the exact int64 key row * R + rank (R distinct values), and a
+    source value's nearest target value is one of the two around its
+    searchsorted place: fl(a - b) is monotone in b and fl(d * d) in |d|,
+    so that is the full block's minimum, bit for bit."""
+    gaps, far = np.empty(len(src)), np.empty(len(src), dtype=int)
+    counts = np.zeros(len(bounds), dtype=int)
+    counts[src] = bounds[src, 1] - bounds[src, 0]  # src holds every dst row too
+    rows, first = _segment_rows(np.column_stack([bounds[:, 0], bounds[:, 0] + counts]))
+    distinct, rank = np.unique(x[rows], return_inverse=True)
+    keys = np.repeat(np.arange(len(bounds)), counts) * len(distinct) + rank
+    ordered = x[rows[np.argsort(keys, kind="stable")]]
+    keys.sort()
+    size = counts[src]
+    cuts = np.unique(np.searchsorted(np.cumsum(size) - size, range(0, size.sum(), GAP_CHUNK // 16)))
+    for i, j in zip(cuts, [*cuts[1:], len(src)]):
+        flat, begin = _segment_rows(np.column_stack([first[src[i:j]], first[src[i:j]] + size[i:j]]))
+        target = np.repeat(dst[i:j], size[i:j])
+        lo, hi = first[target], first[target] + counts[target] - 1
+        pos = np.searchsorted(keys, target * len(distinct) + rank[flat])
+        near = np.sqrt(np.minimum((x[rows[flat]] - ordered[np.clip(pos - 1, lo, hi)]) ** 2,
+                                  (x[rows[flat]] - ordered[np.clip(pos, lo, hi)]) ** 2))
+        gaps[i:j] = np.maximum.reduceat(near, begin)
+        hit = np.where(near == np.repeat(gaps[i:j], size[i:j]), flat, len(rows))
+        far[i:j] = rows[np.minimum.reduceat(hit, begin)]  # the first farthest point
+    return gaps, far
 
 
 def domain(psi: Corr) -> frozenset:
@@ -712,34 +747,38 @@ def scip_verify(
             lo, hi = w.box
             worst = 0.0
             for f, _ in groups:
-                # the rows some cell's segment covers
-                edges = np.zeros(len(f.points) + 1, dtype=int)
-                np.add.at(edges, f.bounds[..., 0].ravel(), 1)
-                np.add.at(edges, f.bounds[..., 1].ravel(), -1)
-                v = f.points[np.cumsum(edges)[:-1] > 0]
+                v = f.points[_segment_rows(f.segment_index()[0])[0]]  # every cell's points
                 worst = max(worst, float(np.maximum(v - hi, 0.0).max(initial=0.0)),
                             float(np.maximum(lo - v, 0.0).max(initial=0.0)))
             if worst > tol:
                 report.failures.append(("box", -1, -1, -1, f"values escape the box by {worst:.3e}"))
-        # discrete modulus of z -> local value at fixed (t, x): finite by
-        # construction; record the largest ratio over adjacent node pairs
-        modulus = 0.0
-        pi, pj = psi.grid.directed_pair_arrays()
-        pairs = list(zip(pi[:len(pi) // 2].tolist(), pj[:len(pj) // 2].tolist()))
-        for t in range(len(psi.space)):
-            for x in range(len(psi.grid)):
-                for (i, j) in pairs:
-                    a = w.local(i).value(t, x)
-                    b = w.local(j).value(t, x)
-                    if a.is_empty or b.is_empty:
-                        continue
-                    d = psi.grid.metric[i, j]
-                    if d <= 0:
-                        continue
-                    modulus = max(modulus, hausdorff_dist(a, b) / d)
-        report.hull_modulus = modulus
+        # discrete modulus of z -> local value at fixed (t, x), finite by construction
+        report.hull_modulus = _hull_modulus(psi, w, groups)
     report.ok = not report.failures
     return report
+
+
+def _hull_modulus(psi: Corr, w: CipWitness, groups: list) -> float:
+    """Max over (t, x) and adjacent node pairs at a positive distance d of
+    the Hausdorff distance of the two ends' nonempty local values over d,
+    from one _packed_gaps call over the segments of all locals (groups)."""
+    pi, pj = (p[:len(p) // 2] for p in psi.grid.directed_pair_arrays())
+    group = np.full(len(psi.grid), -1)
+    for g, (_, zs) in enumerate(groups):
+        group[zs] = g
+    ends = np.column_stack([pi, pj]).ravel()
+    for z in ends[group[ends] < 0][:1]:
+        w.local(int(z))  # raises for the first node without a local, in pair order
+    d = psi.grid.metric[pi, pj]
+    cells = psi.counts.size
+    rows = group[np.stack([pi, pj])[:, d > 0]][..., None] * cells + np.arange(cells)
+    sizes = [len(f.points) for f, _ in groups]
+    bounds = np.concatenate([f.bounds.reshape(-1, 2) + off
+                             for (f, _), off in zip(groups, np.cumsum(sizes) - sizes)])
+    gaps = _packed_gaps(np.concatenate([f.points for f, _ in groups]), bounds,
+                        rows.reshape(-1), rows[::-1].reshape(-1))[0]
+    ratio = gaps.reshape(2, -1).max(axis=0) / np.repeat(d[d > 0], cells)
+    return float(ratio[~np.isnan(ratio)].max(initial=0.0))
 
 
 def pool_captured(psi: Corr, w: CipWitness, interior: bool = False) -> Corr:

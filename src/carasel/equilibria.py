@@ -401,7 +401,7 @@ def random_equilibrium(
                    f"inclusion witness verified; l.s.c. certified at eps={eps_cert:.3g}")
         if not probe.ok:
             raise PreconditionError(f"inclusion property fails for player {i}")
-        if run_selection and domain(p):
+        if run_selection and p.counts.any():
             _add_glue_checks(checks, p, w, part, g.strategy_grids[i].points, f"-player-{i}")
 
     n_nodes = len(grid)
@@ -566,7 +566,7 @@ def maximal_element(
     checks.add("witness-measurability", bad_w, 0,
                "cell-wise constancy of the witness locals")
 
-    if run_selection and domain(p):
+    if run_selection and p.counts.any():
         _add_glue_checks(checks, p, w, part, grid.points)
 
     values, indices = {}, {}

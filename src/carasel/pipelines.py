@@ -10,7 +10,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__, problems
-from .corr import cip_verify, domain, scip_verify
+from .corr import cip_verify, scip_verify
 from .equilibria import (
     bayes_equilibrium,
     maximal_element,
@@ -104,7 +104,7 @@ def run_cip_check(doc: dict, opts: dict) -> Certificate:
     _verification_checks(psi, witness, part, mode, opts, checks)
     status = "ok" if checks.ok else "failed"
     return Certificate(status, "cip-check", checks,
-                       outputs={"domain_size": len(domain(psi)), "mode": mode})
+                       outputs={"domain_size": int(np.count_nonzero(psi.counts)), "mode": mode})
 
 
 def _select_common(doc: dict, opts: dict):

@@ -503,12 +503,6 @@ def _margins(X: np.ndarray, V: np.ndarray) -> np.ndarray:
                      for x in X])
 
 
-def max_vertex_margin(c: ConvexSet) -> float:
-    """max over the vertex/sample list of interior_point_margin; positive
-    iff the list carries a point interior to its own hull."""
-    return float(vertex_margins(c).max())
-
-
 def convex_hausdorff_dist(a: ConvexSet, b: ConvexSet) -> float:
     """Hausdorff distance between two V-polytopes.  The sup of the convex
     function dist(., hull) over a polytope is attained at a vertex, so

@@ -40,10 +40,10 @@ from carasel import (
 )
 from carasel.pipelines import run_problem
 from carasel.problems import canonical_json, parse_problem
-from carasel.setops import max_vertex_margin
 
 from conftest import jump_problem, jump_witness, line_grid
 from instances import random_cip_instance
+from test_corr import max_vertex_margin
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 FIXTURES = ["example-3-2.json", "lsc-canonical.json", "quadratic-bayes.json"]

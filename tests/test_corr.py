@@ -2,6 +2,8 @@
 measurability, inclusion-property verification, the interior-union and
 hull-union operators."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from carasel import (
@@ -24,6 +26,7 @@ from carasel import (
     scip_verify,
     usc_check,
 )
+import carasel.corr as corr
 from carasel.corr import (
     SET_EQUALITY_TOL,
     CipReport,
@@ -35,12 +38,19 @@ from carasel.setops import (
     ConvexSet,
     _cross_dists,
     convex_distance,
-    max_vertex_margin,
     vertex_margins,
 )
 
-from conftest import jump_problem, line_grid
+from conftest import jump_problem, line_grid, single_atom
 from instances import random_cip_instance
+
+
+def max_vertex_margin(c: ConvexSet) -> float:
+    """max over the vertex/sample list of interior_point_margin; positive
+    iff the list carries a point interior to its own hull.  The per-hull
+    reference for Corr.interior_cells, also used by the other test
+    modules."""
+    return float(vertex_margins(c).max())
 
 
 # ------------------------------------------------------------------ domain
@@ -786,6 +796,138 @@ def test_packed_gaps_match_pair_loop_reference(seed, monkeypatch):
             eps, lsc, usc = next(reports)
             _same_report(lsc, lsc_check(psi, t, eps))
             _same_report(usc, usc_check(psi, t, eps))
+
+
+def _ordered_rows(rng, kind, grid):
+    """A 1-D table built with Corr(...) directly: segments drawn at
+    random over one points array, so they overlap, repeat and are shared
+    by several cells, with values of the given kind."""
+    n_points = int(rng.integers(1, 40))
+    if kind == "lattice":  # equidistant neighbours: every nearest distance ties
+        x = rng.integers(-4, 5, size=n_points) * 0.5
+    elif kind == "signed-zero":
+        x = rng.choice([0.0, -0.0, 0.5, -0.5], size=n_points)
+    elif kind == "tiny":  # squared differences underflow
+        x = rng.integers(-3, 4, size=n_points) * 1e-200
+    else:
+        x = rng.normal(size=n_points) * 10.0 ** rng.integers(-3, 4)
+    space = AtomSpace(("a", "b"), [0.5, 0.5])
+    start = rng.integers(0, n_points + 1, size=(2, len(grid)))
+    stop = np.minimum(n_points, start + rng.integers(0, 9, size=start.shape))
+    bounds = np.stack([start, stop], axis=-1)
+    shared = rng.uniform(size=start.shape) < 0.3
+    bounds[shared] = bounds[0, 0]
+    return Corr(space, grid, 1, x.reshape(-1, 1), bounds)
+
+
+@pytest.mark.parametrize("chunk", [16, 64, 1 << 18])
+@pytest.mark.parametrize("kind", ["lattice", "signed-zero", "tiny", "scaled"])
+def test_ordered_gaps_match_pair_loop_reference(kind, chunk, monkeypatch):
+    """The 1-D kernel gives the pair loop's gaps and the first farthest
+    source point's row, with == , chunk by chunk (GAP_CHUNK // 16 source
+    points per chunk, so 16 forces one pair per chunk)."""
+    monkeypatch.setattr(corr, "GAP_CHUNK", chunk)
+    rng = np.random.default_rng(len(kind) * chunk)
+    checked = 0
+    for grid in (line_grid(int(rng.integers(2, 25))), GridSpace(rng.uniform(size=(20, 2)))):
+        for _ in range(6):
+            psi = _ordered_rows(rng, kind, grid)
+            pi, pj = grid.directed_pair_arrays()
+            for t in range(2):
+                gaps, far = psi.directed_gaps(t), psi.farthest_rows(t)
+                want = _pair_loop_gaps(psi, t)
+                assert np.array_equal(gaps, want, equal_nan=True)
+                assert np.array_equal(np.signbit(gaps), np.signbit(want))
+                for k in np.flatnonzero(far >= 0):
+                    a, b = psi.value(t, pi[k]), psi.value(t, pj[k])
+                    first = np.argmax(_cross_dists(a.points, b.points).min(axis=1))
+                    assert far[k] == psi.bounds[t, pi[k], 0] + first
+                    assert np.array_equal(psi.points[far[k]], _lost_point(a, b))
+                    checked += 1
+    assert checked > 50
+
+
+def test_ordered_gaps_form_no_padded_block(monkeypatch):
+    def padded(*_):
+        raise AssertionError("the 1-D gap kernel padded its rows")
+
+    monkeypatch.setattr(corr, "_padded_rows", padded)
+    psi = _ordered_rows(np.random.default_rng(3), "scaled", line_grid(12))
+    assert np.array_equal(psi.directed_gaps(0), _pair_loop_gaps(psi, 0), equal_nan=True)
+    with pytest.raises(AssertionError, match="padded"):
+        _random_rows(np.random.default_rng(3), 2, line_grid(12)).directed_gaps(0)
+
+
+def test_ordered_gaps_peak_memory_within_padded_path():
+    """On a 1-D table with at least 8 chunks of source points, the 1-D
+    kernel's traced peak is no higher than the padded (dim > 1) path's
+    on the same segments, the points given a zero second coordinate."""
+    rng = np.random.default_rng(8)
+    grid = line_grid(300)
+    k = 120
+    x = rng.normal(size=(len(grid) * k, 1))
+    bounds = np.stack([np.arange(len(grid)) * k, np.arange(1, len(grid) + 1) * k], axis=-1)
+    pi, pj = grid.directed_pair_arrays()
+    assert k * len(pi) >= 8 * (corr.GAP_CHUNK // 16)
+
+    def peak(points):
+        tracemalloc.start()
+        try:
+            corr._packed_gaps(points, bounds, pi, pj)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(x) <= peak(np.hstack([x, np.zeros_like(x)]))
+
+
+def _loop_hull_modulus(psi, w):
+    """scip_verify's indexed-mode modulus as the per-(t, x, pair) loop it
+    was before it went through the gap kernel."""
+    modulus = 0.0
+    pi, pj = psi.grid.directed_pair_arrays()
+    pairs = list(zip(pi[:len(pi) // 2].tolist(), pj[:len(pj) // 2].tolist()))
+    for t in range(len(psi.space)):
+        for x in range(len(psi.grid)):
+            for (i, j) in pairs:
+                a = w.local(i).value(t, x)
+                b = w.local(j).value(t, x)
+                if a.is_empty or b.is_empty:
+                    continue
+                d = psi.grid.metric[i, j]
+                if d <= 0:
+                    continue
+                modulus = max(modulus, hausdorff_dist(a, b) / d)
+    return modulus
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_hull_modulus_matches_loop_reference(dim):
+    rng = np.random.default_rng(dim)
+    space = AtomSpace(("a", "b", "c"), [1.0] * 3)
+    for grid in (line_grid(9), GridSpace(rng.uniform(size=(12, 2)))):
+        psi = _random_rows(rng, dim, grid)
+        psi = Corr(space, grid, dim, psi.points, np.concatenate([psi.bounds, psi.bounds[:1]]))
+        shared = Corr.constant(space, grid, PointSet.of(dim, rng.normal(size=(2, dim))))
+        locs = {z: shared if z % 3 == 0 else Corr(space, grid, dim, psi.points,
+                                                   rng.permutation(psi.bounds.reshape(-1, 2))
+                                                   .reshape(psi.bounds.shape))
+                for z in range(len(grid))}
+        w = CipWitness("indexed", locs, {}, box=(np.full(dim, -1e4), np.full(dim, 1e4)))
+        want = _loop_hull_modulus(psi, w)
+        assert want > 0.0
+        assert corr._hull_modulus(psi, w, w.distinct_locals()) == want
+
+
+def test_hull_modulus_missing_local_names_first_node_in_pair_order():
+    space, grid = single_atom(), line_grid(6)
+    f = Corr.constant(space, grid, PointSet.of(1, [[0.0]]))
+    w = CipWitness("indexed", {z: f for z in (0, 1, 2, 4)}, {})
+    with pytest.raises(DomainError) as want:
+        _loop_hull_modulus(Corr.constant(space, grid, PointSet.of(1, [[0.0]])), w)
+    with pytest.raises(DomainError) as got:
+        corr._hull_modulus(f, w, w.distinct_locals())
+    assert str(got.value) == str(want.value) == "witness has no local correspondence at node 3"
 
 
 # ------------------------------------------- array passes against per-cell code

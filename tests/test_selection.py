@@ -31,9 +31,10 @@ from carasel import (
 
 import carasel.selection
 from carasel.selection import DEFAULT_MAX_SWEEPS, _atom_block, _barycenters
-from carasel.setops import _pack_hulls, _pack_segments, max_vertex_margin
+from carasel.setops import _pack_hulls, _pack_segments
 from conftest import line_grid, single_atom
 from instances import random_cip_instance
+from test_corr import max_vertex_margin
 
 
 # ------------------------------------------------------------ construct_phi

@@ -30,11 +30,12 @@ from carasel.setops import (
     _cross_dists,
     _dedup,
     _pack_hulls,
-    max_vertex_margin,
     segment_distances,
     segment_margins,
     vertex_margins,
 )
+
+from test_corr import max_vertex_margin
 
 
 def ps(dim, pts):
