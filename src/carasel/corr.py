@@ -149,7 +149,10 @@ class Corr:
     """Correspondence table: (atom index, node index) -> finite point set,
     packed as one read-only (P, dim) points array and an int bounds array
     of shape (atoms, nodes, 2) whose [start, stop) rows index the points
-    of each cell; cells holding one value share one segment."""
+    of each cell.  Cells holding equal values may share one segment
+    (from_function shares one per PointSet object, pref_from_payoff one
+    per distinct preferred set); every kernel over the table then works
+    once per distinct segment or pair of segments."""
 
     space: AtomSpace
     grid: GridSpace
@@ -206,9 +209,11 @@ class Corr:
         """Per-directed-adjacent-pair one-sided gaps of the atom-t row:
         entry k is the farthest any point of the value at source k must
         travel to reach the value at target k; NaN when either side is
-        empty, 0.0 when both ends share one segment; every other pair's
-        two gaps come from _packed_gaps (sorted rows in R^1, padded blocks
-        otherwise).  Cached (the table is immutable)."""
+        empty, 0.0 when both ends share one segment.  The first call
+        computes every atom's row in one _packed_gaps call, which
+        measures each distinct pair of segments once (sorted rows in
+        R^1, padded blocks otherwise), however many adjacent pairs of
+        any atom join it.  Cached (the table is immutable)."""
         return self._gap_entry(t)[0]
 
     def farthest_rows(self, t: int) -> np.ndarray:
@@ -219,11 +224,17 @@ class Corr:
         return self._gap_entry(t)[1]
 
     def _gap_entry(self, t: int) -> tuple[np.ndarray, np.ndarray]:
-        cache = self.__dict__.setdefault("_gap_cache", {})
-        if t not in cache:
-            pi, pj = self.grid.directed_pair_arrays()
-            cache[t] = _packed_gaps(self.points, self.bounds[t], pi, pj)
-        return cache[t]
+        if "_gap_cache" not in self.__dict__:
+            # one _packed_gaps call over every atom's pairs, forward halves first
+            pi, pj = (p[:len(p) // 2] for p in self.grid.directed_pair_arrays())
+            rows = np.arange(self.counts.size).reshape(self.counts.shape)
+            src, dst = rows[:, pi].ravel(), rows[:, pj].ravel()
+            gaps, far = (a.reshape(2, len(rows), -1) for a in _packed_gaps(
+                self.points, self.bounds.reshape(-1, 2), np.concatenate([src, dst]),
+                np.concatenate([dst, src])))
+            self.__dict__["_gap_cache"] = [(np.concatenate(gaps[:, k]), np.concatenate(far[:, k]))
+                                           for k in range(len(rows))]
+        return self.__dict__["_gap_cache"][t]
 
     def segment_index(self) -> tuple[np.ndarray, np.ndarray]:
         """(segs, cell_seg): the distinct [start, stop) rows of the
@@ -285,59 +296,85 @@ def _segments(counts: np.ndarray) -> np.ndarray:
 
 def _packed_gaps(points: np.ndarray, bounds: np.ndarray, pi: np.ndarray,
                  pj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Both one-sided gaps of every adjacent pair of one correspondence
-    row, and the row of points of each gap's farthest source point (see
-    Corr.directed_gaps and Corr.farthest_rows).  In R^1 from sorted rows
-    (_ordered_gaps); otherwise a shorter segment is padded by repeating
-    its first point (setops._padded_rows), which changes no nearest or
-    farthest distance.  Nearest squared distances are reduced before
-    the square root, exactly: sqrt is monotone and correctly rounded."""
+    """Both one-sided gaps of the directed pairs pi[k] -> pj[k] of rows
+    of bounds, whose second half reverses the first, and the row of
+    points of each gap's farthest source point (see Corr.directed_gaps
+    and Corr.farthest_rows); NaN and -1 where either row is empty.
+
+    Every live pair is keyed by its two exact [start, stop) rows,
+    unordered, and the kernel (_ordered_gaps in R^1, _padded_gaps
+    otherwise) measures each distinct key once, in both directions;
+    equal keys name the same points, so the gaps and the first farthest
+    point scatter back unchanged.  A pair of one row, a shared segment,
+    is the diagonal key: 0.0 and -1."""
     half = len(pi) // 2
     out = np.full(len(pi), np.nan)
     far = np.full(len(pi), -1)
-    src, dst = pi[:half], pj[:half]
-    start, counts = bounds[:, 0], bounds[:, 1] - bounds[:, 0]
-    live = (counts[src] > 0) & (counts[dst] > 0)
-    same = live & (start[src] == start[dst]) & (counts[src] == counts[dst])
-    out[:half][same] = 0.0
-    out[half:][same] = 0.0
-    todo = np.nonzero(live & ~same)[0]
-    if not len(todo):
+    counts = bounds[:, 1] - bounds[:, 0]
+    live = np.flatnonzero((counts[pi[:half]] > 0) & (counts[pj[:half]] > 0))
+    if not len(live):
         return out, far
-    if points.shape[1] == 1:
-        at = np.concatenate([todo, todo + half])
-        out[at], far[at] = _ordered_gaps(points[:, 0], bounds, pi[at], pj[at])
-        return out, far
+    # each row's segment as the exact int64 code start * (P + 1) + stop
+    codes, seg = np.unique(bounds[:, 0] * (len(points) + 1) + bounds[:, 1], return_inverse=True)
+    a, b = seg[pi[live]], seg[pj[live]]
+    keys, key = np.unique(np.minimum(a, b) * len(codes) + np.maximum(a, b), return_inverse=True)
+    u, v = np.divmod(keys, len(codes))
+    n = len(keys)
+    gap, row = np.zeros(2 * n), np.full(2 * n, -1)  # u -> v, then v -> u; the diagonal stays
+    off = np.flatnonzero(u != v)
+    if len(off):
+        at = np.concatenate([off, off + n])
+        kernel = _ordered_gaps if points.shape[1] == 1 else _padded_gaps
+        gap[at], row[at] = kernel(points, np.column_stack(np.divmod(codes, len(points) + 1)),
+                                  u[off], v[off])
+    flip = np.where(a > b, n, 0)
+    out[live], far[live] = gap[key + flip], row[key + flip]
+    out[live + half], far[live + half] = gap[key + n - flip], row[key + n - flip]
+    return out, far
+
+
+def _padded_gaps(points: np.ndarray, bounds: np.ndarray, src: np.ndarray,
+                 dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_packed_gaps' kernel in any dim for the pairs (src[k], dst[k]) of
+    nonempty rows of bounds: the gaps and farthest rows of every src[k]
+    -> dst[k], then of every dst[k] -> src[k].  One squared-distance
+    block per pair, a shorter segment padded by repeating its first
+    point (setops._padded_rows), which changes no nearest or farthest
+    distance.  Nearest squared distances are reduced before the square
+    root, exactly: sqrt is monotone and correctly rounded."""
+    gaps, far = np.empty(2 * len(src)), np.empty(2 * len(src), dtype=int)
+    counts = bounds[:, 1] - bounds[:, 0]
     take = _padded_rows(bounds)
     # widest pairs first, so each chunk is padded only to its own widest value
-    width = np.maximum(counts[src[todo]], counts[dst[todo]])
-    order = np.argsort(-width, kind="stable")
-    todo, width = todo[order], width[order]
+    width = np.maximum(counts[src], counts[dst])
+    todo = np.argsort(-width, kind="stable")
     first = 0
     while first < len(todo):
-        m = int(width[first])
+        m = int(width[todo[first]])
         k = todo[first:first + max(1, GAP_CHUNK // (m * m))]
         first += len(k)
         diff = points[take[src[k], :m]][:, :, None, :] - points[take[dst[k], :m]][:, None, :, :]
         d2 = np.einsum("pijk,pijk->pij", diff, diff)
-        for ends, near, at in ((src[k], d2.min(axis=2), k), (dst[k], d2.min(axis=1), k + half)):
+        for ends, near, at in ((src[k], d2.min(axis=2), k), (dst[k], d2.min(axis=1), k + len(src))):
             near = np.sqrt(near)  # each source point's distance to the target value
-            out[at] = near.max(axis=1)
+            gaps[at] = near.max(axis=1)
             far[at] = take[ends, near.argmax(axis=1)]
-    return out, far
+    return gaps, far
 
 
-def _ordered_gaps(x: np.ndarray, bounds: np.ndarray, src: np.ndarray,
+def _ordered_gaps(points: np.ndarray, bounds: np.ndarray, src: np.ndarray,
                   dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_packed_gaps in R^1 for the directed pairs src[k] -> dst[k] of
-    nonempty rows of bounds over the values x.  Each row is sorted once
-    by the exact int64 key row * R + rank (R distinct values), and a
-    source value's nearest target value is one of the two around its
-    searchsorted place: fl(a - b) is monotone in b and fl(d * d) in |d|,
-    so that is the full block's minimum, bit for bit."""
+    """_packed_gaps' kernel in R^1 for the pairs (src[k], dst[k]) of
+    nonempty rows of bounds, in the layout of _padded_gaps.  Each row is
+    sorted once by the exact int64 key row * R + rank (R distinct
+    values), and a source value's nearest target value is one of the two
+    around its searchsorted place: fl(a - b) is monotone in b and
+    fl(d * d) in |d|, so that is the full block's minimum, bit for bit."""
+    x = points[:, 0]
+    src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
     gaps, far = np.empty(len(src)), np.empty(len(src), dtype=int)
     counts = np.zeros(len(bounds), dtype=int)
-    counts[src] = bounds[src, 1] - bounds[src, 0]  # src holds every dst row too
+    counts[src] = bounds[src, 1] - bounds[src, 0]  # src now holds every dst row too
     rows, first = _segment_rows(np.column_stack([bounds[:, 0], bounds[:, 0] + counts]))
     distinct, rank = np.unique(x[rows], return_inverse=True)
     keys = np.repeat(np.arange(len(bounds)), counts) * len(distinct) + rank
@@ -528,6 +565,21 @@ class CipWitness:
         except KeyError:
             raise DomainError(f"witness has no radius at (t={t}, z={z})") from None
 
+    def radius_table(self, shape: tuple[int, int]) -> np.ndarray:
+        """The radii as a read-only (atoms, nodes) table of the given
+        shape, NaN where absent (keys outside it are left out).  Cached
+        per shape."""
+        cache = self.__dict__.setdefault("_radius_tables", {})
+        if shape not in cache:
+            table = np.full(shape, np.nan)
+            keys = np.array(list(self.radii), dtype=int).reshape(-1, 2)
+            inside = ((keys >= 0) & (keys < shape)).all(axis=1)
+            table[tuple(keys[inside].T)] = np.fromiter(self.radii.values(), float,
+                                                       len(keys))[inside]
+            table.flags.writeable = False
+            cache[shape] = table
+        return cache[shape]
+
     def distinct_locals(self) -> list:
         """(local, sorted node indices sharing it), grouped by identity;
         shared witnesses collapse to a single group."""
@@ -537,13 +589,20 @@ class CipWitness:
         return [(f, sorted(zs)) for f, zs in groups.values()]
 
 
+def _section_radii(psi: Corr, w: CipWitness, t: int, zs: np.ndarray) -> np.ndarray:
+    """w's radius at (t, z) for each node z of zs where psi(t, z) is
+    nonempty, -inf at the others; raises for the first such node
+    without a radius."""
+    radius = np.where(psi.counts[t, zs] > 0, w.radius_table(psi.counts.shape)[t, zs], -np.inf)
+    for z in zs[np.isnan(radius)][:1]:
+        w.radius(t, int(z))  # raises: no radius there
+    return radius
+
+
 def capture_matrix(psi: Corr, w: CipWitness, t: int) -> np.ndarray:
     """Boolean matrix M[x, z]: witness node z has a nonempty value of psi
     at atom t and its ball reaches x."""
-    radius_row = np.full(len(psi.grid), -np.inf)
-    for z in psi.t_section(t):
-        radius_row[z] = w.radius(t, z)
-    return psi.grid.metric < radius_row[None, :]
+    return psi.grid.metric < _section_radii(psi, w, t, np.arange(len(psi.grid)))[None, :]
 
 
 def canonical_witness(psi: Corr) -> CipWitness:
@@ -640,10 +699,7 @@ def cip_verify(
             lost = np.nonzero(finite & (gaps >= eps))[0]
             empty = f.counts[t] == 0
             on = psi.counts[t, zs] > 0
-            radius = np.full(len(zs), -np.inf)
-            for c in np.flatnonzero(on):
-                radius[c] = w.radius(t, int(zs[c]))
-            ball = dists < radius
+            ball = dists < _section_radii(psi, w, t, zs)
             unfilled = ball & empty[:, None]
             usable = ball & ~empty[:, None]
             escapes = np.zeros_like(ball)

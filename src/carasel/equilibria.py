@@ -258,7 +258,11 @@ class EquilibriumCertificate:
 def pref_from_payoff(g: GameSpec, i: int, strict_margin: float = 0.0) -> Corr:
     """Tabulate the strict-improvement correspondence of player i: at
     (atom, joint node), the player-i grid points whose unilateral
-    deviation improves the payoff by more than strict_margin."""
+    deviation improves the payoff by more than strict_margin.
+
+    One segment per distinct improvement row: cells with equal preferred
+    sets share it, so the gap kernel measures each pair of distinct sets
+    once."""
     if strict_margin < 0:
         raise DomainError("strict_margin must be nonnegative")
     own = g.strategy_grids[i].points
@@ -275,8 +279,15 @@ def pref_from_payoff(g: GameSpec, i: int, strict_margin: float = 0.0) -> Corr:
     close = np.tril(_cross_dists(own, own) <= DEDUP_TOL, -1)
     for k in np.flatnonzero(close.any(axis=1)):
         better[..., k] &= ~(better[..., :k] & close[k, :k]).any(axis=-1)
-    return Corr(g.state_space, g.joint_grid(), own.shape[1], own[np.nonzero(better)[2]],
-                _segments(better.sum(axis=-1)))
+    better = better.reshape(-1, len(own))
+    # each row's packed bits as one 1-D bytes key: equal keys, equal sets
+    bits = np.packbits(better, axis=1)
+    _, first, seg = np.unique(bits.view(f"V{bits.shape[1]}").ravel(),
+                              return_index=True, return_inverse=True)
+    rows = better[first]
+    bounds = _segments(rows.sum(axis=1))[seg]
+    return Corr(g.state_space, g.joint_grid(), own.shape[1], own[np.nonzero(rows)[1]],
+                bounds.reshape(len(g.state_space), -1, 2))
 
 
 def _reflexive_at(p: Corr, own: np.ndarray) -> tuple[int, int] | None:

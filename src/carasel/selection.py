@@ -415,10 +415,7 @@ def _inputs_cell_constant(psi: Corr, w: CipWitness, part: InfoPartition) -> bool
     constant on every cell of a coarser than finest partition."""
     if part.is_finest:
         return False
-    radii = np.full(psi.counts.shape, np.nan)
-    for (t, z), r in w.radii.items():
-        if 0 <= t < radii.shape[0] and 0 <= z < radii.shape[1]:
-            radii[t, z] = r
+    radii = w.radius_table(psi.counts.shape)
     return (np.array_equal(radii, radii[part.head], equal_nan=True)
             and not any(cell_varying(f, part).any()
                         for f in [psi] + [f for f, _ in w.distinct_locals()]))

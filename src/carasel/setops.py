@@ -221,15 +221,6 @@ def _pack_segments(points: np.ndarray, segs: np.ndarray) -> np.ndarray:
     return points[_padded_rows(segs)]
 
 
-def _pack_hulls(hulls) -> np.ndarray:
-    """The vertex lists of a nonempty list of hulls in one dim as one
-    padded block, laid out as _pack_segments lays out segments."""
-    counts = np.array([len(h.vertices) for h in hulls])
-    stop = np.cumsum(counts)
-    return _pack_segments(np.concatenate([h.vertices for h in hulls]),
-                          np.column_stack([stop - counts, stop]))
-
-
 def _nearest_in_hulls(X: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Euclidean projection of every row x_b of X onto the hull of the
     rows of V[b] (which may repeat), or of V[0] for every row when V
@@ -354,7 +345,7 @@ def convex_project(x, c) -> tuple[np.ndarray, float | np.ndarray]:
     which returns a (B, dim) stack and B distances.  c is a ConvexSet,
     the hull for every point, or a (B, m, dim) block whose row b lists
     the vertices (repeats allowed) of point b's hull, the layout of
-    _pack_hulls.  The work is one call of the batched kernel
+    _pack_segments.  The work is one call of the batched kernel
     _nearest_in_hulls: the closed form for intervals in R^1, otherwise a
     min-norm-point search in units of the largest vertex distance from
     each point, so its accuracy does not depend on the coordinates'
@@ -441,12 +432,6 @@ def interior_point_margin(x, c: ConvexSet) -> float:
     if x.shape[0] != c.dim:
         raise DomainError(f"point has dim {x.shape[0]}, set has dim {c.dim}")
     return float(_margins(x.reshape(1, -1), c.vertices)[0])
-
-
-def vertex_margins(c: ConvexSet) -> np.ndarray:
-    """interior_point_margin of every vertex/sample of c, in order, from
-    one hull."""
-    return segment_margins(c.vertices, np.array([[0, len(c.vertices)]]))
 
 
 def _segment_rows(segs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -38,11 +38,19 @@ from carasel.setops import (
     ConvexSet,
     _cross_dists,
     convex_distance,
-    vertex_margins,
+    segment_margins,
 )
 
 from conftest import jump_problem, line_grid, single_atom
 from instances import random_cip_instance
+
+
+def vertex_margins(c: ConvexSet) -> np.ndarray:
+    """interior_point_margin of every vertex/sample of c, in order, from
+    one hull: segment_margins over a single segment.  The per-hull
+    reference for Corr.segment_margins, also used by the other test
+    modules."""
+    return segment_margins(c.vertices, np.array([[0, len(c.vertices)]]))
 
 
 def max_vertex_margin(c: ConvexSet) -> float:
@@ -161,6 +169,30 @@ def test_witness_radii_must_be_finite_and_positive(jump, bad):
     f = w.locals[0]
     with pytest.raises(DomainError, match="radii must be finite and positive"):
         CipWitness.shared(grid, f, {**w.radii, (0, 0): bad})
+
+
+def test_missing_radius_raises_for_the_first_section_cell():
+    """cip_verify and capture_matrix read the radii from one table, NaN
+    where absent, and name the first (t, z) of psi's section without a
+    radius; a radius off the section or outside the table is never read."""
+    space = AtomSpace(("a", "b"), [0.5, 0.5])
+    grid = line_grid(6)
+    psi = Corr.from_function(space, grid, 1, lambda t, z: PointSet.empty(1) if (t, z) == (1, 0)
+                             else PointSet.of(1, [[0.0]]))
+    w = canonical_witness(psi)
+    radii = {key: r for key, r in w.radii.items() if key not in ((1, 4), (1, 2))}
+    radii.update({(1, 0): 9.0, (2, 0): 1.0, (0, 6): 1.0, (-1, 0): 1.0})
+    gapped = CipWitness.shared(grid, psi, radii)
+    table = gapped.radius_table(psi.counts.shape)
+    assert np.argwhere(np.isnan(table)).tolist() == [[1, 2], [1, 4]]
+    assert table[1, 0] == 9.0 and not table.flags.writeable
+    with pytest.raises(DomainError, match=r"no radius at \(t=1, z=2\)"):
+        cip_verify(psi, gapped, eps=1.0)
+    with pytest.raises(DomainError, match=r"no radius at \(t=1, z=2\)"):
+        capture_matrix(psi, gapped, 1)
+    assert np.array_equal(capture_matrix(psi, gapped, 0), capture_matrix(psi, w, 0))
+    off_section = CipWitness.shared(grid, psi, {**w.radii, (1, 0): 9.0})
+    assert not capture_matrix(psi, off_section, 1)[:, 0].any()
 
 
 def test_cip_planted_violation_names_node(jump):
@@ -879,6 +911,78 @@ def test_ordered_gaps_peak_memory_within_padded_path():
             tracemalloc.stop()
 
     assert peak(x) <= peak(np.hstack([x, np.zeros_like(x)]))
+
+
+def _shared_rows(rng, dim, grid):
+    """A table built with Corr(...) directly whose cells point at a few
+    segments: every segment serves many cells, two distinct segments
+    hold equal values (a block laid out twice), others overlap, and
+    about a fifth of the cells are empty.  Lattice values make nearest
+    and farthest distances tie."""
+    k = int(rng.integers(1, 5))
+    block = rng.integers(-3, 4, size=(k, dim)) * 0.5
+    points = np.vstack([block, block, rng.integers(-6, 7, size=(12, dim)) * 0.25])
+    segs = np.array([[0, k], [k, 2 * k], [0, 1], [2 * k, 2 * k + 4],
+                     [2 * k + 2, 2 * k + 12], [2 * k + 5, 2 * k + 6]])
+    bounds = segs[rng.integers(0, len(segs), size=(2, len(grid)))]
+    bounds[rng.uniform(size=(2, len(grid))) < 0.2] = [3, 3]
+    return Corr(AtomSpace(("a", "b"), [0.5, 0.5]), grid, dim, points, bounds)
+
+
+@pytest.mark.parametrize("chunk", [16, 1 << 18])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_gaps_of_shared_segments_match_pair_loop_reference(dim, chunk, monkeypatch):
+    """Cells sharing a few segments give the pair loop's gaps, -1 as the
+    farthest row exactly where the gap is NaN or both ends share a
+    segment, and otherwise the first farthest source point's row."""
+    monkeypatch.setattr(corr, "GAP_CHUNK", chunk)
+    rng = np.random.default_rng(10 * dim + chunk.bit_length())
+    checked = 0
+    for grid in (line_grid(25), GridSpace(rng.uniform(size=(30, 2)))):
+        pi, pj = grid.directed_pair_arrays()
+        for _ in range(4):
+            psi = _shared_rows(rng, dim, grid)
+            for t in range(2):
+                gaps, far = psi.directed_gaps(t), psi.farthest_rows(t)
+                assert np.array_equal(gaps, _pair_loop_gaps(psi, t), equal_nan=True)
+                shared = (psi.bounds[t, pi] == psi.bounds[t, pj]).all(axis=1)
+                assert np.array_equal(far < 0, np.isnan(gaps) | shared)
+                for k in np.flatnonzero(far >= 0):
+                    a, b = psi.value(t, pi[k]), psi.value(t, pj[k])
+                    first = np.argmax(_cross_dists(a.points, b.points).min(axis=1))
+                    assert far[k] == psi.bounds[t, pi[k], 0] + first
+                    checked += 1
+    assert checked > 200
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_gap_kernel_measures_each_distinct_segment_pair_once(dim, monkeypatch):
+    """The kernel behind directed_gaps runs once per table, on the first
+    atom asked for, and receives every pair of distinct segments that a
+    live adjacent pair of any atom joins, each exactly once in either
+    order, and no pair of one segment."""
+    calls = []
+    for name in ("_ordered_gaps", "_padded_gaps"):
+        def recording(points, bounds, src, dst, kernel=getattr(corr, name)):
+            calls.append([tuple(sorted(pair)) for pair in zip(map(tuple, bounds[src].tolist()),
+                                                              map(tuple, bounds[dst].tolist()))])
+            return kernel(points, bounds, src, dst)
+
+        monkeypatch.setattr(corr, name, recording)
+    rng = np.random.default_rng(dim)
+    for grid in (line_grid(40), GridSpace(rng.uniform(size=(30, 2)))):
+        pi, pj = grid.directed_pair_arrays()
+        psi = _shared_rows(rng, dim, grid)
+        calls.clear()
+        for t in (1, 0):
+            psi.directed_gaps(t)
+        a, b = psi.bounds[:, pi], psi.bounds[:, pj]
+        live = (psi.counts[:, pi] > 0) & (psi.counts[:, pj] > 0) & (a != b).any(axis=-1)
+        want = {tuple(sorted(pair)) for pair in zip(map(tuple, a[live].tolist()),
+                                                     map(tuple, b[live].tolist()))}
+        assert len(calls) == 1
+        assert len(calls[0]) == len(want) < live.sum() // 2
+        assert set(calls[0]) == want
 
 
 def _loop_hull_modulus(psi, w):

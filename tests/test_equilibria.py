@@ -25,9 +25,9 @@ from carasel import (
     random_fixed_point,
     random_nash,
 )
-from carasel.corr import SET_EQUALITY_TOL
+from carasel.corr import SET_EQUALITY_TOL, _segments
 from carasel.equilibria import _reflexive_at
-from carasel.setops import ConvexSet, convex_membership
+from carasel.setops import ConvexSet, _segment_rows, convex_membership
 
 from conftest import line_grid, single_atom
 
@@ -172,6 +172,76 @@ def test_pref_matches_per_node_reference(seed):
             for t in range(3):
                 for z in range(len(g.joint_grid())):
                     assert np.array_equal(p.value(t, z).points, want[t][z].points)
+
+
+def _quadratic_game(rng, n_nodes, cells):
+    """Two players with concave quadratic payoffs on n_nodes x n_nodes
+    joint grids, the parameters drawn once per information cell, and
+    eps_eq = L * h + 1e-9 as in the acceptance suite."""
+    n_atoms = sum(len(c) for c in cells)
+    params = np.zeros((2, 4, n_atoms))
+    for cell in cells:
+        params[:, :, list(cell)] = rng.uniform([0.5, 0.3, -0.6, 0.0], [2.0, 0.7, 0.6, 1.0],
+                                               size=(2, 4))[..., None]
+
+    def payoff(i):
+        def u(t, x):
+            c, a, d, b = params[i, :, t]
+            return -c * (x[i] - a) ** 2 - d * c * (x[i] - a) * (x[1 - i] - b)
+        return u
+
+    space = AtomSpace(tuple(f"w{t}" for t in range(n_atoms)), [1.0] * n_atoms)
+    g = two_player_game(space, (payoff(0), payoff(1)), n_nodes)
+    lipschitz = float((2 * params[:, 0] + np.abs(params[:, 2] * params[:, 0])).max())
+    return g, InfoPartition(space, cells), lipschitz / (n_nodes - 1) + 1e-9
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_pref_lays_out_one_segment_per_distinct_improvement_row(seed):
+    rng = np.random.default_rng(seed)
+    g, _, _ = _quadratic_game(rng, int(rng.integers(5, 16)), ((0,), (1, 2)))
+    for i in range(2):
+        for margin in (0.0, 0.05):
+            rows = {tuple(ps.points.ravel()) for row in _pref_reference(g, i, margin)
+                    for ps in row}
+            p = pref_from_payoff(g, i, margin)
+            assert len(np.unique(p.bounds.reshape(-1, 2), axis=0)) == len(rows)
+            assert len(rows) < p.counts.size
+
+
+def _one_segment_per_cell(p):
+    """p laid out as pref_from_payoff laid it out before cells with equal
+    preferred sets shared a segment: one segment per cell, in C order."""
+    rows = _segment_rows(p.bounds.reshape(-1, 2))[0]
+    return Corr(p.space, p.grid, p.dim, p.points[rows], _segments(p.counts))
+
+
+@pytest.mark.parametrize("cells", [((0,), (1,), (2,)), ((0, 1), (2,))])
+def test_random_nash_certificate_matches_one_segment_per_cell_layout(cells, monkeypatch):
+    """Sharing segments between equal preferred sets changes no part of
+    a seeded certificate: profile, regrets, and every check's residual,
+    tolerance and detail."""
+    import carasel.equilibria as eq
+
+    g, part, eps_eq = _quadratic_game(np.random.default_rng(len(cells)), 13, cells)
+    shared = random_nash(g, part, eps_eq, seed=3)
+    original = eq.pref_from_payoff
+    separate_prefs = []
+
+    def separate(g, i, *args):
+        separate_prefs.append(_one_segment_per_cell(original(g, i, *args)))
+        return separate_prefs[-1]
+
+    monkeypatch.setattr(eq, "pref_from_payoff", separate)
+    separate_cert = random_nash(g, part, eps_eq, seed=3)
+    assert all(len(original(g, i).segment_index()[0]) < len(p.segment_index()[0])
+               for i, p in enumerate(separate_prefs))
+    assert shared.profile_indices == separate_cert.profile_indices
+    assert all(np.array_equal(shared.profile[t], separate_cert.profile[t]) for t in shared.profile)
+    assert shared.regrets == separate_cert.regrets
+    assert shared.warnings == separate_cert.warnings
+    assert [(c.name, c.residual, c.tolerance, c.detail) for c in shared.checks] == \
+        [(c.name, c.residual, c.tolerance, c.detail) for c in separate_cert.checks]
 
 
 # ------------------------------------------------------------- equilibria

@@ -1,6 +1,8 @@
 """Source hygiene that no linter enforces: every module-level import in
-the package modules is used.  __init__.py is skipped, since its imports
-are the public API it re-exports."""
+the package modules is used, and every module-level function or class
+of the package is referenced from the package.  __init__.py is skipped
+by the import check, since its imports are the public API it
+re-exports; those re-exports count as references."""
 
 import ast
 from pathlib import Path
@@ -25,11 +27,53 @@ def unused_imports(source: str) -> list[str]:
     return [name for name in bound if name not in used]
 
 
+def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
+    """"module.name" of every module-level function or class of the
+    modules in sources (module name -> source) whose name no module
+    reads, as a name or an attribute, or imports; in module order."""
+    defined, used = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        defined += [f"{module}.{node.name}" for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(a.name for a in node.names)
+    return [name for name in defined if name.split(".", 1)[1] not in used]
+
+
+def package_sources() -> dict[str, str]:
+    return {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+
+
 def test_the_check_sees_an_orphaned_import():
     src = "import os\nimport numpy as np\nfrom .setops import ConvexSet, PointSet\nnp.zeros(PointSet)\n"
     assert unused_imports(src) == ["os", "ConvexSet"]
 
 
+def test_the_check_sees_an_orphaned_definition():
+    sources = {
+        "__init__": "from .a import Exported\n",
+        "a": "class Exported:\n    pass\n\ndef helper():\n    pass\n\n"
+             "def orphan():\n    helper()\n\nasync def idle():\n    pass\n",
+        "b": "from . import a\n\ndef caller():\n    return a.Exported\n",
+    }
+    assert unreferenced_definitions(sources) == ["a.orphan", "a.idle", "b.caller"]
+    # a per-hull helper with no caller in the package, put back into setops
+    sources = package_sources()
+    sources["setops"] += ("\n\ndef vertex_margins(c):\n"
+                          "    return segment_margins(c.vertices, [[0, len(c.vertices)]])\n")
+    assert unreferenced_definitions(sources) == ["setops.vertex_margins"]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_level_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_no_unreferenced_module_level_definition():
+    assert unreferenced_definitions(package_sources()) == []

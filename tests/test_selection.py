@@ -31,10 +31,11 @@ from carasel import (
 
 import carasel.selection
 from carasel.selection import DEFAULT_MAX_SWEEPS, _atom_block, _barycenters
-from carasel.setops import _pack_hulls, _pack_segments
+from carasel.setops import _pack_segments
 from conftest import line_grid, single_atom
 from instances import random_cip_instance
 from test_corr import max_vertex_margin
+from test_setops import pack_hulls
 
 
 # ------------------------------------------------------------ construct_phi
@@ -585,14 +586,14 @@ def test_selection_blocks_match_per_node_hulls(dim):
                 continue
             segs, _ = _atom_block(phi, t, section)
             hulls = [ConvexSet.from_point_set(phi.value(t, z)) for z in section]
-            assert np.array_equal(_pack_segments(phi.points, segs), _pack_hulls(hulls))
+            assert np.array_equal(_pack_segments(phi.points, segs), pack_hulls(hulls))
             assert np.array_equal(_barycenters(phi.points, segs),
                                   np.array([h.vertices.mean(axis=0) for h in hulls]))
             all_segs.append(segs)
             all_hulls += hulls
         # the sweep packs every atom at once, padded to the widest value
         assert np.array_equal(_pack_segments(phi.points, np.concatenate(all_segs)),
-                              _pack_hulls(all_hulls))
+                              pack_hulls(all_hulls))
         empty = np.argwhere(phi.counts == 0)
         if len(empty):
             t, z = empty[0]

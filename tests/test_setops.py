@@ -29,17 +29,26 @@ from carasel.setops import (
     _as_points,
     _cross_dists,
     _dedup,
-    _pack_hulls,
+    _pack_segments,
     segment_distances,
     segment_margins,
-    vertex_margins,
 )
 
-from test_corr import max_vertex_margin
+from test_corr import max_vertex_margin, vertex_margins
 
 
 def ps(dim, pts):
     return PointSet.of(dim, pts)
+
+
+def pack_hulls(hulls) -> np.ndarray:
+    """The vertex lists of a nonempty list of hulls in one dim as one
+    padded block, laid out as _pack_segments lays out segments; also used
+    by the other test modules."""
+    counts = np.array([len(h.vertices) for h in hulls])
+    stop = np.cumsum(counts)
+    return _pack_segments(np.concatenate([h.vertices for h in hulls]),
+                          np.column_stack([stop - counts, stop]))
 
 
 UNIT_SQUARE = ConvexSet(2, [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -264,7 +273,7 @@ def test_batched_rows_match_single_projections(dim):
     hulls = _random_hulls(rng, dim, 40)
     X = np.array([1.5 * np.abs(h.vertices).max() * rng.uniform(-1.0, 1.0, size=dim)
                   for h in hulls])
-    P, d = convex_project(X, _pack_hulls(hulls))
+    P, d = convex_project(X, pack_hulls(hulls))
     for x, h, p, dist in zip(X, hulls, P, d):
         scale = float(np.abs(h.vertices).max())
         alone_p, alone_d = convex_project(x, h)
@@ -290,9 +299,9 @@ def test_convex_project_rejects_mismatched_shapes():
     with pytest.raises(DomainError):
         convex_project(np.zeros((3, 3)), UNIT_SQUARE)
     with pytest.raises(DomainError):
-        convex_project(np.zeros((3, 2)), _pack_hulls([UNIT_SQUARE, UNIT_SQUARE]))
+        convex_project(np.zeros((3, 2)), pack_hulls([UNIT_SQUARE, UNIT_SQUARE]))
     with pytest.raises(DomainError):
-        convex_project(np.zeros((2, 3)), _pack_hulls([UNIT_SQUARE, UNIT_SQUARE]))
+        convex_project(np.zeros((2, 3)), pack_hulls([UNIT_SQUARE, UNIT_SQUARE]))
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -300,7 +309,7 @@ def test_exact_vertex_hit_is_zero(dim):
     rng = np.random.default_rng(10 + dim)
     hulls = _random_hulls(rng, dim, 20)
     X = np.array([h.vertices[rng.integers(len(h.vertices))] for h in hulls])
-    P, d = convex_project(X, _pack_hulls(hulls))
+    P, d = convex_project(X, pack_hulls(hulls))
     assert np.array_equal(P, X)
     assert np.all(d == 0.0)
     for x, h in zip(X, hulls):
@@ -613,7 +622,7 @@ def test_projection_is_scale_and_offset_invariant(dim):
     # scaling and translating a batch scales its distances exactly
     # (up to rounding), far outside the range of any fixed tolerance
     rng = np.random.default_rng(20 + dim)
-    V = _pack_hulls(_random_hulls(rng, dim, 30))
+    V = pack_hulls(_random_hulls(rng, dim, 30))
     V /= np.abs(V).max(axis=(1, 2), keepdims=True)
     X = rng.uniform(-1.5, 1.5, size=(30, dim))
     X[:10] = np.einsum("bm,bmd->bd", rng.dirichlet(np.ones(V.shape[1]), size=10), V[:10])
