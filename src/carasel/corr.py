@@ -10,6 +10,7 @@ operator collecting interiors of the local inclusion witnesses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -531,13 +532,12 @@ class CipWitness:
             first = next(iter(locs.values()))
             if any(f is not first for f in locs.values()):
                 raise DomainError("shared mode requires one common local correspondence")
-        radii = {}
-        for key, r in dict(self.radii).items():
-            t, z = int(key[0]), int(key[1])
-            r = float(r)
-            if not 0 < r < np.inf:
-                raise DomainError("witness radii must be finite and positive")
-            radii[(t, z)] = r
+        radii = dict(self.radii)
+        r = np.fromiter(radii.values(), float, len(radii))
+        if not ((0 < r) & (r < np.inf)).all():
+            raise DomainError("witness radii must be finite and positive")
+        keys = np.fromiter(chain.from_iterable(radii), int).reshape(len(radii), 2)
+        radii = dict(zip(zip(*keys.T.tolist()), r.tolist()))
         box = self.box
         if box is not None:
             lo = np.asarray(box[0], dtype=float).reshape(-1)
@@ -611,17 +611,17 @@ def canonical_witness(psi: Corr) -> CipWitness:
     as large as possible while staying inside the nonempty section
     (radius up to the nearest empty node, or past the grid diameter when
     the section is full)."""
-    big = psi.grid.diameter + 1.0
-    radii = {}
-    for t in range(len(psi.space)):
-        nonempty = psi.counts[t] > 0
-        if nonempty.all():
-            reach = np.full(len(psi.grid), big)
-        else:
-            reach = psi.grid.metric[:, ~nonempty].min(axis=1)
-        for z in np.flatnonzero(nonempty):
-            radii[(t, int(z))] = float(reach[z])
-    return CipWitness.shared(psi.grid, psi, radii)
+    nonempty = psi.counts > 0
+    reach = np.full(nonempty.shape, psi.grid.diameter + 1.0)
+    for t in np.flatnonzero(~nonempty.all(axis=1)):
+        reach[t] = psi.grid.metric[:, ~nonempty[t]].min(axis=1)
+    reach[~nonempty] = np.nan
+    t, z = np.nonzero(nonempty)
+    w = CipWitness.shared(psi.grid, psi, dict(zip(zip(t.tolist(), z.tolist()),
+                                                   reach[t, z].tolist())))
+    reach.flags.writeable = False
+    w.__dict__["_radius_tables"] = {reach.shape: reach}  # what radius_table would build
+    return w
 
 
 @dataclass

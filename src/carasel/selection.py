@@ -32,6 +32,7 @@ from .reporting import CheckSet
 from .setops import (
     ConvexSet,
     _pack_segments,
+    _project_to_intervals,
     convex_distance,
     convex_project,
     segment_distances,
@@ -133,13 +134,9 @@ def construct_phi(
     mismatches = np.count_nonzero((psi.counts > 0) != (phi.counts > 0))
     cert.add("phi-domain-equality", mismatches, 0, "glued and original domains coincide")
 
-    worst_gap = 0.0
-    lsc_ok = True
-    for t in range(len(psi.space)):
-        rep = lsc_check(phi, t, eps)
-        worst_gap = max(worst_gap, rep.max_gap)
-        lsc_ok = lsc_ok and rep.ok
-    cert.add("phi-lsc", worst_gap if lsc_ok else float("inf"), eps,
+    reps = [lsc_check(phi, t, eps) for t in range(len(psi.space))]
+    worst_gap = max((rep.max_gap for rep in reps), default=0.0)
+    cert.add("phi-lsc", worst_gap if all(rep.ok for rep in reps) else float("inf"), eps,
              f"per-atom l.s.c. at the certified eps={eps:g}")
 
     bad_nodes = np.count_nonzero(cell_varying(phi, part).any(axis=0))
@@ -147,11 +144,9 @@ def construct_phi(
 
     kpsi = k_operator(psi, w)
     need = (psi.counts > 0) & (kpsi.counts > 0)
-    k_nonempty = np.count_nonzero(need)
     interiority_failures = np.count_nonzero(need & ~phi.interior_cells(need))
-    detail = "interior margin positive wherever the interior union is nonempty"
-    if k_nonempty == 0:
-        detail = "interior union empty everywhere (vacuous)"
+    detail = ("interior margin positive wherever the interior union is nonempty" if need.any()
+              else "interior union empty everywhere (vacuous)")
     cert.add("phi-interiority", interiority_failures, 0, detail)
 
     return PhiResult(phi, cert, kpsi)
@@ -202,12 +197,14 @@ def _sweep(points: np.ndarray, blocks: list, tol: float,
     lists (t, section, segs, edges, starts), segs (the rows of points
     whose hulls are the values) and edges as _atom_block gives them and
     starts an (R, n, dim) stack: R groups, disjoint row blocks of one
-    stack.  Each sweep projects the rows with
-    neighbours of every live group in one convex_project call; a group
-    freezes once no row moved more than _SWEEP_STOP times its hull scale.
-    Steps combine feasible points, so iterates stay feasible, and a
-    residual above tol raises.  Returns the (R, n, dim) results per block
-    and the residual per group."""
+    stack.  Each sweep projects the rows with neighbours of every live
+    group at once: in R^1 by the closed form onto interval ends taken
+    once per call (_project_to_intervals), else by one convex_project
+    call.  A group freezes once no row moved more than _SWEEP_STOP times
+    its hull scale; only then are the live rows, edges and hulls
+    gathered again.  Steps combine feasible points, so iterates stay
+    feasible, and a residual above tol raises.  Returns the (R, n, dim)
+    results per block and the residual per group."""
     groups = [(t, segs, edges) for t, _, segs, edges, starts in blocks for _ in starts]
     first = np.cumsum([0] + [len(segs) for _, segs, _ in groups])[:-1]
     V = _pack_segments(points, np.concatenate([segs for _, segs, _ in groups]))
@@ -220,25 +217,33 @@ def _sweep(points: np.ndarray, blocks: list, tol: float,
     edge_group = group[src]
     live = np.bincount(edge_group, minlength=len(groups)) > 0
     dim = X.shape[1]
+    if dim == 1:
+        lo, hi = V.min(axis=1), V.max(axis=1)
     froze = True
     for _ in range(max_sweeps):
-        if froze:  # refilter the rows and edges of the live groups
-            rows = np.flatnonzero(live[group] & (degree > 0))
+        if froze:  # refilter the rows, edges and hulls of the live groups
+            keep = live[group] & (degree > 0)
+            rows = np.flatnonzero(keep)
             if not rows.size:
                 break
             edges = live[edge_group]
-            # bin src * dim + k sums coordinate k; each bin adds in edge order
-            bins = (src[edges, None] * dim + np.arange(dim)).ravel()
-            near = dst[edges]
-        sums = np.bincount(bins, X[near].ravel(), len(X) * dim).reshape(-1, dim)
-        projected = convex_project(sums[rows] / degree[rows, None], V[rows])[0]
-        new = (1.0 - _RELAXATION) * X[rows] + _RELAXATION * projected
-        move = np.zeros(len(groups))
-        np.maximum.at(move, group[rows], np.linalg.norm(new - X[rows], axis=1))
+            # bin (src's place in rows) * dim + k sums coordinate k, in edge order
+            bins = ((np.cumsum(keep) - 1)[src[edges], None] * dim + np.arange(dim)).ravel()
+            near = (dst[edges, None] * dim + np.arange(dim)).ravel()  # in X.ravel(), as bins
+            deg = degree[rows, None]
+            runs = np.flatnonzero(np.diff(group[rows], prepend=-1))  # rows ascend by group
+            live_groups = group[rows[runs]]  # every live group has a row with neighbours
+            limit = _SWEEP_STOP * scale[live_groups]
+            hulls = (lo[rows], hi[rows]) if dim == 1 else V[rows]
+        target = np.bincount(bins, X.ravel()[near], len(rows) * dim).reshape(-1, dim) / deg
+        projected = (_project_to_intervals(target, *hulls) if dim == 1
+                     else convex_project(target, hulls)[0])
+        old = X[rows]
+        new = (1.0 - _RELAXATION) * old + _RELAXATION * projected
+        moving = np.maximum.reduceat(np.linalg.norm(new - old, axis=1), runs) > limit
         X[rows] = new
-        moving = move > _SWEEP_STOP * scale
-        froze = bool((live & ~moving).any())
-        live &= moving
+        froze = not moving.all()
+        live[live_groups] = moving
 
     residual = np.maximum.reduceat(convex_distance(X, V), first)
     g = int(np.argmax(residual > tol))  # the first group above tol, if any
@@ -373,7 +378,6 @@ def caratheodory_select(
             x = np.tensordot(weights, pushed, axes=1)
         modulus = max(modulus, _modulus(x, edges))
         table[t, section] = x
-    values = {(t, z): table[t, z] for t, z in np.argwhere(phi.counts > 0).tolist()}
 
     checks = CheckSet()
     checks.extend(phi_res.certificate)
@@ -395,10 +399,11 @@ def caratheodory_select(
             f"residual {worst:.3e} > tol {tol:g}"
         )
 
+    t, z = np.nonzero(phi.counts > 0)  # the selected cells
+    values = dict(zip(zip(t.tolist(), z.tolist()), table[t, z]))
     if _inputs_cell_constant(psi, w, part):
         # the inputs fix each cell's presence pattern, so every selected
         # point has one at its cell head to compare with
-        t, z = np.nonzero(phi.counts > 0)
         diff = table[t, z] - table[part.head[t], z]
         gap = float(np.sqrt(np.vecdot(diff, diff)).max(initial=0.0))
         checks.add("selection-measurability", gap, SET_EQUALITY_TOL,
@@ -447,21 +452,17 @@ def glue(
     # one singleton row per domain cell, in (t, z) order, after the fallback's points
     bounds = np.array(fallback.bounds)
     bounds[on] = len(fallback.points) + _segments(np.ones(np.count_nonzero(on), dtype=int))
-    single = [sel.value(t, z) for t, z in np.argwhere(on).tolist()]
-    glued = Corr(psi.space, psi.grid, psi.dim,
-                 np.concatenate([fallback.points, np.reshape(single, (-1, psi.dim))]), bounds)
+    t, z = np.nonzero(on)
+    single = np.reshape(list(map(sel.values.__getitem__, zip(t.tolist(), z.tolist()))),
+                        (-1, psi.dim))
+    glued = Corr(psi.space, psi.grid, psi.dim, np.concatenate([fallback.points, single]), bounds)
 
     checks = CheckSet()
-    broken_usc = broken_lsc = 0
-    for t in range(len(psi.space)):
-        if usc_check(fallback, t, eps).ok and not usc_check(glued, t, eps).ok:
-            broken_usc += 1
-        if lsc_check(fallback, t, eps).ok and not lsc_check(glued, t, eps).ok:
-            broken_lsc += 1
-    checks.add("glue-usc-preserved", broken_usc, 0,
-               "atoms where the fallback is u.s.c. but the glued table is not")
-    checks.add("glue-lsc-preserved", broken_lsc, 0,
-               "atoms where the fallback is l.s.c. but the glued table is not")
+    for name, check, sc in (("glue-usc-preserved", usc_check, "u.s.c."),
+                            ("glue-lsc-preserved", lsc_check, "l.s.c.")):
+        broken = sum(check(fallback, t, eps).ok and not check(glued, t, eps).ok
+                     for t in range(len(psi.space)))
+        checks.add(name, broken, 0, f"atoms where the fallback is {sc} but the glued table is not")
 
     # nodes where the fallback and the selection (its presence and its
     # points, the glued singletons on the domain) are cell-constant but

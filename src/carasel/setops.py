@@ -119,13 +119,6 @@ class PointSet:
     def __len__(self) -> int:
         return len(self.points)
 
-    def same_as(self, other: "PointSet", tol: float = DEDUP_TOL) -> bool:
-        """Set equality within tol (both empty, or mutual containment)."""
-        if self.is_empty or other.is_empty:
-            return self.is_empty and other.is_empty
-        d = _cross_dists(self.points, other.points)
-        return float(max(d.min(axis=1).max(), d.min(axis=0).max())) <= tol
-
 
 @dataclass(frozen=True)
 class ConvexSet:
@@ -221,14 +214,20 @@ def _pack_segments(points: np.ndarray, segs: np.ndarray) -> np.ndarray:
     return points[_padded_rows(segs)]
 
 
+def _project_to_intervals(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The closed-form projection of every x onto its interval [lo, hi] of R^1."""
+    return np.minimum(np.maximum(x, lo), hi)
+
+
 def _nearest_in_hulls(X: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Euclidean projection of every row x_b of X onto the hull of the
     rows of V[b] (which may repeat), or of V[0] for every row when V
     holds one hull; returns the projected points and their distances.
 
-    The closed form in R^1.  Otherwise Wolfe's (1976) min-norm-point
-    search, run in lockstep over the rows.  Each row is translated to its
-    x and divided by its largest vertex distance, so the optimality band
+    In R^1 the closed form _project_to_intervals, which the selection
+    sweep shares.  Otherwise Wolfe's (1976) min-norm-point search, run in
+    lockstep over the rows.  Each row is translated to its x and
+    divided by its largest vertex distance, so the optimality band
     and the weight cut-off are relative.  A row alternates major steps
     (stop at the optimality condition, else add the most improving
     vertex to its support) with minimizations over the affine hull of its
@@ -242,7 +241,7 @@ def _nearest_in_hulls(X: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndar
     count."""
     B, (m, dim) = len(X), V.shape[1:]
     if dim == 1:
-        P = np.minimum(np.maximum(X[:, 0], V[:, :, 0].min(axis=1)), V[:, :, 0].max(axis=1))
+        P = _project_to_intervals(X[:, 0], V[:, :, 0].min(axis=1), V[:, :, 0].max(axis=1))
         return P[:, None], np.abs(X[:, 0] - P)
     W = V - X[:, None, :]
     norms2 = np.einsum("bmd,bmd->bm", W, W)

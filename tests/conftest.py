@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from carasel import AtomSpace, CipWitness, Corr, GridSpace, PointSet
+from carasel.setops import DEDUP_TOL, _cross_dists
 
 
 def jump_problem():
@@ -43,3 +44,12 @@ def line_grid(n: int, lo: float = 0.0, hi: float = 1.0) -> GridSpace:
 
 def single_atom() -> AtomSpace:
     return AtomSpace(("w",), [1.0])
+
+
+def same_set(a: PointSet, b: PointSet, tol: float = DEDUP_TOL) -> bool:
+    """Set equality within tol (both empty, or mutual containment), the
+    per-pair comparison the packed cell-wise checks replaced."""
+    if a.is_empty or b.is_empty:
+        return a.is_empty and b.is_empty
+    d = _cross_dists(a.points, b.points)
+    return float(max(d.min(axis=1).max(), d.min(axis=0).max())) <= tol

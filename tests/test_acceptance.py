@@ -41,7 +41,7 @@ from carasel import (
 from carasel.pipelines import run_problem
 from carasel.problems import canonical_json, parse_problem
 
-from conftest import jump_problem, jump_witness, line_grid
+from conftest import jump_problem, jump_witness, line_grid, same_set
 from instances import random_cip_instance
 from test_corr import max_vertex_margin
 
@@ -121,7 +121,7 @@ def test_c2_hausdorff_metric_suite():
             shuffled = PointSet.of(a.dim, a.points[::-1].copy())
             identity &= hausdorff_dist(a, shuffled) <= 1e-12
             bumped = PointSet.of(a.dim, a.points + 0.5)
-            if not a.same_as(bumped):
+            if not same_set(a, bumped):
                 identity &= hausdorff_dist(a, bumped) > 1e-12
         for i in range(0, len(pool) - 2, 3):
             a, b, c = pool[i], pool[i + 1], pool[i + 2]

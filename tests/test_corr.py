@@ -23,6 +23,7 @@ from carasel import (
     lower_measurable_check,
     lsc_check,
     n_operator,
+    pref_from_payoff,
     scip_verify,
     usc_check,
 )
@@ -43,6 +44,7 @@ from carasel.setops import (
 
 from conftest import jump_problem, line_grid, single_atom
 from instances import random_cip_instance
+from test_equilibria import _quadratic_game
 
 
 def vertex_margins(c: ConvexSet) -> np.ndarray:
@@ -253,6 +255,85 @@ def test_canonical_witness_radii_match_generator_reference():
     for inst_seed in range(3):
         inst = random_cip_instance(np.random.default_rng(inst_seed))
         assert canonical_witness(inst.psi).radii == _canonical_radii_reference(inst.psi)
+
+
+def _canonical_witness_loop_reference(psi):
+    """The radii canonical_witness filled with one dict entry per nonempty
+    node of each atom before it built them from one nonzero pass, kept
+    as its reference."""
+    big = psi.grid.diameter + 1.0
+    radii = {}
+    for t in range(len(psi.space)):
+        nonempty = psi.counts[t] > 0
+        if nonempty.all():
+            reach = np.full(len(psi.grid), big)
+        else:
+            reach = psi.grid.metric[:, ~nonempty].min(axis=1)
+        for z in np.flatnonzero(nonempty):
+            radii[(t, int(z))] = float(reach[z])
+    return radii
+
+
+def _witness_radii_loop_reference(radii):
+    """CipWitness's radii validated and normalised one entry at a time,
+    as __post_init__ did before its one array test, kept as its
+    reference."""
+    out = {}
+    for key, r in dict(radii).items():
+        t, z = int(key[0]), int(key[1])
+        r = float(r)
+        if not 0 < r < np.inf:
+            raise DomainError("witness radii must be finite and positive")
+        out[(t, z)] = r
+    return out
+
+
+def _witness_tables():
+    """Nash preference tables (a 4-atom quadratic game on an 11x11 joint
+    grid, with and without a strict margin) and random_cip_instance
+    tables."""
+    g, _, _ = _quadratic_game(np.random.default_rng(9), 11, ((0,), (1,), (2, 3)))
+    prefs = [pref_from_payoff(g, i, margin) for i in range(2) for margin in (0.0, 0.05)]
+    return prefs + [random_cip_instance(np.random.default_rng(s)).psi for s in range(6)]
+
+
+def test_canonical_witness_matches_loop_reference():
+    tables = _witness_tables()
+    partial = [((p.counts > 0).any(axis=1) & (p.counts == 0).any(axis=1)).any() for p in tables]
+    assert all(partial[:4])  # every preference table has an atom with some empty nodes
+    for psi in tables:
+        w = canonical_witness(psi)
+        ref = _canonical_witness_loop_reference(psi)
+        assert list(w.radii.items()) == list(ref.items())  # same order, bit-identical floats
+        assert all(type(t) is int and type(z) is int and type(r) is float
+                   for (t, z), r in w.radii.items())
+        # the radius table is seeded from the one canonical_witness held
+        shape = psi.counts.shape
+        seeded = w.__dict__["_radius_tables"][shape]
+        assert w.radius_table(shape) is seeded and not seeded.flags.writeable
+        fresh = CipWitness.shared(psi.grid, psi, ref).radius_table(shape)
+        assert np.array_equal(seeded, fresh, equal_nan=True)
+
+
+def test_witness_radii_match_entry_loop_reference():
+    for k, psi in enumerate(_witness_tables()):
+        # keys and radii of mixed Python and numpy types
+        radii = {}
+        for n, ((t, z), r) in enumerate(canonical_witness(psi).radii.items()):
+            key = [(np.int64(t), z), (t, np.int32(z)), (t, z)][(n + k) % 3]
+            radii[key] = [np.float64(r), r, max(1, int(r))][(n + k) % 3]
+        w = CipWitness.shared(psi.grid, psi, radii)
+        ref = _witness_radii_loop_reference(radii)
+        assert list(w.radii.items()) == list(ref.items())
+        assert all(type(t) is int and type(z) is int and type(r) is float
+                   for (t, z), r in w.radii.items())
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
+        radii = {(0, 0): 1.0, (0, 1): bad}
+        with pytest.raises(DomainError) as got:
+            CipWitness.shared(psi.grid, psi, radii)
+        with pytest.raises(DomainError) as want:
+            _witness_radii_loop_reference(radii)
+        assert str(got.value) == str(want.value)
 
 
 def test_cip_strict_flag_checks_whole_grid():

@@ -26,15 +26,17 @@ from carasel import (
     interior_point_margin,
     interior_series,
     k_operator,
+    pref_from_payoff,
     usc_check,
 )
 
 import carasel.selection
 from carasel.selection import DEFAULT_MAX_SWEEPS, _atom_block, _barycenters
-from carasel.setops import _pack_segments
-from conftest import line_grid, single_atom
+from carasel.setops import _nearest_in_hulls, _pack_segments, _project_to_intervals
+from conftest import line_grid, same_set, single_atom
 from instances import random_cip_instance
 from test_corr import max_vertex_margin
+from test_equilibria import _quadratic_game
 from test_setops import pack_hulls
 
 
@@ -66,7 +68,7 @@ def test_phi_canonical_witness_reproduces_table():
     assert res.certificate.ok
     assert domain(res.phi) == domain(psi)
     for (t, z) in domain(psi):
-        assert res.phi.value(t, z).same_as(psi.value(t, z))
+        assert same_set(res.phi.value(t, z), psi.value(t, z))
 
 
 def test_phi_shared_local_on_psi_grid_is_reused():
@@ -468,6 +470,106 @@ def test_sweep_matches_per_coordinate_reference(monkeypatch):
             assert np.array_equal(sel.values[key], ref.values[key])
 
 
+@pytest.mark.parametrize("cells", [((0,), (1,), (2,), (3,)), ((0, 2), (1, 3))])
+def test_sweep_matches_per_coordinate_reference_on_preference_tables(cells, monkeypatch):
+    # 1-D own strategies on a 9x9 joint grid, 4 atoms: the R^1 sweep
+    # projects by the closed form onto interval ends taken once per call
+    g, part, _ = _quadratic_game(np.random.default_rng(len(cells)), 9, cells)
+    prefs = [pref_from_payoff(g, i) for i in range(2)]
+    assert {p.dim for p in prefs} == {1} and prefs[0].grid.dim == 2
+    runs = [(p, canonical_witness(p), closed) for p in prefs for closed in (True, False)]
+    selected = [caratheodory_select(p, w, part, closed_valued=closed) for p, w, closed in runs]
+    monkeypatch.setattr(carasel.selection, "_sweep", _sweep_per_coordinate)
+    for (p, w, closed), sel in zip(runs, selected):
+        ref = caratheodory_select(p, w, part, closed_valued=closed)
+        assert sel.values.keys() == ref.values.keys() and len(ref.values) > 0
+        assert all(np.array_equal(sel.values[key], ref.values[key]) for key in ref.values)
+        assert sel.membership_residual == ref.membership_residual
+        assert sel.modulus == ref.modulus
+
+
+def _staggered_blocks(dim):
+    """Two atoms of one hull on a 2-node line grid, each solved from three
+    starts whose gaps (1, 1e-5, 1e-9) shrink by 0.4 per sweep, so the
+    groups freeze at different sweeps: (points, blocks)."""
+    hull = [[0.0], [1.0]] if dim == 1 else [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+    phi = Corr.constant(AtomSpace(("a", "b"), [1.0, 1.0]), line_grid(2), PointSet.of(dim, hull))
+    centre = np.full(dim, 0.25)
+    step = np.eye(dim)[0] / 2
+    blocks = []
+    for t in range(2):
+        segs, edges = _atom_block(phi, t, [0, 1])
+        starts = np.array([[centre - gap * step, centre + gap * step]
+                           for gap in (1.0, 1e-5, 1e-9)]) * (1 + t)
+        blocks.append((t, [0, 1], segs, edges, starts))
+    return phi.points, blocks
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_sweep_groups_freezing_at_different_sweeps_match_reference(dim, monkeypatch):
+    points, blocks = _staggered_blocks(dim)
+    sizes = []
+    name = "_project_to_intervals" if dim == 1 else "convex_project"
+    project = getattr(carasel.selection, name)
+    monkeypatch.setattr(carasel.selection, name,
+                        lambda x, *hulls: sizes.append(len(x)) or project(x, *hulls))
+    for max_sweeps in (1, 3, DEFAULT_MAX_SWEEPS):
+        sizes.clear()
+        solved, residual = carasel.selection._sweep(points, blocks, 1e-9, max_sweeps)
+        assert len(sizes) <= max_sweeps
+        if max_sweeps == DEFAULT_MAX_SWEEPS:
+            # rows leave as their groups freeze: 12, then fewer, at least twice
+            assert sizes[0] == 12 and len(set(sizes)) >= 3 and len(sizes) < max_sweeps
+        ref, ref_residual = _sweep_per_coordinate(points, blocks, 1e-9, max_sweeps)
+        assert all(np.array_equal(x, y) for x, y in zip(solved, ref))
+        assert np.array_equal(residual, ref_residual)
+
+
+def test_one_dimensional_sweep_makes_no_convex_project_call_per_sweep(monkeypatch):
+    g, _, _ = _quadratic_game(np.random.default_rng(5), 9, ((0,), (1,), (2,), (3,)))
+    p = pref_from_payoff(g, 0)
+    blocks = []
+    for t in range(len(p.space)):
+        section = p.t_section(t)
+        segs, edges = _atom_block(p, t, section)
+        blocks.append((t, section, segs, edges, _barycenters(p.points, segs)[None]))
+    calls = []
+    for module in (carasel.selection, carasel.setops):
+        monkeypatch.setattr(module, "convex_project",
+                            lambda *args, m=module.__name__, f=module.convex_project:
+                            calls.append(m) or f(*args))
+    sweeps = []
+    closed_form = carasel.selection._project_to_intervals
+    monkeypatch.setattr(carasel.selection, "_project_to_intervals",
+                        lambda *args: sweeps.append(1) or closed_form(*args))
+    carasel.selection._sweep(p.points, blocks, 1e-7, DEFAULT_MAX_SWEEPS)
+    assert len(sweeps) == DEFAULT_MAX_SWEEPS  # these groups never freeze
+    # the one convex_project call is the final residual's convex_distance
+    assert calls == ["carasel.setops"]
+
+
+def test_interval_closed_form_is_the_kernels_r1_output():
+    # every point against every interval: inside, beyond either end, on
+    # an exact end, and both signs of zero at a zero end
+    xs = [-2.0, -1.0, -0.0, 0.0, 0.25, 1.0, 3.0, 5.0, 6.0]
+    hulls = [[-0.0, 0.0], [0.0, 1.0], [1.0, 0.0, 0.5], [-1.0, -0.0], [-0.0, -0.0], [5.0, 5.0]]
+    pairs = [(x, h) for x in xs for h in hulls]
+    X = np.array([[x] for x, _ in pairs])
+    m = max(len(h) for h in hulls)
+    V = np.array([[[v] for v in h + h[:1] * (m - len(h))] for _, h in pairs])
+    P, d = _nearest_in_hulls(X, V)
+    lo, hi = V[:, :, 0].min(axis=1), V[:, :, 0].max(axis=1)
+    closed = _project_to_intervals(X[:, 0], lo, hi)
+    assert P[:, 0].tobytes() == closed.tobytes()  # bit for bit, the sign of zero too
+    assert d.tobytes() == np.abs(X[:, 0] - closed).tobytes()
+    # the sweep's (rows, 1) layout gives the same bits
+    assert _project_to_intervals(X, V.min(axis=1), V.max(axis=1)).tobytes() == P.tobytes()
+    inside = (lo <= X[:, 0]) & (X[:, 0] <= hi)
+    assert np.array_equal(closed[inside], X[inside, 0])
+    assert np.array_equal(closed[X[:, 0] < lo], lo[X[:, 0] < lo])
+    assert np.array_equal(closed[X[:, 0] > hi], hi[X[:, 0] > hi])
+
+
 def test_caratheodory_select_projects_all_restarts_of_all_atoms_per_sweep(monkeypatch):
     # one convex_project call per sweep for every restart of every atom,
     # where one grid_select per restart made up to max_sweeps calls each
@@ -532,7 +634,7 @@ def test_glue_empty_domain_returns_fallback():
     fallback = Corr.constant(space, grid, PointSet.of(1, [[0.5]]))
     res = glue(psi, sel, fallback)
     for z in range(4):
-        assert res.glued.value(0, z).same_as(fallback.value(0, z))
+        assert same_set(res.glued.value(0, z), fallback.value(0, z))
 
 
 def test_glue_reports_lsc_break_at_boundary():
