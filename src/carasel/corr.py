@@ -10,7 +10,6 @@ operator collecting interiors of the local inclusion witnesses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -506,20 +505,29 @@ def _cell_failures(varying: np.ndarray, part: InfoPartition) -> np.ndarray:
     return np.unique(rows, axis=0)
 
 
+def _outside(key, shape: tuple) -> bool:
+    """key is not a tuple of integer indices inside shape."""
+    return not (isinstance(key, tuple) and len(key) == len(shape) and all(
+        isinstance(i, (int, np.integer)) and 0 <= i < n for i, n in zip(key, shape)))
+
+
 @dataclass(frozen=True)
 class CipWitness:
     """Local-inclusion witness family for a correspondence psi.
 
-    locals maps each node index z to the correspondence F_z; radii maps
-    each (t, z) in the domain of psi to the radius of the open ball
-    around node z inside which F_z must include into psi.  mode selects
-    which strong-variant conditions scip_verify tests; box (lo, hi) is
-    the compact bounding box required by the indexed mode.
+    locals maps each node index z in [0, nodes) to the correspondence
+    F_z, all of one (atoms, nodes) shape.  radii is a read-only table of
+    that shape: at (t, z) the radius of the open ball around node z inside
+    which F_z must include into psi, NaN where none is given.  It is built
+    from a {(t, z): r} mapping of indices inside the table, or given as
+    such a table; every radius given must be finite and positive.  mode
+    selects which strong-variant conditions scip_verify tests; box (lo,
+    hi), of the locals' dim, is the compact bounding box of indexed mode.
     """
 
     mode: str
     locals: dict
-    radii: dict
+    radii: np.ndarray
     box: tuple | None = None
 
     def __post_init__(self):
@@ -528,29 +536,48 @@ class CipWitness:
         locs = dict(self.locals)
         if not locs:
             raise DomainError("a witness needs at least one local correspondence")
-        if self.mode == "shared":
-            first = next(iter(locs.values()))
-            if any(f is not first for f in locs.values()):
-                raise DomainError("shared mode requires one common local correspondence")
-        radii = dict(self.radii)
-        r = np.fromiter(radii.values(), float, len(radii))
+        first = next(iter(locs.values()))
+        if self.mode == "shared" and any(f is not first for f in locs.values()):
+            raise DomainError("shared mode requires one common local correspondence")
+        shape = first.counts.shape
+        if any(f.counts.shape != shape for f in locs.values()):
+            raise DomainError("witness locals must share one (atoms, nodes) shape")
+        for z in locs:
+            if _outside((z,), shape[1:]):
+                raise DomainError(f"witness local key {z!r} is not a node index in [0, {shape[1]})")
+        table = self.radii
+        if isinstance(table, np.ndarray):
+            if table.shape != shape:
+                raise DomainError(f"witness radius table must have the locals' shape {shape}")
+            table = table.astype(float, copy=table.flags.writeable)  # keep a frozen input
+            r = table[~np.isnan(table)]
+        else:
+            radii = dict(table)
+            for key in radii:
+                if _outside(key, shape):
+                    raise DomainError(f"witness radius key {key!r} is not an (atom, node) index "
+                                      f"pair inside the {shape[0]} x {shape[1]} table")
+            r = np.fromiter(radii.values(), float, len(radii))
+            table = np.full(shape, np.nan)
+            table[tuple(np.array(list(radii), dtype=int).reshape(-1, 2).T)] = r
         if not ((0 < r) & (r < np.inf)).all():
             raise DomainError("witness radii must be finite and positive")
-        keys = np.fromiter(chain.from_iterable(radii), int).reshape(len(radii), 2)
-        radii = dict(zip(zip(*keys.T.tolist()), r.tolist()))
+        table.flags.writeable = False
         box = self.box
         if box is not None:
             lo = np.asarray(box[0], dtype=float).reshape(-1)
             hi = np.asarray(box[1], dtype=float).reshape(-1)
             if lo.shape != hi.shape or np.any(lo > hi):
                 raise DomainError("box must be (lo, hi) with lo <= hi")
+            if len(lo) != first.dim:
+                raise DomainError(f"box has dim {len(lo)}, the locals have dim {first.dim}")
             box = (lo, hi)
         object.__setattr__(self, "locals", locs)
-        object.__setattr__(self, "radii", radii)
+        object.__setattr__(self, "radii", table)
         object.__setattr__(self, "box", box)
 
     @classmethod
-    def shared(cls, grid: GridSpace, f: Corr, radii: dict, box=None) -> "CipWitness":
+    def shared(cls, grid: GridSpace, f: Corr, radii, box=None) -> "CipWitness":
         return cls("shared", {z: f for z in range(len(grid))}, radii, box)
 
     def local(self, z: int) -> Corr:
@@ -560,25 +587,10 @@ class CipWitness:
             raise DomainError(f"witness has no local correspondence at node {z}") from None
 
     def radius(self, t: int, z: int) -> float:
-        try:
-            return self.radii[(t, z)]
-        except KeyError:
-            raise DomainError(f"witness has no radius at (t={t}, z={z})") from None
-
-    def radius_table(self, shape: tuple[int, int]) -> np.ndarray:
-        """The radii as a read-only (atoms, nodes) table of the given
-        shape, NaN where absent (keys outside it are left out).  Cached
-        per shape."""
-        cache = self.__dict__.setdefault("_radius_tables", {})
-        if shape not in cache:
-            table = np.full(shape, np.nan)
-            keys = np.array(list(self.radii), dtype=int).reshape(-1, 2)
-            inside = ((keys >= 0) & (keys < shape)).all(axis=1)
-            table[tuple(keys[inside].T)] = np.fromiter(self.radii.values(), float,
-                                                       len(keys))[inside]
-            table.flags.writeable = False
-            cache[shape] = table
-        return cache[shape]
+        r = np.nan if _outside((t, z), self.radii.shape) else float(self.radii[t, z])
+        if np.isnan(r):
+            raise DomainError(f"witness has no radius at (t={t}, z={z})")
+        return r
 
     def distinct_locals(self) -> list:
         """(local, sorted node indices sharing it), grouped by identity;
@@ -589,20 +601,16 @@ class CipWitness:
         return [(f, sorted(zs)) for f, zs in groups.values()]
 
 
-def _section_radii(psi: Corr, w: CipWitness, t: int, zs: np.ndarray) -> np.ndarray:
-    """w's radius at (t, z) for each node z of zs where psi(t, z) is
-    nonempty, -inf at the others; raises for the first such node
-    without a radius."""
-    radius = np.where(psi.counts[t, zs] > 0, w.radius_table(psi.counts.shape)[t, zs], -np.inf)
-    for z in zs[np.isnan(radius)][:1]:
-        w.radius(t, int(z))  # raises: no radius there
-    return radius
-
-
-def capture_matrix(psi: Corr, w: CipWitness, t: int) -> np.ndarray:
-    """Boolean matrix M[x, z]: witness node z has a nonempty value of psi
-    at atom t and its ball reaches x."""
-    return psi.grid.metric < _section_radii(psi, w, t, np.arange(len(psi.grid)))[None, :]
+def capture_matrix(psi: Corr, w: CipWitness) -> np.ndarray:
+    """Boolean (atoms, nodes, nodes) stack M[t, x, z]: witness node z has
+    a nonempty value of psi at atom t and its ball reaches x.  Raises for
+    the first (t, z) of psi's section without a radius."""
+    if w.radii.shape != psi.counts.shape:
+        raise DomainError("witness locals must live on psi's atoms and grid")
+    radii = np.where(psi.counts > 0, w.radii, -np.inf)
+    for t, z in np.argwhere(np.isnan(radii))[:1].tolist():
+        w.radius(t, z)  # raises: no radius there
+    return psi.grid.metric < radii[:, None, :]
 
 
 def canonical_witness(psi: Corr) -> CipWitness:
@@ -616,12 +624,8 @@ def canonical_witness(psi: Corr) -> CipWitness:
     for t in np.flatnonzero(~nonempty.all(axis=1)):
         reach[t] = psi.grid.metric[:, ~nonempty[t]].min(axis=1)
     reach[~nonempty] = np.nan
-    t, z = np.nonzero(nonempty)
-    w = CipWitness.shared(psi.grid, psi, dict(zip(zip(t.tolist(), z.tolist()),
-                                                   reach[t, z].tolist())))
     reach.flags.writeable = False
-    w.__dict__["_radius_tables"] = {reach.shape: reach}  # what radius_table would build
-    return w
+    return CipWitness.shared(psi.grid, psi, reach)
 
 
 @dataclass
@@ -670,16 +674,14 @@ def cip_verify(
     atom count.
 
     Array passes per (local, atom): the witness nodes' balls form one
-    boolean matrix ball[x, z] = d(x, z) < r(t, z) (what capture_matrix
-    computes; no ball off psi's section), and the nonempty, inclusion
-    and l.s.c. failures of every node, the worst residual and each
-    ball's share of the pairs that lose a value point at eps all come
-    from it.  Only the witness nodes that fail are visited one by one,
+    boolean matrix ball[x, z] = d(x, z) < r(t, z) (the local's columns of
+    capture_matrix; no ball off psi's section), and the nonempty,
+    inclusion and l.s.c. failures of every node, the worst residual and
+    each ball's share of the pairs that lose a value point at eps all
+    come from it.  Only the witness nodes that fail are visited one by one,
     in node order, to list their failures.
     """
     report = CipReport(True, eps=eps)
-    n_nodes = len(psi.grid)
-    metric = psi.grid.metric
     pi, pj = psi.grid.directed_pair_arrays()
     groups = w.distinct_locals()
     for f, _ in groups:
@@ -687,10 +689,9 @@ def cip_verify(
             raise DomainError("witness locals must live on psi's grid")
         if len(f.space) != len(psi.space):
             raise DomainError("witness locals must live on psi's atoms")
+    caps = capture_matrix(psi, w)
     for f, zs in groups:
         zs = np.array(zs)
-        whole = len(zs) == n_nodes and np.array_equal(zs, np.arange(n_nodes))
-        dists = metric if whole else metric[:, zs]
         for t in range(len(psi.space)):
             gaps = f.directed_gaps(t)
             finite = ~np.isnan(gaps)
@@ -699,7 +700,7 @@ def cip_verify(
             lost = np.nonzero(finite & (gaps >= eps))[0]
             empty = f.counts[t] == 0
             on = psi.counts[t, zs] > 0
-            ball = dists < _section_radii(psi, w, t, zs)
+            ball = caps[t][:, zs]
             unfilled = ball & empty[:, None]
             usable = ball & ~empty[:, None]
             escapes = np.zeros_like(ball)
@@ -781,7 +782,7 @@ def scip_verify(
     elif w.mode == "countable":
         # finiteness of the tables is automatic; the ball-membership
         # indicator {(t,x): x in O_z^t} must be cell-constant in t
-        caps = np.array([capture_matrix(psi, w, t) for t in range(len(psi.space))])
+        caps = capture_matrix(psi, w)
         for z, x, c in _cell_failures(caps != caps[part.head], part).tolist():
             report.failures.append(("ball-measurability", part.cells[c][0], z, x,
                                     "ball indicator not cell-constant"))
@@ -792,7 +793,7 @@ def scip_verify(
             report.failures.append(("domain-measurability", part.cells[c][0], z, -1,
                                     "nonemptiness not cell-constant"))
         # the capture-index map must have cell-constant (finite) values
-        caps = np.array([capture_matrix(psi, w, t) for t in range(len(psi.space))])
+        caps = capture_matrix(psi, w)
         for x, t in _atom_failures((caps != caps[part.head]).any(axis=2), part):
             report.failures.append(
                 ("index-measurability", t, -1, x, "capture set not cell-constant")
@@ -846,10 +847,10 @@ def pool_captured(psi: Corr, w: CipWitness, interior: bool = False) -> Corr:
     once per distinct segment.  One local (every shared witness) keeps
     that table; several are pooled cell by cell."""
     groups = w.distinct_locals()
-    captures = [capture_matrix(psi, w, t) for t in range(len(psi.space))]
+    captures = capture_matrix(psi, w)
     parts = []
     for f, zs in groups:
-        on = np.array([c[:, zs].any(axis=1) for c in captures]) & (f.counts > 0)
+        on = captures[..., zs].any(axis=2) & (f.counts > 0)
         parts.append(_captured_part(f, on, interior))
     if len(groups) > 1:
         def pooled(t, x):

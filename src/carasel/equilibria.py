@@ -24,7 +24,6 @@ from .corr import (
     canonical_witness,
     cell_varying,
     cip_verify,
-    domain,
 )
 from .errors import ConstructionError, DomainError, NoCertificateError, PreconditionError
 from .measure import AtomSpace, InfoPartition, Prior, conditional_density
@@ -80,8 +79,7 @@ def random_fixed_point(
     """
     if part is None:
         part = InfoPartition.finest(psi.space)
-    full = {(t, z) for t in range(len(psi.space)) for z in range(len(psi.grid))}
-    if domain(psi) != frozenset(full):
+    if not psi.counts.all():
         raise PreconditionError("the correspondence must be nonempty-valued everywhere")
     select_opts.setdefault("closed_valued", True)
     sel = caratheodory_select(psi, w, part, **select_opts)

@@ -62,7 +62,7 @@ def _vector(v) -> list:
 def _selection_records(space, sel) -> list:
     return [
         {"atom": space.atoms[t], "node": z, "value": _vector(sel.values[(t, z)])}
-        for (t, z) in sorted(sel.domain)
+        for (t, z) in sorted(sel.values)
     ]
 
 

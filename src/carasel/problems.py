@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corr import CipWitness, Corr, GridSpace, canonical_witness, domain
+from .corr import CipWitness, Corr, GridSpace, canonical_witness
 from .equilibria import BayesSpec, GameSpec
 from .errors import DomainError, ParseError
 from .measure import AtomSpace, InfoPartition, Prior
@@ -204,21 +204,24 @@ def build_witness(doc: dict, psi: Corr) -> CipWitness:
                 if default is None:
                     raise ParseError(f"witness locals missing node {z} and no default")
                 locs[z] = default
-    radii_sec = sec.get("radii", {})
-    radii: dict[tuple[int, int], float] = {}
-    default_r = radii_sec.get("default")
-    for rec in radii_sec.get("entries", []):
-        radii[(psi.space.index_of(rec["atom"]), int(rec["node"]))] = float(rec["r"])
-    for (t, z) in domain(psi):
-        if (t, z) not in radii:
-            if default_r is None:
-                raise ParseError(f"witness radius missing at atom {t}, node {z}")
-            radii[(t, z)] = float(default_r)
     box = None
     if "box" in sec:
         box = (np.asarray(sec["box"]["lo"], dtype=float),
                np.asarray(sec["box"]["hi"], dtype=float))
-    return CipWitness(mode, locs, radii, box)
+    radii_sec = sec.get("radii", {})
+    w = CipWitness(mode, locs, {(psi.space.index_of(rec["atom"]), rec["node"]): float(rec["r"])
+                                for rec in radii_sec.get("entries", [])}, box)
+    missing = (psi.counts > 0) & np.isnan(w.radii)
+    if not missing.any():
+        return w
+    default_r = radii_sec.get("default")
+    if default_r is None:
+        t, z = np.argwhere(missing)[0]
+        raise ParseError(f"witness radius missing at atom {t}, node {z}")
+    default_r = float(default_r)
+    if np.isnan(default_r):  # would read as no radius in the table
+        raise DomainError("witness radii must be finite and positive")
+    return CipWitness(mode, locs, np.where(missing, default_r, w.radii), box)
 
 
 def _payoff_from_spec(spec: dict, space: AtomSpace, grids, i: int, own_slice):

@@ -20,7 +20,6 @@ from .corr import (
     _residual_row,
     _segments,
     cell_varying,
-    domain,
     k_operator,
     lsc_check,
     pool_captured,
@@ -49,10 +48,10 @@ _RELAXATION = 0.7
 @dataclass(frozen=True)
 class Selection:
     """A single-valued certified selection on the domain of a
-    correspondence: values per (atom, node), a per-adjacent-pair Lipschitz
-    modulus, the worst membership residual, and the executed checks."""
+    correspondence psi: values maps exactly the (t, z) with psi(t, z)
+    nonempty to a point; also a per-adjacent-pair Lipschitz modulus, the
+    worst membership residual, and the executed checks."""
 
-    domain: frozenset
     values: dict
     modulus: float
     membership_residual: float
@@ -349,7 +348,6 @@ def caratheodory_select(
     weights = _halving_weights(restarts, k_max)
     phi_res = construct_phi(psi, w, part, eps=eps, atomic=atomic)
     phi = phi_res.phi
-    u_psi = domain(psi)
 
     rng = np.random.default_rng(seed)
     atom_seeds = rng.integers(0, 2 ** 31 - 1, size=len(psi.space))
@@ -399,12 +397,11 @@ def caratheodory_select(
             f"residual {worst:.3e} > tol {tol:g}"
         )
 
-    t, z = np.nonzero(phi.counts > 0)  # the selected cells
     values = dict(zip(zip(t.tolist(), z.tolist()), table[t, z]))
     if _inputs_cell_constant(psi, w, part):
         # the inputs fix each cell's presence pattern, so every selected
-        # point has one at its cell head to compare with
-        diff = table[t, z] - table[part.head[t], z]
+        # point has one at its cell head to compare with (0 - 0 elsewhere)
+        diff = table - table[part.head]
         gap = float(np.sqrt(np.vecdot(diff, diff)).max(initial=0.0))
         checks.add("selection-measurability", gap, SET_EQUALITY_TOL,
                    "cell-wise constant selection under cell-wise constant inputs")
@@ -412,7 +409,7 @@ def caratheodory_select(
         checks.add("selection-measurability", 0.0, 0.0,
                    "trivially measurable (finest partition)")
 
-    return Selection(u_psi, values, modulus, worst, checks)
+    return Selection(values, modulus, worst, checks)
 
 
 def _inputs_cell_constant(psi: Corr, w: CipWitness, part: InfoPartition) -> bool:
@@ -420,8 +417,7 @@ def _inputs_cell_constant(psi: Corr, w: CipWitness, part: InfoPartition) -> bool
     constant on every cell of a coarser than finest partition."""
     if part.is_finest:
         return False
-    radii = w.radius_table(psi.counts.shape)
-    return (np.array_equal(radii, radii[part.head], equal_nan=True)
+    return (np.array_equal(w.radii, w.radii[part.head], equal_nan=True)
             and not any(cell_varying(f, part).any()
                         for f in [psi] + [f for f, _ in w.distinct_locals()]))
 
@@ -438,24 +434,24 @@ def glue(
     fallback (together with the selection, for measurability) passes a
     semicontinuity or cell-constancy check, the glued table must pass it
     too."""
-    if sel.domain != domain(psi):
+    on = psi.counts > 0
+    t, z = np.nonzero(on)
+    single = [sel.values.get(key) for key in zip(t.tolist(), z.tolist())]
+    if len(sel.values) != len(single) or any(v is None for v in single):
         raise DomainError("selection domain differs from the correspondence domain")
     if eps is None:
         eps = psi.grid.adjacency_radius
     if part is None:
         part = InfoPartition.finest(psi.space)
-    on = psi.counts > 0
     off = np.argwhere(~on & (fallback.counts == 0))
     if len(off):
         t, z = off[0]
         raise DomainError(f"fallback is empty off the domain at (t={t}, z={z})")
     # one singleton row per domain cell, in (t, z) order, after the fallback's points
     bounds = np.array(fallback.bounds)
-    bounds[on] = len(fallback.points) + _segments(np.ones(np.count_nonzero(on), dtype=int))
-    t, z = np.nonzero(on)
-    single = np.reshape(list(map(sel.values.__getitem__, zip(t.tolist(), z.tolist()))),
-                        (-1, psi.dim))
-    glued = Corr(psi.space, psi.grid, psi.dim, np.concatenate([fallback.points, single]), bounds)
+    bounds[on] = len(fallback.points) + _segments(np.ones(len(single), dtype=int))
+    glued = Corr(psi.space, psi.grid, psi.dim,
+                 np.concatenate([fallback.points, np.reshape(single, (-1, psi.dim))]), bounds)
 
     checks = CheckSet()
     for name, check, sc in (("glue-usc-preserved", usc_check, "u.s.c."),

@@ -175,8 +175,8 @@ def test_c4_selection_validity(cip_pool):
     for inst in cip_pool:
         sel = caratheodory_select(inst.psi, inst.witness, inst.part,
                                   closed_valued=True, tol=1e-7, eps=inst.eps)
-        all_ok &= np.isfinite(sel.modulus)
-        for (t, z) in sel.domain:
+        all_ok &= np.isfinite(sel.modulus) and set(sel.values) == domain(inst.psi)
+        for (t, z) in sel.values:
             hull = ConvexSet.from_point_set(inst.psi.value(t, z))
             all_ok &= convex_distance(sel.value(t, z), hull) <= 1e-7
 

@@ -147,6 +147,63 @@ def test_nan_witness_radius_exit_2(tmp_path, capsys):
     assert not (tmp_path / "nan-radius.cert.json").exists()
 
 
+def _malformed_witness(edit) -> dict:
+    """example-3-2 with its witness section edited in place, verified in
+    the witness's own mode."""
+    doc = json.loads((DOCS / "example-3-2.json").read_text())
+    edit(doc["witness"], doc["witness"]["locals"]["shared"])
+    doc["options"]["mode"] = doc["witness"]["mode"]
+    return doc
+
+
+def _extra_radius(node):
+    def edit(w, shared):
+        w["radii"]["entries"] = [{"atom": "t1", "node": node, "r": 1.0}]
+    return edit
+
+
+def _countable_local(key):
+    def edit(w, shared):
+        w["mode"] = "countable"
+        w["locals"] = {key: shared, "default": shared}
+    return edit
+
+
+def _indexed_box(dim):
+    def edit(w, shared):
+        w["mode"] = "indexed"
+        w["locals"] = {"default": shared}
+        w["box"] = {"lo": [-1.0] * dim, "hi": [1.0] * dim}
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_extra_radius(999), "witness radius key (0, 999) is not an (atom, node) index pair"),
+    (_extra_radius(-3), "witness radius key (0, -3) is not an (atom, node) index pair"),
+    (_extra_radius(2.5), "witness radius key (0, 2.5) is not an (atom, node) index pair"),
+    (_countable_local("99"), "witness local key 99 is not a node index in [0, 21)"),
+    (_countable_local("-1"), "witness local key -1 is not a node index in [0, 21)"),
+    (_indexed_box(3), "box has dim 3, the locals have dim 1"),
+], ids=["radius-node-999", "radius-node-minus-3", "radius-node-2.5", "local-99", "local-minus-1",
+        "box-3d"])
+def test_malformed_witness_exit_2(tmp_path, capsys, edit, message):
+    # each of these used to certify ok or end in a traceback
+    p = tmp_path / "bad-witness.json"
+    p.write_text(json.dumps(_malformed_witness(edit)))
+    assert main(["run", str(p)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "bad-witness.cert.json").exists()
+
+
+def test_valid_witness_variants_still_certify(tmp_path):
+    for name, edit in (("radius", _extra_radius(20)), ("local", _countable_local("20")),
+                       ("box", _indexed_box(1))):
+        p = tmp_path / f"{name}.json"
+        p.write_text(json.dumps(_malformed_witness(edit)))
+        assert main(["run", str(p)]) == 0
+        assert json.loads((tmp_path / f"{name}.cert.json").read_text())["status"] == "ok"
+
+
 def test_failed_checks_exit_1(tmp_path):
     # cip-check on the jump table with the table as its own witness:
     # the l.s.c. check fails, the certificate records it

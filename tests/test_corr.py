@@ -2,6 +2,7 @@
 measurability, inclusion-property verification, the interior-union and
 hull-union operators."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -15,6 +16,7 @@ from carasel import (
     InfoPartition,
     PointSet,
     canonical_witness,
+    caratheodory_select,
     cip_verify,
     construct_phi,
     domain,
@@ -170,31 +172,48 @@ def test_witness_radii_must_be_finite_and_positive(jump, bad):
     space, grid, psi, w = jump
     f = w.locals[0]
     with pytest.raises(DomainError, match="radii must be finite and positive"):
-        CipWitness.shared(grid, f, {**w.radii, (0, 0): bad})
+        CipWitness.shared(grid, f, {**dict(np.ndenumerate(w.radii)), (0, 0): bad})
+    # in a table NaN means no radius; every other entry is checked the same way
+    table = np.array(w.radii)
+    table[0, 0] = bad
+    if np.isnan(bad):
+        assert np.isnan(CipWitness.shared(grid, f, table).radii[0, 0])
+    else:
+        with pytest.raises(DomainError, match="radii must be finite and positive"):
+            CipWitness.shared(grid, f, table)
 
 
 def test_missing_radius_raises_for_the_first_section_cell():
     """cip_verify and capture_matrix read the radii from one table, NaN
     where absent, and name the first (t, z) of psi's section without a
-    radius; a radius off the section or outside the table is never read."""
+    radius; a radius off the section is never read, and a key outside
+    the table is rejected."""
     space = AtomSpace(("a", "b"), [0.5, 0.5])
     grid = line_grid(6)
     psi = Corr.from_function(space, grid, 1, lambda t, z: PointSet.empty(1) if (t, z) == (1, 0)
                              else PointSet.of(1, [[0.0]]))
     w = canonical_witness(psi)
-    radii = {key: r for key, r in w.radii.items() if key not in ((1, 4), (1, 2))}
-    radii.update({(1, 0): 9.0, (2, 0): 1.0, (0, 6): 1.0, (-1, 0): 1.0})
+    radii = {key: r for key, r in np.ndenumerate(w.radii)
+             if not np.isnan(r) and key not in ((1, 4), (1, 2))}
+    radii[(1, 0)] = 9.0
+    for key in ((2, 0), (0, 6), (-1, 0), (0, -1)):
+        with pytest.raises(DomainError, match=r"key \(.*\) is not an \(atom, node\) index pair"):
+            CipWitness.shared(grid, psi, {**radii, key: 1.0})
     gapped = CipWitness.shared(grid, psi, radii)
-    table = gapped.radius_table(psi.counts.shape)
+    table = gapped.radii
     assert np.argwhere(np.isnan(table)).tolist() == [[1, 2], [1, 4]]
     assert table[1, 0] == 9.0 and not table.flags.writeable
     with pytest.raises(DomainError, match=r"no radius at \(t=1, z=2\)"):
         cip_verify(psi, gapped, eps=1.0)
     with pytest.raises(DomainError, match=r"no radius at \(t=1, z=2\)"):
-        capture_matrix(psi, gapped, 1)
-    assert np.array_equal(capture_matrix(psi, gapped, 0), capture_matrix(psi, w, 0))
-    off_section = CipWitness.shared(grid, psi, {**w.radii, (1, 0): 9.0})
-    assert not capture_matrix(psi, off_section, 1)[:, 0].any()
+        capture_matrix(psi, gapped)
+    assert np.array_equal(table[0], w.radii[0])
+    off_section = np.array(w.radii)
+    off_section[1, 0] = 9.0
+    off_section = CipWitness.shared(grid, psi, off_section)
+    caps = capture_matrix(psi, off_section)
+    assert not caps[1, :, 0].any()
+    assert np.array_equal(caps, capture_matrix(psi, w))
 
 
 def test_cip_planted_violation_names_node(jump):
@@ -249,12 +268,23 @@ def test_canonical_witness_radii_match_generator_reference():
         lambda t, z: PointSet.empty(1) if empty[t, z] else PointSet.of(1, [[float(z)]]),
     )
     radii = canonical_witness(psi).radii
-    want = _canonical_radii_reference(psi)
-    assert radii == want  # same keys, bit-identical floats
-    assert all(type(r) is float for r in radii.values())
+    want = _radius_table(_canonical_radii_reference(psi), psi.counts.shape)
+    assert radii.dtype == float
+    assert np.array_equal(radii, want, equal_nan=True)  # same cells, bit-identical floats
     for inst_seed in range(3):
         inst = random_cip_instance(np.random.default_rng(inst_seed))
-        assert canonical_witness(inst.psi).radii == _canonical_radii_reference(inst.psi)
+        assert np.array_equal(canonical_witness(inst.psi).radii,
+                              _radius_table(_canonical_radii_reference(inst.psi),
+                                            inst.psi.counts.shape), equal_nan=True)
+
+
+def _radius_table(radii, shape):
+    """A {(t, z): r} mapping as an (atoms, nodes) table filled one entry
+    at a time, NaN where absent."""
+    table = np.full(shape, np.nan)
+    for (t, z), r in radii.items():
+        table[t, z] = r
+    return table
 
 
 def _canonical_witness_loop_reference(psi):
@@ -304,29 +334,27 @@ def test_canonical_witness_matches_loop_reference():
     for psi in tables:
         w = canonical_witness(psi)
         ref = _canonical_witness_loop_reference(psi)
-        assert list(w.radii.items()) == list(ref.items())  # same order, bit-identical floats
-        assert all(type(t) is int and type(z) is int and type(r) is float
-                   for (t, z), r in w.radii.items())
-        # the radius table is seeded from the one canonical_witness held
-        shape = psi.counts.shape
-        seeded = w.__dict__["_radius_tables"][shape]
-        assert w.radius_table(shape) is seeded and not seeded.flags.writeable
-        fresh = CipWitness.shared(psi.grid, psi, ref).radius_table(shape)
-        assert np.array_equal(seeded, fresh, equal_nan=True)
+        want = _radius_table(ref, psi.counts.shape)
+        assert np.array_equal(w.radii, want, equal_nan=True)  # bit-identical floats
+        assert w.radii.dtype == float and not w.radii.flags.writeable
+        # the same radii given as the mapping build the same table
+        assert np.array_equal(CipWitness.shared(psi.grid, psi, ref).radii, w.radii,
+                              equal_nan=True)
 
 
 def test_witness_radii_match_entry_loop_reference():
     for k, psi in enumerate(_witness_tables()):
         # keys and radii of mixed Python and numpy types
         radii = {}
-        for n, ((t, z), r) in enumerate(canonical_witness(psi).radii.items()):
+        table = canonical_witness(psi).radii
+        for n, (t, z) in enumerate(np.argwhere(~np.isnan(table)).tolist()):
+            r = float(table[t, z])
             key = [(np.int64(t), z), (t, np.int32(z)), (t, z)][(n + k) % 3]
             radii[key] = [np.float64(r), r, max(1, int(r))][(n + k) % 3]
         w = CipWitness.shared(psi.grid, psi, radii)
         ref = _witness_radii_loop_reference(radii)
-        assert list(w.radii.items()) == list(ref.items())
-        assert all(type(t) is int and type(z) is int and type(r) is float
-                   for (t, z), r in w.radii.items())
+        assert np.array_equal(w.radii, _radius_table(ref, psi.counts.shape), equal_nan=True)
+        assert w.radii.dtype == float and not w.radii.flags.writeable
     for bad in (0.0, -1.0, float("nan"), float("inf")):
         radii = {(0, 0): 1.0, (0, 1): bad}
         with pytest.raises(DomainError) as got:
@@ -334,6 +362,81 @@ def test_witness_radii_match_entry_loop_reference():
         with pytest.raises(DomainError) as want:
             _witness_radii_loop_reference(radii)
         assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("key", [(0, 21), (0, 999), (0, -3), (4, 0), (-1, 0), (0, 2.5),
+                                 (0.5, 1), ("0", 1), (0,), (0, 1, 2), 3])
+def test_witness_rejects_radius_keys_off_the_table(jump, key):
+    # before, an out-of-range key was dropped and a negative one would
+    # have written a real cell of the table
+    space, grid, psi, w = jump
+    radii = {**dict(np.ndenumerate(w.radii)), key: 1.0}
+    with pytest.raises(DomainError, match=re.escape(f"witness radius key {key!r} is not an "
+                                                    "(atom, node) index pair inside the 4 x 21")):
+        CipWitness.shared(grid, w.locals[0], radii)
+
+
+def test_witness_radius_table_must_have_the_locals_shape(jump):
+    space, grid, psi, w = jump
+    with pytest.raises(DomainError, match=r"locals' shape \(4, 21\)"):
+        CipWitness.shared(grid, w.locals[0], np.ones((4, 20)))
+    assert w.radius(3, 20) == 2.5
+    for t, z in ((4, 0), (0, 21), (-1, 0)):
+        with pytest.raises(DomainError, match=re.escape(f"no radius at (t={t}, z={z})")):
+            w.radius(t, z)
+
+
+@pytest.mark.parametrize("key", [21, 99, -1, 2.5, "3", None])
+def test_witness_rejects_local_keys_off_the_grid(jump, key):
+    space, grid, psi, w = jump
+    f = w.locals[0]
+    with pytest.raises(DomainError, match=re.escape(f"witness local key {key!r} is not a node "
+                                                    "index in [0, 21)")):
+        CipWitness("countable", {**{z: f for z in range(21)}, key: f}, w.radii)
+
+
+def test_witness_locals_share_one_shape(jump):
+    space, grid, psi, w = jump
+    f = w.locals[0]
+    fewer_atoms = Corr.constant(AtomSpace(("a",), [1.0]), grid, PointSet.of(1, [[0.0]]))
+    fewer_nodes = Corr.constant(space, line_grid(20), PointSet.of(1, [[0.0]]))
+    for other in (fewer_atoms, fewer_nodes):
+        with pytest.raises(DomainError, match=r"share one \(atoms, nodes\) shape"):
+            CipWitness("countable", {**{z: f for z in range(20)}, 20: other}, w.radii)
+
+
+@pytest.mark.parametrize("dim", [0, 2, 3])
+def test_indexed_box_must_have_the_locals_dim(jump, dim):
+    # a 3-d box used to broadcast against the 1-d values and certify
+    space, grid, psi, w = jump
+    locs = dict(w.locals)
+    with pytest.raises(DomainError, match=f"box has dim {dim}, the locals have dim 1"):
+        CipWitness("indexed", locs, w.radii, box=([-1.0] * dim, [1.0] * dim))
+    assert CipWitness("indexed", locs, w.radii, box=([-1.0], [1.0])).box[0].shape == (1,)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_mapping_and_table_witnesses_agree(seed):
+    """A witness given its radii as a {(t, z): r} mapping and one given the
+    same radii as a table hold equal tables and give identical
+    cip_verify and caratheodory_select output."""
+    inst = random_cip_instance(np.random.default_rng(seed))
+    w = inst.witness
+    mapping = {(t, z): r for (t, z), r in np.ndenumerate(w.radii) if not np.isnan(r)}
+    table = _radius_table(mapping, w.radii.shape)
+    a = CipWitness(w.mode, w.locals, mapping, w.box)
+    b = CipWitness(w.mode, w.locals, table, w.box)
+    assert np.array_equal(a.radii, b.radii, equal_nan=True)
+    assert np.array_equal(a.radii, table, equal_nan=True)
+    ra, rb = (cip_verify(inst.psi, x, eps=inst.eps) for x in (a, b))
+    assert (ra.ok, ra.failures, ra.inclusion_residual, ra.lsc_gap) == \
+        (rb.ok, rb.failures, rb.inclusion_residual, rb.lsc_gap)
+    sa, sb = (caratheodory_select(inst.psi, x, inst.part, eps=inst.eps, restarts=3, seed=seed)
+              for x in (a, b))
+    assert list(sa.values) == list(sb.values)
+    assert all(np.array_equal(sa.values[key], sb.values[key]) for key in sa.values)
+    assert (sa.modulus, sa.membership_residual, sa.checks.checks) == \
+        (sb.modulus, sb.membership_residual, sb.checks.checks)
 
 
 def test_cip_strict_flag_checks_whole_grid():
@@ -508,9 +611,25 @@ def test_cip_rejects_a_local_with_fewer_atoms():
     space = AtomSpace(("a", "b"), [1.0, 1.0])
     psi = Corr.constant(space, grid, PointSet.of(1, [[0.5]]))
     f = Corr.constant(AtomSpace(("a",), [1.0]), grid, PointSet.of(1, [[0.5]]))
-    witness = CipWitness.shared(grid, f, {(t, z): 0.3 for t in range(2) for z in range(5)})
+    # radii for psi's two atoms do not fit the local's one-atom table
+    with pytest.raises(DomainError, match=r"key \(1, 0\) is not an \(atom, node\) index pair"):
+        CipWitness.shared(grid, f, {(t, z): 0.3 for t in range(2) for z in range(5)})
+    witness = CipWitness.shared(grid, f, {(0, z): 0.3 for z in range(5)})
     with pytest.raises(DomainError, match="atoms"):
         cip_verify(psi, witness, eps=0.5)
+
+
+def test_ball_tables_reject_a_witness_of_another_shape():
+    # the witness is valid on its own one-atom table, not on psi's two atoms
+    grid = line_grid(5)
+    space = AtomSpace(("a", "b"), [1.0, 1.0])
+    psi = Corr.constant(space, grid, PointSet.of(1, [[0.5]]))
+    f = Corr.constant(AtomSpace(("a",), [1.0]), grid, PointSet.of(1, [[0.5]]))
+    w = CipWitness("countable", {z: f for z in range(5)}, {(0, z): 0.3 for z in range(5)})
+    for call in (capture_matrix, k_operator,
+                 lambda psi, w: construct_phi(psi, w, InfoPartition.finest(space))):
+        with pytest.raises(DomainError, match="witness locals must live on psi's atoms and grid"):
+            call(psi, w)
 
 
 def test_scip_shared_mode_jump(jump):
@@ -694,7 +813,7 @@ def _pool_reference(psi, w, take=None):
     groups = w.distinct_locals()
     rows = []
     for t in range(len(psi.space)):
-        captures = capture_matrix(psi, w, t)
+        captures = capture_matrix(psi, w)[t]
         active = [captures[:, zs].any(axis=1) for (_, zs) in groups]
         row = []
         for x in range(len(psi.grid)):
@@ -1178,7 +1297,7 @@ def _segment_pool_reference(psi, w, take=None):
     locals' cached segment margins: take applied once per distinct
     active segment of one local, and per cell when pooling several."""
     groups = w.distinct_locals()
-    captures = [capture_matrix(psi, w, t) for t in range(len(psi.space))]
+    captures = capture_matrix(psi, w)
     active = np.array([[c[:, zs].any(axis=1) for c in captures] for _, zs in groups])
     if len(groups) > 1:
         def pooled(t, x):

@@ -1,6 +1,8 @@
 """Fixed points, preference tables, equilibrium and maximal-element
 certificates, conditional-expectation payoffs."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -25,11 +27,20 @@ from carasel import (
     random_fixed_point,
     random_nash,
 )
+import carasel
+import carasel.corr
+import carasel.equilibria
+import carasel.problems
+import carasel.selection
 from carasel.corr import SET_EQUALITY_TOL, _segments
 from carasel.equilibria import _reflexive_at
+from carasel.pipelines import run_select
+from carasel.problems import merge_options, parse_problem
 from carasel.setops import ConvexSet, _segment_rows, convex_membership
 
 from conftest import line_grid, single_atom
+
+DOCS = Path(__file__).resolve().parent.parent / "docs"
 
 
 def singleton_map_corr(space, grid, fn):
@@ -95,6 +106,26 @@ def test_fixed_point_requires_total_domain():
     )
     with pytest.raises(PreconditionError):
         random_fixed_point(psi, canonical_witness(psi))
+
+
+def test_package_paths_never_call_domain(monkeypatch):
+    """corr.domain stays public (it is the paper's U), but random_nash,
+    random_fixed_point and the select pipeline read the count tables
+    instead of building it."""
+    def fail(psi):
+        raise AssertionError("corr.domain called")
+
+    for module in (carasel, carasel.corr, carasel.equilibria, carasel.problems, carasel.selection):
+        if hasattr(module, "domain"):
+            monkeypatch.setattr(module, "domain", fail)
+    g, part, eps_eq = _quadratic_game(np.random.default_rng(0), 7, ((0,), (1,)))
+    assert random_nash(g, part, eps_eq).checks.ok
+    space = AtomSpace(("a", "b"), [0.5, 0.5])
+    psi = singleton_map_corr(space, line_grid(11), lambda t, x: np.array([0.3 + 0.5 * t]))
+    assert random_fixed_point(psi, canonical_witness(psi), tol=1e-6).checks.ok
+    doc = parse_problem((DOCS / "example-3-2.json").read_text())
+    cert = run_select(doc, merge_options(doc, {}))
+    assert cert.status == "ok" and len(cert.outputs["selection"]) == 4 * 21
 
 
 # ------------------------------------------------------- preference tables

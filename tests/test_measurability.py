@@ -11,6 +11,7 @@ from carasel import (
     AtomSpace,
     CipWitness,
     Corr,
+    DomainError,
     GameSpec,
     InfoPartition,
     PointSet,
@@ -124,7 +125,7 @@ def _scip_measurability_reference(psi, w, part):
             failures.append(("measurability", hit[0], f"F_{zs[0]}", hit[1],
                              "local value not cell-constant"))
     n = len(psi.grid)
-    caps = np.array([capture_matrix(psi, w, t) for t in range(len(psi.space))])
+    caps = capture_matrix(psi, w)
     if w.mode == "countable":
         failures += [("ball-measurability", cell[0], z, x, "ball indicator not cell-constant")
                      for z in range(n) for x in range(n) for cell in part.cells
@@ -141,7 +142,7 @@ def _scip_measurability_reference(psi, w, part):
 
 def _selection_constant_at(sel: Selection, part: InfoPartition, z: int) -> bool:
     for cell in part.cells:
-        present = [t for t in cell if (t, z) in sel.domain]
+        present = [t for t in cell if (t, z) in sel.values]
         if present and len(present) != len(cell):
             return False
         for t in present[1:]:
@@ -157,7 +158,7 @@ def _inputs_reference(psi, w, part) -> bool:
     if not all(_constant_at(f, part, z) for f in [psi] + [f for f, _ in w.distinct_locals()]
                for z in range(n)):
         return False
-    return all(len({w.radii.get((t, z)) for t in cell}) == 1
+    return all(len({None if np.isnan(w.radii[t, z]) else float(w.radii[t, z]) for t in cell}) == 1
                for cell in part.cells for z in range(n))
 
 
@@ -286,7 +287,7 @@ def test_glue_measurability_count_matches_per_cell_reference(seed):
         step = np.zeros(dim)
         step[0] = (0.0, WITHIN, BEYOND, 0.0)[kind]
         values[(t, z)] = head + step if kind < 3 else rng.uniform(0.0, 1.0, size=dim)
-    sel = Selection(domain(psi), values, 0.0, 0.0, CheckSet())
+    sel = Selection(values, 0.0, 0.0, CheckSet())
     res = glue(psi, sel, fallback, part=part)
     expected = sum(_constant_at(fallback, part, z) and _selection_constant_at(sel, part, z)
                    and not _constant_at(res.glued, part, z) for z in range(len(grid)))
@@ -306,7 +307,8 @@ def test_inputs_cell_constant_matches_per_cell_reference(seed):
             if seed % 3 == 0 and rng.random() < 0.2:
                 continue  # absent
             radii[(t, z)] = radii.get((head, z), 0.5) if rng.random() < 0.9 else 0.25
-    radii[(len(space), 0)] = 1.0  # a key off the table is ignored
+    with pytest.raises(DomainError, match="not an \\(atom, node\\) index pair"):
+        CipWitness.shared(grid, local, {**radii, (len(space), 0): 1.0})  # a key off the table
     w = CipWitness.shared(grid, local, radii)
     assert _inputs_cell_constant(psi, w, part) == _inputs_reference(psi, w, part)
 

@@ -279,7 +279,8 @@ def test_select_jump_is_zero_with_zero_modulus(jump):
     sel = caratheodory_select(psi, witness, part)
     assert sel.membership_residual == 0.0
     assert sel.modulus == 0.0
-    for (t, z) in sel.domain:
+    assert set(sel.values) == domain(psi)
+    for (t, z) in sel.values:
         assert np.allclose(sel.value(t, z), [0.0])
     assert sel.checks.ok
 
@@ -325,7 +326,7 @@ def test_select_deterministic_given_seed():
     inst = random_cip_instance(rng)
     a = caratheodory_select(inst.psi, inst.witness, inst.part, seed=7, eps=inst.eps)
     b = caratheodory_select(inst.psi, inst.witness, inst.part, seed=7, eps=inst.eps)
-    assert a.domain == b.domain
+    assert a.values.keys() == b.values.keys()
     for key in a.values:
         assert np.array_equal(a.values[key], b.values[key])
 
