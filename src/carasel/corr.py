@@ -33,7 +33,7 @@ ADJ_TOL = 1e-12
 GAP_CHUNK = 1 << 18
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridSpace:
     """A finite net of points in R^m with an explicit metric.
 
@@ -109,24 +109,6 @@ class GridSpace:
             object.__setattr__(self, "_pair_arrays", cached)
         return cached
 
-    def neighbors(self, i: int) -> list[int]:
-        row = self.metric[i]
-        return [int(j) for j in np.nonzero(row <= self.adjacency_radius + ADJ_TOL)[0] if j != i]
-
-    def is_connected(self) -> bool:
-        """Connectivity of the adjacency graph (informative; a grid that
-        discretizes a connected space should be connected)."""
-        n = len(self)
-        seen = {0}
-        stack = [0]
-        while stack:
-            i = stack.pop()
-            for j in self.neighbors(i):
-                if j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        return len(seen) == n
-
 
 def _validate_metric(d: np.ndarray) -> None:
     if not np.all(np.isfinite(d)):
@@ -144,7 +126,7 @@ def _validate_metric(d: np.ndarray) -> None:
             raise DomainError("metric violates the triangle inequality")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Corr:
     """Correspondence table: (atom index, node index) -> finite point set,
     packed as one read-only (P, dim) points array and an int bounds array
@@ -278,9 +260,6 @@ class Corr:
         if len(segs):
             has[:-1] = np.maximum.reduceat(margins, _segment_rows(segs)[1]) > 0.0
         return on & has[cell_seg]
-
-    def nonempty_at(self, t: int, z: int) -> bool:
-        return bool(self.counts[t, z])
 
     def t_section(self, t: int) -> list[int]:
         """Nodes where atom t has a nonempty value."""
@@ -511,7 +490,7 @@ def _outside(key, shape: tuple) -> bool:
         isinstance(i, (int, np.integer)) and 0 <= i < n for i, n in zip(key, shape)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CipWitness:
     """Local-inclusion witness family for a correspondence psi.
 
@@ -604,12 +583,17 @@ class CipWitness:
 def capture_matrix(psi: Corr, w: CipWitness) -> np.ndarray:
     """Boolean (atoms, nodes, nodes) stack M[t, x, z]: witness node z has
     a nonempty value of psi at atom t and its ball reaches x.  Raises for
-    the first (t, z) of psi's section without a radius."""
+    the first (t, z) of psi's section without a radius, then for the
+    first node of it without a local."""
     if w.radii.shape != psi.counts.shape:
         raise DomainError("witness locals must live on psi's atoms and grid")
     radii = np.where(psi.counts > 0, w.radii, -np.inf)
     for t, z in np.argwhere(np.isnan(radii))[:1].tolist():
         w.radius(t, z)  # raises: no radius there
+    unwitnessed = (psi.counts > 0).any(axis=0)
+    unwitnessed[list(w.locals)] = False
+    for z in np.flatnonzero(unwitnessed)[:1].tolist():
+        w.local(z)  # raises: no local there
     return psi.grid.metric < radii[:, None, :]
 
 

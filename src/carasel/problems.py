@@ -158,9 +158,11 @@ def build_grid(doc: dict, section: dict | None = None) -> GridSpace:
 
 def _records_to_corr(records, space: AtomSpace, grid: GridSpace, dim: int) -> Corr:
     table: dict[tuple[int, int], PointSet] = {}
-    for rec in records:
+    for i, rec in enumerate(records):
         t = space.index_of(rec["atom"])
-        z = int(rec["node"])
+        z = rec["node"]
+        if isinstance(z, bool) or not isinstance(z, int):
+            raise ParseError(f"record {i} (atom {rec['atom']!r}): node {z!r} is not an integer")
         if not 0 <= z < len(grid):
             raise ParseError(f"node index {z} out of range")
         verts = rec.get("vertices", [])
@@ -173,10 +175,9 @@ def _records_to_corr(records, space: AtomSpace, grid: GridSpace, dim: int) -> Co
 
 
 @_wrap
-def build_correspondence(doc: dict, space: AtomSpace, grid: GridSpace,
-                         key: str = "correspondence") -> Corr:
+def build_correspondence(doc: dict, space: AtomSpace, grid: GridSpace) -> Corr:
     dim = int(doc.get("dim", grid.dim))
-    return _records_to_corr(doc[key], space, grid, dim)
+    return _records_to_corr(doc["correspondence"], space, grid, dim)
 
 
 @_wrap

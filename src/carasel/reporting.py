@@ -51,9 +51,6 @@ class CheckSet:
     def ok(self) -> bool:
         return all(c.ok for c in self.checks)
 
-    def failing(self) -> list[CheckOutcome]:
-        return [c for c in self.checks if not c.ok]
-
     def __iter__(self):
         return iter(self.checks)
 

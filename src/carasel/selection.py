@@ -30,7 +30,7 @@ from .measure import InfoPartition
 from .reporting import CheckSet
 from .setops import (
     ConvexSet,
-    _pack_segments,
+    _padded_rows,
     _project_to_intervals,
     convex_distance,
     convex_project,
@@ -45,7 +45,7 @@ _SWEEP_STOP = 1e-10
 _RELAXATION = 0.7
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Selection:
     """A single-valued certified selection on the domain of a
     correspondence psi: values maps exactly the (t, z) with psi(t, z)
@@ -206,7 +206,7 @@ def _sweep(points: np.ndarray, blocks: list, tol: float,
     results per block and the residual per group."""
     groups = [(t, segs, edges) for t, _, segs, edges, starts in blocks for _ in starts]
     first = np.cumsum([0] + [len(segs) for _, segs, _ in groups])[:-1]
-    V = _pack_segments(points, np.concatenate([segs for _, segs, _ in groups]))
+    V = points[_padded_rows(np.concatenate([segs for _, segs, _ in groups]))]
     X = np.concatenate([starts.reshape(-1, starts.shape[-1]) for *_, starts in blocks])
     group = np.repeat(np.arange(len(groups)), [len(segs) for _, segs, _ in groups])
     src = np.concatenate([edges[0] + f for (_, _, edges), f in zip(groups, first)])

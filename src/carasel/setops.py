@@ -133,24 +133,6 @@ class ConvexSet:
             raise DomainError("a ConvexSet needs at least one vertex")
         object.__setattr__(self, "vertices", arr)
 
-    @classmethod
-    def from_point_set(cls, ps: PointSet) -> "ConvexSet":
-        """The hull of a nonempty PointSet, built once per PointSet and
-        cached on it (both are immutable), so every caller shares one
-        object.  Its vertices are ps.points itself: a PointSet's points
-        are already finite, read-only and pairwise farther apart than
-        DEDUP_TOL, so validating and deduplicating them again would keep
-        every point."""
-        hull = ps.__dict__.get("_hull")
-        if hull is None:
-            if ps.is_empty:
-                raise DomainError("cannot take the convex hull of the empty set")
-            hull = object.__new__(cls)
-            object.__setattr__(hull, "dim", ps.dim)
-            object.__setattr__(hull, "vertices", ps.points)
-            object.__setattr__(ps, "_hull", hull)
-        return hull
-
 
 @dataclass(frozen=True)
 class SetSequence:
@@ -206,12 +188,6 @@ def _padded_rows(segs: np.ndarray) -> np.ndarray:
     counts = segs[:, 1] - segs[:, 0]
     slot = np.arange(counts.max())
     return segs[:, :1] + np.where(slot < counts[:, None], slot, 0)
-
-
-def _pack_segments(points: np.ndarray, segs: np.ndarray) -> np.ndarray:
-    """The points of every nonempty [start, stop) row of segs as one
-    (len(segs), mmax, dim) block, the layout convex_project takes."""
-    return points[_padded_rows(segs)]
 
 
 def _project_to_intervals(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -344,11 +320,11 @@ def convex_project(x, c) -> tuple[np.ndarray, float | np.ndarray]:
     which returns a (B, dim) stack and B distances.  c is a ConvexSet,
     the hull for every point, or a (B, m, dim) block whose row b lists
     the vertices (repeats allowed) of point b's hull, the layout of
-    _pack_segments.  The work is one call of the batched kernel
-    _nearest_in_hulls: the closed form for intervals in R^1, otherwise a
-    min-norm-point search in units of the largest vertex distance from
-    each point, so its accuracy does not depend on the coordinates'
-    scale or offset.  An exact vertex hit gives distance 0."""
+    points[_padded_rows(segs)].  The work is one call of the batched
+    kernel _nearest_in_hulls: the closed form for intervals in R^1,
+    otherwise a min-norm-point search in units of the largest vertex
+    distance from each point, so its accuracy does not depend on the
+    coordinates' scale or offset.  An exact vertex hit gives distance 0."""
     X = np.asarray(x, dtype=float)
     single = X.ndim <= 1
     X = X.reshape(1, -1) if single else X
@@ -441,33 +417,28 @@ def _segment_rows(segs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.arange(counts.sum()) + np.repeat(segs[:, 0] - first, counts), first
 
 
-def segment_extents(points: np.ndarray, segs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinate-wise min and max of the points of every nonempty
-    [start, stop) row of segs, each of shape (len(segs), dim)."""
-    rows, first = _segment_rows(segs)
-    return np.minimum.reduceat(points[rows], first), np.maximum.reduceat(points[rows], first)
-
-
 def segment_margins(points: np.ndarray, segs: np.ndarray) -> np.ndarray:
     """interior_point_margin of every point of every nonempty [start,
     stop) row of segs within the hull of that row's points, flat in the
     order of segs and of the points in each row.  In R^1 the closed
-    form for all rows at once, from segment_extents; otherwise one Qhull
-    call per row."""
+    form for all rows at once, from each row's least and largest value;
+    otherwise one Qhull call per row."""
     if not len(segs):
         return np.zeros(0)
     if points.shape[1] > 1:
         return np.concatenate([_margins(points[a:b], points[a:b]) for a, b in segs])
-    counts = segs[:, 1] - segs[:, 0]
-    lo, hi = (np.repeat(e[:, 0], counts) for e in segment_extents(points, segs))
-    x = points[_segment_rows(segs)[0], 0]
+    rows, first = _segment_rows(segs)
+    x = points[rows, 0]
+    lo, hi = (np.repeat(extreme.reduceat(x, first), segs[:, 1] - segs[:, 0])
+              for extreme in (np.minimum, np.maximum))
     return np.where(hi > lo, np.maximum(0.0, np.minimum(x - lo, hi - x)), 0.0)
 
 
 def _margins(X: np.ndarray, V: np.ndarray) -> np.ndarray:
     """interior_point_margin of every row of X in the hull of the rows
     of V: the closed form in R^1, one Qhull call for all rows
-    otherwise."""
+    otherwise.  A row equal to one of Qhull's hull vertices reads exactly
+    0.0, which rounding in its facet sums could put above 0."""
     dim = V.shape[1]
     if dim == 1:
         lo, hi = float(V[:, 0].min()), float(V[:, 0].max())
@@ -479,12 +450,14 @@ def _margins(X: np.ndarray, V: np.ndarray) -> np.ndarray:
     from scipy.spatial import ConvexHull, QhullError
 
     try:
-        facets = ConvexHull(V).equations
+        hull = ConvexHull(V)
     except QhullError:
         return np.zeros(len(X))  # degenerate: empty ambient interior
+    facets = hull.equations
     # hull facet normals are unit-length, so these are signed distances
-    return np.array([max(0.0, float((-(facets[:, :-1] @ x + facets[:, -1])).min()))
-                     for x in X])
+    out = np.array([max(0.0, float((-(facets[:, :-1] @ x + facets[:, -1])).min())) for x in X])
+    out[(X[:, None, :] == V[hull.vertices]).all(axis=2).any(axis=1)] = 0.0
+    return out
 
 
 def convex_hausdorff_dist(a: ConvexSet, b: ConvexSet) -> float:
@@ -498,16 +471,9 @@ def convex_hausdorff_dist(a: ConvexSet, b: ConvexSet) -> float:
     return float(max(d_ab, d_ba))
 
 
-@dataclass(frozen=True)
-class LimitWindow:
-    """Internal: the candidate pool and per-term hit counts for one
-    tail-window limit computation."""
-
-    candidates: np.ndarray
-    hits: np.ndarray  # shape (n_candidates, tail) booleans
-
-
-def _limit_window(s: SetSequence, tail: int, tol_cluster: float) -> LimitWindow:
+def _limit_window(s: SetSequence, tail: int, tol_cluster: float) -> tuple[np.ndarray, np.ndarray]:
+    """The candidate pool of one tail-window limit, and its (candidates,
+    tail) table of which term hits each candidate within tol_cluster."""
     if not s.terms:
         raise DomainError("the sequence has no terms")
     if tail < 1 or tail > len(s.terms):
@@ -515,7 +481,7 @@ def _limit_window(s: SetSequence, tail: int, tol_cluster: float) -> LimitWindow:
     window = s.terms[len(s.terms) - tail:]
     pools = [t.points for t in window if not t.is_empty]
     if not pools:
-        return LimitWindow(np.zeros((0, s.dim)), np.zeros((0, tail), dtype=bool))
+        return np.zeros((0, s.dim)), np.zeros((0, tail), dtype=bool)
     candidates = _dedup(np.vstack(pools))
     hits = np.zeros((len(candidates), tail), dtype=bool)
     for j, term in enumerate(window):
@@ -523,21 +489,19 @@ def _limit_window(s: SetSequence, tail: int, tol_cluster: float) -> LimitWindow:
             continue
         d = _cross_dists(candidates, term.points)
         hits[:, j] = d.min(axis=1) <= tol_cluster
-    return LimitWindow(candidates, hits)
+    return candidates, hits
 
 
 def li_limit(s: SetSequence, tail: int, tol_cluster: float = DEFAULT_CLUSTER_TOL) -> PointSet:
     """Tail-window surrogate of the lower set limit: points hit by every
     one of the last `tail` terms within tol_cluster."""
-    w = _limit_window(s, tail, tol_cluster)
-    sel = w.hits.all(axis=1)
-    return PointSet.of(s.dim, w.candidates[sel])
+    candidates, hits = _limit_window(s, tail, tol_cluster)
+    return PointSet.of(s.dim, candidates[hits.all(axis=1)])
 
 
 def ls_limit(s: SetSequence, tail: int, tol_cluster: float = DEFAULT_CLUSTER_TOL) -> PointSet:
     """Tail-window surrogate of the upper set limit: points hit by at
     least ceil(tail/2) of the last `tail` terms within tol_cluster."""
-    w = _limit_window(s, tail, tol_cluster)
+    candidates, hits = _limit_window(s, tail, tol_cluster)
     need = -(-tail // 2)  # ceil(tail / 2)
-    sel = w.hits.sum(axis=1) >= need
-    return PointSet.of(s.dim, w.candidates[sel])
+    return PointSet.of(s.dim, candidates[hits.sum(axis=1) >= need])

@@ -160,7 +160,7 @@ def test_c3_gluing_certificates(cip_pool):
         # union is nonempty
         for (t, z) in domain(inst.psi):
             if not res.interior_union.value(t, z).is_empty:
-                hull = ConvexSet.from_point_set(res.phi.value(t, z))
+                hull = ConvexSet(res.phi.dim, res.phi.value(t, z).points)
                 all_ok &= max_vertex_margin(hull) > 0.0
     elapsed = time.perf_counter() - t0
     ok = all_ok and elapsed < 30.0
@@ -177,7 +177,7 @@ def test_c4_selection_validity(cip_pool):
                                   closed_valued=True, tol=1e-7, eps=inst.eps)
         all_ok &= np.isfinite(sel.modulus) and set(sel.values) == domain(inst.psi)
         for (t, z) in sel.values:
-            hull = ConvexSet.from_point_set(inst.psi.value(t, z))
+            hull = ConvexSet(inst.psi.dim, inst.psi.value(t, z).points)
             all_ok &= convex_distance(sel.value(t, z), hull) <= 1e-7
 
     rng = np.random.default_rng(999)

@@ -195,6 +195,19 @@ def test_malformed_witness_exit_2(tmp_path, capsys, edit, message):
     assert not (tmp_path / "bad-witness.cert.json").exists()
 
 
+@pytest.mark.parametrize("node", [3.7, 3.0, "3", True], ids=["3.7", "3.0", "string", "true"])
+def test_non_integer_correspondence_node_exit_2(tmp_path, capsys, node):
+    # int() used to read "node": 3.7 as node 3 and certify ok
+    doc = json.loads((DOCS / "example-3-2.json").read_text())
+    assert doc["correspondence"][3]["node"] == 3
+    doc["correspondence"][3]["node"] = node
+    p = tmp_path / "bad-node.json"
+    p.write_text(json.dumps(doc))
+    assert main(["run", str(p)]) == 2
+    assert f"record 3 (atom 't1'): node {node!r} is not an integer" in capsys.readouterr().err
+    assert not (tmp_path / "bad-node.cert.json").exists()
+
+
 def test_valid_witness_variants_still_certify(tmp_path):
     for name, edit in (("radius", _extra_radius(20)), ("local", _countable_local("20")),
                        ("box", _indexed_box(1))):

@@ -15,6 +15,7 @@ from carasel import (
     GridSpace,
     InfoPartition,
     PointSet,
+    Selection,
     canonical_witness,
     caratheodory_select,
     cip_verify,
@@ -37,6 +38,7 @@ from carasel.corr import (
     capture_matrix,
     pool_captured,
 )
+from carasel.reporting import CheckSet
 from carasel.setops import (
     ConvexSet,
     _cross_dists,
@@ -250,9 +252,9 @@ def _canonical_radii_reference(psi):
     big = psi.grid.diameter + 1.0
     radii = {}
     for t in range(len(psi.space)):
-        empty_nodes = [z for z in range(len(psi.grid)) if not psi.nonempty_at(t, z)]
+        empty_nodes = [z for z in range(len(psi.grid)) if psi.counts[t, z] == 0]
         for z in range(len(psi.grid)):
-            if psi.nonempty_at(t, z):
+            if psi.counts[t, z] > 0:
                 radii[(t, z)] = (float(min(psi.grid.metric[z, e] for e in empty_nodes))
                                  if empty_nodes else big)
     return radii
@@ -472,7 +474,7 @@ def _inclusion_residual(points, target):
     rest = pts[~literal]  # a point that is one of the target samples is at 0
     if not len(rest):
         return 0.0
-    return float(convex_distance(rest, ConvexSet.from_point_set(target)).max())
+    return float(convex_distance(rest, ConvexSet(target.dim, target.points)).max())
 
 
 def _per_node_cip_reference(psi, w, eps, strict, residuals, tol=SET_EQUALITY_TOL):
@@ -497,7 +499,7 @@ def _per_node_cip_reference(psi, w, eps, strict, residuals, tol=SET_EQUALITY_TOL
                                            for x in range(n)])
             residual = residuals[key]
             for z in zs:
-                if psi.nonempty_at(t, z):
+                if psi.counts[t, z] > 0:
                     in_ball = metric[:, z] < w.radius(t, z)
                     for x in np.nonzero(in_ball & empty)[0]:
                         report.failures.append(
@@ -553,7 +555,7 @@ def test_cip_matches_per_node_reference():
         swap = {id(f): _planted(rng, f) for f, _ in w.distinct_locals()[:3]}
         planted = CipWitness(w.mode, {z: swap.get(id(f), f) for z, f in w.locals.items()},
                              w.radii, w.box)
-        offsection |= not all(inst.psi.nonempty_at(t, z) for t in range(len(inst.psi.space))
+        offsection |= not all(inst.psi.counts[t, z] > 0 for t in range(len(inst.psi.space))
                               for z in range(len(inst.psi.grid)))
         residuals = {}
         for witness in (w, planted):
@@ -630,6 +632,40 @@ def test_ball_tables_reject_a_witness_of_another_shape():
                  lambda psi, w: construct_phi(psi, w, InfoPartition.finest(space))):
         with pytest.raises(DomainError, match="witness locals must live on psi's atoms and grid"):
             call(psi, w)
+
+
+def test_witness_without_a_local_at_a_section_node_raises():
+    # nodes 0-3 carry a local, node 4 none, and psi is nonempty at node 4:
+    # nothing witnesses (t=0, z=4), which cip_verify used to certify ok
+    grid = line_grid(5)
+    space = single_atom()
+    psi = Corr.constant(space, grid, PointSet.of(1, [[0.5]]))
+    w = CipWitness("countable", {z: psi for z in range(4)}, {(0, z): 0.1 for z in range(5)})
+    no_local = "witness has no local correspondence at node 4"
+    for call in (lambda: cip_verify(psi, w, eps=0.5),
+                 lambda: scip_verify(psi, w, InfoPartition.finest(space), CipReport(True)),
+                 lambda: pool_captured(psi, w), lambda: capture_matrix(psi, w)):
+        with pytest.raises(DomainError, match=no_local):
+            call()
+    # a node outside psi's section needs no local
+    part = Corr.from_function(space, grid, 1, lambda t, z: psi.value(t, z) if z < 4
+                              else PointSet.empty(1))
+    assert cip_verify(part, CipWitness("countable", {z: part for z in range(4)},
+                                       {(0, z): 0.1 for z in range(4)}), eps=0.5).ok
+
+
+def test_array_dataclasses_compare_by_identity(jump):
+    # a field-wise == would compare their arrays and raise
+    space, grid, psi, w = jump
+    value = PointSet.of(1, [[0.0]])
+    pairs = [(GridSpace(grid.points), GridSpace(grid.points)),
+             (Corr.constant(space, grid, value), Corr.constant(space, grid, value)),
+             (CipWitness.shared(grid, psi, w.radii), CipWitness.shared(grid, psi, w.radii)),
+             (Selection({(0, 0): np.zeros(1)}, 0.0, 0.0, CheckSet()),
+              Selection({(0, 0): np.zeros(1)}, 0.0, 0.0, CheckSet()))]
+    for a, b in pairs:
+        assert (a == b) is False and (a != b) is True
+        assert a == a
 
 
 def test_scip_shared_mode_jump(jump):
@@ -718,7 +754,7 @@ def _loop_capture_failures(psi, w, part):
     n = len(psi.grid)
 
     def captures(t, x, z):
-        return psi.nonempty_at(t, z) and psi.grid.metric[x, z] < w.radius(t, z)
+        return psi.counts[t, z] > 0 and psi.grid.metric[x, z] < w.radius(t, z)
 
     ball = [("ball-measurability", cell[0], z, x, "ball indicator not cell-constant")
             for z in range(n) for x in range(n) for cell in part.cells
@@ -796,7 +832,7 @@ def test_k_operator_values_inside_hull_of_psi():
             kv = k.value(t, z)
             if kv.is_empty:
                 continue
-            hull = ConvexSet.from_point_set(inst.psi.value(t, z))
+            hull = ConvexSet(inst.psi.dim, inst.psi.value(t, z).points)
             assert max(convex_distance(p, hull) for p in kv.points) <= 1e-9
 
 
@@ -804,7 +840,7 @@ def _interior_samples(fv):
     """Points of a nonempty list interior to the list's own hull: the
     per-cell take the interior pooling ran before it read each local's
     cached segment margins."""
-    return fv.points[vertex_margins(ConvexSet.from_point_set(fv)) > 0.0]
+    return fv.points[vertex_margins(ConvexSet(fv.dim, fv.points)) > 0.0]
 
 
 def _pool_reference(psi, w, take=None):
@@ -939,9 +975,6 @@ def test_grid_defaults_and_connectivity():
     grid = line_grid(5)
     assert grid.mesh == pytest.approx(0.25)
     assert grid.adjacency_radius == pytest.approx(0.5)
-    assert grid.is_connected()
-    sparse = GridSpace(np.array([[0.0], [10.0]]), mesh=0.5)
-    assert not sparse.is_connected()
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -1356,5 +1389,5 @@ def test_interior_cells_match_per_cell_margins(dim):
         for on in (psi.counts > 0, rng.random(psi.counts.shape) < 0.4):
             want = np.zeros(psi.counts.shape, dtype=bool)
             for t, z in np.argwhere(on & (psi.counts > 0)):
-                want[t, z] = max_vertex_margin(ConvexSet.from_point_set(psi.value(t, z))) > 0.0
+                want[t, z] = max_vertex_margin(ConvexSet(psi.dim, psi.value(t, z).points)) > 0.0
             assert np.array_equal(psi.interior_cells(on), want)

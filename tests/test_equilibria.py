@@ -614,7 +614,7 @@ def _reflexive_reference(p, own):
     """The per-cell loop _reflexive_at ran before its 1-D array pass."""
     for t in range(len(p.space)):
         for z in p.t_section(t):
-            if convex_membership(own[z], ConvexSet.from_point_set(p.value(t, z)),
+            if convex_membership(own[z], ConvexSet(p.dim, p.value(t, z).points),
                                  SET_EQUALITY_TOL):
                 return t, z
     return None

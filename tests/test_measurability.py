@@ -133,7 +133,7 @@ def _scip_measurability_reference(psi, w, part):
     if w.mode == "indexed":
         failures += [("domain-measurability", cell[0], z, -1, "nonemptiness not cell-constant")
                      for z in range(n) for cell in part.cells
-                     if len({psi.nonempty_at(t, z) for t in cell}) > 1]
+                     if len({psi.counts[t, z] > 0 for t in cell}) > 1]
         failures += [("index-measurability", t, -1, x, "capture set not cell-constant")
                      for x in range(n) for cell in part.cells for t in cell[1:]
                      if (caps[t, x] != caps[cell[0], x]).any()]

@@ -31,8 +31,9 @@ from carasel import (
 )
 
 import carasel.selection
+from carasel.corr import ADJ_TOL
 from carasel.selection import DEFAULT_MAX_SWEEPS, _atom_block, _barycenters
-from carasel.setops import _nearest_in_hulls, _pack_segments, _project_to_intervals
+from carasel.setops import _nearest_in_hulls, _padded_rows, _project_to_intervals
 from conftest import line_grid, same_set, single_atom
 from instances import random_cip_instance
 from test_corr import max_vertex_margin
@@ -140,18 +141,24 @@ def test_grid_select_sliding_intervals_members():
         assert any(abs(sel.values[z][0] - c) <= 0.05 + 1e-9 for c in candidates)
 
 
+def _neighbors(grid, z):
+    """The nodes within the adjacency radius of node z, z excluded: the
+    per-node adjacency list the references walk."""
+    return [j for j in np.flatnonzero(grid.metric[z] <= grid.adjacency_radius + ADJ_TOL) if j != z]
+
+
 def _grid_select_reference(phi, t, init=None, max_sweeps=DEFAULT_MAX_SWEEPS, relaxation=0.7):
     """The per-node loop grid_select ran before it projected a whole sweep
     in one kernel call, kept as its reference: one convex_project per
     node with neighbours per sweep, one convex_distance per node for the
     residual.  Returns (values, modulus, residual)."""
     section = phi.t_section(t)
-    hulls = {z: ConvexSet.from_point_set(phi.value(t, z)) for z in section}
+    hulls = {z: ConvexSet(phi.dim, phi.value(t, z).points) for z in section}
     n = len(section)
     pos = {z: k for k, z in enumerate(section)}
     x = np.array([np.asarray(init[z], dtype=float) if init and z in init
                   else hulls[z].vertices.mean(axis=0) for z in section])
-    pairs = [(pos[z], pos[j]) for z in section for j in phi.grid.neighbors(z) if j in pos]
+    pairs = [(pos[z], pos[j]) for z in section for j in _neighbors(phi.grid, z) if j in pos]
     weights = np.zeros((n, n))
     for r, c in pairs:
         weights[r, c] = 1.0
@@ -292,7 +299,7 @@ def test_select_triangle_single_node():
     psi = Corr.constant(space, grid, tri)
     sel = caratheodory_select(psi, canonical_witness(psi), InfoPartition.finest(space))
     v = sel.value(0, 0)
-    assert convex_membership(v, ConvexSet.from_point_set(tri), 1e-9)
+    assert convex_membership(v, ConvexSet(tri.dim, tri.points), 1e-9)
 
 
 def test_select_sliding_intervals_closed_branch():
@@ -393,7 +400,7 @@ def _caratheodory_reference(inst, closed_valued, k_max=40, restarts=8, seed=0):
                 total += 0.5 ** k * pushed
             values[(t, z)] = total + 0.5 ** k_max * base[z]
         for z in base:
-            for j in phi.grid.neighbors(z):
+            for j in _neighbors(phi.grid, z):
                 if j in base and phi.grid.metric[z, j] > 0:
                     gap = np.linalg.norm(values[(t, z)] - values[(t, j)])
                     modulus = max(modulus, float(gap) / phi.grid.metric[z, j])
@@ -427,7 +434,7 @@ def _sweep_per_coordinate(points, blocks, tol, max_sweeps):
     sel = carasel.selection
     groups = [(t, segs, edges) for t, _, segs, edges, starts in blocks for _ in starts]
     first = np.cumsum([0] + [len(segs) for _, segs, _ in groups])[:-1]
-    V = _pack_segments(points, np.concatenate([segs for _, segs, _ in groups]))
+    V = points[_padded_rows(np.concatenate([segs for _, segs, _ in groups]))]
     X = np.concatenate([starts.reshape(-1, starts.shape[-1]) for *_, starts in blocks])
     group = np.repeat(np.arange(len(groups)), [len(segs) for _, segs, _ in groups])
     src = np.concatenate([edges[0] + f for (_, _, edges), f in zip(groups, first)])
@@ -688,14 +695,14 @@ def test_selection_blocks_match_per_node_hulls(dim):
             if not section:
                 continue
             segs, _ = _atom_block(phi, t, section)
-            hulls = [ConvexSet.from_point_set(phi.value(t, z)) for z in section]
-            assert np.array_equal(_pack_segments(phi.points, segs), pack_hulls(hulls))
+            hulls = [ConvexSet(phi.dim, phi.value(t, z).points) for z in section]
+            assert np.array_equal(phi.points[_padded_rows(segs)], pack_hulls(hulls))
             assert np.array_equal(_barycenters(phi.points, segs),
                                   np.array([h.vertices.mean(axis=0) for h in hulls]))
             all_segs.append(segs)
             all_hulls += hulls
         # the sweep packs every atom at once, padded to the widest value
-        assert np.array_equal(_pack_segments(phi.points, np.concatenate(all_segs)),
+        assert np.array_equal(phi.points[_padded_rows(np.concatenate(all_segs))],
                               pack_hulls(all_hulls))
         empty = np.argwhere(phi.counts == 0)
         if len(empty):
@@ -710,9 +717,9 @@ def _interiority_reference(psi, w, phi):
     kpsi = k_operator(psi, w)
     failures = checked = 0
     for (t, z) in sorted(domain(psi)):
-        if kpsi.nonempty_at(t, z):
+        if kpsi.counts[t, z] > 0:
             checked += 1
-            if max_vertex_margin(ConvexSet.from_point_set(phi.value(t, z))) <= 0.0:
+            if max_vertex_margin(ConvexSet(phi.dim, phi.value(t, z).points)) <= 0.0:
                 failures += 1
     return failures, checked
 

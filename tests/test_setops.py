@@ -29,7 +29,7 @@ from carasel.setops import (
     _as_points,
     _cross_dists,
     _dedup,
-    _pack_segments,
+    _padded_rows,
     segment_distances,
     segment_margins,
 )
@@ -44,12 +44,12 @@ def ps(dim, pts):
 
 def pack_hulls(hulls) -> np.ndarray:
     """The vertex lists of a nonempty list of hulls in one dim as one
-    padded block, laid out as _pack_segments lays out segments; also used
-    by the other test modules."""
+    padded block, laid out as points[_padded_rows(segs)] lays out
+    segments; also used by the other test modules."""
     counts = np.array([len(h.vertices) for h in hulls])
     stop = np.cumsum(counts)
-    return _pack_segments(np.concatenate([h.vertices for h in hulls]),
-                          np.column_stack([stop - counts, stop]))
+    return np.concatenate([h.vertices for h in hulls])[
+        _padded_rows(np.column_stack([stop - counts, stop]))]
 
 
 UNIT_SQUARE = ConvexSet(2, [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -447,13 +447,12 @@ def test_positive_margin_implies_membership(data):
 
 def test_hull_of_point_set_is_built_once():
     p = ps(2, [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.2, 0.2]])
-    hull = ConvexSet.from_point_set(p)
-    assert ConvexSet.from_point_set(p) is hull
+    hull = ConvexSet(p.dim, p.points)
     assert hull.dim == 2
     assert np.array_equal(hull.vertices, p.points)
     assert np.array_equal(ConvexSet(2, p.points).vertices, hull.vertices)
     with pytest.raises(DomainError):
-        ConvexSet.from_point_set(PointSet.empty(2))
+        ConvexSet(2, PointSet.empty(2).points)
 
 
 def _one_hull_per_point_margin(x, V):
@@ -486,7 +485,7 @@ _CUBE = [[x, y, z] for x in (0.0, 1.0) for y in (0.0, 1.0) for z in (0.0, 1.0)]
 ])
 def test_vertex_margins_match_per_point_loop(dim, points):
     p = ps(dim, points)
-    hull = ConvexSet.from_point_set(p)
+    hull = ConvexSet(p.dim, p.points)
     loop = np.array([interior_point_margin(v, hull) for v in hull.vertices])
     assert np.array_equal(loop, [_one_hull_per_point_margin(v, hull.vertices)
                                  for v in hull.vertices])
@@ -495,6 +494,19 @@ def test_vertex_margins_match_per_point_loop(dim, points):
     n = len(p)
     twice = segment_margins(np.vstack([p.points, p.points]), np.array([[0, n], [n, 2 * n]]))
     assert np.array_equal(twice, np.concatenate([loop, loop]))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_hull_vertices_read_margin_zero(dim):
+    # rounding in the facet sums used to put some vertices above 0, so a
+    # value whose only positive margin sat on its boundary read as interior
+    rng = np.random.default_rng(2036 + dim)
+    for _ in range(40):
+        scale, shift = 10.0 ** rng.uniform(-3, 3), rng.uniform(-1e3, 1e3, dim)
+        c = ConvexSet(dim, rng.normal(size=(int(rng.integers(dim + 2, 25)), dim)) * scale + shift)
+        corners = ConvexHull(c.vertices).vertices
+        assert all(interior_point_margin(v, c) == 0.0 for v in c.vertices[corners])
+        assert np.all(segment_margins(c.vertices, np.array([[0, len(c.vertices)]]))[corners] == 0.0)
 
 
 def test_vertex_margins_interval_closed_form():
