@@ -31,6 +31,9 @@ ADJ_TOL = 1e-12
 # x kmax padded ones, or in R^1 GAP_CHUNK // 16 source points, each with
 # about 16 temporaries; bounds the temporaries to a few MiB.
 GAP_CHUNK = 1 << 18
+# Points measured at once by the stacked inclusion residuals (_residuals):
+# each row holds an (m+1, m+1) system in the min-norm kernel.
+RESIDUAL_CHUNK = 1 << 12
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,7 +198,9 @@ class Corr:
         computes every atom's row in one _packed_gaps call, which
         measures each distinct pair of segments once (sorted rows in
         R^1, padded blocks otherwise), however many adjacent pairs of
-        any atom join it.  Cached (the table is immutable)."""
+        any atom join it.  Cached (the table is immutable); cip_verify
+        fills the caches of all witness locals in one such call
+        (_cache_gaps)."""
         return self._gap_entry(t)[0]
 
     def farthest_rows(self, t: int) -> np.ndarray:
@@ -206,16 +211,7 @@ class Corr:
         return self._gap_entry(t)[1]
 
     def _gap_entry(self, t: int) -> tuple[np.ndarray, np.ndarray]:
-        if "_gap_cache" not in self.__dict__:
-            # one _packed_gaps call over every atom's pairs, forward halves first
-            pi, pj = (p[:len(p) // 2] for p in self.grid.directed_pair_arrays())
-            rows = np.arange(self.counts.size).reshape(self.counts.shape)
-            src, dst = rows[:, pi].ravel(), rows[:, pj].ravel()
-            gaps, far = (a.reshape(2, len(rows), -1) for a in _packed_gaps(
-                self.points, self.bounds.reshape(-1, 2), np.concatenate([src, dst]),
-                np.concatenate([dst, src])))
-            self.__dict__["_gap_cache"] = [(np.concatenate(gaps[:, k]), np.concatenate(far[:, k]))
-                                           for k in range(len(rows))]
+        _cache_gaps([self])
         return self.__dict__["_gap_cache"][t]
 
     def segment_index(self) -> tuple[np.ndarray, np.ndarray]:
@@ -271,6 +267,40 @@ def _segments(counts: np.ndarray) -> np.ndarray:
     back to back, in C order of counts."""
     stop = np.cumsum(counts).reshape(np.shape(counts))
     return np.stack([stop - counts, stop], axis=-1)
+
+
+def _stacked(tables: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(points, bounds, starts): the tables' points back to back, their
+    bounds as one (tables, atoms, nodes, 2) stack of rows into them, and
+    where each table's points begin."""
+    sizes = [len(f.points) for f in tables]
+    starts = np.cumsum(sizes) - sizes
+    points = tables[0].points if len(tables) == 1 else np.concatenate([f.points for f in tables])
+    return points, np.stack([f.bounds + k for f, k in zip(tables, starts)]), starts
+
+
+def _cache_gaps(tables: list) -> None:
+    """Fill the gap cache (Corr.directed_gaps, Corr.farthest_rows) of
+    every table on the first one's grid not yet cached, with one
+    _packed_gaps call over every atom's adjacent pairs of all of them,
+    forward halves first; farthest rows are rebased to each table's own
+    points.  A table on another grid fills its own on first read."""
+    todo = [f for f in dict.fromkeys(tables)
+            if "_gap_cache" not in f.__dict__ and f.grid is tables[0].grid]
+    if not todo:
+        return
+    points, bounds, starts = _stacked(todo)
+    pi, pj = (p[:len(p) // 2] for p in todo[0].grid.directed_pair_arrays())
+    rows = np.arange(bounds.size // 2).reshape(bounds.shape[:-1])
+    src, dst = rows[..., pi].ravel(), rows[..., pj].ravel()
+    pairs = _packed_gaps(points, bounds.reshape(-1, 2), np.concatenate([src, dst]),
+                         np.concatenate([dst, src]))
+    # (2, tables, atoms, half) -> (tables, atoms, 2 * half), forward halves first
+    gaps, far = (a.reshape((2,) + rows.shape[:2] + (-1,)).transpose(1, 2, 0, 3)
+                 .reshape(rows.shape[:2] + (-1,)) for a in pairs)
+    far = np.where(far >= 0, far - starts[:, None, None], far)
+    for f, g, r in zip(todo, gaps, far):
+        f.__dict__["_gap_cache"] = list(zip(g, r))  # per atom: (gaps, farthest rows)
 
 
 def _packed_gaps(points: np.ndarray, bounds: np.ndarray, pi: np.ndarray,
@@ -441,23 +471,25 @@ def usc_check(psi: Corr, t: int, eps: float) -> SemicontinuityReport:
     return SemicontinuityReport(not violations, violations, max_gap)
 
 
-def cell_varying(f: Corr, part: InfoPartition) -> np.ndarray:
-    """Boolean (atoms, nodes) table marking each cell (t, z) whose value
-    differs as a set from the value at (head[t], z), t's cell head: their
-    Hausdorff distance, the larger one-sided gap of the gap kernel,
-    exceeds SET_EQUALITY_TOL.  Cells sharing a segment, or both empty,
-    are equal; an empty and a nonempty one are not.  f is constant on
-    every cell at node z iff column z is unmarked."""
-    flat = np.arange(f.counts.size).reshape(f.counts.shape)  # (t, z) -> row of bounds
-    off = part.head != np.arange(len(flat))  # the atoms that are not heads
-    a, b = flat[off].ravel(), flat[part.head[off]].ravel()
-    gaps = _packed_gaps(f.points, f.bounds.reshape(-1, 2), np.concatenate([a, b]),
+def cell_varying(tables: list, part: InfoPartition) -> np.ndarray:
+    """Boolean (tables, atoms, nodes) stack marking each cell (t, z) of
+    each table whose value differs as a set from the value at (head[t],
+    z), t's cell head: their Hausdorff distance, the larger one-sided
+    gap of one _packed_gaps call over all the tables, exceeds
+    SET_EQUALITY_TOL.  Cells sharing a segment, or both empty, are
+    equal; an empty and a nonempty one are not.  A table is constant on
+    every cell at node z iff its column z is unmarked."""
+    points, bounds, _ = _stacked(tables)
+    flat = np.arange(bounds.size // 2).reshape(bounds.shape[:-1])  # (f, t, z) -> row
+    off = part.head != np.arange(flat.shape[1])  # the atoms that are not heads
+    a, b = flat[:, off].ravel(), flat[:, part.head[off]].ravel()
+    gaps = _packed_gaps(points, bounds.reshape(-1, 2), np.concatenate([a, b]),
                         np.concatenate([b, a]))[0].reshape(2, -1)
-    counts = f.counts.reshape(-1)
+    counts = (bounds[..., 1] - bounds[..., 0]).reshape(-1)
     equal = np.where(np.isnan(gaps[0]), (counts[a] > 0) == (counts[b] > 0),
                      gaps.max(axis=0) <= SET_EQUALITY_TOL)
-    varying = np.zeros(f.counts.shape, dtype=bool)
-    varying[off] = ~equal.reshape(-1, flat.shape[1])
+    varying = np.zeros(flat.shape, dtype=bool)
+    varying[:, off] = ~equal.reshape(len(flat), -1, flat.shape[2])
     return varying
 
 
@@ -465,7 +497,7 @@ def lower_measurable_check(psi: Corr, part: InfoPartition, z: int) -> bool:
     """Sufficient-condition check for lower measurability of t -> psi(t,z)
     under a finite partition: the value is constant as a set (within
     1e-9) on every cell, decided by cell_varying."""
-    return not cell_varying(psi, part)[:, z].any()
+    return not cell_varying([psi], part)[0, :, z].any()
 
 
 def _atom_failures(varying: np.ndarray, part: InfoPartition) -> list[tuple[int, int]]:
@@ -623,20 +655,26 @@ class CipReport:
     eps: float = 0.0
 
 
-def _residual_row(psi: Corr, f: Corr, t: int) -> np.ndarray:
-    """Inclusion residual of F(t, x) in psi(t, x) at every node x: 0 where
-    F(t, x) is empty or is psi's own segment, inf where psi(t, x) is
-    empty, else one segment_distances pass over the points of every
-    such cell (a vertex of its hull is at exactly 0), max per cell."""
-    res = np.zeros(len(psi.grid))
-    same = (f.points is psi.points) & (f.bounds[t] == psi.bounds[t]).all(axis=1)
-    nodes = np.flatnonzero((f.counts[t] > 0) & ~same)
-    res[nodes[psi.counts[t, nodes] == 0]] = np.inf
-    nodes = nodes[psi.counts[t, nodes] > 0]
-    rows, first = _segment_rows(f.bounds[t, nodes])
-    owner = np.repeat(nodes, f.counts[t, nodes])
-    res[nodes] = np.maximum.reduceat(
-        segment_distances(f.points[rows], psi.points, psi.bounds[t, owner]), first)
+def _residuals(psi: Corr, tables: list, on: np.ndarray) -> np.ndarray:
+    """Inclusion residual of F(t, x) in psi(t, x) on the (tables, atoms,
+    nodes) mask on, for every table F: 0 off it, where F(t, x) is empty
+    or is psi's own segment, inf where psi(t, x) is empty, else the max
+    distance of F(t, x)'s points from psi's hull (a vertex of it is at
+    exactly 0), by segment_distances calls of RESIDUAL_CHUNK points."""
+    points, bounds, _ = _stacked(tables)
+    res = np.zeros(on.shape)
+    same = np.stack([(f.bounds == psi.bounds).all(axis=-1) & (f.points is psi.points)
+                     for f in tables])
+    cells = on & (bounds[..., 1] > bounds[..., 0]) & ~same
+    res[cells & (psi.counts == 0)] = np.inf
+    k, t, x = np.nonzero(cells & (psi.counts > 0))
+    segs = bounds[k, t, x]
+    rows, first = _segment_rows(segs)
+    owner = np.repeat(psi.bounds[t, x], segs[:, 1] - segs[:, 0], axis=0)  # psi's row per point
+    if len(rows):
+        res[k, t, x] = np.maximum.reduceat(np.concatenate([segment_distances(
+            points[rows[i:i + RESIDUAL_CHUNK]], psi.points, owner[i:i + RESIDUAL_CHUNK])
+            for i in range(0, len(rows), RESIDUAL_CHUNK)]), first)
     return res
 
 
@@ -654,28 +692,33 @@ def cip_verify(
     convex hull of psi(t, x) within tol.  The convex hulls of F_z(t, .)
     must pass the discrete l.s.c. check at eps inside the ball (on the
     whole grid when strict=True), and on the whole grid for atoms t with
-    psi(t, z) empty.  Every local must live on psi's grid points and
-    atom count.
+    psi(t, z) empty.  Every local must live on psi's grid points, atom
+    count and dim.
 
-    Array passes per (local, atom): the witness nodes' balls form one
-    boolean matrix ball[x, z] = d(x, z) < r(t, z) (the local's columns of
-    capture_matrix; no ball off psi's section), and the nonempty,
-    inclusion and l.s.c. failures of every node, the worst residual and
-    each ball's share of the pairs that lose a value point at eps all
-    come from it.  Only the witness nodes that fail are visited one by one,
-    in node order, to list their failures.
+    One _cache_gaps call fills every local's gap table and one
+    _residuals pass measures every (local, atom, node) cell a ball of
+    that local reaches.  Per (local, atom), the balls form one boolean
+    matrix ball[x, z] = d(x, z) < r(t, z) (capture_matrix; no ball off
+    psi's section), and the nonempty, inclusion and l.s.c. failures of
+    every node and each ball's share of the pairs that lose a value
+    point at eps all come from it.  Only the witness nodes that fail
+    are visited one by one, in node order, to list their failures.
     """
     report = CipReport(True, eps=eps)
     pi, pj = psi.grid.directed_pair_arrays()
     groups = w.distinct_locals()
-    for f, _ in groups:
+    tables = [f for f, _ in groups]
+    for f in tables:
         if f.grid is not psi.grid and not np.array_equal(f.grid.points, psi.grid.points):
             raise DomainError("witness locals must live on psi's grid")
-        if len(f.space) != len(psi.space):
-            raise DomainError("witness locals must live on psi's atoms")
+        if len(f.space) != len(psi.space) or f.dim != psi.dim:
+            raise DomainError("witness locals must live on psi's atoms, in psi's dim")
     caps = capture_matrix(psi, w)
-    for f, zs in groups:
-        zs = np.array(zs)
+    balls = [caps[..., zs] for _, zs in groups]  # each local's columns
+    _cache_gaps(tables)
+    residuals = _residuals(psi, tables, np.stack([ball.any(axis=2) for ball in balls]))
+    report.inclusion_residual = float(residuals.max(initial=0.0))
+    for (f, zs), res, local_balls in zip(groups, residuals, balls):
         for t in range(len(psi.space)):
             gaps = f.directed_gaps(t)
             finite = ~np.isnan(gaps)
@@ -684,16 +727,9 @@ def cip_verify(
             lost = np.nonzero(finite & (gaps >= eps))[0]
             empty = f.counts[t] == 0
             on = psi.counts[t, zs] > 0
-            ball = caps[t][:, zs]
+            ball = local_balls[t]
             unfilled = ball & empty[:, None]
-            usable = ball & ~empty[:, None]
-            escapes = np.zeros_like(ball)
-            reached = usable.any(axis=1)
-            if reached.any():
-                res = _residual_row(psi, f, t)
-                report.inclusion_residual = max(report.inclusion_residual,
-                                                float(res[reached].max()))
-                escapes = usable & (res > tol)[:, None]
+            escapes = ball & (res[t] > tol)[:, None]  # res is 0 where F is empty
             if strict:
                 scope = np.ones((len(lost), len(zs)), dtype=bool)
             else:
@@ -711,7 +747,7 @@ def cip_verify(
                     for x in np.flatnonzero(escapes[:, c]):
                         report.failures.append((
                             "inclusion", t, z, int(x),
-                            f"local value escapes psi by {res[x]:.3e}",
+                            f"local value escapes psi by {res[t, x]:.3e}",
                         ))
                     kind, scoped = "lsc", lost[scope[:, c]]
                 else:
@@ -747,15 +783,17 @@ def scip_verify(
     finished plain verification of (psi, w): joint lower measurability of
     the local hulls (cell-wise constancy in t) and the mode-specific
     conditions.  Each measurability check compares every atom's table
-    with its cell head's (InfoPartition.head); a local's values go
-    through cell_varying, which names its first failing node."""
+    with its cell head's (InfoPartition.head); the locals' values go
+    through one cell_varying call, which names each one's first failing
+    node."""
     if not cip.ok:
         raise PreconditionError("plain continuous-inclusion verification failed")
     report = ScipReport(True, w.mode, cip)
 
     groups = w.distinct_locals()
-    for f, zs in sorted(groups, key=lambda group: group[1][0]):
-        for x, t in _atom_failures(cell_varying(f, part), part)[:1]:
+    ordered = sorted(groups, key=lambda group: group[1][0])
+    for (_, zs), varying in zip(ordered, cell_varying([f for f, _ in ordered], part)):
+        for x, t in _atom_failures(varying, part)[:1]:
             report.failures.append(
                 ("measurability", t, f"F_{zs[0]}", x, "local value not cell-constant")
             )
@@ -802,7 +840,8 @@ def scip_verify(
 def _hull_modulus(psi: Corr, w: CipWitness, groups: list) -> float:
     """Max over (t, x) and adjacent node pairs at a positive distance d of
     the Hausdorff distance of the two ends' nonempty local values over d,
-    from one _packed_gaps call over the segments of all locals (groups)."""
+    from one _packed_gaps call over the _stacked segments of all locals
+    (groups)."""
     pi, pj = (p[:len(p) // 2] for p in psi.grid.directed_pair_arrays())
     group = np.full(len(psi.grid), -1)
     for g, (_, zs) in enumerate(groups):
@@ -813,11 +852,8 @@ def _hull_modulus(psi: Corr, w: CipWitness, groups: list) -> float:
     d = psi.grid.metric[pi, pj]
     cells = psi.counts.size
     rows = group[np.stack([pi, pj])[:, d > 0]][..., None] * cells + np.arange(cells)
-    sizes = [len(f.points) for f, _ in groups]
-    bounds = np.concatenate([f.bounds.reshape(-1, 2) + off
-                             for (f, _), off in zip(groups, np.cumsum(sizes) - sizes)])
-    gaps = _packed_gaps(np.concatenate([f.points for f, _ in groups]), bounds,
-                        rows.reshape(-1), rows[::-1].reshape(-1))[0]
+    points, bounds, _ = _stacked([f for f, _ in groups])
+    gaps = _packed_gaps(points, bounds.reshape(-1, 2), rows.reshape(-1), rows[::-1].reshape(-1))[0]
     ratio = gaps.reshape(2, -1).max(axis=0) / np.repeat(d[d > 0], cells)
     return float(ratio[~np.isnan(ratio)].max(initial=0.0))
 

@@ -566,12 +566,11 @@ def maximal_element(
     if not probe.ok:
         raise PreconditionError("inclusion property fails for the preference table")
 
-    bad = np.count_nonzero(cell_varying(p, part).any(axis=0))
-    checks.add("preference-measurability", bad, 0,
+    varying = cell_varying([p] + [f for f, _ in w.distinct_locals()], part).any(axis=1)
+    checks.add("preference-measurability", np.count_nonzero(varying[0]), 0,
                "cell-wise constancy of the preferred sets (reported separately "
                "from the witness checks)")
-    bad_w = sum(np.count_nonzero(cell_varying(f, part).any(axis=0))
-                for f, _ in w.distinct_locals())
+    bad_w = np.count_nonzero(varying[1:])
     checks.add("witness-measurability", bad_w, 0,
                "cell-wise constancy of the witness locals")
 

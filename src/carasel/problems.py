@@ -158,6 +158,7 @@ def build_grid(doc: dict, section: dict | None = None) -> GridSpace:
 
 def _records_to_corr(records, space: AtomSpace, grid: GridSpace, dim: int) -> Corr:
     table: dict[tuple[int, int], PointSet] = {}
+    first: dict[tuple[int, int], int] = {}  # the record that gave each cell
     for i, rec in enumerate(records):
         t = space.index_of(rec["atom"])
         z = rec["node"]
@@ -165,6 +166,9 @@ def _records_to_corr(records, space: AtomSpace, grid: GridSpace, dim: int) -> Co
             raise ParseError(f"record {i} (atom {rec['atom']!r}): node {z!r} is not an integer")
         if not 0 <= z < len(grid):
             raise ParseError(f"node index {z} out of range")
+        if first.setdefault((t, z), i) != i:
+            raise ParseError(f"records {first[(t, z)]} and {i} both give atom "
+                             f"{rec['atom']!r}, node {z}")
         verts = rec.get("vertices", [])
         ps = PointSet.of(dim, np.asarray(verts, dtype=float).reshape(-1, dim)) \
             if verts else PointSet.empty(dim)

@@ -17,7 +17,7 @@ from .corr import (
     CipWitness,
     Corr,
     SET_EQUALITY_TOL,
-    _residual_row,
+    _residuals,
     _segments,
     cell_varying,
     k_operator,
@@ -125,8 +125,7 @@ def construct_phi(
         phi = pool_captured(psi, w)
 
     cert = CheckSet()
-    worst_inclusion = max(float(_residual_row(psi, phi, t)[psi.counts[t] > 0].max(initial=0.0))
-                          for t in range(len(psi.space)))
+    worst_inclusion = float(_residuals(psi, [phi], (psi.counts > 0)[None]).max(initial=0.0))
     cert.add("phi-inclusion", worst_inclusion, SET_EQUALITY_TOL,
              "every glued vertex lies in the hull of the original value")
 
@@ -138,7 +137,7 @@ def construct_phi(
     cert.add("phi-lsc", worst_gap if all(rep.ok for rep in reps) else float("inf"), eps,
              f"per-atom l.s.c. at the certified eps={eps:g}")
 
-    bad_nodes = np.count_nonzero(cell_varying(phi, part).any(axis=0))
+    bad_nodes = np.count_nonzero(cell_varying([phi], part)[0].any(axis=0))
     cert.add("phi-measurability", bad_nodes, 0, "cell-wise set constancy per node")
 
     kpsi = k_operator(psi, w)
@@ -418,8 +417,7 @@ def _inputs_cell_constant(psi: Corr, w: CipWitness, part: InfoPartition) -> bool
     if part.is_finest:
         return False
     return (np.array_equal(w.radii, w.radii[part.head], equal_nan=True)
-            and not any(cell_varying(f, part).any()
-                        for f in [psi] + [f for f, _ in w.distinct_locals()]))
+            and not cell_varying([psi] + [f for f, _ in w.distinct_locals()], part).any())
 
 
 def glue(
@@ -463,9 +461,9 @@ def glue(
     # nodes where the fallback and the selection (its presence and its
     # points, the glued singletons on the domain) are cell-constant but
     # the glued table is not
-    varying = cell_varying(glued, part)
+    varying, fallback_varying = cell_varying([glued, fallback], part)
     sel_varies = (on != on[part.head]) | (on & varying)
-    broken_meas = np.count_nonzero(~cell_varying(fallback, part).any(axis=0)
+    broken_meas = np.count_nonzero(~fallback_varying.any(axis=0)
                                    & ~sel_varies.any(axis=0) & varying.any(axis=0))
     checks.add("glue-measurability-preserved", broken_meas, 0,
                "nodes where cell-constant inputs fail to glue to a cell-constant table")

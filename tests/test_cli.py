@@ -208,6 +208,29 @@ def test_non_integer_correspondence_node_exit_2(tmp_path, capsys, node):
     assert not (tmp_path / "bad-node.cert.json").exists()
 
 
+@pytest.mark.parametrize("front", [True, False], ids=["front", "back"])
+@pytest.mark.parametrize("where", ["correspondence", "locals"])
+def test_duplicate_record_exit_2(tmp_path, capsys, where, front):
+    # the last record of a cell used to win silently, so the copy below
+    # certified ok at the front of the correspondence and failed at its back
+    doc = json.loads((DOCS / "example-3-2.json").read_text())
+    records = doc["correspondence"] if where == "correspondence" else \
+        doc["witness"]["locals"]["shared"]
+    assert records[3] == {"atom": "t1", "node": 3, "vertices": [[0.0]]}
+    copy = dict(records[3], vertices=[[5.0]])
+    if front:
+        records.insert(0, copy)
+        pair = (0, 4)
+    else:
+        records.append(copy)
+        pair = (3, len(records) - 1)
+    p = tmp_path / "duplicate.json"
+    p.write_text(json.dumps(doc))
+    assert main(["run", str(p)]) == 2
+    assert f"records {pair[0]} and {pair[1]} both give atom 't1', node 3" in capsys.readouterr().err
+    assert not (tmp_path / "duplicate.cert.json").exists()
+
+
 def test_valid_witness_variants_still_certify(tmp_path):
     for name, edit in (("radius", _extra_radius(20)), ("local", _countable_local("20")),
                        ("box", _indexed_box(1))):

@@ -39,6 +39,7 @@ from carasel.corr import (
     pool_captured,
 )
 from carasel.reporting import CheckSet
+from carasel.selection import _inputs_cell_constant
 from carasel.setops import (
     ConvexSet,
     _cross_dists,
@@ -1391,3 +1392,91 @@ def test_interior_cells_match_per_cell_margins(dim):
             for t, z in np.argwhere(on & (psi.counts > 0)):
                 want[t, z] = max_vertex_margin(ConvexSet(psi.dim, psi.value(t, z).points)) > 0.0
             assert np.array_equal(psi.interior_cells(on), want)
+
+
+def _countable_family(seed, dim=2, n=12):
+    """psi and a countable witness with one distinct _shared_rows local per
+    node (empty cells, shared segments, lattice values), every ball 1.5
+    meshes wide; the radii are cell-constant under any partition."""
+    rng = np.random.default_rng(seed)
+    grid = line_grid(n)
+    psi = _shared_rows(rng, dim, grid)
+    locs = {z: _shared_rows(rng, dim, grid) for z in range(n)}
+    return psi, CipWitness("countable", locs, np.full(psi.counts.shape, 1.5 * grid.mesh))
+
+
+def test_witness_family_kernel_call_budget(monkeypatch):
+    """cip_verify fills every local's gap table with one _packed_gaps call
+    and measures all inclusion residuals with one segment_distances call;
+    reading a local's gaps later adds no call, and each stacked
+    cell-constancy test is one call."""
+    calls = {"_packed_gaps": 0, "segment_distances": 0}
+    for name in calls:
+        def counting(*args, name=name, kernel=getattr(corr, name)):
+            calls[name] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(corr, name, counting)
+    psi, w = _countable_family(0)
+    assert len(w.distinct_locals()) >= 5
+    report = cip_verify(psi, w, eps=0.3)
+    assert report.inclusion_residual > 0.0
+    assert calls == {"_packed_gaps": 1, "segment_distances": 1}
+    cip_verify(psi, w, eps=0.3)  # every local is cached now
+    assert calls == {"_packed_gaps": 1, "segment_distances": 2}
+    for f, _ in w.distinct_locals():
+        lsc_check(f, 1, 0.3)
+    assert calls["_packed_gaps"] == 1
+    part = InfoPartition.trivial(psi.space)
+    scip_verify(psi, w, part, CipReport(True))
+    assert calls["_packed_gaps"] == 2
+    _inputs_cell_constant(psi, w, part)
+    assert calls["_packed_gaps"] == 3
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_family_gap_caches_match_fresh_tables(dim):
+    """After cip_verify fills the caches of all locals in one pass, each
+    local's gaps, farthest rows and l.s.c. violation points equal those
+    of a fresh copy of it that computes its own, bit for bit."""
+    psi, w = _countable_family(dim, dim)
+    cip_verify(psi, w, eps=0.3)
+    nan = shared = lost = 0
+    for f, _ in w.distinct_locals():
+        assert "_gap_cache" in f.__dict__
+        fresh = Corr(f.space, f.grid, f.dim, f.points, f.bounds)
+        for t in range(len(f.space)):
+            gaps, far = f.directed_gaps(t), f.farthest_rows(t)
+            assert np.array_equal(gaps, fresh.directed_gaps(t), equal_nan=True)
+            assert np.array_equal(far, fresh.farthest_rows(t))
+            report = lsc_check(f, t, 0.3)
+            _same_report(report, lsc_check(fresh, t, 0.3))
+            nan += np.isnan(gaps).sum()
+            shared += ((gaps == 0.0) & (far == -1)).sum()
+            lost += len(report.violations)
+    assert nan and shared and lost
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_residual_chunk_of_one_point_keeps_reports(seed, monkeypatch):
+    """The stacked residual pass gives the same CipReport and construct_phi
+    certificate when every segment_distances call measures one point."""
+    cases = [_countable_family(seed)]
+    rng = np.random.default_rng(seed)
+    while len(cases) < 3:
+        inst = random_cip_instance(rng)
+        if inst.style == "moving":
+            cases.append((inst.psi, inst.witness))
+
+    def outputs():
+        out = []
+        for psi, w in cases:
+            part = InfoPartition.trivial(psi.space)
+            out.append((vars(cip_verify(psi, w, eps=0.3)),
+                        [c.as_dict() for c in construct_phi(psi, w, part, eps=0.3).certificate]))
+        return out
+
+    want = outputs()
+    assert any(report["failures"] for report, _ in want)
+    monkeypatch.setattr(corr, "RESIDUAL_CHUNK", 1)
+    assert outputs() == want

@@ -25,11 +25,18 @@ from carasel import (
     maximal_element,
     scip_verify,
 )
-from carasel.corr import SET_EQUALITY_TOL, CipReport, capture_matrix, cell_varying
+from carasel.corr import (
+    SET_EQUALITY_TOL,
+    CipReport,
+    _atom_failures,
+    capture_matrix,
+    cell_varying,
+)
 from carasel.equilibria import _payoff_cell_constancy, _profile_cell_constancy
 from carasel.reporting import CheckSet
 from carasel.selection import _inputs_cell_constant
 from conftest import line_grid, same_set
+from instances import random_cip_instance
 
 WITHIN, BEYOND = 0.9e-9, 1.1e-9  # moves on either side of SET_EQUALITY_TOL
 
@@ -191,7 +198,7 @@ def test_partition_heads_follow_the_cells():
 def test_cell_varying_matches_per_cell_reference(seed):
     rng, space, grid, dim, part = _random_setup(seed)
     f = _random_table(rng, space, grid, dim, part)
-    varying = cell_varying(f, part)
+    (varying,) = cell_varying([f], part)
     for t in range(len(space)):
         head = part.cell_of(t)[0]
         for z in range(len(grid)):
@@ -210,9 +217,9 @@ def test_cell_varying_tolerance_edges():
               _moved(np.random.default_rng(0), base, BEYOND), PointSet.empty(2),
               PointSet.of(2, base.points[::-1])]
     f = Corr.from_function(space, grid, 2, lambda t, z: values[t])
-    assert cell_varying(f, part)[:, 0].tolist() == [False, False, True, True, False]
+    assert cell_varying([f], part)[0, :, 0].tolist() == [False, False, True, True, False]
     empty = Corr.constant(space, grid, PointSet.empty(2))
-    assert not cell_varying(empty, part).any()
+    assert not cell_varying([empty], part).any()
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -388,3 +395,84 @@ def test_no_cell_check_compares_point_set_views(monkeypatch):
     chain = Corr.from_function(space, grid, 1, lambda t, z: PointSet.of(1, grid.points[z + 1:]))
     res = maximal_element(chain, canonical_witness(chain), part)
     assert _check(res.checks, "preference-measurability") == 0
+
+
+# ------------------------------------------- stacked cell-constancy tests
+
+def _planted(f: Corr, t: int, x: int) -> Corr:
+    """f with the value at (t, x) replaced by one far point."""
+    bounds = np.array(f.bounds)
+    bounds[t, x] = [len(f.points), len(f.points) + 1]
+    return Corr(f.space, f.grid, f.dim, np.vstack([f.points, np.full((1, f.dim), 5.0)]), bounds)
+
+
+def _local_measurability_reference(w: CipWitness, part: InfoPartition) -> list:
+    """scip_verify's measurability failures as the per-local loop."""
+    failures = []
+    for f, zs in sorted(w.distinct_locals(), key=lambda group: group[1][0]):
+        for x, t in _atom_failures(cell_varying([f], part)[0], part)[:1]:
+            failures.append(("measurability", t, f"F_{zs[0]}", x, "local value not cell-constant"))
+    return failures
+
+
+def _inputs_constant_reference(psi: Corr, w: CipWitness, part: InfoPartition) -> bool:
+    return (not part.is_finest and np.array_equal(w.radii, w.radii[part.head], equal_nan=True)
+            and not any(cell_varying([f], part)[0].any()
+                        for f in [psi] + [f for f, _ in w.distinct_locals()]))
+
+
+def test_stacked_cell_constancy_matches_per_local_loop():
+    """scip_verify's measurability failures (in order) and
+    _inputs_cell_constant, which test all locals in one cell_varying
+    call, equal the per-local loop on random_cip_instance witnesses under
+    trivial and split partitions, and again with two locals made
+    non-constant at a non-head atom."""
+    rng = np.random.default_rng(17)
+    seen, planted = set(), 0
+    while len(seen) < 2 or planted < 12:
+        inst = random_cip_instance(rng)
+        psi, w, part = inst.psi, inst.witness, inst.part
+        if part.is_finest:
+            continue
+        seen.add(len(part.cells))
+        t = int(np.flatnonzero(part.head != np.arange(len(psi.space)))[0])
+        locs = dict(reversed(w.locals.items()))  # distinct_locals in reverse node order
+        for z in rng.choice(len(psi.grid), size=2, replace=False).tolist():
+            locs[z] = _planted(locs[z], t, int(rng.integers(len(psi.grid))))
+        for witness in (w, CipWitness("indexed", locs, w.radii, w.box)):
+            failures = [f for f in scip_verify(psi, witness, part, CipReport(True)).failures
+                        if f[0] == "measurability"]
+            assert failures == _local_measurability_reference(witness, part)
+            assert _inputs_cell_constant(psi, witness, part) == \
+                _inputs_constant_reference(psi, witness, part)
+        planted += 1
+        assert len(failures) == 2
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_maximal_element_stacked_witness_measurability(seed):
+    """maximal_element's witness-measurability count, from one cell_varying
+    call over the preference and all locals, equals the per-local loop on
+    a countable witness of chain preferences with dropped points at
+    non-head atoms."""
+    rng = np.random.default_rng(seed)
+    space = AtomSpace(tuple(f"a{k}" for k in range(4)), [1.0] * 4)
+    grid = line_grid(6)
+    part = InfoPartition(space, ((0, 2), (1, 3)))
+    chain = Corr.from_function(space, grid, 1, lambda t, z: PointSet.of(1, grid.points[z + 1:]))
+
+    def local():
+        keep = rng.random(size=(4, 6)) < 0.5
+        return Corr.from_function(space, grid, 1, lambda t, z: (
+            PointSet.of(1, grid.points[z + 2:]) if t in (2, 3) and z < 4 and not keep[t, z]
+            else chain.value(t, z)))
+
+    locs = {z: chain if z % 3 == 0 else local() for z in range(6)}
+    w = CipWitness("countable", locs, canonical_witness(chain).radii)
+    res = maximal_element(chain, w, part, run_selection=False)
+    want = sum(np.count_nonzero(cell_varying([f], part)[0].any(axis=0))
+               for f, _ in w.distinct_locals())
+    assert want > 0
+    assert _check(res.checks, "witness-measurability") == want
+    assert _check(res.checks, "preference-measurability") == \
+        np.count_nonzero(cell_varying([chain], part)[0].any(axis=0))
