@@ -10,6 +10,7 @@ operator collecting interiors of the local inclusion witnesses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -190,29 +191,27 @@ class Corr:
         start, stop = self.bounds[t, z]
         return PointSet._view(self.dim, self.points[start:stop])
 
-    def directed_gaps(self, t: int) -> np.ndarray:
-        """Per-directed-adjacent-pair one-sided gaps of the atom-t row:
-        entry k is the farthest any point of the value at source k must
-        travel to reach the value at target k; NaN when either side is
-        empty, 0.0 when both ends share one segment.  The first call
-        computes every atom's row in one _packed_gaps call, which
-        measures each distinct pair of segments once (sorted rows in
-        R^1, padded blocks otherwise), however many adjacent pairs of
-        any atom join it.  Cached (the table is immutable); cip_verify
-        fills the caches of all witness locals in one such call
-        (_cache_gaps)."""
-        return self._gap_entry(t)[0]
+    def directed_gaps(self) -> np.ndarray:
+        """Read-only (atoms, directed adjacent pairs) one-sided gaps, pairs
+        in GridSpace.directed_pair_arrays order: entry [t, k] is the
+        farthest any point of the value at (t, source k) must travel to
+        reach the value at (t, target k); NaN when either side is empty,
+        0.0 when both ends share one segment.  The first call computes
+        the whole table in one _packed_gaps call, which measures each
+        distinct pair of segments once (sorted rows in R^1, padded blocks
+        otherwise), however many adjacent pairs of any atom join it.
+        Cached (the table is immutable); cip_verify fills the caches of
+        all witness locals in one such call (_cache_gaps)."""
+        _cache_gaps([self])
+        return self.__dict__["_gap_cache"][0]
 
-    def farthest_rows(self, t: int) -> np.ndarray:
-        """Per directed adjacent pair of the atom-t row, the row of points
-        holding the source point that is farthest from the target value
+    def farthest_rows(self) -> np.ndarray:
+        """Read-only (atoms, directed adjacent pairs) table: the row of
+        points holding the source point farthest from the target value
         (the first such point), found with directed_gaps; -1 where the
         gap is NaN or 0.0 by a shared segment."""
-        return self._gap_entry(t)[1]
-
-    def _gap_entry(self, t: int) -> tuple[np.ndarray, np.ndarray]:
         _cache_gaps([self])
-        return self.__dict__["_gap_cache"][t]
+        return self.__dict__["_gap_cache"][1]
 
     def segment_index(self) -> tuple[np.ndarray, np.ndarray]:
         """(segs, cell_seg): the distinct [start, stop) rows of the
@@ -299,8 +298,9 @@ def _cache_gaps(tables: list) -> None:
     gaps, far = (a.reshape((2,) + rows.shape[:2] + (-1,)).transpose(1, 2, 0, 3)
                  .reshape(rows.shape[:2] + (-1,)) for a in pairs)
     far = np.where(far >= 0, far - starts[:, None, None], far)
+    gaps.flags.writeable = far.flags.writeable = False
     for f, g, r in zip(todo, gaps, far):
-        f.__dict__["_gap_cache"] = list(zip(g, r))  # per atom: (gaps, farthest rows)
+        f.__dict__["_gap_cache"] = (g, r)
 
 
 def _packed_gaps(points: np.ndarray, bounds: np.ndarray, pi: np.ndarray,
@@ -426,49 +426,47 @@ def lsc_check(psi: Corr, t: int, eps: float) -> SemicontinuityReport:
     """Discrete lower-semicontinuity surrogate for psi(t, .): for every
     ordered adjacent pair (z, z') with both values nonempty, every point
     of the value at z must lie within eps of the value at z' (no value
-    point may vanish when stepping to a neighbor).
-
-    Decided from the cached gap table in one pass: each violation's
-    witness point is the source point farthest from the target value,
-    gathered through Corr.farthest_rows."""
-    if eps <= 0:
-        raise DomainError("eps must be positive")
-    pi, pj = psi.grid.directed_pair_arrays()
-    gaps = psi.directed_gaps(t)
-    mask = ~np.isnan(gaps)
-    if not mask.any():
-        return SemicontinuityReport(True, [], 0.0)
-    max_gap = float(gaps[mask].max())
-    bad = np.flatnonzero(mask & (gaps >= eps))
-    lost = psi.points[psi.farthest_rows(t)[bad]]
-    violations = list(zip(pi[bad].tolist(), pj[bad].tolist(), lost))
-    return SemicontinuityReport(not violations, violations, max_gap)
+    point may vanish when stepping to a neighbor).  Row t of
+    Corr.directed_gaps; each violation's witness point is the source
+    point farthest from the target value (Corr.farthest_rows)."""
+    return _semicontinuity(psi, t, eps, upper=False)
 
 
 def usc_check(psi: Corr, t: int, eps: float) -> SemicontinuityReport:
     """Discrete upper-semicontinuity surrogate for psi(t, .): for every
     unordered adjacent pair with both values nonempty, at least one value
     must collapse into the eps-neighborhood of the other (growth at a
-    node is tolerated, mutual separation is not).  One pass over the
-    cached gap table, as in lsc_check.
-    """
+    node is tolerated, mutual separation is not).  Row t of each pair's
+    smaller one-sided gap; the witness point leaves that side."""
+    return _semicontinuity(psi, t, eps, upper=True)
+
+
+def _absorbed(gaps: np.ndarray, upper: bool) -> np.ndarray:
+    """The gaps a semicontinuity check must absorb, from directed gaps
+    (..., pairs): those themselves for l.s.c., each unordered pair's
+    smaller side (forward half against backward half) for u.s.c.; NaN
+    where the values of a pair are not both nonempty."""
+    half = gaps.shape[-1] // 2
+    return np.minimum(gaps[..., :half], gaps[..., half:]) if upper else gaps
+
+
+def _semicontinuity(psi: Corr, t: int, eps: float, upper: bool) -> SemicontinuityReport:
+    """lsc_check (upper False) or usc_check at atom t."""
     if eps <= 0:
         raise DomainError("eps must be positive")
     pi, pj = psi.grid.directed_pair_arrays()
-    gaps = psi.directed_gaps(t)
-    half = len(pi) // 2
-    fwd, bwd = gaps[:half], gaps[half:]
-    mask = ~np.isnan(fwd)
+    directed = psi.directed_gaps()[t]
+    gaps = _absorbed(directed, upper)
+    mask = ~np.isnan(gaps)
     if not mask.any():
         return SemicontinuityReport(True, [], 0.0)
-    pair_gap = np.minimum(fwd, bwd)
-    max_gap = float(pair_gap[mask].max())
-    bad = np.flatnonzero(mask & (pair_gap >= eps))
-    # the witness point leaves the side with the smaller one-sided gap
-    side = np.where(fwd[bad] <= bwd[bad], bad, bad + half)
-    lost = psi.points[psi.farthest_rows(t)[side]]
+    bad = np.flatnonzero(mask & (gaps >= eps))
+    side = bad
+    if upper:  # the witness point leaves the side with the smaller one-sided gap
+        side = np.where(directed[bad] <= directed[bad + len(gaps)], bad, bad + len(gaps))
+    lost = psi.points[psi.farthest_rows()[t, side]]
     violations = list(zip(pi[bad].tolist(), pj[bad].tolist(), lost))
-    return SemicontinuityReport(not violations, violations, max_gap)
+    return SemicontinuityReport(not violations, violations, float(gaps[mask].max()))
 
 
 def cell_varying(tables: list, part: InfoPartition) -> np.ndarray:
@@ -478,8 +476,10 @@ def cell_varying(tables: list, part: InfoPartition) -> np.ndarray:
     gap of one _packed_gaps call over all the tables, exceeds
     SET_EQUALITY_TOL.  Cells sharing a segment, or both empty, are
     equal; an empty and a nonempty one are not.  A table is constant on
-    every cell at node z iff its column z is unmarked."""
-    points, bounds, _ = _stacked(tables)
+    every cell at node z iff its column z is unmarked.  A table listed
+    more than once (by identity) is measured once."""
+    distinct = list(dict.fromkeys(tables))
+    points, bounds, _ = _stacked(distinct)
     flat = np.arange(bounds.size // 2).reshape(bounds.shape[:-1])  # (f, t, z) -> row
     off = part.head != np.arange(flat.shape[1])  # the atoms that are not heads
     a, b = flat[:, off].ravel(), flat[:, part.head[off]].ravel()
@@ -490,7 +490,7 @@ def cell_varying(tables: list, part: InfoPartition) -> np.ndarray:
                      gaps.max(axis=0) <= SET_EQUALITY_TOL)
     varying = np.zeros(flat.shape, dtype=bool)
     varying[:, off] = ~equal.reshape(len(flat), -1, flat.shape[2])
-    return varying
+    return varying[[distinct.index(f) for f in tables]]
 
 
 def lower_measurable_check(psi: Corr, part: InfoPartition, z: int) -> bool:
@@ -526,8 +526,9 @@ def _outside(key, shape: tuple) -> bool:
 class CipWitness:
     """Local-inclusion witness family for a correspondence psi.
 
-    locals maps each node index z in [0, nodes) to the correspondence
-    F_z, all of one (atoms, nodes) shape.  radii is a read-only table of
+    locals is a read-only mapping of each node index z in [0, nodes) to
+    the correspondence F_z, all of one (atoms, nodes) shape, one object
+    for every node in shared mode.  radii is a read-only table of
     that shape: at (t, z) the radius of the open ball around node z inside
     which F_z must include into psi, NaN where none is given.  It is built
     from a {(t, z): r} mapping of indices inside the table, or given as
@@ -537,7 +538,7 @@ class CipWitness:
     """
 
     mode: str
-    locals: dict
+    locals: MappingProxyType
     radii: np.ndarray
     box: tuple | None = None
 
@@ -583,7 +584,7 @@ class CipWitness:
             if len(lo) != first.dim:
                 raise DomainError(f"box has dim {len(lo)}, the locals have dim {first.dim}")
             box = (lo, hi)
-        object.__setattr__(self, "locals", locs)
+        object.__setattr__(self, "locals", MappingProxyType(locs))
         object.__setattr__(self, "radii", table)
         object.__setattr__(self, "box", box)
 
@@ -697,12 +698,14 @@ def cip_verify(
 
     One _cache_gaps call fills every local's gap table and one
     _residuals pass measures every (local, atom, node) cell a ball of
-    that local reaches.  Per (local, atom), the balls form one boolean
-    matrix ball[x, z] = d(x, z) < r(t, z) (capture_matrix; no ball off
-    psi's section), and the nonempty, inclusion and l.s.c. failures of
-    every node and each ball's share of the pairs that lose a value
-    point at eps all come from it.  Only the witness nodes that fail
-    are visited one by one, in node order, to list their failures.
+    that local reaches.  The balls form one boolean stack ball[t, x, z]
+    = d(x, z) < r(t, z) (capture_matrix; no ball off psi's section).
+    Per local, array passes over its gap table and the cells that are
+    empty or escape psi mark the failing (atom, witness node) cells:
+    a ball reaching such a cell or both ends of a pair that loses a
+    value point at eps, and any witness node off psi's section at an
+    atom with such a pair.  Only the marked cells are visited, atoms
+    then nodes ascending, to list their failures.
     """
     report = CipReport(True, eps=eps)
     pi, pj = psi.grid.directed_pair_arrays()
@@ -718,45 +721,38 @@ def cip_verify(
     _cache_gaps(tables)
     residuals = _residuals(psi, tables, np.stack([ball.any(axis=2) for ball in balls]))
     report.inclusion_residual = float(residuals.max(initial=0.0))
-    for (f, zs), res, local_balls in zip(groups, residuals, balls):
-        for t in range(len(psi.space)):
-            gaps = f.directed_gaps(t)
-            finite = ~np.isnan(gaps)
-            if finite.any():
-                report.lsc_gap = max(report.lsc_gap, float(np.nanmax(gaps)))
-            lost = np.nonzero(finite & (gaps >= eps))[0]
-            empty = f.counts[t] == 0
-            on = psi.counts[t, zs] > 0
-            ball = local_balls[t]
-            unfilled = ball & empty[:, None]
-            escapes = ball & (res[t] > tol)[:, None]  # res is 0 where F is empty
-            if strict:
-                scope = np.ones((len(lost), len(zs)), dtype=bool)
-            else:
-                scope = ball[pi[lost]] & ball[pj[lost]]
-            fails = unfilled.any(axis=0) | escapes.any(axis=0) | scope.any(axis=0)
-            if len(lost):
-                fails |= ~on
-            for c in np.flatnonzero(fails):
-                z = int(zs[c])
-                if on[c]:
-                    for x in np.flatnonzero(unfilled[:, c]):
-                        report.failures.append(
-                            ("nonempty", t, z, int(x), "local value empty in ball")
-                        )
-                    for x in np.flatnonzero(escapes[:, c]):
-                        report.failures.append((
-                            "inclusion", t, z, int(x),
-                            f"local value escapes psi by {res[t, x]:.3e}",
-                        ))
-                    kind, scoped = "lsc", lost[scope[:, c]]
-                else:
-                    kind, scoped = "lsc-offsection", lost
-                for k in scoped:
-                    report.failures.append((
-                        kind, t, z, int(pi[k]),
-                        f"value point lost toward node {int(pj[k])}",
-                    ))
+    for (f, zs), res, ball in zip(groups, residuals, balls):
+        gaps = f.directed_gaps()
+        finite = ~np.isnan(gaps)
+        if finite.any():
+            report.lsc_gap = max(report.lsc_gap, float(gaps[finite].max()))
+        lost = finite & (gaps >= eps)
+        on = psi.counts[:, zs] > 0
+        fails = np.zeros(on.shape, dtype=bool)
+        at, x = np.nonzero((f.counts == 0) | (res > tol))  # res is 0 where F is empty
+        r, c = np.nonzero(ball[at, x])
+        fails[at[r], c] = True
+        at, k = np.nonzero(lost)
+        if strict:
+            fails[at] = True
+        else:
+            r, c = np.nonzero(ball[at, pi[k]] & ball[at, pj[k]])
+            fails[at[r], c] = True
+            fails[at] |= ~on[at]
+        for t, c in np.argwhere(fails).tolist():
+            z, pairs, kind = zs[c], np.flatnonzero(lost[t]), "lsc-offsection"
+            if on[t, c]:
+                cell, kind = ball[t, :, c], "lsc"
+                for x in np.flatnonzero(cell & (f.counts[t] == 0)).tolist():
+                    report.failures.append(("nonempty", t, z, x, "local value empty in ball"))
+                for x in np.flatnonzero(cell & (res[t] > tol)).tolist():
+                    report.failures.append(("inclusion", t, z, x,
+                                            f"local value escapes psi by {res[t, x]:.3e}"))
+                if not strict:
+                    pairs = pairs[cell[pi[pairs]] & cell[pj[pairs]]]
+            for k in pairs.tolist():
+                report.failures.append((kind, t, z, int(pi[k]),
+                                        f"value point lost toward node {int(pj[k])}"))
     report.ok = not report.failures
     return report
 
@@ -798,10 +794,7 @@ def scip_verify(
                 ("measurability", t, f"F_{zs[0]}", x, "local value not cell-constant")
             )
 
-    if w.mode == "shared":
-        if len(groups) > 1:
-            report.failures.append(("mode", -1, -1, -1, "locals differ in shared mode"))
-    elif w.mode == "countable":
+    if w.mode == "countable":
         # finiteness of the tables is automatic; the ball-membership
         # indicator {(t,x): x in O_z^t} must be cell-constant in t
         caps = capture_matrix(psi, w)

@@ -328,9 +328,9 @@ def _profile_cell_constancy(profile: dict, part: InfoPartition) -> float:
     return float(np.sqrt(np.vecdot(diff, diff)).max())
 
 
-def _spot_check_quasiconcavity(g: GameSpec, seed: int, trials: int = 20) -> list[str]:
-    """Randomized midpoint test of quasi-concavity in the own strategy;
-    gross violations produce warnings, never errors."""
+def _spot_check_quasiconcavity(g: GameSpec, seed: int) -> list[str]:
+    """Randomized midpoint test of quasi-concavity in the own strategy,
+    20 trials per player; gross violations produce warnings, not errors."""
     rng = np.random.default_rng(seed)
     warnings = []
     nodes = g.joint_nodes()
@@ -340,7 +340,7 @@ def _spot_check_quasiconcavity(g: GameSpec, seed: int, trials: int = 20) -> list
         hi = gi.points.max(axis=0)
         sl = g.own_slices[i]
         bad = 0
-        for _ in range(trials):
+        for _ in range(20):
             t = int(rng.integers(len(g.state_space)))
             base = nodes[int(rng.integers(len(nodes)))].copy()
             a = lo + rng.random(gi.dim) * (hi - lo)
@@ -359,7 +359,7 @@ def _spot_check_quasiconcavity(g: GameSpec, seed: int, trials: int = 20) -> list
                 bad += 1
         if bad:
             warnings.append(
-                f"player {i}: quasi-concavity midpoint test failed {bad}/{trials} times"
+                f"player {i}: quasi-concavity midpoint test failed {bad}/20 times"
             )
     return warnings
 
@@ -413,22 +413,15 @@ def random_equilibrium(
         if run_selection and p.counts.any():
             _add_glue_checks(checks, p, w, part, g.strategy_grids[i].points, f"-player-{i}")
 
-    n_nodes = len(grid)
-    def solve_atom(t: int) -> tuple[int, np.ndarray]:
-        worst = np.zeros(n_nodes)
-        for i in range(g.n_players):
-            worst = np.maximum(worst, g.regret_table(i, t))
-        flat = int(worst.argmin())  # C order: lexicographically first
-        return flat, g.joint_nodes()[flat].copy()
-
-    solved = runtime.atom_map(solve_atom, range(len(g.state_space)))
-    profile = {t: vec for t, (_, vec) in enumerate(solved)}
-    indices = {t: flat for t, (flat, _) in enumerate(solved)}
-    regrets = {
-        (t, i): float(g.regret_table(i, t)[indices[t]])
-        for t in range(len(g.state_space))
-        for i in range(g.n_players)
-    }
+    # (atoms, players, nodes); the first node of least worst regret is
+    # the lexicographically first, as nodes are in C order
+    table = np.array([[g.regret_table(i, t) for i in range(g.n_players)]
+                      for t in range(len(g.state_space))])
+    flat = table.max(axis=1).argmin(axis=1)
+    profile = {t: g.joint_nodes()[k].copy() for t, k in enumerate(flat.tolist())}
+    indices = dict(enumerate(flat.tolist()))
+    regrets = {(t, i): float(r) for t, row in enumerate(table[np.arange(len(flat)), :, flat])
+               for i, r in enumerate(row)}
 
     worst_regret = max(regrets.values())
     checks.add("equilibrium-regret", worst_regret, eps_eq,

@@ -17,13 +17,12 @@ from .corr import (
     CipWitness,
     Corr,
     SET_EQUALITY_TOL,
+    _absorbed,
     _residuals,
     _segments,
     cell_varying,
     k_operator,
-    lsc_check,
     pool_captured,
-    usc_check,
 )
 from .errors import ConstructionError, DomainError, PreconditionError
 from .measure import InfoPartition
@@ -107,7 +106,8 @@ def construct_phi(
     pools the local values over every witness node whose ball captures
     the point, representing the hull of the union.  eps is the l.s.c.
     tolerance the witness was certified at (default: the grid's
-    adjacency radius).
+    adjacency radius), positive; the phi-lsc check reads every atom's
+    row of phi's directed gaps at once (lsc_check per atom).
 
     The interiority check is one array pass: wherever psi and the
     interior-union table are both nonempty, phi's value must carry a
@@ -132,10 +132,12 @@ def construct_phi(
     mismatches = np.count_nonzero((psi.counts > 0) != (phi.counts > 0))
     cert.add("phi-domain-equality", mismatches, 0, "glued and original domains coincide")
 
-    reps = [lsc_check(phi, t, eps) for t in range(len(psi.space))]
-    worst_gap = max((rep.max_gap for rep in reps), default=0.0)
-    cert.add("phi-lsc", worst_gap if all(rep.ok for rep in reps) else float("inf"), eps,
-             f"per-atom l.s.c. at the certified eps={eps:g}")
+    if eps <= 0:
+        raise DomainError("eps must be positive")
+    gaps = phi.directed_gaps()
+    gaps = gaps[~np.isnan(gaps)]
+    cert.add("phi-lsc", float("inf") if (gaps >= eps).any() else float(gaps.max(initial=0.0)),
+             eps, f"per-atom l.s.c. at the certified eps={eps:g}")
 
     bad_nodes = np.count_nonzero(cell_varying([phi], part)[0].any(axis=0))
     cert.add("phi-measurability", bad_nodes, 0, "cell-wise set constancy per node")
@@ -425,20 +427,18 @@ def glue(
     sel: Selection,
     fallback: Corr,
     part: InfoPartition = None,
-    eps: float = None,
 ) -> GlueResult:
     """Replace psi by the singleton selection on its domain and by the
     fallback elsewhere, and run the preservation checks: wherever the
     fallback (together with the selection, for measurability) passes a
     semicontinuity or cell-constancy check, the glued table must pass it
-    too."""
+    too.  Semicontinuity is usc_check's and lsc_check's at the grid's
+    adjacency radius, decided for all atoms from both gap tables."""
     on = psi.counts > 0
     t, z = np.nonzero(on)
     single = [sel.values.get(key) for key in zip(t.tolist(), z.tolist())]
     if len(sel.values) != len(single) or any(v is None for v in single):
         raise DomainError("selection domain differs from the correspondence domain")
-    if eps is None:
-        eps = psi.grid.adjacency_radius
     if part is None:
         part = InfoPartition.finest(psi.space)
     off = np.argwhere(~on & (fallback.counts == 0))
@@ -452,11 +452,12 @@ def glue(
                  np.concatenate([fallback.points, np.reshape(single, (-1, psi.dim))]), bounds)
 
     checks = CheckSet()
-    for name, check, sc in (("glue-usc-preserved", usc_check, "u.s.c."),
-                            ("glue-lsc-preserved", lsc_check, "l.s.c.")):
-        broken = sum(check(fallback, t, eps).ok and not check(glued, t, eps).ok
-                     for t in range(len(psi.space)))
-        checks.add(name, broken, 0, f"atoms where the fallback is {sc} but the glued table is not")
+    for name, upper, sc in (("glue-usc-preserved", True, "u.s.c."),
+                            ("glue-lsc-preserved", False, "l.s.c.")):
+        fails = [(_absorbed(f.directed_gaps(), upper) >= psi.grid.adjacency_radius).any(axis=1)
+                 for f in (fallback, glued)]
+        checks.add(name, np.count_nonzero(~fails[0] & fails[1]), 0,
+                   f"atoms where the fallback is {sc} but the glued table is not")
 
     # nodes where the fallback and the selection (its presence and its
     # points, the glued singletons on the domain) are cell-constant but

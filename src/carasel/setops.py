@@ -58,15 +58,15 @@ def _as_points(dim: int, points) -> np.ndarray:
     return arr
 
 
-def _dedup(points: np.ndarray, tol: float = DEDUP_TOL) -> np.ndarray:
-    """The one distinctness kernel: the points farther than tol from
+def _dedup(points: np.ndarray) -> np.ndarray:
+    """The one distinctness kernel: the points farther than DEDUP_TOL from
     every earlier kept point, in order (greedy, the first of a close
     pair is kept).  One pairwise comparison; when it shows only the
     diagonal, the input object itself is returned, so `_dedup(arr) is
-    not arr` tells whether arr holds points within tol of each other."""
+    not arr` tells whether arr holds points within DEDUP_TOL of each other."""
     if len(points) <= 1:
         return points
-    close = _cross_dists(points, points) <= tol
+    close = _cross_dists(points, points) <= DEDUP_TOL
     n = len(points)
     if np.count_nonzero(close) == n:
         return points

@@ -408,6 +408,18 @@ def test_witness_locals_share_one_shape(jump):
             CipWitness("countable", {**{z: f for z in range(20)}, 20: other}, w.radii)
 
 
+def test_witness_locals_are_read_only(jump):
+    # a built witness cannot drift from what __post_init__ checked, so a
+    # shared witness always has one local
+    space, grid, psi, w = jump
+    other = Corr.constant(space, grid, PointSet.of(1, [[0.5]]))
+    with pytest.raises(TypeError):
+        w.locals[3] = other
+    assert all(f is w.locals[0] for f in w.locals.values())
+    with pytest.raises(DomainError, match="shared mode requires one common local correspondence"):
+        CipWitness("shared", {**w.locals, 3: other}, w.radii)
+
+
 @pytest.mark.parametrize("dim", [0, 2, 3])
 def test_indexed_box_must_have_the_locals_dim(jump, dim):
     # a 3-d box used to broadcast against the 1-d values and certify
@@ -488,7 +500,7 @@ def _per_node_cip_reference(psi, w, eps, strict, residuals, tol=SET_EQUALITY_TOL
     n = len(psi.grid)
     for f, zs in w.distinct_locals():
         for t in range(len(psi.space)):
-            gaps = f.directed_gaps(t)
+            gaps = f.directed_gaps()[t]
             finite = ~np.isnan(gaps)
             if finite.any():
                 report.lsc_gap = max(report.lsc_gap, float(np.nanmax(gaps)))
@@ -894,7 +906,7 @@ def test_constant_stores_its_value_once():
     psi = Corr.constant(space, grid, value)
     assert len(psi.points) == len(value)
     for t in range(2):
-        gaps = psi.directed_gaps(t)
+        gaps = psi.directed_gaps()[t]
         assert len(gaps) and np.all(gaps == 0.0)
 
 
@@ -1049,13 +1061,14 @@ def test_packed_gaps_match_pair_loop_reference(seed, monkeypatch):
     packed = []
     for psi in cases:
         for t in range(len(psi.space)):
-            gaps = psi.directed_gaps(t)
+            gaps = psi.directed_gaps()[t]
             assert np.array_equal(gaps, _pair_loop_gaps(psi, t), equal_nan=True)
             finite = gaps[~np.isnan(gaps)]
             eps = float(np.median(finite)) if len(finite) and np.median(finite) > 0 else 1.0
             packed.append((eps, lsc_check(psi, t, eps), usc_check(psi, t, eps)))
 
-    monkeypatch.setattr(Corr, "directed_gaps", _pair_loop_gaps)
+    monkeypatch.setattr(Corr, "directed_gaps", lambda psi: np.stack(
+        [_pair_loop_gaps(psi, t) for t in range(len(psi.space))]))
     reports = iter(packed)
     for psi in cases:
         for t in range(len(psi.space)):
@@ -1100,7 +1113,7 @@ def test_ordered_gaps_match_pair_loop_reference(kind, chunk, monkeypatch):
             psi = _ordered_rows(rng, kind, grid)
             pi, pj = grid.directed_pair_arrays()
             for t in range(2):
-                gaps, far = psi.directed_gaps(t), psi.farthest_rows(t)
+                gaps, far = psi.directed_gaps()[t], psi.farthest_rows()[t]
                 want = _pair_loop_gaps(psi, t)
                 assert np.array_equal(gaps, want, equal_nan=True)
                 assert np.array_equal(np.signbit(gaps), np.signbit(want))
@@ -1119,9 +1132,9 @@ def test_ordered_gaps_form_no_padded_block(monkeypatch):
 
     monkeypatch.setattr(corr, "_padded_rows", padded)
     psi = _ordered_rows(np.random.default_rng(3), "scaled", line_grid(12))
-    assert np.array_equal(psi.directed_gaps(0), _pair_loop_gaps(psi, 0), equal_nan=True)
+    assert np.array_equal(psi.directed_gaps()[0], _pair_loop_gaps(psi, 0), equal_nan=True)
     with pytest.raises(AssertionError, match="padded"):
-        _random_rows(np.random.default_rng(3), 2, line_grid(12)).directed_gaps(0)
+        _random_rows(np.random.default_rng(3), 2, line_grid(12)).directed_gaps()[0]
 
 
 def test_ordered_gaps_peak_memory_within_padded_path():
@@ -1177,7 +1190,7 @@ def test_gaps_of_shared_segments_match_pair_loop_reference(dim, chunk, monkeypat
         for _ in range(4):
             psi = _shared_rows(rng, dim, grid)
             for t in range(2):
-                gaps, far = psi.directed_gaps(t), psi.farthest_rows(t)
+                gaps, far = psi.directed_gaps()[t], psi.farthest_rows()[t]
                 assert np.array_equal(gaps, _pair_loop_gaps(psi, t), equal_nan=True)
                 shared = (psi.bounds[t, pi] == psi.bounds[t, pj]).all(axis=1)
                 assert np.array_equal(far < 0, np.isnan(gaps) | shared)
@@ -1192,7 +1205,7 @@ def test_gaps_of_shared_segments_match_pair_loop_reference(dim, chunk, monkeypat
 @pytest.mark.parametrize("dim", [1, 2])
 def test_gap_kernel_measures_each_distinct_segment_pair_once(dim, monkeypatch):
     """The kernel behind directed_gaps runs once per table, on the first
-    atom asked for, and receives every pair of distinct segments that a
+    read, and receives every pair of distinct segments that a
     live adjacent pair of any atom joins, each exactly once in either
     order, and no pair of one segment."""
     calls = []
@@ -1209,7 +1222,7 @@ def test_gap_kernel_measures_each_distinct_segment_pair_once(dim, monkeypatch):
         psi = _shared_rows(rng, dim, grid)
         calls.clear()
         for t in (1, 0):
-            psi.directed_gaps(t)
+            psi.directed_gaps()[t]
         a, b = psi.bounds[:, pi], psi.bounds[:, pj]
         live = (psi.counts[:, pi] > 0) & (psi.counts[:, pj] > 0) & (a != b).any(axis=-1)
         want = {tuple(sorted(pair)) for pair in zip(map(tuple, a[live].tolist()),
@@ -1282,7 +1295,7 @@ def _violations_reference(psi, t, eps, kind):
     """The per-pair violation loops of lsc_check ("lsc") and usc_check
     ("usc") before the array pass."""
     pi, pj = psi.grid.directed_pair_arrays()
-    gaps = psi.directed_gaps(t)
+    gaps = psi.directed_gaps()[t]
     half = len(pi) // 2
     out = []
     if kind == "lsc":
@@ -1312,7 +1325,7 @@ def test_semicontinuity_violations_match_per_pair_reference():
     seen = 0
     for psi in cases:
         for t in range(len(psi.space)):
-            finite = psi.directed_gaps(t)[~np.isnan(psi.directed_gaps(t))]
+            finite = psi.directed_gaps()[t][~np.isnan(psi.directed_gaps()[t])]
             for q in (0.1, 0.5, 0.9):
                 eps = float(np.quantile(finite, q)) if len(finite) else 1.0
                 eps = eps if eps > 0 else 1e-3
@@ -1446,9 +1459,9 @@ def test_family_gap_caches_match_fresh_tables(dim):
         assert "_gap_cache" in f.__dict__
         fresh = Corr(f.space, f.grid, f.dim, f.points, f.bounds)
         for t in range(len(f.space)):
-            gaps, far = f.directed_gaps(t), f.farthest_rows(t)
-            assert np.array_equal(gaps, fresh.directed_gaps(t), equal_nan=True)
-            assert np.array_equal(far, fresh.farthest_rows(t))
+            gaps, far = f.directed_gaps()[t], f.farthest_rows()[t]
+            assert np.array_equal(gaps, fresh.directed_gaps()[t], equal_nan=True)
+            assert np.array_equal(far, fresh.farthest_rows()[t])
             report = lsc_check(f, t, 0.3)
             _same_report(report, lsc_check(fresh, t, 0.3))
             nan += np.isnan(gaps).sum()

@@ -275,6 +275,30 @@ def test_random_nash_certificate_matches_one_segment_per_cell_layout(cells, monk
         [(c.name, c.residual, c.tolerance, c.detail) for c in separate_cert.checks]
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_profile_and_regrets_match_per_atom_reference(seed):
+    """random_equilibrium's profile, indices and regrets, read from one
+    stacked (atoms, players, nodes) regret array, equal the per-atom loop
+    it replaced (np.maximum from zeros, first argmin), bit for bit; the
+    rounded game ties many nodes, so the first of them must win."""
+    rng = np.random.default_rng(seed)
+    g, part, eps_eq = _quadratic_game(rng, int(rng.integers(5, 12)), ((0, 2), (1,)))
+    rounded = GameSpec(g.players, g.state_space, g.strategy_grids,
+                       tuple(lambda t, x, u=u: round(u(t, x), 1) for u in g.payoffs), (True, True))
+    for game in (g, rounded):
+        cert = random_nash(game, part, 1.0, run_selection=False)
+        for t in range(len(game.state_space)):
+            worst = np.zeros(len(game.joint_nodes()))
+            for i in range(game.n_players):
+                worst = np.maximum(worst, game.regret_table(i, t))
+            flat = int(worst.argmin())
+            assert type(cert.profile_indices[t]) is int and cert.profile_indices[t] == flat
+            assert cert.profile[t].tobytes() == game.joint_nodes()[flat].tobytes()
+            for i in range(game.n_players):
+                assert cert.regrets[(t, i)] == float(game.regret_table(i, t)[flat])
+        assert list(cert.regrets) == [(t, i) for t in range(3) for i in range(2)]
+
+
 # ------------------------------------------------------------- equilibria
 
 def test_random_equilibrium_independent_quadratics():

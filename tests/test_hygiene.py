@@ -1,11 +1,14 @@
 """Source hygiene that no linter enforces: every module-level import in
-the package modules is used, and every module-level function or class
-of the package, and every method of such a class, is referenced from
-the package, apart from the few kept on purpose.  __init__.py is
-skipped by the import check, since its imports are the public API it
-re-exports; those re-exports count as references."""
+the package modules is used, every module-level function or class of
+the package, and every method of such a class, is referenced from the
+package, apart from the few kept on purpose, and every defaulted
+parameter of a private module-level function is passed by some package
+call.  __init__.py is skipped by the import check, since its imports
+are the public API it re-exports; those re-exports count as
+references."""
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -59,6 +62,40 @@ def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
     return [name for name in defined if name.rsplit(".", 1)[1] not in used]
 
 
+def uncalled_private_parameters(sources: dict[str, str]) -> list[str]:
+    """"module.function.parameter" of every defaulted parameter of a
+    module-level function named with a single leading underscore, in
+    the modules of sources, that no call in them (by the function's name,
+    bare or as an attribute) passes by position or by keyword; a call
+    with *args or **kwargs passes every parameter.  In module order,
+    then signature order."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    params, calls = [], defaultdict(list)
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if (isinstance(node, functions) and node.name.startswith("_")
+                    and not node.name.startswith("__")):
+                a = node.args
+                positional = a.posonlyargs + a.args
+                first = len(positional) - len(a.defaults)
+                params += [(module, node.name, i, p.arg)
+                           for i, p in enumerate(positional) if i >= first]
+                params += [(module, node.name, None, p.arg)
+                           for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                calls[getattr(node.func, "id", getattr(node.func, "attr", None))].append(node)
+
+    def passes(call, i, name):
+        return (any(isinstance(a, ast.Starred) for a in call.args)
+                or (i is not None and i < len(call.args))
+                or any(k.arg in (None, name) for k in call.keywords))
+
+    return [f"{m}.{fn}.{name}" for m, fn, i, name in params
+            if not any(passes(c, i, name) for c in calls[fn])]
+
+
 def package_sources() -> dict[str, str]:
     return {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
 
@@ -104,3 +141,26 @@ def test_the_check_sees_an_orphaned_method():
 
 def test_no_unreferenced_module_level_definition():
     assert unreferenced_definitions(package_sources()) == [*ALLOWED_UNREFERENCED]
+
+
+def test_the_check_sees_a_private_parameter_without_a_caller():
+    sources = {
+        "a": "def _pos(x, tol=1.0, k=2):\n    pass\n\n"
+             "def _kw(x, *, mode='a', strict=False):\n    pass\n\n"
+             "def _star(x, y=0):\n    pass\n\n"
+             "def public(x, tol=1.0):\n    pass\n\n"
+             "def __getattr__(name, default=None):\n    pass\n",
+        "b": "from . import a\n\ndef run(args):\n"
+             "    a._pos(1, 0.5)\n    a._kw(1, strict=True)\n    a._star(*args)\n",
+    }
+    assert uncalled_private_parameters(sources) == ["a._pos.k", "a._kw.mode"]
+    # the spot check's trial count, put back as a parameter no call sets
+    sources = package_sources()
+    sources["equilibria"] = sources["equilibria"].replace(
+        "def _spot_check_quasiconcavity(g: GameSpec, seed: int)",
+        "def _spot_check_quasiconcavity(g: GameSpec, seed: int, trials: int = 20)", 1)
+    assert uncalled_private_parameters(sources) == ["equilibria._spot_check_quasiconcavity.trials"]
+
+
+def test_no_private_parameter_without_a_caller():
+    assert uncalled_private_parameters(package_sources()) == []

@@ -7,6 +7,7 @@ within and just beyond the 1e-9 set-equality tolerance."""
 import numpy as np
 import pytest
 
+import carasel.corr
 from carasel import (
     AtomSpace,
     CipWitness,
@@ -279,6 +280,29 @@ def test_maximal_element_measurability_counts_match_per_cell_reference(seed):
         sum(not _constant_at(p, part, z) for z in range(6))
     assert _check(res.checks, "witness-measurability") == \
         sum(not _constant_at(f, part, z) for f, _ in w.distinct_locals() for z in range(6))
+
+
+def test_measurability_checks_measure_a_repeated_table_once(monkeypatch):
+    # a canonical witness's local is the preference table itself: the
+    # measurability calls of maximal_element and _inputs_cell_constant
+    # send its 2 non-head atoms x 6 nodes x 2 directions = 24 pairs, not 48
+    space = AtomSpace(tuple(f"a{k}" for k in range(4)), [1.0] * 4)
+    grid = line_grid(6)
+    part = InfoPartition(space, ((0, 2), (1, 3)))
+    chain = [PointSet.of(1, grid.points[z + 1:]) for z in range(5)] + [PointSet.empty(1)]
+    p = Corr.from_function(space, grid, 1, lambda t, z: chain[z])
+    w = canonical_witness(p)
+    p.directed_gaps()  # the gap table cip_verify reads, filled before recording
+    pairs = []
+    packed = carasel.corr._packed_gaps
+    monkeypatch.setattr(carasel.corr, "_packed_gaps",
+                        lambda points, bounds, pi, pj: pairs.append(len(pi))
+                        or packed(points, bounds, pi, pj))
+    res = maximal_element(p, w, part, run_selection=False)
+    assert _inputs_cell_constant(p, w, part)
+    assert pairs == [24, 24]
+    assert _check(res.checks, "preference-measurability") == 0
+    assert _check(res.checks, "witness-measurability") == 0
 
 
 @pytest.mark.parametrize("seed", range(30))

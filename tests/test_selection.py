@@ -26,15 +26,19 @@ from carasel import (
     interior_point_margin,
     interior_series,
     k_operator,
+    lsc_check,
     pref_from_payoff,
     usc_check,
 )
 
+import carasel.corr
 import carasel.selection
 from carasel.corr import ADJ_TOL
+from carasel.reporting import CheckSet
+from carasel.selection import Selection
 from carasel.selection import DEFAULT_MAX_SWEEPS, _atom_block, _barycenters
 from carasel.setops import _nearest_in_hulls, _padded_rows, _project_to_intervals
-from conftest import line_grid, same_set, single_atom
+from conftest import jump_problem, line_grid, same_set, single_atom
 from instances import random_cip_instance
 from test_corr import max_vertex_margin
 from test_equilibria import _quadratic_game
@@ -745,3 +749,91 @@ def test_phi_interiority_matches_per_cell_reference(dim):
             assert ("vacuous" in got.detail) == (n == 0)
             checked += n
     assert checked > 0
+
+
+# ------------------------------- semicontinuity checks from whole gap tables
+
+def _residual(checks, name):
+    return next(c.residual for c in checks if c.name == name)
+
+
+def _phi_lsc_reference(phi, eps):
+    """construct_phi's phi-lsc residual as the per-atom lsc_check loop
+    gave it before the check read phi's whole gap table."""
+    reps = [lsc_check(phi, t, eps) for t in range(len(phi.space))]
+    worst = max((rep.max_gap for rep in reps), default=0.0)
+    return worst if all(rep.ok for rep in reps) else float("inf")
+
+
+def _glue_broken_reference(fallback, glued, check):
+    """glue's per-atom preservation count before the whole-table pass:
+    the atoms where check passes on the fallback but not on the glued
+    table, at the grid's adjacency radius."""
+    eps = glued.grid.adjacency_radius
+    return sum(check(fallback, t, eps).ok and not check(glued, t, eps).ok
+               for t in range(len(glued.space)))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_semicontinuity_checks_match_per_atom_reference(dim):
+    """phi-lsc and glue's two preservation counts equal the per-atom
+    lsc_check/usc_check loops on tables with empty cells and shared
+    segments, at eps below, at (a planted violation) and above the
+    largest gap; half the fallback's atoms hold one shared value, so
+    the fallback passes there and the glued table may break it."""
+    rng = np.random.default_rng(90 + dim)
+    phi_inf = phi_finite = broken = 0
+    for grid in (line_grid(int(rng.integers(3, 14))), GridSpace(rng.uniform(size=(12, 2)))):
+        for _ in range(3):
+            psi = _random_table(rng, dim, grid)
+            part = InfoPartition.finest(psi.space)
+            gaps = psi.directed_gaps()
+            top = float(np.nanmax(gaps, initial=0.0))
+            for eps in (0.5 * top or 1.0, top or 1.0, 2.0 * top + 1.0):
+                for atomic in (False, True):
+                    res = construct_phi(psi, canonical_witness(psi), part, eps=eps, atomic=atomic)
+                    got = _residual(res.certificate, "phi-lsc")
+                    assert got == _phi_lsc_reference(res.phi, eps)
+                    phi_inf += got == float("inf")
+                    phi_finite += got < float("inf")
+            table = _random_table(rng, dim, grid, empty_share=0.0)
+            steady = rng.uniform(size=(len(table.space), 1, 1)) < 0.5
+            fallback = Corr(table.space, grid, dim, table.points,
+                            np.where(steady, table.bounds[:1, :1], table.bounds))
+            flat = rng.uniform(size=len(psi.space)) < 0.5
+            point = rng.normal(size=dim)
+            values = {(t, z): point if flat[t] else rng.normal(size=dim)
+                      for t, z in zip(*np.nonzero(psi.counts > 0))}
+            glued = glue(psi, Selection(values, 0.0, 0.0, CheckSet()), fallback)
+            for name, check in (("glue-usc-preserved", usc_check),
+                                ("glue-lsc-preserved", lsc_check)):
+                want = _glue_broken_reference(fallback, glued.glued, check)
+                assert _residual(glued.checks, name) == want
+                broken += want
+    assert phi_inf and phi_finite and broken
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.5])
+def test_phi_and_selection_reject_nonpositive_eps(jump, eps):
+    space, grid, psi, witness = jump
+    part = InfoPartition.finest(space)
+    with pytest.raises(DomainError, match="eps must be positive"):
+        construct_phi(psi, witness, part, eps=eps)
+    with pytest.raises(DomainError, match="eps must be positive"):
+        caratheodory_select(psi, witness, part, eps=eps)
+
+
+def test_phi_and_glue_run_no_per_atom_semicontinuity_check(monkeypatch):
+    def per_atom(*_):
+        raise AssertionError("a per-atom semicontinuity check ran")
+
+    for module in (carasel.corr, carasel.selection):
+        for name in ("lsc_check", "usc_check", "_semicontinuity"):
+            monkeypatch.setattr(module, name, per_atom, raising=False)
+    space, grid, psi = jump_problem()
+    witness = canonical_witness(psi)
+    part = InfoPartition.finest(space)
+    sel = caratheodory_select(psi, witness, part)
+    res = glue(psi, sel, Corr.constant(space, grid, PointSet.of(1, grid.points)), part=part)
+    assert {c.name for c in sel.checks} >= {"phi-lsc"}
+    assert {c.name for c in res.checks} >= {"glue-usc-preserved", "glue-lsc-preserved"}
