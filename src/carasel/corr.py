@@ -256,10 +256,6 @@ class Corr:
             has[:-1] = np.maximum.reduceat(margins, _segment_rows(segs)[1]) > 0.0
         return on & has[cell_seg]
 
-    def t_section(self, t: int) -> list[int]:
-        """Nodes where atom t has a nonempty value."""
-        return np.flatnonzero(self.counts[t]).tolist()
-
 
 def _segments(counts: np.ndarray) -> np.ndarray:
     """The [start, stop) rows that lay out segments of the given lengths
@@ -452,7 +448,7 @@ def _absorbed(gaps: np.ndarray, upper: bool) -> np.ndarray:
 
 def _semicontinuity(psi: Corr, t: int, eps: float, upper: bool) -> SemicontinuityReport:
     """lsc_check (upper False) or usc_check at atom t."""
-    if eps <= 0:
+    if not eps > 0:  # NaN too: it compares false with every gap
         raise DomainError("eps must be positive")
     pi, pj = psi.grid.directed_pair_arrays()
     directed = psi.directed_gaps()[t]
@@ -705,8 +701,10 @@ def cip_verify(
     a ball reaching such a cell or both ends of a pair that loses a
     value point at eps, and any witness node off psi's section at an
     atom with such a pair.  Only the marked cells are visited, atoms
-    then nodes ascending, to list their failures.
+    then nodes ascending, to list their failures.  eps must be positive.
     """
+    if not eps > 0:  # NaN too: it compares false with every gap
+        raise DomainError("eps must be positive")
     report = CipReport(True, eps=eps)
     pi, pj = psi.grid.directed_pair_arrays()
     groups = w.distinct_locals()

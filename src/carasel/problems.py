@@ -89,8 +89,8 @@ def problem_hash(doc: dict) -> str:
 def merge_options(doc: dict, overrides: dict) -> dict:
     """The defaults, updated by the file's options and then by the
     overrides, each value coerced to its option's type.  An unknown key, a
-    value that does not coerce, or one out of range (not positive, or a
-    damping above 1) raises a ParseError naming the key."""
+    value that does not coerce, or one out of range (as
+    docs/problem-format.md states) raises a ParseError naming the key."""
     options = doc.get("options", {})
     if not isinstance(options, dict):
         raise ParseError("options must be an object")
@@ -114,6 +114,8 @@ def _option_value(key: str, value):
         raise ParseError(f"option {key!r} must be of type {kind.__name__}, got {value!r}") from None
     if key in _POSITIVE_OPTIONS and not value > 0:
         raise ParseError(f"option {key!r} must be strictly positive, got {value!r}")
+    if key in ("seed", "strict_margin") and not value >= 0:
+        raise ParseError(f"option {key!r} must be non-negative, got {value!r}")
     if key == "damping" and value > 1:
         raise ParseError(f"option 'damping' must be at most 1, got {value!r}")
     return value

@@ -132,7 +132,7 @@ def construct_phi(
     mismatches = np.count_nonzero((psi.counts > 0) != (phi.counts > 0))
     cert.add("phi-domain-equality", mismatches, 0, "glued and original domains coincide")
 
-    if eps <= 0:
+    if not eps > 0:  # NaN too: it compares false with every gap
         raise DomainError("eps must be positive")
     gaps = phi.directed_gaps()
     gaps = gaps[~np.isnan(gaps)]
@@ -152,33 +152,39 @@ def construct_phi(
     return PhiResult(phi, cert, kpsi)
 
 
-def _atom_block(phi: Corr, t: int, section: list) -> tuple[np.ndarray, tuple]:
-    """The [start, stop) rows of phi(t, z) over a section and the
-    section's adjacent pairs in both directions: (sources, targets) as
-    section positions, and their distances."""
-    segs = phi.bounds[t, section]
+def _layout(phi: Corr, on: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """The flat layout of the cells of phi that the (atoms, nodes) mask
+    on selects, in C order: their [start, stop) rows of phi.points, each
+    cell's atom, and the adjacent pairs of cells of one atom in both
+    directions, atom by atom in directed_pair_arrays order, as (sources,
+    targets) cell positions and their distances."""
+    atom, node = np.nonzero(on)
+    segs = phi.bounds[atom, node]
     empty = np.flatnonzero(segs[:, 1] == segs[:, 0])
     if len(empty):
-        raise ConstructionError(
-            f"inconsistent domain: empty value at node {section[empty[0]]} of atom {t}"
-        )
-    pos = np.full(len(phi.grid), -1)
-    pos[section] = np.arange(len(section))
+        raise ConstructionError(f"inconsistent domain: empty value at node {node[empty[0]]} "
+                                f"of atom {atom[empty[0]]}")
+    cell = np.where(on, np.cumsum(on).reshape(on.shape) - 1, -1)  # each cell's row, or -1
     pi, pj = phi.grid.directed_pair_arrays()
-    inside = (pos[pi] >= 0) & (pos[pj] >= 0)
-    pi, pj = pi[inside], pj[inside]
-    return segs, (pos[pi], pos[pj], phi.grid.metric[pi, pj])
+    src, dst = cell[:, pi], cell[:, pj]
+    inside = (src >= 0) & (dst >= 0)  # (atoms, pairs)
+    return segs, atom, (src[inside], dst[inside], phi.grid.metric[pi, pj][inside.nonzero()[1]])
 
 
-def _barycenters(points: np.ndarray, segs: np.ndarray) -> np.ndarray:
-    """The mean of the points of every nonempty [start, stop) row, one
-    (rows, k, dim) mean over axis 1 per row length k, the same reduction
-    as a mean over each row's (k, dim) slice."""
+def _barycenters(points: np.ndarray, segs: np.ndarray, draws: np.ndarray = ()) -> np.ndarray:
+    """The mean of the points of every nonempty [start, stop) row, then
+    its mean weighted by each row of draws (a weight per point, the rows'
+    points side by side), as (1 + len(draws), rows, dim); one (rows, k,
+    dim) block per row length k, each reducing as the row's own slice."""
     counts = segs[:, 1] - segs[:, 0]
-    out = np.empty((len(segs), points.shape[1]))
+    out = np.empty((1 + len(draws), len(segs), points.shape[1]))
     for k in np.unique(counts):
         rows = np.flatnonzero(counts == k)
-        out[rows] = points[segs[rows, :1] + np.arange(k)].mean(axis=1)
+        verts = points[segs[rows, :1] + np.arange(k)]
+        out[0, rows] = verts.mean(axis=1)
+        for r, d in enumerate(draws, 1):  # C-contiguous u: rows reduce as lone vectors do
+            u = d[(np.cumsum(counts) - counts)[rows, None] + np.arange(k)]
+            out[r, rows] = ((u / u.sum(axis=1, keepdims=True))[:, None] @ verts)[:, 0]
     return out
 
 
@@ -190,32 +196,31 @@ def _modulus(x: np.ndarray, edges: tuple) -> float:
     return float((gaps / dist[positive]).max(initial=0.0))
 
 
-def _sweep(points: np.ndarray, blocks: list, tol: float,
-           max_sweeps: int) -> tuple[list, np.ndarray]:
+def _sweep(points: np.ndarray, segs: np.ndarray, edges: tuple, atom: np.ndarray,
+           starts: np.ndarray, tol: float, max_sweeps: int) -> tuple[np.ndarray, np.ndarray]:
     """Damped Jacobi sweeps of project-onto-value steps minimizing the sum
-    of squared adjacent differences, for many groups at once.  blocks
-    lists (t, section, segs, edges, starts), segs (the rows of points
-    whose hulls are the values) and edges as _atom_block gives them and
-    starts an (R, n, dim) stack: R groups, disjoint row blocks of one
-    stack.  Each sweep projects the rows with neighbours of every live
-    group at once: in R^1 by the closed form onto interval ends taken
-    once per call (_project_to_intervals), else by one convex_project
-    call.  A group freezes once no row moved more than _SWEEP_STOP times
-    its hull scale; only then are the live rows, edges and hulls
-    gathered again.  Steps combine feasible points, so iterates stay
-    feasible, and a residual above tol raises.  Returns the (R, n, dim)
-    results per block and the residual per group."""
-    groups = [(t, segs, edges) for t, _, segs, edges, starts in blocks for _ in starts]
-    first = np.cumsum([0] + [len(segs) for _, segs, _ in groups])[:-1]
-    V = points[_padded_rows(np.concatenate([segs for _, segs, _ in groups]))]
-    X = np.concatenate([starts.reshape(-1, starts.shape[-1]) for *_, starts in blocks])
-    group = np.repeat(np.arange(len(groups)), [len(segs) for _, segs, _ in groups])
-    src = np.concatenate([edges[0] + f for (_, _, edges), f in zip(groups, first)])
-    dst = np.concatenate([edges[1] + f for (_, _, edges), f in zip(groups, first)])
+    of squared adjacent differences, for many groups at once.  segs, edges
+    and atom lay out C cells as _layout gives them; row r * C + c of the
+    (R * C, dim) starts is restart r of cell c, and each (restart, atom)
+    is a group.  Each sweep projects the rows with neighbours of every
+    live group at once: in R^1 by the closed form onto interval ends
+    taken once per call (_project_to_intervals), else by one
+    convex_project call.  A group freezes once no row moved more than
+    _SWEEP_STOP times its hull scale; only then are the live rows, edges
+    and hulls gathered again.  Steps combine feasible points, so iterates
+    stay feasible, and a residual above tol raises, naming the lowest
+    such atom.  Returns the rows, as laid out, and each group's residual."""
+    reps = len(starts) // len(segs)
+    rank = np.cumsum(np.diff(atom, prepend=-1) > 0) - 1  # atoms ascend over the cells
+    group = (np.arange(reps)[:, None] * (rank[-1] + 1) + rank).ravel()
+    first = np.flatnonzero(np.diff(group, prepend=-1))
+    V = points[_padded_rows(np.tile(segs, (reps, 1)))]
+    X = np.array(starts, dtype=float)
+    src, dst = (np.add.outer(np.arange(reps) * len(segs), e).ravel() for e in edges[:2])
     scale = np.maximum(1.0, np.maximum.reduceat(np.abs(V).max(axis=(1, 2)), first))
     degree = np.bincount(src, minlength=len(X))
     edge_group = group[src]
-    live = np.bincount(edge_group, minlength=len(groups)) > 0
+    live = np.bincount(edge_group, minlength=len(first)) > 0
     dim = X.shape[1]
     if dim == 1:
         lo, hi = V.min(axis=1), V.max(axis=1)
@@ -226,10 +231,10 @@ def _sweep(points: np.ndarray, blocks: list, tol: float,
             rows = np.flatnonzero(keep)
             if not rows.size:
                 break
-            edges = live[edge_group]
+            used = live[edge_group]
             # bin (src's place in rows) * dim + k sums coordinate k, in edge order
-            bins = ((np.cumsum(keep) - 1)[src[edges], None] * dim + np.arange(dim)).ravel()
-            near = (dst[edges, None] * dim + np.arange(dim)).ravel()  # in X.ravel(), as bins
+            bins = ((np.cumsum(keep) - 1)[src[used], None] * dim + np.arange(dim)).ravel()
+            near = (dst[used, None] * dim + np.arange(dim)).ravel()  # in X.ravel(), as bins
             deg = degree[rows, None]
             runs = np.flatnonzero(np.diff(group[rows], prepend=-1))  # rows ascend by group
             live_groups = group[rows[runs]]  # every live group has a row with neighbours
@@ -246,14 +251,12 @@ def _sweep(points: np.ndarray, blocks: list, tol: float,
         live[live_groups] = moving
 
     residual = np.maximum.reduceat(convex_distance(X, V), first)
-    g = int(np.argmax(residual > tol))  # the first group above tol, if any
-    if residual[g] > tol:
-        raise ConstructionError(
-            f"selection escaped its value set by {residual[g]:.3e} at atom {groups[g][0]}"
-        )
-    splits = np.cumsum([len(starts) * len(section) for _, section, *_, starts in blocks])[:-1]
-    return [x.reshape(starts.shape)
-            for x, (*_, starts) in zip(np.split(X, splits), blocks)], residual
+    by_atom = residual.reshape(reps, -1).T.ravel()  # groups atom by atom, restarts within
+    g = int(np.argmax(by_atom > tol))  # the first group above tol, if any
+    if by_atom[g] > tol:
+        raise ConstructionError(f"selection escaped its value set by {by_atom[g]:.3e} "
+                                f"at atom {atom[first[g // reps]]}")
+    return X, residual
 
 
 def grid_select(
@@ -265,26 +268,30 @@ def grid_select(
     max_sweeps: int = DEFAULT_MAX_SWEEPS,
 ) -> AtomSelection:
     """Select one point per node of phi(t, .) on its nonempty section (or
-    the given nodes), minimizing the sum of squared adjacent differences
-    by damped Jacobi sweeps from init (default: each hull's barycenter):
-    the one-group case of the sweep caratheodory_select runs for all its
-    atoms and restarts.  The output is deterministic; the returned
-    modulus is the achieved per-adjacent-pair Lipschitz ratio."""
+    the given distinct nodes), minimizing the sum of squared adjacent
+    differences by damped Jacobi sweeps from init (default: each hull's
+    barycenter): the sweep caratheodory_select runs, on the layout of a
+    one-atom mask with one restart.  The output is deterministic; the
+    returned modulus is the achieved per-adjacent-pair Lipschitz ratio."""
     if tol <= 0:
         raise DomainError("tol must be positive")
-    section = phi.t_section(t) if nodes is None else sorted(nodes)
-    segs, edges = _atom_block(phi, t, section)
+    if not 0 <= t < len(phi.space):
+        raise DomainError(f"atom {t} is outside [0, {len(phi.space)})")
+    nodes = np.flatnonzero(phi.counts[t]) if nodes is None else list(nodes)
+    on = np.zeros(phi.counts.shape, dtype=bool)
+    on[t] = np.isin(np.arange(len(phi.grid)), nodes)
+    if np.count_nonzero(on) != len(nodes):
+        raise DomainError(f"nodes must be distinct and lie in [0, {len(phi.grid)})")
+    segs, atom, edges = _layout(phi, on)
+    section = np.flatnonzero(on[t]).tolist()
     if not section:
         return AtomSelection({}, 0.0, 0.0)
-    init = init or {}
-    x = _barycenters(phi.points, segs)
+    x = _barycenters(phi.points, segs)[0]
     for c, z in enumerate(section):
-        if z in init:
+        if z in (init or {}):
             x[c] = np.asarray(init[z], dtype=float)
-    (solved,), residual = _sweep(phi.points, [(t, section, segs, edges, x[None])], tol,
-                                 max_sweeps)
-    return AtomSelection(dict(zip(section, solved[0])), _modulus(solved[0], edges),
-                         float(residual[0]))
+    x, residual = _sweep(phi.points, segs, edges, atom, x, tol, max_sweeps)
+    return AtomSelection(dict(zip(section, x)), _modulus(x, edges), float(residual[0]))
 
 
 def _halving_weights(count: int, k_max: int) -> np.ndarray:
@@ -334,10 +341,10 @@ def caratheodory_select(
     """Produce a certified selection through psi on its domain.
 
     Pipeline: glue the witness into the sub-correspondence, then solve
-    every atom in one sweep loop (see grid_select): from the barycenters
-    only (closed-valued branch), or also from restarts - 1 random
-    feasible starts per atom, whose pushed results the halving series
-    combines with the barycentric one (general branch).  The certificate is
+    every (restart, atom) group in one sweep: from the barycenters only
+    (closed-valued branch), or also from restarts - 1 random feasible
+    starts drawn per atom by its cell head's seed, whose pushed results
+    the halving series combines with the barycentric one (general branch).  The certificate is
     independent of the branch: direct membership of every selected point
     in the hull of psi's value within tol, the achieved modulus, and
     cell-wise measurability whenever the inputs are cell-wise constant.
@@ -350,33 +357,27 @@ def caratheodory_select(
     phi_res = construct_phi(psi, w, part, eps=eps, atomic=atomic)
     phi = phi_res.phi
 
-    rng = np.random.default_rng(seed)
-    atom_seeds = rng.integers(0, 2 ** 31 - 1, size=len(psi.space))
-    blocks = []
-    for t in range(len(psi.space)):
-        section = phi.t_section(t)
-        if not section:
-            continue
-        segs, edges = _atom_block(phi, t, section)
-        starts = [_barycenters(phi.points, segs)]
-        arng = np.random.default_rng(int(atom_seeds[part.head[t]]))
-        for _ in range(0 if closed_valued else restarts - 1):
-            wts = [arng.exponential(size=b - a) for a, b in segs]
-            starts.append([phi.points[a:b].T @ (u / u.sum()) for (a, b), u in zip(segs, wts)])
-        blocks.append((t, section, segs, edges, np.array(starts)))
-    solved = _sweep(phi.points, blocks, tol, DEFAULT_MAX_SWEEPS)[0] if blocks else []
-
+    on = phi.counts > 0
+    segs, atom, edges = _layout(phi, on)
     table = np.zeros(psi.counts.shape + (psi.dim,))  # the selected points, by (t, z)
-    modulus = 0.0
-    for (t, section, _, edges, _), x in zip(blocks, solved):
-        if closed_valued:
-            x = x[0]
-        else:  # the series over the base and the restarts pushed from it
+    if len(segs):
+        heads = np.flatnonzero(np.diff(atom, prepend=-1))  # each atom's first cell
+        draws = ()
+        if not closed_valued and restarts > 1:  # random starts: one draw per atom, by its cell head
+            seeds = np.random.default_rng(seed).integers(0, 2 ** 31 - 1, size=len(psi.space))
+            draws = np.hstack([  # (restarts - 1, points), each cell's points side by side
+                np.random.default_rng(int(seeds[part.head[t]])).exponential(size=(restarts - 1, n))
+                for t, n in zip(atom[heads], np.add.reduceat(segs[:, 1] - segs[:, 0], heads))])
+        starts = _barycenters(phi.points, segs, draws)  # restart by restart, cell by cell
+        x = _sweep(phi.points, segs, edges, atom, starts.reshape(-1, phi.dim), tol,
+                   DEFAULT_MAX_SWEEPS)[0]
+        if not closed_valued:  # the series over the base and the pushed restarts, atom by atom
+            x = x.reshape(starts.shape)
             diff = x - x[0]
             pushed = x[0] + diff / np.maximum(1.0, np.linalg.norm(diff, axis=2))[..., None]
-            x = np.tensordot(weights, pushed, axes=1)
-        modulus = max(modulus, _modulus(x, edges))
-        table[t, section] = x
+            x = np.concatenate([np.tensordot(weights, p, axes=1)
+                                for p in np.split(pushed, heads[1:], axis=1)])
+        table[on] = x
 
     checks = CheckSet()
     checks.extend(phi_res.certificate)
@@ -385,16 +386,14 @@ def caratheodory_select(
     missing = np.flatnonzero(phi.counts[t, z] == 0)
     if len(missing):
         raise ConstructionError(f"no selected value at (t={t[missing[0]]}, z={z[missing[0]]})")
-    worst = 0.0
-    if len(t):
-        res = segment_distances(table[t, z], psi.points, psi.bounds[t, z])
-        k = int(res.argmax())
-        worst_node, worst = (t[k], z[k]), float(res[k])
+    res = segment_distances(table[t, z], psi.points, psi.bounds[t, z])
+    worst = float(res.max(initial=0.0))
     checks.add("selection-membership", worst, tol,
                "selected point inside the hull of the original value at every domain node")
     if worst > tol:
+        k = int(res.argmax())
         raise ConstructionError(
-            f"membership certification failed at (t={worst_node[0]}, z={worst_node[1]}): "
+            f"membership certification failed at (t={t[k]}, z={z[k]}): "
             f"residual {worst:.3e} > tol {tol:g}"
         )
 
@@ -410,7 +409,7 @@ def caratheodory_select(
         checks.add("selection-measurability", 0.0, 0.0,
                    "trivially measurable (finest partition)")
 
-    return Selection(values, modulus, worst, checks)
+    return Selection(values, _modulus(table[on], edges), worst, checks)
 
 
 def _inputs_cell_constant(psi: Corr, w: CipWitness, part: InfoPartition) -> bool:

@@ -359,6 +359,8 @@ def test_out_flag(tmp_path):
     ("example-3-2.json", "max_iter=0", "max_iter"),
     ("example-3-2.json", "damping=0", "damping"),      # damping lies in (0, 1]
     ("example-3-2.json", "damping=1.5", "damping"),
+    ("example-3-2.json", "seed=-1", "seed"),           # the generator rejects it
+    ("quadratic-bayes.json", "strict_margin=-1", "strict_margin"),  # at least 0
 ])
 def test_bad_option_override_exit_2(tmp_path, capsys, fixture, override, key):
     code, cert, _ = run_fixture(tmp_path, fixture, "-O", override)

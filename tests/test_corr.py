@@ -634,6 +634,19 @@ def test_cip_rejects_a_local_with_fewer_atoms():
         cip_verify(psi, witness, eps=0.5)
 
 
+@pytest.mark.parametrize("eps", [0.0, -1.0, float("nan")])
+def test_cip_rejects_nonpositive_eps(eps):
+    # at eps <= 0 every adjacent pair would read as an l.s.c. failure, and
+    # at NaN none would, so a table that jumps would pass
+    space = AtomSpace(("a", "b"), [1.0, 1.0])
+    psi = Corr.constant(space, line_grid(5), PointSet.of(1, [[0.0], [1.0]]))
+    with pytest.raises(DomainError, match="eps must be positive"):
+        cip_verify(psi, canonical_witness(psi), eps=eps)
+    for check in (lsc_check, usc_check):
+        with pytest.raises(DomainError, match="eps must be positive"):
+            check(psi, 0, eps)
+
+
 def test_ball_tables_reject_a_witness_of_another_shape():
     # the witness is valid on its own one-atom table, not on psi's two atoms
     grid = line_grid(5)

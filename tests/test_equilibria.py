@@ -637,7 +637,7 @@ def test_maximal_no_empty_node_raises():
 def _reflexive_reference(p, own):
     """The per-cell loop _reflexive_at ran before its 1-D array pass."""
     for t in range(len(p.space)):
-        for z in p.t_section(t):
+        for z in np.flatnonzero(p.counts[t]).tolist():
             if convex_membership(own[z], ConvexSet(p.dim, p.value(t, z).points),
                                  SET_EQUALITY_TOL):
                 return t, z

@@ -134,8 +134,8 @@ def test_the_check_sees_an_orphaned_method():
     # a per-cell accessor with no caller in the package, put back into Corr
     sources = package_sources()
     sources["corr"] = sources["corr"].replace(
-        "    def t_section(", "    def nonempty_at(self, t, z):\n"
-        "        return bool(self.counts[t, z])\n\n    def t_section(", 1)
+        "    def interior_cells(", "    def nonempty_at(self, t, z):\n"
+        "        return bool(self.counts[t, z])\n\n    def interior_cells(", 1)
     assert unreferenced_definitions(sources) == ["corr.Corr.nonempty_at", *ALLOWED_UNREFERENCED]
 
 

@@ -36,7 +36,7 @@ import carasel.selection
 from carasel.corr import ADJ_TOL
 from carasel.reporting import CheckSet
 from carasel.selection import Selection
-from carasel.selection import DEFAULT_MAX_SWEEPS, _atom_block, _barycenters
+from carasel.selection import DEFAULT_MAX_SWEEPS, _barycenters, _layout
 from carasel.setops import _nearest_in_hulls, _padded_rows, _project_to_intervals
 from conftest import jump_problem, line_grid, same_set, single_atom
 from instances import random_cip_instance
@@ -156,7 +156,7 @@ def _grid_select_reference(phi, t, init=None, max_sweeps=DEFAULT_MAX_SWEEPS, rel
     in one kernel call, kept as its reference: one convex_project per
     node with neighbours per sweep, one convex_distance per node for the
     residual.  Returns (values, modulus, residual)."""
-    section = phi.t_section(t)
+    section = np.flatnonzero(phi.counts[t]).tolist()
     hulls = {z: ConvexSet(phi.dim, phi.value(t, z).points) for z in section}
     n = len(section)
     pos = {z: k for k, z in enumerate(section)}
@@ -196,7 +196,7 @@ def test_grid_select_matches_per_node_projection_reference():
             continue
         per_dim[psi.dim] += 1
         for t in range(len(psi.space)):
-            section = psi.t_section(t)
+            section = np.flatnonzero(psi.counts[t]).tolist()
             init = None
             if t == 0:  # a random feasible start as caratheodory_select's restarts use
                 init = {}
@@ -238,6 +238,20 @@ def test_grid_select_inconsistent_domain_raises():
     )
     with pytest.raises(ConstructionError):
         grid_select(phi, 0, tol=1e-9, nodes=[0, 1, 2])
+
+
+@pytest.mark.parametrize("t, nodes, message", [
+    (-1, None, "atom -1 is outside"),  # would solve the last atom
+    (2, None, "atom 2 is outside"),
+    (0, [-1, 0], "nodes must be distinct and lie in"),  # would solve node 4 as -1
+    (0, [0, 5], "nodes must be distinct and lie in"),
+    (0, [1, 1, 2], "nodes must be distinct and lie in"),  # would collapse to one node
+])
+def test_grid_select_rejects_indices_outside_the_table(t, nodes, message):
+    space = AtomSpace(("a", "b"), [1.0, 1.0])
+    phi = Corr.constant(space, line_grid(5), PointSet.of(1, [[0.0], [1.0]]))
+    with pytest.raises(DomainError, match=message):
+        grid_select(phi, t, tol=1e-9, nodes=nodes)
 
 
 # ---------------------------------------------------------- interior_series
@@ -431,21 +445,28 @@ def test_caratheodory_select_matches_per_restart_reference():
             assert abs(sel.modulus - modulus) <= 1e-12 * scale
 
 
-def _sweep_per_coordinate(points, blocks, tol, max_sweeps):
+def _sweep_per_coordinate(points, segs, edges, atom, starts, tol, max_sweeps):
     """selection._sweep as it was before its neighbour sums became one
-    bincount: the live edges refiltered every sweep and one bincount per
-    coordinate.  Returns what _sweep returns."""
+    bincount and before it took the flat layout: the (atom, restart)
+    groups stacked atom by atom, the live edges refiltered every sweep
+    and one bincount per coordinate.  Takes and returns what _sweep does."""
     sel = carasel.selection
-    groups = [(t, segs, edges) for t, _, segs, edges, starts in blocks for _ in starts]
-    first = np.cumsum([0] + [len(segs) for _, segs, _ in groups])[:-1]
-    V = points[_padded_rows(np.concatenate([segs for _, segs, _ in groups]))]
-    X = np.concatenate([starts.reshape(-1, starts.shape[-1]) for *_, starts in blocks])
-    group = np.repeat(np.arange(len(groups)), [len(segs) for _, segs, _ in groups])
-    src = np.concatenate([edges[0] + f for (_, _, edges), f in zip(groups, first)])
-    dst = np.concatenate([edges[1] + f for (_, _, edges), f in zip(groups, first)])
+    cells = len(segs)
+    reps = len(starts) // cells
+    blocks = [np.flatnonzero(atom == t) for t in np.unique(atom)]
+    order = np.concatenate([r * cells + b for b in blocks for r in range(reps)])
+    place = np.empty_like(order)
+    place[order] = np.arange(len(order))  # each flat row's place in the stack
+    sizes = [len(b) for b in blocks for _ in range(reps)]
+    first = np.cumsum([0] + sizes)[:-1]
+    group = np.repeat(np.arange(len(sizes)), sizes)
+    shift = np.arange(reps)[:, None] * cells
+    src, dst = place[(shift + edges[0]).ravel()], place[(shift + edges[1]).ravel()]
+    V = points[_padded_rows(np.tile(segs, (reps, 1))[order])]
+    X = starts[order]
     scale = np.maximum(1.0, np.maximum.reduceat(np.abs(V).max(axis=(1, 2)), first))
     degree = np.bincount(src, minlength=len(X))
-    live = np.bincount(group[src], minlength=len(groups)) > 0
+    live = np.bincount(group[src], minlength=len(sizes)) > 0
     for _ in range(max_sweeps):
         rows = np.flatnonzero(live[group] & (degree > 0))
         if not rows.size:
@@ -456,14 +477,12 @@ def _sweep_per_coordinate(points, blocks, tol, max_sweeps):
         ])
         projected = sel.convex_project(sums[rows] / degree[rows, None], V[rows])[0]
         new = (1.0 - sel._RELAXATION) * X[rows] + sel._RELAXATION * projected
-        move = np.zeros(len(groups))
+        move = np.zeros(len(sizes))
         np.maximum.at(move, group[rows], np.linalg.norm(new - X[rows], axis=1))
         X[rows] = new
         live &= move > sel._SWEEP_STOP * scale
     residual = np.maximum.reduceat(convex_distance(X, V), first)
-    splits = np.cumsum([len(starts) * len(section) for _, section, *_, starts in blocks])[:-1]
-    return [x.reshape(starts.shape)
-            for x, (*_, starts) in zip(np.split(X, splits), blocks)], residual
+    return X[place], residual.reshape(-1, reps).T.ravel()  # groups restart by restart
 
 
 def test_sweep_matches_per_coordinate_reference(monkeypatch):
@@ -500,26 +519,23 @@ def test_sweep_matches_per_coordinate_reference_on_preference_tables(cells, monk
         assert sel.modulus == ref.modulus
 
 
-def _staggered_blocks(dim):
+def _staggered_layout(dim):
     """Two atoms of one hull on a 2-node line grid, each solved from three
     starts whose gaps (1, 1e-5, 1e-9) shrink by 0.4 per sweep, so the
-    groups freeze at different sweeps: (points, blocks)."""
+    groups freeze at different sweeps: (points, segs, edges, atom, starts)."""
     hull = [[0.0], [1.0]] if dim == 1 else [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
     phi = Corr.constant(AtomSpace(("a", "b"), [1.0, 1.0]), line_grid(2), PointSet.of(dim, hull))
+    segs, atom, edges = _layout(phi, phi.counts > 0)
     centre = np.full(dim, 0.25)
     step = np.eye(dim)[0] / 2
-    blocks = []
-    for t in range(2):
-        segs, edges = _atom_block(phi, t, [0, 1])
-        starts = np.array([[centre - gap * step, centre + gap * step]
-                           for gap in (1.0, 1e-5, 1e-9)]) * (1 + t)
-        blocks.append((t, [0, 1], segs, edges, starts))
-    return phi.points, blocks
+    starts = np.array([[(centre + side * gap * step) * (1 + t) for t in range(2) for side in (-1, 1)]
+                       for gap in (1.0, 1e-5, 1e-9)])
+    return phi.points, segs, edges, atom, starts.reshape(-1, dim)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_sweep_groups_freezing_at_different_sweeps_match_reference(dim, monkeypatch):
-    points, blocks = _staggered_blocks(dim)
+    layout = _staggered_layout(dim)
     sizes = []
     name = "_project_to_intervals" if dim == 1 else "convex_project"
     project = getattr(carasel.selection, name)
@@ -527,24 +543,20 @@ def test_sweep_groups_freezing_at_different_sweeps_match_reference(dim, monkeypa
                         lambda x, *hulls: sizes.append(len(x)) or project(x, *hulls))
     for max_sweeps in (1, 3, DEFAULT_MAX_SWEEPS):
         sizes.clear()
-        solved, residual = carasel.selection._sweep(points, blocks, 1e-9, max_sweeps)
+        solved, residual = carasel.selection._sweep(*layout, 1e-9, max_sweeps)
         assert len(sizes) <= max_sweeps
         if max_sweeps == DEFAULT_MAX_SWEEPS:
             # rows leave as their groups freeze: 12, then fewer, at least twice
             assert sizes[0] == 12 and len(set(sizes)) >= 3 and len(sizes) < max_sweeps
-        ref, ref_residual = _sweep_per_coordinate(points, blocks, 1e-9, max_sweeps)
-        assert all(np.array_equal(x, y) for x, y in zip(solved, ref))
+        ref, ref_residual = _sweep_per_coordinate(*layout, 1e-9, max_sweeps)
+        assert np.array_equal(solved, ref)
         assert np.array_equal(residual, ref_residual)
 
 
 def test_one_dimensional_sweep_makes_no_convex_project_call_per_sweep(monkeypatch):
     g, _, _ = _quadratic_game(np.random.default_rng(5), 9, ((0,), (1,), (2,), (3,)))
     p = pref_from_payoff(g, 0)
-    blocks = []
-    for t in range(len(p.space)):
-        section = p.t_section(t)
-        segs, edges = _atom_block(p, t, section)
-        blocks.append((t, section, segs, edges, _barycenters(p.points, segs)[None]))
+    segs, atom, edges = _layout(p, p.counts > 0)
     calls = []
     for module in (carasel.selection, carasel.setops):
         monkeypatch.setattr(module, "convex_project",
@@ -554,7 +566,8 @@ def test_one_dimensional_sweep_makes_no_convex_project_call_per_sweep(monkeypatc
     closed_form = carasel.selection._project_to_intervals
     monkeypatch.setattr(carasel.selection, "_project_to_intervals",
                         lambda *args: sweeps.append(1) or closed_form(*args))
-    carasel.selection._sweep(p.points, blocks, 1e-7, DEFAULT_MAX_SWEEPS)
+    carasel.selection._sweep(p.points, segs, edges, atom, _barycenters(p.points, segs)[0], 1e-7,
+                             DEFAULT_MAX_SWEEPS)
     assert len(sweeps) == DEFAULT_MAX_SWEEPS  # these groups never freeze
     # the one convex_project call is the final residual's convex_distance
     assert calls == ["carasel.setops"]
@@ -598,6 +611,43 @@ def test_caratheodory_select_projects_all_restarts_of_all_atoms_per_sweep(monkey
     caratheodory_select(inst.psi, inst.witness, inst.part, restarts=8, eps=inst.eps)
     assert 0 < len(calls) <= DEFAULT_MAX_SWEEPS
     assert calls[0] == 8 * len(domain(phi))  # every node of every section has a neighbour
+
+
+class _RecordingGenerator:
+    """A numpy Generator that records what its exponential calls return."""
+
+    def __init__(self, gen, draws):
+        self._gen, self._draws = gen, draws
+
+    def __getattr__(self, name):
+        return getattr(self._gen, name)
+
+    def exponential(self, *args, **kwargs):
+        out = self._gen.exponential(*args, **kwargs)
+        self._draws.append(out)
+        return out
+
+
+def test_caratheodory_select_makes_one_sweep_and_one_draw_per_atom(monkeypatch):
+    # atoms in cells (0, 2) and (1, 3), atom 3 empty everywhere: three
+    # atoms draw, each in one call for all its restarts and cells, and
+    # atom 2 draws what its cell head, atom 0, draws
+    space = AtomSpace(("a", "b", "c", "d"), [1.0] * 4)
+    tri = PointSet.of(2, [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    psi = Corr.from_function(space, line_grid(6), 2,
+                             lambda t, z: PointSet.empty(2) if t == 3 else tri)
+    part = InfoPartition(space, ((0, 2), (1, 3)))
+    draws, sweeps = [], []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda *args: _RecordingGenerator(default_rng(*args), draws))
+    sweep = carasel.selection._sweep
+    monkeypatch.setattr(carasel.selection, "_sweep", lambda *args: sweeps.append(1) or sweep(*args))
+    sel = caratheodory_select(psi, canonical_witness(psi), part, restarts=5)
+    assert len(sweeps) == 1 and len(draws) == 3
+    assert all(d.shape == (4, 6 * 3) for d in draws)  # (restarts - 1, points of the atom)
+    assert np.array_equal(draws[0], draws[2]) and not np.array_equal(draws[0], draws[1])
+    assert all(np.array_equal(sel.value(0, z), sel.value(2, z)) for z in range(6))
 
 
 def test_selection_escaping_its_value_set_raises(monkeypatch):
@@ -688,6 +738,41 @@ def _random_table(rng, dim, grid, empty_share=0.2):
     return Corr.from_function(space, grid, dim, value)
 
 
+def _atom_block(phi, t, section):
+    """The per-atom layout selection._layout replaced, kept as its
+    reference: the [start, stop) rows of phi(t, z) over a section and the
+    section's adjacent pairs in both directions, (sources, targets) as
+    section positions, and their distances."""
+    segs = phi.bounds[t, section]
+    empty = np.flatnonzero(segs[:, 1] == segs[:, 0])
+    if len(empty):
+        raise ConstructionError(
+            f"inconsistent domain: empty value at node {section[empty[0]]} of atom {t}"
+        )
+    pos = np.full(len(phi.grid), -1)
+    pos[section] = np.arange(len(section))
+    pi, pj = phi.grid.directed_pair_arrays()
+    inside = (pos[pi] >= 0) & (pos[pj] >= 0)
+    pi, pj = pi[inside], pj[inside]
+    return segs, (pos[pi], pos[pj], phi.grid.metric[pi, pj])
+
+
+def _layout_per_atom(phi, on):
+    """_layout's (segs, atom, edges) from one _atom_block per atom, each
+    atom's pairs shifted past the cells of the atoms before it."""
+    segs, atom, src, dst, dist = [], [], [], [], []
+    for t in range(len(phi.space)):
+        section = np.flatnonzero(on[t]).tolist()
+        block, (i, j, d) = _atom_block(phi, t, section)
+        segs.append(block)
+        src.append(i + len(atom))
+        dst.append(j + len(atom))
+        dist.append(d)
+        atom += [t] * len(section)
+    return (np.concatenate(segs), np.array(atom, dtype=int),
+            tuple(np.concatenate(x) for x in (src, dst, dist)))
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_selection_blocks_match_per_node_hulls(dim):
     rng = np.random.default_rng(70 + dim)
@@ -695,24 +780,38 @@ def test_selection_blocks_match_per_node_hulls(dim):
         phi = _random_table(rng, dim, line_grid(int(rng.integers(2, 16))))
         all_segs, all_hulls = [], []
         for t in range(len(phi.space)):
-            section = phi.t_section(t)
+            section = np.flatnonzero(phi.counts[t]).tolist()
             if not section:
                 continue
             segs, _ = _atom_block(phi, t, section)
             hulls = [ConvexSet(phi.dim, phi.value(t, z).points) for z in section]
             assert np.array_equal(phi.points[_padded_rows(segs)], pack_hulls(hulls))
-            assert np.array_equal(_barycenters(phi.points, segs),
-                                  np.array([h.vertices.mean(axis=0) for h in hulls]))
+            draws = rng.exponential(size=(3, int(np.diff(segs).sum())))
+            bary = _barycenters(phi.points, segs, draws)
+            assert np.array_equal(bary[0], np.array([h.vertices.mean(axis=0) for h in hulls]))
+            # each weighted mean has the bits of the per-segment draw it replaced
+            cuts = np.cumsum(np.diff(segs).ravel())[:-1]
+            for d, got in zip(draws, bary[1:]):
+                assert np.array_equal(got, [phi.points[a:b].T @ (u / u.sum())
+                                            for (a, b), u in zip(segs, np.split(d, cuts))])
             all_segs.append(segs)
             all_hulls += hulls
         # the sweep packs every atom at once, padded to the widest value
         assert np.array_equal(phi.points[_padded_rows(np.concatenate(all_segs))],
                               pack_hulls(all_hulls))
+        # the flat layout is the per-atom blocks one after another, on the
+        # whole domain and on a random part of it
+        for on in (phi.counts > 0, (phi.counts > 0) & (rng.uniform(size=phi.counts.shape) < 0.7)):
+            (segs, atom, edges), want = _layout(phi, on), _layout_per_atom(phi, on)
+            assert np.array_equal(segs, want[0]) and np.array_equal(atom, want[1])
+            assert all(np.array_equal(x, y) for x, y in zip(edges, want[2]))
         empty = np.argwhere(phi.counts == 0)
         if len(empty):
             t, z = empty[0]
-            with pytest.raises(ConstructionError, match=f"empty value at node {z} "):
-                _atom_block(phi, int(t), sorted(phi.t_section(int(t)) + [int(z)]))
+            on = phi.counts > 0
+            on[t, z] = True
+            with pytest.raises(ConstructionError, match=f"empty value at node {z} of atom {t}$"):
+                _layout(phi, on)
 
 
 def _interiority_reference(psi, w, phi):
@@ -813,7 +912,7 @@ def test_semicontinuity_checks_match_per_atom_reference(dim):
     assert phi_inf and phi_finite and broken
 
 
-@pytest.mark.parametrize("eps", [0.0, -0.5])
+@pytest.mark.parametrize("eps", [0.0, -0.5, float("nan")])
 def test_phi_and_selection_reject_nonpositive_eps(jump, eps):
     space, grid, psi, witness = jump
     part = InfoPartition.finest(space)
