@@ -172,6 +172,10 @@ def _records_to_corr(records, space: AtomSpace, grid: GridSpace, dim: int) -> Co
             raise ParseError(f"records {first[(t, z)]} and {i} both give atom "
                              f"{rec['atom']!r}, node {z}")
         verts = rec.get("vertices", [])
+        if not isinstance(verts, list) or any(not isinstance(v, list) or len(v) != dim
+                                              for v in verts):
+            raise ParseError(f"record {i} (atom {rec['atom']!r}, node {z}): vertices must be "
+                             f"a list of {dim}-vectors")
         ps = PointSet.of(dim, np.asarray(verts, dtype=float).reshape(-1, dim)) \
             if verts else PointSet.empty(dim)
         table[(t, z)] = ps
@@ -205,6 +209,8 @@ def build_witness(doc: dict, psi: Corr) -> CipWitness:
         for key, records in locals_sec.items():
             if key == "default":
                 continue
+            if key != str(int(key)):  # "01", " 1" and "+1" would all read as node 1
+                raise ParseError(f"witness local key {key!r} is not written as {str(int(key))!r}")
             locs[int(key)] = _records_to_corr(records, psi.space, psi.grid, dim)
         for z in range(len(psi.grid)):
             if z not in locs:
@@ -216,8 +222,14 @@ def build_witness(doc: dict, psi: Corr) -> CipWitness:
         box = (np.asarray(sec["box"]["lo"], dtype=float),
                np.asarray(sec["box"]["hi"], dtype=float))
     radii_sec = sec.get("radii", {})
-    w = CipWitness(mode, locs, {(psi.space.index_of(rec["atom"]), rec["node"]): float(rec["r"])
-                                for rec in radii_sec.get("entries", [])}, box)
+    entries = radii_sec.get("entries", [])
+    first: dict = {}  # the entry that gave each (atom, node) radius
+    for j, rec in enumerate(entries):
+        key = (psi.space.index_of(rec["atom"]), rec["node"])
+        if first.setdefault(key, j) != j:
+            raise ParseError(f"radius entries {first[key]} and {j} both give atom "
+                             f"{rec['atom']!r}, node {rec['node']!r}")
+    w = CipWitness(mode, locs, {key: float(entries[j]["r"]) for key, j in first.items()}, box)
     missing = (psi.counts > 0) & np.isnan(w.radii)
     if not missing.any():
         return w
@@ -231,7 +243,7 @@ def build_witness(doc: dict, psi: Corr) -> CipWitness:
     return CipWitness(mode, locs, np.where(missing, default_r, w.radii), box)
 
 
-def _payoff_from_spec(spec: dict, space: AtomSpace, grids, i: int, own_slice):
+def _payoff_from_spec(spec: dict, space: AtomSpace, grids, own_slice):
     form = spec.get("form")
     if form == "quad_own":
         weight = float(spec.get("weight", 1.0))
@@ -286,7 +298,7 @@ def build_game(doc: dict) -> GameSpec:
         offsets.append(slice(off, off + g.dim))
         off += g.dim
     payoffs = tuple(
-        _payoff_from_spec(spec, space, grids, i, offsets[i])
+        _payoff_from_spec(spec, space, grids, offsets[i])
         for i, spec in enumerate(sec["payoffs"])
     )
     concave = tuple(bool(c) for c in sec.get("concave", [True] * len(players)))

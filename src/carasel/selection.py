@@ -202,13 +202,13 @@ def _sweep(points: np.ndarray, segs: np.ndarray, edges: tuple, atom: np.ndarray,
     of squared adjacent differences, for many groups at once.  segs, edges
     and atom lay out C cells as _layout gives them; row r * C + c of the
     (R * C, dim) starts is restart r of cell c, and each (restart, atom)
-    is a group.  Each sweep projects the rows with neighbours of every
-    live group at once: in R^1 by the closed form onto interval ends
-    taken once per call (_project_to_intervals), else by one
+    is a group.  The rows with neighbours, their bins, group runs, limits
+    and hulls (interval ends in R^1) are gathered once; each sweep
+    projects that row set in one _project_to_intervals (R^1) or
     convex_project call.  A group freezes once no row moved more than
-    _SWEEP_STOP times its hull scale; only then are the live rows, edges
-    and hulls gathered again.  Steps combine feasible points, so iterates
-    stay feasible, and a residual above tol raises, naming the lowest
+    _SWEEP_STOP times its hull scale: a mask keeps its rows, and sweeps
+    stop when no group is live.  Steps combine feasible points, so
+    iterates stay feasible; a residual above tol raises, naming the lowest
     such atom.  Returns the rows, as laid out, and each group's residual."""
     reps = len(starts) // len(segs)
     rank = np.cumsum(np.diff(atom, prepend=-1) > 0) - 1  # atoms ascend over the cells
@@ -219,36 +219,27 @@ def _sweep(points: np.ndarray, segs: np.ndarray, edges: tuple, atom: np.ndarray,
     src, dst = (np.add.outer(np.arange(reps) * len(segs), e).ravel() for e in edges[:2])
     scale = np.maximum(1.0, np.maximum.reduceat(np.abs(V).max(axis=(1, 2)), first))
     degree = np.bincount(src, minlength=len(X))
-    edge_group = group[src]
-    live = np.bincount(edge_group, minlength=len(first)) > 0
+    rows = np.flatnonzero(degree)
     dim = X.shape[1]
-    if dim == 1:
-        lo, hi = V.min(axis=1), V.max(axis=1)
-    froze = True
+    # bin (src's place in rows) * dim + k sums coordinate k, in edge order
+    bins = ((np.cumsum(degree > 0) - 1)[src, None] * dim + np.arange(dim)).ravel()
+    near = (dst[:, None] * dim + np.arange(dim)).ravel()  # in X.ravel(), as bins
+    deg = degree[rows, None]
+    runs = np.flatnonzero(np.diff(group[rows], prepend=-1))  # rows ascend by group
+    size = np.diff(runs, append=len(rows))
+    limit = _SWEEP_STOP * scale[group[rows[runs]]]
+    hulls = (V[rows].min(axis=1), V[rows].max(axis=1)) if dim == 1 else V[rows]
+    live = np.ones(len(runs), dtype=bool)  # the groups with a row with neighbours
     for _ in range(max_sweeps):
-        if froze:  # refilter the rows, edges and hulls of the live groups
-            keep = live[group] & (degree > 0)
-            rows = np.flatnonzero(keep)
-            if not rows.size:
-                break
-            used = live[edge_group]
-            # bin (src's place in rows) * dim + k sums coordinate k, in edge order
-            bins = ((np.cumsum(keep) - 1)[src[used], None] * dim + np.arange(dim)).ravel()
-            near = (dst[used, None] * dim + np.arange(dim)).ravel()  # in X.ravel(), as bins
-            deg = degree[rows, None]
-            runs = np.flatnonzero(np.diff(group[rows], prepend=-1))  # rows ascend by group
-            live_groups = group[rows[runs]]  # every live group has a row with neighbours
-            limit = _SWEEP_STOP * scale[live_groups]
-            hulls = (lo[rows], hi[rows]) if dim == 1 else V[rows]
+        if not live.any():
+            break
         target = np.bincount(bins, X.ravel()[near], len(rows) * dim).reshape(-1, dim) / deg
         projected = (_project_to_intervals(target, *hulls) if dim == 1
                      else convex_project(target, hulls)[0])
         old = X[rows]
         new = (1.0 - _RELAXATION) * old + _RELAXATION * projected
-        moving = np.maximum.reduceat(np.linalg.norm(new - old, axis=1), runs) > limit
-        X[rows] = new
-        froze = not moving.all()
-        live[live_groups] = moving
+        X[rows] = new if live.all() else np.where(np.repeat(live, size)[:, None], new, old)
+        live &= np.maximum.reduceat(np.linalg.norm(new - old, axis=1), runs) > limit
 
     residual = np.maximum.reduceat(convex_distance(X, V), first)
     by_atom = residual.reshape(reps, -1).T.ravel()  # groups atom by atom, restarts within
@@ -284,12 +275,17 @@ def grid_select(
         raise DomainError(f"nodes must be distinct and lie in [0, {len(phi.grid)})")
     segs, atom, edges = _layout(phi, on)
     section = np.flatnonzero(on[t]).tolist()
+    init = init or {}
+    stray = [z for z in init if z not in section]
+    if stray:
+        raise DomainError(f"init node {stray[0]!r} is not a solved node")
+    if any(np.shape(v) != (phi.dim,) for v in init.values()):
+        raise DomainError(f"init values must be length-{phi.dim} vectors")
     if not section:
         return AtomSelection({}, 0.0, 0.0)
     x = _barycenters(phi.points, segs)[0]
-    for c, z in enumerate(section):
-        if z in (init or {}):
-            x[c] = np.asarray(init[z], dtype=float)
+    for z, v in init.items():
+        x[section.index(z)] = v
     x, residual = _sweep(phi.points, segs, edges, atom, x, tol, max_sweeps)
     return AtomSelection(dict(zip(section, x)), _modulus(x, edges), float(residual[0]))
 

@@ -14,7 +14,8 @@ import carasel.corr
 import carasel.pipelines
 from carasel import __version__
 from carasel.cli import main
-from carasel.problems import canonical_json, parse_problem, problem_hash
+from carasel.problems import (build_correspondence, build_grid, build_space, canonical_json,
+                              parse_problem, problem_hash)
 from carasel.errors import ParseError
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
@@ -169,6 +170,11 @@ def _countable_local(key):
     return edit
 
 
+def _radius_twice(w, shared):
+    w["radii"]["entries"] = [{"atom": "t1", "node": 3, "r": 0.5},
+                             {"atom": "t1", "node": 3, "r": 9.0}]
+
+
 def _indexed_box(dim):
     def edit(w, shared):
         w["mode"] = "indexed"
@@ -184,8 +190,14 @@ def _indexed_box(dim):
     (_countable_local("99"), "witness local key 99 is not a node index in [0, 21)"),
     (_countable_local("-1"), "witness local key -1 is not a node index in [0, 21)"),
     (_indexed_box(3), "box has dim 3, the locals have dim 1"),
+    # the last of two radius entries used to win, and int() read all of
+    # these keys as node 1
+    (_radius_twice, "radius entries 0 and 1 both give atom 't1', node 3"),
+    (_countable_local("01"), "witness local key '01' is not written as '1'"),
+    (_countable_local(" 1"), "witness local key ' 1' is not written as '1'"),
+    (_countable_local("+1"), "witness local key '+1' is not written as '1'"),
 ], ids=["radius-node-999", "radius-node-minus-3", "radius-node-2.5", "local-99", "local-minus-1",
-        "box-3d"])
+        "box-3d", "radius-twice", "local-01", "local-space-1", "local-plus-1"])
 def test_malformed_witness_exit_2(tmp_path, capsys, edit, message):
     # each of these used to certify ok or end in a traceback
     p = tmp_path / "bad-witness.json"
@@ -206,6 +218,38 @@ def test_non_integer_correspondence_node_exit_2(tmp_path, capsys, node):
     assert main(["run", str(p)]) == 2
     assert f"record 3 (atom 't1'): node {node!r} is not an integer" in capsys.readouterr().err
     assert not (tmp_path / "bad-node.cert.json").exists()
+
+
+def _vertices_doc(dim, vertices) -> dict:
+    """example-3-2 read in R^dim (every vertex padded with zeros), with
+    record 3's vertices replaced."""
+    doc = json.loads((DOCS / "example-3-2.json").read_text())
+    doc["dim"] = dim
+    for rec in doc["correspondence"] + doc["witness"]["locals"]["shared"]:
+        rec["vertices"] = [v + [0.0] * (dim - 1) for v in rec["vertices"]]
+    doc["correspondence"][3]["vertices"] = vertices
+    return doc
+
+
+@pytest.mark.parametrize("dim, vertices", [
+    (1, [[0.0, 5.0]]), (1, [0.0, 5.0]), (1, 3.0), (1, 0), (2, [[0.0], [1.0]]),
+], ids=["two-wide-row", "flat-list", "scalar", "zero", "dim-2-columns"])
+def test_malformed_vertices_exit_2(tmp_path, capsys, dim, vertices):
+    # a reshape used to read the first two as the points {0, 5}, 3.0 as one
+    # point, 0 as the empty value and the last as the single point (0, 1)
+    p = tmp_path / "bad-vertices.json"
+    p.write_text(json.dumps(_vertices_doc(dim, vertices)))
+    assert main(["run", str(p)]) == 2
+    assert (f"record 3 (atom 't1', node 3): vertices must be a list of {dim}-vectors"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "bad-vertices.cert.json").exists()
+
+
+def test_empty_vertices_list_is_the_empty_value():
+    doc = _vertices_doc(1, [])
+    space = build_space(doc)
+    psi = build_correspondence(doc, space, build_grid(doc))
+    assert psi.counts[space.index_of("t1"), 3] == 0 and psi.counts[space.index_of("t1"), 2] == 1
 
 
 @pytest.mark.parametrize("front", [True, False], ids=["front", "back"])

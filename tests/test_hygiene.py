@@ -1,9 +1,10 @@
 """Source hygiene that no linter enforces: every module-level import in
 the package modules is used, every module-level function or class of
 the package, and every method of such a class, is referenced from the
-package, apart from the few kept on purpose, and every defaulted
+package, apart from the few kept on purpose, every defaulted
 parameter of a private module-level function is passed by some package
-call.  __init__.py is skipped by the import check, since its imports
+call, and every parameter of a package function is read by its body.
+__init__.py is skipped by the import check, since its imports
 are the public API it re-exports; those re-exports count as
 references."""
 
@@ -96,6 +97,32 @@ def uncalled_private_parameters(sources: dict[str, str]) -> list[str]:
             if not any(passes(c, i, name) for c in calls[fn])]
 
 
+def unread_parameters(sources: dict[str, str]) -> list[str]:
+    """"module.qualified.name.parameter" of every parameter, other than
+    self and cls, of every function of the modules in sources (module
+    level, method or nested) that its body never reads; a nested
+    function's defaults and decorators count as reads of the body around
+    it.  In source order."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            name = f"{prefix}.{getattr(child, 'name', '')}"
+            if isinstance(child, functions):
+                a = child.args
+                params = [p.arg for p in (*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg)
+                          if p is not None and p.arg not in ("self", "cls")]
+                read = {n.id for stmt in child.body for n in ast.walk(stmt)
+                        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                found.extend(f"{name}.{p}" for p in params if p not in read)
+            visit(child, name if isinstance(child, (*functions, ast.ClassDef)) else prefix)
+
+    for module, source in sources.items():
+        visit(ast.parse(source), module)
+    return found
+
+
 def package_sources() -> dict[str, str]:
     return {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
 
@@ -164,3 +191,23 @@ def test_the_check_sees_a_private_parameter_without_a_caller():
 
 def test_no_private_parameter_without_a_caller():
     assert uncalled_private_parameters(package_sources()) == []
+
+
+def test_the_check_sees_an_unread_parameter():
+    sources = {"a": "def f(x, y, *args, k=1, **kw):\n    return x + k\n\n"
+                    "class A:\n    def m(self, used, idle):\n        return used\n\n"
+                    "    @classmethod\n    def c(cls, v):\n        pass\n\n"
+                    "def outer(n, d, unused):\n"
+                    "    def inner(t, _d=d):\n        return n * _d\n    return inner\n"}
+    assert unread_parameters(sources) == ["a.f.y", "a.f.args", "a.f.kw", "a.A.m.idle",
+                                          "a.A.c.v", "a.outer.unused", "a.outer.inner.t"]
+    # the player index the payoff parser took and never read, put back
+    sources = package_sources()
+    sources["problems"] = sources["problems"].replace(
+        "def _payoff_from_spec(spec: dict, space: AtomSpace, grids, own_slice)",
+        "def _payoff_from_spec(spec: dict, space: AtomSpace, grids, i: int, own_slice)", 1)
+    assert unread_parameters(sources) == ["problems._payoff_from_spec.i"]
+
+
+def test_no_unread_parameter():
+    assert unread_parameters(package_sources()) == []
