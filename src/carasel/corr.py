@@ -57,6 +57,8 @@ class GridSpace:
             pts = pts.reshape(-1, 1)
         if pts.ndim != 2 or len(pts) == 0:
             raise DomainError("grid points must form a nonempty 2-d array")
+        if not np.isfinite(pts).all():  # a NaN node has no neighbours: every check passes there
+            raise DomainError("grid points must be finite")
         pts = pts.copy()
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
@@ -715,7 +717,8 @@ def cip_verify(
         if len(f.space) != len(psi.space) or f.dim != psi.dim:
             raise DomainError("witness locals must live on psi's atoms, in psi's dim")
     caps = capture_matrix(psi, w)
-    balls = [caps[..., zs] for _, zs in groups]  # each local's columns
+    # each local's columns: the stack itself for a local of every node
+    balls = [caps if len(zs) == caps.shape[2] else caps[..., zs] for _, zs in groups]
     _cache_gaps(tables)
     residuals = _residuals(psi, tables, np.stack([ball.any(axis=2) for ball in balls]))
     report.inclusion_residual = float(residuals.max(initial=0.0))

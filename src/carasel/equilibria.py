@@ -28,7 +28,14 @@ from .corr import (
 from .errors import ConstructionError, DomainError, NoCertificateError, PreconditionError
 from .measure import AtomSpace, InfoPartition, Prior, conditional_density
 from .reporting import CheckSet
-from .selection import Selection, caratheodory_select, glue
+from .selection import (
+    DEFAULT_SELECTION_TOL,
+    Selection,
+    _glue_table,
+    _glued_phi,
+    _select_table,
+    caratheodory_select,
+)
 from .setops import DEDUP_TOL, PointSet, _cross_dists, segment_distances
 
 JOINT_NODE_CAP = 10_000
@@ -369,9 +376,16 @@ def _add_glue_checks(checks: CheckSet, p: Corr, w: CipWitness, part: InfoPartiti
     """Glue a closed-valued selection through p with the constant point
     list fallback off p's domain, and add every gluing check but
     glue-lsc-preserved to checks, named with suffix: the fixed-point
-    construction needs the u.s.c. and measurability claims, not l.s.c."""
-    sel = caratheodory_select(p, w, part, closed_valued=True)
-    glued = glue(p, sel, Corr.constant(p.space, p.grid, PointSet.of(p.dim, fallback)), part=part)
+    construction needs the u.s.c. and measurability claims, not l.s.c.
+
+    The selection is caratheodory_select's closed-valued one, glued as
+    glue would, but no phi or selection certificate is built: no phi
+    checks (so no k_operator), no modulus, no selection measurability and
+    no per-cell values dict.  The sweep's escape check and the
+    missing-value and membership ConstructionErrors still raise."""
+    table = _select_table(p, _glued_phi(p, w), part, DEFAULT_SELECTION_TOL)[0]
+    glued = _glue_table(p, table, Corr.constant(p.space, p.grid, PointSet.of(p.dim, fallback)),
+                        part)
     for c in glued.checks:
         if c.name != "glue-lsc-preserved":
             checks.add(c.name + suffix, c.residual, c.tolerance, c.detail)
@@ -394,6 +408,8 @@ def random_equilibrium(
     the selection-plus-fallback tables whose product the profile is a
     fixed point of, and selects the profile by exhaustive enumeration:
     the lexicographically first joint node minimizing the worst regret.
+    Only the gluing checks of those tables enter the certificate, so no
+    phi or selection certificate is built (_add_glue_checks).
     """
     if eps_eq < 0:
         raise DomainError("eps_eq must be nonnegative")

@@ -158,6 +158,14 @@ def build_grid(doc: dict, section: dict | None = None) -> GridSpace:
                      adjacency_radius=sec.get("adjacency_radius"))
 
 
+def _number(value, where: str) -> float:
+    """value as a float; a JSON boolean, which float() reads as 0 or 1,
+    is a ParseError naming where it stood."""
+    if isinstance(value, bool):
+        raise ParseError(f"{where} must be a number, got {value!r}")
+    return float(value)
+
+
 def _records_to_corr(records, space: AtomSpace, grid: GridSpace, dim: int) -> Corr:
     table: dict[tuple[int, int], PointSet] = {}
     first: dict[tuple[int, int], int] = {}  # the record that gave each cell
@@ -176,6 +184,10 @@ def _records_to_corr(records, space: AtomSpace, grid: GridSpace, dim: int) -> Co
                                               for v in verts):
             raise ParseError(f"record {i} (atom {rec['atom']!r}, node {z}): vertices must be "
                              f"a list of {dim}-vectors")
+        flags = [c for v in verts for c in v if isinstance(c, bool)]
+        if flags:
+            raise ParseError(f"record {i} (atom {rec['atom']!r}, node {z}): vertex coordinates "
+                             f"must be numbers, got {flags[0]!r}")
         ps = PointSet.of(dim, np.asarray(verts, dtype=float).reshape(-1, dim)) \
             if verts else PointSet.empty(dim)
         table[(t, z)] = ps
@@ -229,7 +241,10 @@ def build_witness(doc: dict, psi: Corr) -> CipWitness:
         if first.setdefault(key, j) != j:
             raise ParseError(f"radius entries {first[key]} and {j} both give atom "
                              f"{rec['atom']!r}, node {rec['node']!r}")
-    w = CipWitness(mode, locs, {key: float(entries[j]["r"]) for key, j in first.items()}, box)
+    radii = {key: _number(entries[j]["r"], f"radius entry {j} (atom {entries[j]['atom']!r}, "
+                                           f"node {key[1]!r}): 'r'")
+             for key, j in first.items()}
+    w = CipWitness(mode, locs, radii, box)
     missing = (psi.counts > 0) & np.isnan(w.radii)
     if not missing.any():
         return w
@@ -237,7 +252,7 @@ def build_witness(doc: dict, psi: Corr) -> CipWitness:
     if default_r is None:
         t, z = np.argwhere(missing)[0]
         raise ParseError(f"witness radius missing at atom {t}, node {z}")
-    default_r = float(default_r)
+    default_r = _number(default_r, "witness radii 'default'")
     if np.isnan(default_r):  # would read as no radius in the table
         raise DomainError("witness radii must be finite and positive")
     return CipWitness(mode, locs, np.where(missing, default_r, w.radii), box)

@@ -117,12 +117,7 @@ def construct_phi(
     """
     if eps is None:
         eps = psi.grid.adjacency_radius
-    if w.mode == "shared" and not atomic:
-        phi = next(iter(w.locals.values()))
-        if not (phi.space is psi.space and phi.grid is psi.grid and phi.dim == psi.dim):
-            phi = Corr(psi.space, psi.grid, psi.dim, phi.points, phi.bounds)
-    else:
-        phi = pool_captured(psi, w)
+    phi = _glued_phi(psi, w, atomic)
 
     cert = CheckSet()
     worst_inclusion = float(_residuals(psi, [phi], (psi.counts > 0)[None]).max(initial=0.0))
@@ -150,6 +145,17 @@ def construct_phi(
     cert.add("phi-interiority", interiority_failures, 0, detail)
 
     return PhiResult(phi, cert, kpsi)
+
+
+def _glued_phi(psi: Corr, w: CipWitness, atomic: bool = False) -> Corr:
+    """construct_phi's sub-correspondence without its checks: the shared
+    local (on psi's space and grid) unless atomic, else pool_captured."""
+    if w.mode == "shared" and not atomic:
+        phi = next(iter(w.locals.values()))
+        if phi.space is psi.space and phi.grid is psi.grid and phi.dim == psi.dim:
+            return phi
+        return Corr(psi.space, psi.grid, psi.dim, phi.points, phi.bounds)
+    return pool_captured(psi, w)
 
 
 def _layout(phi: Corr, on: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
@@ -322,6 +328,58 @@ def interior_series(b: ConvexSet, dense, k_max: int) -> np.ndarray:
     return weights @ (y + diff / np.maximum(1.0, np.linalg.norm(diff, axis=1))[:, None])
 
 
+def _select_table(psi: Corr, phi: Corr, part: InfoPartition, tol: float,
+                  weights: np.ndarray | None = None,
+                  seed: int = 0) -> tuple[np.ndarray, tuple, float]:
+    """The selection through phi, a glued sub-correspondence of psi, as an
+    (atoms, nodes, dim) table of points (zero off phi's domain), with the
+    edges of its _layout and the worst membership residual in psi's hulls.
+
+    Every (restart, atom) group is solved in one sweep: from the
+    barycenters only when weights is None (the closed-valued branch), or
+    also from len(weights) - 1 random feasible starts drawn per atom by
+    its cell head's seed, whose pushed results the halving series weights
+    combine with the barycentric one.  Raises a ConstructionError where
+    the sweep escapes phi's hulls, where phi is empty on psi's domain, or
+    where a selected point lies farther than tol from psi's hull."""
+    on = phi.counts > 0
+    segs, atom, edges = _layout(phi, on)
+    table = np.zeros(psi.counts.shape + (psi.dim,))  # the selected points, by (t, z)
+    if len(segs):
+        heads = np.flatnonzero(np.diff(atom, prepend=-1))  # each atom's first cell
+        draws = ()
+        if weights is not None and len(weights) > 1:  # one draw per atom, by its cell head
+            seeds = np.random.default_rng(seed).integers(0, 2 ** 31 - 1, size=len(psi.space))
+            draws = np.hstack([  # (restarts - 1, points), each cell's points side by side
+                np.random.default_rng(int(seeds[part.head[t]])).exponential(
+                    size=(len(weights) - 1, n))
+                for t, n in zip(atom[heads], np.add.reduceat(segs[:, 1] - segs[:, 0], heads))])
+        starts = _barycenters(phi.points, segs, draws)  # restart by restart, cell by cell
+        x = _sweep(phi.points, segs, edges, atom, starts.reshape(-1, phi.dim), tol,
+                   DEFAULT_MAX_SWEEPS)[0]
+        if weights is not None:  # the series over the base and the pushed restarts, atom by atom
+            x = x.reshape(starts.shape)
+            diff = x - x[0]
+            pushed = x[0] + diff / np.maximum(1.0, np.linalg.norm(diff, axis=2))[..., None]
+            x = np.concatenate([np.tensordot(weights, p, axes=1)
+                                for p in np.split(pushed, heads[1:], axis=1)])
+        table[on] = x
+
+    t, z = np.nonzero(psi.counts > 0)  # the domain, in sorted order
+    missing = np.flatnonzero(phi.counts[t, z] == 0)
+    if len(missing):
+        raise ConstructionError(f"no selected value at (t={t[missing[0]]}, z={z[missing[0]]})")
+    res = segment_distances(table[t, z], psi.points, psi.bounds[t, z])
+    worst = float(res.max(initial=0.0))
+    if worst > tol:
+        k = int(res.argmax())
+        raise ConstructionError(
+            f"membership certification failed at (t={t[k]}, z={z[k]}): "
+            f"residual {worst:.3e} > tol {tol:g}"
+        )
+    return table, edges, worst
+
+
 def caratheodory_select(
     psi: Corr,
     w: CipWitness,
@@ -336,14 +394,14 @@ def caratheodory_select(
 ) -> Selection:
     """Produce a certified selection through psi on its domain.
 
-    Pipeline: glue the witness into the sub-correspondence, then solve
-    every (restart, atom) group in one sweep: from the barycenters only
-    (closed-valued branch), or also from restarts - 1 random feasible
-    starts drawn per atom by its cell head's seed, whose pushed results
-    the halving series combines with the barycentric one (general branch).  The certificate is
-    independent of the branch: direct membership of every selected point
-    in the hull of psi's value within tol, the achieved modulus, and
-    cell-wise measurability whenever the inputs are cell-wise constant.
+    Pipeline: glue the witness into the sub-correspondence
+    (construct_phi), then solve it with _select_table: from the
+    barycenters only (closed-valued branch), or also from restarts - 1
+    random feasible starts combined by the halving series (general
+    branch).  The certificate is independent of the branch: phi's five
+    checks, direct membership of every selected point in the hull of
+    psi's value within tol, the achieved modulus, and cell-wise
+    measurability whenever the inputs are cell-wise constant.
     """
     if tol <= 0:
         raise DomainError("tol must be positive")
@@ -352,47 +410,14 @@ def caratheodory_select(
     weights = _halving_weights(restarts, k_max)
     phi_res = construct_phi(psi, w, part, eps=eps, atomic=atomic)
     phi = phi_res.phi
-
-    on = phi.counts > 0
-    segs, atom, edges = _layout(phi, on)
-    table = np.zeros(psi.counts.shape + (psi.dim,))  # the selected points, by (t, z)
-    if len(segs):
-        heads = np.flatnonzero(np.diff(atom, prepend=-1))  # each atom's first cell
-        draws = ()
-        if not closed_valued and restarts > 1:  # random starts: one draw per atom, by its cell head
-            seeds = np.random.default_rng(seed).integers(0, 2 ** 31 - 1, size=len(psi.space))
-            draws = np.hstack([  # (restarts - 1, points), each cell's points side by side
-                np.random.default_rng(int(seeds[part.head[t]])).exponential(size=(restarts - 1, n))
-                for t, n in zip(atom[heads], np.add.reduceat(segs[:, 1] - segs[:, 0], heads))])
-        starts = _barycenters(phi.points, segs, draws)  # restart by restart, cell by cell
-        x = _sweep(phi.points, segs, edges, atom, starts.reshape(-1, phi.dim), tol,
-                   DEFAULT_MAX_SWEEPS)[0]
-        if not closed_valued:  # the series over the base and the pushed restarts, atom by atom
-            x = x.reshape(starts.shape)
-            diff = x - x[0]
-            pushed = x[0] + diff / np.maximum(1.0, np.linalg.norm(diff, axis=2))[..., None]
-            x = np.concatenate([np.tensordot(weights, p, axes=1)
-                                for p in np.split(pushed, heads[1:], axis=1)])
-        table[on] = x
+    table, edges, worst = _select_table(psi, phi, part, tol,
+                                        None if closed_valued else weights, seed)
 
     checks = CheckSet()
     checks.extend(phi_res.certificate)
-
-    t, z = np.nonzero(psi.counts > 0)  # the domain, in sorted order
-    missing = np.flatnonzero(phi.counts[t, z] == 0)
-    if len(missing):
-        raise ConstructionError(f"no selected value at (t={t[missing[0]]}, z={z[missing[0]]})")
-    res = segment_distances(table[t, z], psi.points, psi.bounds[t, z])
-    worst = float(res.max(initial=0.0))
     checks.add("selection-membership", worst, tol,
                "selected point inside the hull of the original value at every domain node")
-    if worst > tol:
-        k = int(res.argmax())
-        raise ConstructionError(
-            f"membership certification failed at (t={t[k]}, z={z[k]}): "
-            f"residual {worst:.3e} > tol {tol:g}"
-        )
-
+    t, z = np.nonzero(psi.counts > 0)
     values = dict(zip(zip(t.tolist(), z.tolist()), table[t, z]))
     if _inputs_cell_constant(psi, w, part):
         # the inputs fix each cell's presence pattern, so every selected
@@ -405,7 +430,7 @@ def caratheodory_select(
         checks.add("selection-measurability", 0.0, 0.0,
                    "trivially measurable (finest partition)")
 
-    return Selection(values, _modulus(table[on], edges), worst, checks)
+    return Selection(values, _modulus(table[phi.counts > 0], edges), worst, checks)
 
 
 def _inputs_cell_constant(psi: Corr, w: CipWitness, part: InfoPartition) -> bool:
@@ -434,17 +459,25 @@ def glue(
     single = [sel.values.get(key) for key in zip(t.tolist(), z.tolist())]
     if len(sel.values) != len(single) or any(v is None for v in single):
         raise DomainError("selection domain differs from the correspondence domain")
+    table = np.zeros(on.shape + (psi.dim,))
+    table[on] = np.reshape(single, (-1, psi.dim))
     if part is None:
         part = InfoPartition.finest(psi.space)
+    return _glue_table(psi, table, fallback, part)
+
+
+def _glue_table(psi: Corr, table: np.ndarray, fallback: Corr, part: InfoPartition) -> GlueResult:
+    """glue's body on an (atoms, nodes, dim) table of selected points, as
+    _select_table gives it, read on psi's domain only."""
+    on = psi.counts > 0
     off = np.argwhere(~on & (fallback.counts == 0))
     if len(off):
         t, z = off[0]
         raise DomainError(f"fallback is empty off the domain at (t={t}, z={z})")
     # one singleton row per domain cell, in (t, z) order, after the fallback's points
     bounds = np.array(fallback.bounds)
-    bounds[on] = len(fallback.points) + _segments(np.ones(len(single), dtype=int))
-    glued = Corr(psi.space, psi.grid, psi.dim,
-                 np.concatenate([fallback.points, np.reshape(single, (-1, psi.dim))]), bounds)
+    bounds[on] = len(fallback.points) + _segments(np.ones(np.count_nonzero(on), dtype=int))
+    glued = Corr(psi.space, psi.grid, psi.dim, np.concatenate([fallback.points, table[on]]), bounds)
 
     checks = CheckSet()
     for name, upper, sc in (("glue-usc-preserved", True, "u.s.c."),

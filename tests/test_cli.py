@@ -148,6 +148,58 @@ def test_nan_witness_radius_exit_2(tmp_path, capsys):
     assert not (tmp_path / "nan-radius.cert.json").exists()
 
 
+def test_null_grid_point_exit_2(tmp_path, capsys):
+    # null reads as a NaN node; with a mesh given it used to build, and as
+    # it has no neighbours every check at it passed and the run certified ok
+    doc = json.loads((DOCS / "example-3-2.json").read_text())
+    doc["grid"]["points"][3] = [None]
+    p = tmp_path / "null-point.json"
+    p.write_text(json.dumps(doc))
+    assert main(["run", str(p)]) == 2
+    assert "grid points must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "null-point.cert.json").exists()
+
+
+def _set_radius_default(value):
+    def edit(doc):
+        doc["witness"]["radii"] = {"default": value}
+    return edit
+
+
+def _set_radius_entry(value):
+    def edit(doc):
+        doc["witness"]["radii"]["entries"] = [{"atom": "t1", "node": 3, "r": value}]
+    return edit
+
+
+def _set_vertex(where, value):
+    def edit(doc):
+        records = doc["correspondence"] if where == "correspondence" else \
+            doc["witness"]["locals"]["shared"]
+        records[3]["vertices"] = [[value]]
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_set_radius_default(True), "witness radii 'default' must be a number, got True"),
+    (_set_radius_entry(True), "radius entry 0 (atom 't1', node 3): 'r' must be a number, got True"),
+    (_set_vertex("correspondence", True),
+     "record 3 (atom 't1', node 3): vertex coordinates must be numbers, got True"),
+    (_set_vertex("locals", False),
+     "record 3 (atom 't1', node 3): vertex coordinates must be numbers, got False"),
+], ids=["radius-default", "radius-entry", "vertex", "local-vertex"])
+def test_boolean_number_exit_2(tmp_path, capsys, edit, message):
+    # float() read true as 1.0: the radii certified ok with radius 1, and
+    # the vertex [[true]] was the point 1.0 and ended in exit 3
+    doc = json.loads((DOCS / "example-3-2.json").read_text())
+    edit(doc)
+    p = tmp_path / "bool-number.json"
+    p.write_text(json.dumps(doc))
+    assert main(["run", str(p)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "bool-number.cert.json").exists()
+
+
 def _malformed_witness(edit) -> dict:
     """example-3-2 with its witness section edited in place, verified in
     the witness's own mode."""

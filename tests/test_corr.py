@@ -997,6 +997,17 @@ def test_grid_mesh_and_radius_must_be_finite_and_positive(field, bad):
         GridSpace(np.linspace(0.0, 1.0, 5).reshape(-1, 1), **{field: bad})
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("mesh", [None, 0.5])
+def test_grid_points_must_be_finite(mesh, bad):
+    # with a mesh given, a NaN node used to build: it has no neighbours,
+    # so every check at it passed vacuously
+    with pytest.raises(DomainError, match="grid points must be finite"):
+        GridSpace([[0.0], [bad], [1.0]], mesh=mesh)
+    with pytest.raises(DomainError, match="grid points must be finite"):
+        GridSpace([[0.0, 0.0], [0.5, bad]], mesh=mesh)
+
+
 def test_grid_defaults_and_connectivity():
     grid = line_grid(5)
     assert grid.mesh == pytest.approx(0.25)

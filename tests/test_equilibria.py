@@ -9,6 +9,8 @@ import pytest
 from carasel import (
     AtomSpace,
     BayesSpec,
+    CipWitness,
+    ConstructionError,
     Corr,
     DomainError,
     GameSpec,
@@ -21,6 +23,8 @@ from carasel import (
     bayes_equilibrium,
     bayes_h,
     canonical_witness,
+    caratheodory_select,
+    glue,
     maximal_element,
     pref_from_payoff,
     random_equilibrium,
@@ -34,8 +38,10 @@ import carasel.problems
 import carasel.selection
 from carasel.corr import SET_EQUALITY_TOL, _segments
 from carasel.equilibria import _reflexive_at
-from carasel.pipelines import run_select
-from carasel.problems import merge_options, parse_problem
+from carasel.pipelines import run_problem, run_select
+from carasel.problems import canonical_json, merge_options, parse_problem
+from carasel.reporting import CheckSet
+from carasel.selection import DEFAULT_SELECTION_TOL, _glue_table, _glued_phi, _select_table
 from carasel.setops import ConvexSet, _segment_rows, convex_membership
 
 from conftest import line_grid, single_atom
@@ -126,6 +132,178 @@ def test_package_paths_never_call_domain(monkeypatch):
     doc = parse_problem((DOCS / "example-3-2.json").read_text())
     cert = run_select(doc, merge_options(doc, {}))
     assert cert.status == "ok" and len(cert.outputs["selection"]) == 4 * 21
+
+
+# ------------------------------------------- gluing without the certificate
+
+def _reference_glue_checks(checks, p, w, part, fallback, suffix=""):
+    """The gluing step of the equilibrium paths built the long way: the
+    whole certified caratheodory_select, then glue from its values dict,
+    keeping only the gluing checks."""
+    sel = caratheodory_select(p, w, part, closed_valued=True)
+    glued = glue(p, sel, Corr.constant(p.space, p.grid, PointSet.of(p.dim, fallback)), part=part)
+    for c in glued.checks:
+        if c.name != "glue-lsc-preserved":
+            checks.add(c.name + suffix, c.residual, c.tolerance, c.detail)
+
+
+def _plain(value):
+    if isinstance(value, CheckSet):
+        return [c.as_dict() for c in value]
+    if isinstance(value, dict):
+        return sorted([str(k), _plain(v)] for k, v in value.items())
+    if isinstance(value, InfoPartition):
+        return [[int(t) for t in cell] for cell in value.cells]
+    if isinstance(value, (tuple, list, np.ndarray)):
+        return [_plain(v) for v in value]
+    return value.item() if isinstance(value, np.generic) else value
+
+
+def _assert_glued_like_the_reference(p, w, part, fallback):
+    """The glued table of the selection core equals glue's on the
+    certified selection, point for point: the fallback's points, then the
+    selected ones in (atom, node) order."""
+    fb = Corr.constant(p.space, p.grid, PointSet.of(p.dim, fallback))
+    new = _glue_table(p, _select_table(p, _glued_phi(p, w), part, DEFAULT_SELECTION_TOL)[0],
+                      fb, part)
+    sel = caratheodory_select(p, w, part, closed_valued=True)
+    old = glue(p, sel, fb, part=part)
+    assert np.array_equal(old.glued.points,
+                          np.concatenate([fb.points, [sel.values[k] for k in sorted(sel.values)]]))
+    assert np.array_equal(new.glued.points, old.glued.points)
+    assert np.array_equal(new.glued.bounds, old.glued.bounds)
+    assert new.checks.checks == old.checks.checks
+
+
+def _glued_both_ways(monkeypatch, run) -> tuple[str, str]:
+    """canonical_json of every field of run()'s certificate, run with
+    _add_glue_checks and with the reference construction."""
+    def cert_bytes():
+        cert = run()
+        return canonical_json({f: _plain(getattr(cert, f)) for f in cert.__dataclass_fields__})
+
+    new = cert_bytes()
+    with monkeypatch.context() as m:
+        m.setattr(carasel.equilibria, "_add_glue_checks", _reference_glue_checks)
+        old = cert_bytes()
+    return new, old
+
+
+@pytest.mark.parametrize("cells", [((0,), (1,), (2,)), ((0, 2), (1,))], ids=["finest", "coarse"])
+@pytest.mark.parametrize("seed", range(3))
+def test_nash_glue_checks_match_the_reference_bytes(monkeypatch, seed, cells):
+    g, part, eps_eq = _quadratic_game(np.random.default_rng(seed), 9, cells)
+    new, old = _glued_both_ways(monkeypatch, lambda: random_nash(g, part, eps_eq))
+    assert new == old
+    assert '"glue-usc-preserved-player-1"' in new and '"glue-measurability-preserved' in new
+    for i in range(2):
+        p = pref_from_payoff(g, i)
+        _assert_glued_like_the_reference(p, canonical_witness(p), part, g.strategy_grids[i].points)
+
+
+@pytest.mark.parametrize("mode", ["countable", "indexed"])
+def test_pooled_witness_glue_checks_match_the_reference_bytes(monkeypatch, mode):
+    # a witness that is not shared glues through pool_captured; countable
+    # uses two local objects (pooled cell by cell), indexed one
+    g, part, eps_eq = _quadratic_game(np.random.default_rng(5), 9, ((0, 1), (2,)))
+    prefs = [pref_from_payoff(g, i) for i in range(2)]
+    witnesses = []
+    for p in prefs:
+        twin = Corr(p.space, p.grid, p.dim, p.points.copy(), p.bounds.copy()) \
+            if mode == "countable" else p
+        locs = {z: (p, twin)[z % 2] for z in range(len(p.grid))}
+        witnesses.append(CipWitness(mode, locs, canonical_witness(p).radii))
+    assert len(witnesses[0].distinct_locals()) == (2 if mode == "countable" else 1)
+    new, old = _glued_both_ways(
+        monkeypatch, lambda: random_equilibrium(g, prefs, witnesses, part, eps_eq))
+    assert new == old
+    assert '"glue-usc-preserved-player-0"' in new
+    for i, (p, w) in enumerate(zip(prefs, witnesses)):
+        _assert_glued_like_the_reference(p, w, part, g.strategy_grids[i].points)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_maximal_glue_checks_match_the_reference_bytes(monkeypatch, seed):
+    # the nodes above z, each non-head atom dropping some of them
+    rng = np.random.default_rng(seed)
+    space = AtomSpace(tuple(f"a{k}" for k in range(4)), [1.0] * 4)
+    grid = line_grid(7)
+    part = InfoPartition(space, ((0, 2), (1, 3)))
+    keep = rng.random((4, 7, 7)) < 0.7
+    keep[[0, 1]] = True
+
+    def value(t, z):
+        above = np.flatnonzero(keep[t, z, z + 1:]) + z + 1
+        return PointSet.of(1, grid.points[above]) if len(above) else PointSet.empty(1)
+
+    p = Corr.from_function(space, grid, 1, value)
+    new, old = _glued_both_ways(
+        monkeypatch, lambda: maximal_element(p, canonical_witness(p), part))
+    assert new == old
+    assert '"glue-usc-preserved"' in new
+
+
+def test_bayes_fixture_glue_checks_match_the_reference_bytes(monkeypatch):
+    doc = parse_problem((DOCS / "quadratic-bayes.json").read_text())
+
+    def cert_bytes():
+        cert = run_problem(doc).as_dict()
+        del cert["provenance"]["timestamp"]
+        return canonical_json(cert)
+
+    new = cert_bytes()
+    monkeypatch.setattr(carasel.equilibria, "_add_glue_checks", _reference_glue_checks)
+    assert new == cert_bytes()
+    assert '"glue-usc-preserved-player-0"' in new
+
+
+def test_random_nash_builds_no_selection_certificate(monkeypatch):
+    """With shared canonical witnesses, the gluing step of random_nash
+    builds no phi checks, interior-union table or pooled table, and
+    cip_verify's ball stack is the only one built per player."""
+    def fail(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"{name} called")
+        return call
+
+    for name in ("construct_phi", "k_operator", "pool_captured"):
+        for module in (carasel, carasel.corr, carasel.equilibria, carasel.selection):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, fail(name))
+    stacks = []
+    capture = carasel.corr.capture_matrix
+    monkeypatch.setattr(carasel.corr, "capture_matrix",
+                        lambda psi, w: stacks.append(psi) or capture(psi, w))
+    g, part, eps_eq = _quadratic_game(np.random.default_rng(0), 9, ((0,), (1, 2)))
+    cert = random_nash(g, part, eps_eq)
+    assert cert.checks.ok
+    assert len(stacks) == g.n_players
+    assert sum(c.name.startswith("glue-") for c in cert.checks) == 2 * g.n_players
+
+
+def test_random_nash_keeps_the_sweep_escape_guard(monkeypatch):
+    # a projection that leaves the value set must still end the solve
+    g, part, eps_eq = _quadratic_game(np.random.default_rng(0), 9, ((0,), (1,)))
+    monkeypatch.setattr(carasel.selection, "_project_to_intervals", lambda x, lo, hi: x + 1.0)
+    with pytest.raises(ConstructionError, match="selection escaped its value set"):
+        random_nash(g, part, eps_eq)
+
+
+def test_select_table_keeps_the_domain_and_membership_guards():
+    space = AtomSpace(("a", "b"), [0.5, 0.5])
+    grid = line_grid(5)
+    part = InfoPartition.finest(space)
+    psi = Corr.from_function(space, grid, 1, lambda t, z: PointSet.of(1, [[0.0], [1.0]]))
+
+    def phi(at, point):
+        return Corr.from_function(space, grid, 1, lambda t, z: PointSet.of(1, [[0.5]])
+                                  if (t, z) != at else point)
+
+    with pytest.raises(ConstructionError, match=r"no selected value at \(t=1, z=2\)"):
+        _select_table(psi, phi((1, 2), PointSet.empty(1)), part, DEFAULT_SELECTION_TOL)
+    with pytest.raises(ConstructionError, match=r"membership certification failed at "
+                                                r"\(t=0, z=3\): residual 5\.000e-01"):
+        _select_table(psi, phi((0, 3), PointSet.of(1, [[1.5]])), part, DEFAULT_SELECTION_TOL)
 
 
 # ------------------------------------------------------- preference tables
