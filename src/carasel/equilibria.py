@@ -36,7 +36,7 @@ from .selection import (
     _select_table,
     caratheodory_select,
 )
-from .setops import DEDUP_TOL, PointSet, _cross_dists, segment_distances
+from .setops import DEDUP_TOL, PointSet, _cross_dists, _solve_blocks, segment_distances
 
 JOINT_NODE_CAP = 10_000
 DEFAULT_FIXPOINT_TOL = 1e-6
@@ -52,20 +52,22 @@ class FixedPointProfile:
     checks: CheckSet
 
 
-def _interpolate(grid: GridSpace, table: dict, x: np.ndarray) -> np.ndarray:
-    """Adjacency-weighted interpolation of a node table at an off-grid
-    point, using hat weights in the Euclidean embedding; falls back to
-    the nearest node outside every hat support."""
-    d = np.linalg.norm(grid.points - x, axis=1)
-    wts = np.maximum(0.0, 1.0 - d / grid.adjacency_radius)
-    mask = wts > 0
-    if not mask.any():
-        return table[int(d.argmin())]
-    total = wts[mask].sum()
-    out = np.zeros(x.shape[0])
-    for z in np.nonzero(mask)[0]:
-        out += wts[z] / total * table[int(z)]
-    return out
+def _faces(points: np.ndarray) -> list[np.ndarray]:
+    """Per size k = 1, 2, ..., the faces of a triangulation of the grid as
+    sorted node index rows in lexicographic order; the size-1 faces are all
+    nodes.  Sorted consecutive segments in R^1, else scipy's Delaunay
+    without joggle, so deterministic (a flat grid raises QhullError)."""
+    if points.shape[1] == 1:
+        order = np.argsort(points[:, 0], kind="stable")
+        simplices = np.stack([order[:-1], order[1:]], axis=1)
+    else:
+        from scipy.spatial import Delaunay
+
+        simplices = Delaunay(points).simplices
+    simplices, m = np.sort(simplices, axis=1), simplices.shape[1]
+    return [np.arange(len(points))[:, None]] + [
+        np.unique(simplices[:, list(itertools.combinations(range(m), k))].reshape(-1, k), axis=0)
+        for k in range(2, m + 1)]
 
 
 def random_fixed_point(
@@ -73,60 +75,56 @@ def random_fixed_point(
     w: CipWitness,
     part: InfoPartition = None,
     tol: float = DEFAULT_FIXPOINT_TOL,
-    damping: float = 0.5,
-    max_iter: int = 500,
     **select_opts,
 ) -> FixedPointProfile:
     """Solve x = psi-selection(t, x) atom by atom.
 
-    Runs the certified selection, extends it off-grid by adjacency
-    interpolation, iterates the damped map from the grid barycenter, and
-    falls back to exhaustive node minimization of the displacement when
-    the iteration stalls.  Certifies the residual at every atom.
+    Runs the certified selection and solves its piecewise-linear extension
+    over a triangulation of the grid (_faces) exactly.  On a face with
+    displacements g_i, the KKT block [[G G^T, 1], [1^T, 0]] gives the
+    weights l, sum l = 1, of the least |sum l_i g_i|: one batched solve per
+    face size.  Skipping singular blocks loses no fixed point (by
+    Caratheodory).  Of the faces with l >= 0, takes the point within tol
+    nearest the grid barycenter, ties to the earlier face in (size,
+    vertices) order, else reports the least residual.
     """
     if part is None:
         part = InfoPartition.finest(psi.space)
     if not psi.counts.all():
         raise PreconditionError("the correspondence must be nonempty-valued everywhere")
+    grid = psi.grid
+    if psi.dim != grid.dim:
+        raise DomainError(f"fixed points need values in R^{grid.dim}, the grid's space")
+    faces = _faces(grid.points)
+    bary = grid.points.mean(axis=0)
     select_opts.setdefault("closed_valued", True)
     sel = caratheodory_select(psi, w, part, **select_opts)
 
-    grid = psi.grid
-    bary = grid.points.mean(axis=0)
-    box_lo = grid.points.min(axis=0)
-    box_hi = grid.points.max(axis=0)
-
     def solve_atom(t: int) -> tuple[np.ndarray, float]:
-        table = {z: sel.value(t, z) for z in range(len(grid))}
-        x = bary.copy()
-        for _ in range(max_iter):
-            fx = _interpolate(grid, table, x)
-            # iterates stay in the compact box the grid discretizes
-            nxt = np.clip((1.0 - damping) * x + damping * fx, box_lo, box_hi)
-            if np.linalg.norm(nxt - x) <= 1e-14 * max(1.0, np.linalg.norm(x)):
-                x = nxt
-                break
-            x = nxt
-        residual = float(np.linalg.norm(_interpolate(grid, table, x) - x))
-        if residual > tol:
-            disp = [float(np.linalg.norm(table[z] - grid.points[z])) for z in range(len(grid))]
-            z_best = int(np.argmin(disp))
-            if disp[z_best] < residual:
-                x = grid.points[z_best].copy()
-                residual = disp[z_best]
-        return x, residual
+        disp = np.array([sel.value(t, z) for z in range(len(grid))]) - grid.points
+        xs, res = [], []
+        for f in faces:
+            g, k = disp[f], f.shape[1]
+            K = np.ones((len(f), k + 1, k + 1))
+            K[:, :k, :k] = g @ g.transpose(0, 2, 1)
+            K[:, k, k] = 0.0
+            lam, singular = _solve_blocks(K, np.eye(k + 1)[:, k:])
+            keep = ~singular & (lam >= 0).all(axis=1)
+            lam = lam[keep] / lam[keep].sum(axis=1, keepdims=True)
+            xs.append(np.einsum("fk,fkd->fd", lam, grid.points[f[keep]]))
+            res.append(np.linalg.norm(np.einsum("fk,fkd->fd", lam, g[keep]), axis=1))
+        x, r = np.concatenate(xs), np.concatenate(res)
+        key = np.where(r <= tol, np.linalg.norm(x - bary, axis=1), np.inf)
+        best = int((key if (r <= tol).any() else r).argmin())
+        return x[best], float(r[best])
 
     solved = runtime.atom_map(solve_atom, range(len(psi.space)))
-    values = {t: v for t, (v, _) in enumerate(solved)}
-    residuals = {t: r for t, (_, r) in enumerate(solved)}
-
+    values, residuals = (dict(enumerate(column)) for column in zip(*solved))
     worst = max(residuals.values())
     if worst > tol:
-        raise NoCertificateError(
-            f"fixed-point residual {worst:.3e} exceeds tol {tol:g} "
-            "(a residual of order modulus*mesh can be unavoidable at this resolution)",
-            best_residual=worst,
-        )
+        raise NoCertificateError(f"fixed-point residual {worst:.3e} exceeds tol {tol:g} (0 is "
+                                 "reached whenever the selection maps the grid's hull into "
+                                 "itself)", best_residual=worst)
     checks = CheckSet()
     checks.extend(sel.checks)
     checks.add("fixed-point-residual", worst, tol,

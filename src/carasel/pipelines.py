@@ -151,8 +151,6 @@ def run_fixpoint(doc: dict, opts: dict) -> Certificate:
     profile = random_fixed_point(
         psi, witness, part,
         tol=opts["tol"],
-        damping=opts["damping"],
-        max_iter=opts["max_iter"],
         eps=eps,
         seed=opts["seed"],
     )

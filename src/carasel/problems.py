@@ -35,12 +35,9 @@ OPTION_DEFAULTS = {
     "k_max": 40,
     "restarts": 8,
     "strict_margin": 0.0,
-    "damping": 0.5,
-    "max_iter": 500,
 }
 _OPTION_TYPES = {**{k: type(v) for k, v in OPTION_DEFAULTS.items()}, "eps": float, "mode": str}
-_POSITIVE_OPTIONS = ("tol", "inclusion_tol", "eps", "eps_eq",
-                     "damping", "k_max", "restarts", "max_iter")
+_POSITIVE_OPTIONS = ("tol", "inclusion_tol", "eps", "eps_eq", "k_max", "restarts")
 
 
 def parse_problem(text: str) -> dict:
@@ -116,8 +113,6 @@ def _option_value(key: str, value):
         raise ParseError(f"option {key!r} must be strictly positive, got {value!r}")
     if key in ("seed", "strict_margin") and not value >= 0:
         raise ParseError(f"option {key!r} must be non-negative, got {value!r}")
-    if key == "damping" and value > 1:
-        raise ParseError(f"option 'damping' must be at most 1, got {value!r}")
     return value
 
 
@@ -129,7 +124,7 @@ def _wrap(fn):
             return fn(*args, **kwargs)
         except ParseError:
             raise
-        except (DomainError, KeyError, TypeError, ValueError, IndexError) as e:
+        except (AttributeError, DomainError, KeyError, TypeError, ValueError, IndexError) as e:
             raise ParseError(f"invalid problem payload: {e}") from e
     return inner
 
@@ -137,7 +132,8 @@ def _wrap(fn):
 @_wrap
 def build_space(doc: dict) -> AtomSpace:
     sec = doc["space"]
-    return AtomSpace(tuple(sec["atoms"]), sec["weights"])
+    return AtomSpace(tuple(sec["atoms"]),
+                     [_number(w, f"space weight {i}") for i, w in enumerate(sec["weights"])])
 
 
 @_wrap
@@ -152,10 +148,11 @@ def build_partition(doc: dict, space: AtomSpace) -> InfoPartition:
 @_wrap
 def build_grid(doc: dict, section: dict | None = None) -> GridSpace:
     sec = doc["grid"] if section is None else section
-    pts = np.asarray(sec["points"], dtype=float)
+    pts = np.array([_vector(p, f"grid point {i}") for i, p in enumerate(sec["points"])])
     metric = np.asarray(sec["metric"], dtype=float) if "metric" in sec else None
-    return GridSpace(pts, metric=metric, mesh=sec.get("mesh"),
-                     adjacency_radius=sec.get("adjacency_radius"))
+    mesh, radius = (_number(sec[key], f"grid {key!r}") if key in sec else None
+                    for key in ("mesh", "adjacency_radius"))
+    return GridSpace(pts, metric=metric, mesh=mesh, adjacency_radius=radius)
 
 
 def _number(value, where: str) -> float:
@@ -164,6 +161,29 @@ def _number(value, where: str) -> float:
     if isinstance(value, bool):
         raise ParseError(f"{where} must be a number, got {value!r}")
     return float(value)
+
+
+def _vector(value, where: str) -> np.ndarray:
+    """value, a flat JSON array of numbers, as a float vector; a boolean
+    or an array in it is a ParseError naming where it stood (a null reads
+    as NaN, which the builders reject or report)."""
+    if not isinstance(value, list) or any(isinstance(c, (bool, list)) for c in value):
+        raise ParseError(f"{where} must be an array of numbers, got {value!r}")
+    return np.asarray(value, dtype=float)
+
+
+def _flag(value, where: str) -> bool:
+    """value, which must be a JSON true or false."""
+    if not isinstance(value, bool):
+        raise ParseError(f"{where} must be true or false, got {value!r}")
+    return value
+
+
+def _label(value, where: str) -> str:
+    """value, which must be a non-empty JSON string."""
+    if not isinstance(value, str) or not value:
+        raise ParseError(f"{where} must be a non-empty string, got {value!r}")
+    return value
 
 
 def _records_to_corr(records, space: AtomSpace, grid: GridSpace, dim: int) -> Corr:
@@ -184,7 +204,7 @@ def _records_to_corr(records, space: AtomSpace, grid: GridSpace, dim: int) -> Co
                                               for v in verts):
             raise ParseError(f"record {i} (atom {rec['atom']!r}, node {z}): vertices must be "
                              f"a list of {dim}-vectors")
-        flags = [c for v in verts for c in v if isinstance(c, bool)]
+        flags = [c for v in verts for c in v if isinstance(c, (bool, list))]
         if flags:
             raise ParseError(f"record {i} (atom {rec['atom']!r}, node {z}): vertex coordinates "
                              f"must be numbers, got {flags[0]!r}")
@@ -198,7 +218,7 @@ def _records_to_corr(records, space: AtomSpace, grid: GridSpace, dim: int) -> Co
 
 @_wrap
 def build_correspondence(doc: dict, space: AtomSpace, grid: GridSpace) -> Corr:
-    dim = int(doc.get("dim", grid.dim))
+    dim = int(_number(doc.get("dim", grid.dim), "dim"))
     return _records_to_corr(doc["correspondence"], space, grid, dim)
 
 
@@ -261,9 +281,9 @@ def build_witness(doc: dict, psi: Corr) -> CipWitness:
 def _payoff_from_spec(spec: dict, space: AtomSpace, grids, own_slice):
     form = spec.get("form")
     if form == "quad_own":
-        weight = float(spec.get("weight", 1.0))
+        weight = _number(spec.get("weight", 1.0), "quad_own 'weight'")
         centers = {
-            space.index_of(label): np.asarray(vec, dtype=float).reshape(-1)
+            space.index_of(label): _vector(vec, f"quad_own center {label!r}")
             for label, vec in spec["center"].items()
         }
         if len(centers) != len(space):
@@ -307,7 +327,7 @@ def build_game(doc: dict) -> GameSpec:
     sec = doc["game"]
     space = build_space(doc)
     grids = tuple(build_grid(doc, g) for g in sec["grids"])
-    players = tuple(sec["players"])
+    players = tuple(_label(p, f"player {i}") for i, p in enumerate(sec["players"]))
     offsets, off = [], 0
     for g in grids:
         offsets.append(slice(off, off + g.dim))
@@ -316,7 +336,8 @@ def build_game(doc: dict) -> GameSpec:
         _payoff_from_spec(spec, space, grids, offsets[i])
         for i, spec in enumerate(sec["payoffs"])
     )
-    concave = tuple(bool(c) for c in sec.get("concave", [True] * len(players)))
+    concave = tuple(_flag(c, f"game 'concave' entry {i}")
+                    for i, c in enumerate(sec.get("concave", [True] * len(players))))
     return GameSpec(players, space, grids, payoffs, concave)
 
 
@@ -324,8 +345,8 @@ def build_game(doc: dict) -> GameSpec:
 def build_bayes(doc: dict, game: GameSpec) -> BayesSpec:
     part = build_partition(doc, game.state_space)
     priors = []
-    for spec in doc["priors"]:
-        if spec.get("uniform"):
+    for i, spec in enumerate(doc["priors"]):
+        if _flag(spec.get("uniform", False), f"priors[{i}] 'uniform'"):
             priors.append(Prior.uniform(game.state_space))
         else:
             priors.append(Prior(game.state_space, spec["density"]))

@@ -230,8 +230,8 @@ def test_c5_random_fixed_points():
         )
         prof = random_fixed_point(psi, canonical_witness(psi), tol=1e-6)
         for t in range(2):
-            all_ok &= prof.residuals[t] <= 1e-6
-            all_ok &= abs(prof.values[t][0] - coeffs[t][2]) <= grid.mesh
+            all_ok &= prof.residuals[t] <= 1e-12
+            all_ok &= abs(prof.values[t][0] - coeffs[t][2]) <= 1e-12
 
     fine = GridSpace(np.linspace(0.0, 1.0, 101).reshape(-1, 1), mesh=0.01)
     space1 = AtomSpace(("w",), [1.0])
@@ -239,12 +239,12 @@ def test_c5_random_fixed_points():
         space1, fine, 1, lambda t, z: PointSet.of(1, [[1.0 - fine.points[z, 0]]])
     )
     prof = random_fixed_point(mirror, canonical_witness(mirror), tol=1e-6)
-    mirror_ok = abs(prof.values[0][0] - 0.5) <= 0.01 and prof.residuals[0] <= 1e-6
+    mirror_ok = abs(prof.values[0][0] - 0.5) <= 1e-12 and prof.residuals[0] <= 1e-12
 
     ok = all_ok and mirror_ok
-    report(5, ok, "50 random per-atom contractions: residual 1e-6 and within "
-                  "one mesh of the analytic fixed point; the reflection map "
-                  "lands on 0.5 within h")
+    report(5, ok, "50 random per-atom contractions: residual 1e-12 and within "
+                  "1e-12 of the analytic fixed point; the reflection map "
+                  "lands on 0.5 within 1e-12")
 
 
 # --------------------------------------------------------------- criterion 6

@@ -187,7 +187,9 @@ def _set_vertex(where, value):
      "record 3 (atom 't1', node 3): vertex coordinates must be numbers, got True"),
     (_set_vertex("locals", False),
      "record 3 (atom 't1', node 3): vertex coordinates must be numbers, got False"),
-], ids=["radius-default", "radius-entry", "vertex", "local-vertex"])
+    (_set_vertex("correspondence", [[1.0]]),
+     "record 3 (atom 't1', node 3): vertex coordinates must be numbers, got [[1.0]]"),
+], ids=["radius-default", "radius-entry", "vertex", "local-vertex", "vertex-nested"])
 def test_boolean_number_exit_2(tmp_path, capsys, edit, message):
     # float() read true as 1.0: the radii certified ok with radius 1, and
     # the vertex [[true]] was the point 1.0 and ended in exit 3
@@ -198,6 +200,63 @@ def test_boolean_number_exit_2(tmp_path, capsys, edit, message):
     assert main(["run", str(p)]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "bool-number.cert.json").exists()
+
+
+def _set_leaf(*path_value):
+    def edit(doc):
+        *path, key, value = path_value
+        for step in path:
+            doc = doc[step]
+        doc[key] = value
+    return edit
+
+
+@pytest.mark.parametrize("fixture, edit, message", [
+    ("example-3-2.json", _set_leaf("grid", "points", 3, [True]),
+     "grid point 3 must be an array of numbers, got [True]"),
+    ("example-3-2.json", _set_leaf("grid", "mesh", True), "grid 'mesh' must be a number, got True"),
+    ("example-3-2.json", _set_leaf("grid", "adjacency_radius", True),
+     "grid 'adjacency_radius' must be a number, got True"),
+    ("example-3-2.json", _set_leaf("space", "weights", 0, True),
+     "space weight 0 must be a number, got True"),
+    ("example-3-2.json", _set_leaf("dim", True), "dim must be a number, got True"),
+    ("quadratic-bayes.json", _set_leaf("game", "grids", 0, "points", 2, [False]),
+     "grid point 2 must be an array of numbers, got [False]"),
+    ("quadratic-bayes.json", _set_leaf("game", "concave", 0, "x"),
+     "game 'concave' entry 0 must be true or false, got 'x'"),
+    ("quadratic-bayes.json", _set_leaf("game", "concave", 1, 1.0),
+     "game 'concave' entry 1 must be true or false, got 1.0"),
+    ("quadratic-bayes.json", _set_leaf("priors", 1, "uniform", -1),
+     "priors[1] 'uniform' must be true or false, got -1"),
+    ("quadratic-bayes.json", _set_leaf("game", "players", 0, True),
+     "player 0 must be a non-empty string, got True"),
+    ("quadratic-bayes.json", _set_leaf("game", "players", 1, []),
+     "player 1 must be a non-empty string, got []"),
+    ("quadratic-bayes.json", _set_leaf("game", "players", 1, ""),
+     "player 1 must be a non-empty string, got ''"),
+    ("quadratic-bayes.json", _set_leaf("game", "payoffs", 0, "weight", False),
+     "quad_own 'weight' must be a number, got False"),
+    ("quadratic-bayes.json", _set_leaf("game", "payoffs", 0, "center", "w2", [True]),
+     "quad_own center 'w2' must be an array of numbers, got [True]"),
+    ("quadratic-bayes.json", _set_leaf("game", "payoffs", 1, "center", "w1", [[1.0]]),
+     "quad_own center 'w1' must be an array of numbers, got [[1.0]]"),
+    ("quadratic-bayes.json", _set_leaf("game", "payoffs", 0, "x"),
+     "'str' object has no attribute 'get'"),
+    ("quadratic-bayes.json", _set_leaf("priors", 0, [1]), "'list' object has no attribute 'get'"),
+], ids=["grid-point", "mesh", "adjacency-radius", "space-weight", "dim", "game-grid-point",
+        "concave-string", "concave-number", "uniform-number", "player-true", "player-list",
+        "player-empty", "quad-weight", "quad-center-true", "quad-center-nested",
+        "payoff-not-object", "prior-not-object"])
+def test_wrong_json_type_exit_2(tmp_path, capsys, fixture, edit, message):
+    # each of these used to read as a number, a flag or a name and certify
+    # ok, or (a payoff or prior that is not an object) end in a traceback
+    doc = json.loads((DOCS / fixture).read_text())
+    edit(doc)
+    p = tmp_path / "wrong-type.json"
+    p.write_text(json.dumps(doc))
+    assert main(["run", str(p)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "wrong-type.cert.json").exists()
 
 
 def _malformed_witness(edit) -> dict:
@@ -452,8 +511,8 @@ def test_out_flag(tmp_path):
     ("example-3-2.json", "k_max=0", "k_max"),          # would skip the series
     ("example-3-2.json", "restarts=-2", "restarts"),   # would run one solve silently
     ("example-3-2.json", "restarts=0", "restarts"),
-    ("example-3-2.json", "max_iter=0", "max_iter"),
-    ("example-3-2.json", "damping=0", "damping"),      # damping lies in (0, 1]
+    ("example-3-2.json", "max_iter=0", "max_iter"),    # no such option since the exact
+    ("example-3-2.json", "damping=0", "damping"),      # fixed-point solve: unknown keys
     ("example-3-2.json", "damping=1.5", "damping"),
     ("example-3-2.json", "seed=-1", "seed"),           # the generator rejects it
     ("quadratic-bayes.json", "strict_margin=-1", "strict_margin"),  # at least 0
@@ -592,3 +651,66 @@ def test_planar_run_certifies_in_fresh_interpreter(tmp_path, kind):
     assert cert["status"] == "ok"
     if kind == "select":
         assert "scipy.spatial" in scipy_modules
+
+
+def _fixpoint_problem(points, fn):
+    """A one-atom fixpoint document on the given grid, each value the
+    singleton fn(node), with the canonical witness."""
+    return {
+        "kind": "fixpoint",
+        "options": {"tol": 1e-9, "eps": 2.0},
+        "dim": len(points[0]),
+        "space": {"atoms": ["a"], "weights": [1.0]},
+        "grid": {"points": points},
+        "correspondence": [{"atom": "a", "node": z, "vertices": [fn(x)]}
+                           for z, x in enumerate(points)],
+        "witness": "canonical",
+    }
+
+
+def _planar_rotation(x):
+    """x -> clip(c + 2 R(1.57) (x - c), 0, 1) with c = (0.33, 0.41), its
+    one fixed point."""
+    c = np.array([0.33, 0.41])
+    rot = 2.0 * np.array([[np.cos(1.57), -np.sin(1.57)], [np.sin(1.57), np.cos(1.57)]])
+    return np.clip(c + rot @ (np.array(x) - c), 0.0, 1.0).tolist()
+
+
+def test_line_fixpoint_never_loads_scipy(tmp_path):
+    # R^1 is triangulated by sorted segments, not by Delaunay
+    problem = tmp_path / "halving.json"
+    problem.write_text(json.dumps(_fixpoint_problem([[z / 10] for z in range(11)],
+                                                    lambda x: [x[0] / 2])))
+    code, cert, scipy_modules = run_fresh(tmp_path, problem)
+    assert code == 0
+    assert cert["outputs"]["fixed_points"] == [{"atom": "a", "value": [0.0], "residual": 0.0}]
+    assert scipy_modules == []
+
+
+def test_planar_fixpoint_certificate_is_deterministic(tmp_path):
+    grid = [[x / 10, y / 10] for x in range(11) for y in range(11)]
+    certs = []
+    for run in ("one", "two"):
+        (tmp_path / run).mkdir()
+        p = tmp_path / run / "rotation.json"
+        p.write_text(json.dumps(_fixpoint_problem(grid, _planar_rotation)))
+        assert main(["run", str(p)]) == 0
+        cert = json.loads((tmp_path / run / "rotation.cert.json").read_text())
+        cert["provenance"].pop("timestamp")
+        certs.append(canonical_json(cert))
+    assert certs[0] == certs[1]
+    (point,) = json.loads(certs[0])["outputs"]["fixed_points"]
+    assert point["value"] == pytest.approx([0.33, 0.41], abs=1e-12)
+    assert point["residual"] <= 1e-12
+
+
+def test_collinear_planar_fixpoint_exit_4(tmp_path):
+    # a flat grid has no Delaunay triangulation: Qhull's error is a
+    # numerical failure, written as a no-certificate record
+    p = tmp_path / "flat.json"
+    p.write_text(json.dumps(_fixpoint_problem([[z / 4, z / 4] for z in range(5)],
+                                              lambda x: [0.5, 0.5])))
+    assert main(["run", str(p)]) == 4
+    cert = json.loads((tmp_path / "flat.cert.json").read_text())
+    assert cert["status"] == "no-certificate"
+    assert cert["outputs"]["error"].startswith("QhullError: ")

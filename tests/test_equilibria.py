@@ -70,8 +70,8 @@ def test_fixed_point_halving_map():
     psi = singleton_map_corr(space, grid, lambda t, x: x / 2.0)
     prof = random_fixed_point(psi, canonical_witness(psi), tol=1e-6)
     for t in range(2):
-        assert prof.residuals[t] <= 1e-6
-        assert abs(prof.values[t][0]) <= grid.mesh
+        assert prof.residuals[t] <= 1e-12
+        assert abs(prof.values[t][0]) <= 1e-12
 
 
 def test_fixed_point_constant_per_atom():
@@ -81,7 +81,7 @@ def test_fixed_point_constant_per_atom():
     psi = singleton_map_corr(space, grid, lambda t, x: np.array([c[t]]))
     prof = random_fixed_point(psi, canonical_witness(psi), tol=1e-6)
     for t in range(2):
-        assert prof.values[t][0] == pytest.approx(c[t], abs=1e-9)
+        assert prof.values[t][0] == pytest.approx(c[t], abs=1e-12)
 
 
 def test_fixed_point_reflection_map():
@@ -89,8 +89,46 @@ def test_fixed_point_reflection_map():
     grid = GridSpace(np.linspace(0.0, 1.0, 101).reshape(-1, 1), mesh=0.01)
     psi = singleton_map_corr(space, grid, lambda t, x: 1.0 - x)
     prof = random_fixed_point(psi, canonical_witness(psi), tol=1e-6)
-    assert abs(prof.values[0][0] - 0.5) <= 0.01
-    assert prof.residuals[0] <= 1e-6
+    assert abs(prof.values[0][0] - 0.5) <= 1e-12
+    assert prof.residuals[0] <= 1e-12
+
+
+@pytest.mark.parametrize("s, theta", [(1.5, 1.2), (2.0, 1.57), (3.0, 2.0)])
+def test_fixed_point_of_expanding_rotation(s, theta):
+    # x -> clip(c + s R(theta) (x - c), 0, 1) on an 11x11 grid, fixed at c
+    # off the grid; 0.5 I + 0.5 s R(theta) has spectral radius above 1, so
+    # a damped iteration diverges here
+    c = np.array([0.33, 0.41])
+    rot = s * np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+    xs = np.linspace(0.0, 1.0, 11)
+    grid = GridSpace(np.array([[a, b] for a in xs for b in xs]))
+    psi = singleton_map_corr(single_atom(), grid, lambda t, x: np.clip(c + rot @ (x - c), 0, 1))
+    # the map expands, so its tables pass the l.s.c. check only at an eps
+    # above the grid's diameter
+    prof = random_fixed_point(psi, canonical_witness(psi), tol=1e-6, eps=2.0)
+    assert prof.residuals[0] <= 1e-12
+    assert np.abs(prof.values[0] - c).max() <= 1e-12
+    assert prof.checks.ok
+
+
+def test_fixed_point_identity_takes_node_nearest_barycenter():
+    # every node is a fixed point; the barycenter 0.5 is itself a node
+    psi = singleton_map_corr(single_atom(), line_grid(11), lambda t, x: x)
+    prof = random_fixed_point(psi, canonical_witness(psi), tol=1e-6)
+    assert prof.values[0][0] == 0.5 and prof.residuals[0] == 0.0
+
+
+def test_fixed_point_equal_tables_in_one_cell_give_equal_points():
+    # the identity on a 4x4 planar grid: four nodes tie exactly nearest
+    # the barycenter (1.5, 1.5), the lowest index wins, at both atoms
+    space = AtomSpace(("a", "b"), [0.5, 0.5])
+    xs = np.arange(4.0)
+    grid = GridSpace(np.array([[a, b] for a in xs for b in xs]))
+    psi = singleton_map_corr(space, grid, lambda t, x: x)
+    part = InfoPartition(space, ((0, 1),))
+    prof = random_fixed_point(psi, canonical_witness(psi), part, tol=1e-6)
+    assert np.array_equal(prof.values[0], prof.values[1])
+    assert np.array_equal(prof.values[0], grid.points[5])
 
 
 def test_fixed_point_unattainable_reports_best():
