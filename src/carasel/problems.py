@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -36,8 +37,69 @@ OPTION_DEFAULTS = {
     "restarts": 8,
     "strict_margin": 0.0,
 }
-_OPTION_TYPES = {**{k: type(v) for k, v in OPTION_DEFAULTS.items()}, "eps": float, "mode": str}
 _POSITIVE_OPTIONS = ("tol", "inclusion_tol", "eps", "eps_eq", "k_max", "restarts")
+
+
+def _is_number(value) -> bool:
+    """True for a finite JSON number, an integer or a float but not a boolean."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and abs(value) <= sys.float_info.max
+
+
+def _number(value, where: str) -> float:
+    """value, a finite JSON number, as a float; anything else is a ParseError
+    naming where it stood.  The readers here alone decide a leaf's JSON type."""
+    if not _is_number(value):
+        raise ParseError(f"{where} must be a number, got {value!r}")
+    return float(value)
+
+
+def _integer(value, where: str, n: int | None = None) -> int:
+    """value, a JSON integer (not 3.0, "3" or true), in [0, n) when n is given."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{where} {value!r} is not an integer")
+    if n is not None and not 0 <= value < n:
+        raise ParseError(f"{where} {value} is out of range [0, {n})")
+    return value
+
+
+def _vector(value, where: str, length: int | None = None) -> np.ndarray:
+    """value, a flat JSON array of finite numbers (length of them if given), as floats."""
+    if not isinstance(value, list) or not all(map(_is_number, value)) \
+            or length not in (None, len(value)):
+        size = "" if length is None else f"{length} "
+        raise ParseError(f"{where} must be an array of {size}numbers, got {value!r}")
+    return np.array(value, dtype=float)
+
+
+def _vectors(value, dim: int, rows: str, cells: str) -> np.ndarray:
+    """value, a JSON array of arrays of dim finite numbers each, as an
+    (n, dim) float table; rows names the array and cells its entries."""
+    if not isinstance(value, list) or any(not isinstance(v, list) or len(v) != dim for v in value):
+        raise ParseError(f"{rows} must be a list of {dim}-vectors")
+    bad = [c for v in value for c in v if not _is_number(c)]
+    if bad:
+        raise ParseError(f"{cells} must be numbers, got {bad[0]!r}")
+    return np.array(value, dtype=float).reshape(-1, dim)
+
+
+def _flag(value, where: str) -> bool:
+    """value, which must be a JSON true or false."""
+    if not isinstance(value, bool):
+        raise ParseError(f"{where} must be true or false, got {value!r}")
+    return value
+
+
+def _label(value, where: str) -> str:
+    """value, which must be a non-empty JSON string."""
+    if not isinstance(value, str) or not value:
+        raise ParseError(f"{where} must be a non-empty string, got {value!r}")
+    return value
+
+
+_OPTION_READERS = {"tol": _number, "inclusion_tol": _number, "eps": _number, "eps_eq": _number,
+                   "seed": _integer, "mode": _label, "strict_cip": _flag, "closed_valued": _flag,
+                   "k_max": _integer, "restarts": _integer, "strict_margin": _number}
 
 
 def parse_problem(text: str) -> dict:
@@ -54,15 +116,10 @@ def parse_problem(text: str) -> dict:
     merge_options(doc, {})  # rejects malformed file options before any build
     if "space" not in doc:
         raise ParseError("a space section is required")
-    if kind in ("nash", "bayes"):
-        if "game" not in doc:
-            raise ParseError(f"kind={kind} requires a game section")
-    else:
-        for section in ("grid", "correspondence"):
-            if section not in doc:
-                raise ParseError(f"kind={kind} requires a {section} section")
-    if kind == "bayes" and "priors" not in doc:
-        raise ParseError("kind=bayes requires a priors section")
+    needs = {"nash": ("game",), "bayes": ("game", "priors")}.get(kind, ("grid", "correspondence"))
+    for section in needs:
+        if section not in doc:
+            raise ParseError(f"kind={kind} requires a {section} section")
     return doc
 
 
@@ -85,8 +142,8 @@ def problem_hash(doc: dict) -> str:
 
 def merge_options(doc: dict, overrides: dict) -> dict:
     """The defaults, updated by the file's options and then by the
-    overrides, each value coerced to its option's type.  An unknown key, a
-    value that does not coerce, or one out of range (as
+    overrides, each value read by its option's reader.  An unknown key, a
+    value of the wrong JSON type, or one out of range (as
     docs/problem-format.md states) raises a ParseError naming the key."""
     options = doc.get("options", {})
     if not isinstance(options, dict):
@@ -98,17 +155,12 @@ def merge_options(doc: dict, overrides: dict) -> dict:
 
 
 def _option_value(key: str, value):
-    kind = _OPTION_TYPES.get(key)
-    if kind is None:
+    read = _OPTION_READERS.get(key)
+    if read is None:
         raise ParseError(f"unknown option {key!r}")
     if value is None and OPTION_DEFAULTS[key] is None:
         return None
-    try:
-        if isinstance(value, bool) != (kind is bool) or (kind is str and not isinstance(value, str)):
-            raise TypeError
-        value = kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ParseError(f"option {key!r} must be of type {kind.__name__}, got {value!r}") from None
+    value = read(value, f"option {key!r}")
     if key in _POSITIVE_OPTIONS and not value > 0:
         raise ParseError(f"option {key!r} must be strictly positive, got {value!r}")
     if key in ("seed", "strict_margin") and not value >= 0:
@@ -132,7 +184,7 @@ def _wrap(fn):
 @_wrap
 def build_space(doc: dict) -> AtomSpace:
     sec = doc["space"]
-    return AtomSpace(tuple(sec["atoms"]),
+    return AtomSpace(tuple(_label(a, f"atom {i}") for i, a in enumerate(sec["atoms"])),
                      [_number(w, f"space weight {i}") for i, w in enumerate(sec["weights"])])
 
 
@@ -149,41 +201,11 @@ def build_partition(doc: dict, space: AtomSpace) -> InfoPartition:
 def build_grid(doc: dict, section: dict | None = None) -> GridSpace:
     sec = doc["grid"] if section is None else section
     pts = np.array([_vector(p, f"grid point {i}") for i, p in enumerate(sec["points"])])
-    metric = np.asarray(sec["metric"], dtype=float) if "metric" in sec else None
+    metric = _vectors(sec["metric"], len(pts), "grid 'metric'", "grid 'metric' entries") \
+        if "metric" in sec else None
     mesh, radius = (_number(sec[key], f"grid {key!r}") if key in sec else None
                     for key in ("mesh", "adjacency_radius"))
     return GridSpace(pts, metric=metric, mesh=mesh, adjacency_radius=radius)
-
-
-def _number(value, where: str) -> float:
-    """value as a float; a JSON boolean, which float() reads as 0 or 1,
-    is a ParseError naming where it stood."""
-    if isinstance(value, bool):
-        raise ParseError(f"{where} must be a number, got {value!r}")
-    return float(value)
-
-
-def _vector(value, where: str) -> np.ndarray:
-    """value, a flat JSON array of numbers, as a float vector; a boolean
-    or an array in it is a ParseError naming where it stood (a null reads
-    as NaN, which the builders reject or report)."""
-    if not isinstance(value, list) or any(isinstance(c, (bool, list)) for c in value):
-        raise ParseError(f"{where} must be an array of numbers, got {value!r}")
-    return np.asarray(value, dtype=float)
-
-
-def _flag(value, where: str) -> bool:
-    """value, which must be a JSON true or false."""
-    if not isinstance(value, bool):
-        raise ParseError(f"{where} must be true or false, got {value!r}")
-    return value
-
-
-def _label(value, where: str) -> str:
-    """value, which must be a non-empty JSON string."""
-    if not isinstance(value, str) or not value:
-        raise ParseError(f"{where} must be a non-empty string, got {value!r}")
-    return value
 
 
 def _records_to_corr(records, space: AtomSpace, grid: GridSpace, dim: int) -> Corr:
@@ -191,26 +213,14 @@ def _records_to_corr(records, space: AtomSpace, grid: GridSpace, dim: int) -> Co
     first: dict[tuple[int, int], int] = {}  # the record that gave each cell
     for i, rec in enumerate(records):
         t = space.index_of(rec["atom"])
-        z = rec["node"]
-        if isinstance(z, bool) or not isinstance(z, int):
-            raise ParseError(f"record {i} (atom {rec['atom']!r}): node {z!r} is not an integer")
-        if not 0 <= z < len(grid):
-            raise ParseError(f"node index {z} out of range")
+        z = _integer(rec["node"], f"record {i} (atom {rec['atom']!r}): node", len(grid))
         if first.setdefault((t, z), i) != i:
             raise ParseError(f"records {first[(t, z)]} and {i} both give atom "
                              f"{rec['atom']!r}, node {z}")
-        verts = rec.get("vertices", [])
-        if not isinstance(verts, list) or any(not isinstance(v, list) or len(v) != dim
-                                              for v in verts):
-            raise ParseError(f"record {i} (atom {rec['atom']!r}, node {z}): vertices must be "
-                             f"a list of {dim}-vectors")
-        flags = [c for v in verts for c in v if isinstance(c, (bool, list))]
-        if flags:
-            raise ParseError(f"record {i} (atom {rec['atom']!r}, node {z}): vertex coordinates "
-                             f"must be numbers, got {flags[0]!r}")
-        ps = PointSet.of(dim, np.asarray(verts, dtype=float).reshape(-1, dim)) \
-            if verts else PointSet.empty(dim)
-        table[(t, z)] = ps
+        at = f"record {i} (atom {rec['atom']!r}, node {z})"
+        verts = _vectors(rec.get("vertices", []), dim, f"{at}: vertices",
+                         f"{at}: vertex coordinates")
+        table[(t, z)] = PointSet.of(dim, verts) if len(verts) else PointSet.empty(dim)
     empty = PointSet.empty(dim)
     return Corr.from_function(space, grid, dim,
                               lambda t, z: table.get((t, z), empty))
@@ -218,7 +228,7 @@ def _records_to_corr(records, space: AtomSpace, grid: GridSpace, dim: int) -> Co
 
 @_wrap
 def build_correspondence(doc: dict, space: AtomSpace, grid: GridSpace) -> Corr:
-    dim = int(_number(doc.get("dim", grid.dim), "dim"))
+    dim = _integer(doc.get("dim", grid.dim), "dim")
     return _records_to_corr(doc["correspondence"], space, grid, dim)
 
 
@@ -249,21 +259,17 @@ def build_witness(doc: dict, psi: Corr) -> CipWitness:
                 if default is None:
                     raise ParseError(f"witness locals missing node {z} and no default")
                 locs[z] = default
-    box = None
-    if "box" in sec:
-        box = (np.asarray(sec["box"]["lo"], dtype=float),
-               np.asarray(sec["box"]["hi"], dtype=float))
+    box = tuple(_vector(sec["box"][end], f"witness box {end!r}") for end in ("lo", "hi")) \
+        if "box" in sec else None
     radii_sec = sec.get("radii", {})
-    entries = radii_sec.get("entries", [])
-    first: dict = {}  # the entry that gave each (atom, node) radius
-    for j, rec in enumerate(entries):
-        key = (psi.space.index_of(rec["atom"]), rec["node"])
+    radii, first = {}, {}  # first: the entry that gave each (atom, node) radius
+    for j, rec in enumerate(radii_sec.get("entries", [])):
+        at = f"radius entry {j} (atom {rec['atom']!r}"
+        key = (psi.space.index_of(rec["atom"]), _integer(rec["node"], f"{at}): node"))
         if first.setdefault(key, j) != j:
             raise ParseError(f"radius entries {first[key]} and {j} both give atom "
-                             f"{rec['atom']!r}, node {rec['node']!r}")
-    radii = {key: _number(entries[j]["r"], f"radius entry {j} (atom {entries[j]['atom']!r}, "
-                                           f"node {key[1]!r}): 'r'")
-             for key, j in first.items()}
+                             f"{rec['atom']!r}, node {key[1]!r}")
+        radii[key] = _number(rec["r"], f"{at}, node {key[1]!r}): 'r'")
     w = CipWitness(mode, locs, radii, box)
     missing = (psi.counts > 0) & np.isnan(w.radii)
     if not missing.any():
@@ -273,8 +279,6 @@ def build_witness(doc: dict, psi: Corr) -> CipWitness:
         t, z = np.argwhere(missing)[0]
         raise ParseError(f"witness radius missing at atom {t}, node {z}")
     default_r = _number(default_r, "witness radii 'default'")
-    if np.isnan(default_r):  # would read as no radius in the table
-        raise DomainError("witness radii must be finite and positive")
     return CipWitness(mode, locs, np.where(missing, default_r, w.radii), box)
 
 
@@ -296,14 +300,9 @@ def _payoff_from_spec(spec: dict, space: AtomSpace, grids, own_slice):
         return u
     if form == "table":
         shapes = tuple(len(g) for g in grids)
-        values = {
-            space.index_of(label): np.asarray(v, dtype=float).reshape(-1)
-            for label, v in spec["values"].items()
-        }
         n_joint = int(np.prod(shapes))
-        for t, v in values.items():
-            if v.shape[0] != n_joint:
-                raise ParseError("table payoff must list one value per joint node")
+        values = {space.index_of(label): _vector(v, f"table payoff values {label!r}", n_joint)
+                  for label, v in spec["values"].items()}
 
         def u(t, x, _vals=values, _grids=grids, _shapes=shapes):
             x = np.asarray(x, dtype=float)
@@ -344,10 +343,8 @@ def build_game(doc: dict) -> GameSpec:
 @_wrap
 def build_bayes(doc: dict, game: GameSpec) -> BayesSpec:
     part = build_partition(doc, game.state_space)
-    priors = []
-    for i, spec in enumerate(doc["priors"]):
-        if _flag(spec.get("uniform", False), f"priors[{i}] 'uniform'"):
-            priors.append(Prior.uniform(game.state_space))
-        else:
-            priors.append(Prior(game.state_space, spec["density"]))
-    return BayesSpec(game, part, tuple(priors))
+    priors = tuple(Prior.uniform(game.state_space)
+                   if _flag(spec.get("uniform", False), f"priors[{i}] 'uniform'")
+                   else Prior(game.state_space, _vector(spec["density"], f"priors[{i}] 'density'"))
+                   for i, spec in enumerate(doc["priors"]))
+    return BayesSpec(game, part, priors)

@@ -297,18 +297,16 @@ def _nearest_in_hulls(X: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndar
 def _solve_blocks(K: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The first m entries of the solution of every block K[b] x = rhs,
     m = len(rhs) - 1, and the mask of singular blocks, whose solution
-    rows are left 0."""
+    rows are left 0.  A block is singular when its LU factorization meets
+    a zero pivot, the test np.linalg.solve makes, so slogdet's zero sign
+    marks exactly the blocks that make the batched solve raise."""
     m = len(rhs) - 1
     try:
         return np.linalg.solve(K, rhs)[:, :m, 0], np.zeros(len(K), dtype=bool)
     except np.linalg.LinAlgError:
+        singular = np.linalg.slogdet(K)[0] == 0
         out = np.zeros((len(K), m))
-        singular = np.zeros(len(K), dtype=bool)
-        for b in range(len(K)):
-            try:
-                out[b] = np.linalg.solve(K[b], rhs)[:m, 0]
-            except np.linalg.LinAlgError:
-                singular[b] = True
+        out[~singular] = np.linalg.solve(K[~singular], rhs)[:, :m, 0]
         return out, singular
 
 

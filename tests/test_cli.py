@@ -144,19 +144,19 @@ def test_nan_witness_radius_exit_2(tmp_path, capsys):
     p = tmp_path / "nan-radius.json"
     p.write_text(json.dumps(doc))
     assert main(["run", str(p)]) == 2
-    assert "radii must be finite and positive" in capsys.readouterr().err
+    assert "witness radii 'default' must be a number, got nan" in capsys.readouterr().err
     assert not (tmp_path / "nan-radius.cert.json").exists()
 
 
 def test_null_grid_point_exit_2(tmp_path, capsys):
-    # null reads as a NaN node; with a mesh given it used to build, and as
-    # it has no neighbours every check at it passed and the run certified ok
+    # null is not a number; read as a NaN node with a mesh given it used to
+    # build, and as it has no neighbours every check at it passed
     doc = json.loads((DOCS / "example-3-2.json").read_text())
     doc["grid"]["points"][3] = [None]
     p = tmp_path / "null-point.json"
     p.write_text(json.dumps(doc))
     assert main(["run", str(p)]) == 2
-    assert "grid points must be finite" in capsys.readouterr().err
+    assert "grid point 3 must be an array of numbers, got [None]" in capsys.readouterr().err
     assert not (tmp_path / "null-point.cert.json").exists()
 
 
@@ -211,6 +211,31 @@ def _set_leaf(*path_value):
     return edit
 
 
+def _with_metric(value):
+    def edit(doc):
+        # the grid's own distances as a metric, entry (0, 0) replaced
+        points = doc["grid"]["points"]
+        doc["grid"]["metric"] = [[abs(a[0] - b[0]) for b in points] for a in points]
+        doc["grid"]["metric"][0][0] = value
+    return edit
+
+
+def _with_table_payoff(value):
+    def edit(doc):
+        # player 2 paid by a table, its first value at atom w1 replaced
+        doc["game"]["payoffs"][1] = {"form": "table",
+                                     "values": {"w1": [value] + [0.0] * 120, "w2": [0.0] * 121}}
+    return edit
+
+
+def _with_box_lo(value):
+    def edit(doc):
+        _indexed_box(1)(doc["witness"], doc["witness"]["locals"]["shared"])
+        doc["witness"]["box"]["lo"] = value
+        doc["options"]["mode"] = "indexed"
+    return edit
+
+
 @pytest.mark.parametrize("fixture, edit, message", [
     ("example-3-2.json", _set_leaf("grid", "points", 3, [True]),
      "grid point 3 must be an array of numbers, got [True]"),
@@ -219,7 +244,7 @@ def _set_leaf(*path_value):
      "grid 'adjacency_radius' must be a number, got True"),
     ("example-3-2.json", _set_leaf("space", "weights", 0, True),
      "space weight 0 must be a number, got True"),
-    ("example-3-2.json", _set_leaf("dim", True), "dim must be a number, got True"),
+    ("example-3-2.json", _set_leaf("dim", True), "dim True is not an integer"),
     ("quadratic-bayes.json", _set_leaf("game", "grids", 0, "points", 2, [False]),
      "grid point 2 must be an array of numbers, got [False]"),
     ("quadratic-bayes.json", _set_leaf("game", "concave", 0, "x"),
@@ -243,10 +268,79 @@ def _set_leaf(*path_value):
     ("quadratic-bayes.json", _set_leaf("game", "payoffs", 0, "x"),
      "'str' object has no attribute 'get'"),
     ("quadratic-bayes.json", _set_leaf("priors", 0, [1]), "'list' object has no attribute 'get'"),
+    # the rows below exited 0, or 3 for a null centre or table value: a
+    # numeric string, a boolean or a null read as a number, and int()
+    # truncated a float integer
+    ("example-3-2.json", _set_leaf("dim", 1.5), "dim 1.5 is not an integer"),
+    ("example-3-2.json", _set_leaf("dim", "1"), "dim '1' is not an integer"),
+    ("example-3-2.json", _set_leaf("grid", "mesh", "0.1"),
+     "grid 'mesh' must be a number, got '0.1'"),
+    ("example-3-2.json", _set_leaf("grid", "adjacency_radius", "0.2"),
+     "grid 'adjacency_radius' must be a number, got '0.2'"),
+    ("example-3-2.json", _set_leaf("grid", "points", 3, ["-0.7"]),
+     "grid point 3 must be an array of numbers, got ['-0.7']"),
+    ("example-3-2.json", _set_leaf("space", "weights", 0, "1"),
+     "space weight 0 must be a number, got '1'"),
+    ("example-3-2.json", _set_vertex("correspondence", "0.0"),
+     "record 3 (atom 't1', node 3): vertex coordinates must be numbers, got '0.0'"),
+    ("example-3-2.json", _set_vertex("locals", "0.0"),
+     "record 3 (atom 't1', node 3): vertex coordinates must be numbers, got '0.0'"),
+    ("example-3-2.json", _set_radius_default("0.5"),
+     "witness radii 'default' must be a number, got '0.5'"),
+    ("example-3-2.json", _set_radius_entry("0.5"),
+     "radius entry 0 (atom 't1', node 3): 'r' must be a number, got '0.5'"),
+    ("example-3-2.json",
+     _set_leaf("witness", "radii", "entries", [{"atom": "t1", "node": True, "r": 1.0}]),
+     "radius entry 0 (atom 't1'): node True is not an integer"),
+    ("example-3-2.json", _with_box_lo(["-1"]),
+     "witness box 'lo' must be an array of numbers, got ['-1']"),
+    ("example-3-2.json", _with_box_lo([None]),
+     "witness box 'lo' must be an array of numbers, got [None]"),
+    ("example-3-2.json", _set_leaf("options", "tol", "1e-7"),
+     "option 'tol' must be a number, got '1e-7'"),
+    ("example-3-2.json", _set_leaf("options", "inclusion_tol", "1e-9"),
+     "option 'inclusion_tol' must be a number, got '1e-9'"),
+    ("example-3-2.json", _set_leaf("options", "eps", "0.1"),
+     "option 'eps' must be a number, got '0.1'"),
+    ("example-3-2.json", _set_leaf("options", "seed", 1.5), "option 'seed' 1.5 is not an integer"),
+    ("example-3-2.json", _set_leaf("options", "seed", "0"), "option 'seed' '0' is not an integer"),
+    ("lsc-canonical.json", _with_metric(False), "grid 'metric' entries must be numbers, got False"),
+    ("quadratic-bayes.json", _set_leaf("game", "grids", 0, "mesh", "0.1"),
+     "grid 'mesh' must be a number, got '0.1'"),
+    ("quadratic-bayes.json", _set_leaf("game", "grids", 0, "points", 2, ["0.2"]),
+     "grid point 2 must be an array of numbers, got ['0.2']"),
+    ("quadratic-bayes.json", _set_leaf("game", "payoffs", 0, "weight", "1.0"),
+     "quad_own 'weight' must be a number, got '1.0'"),
+    ("quadratic-bayes.json", _set_leaf("game", "payoffs", 0, "center", "w1", [None]),
+     "quad_own center 'w1' must be an array of numbers, got [None]"),
+    ("quadratic-bayes.json", _set_leaf("game", "payoffs", 1, "center", "w2", ["1.0"]),
+     "quad_own center 'w2' must be an array of numbers, got ['1.0']"),
+    ("quadratic-bayes.json", _with_table_payoff(True),
+     "table payoff values 'w1' must be an array of 121 numbers, got [True, "),
+    ("quadratic-bayes.json", _with_table_payoff(None),
+     "table payoff values 'w1' must be an array of 121 numbers, got [None, "),
+    ("quadratic-bayes.json", _with_table_payoff("1"),
+     "table payoff values 'w1' must be an array of 121 numbers, got ['1', "),
+    ("quadratic-bayes.json", _set_leaf("priors", 0, {"density": [True, True]}),
+     "priors[0] 'density' must be an array of numbers, got [True, True]"),
+    ("quadratic-bayes.json", _set_leaf("priors", 1, {"density": ["1", "1"]}),
+     "priors[1] 'density' must be an array of numbers, got ['1', '1']"),
+    ("quadratic-bayes.json", _set_leaf("options", "eps_eq", "0.01"),
+     "option 'eps_eq' must be a number, got '0.01'"),
+    ("quadratic-bayes.json", _set_leaf("options", "strict_margin", "0.0"),
+     "option 'strict_margin' must be a number, got '0.0'"),
 ], ids=["grid-point", "mesh", "adjacency-radius", "space-weight", "dim", "game-grid-point",
         "concave-string", "concave-number", "uniform-number", "player-true", "player-list",
         "player-empty", "quad-weight", "quad-center-true", "quad-center-nested",
-        "payoff-not-object", "prior-not-object"])
+        "payoff-not-object", "prior-not-object",
+        "dim-float", "dim-string", "mesh-string", "adjacency-radius-string", "grid-point-string",
+        "space-weight-string", "vertex-string", "local-vertex-string", "radius-default-string",
+        "radius-entry-string", "radius-entry-node-true", "box-lo-string", "box-lo-null",
+        "option-tol-string", "option-inclusion-tol-string", "option-eps-string",
+        "option-seed-float", "option-seed-string", "metric-false",
+        "game-mesh-string", "game-grid-point-string", "quad-weight-string", "quad-center-null",
+        "quad-center-string", "table-value-true", "table-value-null", "table-value-string",
+        "density-true", "density-string", "option-eps-eq-string", "option-strict-margin-string"])
 def test_wrong_json_type_exit_2(tmp_path, capsys, fixture, edit, message):
     # each of these used to read as a number, a flag or a name and certify
     # ok, or (a payoff or prior that is not an object) end in a traceback
@@ -297,7 +391,7 @@ def _indexed_box(dim):
 @pytest.mark.parametrize("edit, message", [
     (_extra_radius(999), "witness radius key (0, 999) is not an (atom, node) index pair"),
     (_extra_radius(-3), "witness radius key (0, -3) is not an (atom, node) index pair"),
-    (_extra_radius(2.5), "witness radius key (0, 2.5) is not an (atom, node) index pair"),
+    (_extra_radius(2.5), "radius entry 0 (atom 't1'): node 2.5 is not an integer"),
     (_countable_local("99"), "witness local key 99 is not a node index in [0, 21)"),
     (_countable_local("-1"), "witness local key -1 is not a node index in [0, 21)"),
     (_indexed_box(3), "box has dim 3, the locals have dim 1"),
@@ -515,6 +609,10 @@ def test_out_flag(tmp_path):
     ("example-3-2.json", "damping=0", "damping"),      # fixed-point solve: unknown keys
     ("example-3-2.json", "damping=1.5", "damping"),
     ("example-3-2.json", "seed=-1", "seed"),           # the generator rejects it
+    ("example-3-2.json", "seed=1.5", "seed"),          # int() read these as 1, 2, 3 and 2
+    ("example-3-2.json", "restarts=2.7", "restarts"),
+    ("example-3-2.json", "k_max=3.9", "k_max"),
+    ("example-3-2.json", "seed=2.0", "seed"),          # an integer option takes no float
     ("quadratic-bayes.json", "strict_margin=-1", "strict_margin"),  # at least 0
 ])
 def test_bad_option_override_exit_2(tmp_path, capsys, fixture, override, key):

@@ -30,6 +30,7 @@ from carasel.setops import (
     _cross_dists,
     _dedup,
     _padded_rows,
+    _solve_blocks,
     segment_distances,
     segment_margins,
 )
@@ -668,3 +669,40 @@ def test_pointset_of_checks_each_list_once(monkeypatch):
 def test_convex_set_needs_a_vertex():
     with pytest.raises(DomainError):
         ConvexSet(1, np.zeros((0, 1)))
+
+
+def _solve_blocks_reference(K, rhs):
+    """One np.linalg.solve per block, the loop _solve_blocks replaced."""
+    m = len(rhs) - 1
+    out, singular = np.zeros((len(K), m)), np.zeros(len(K), dtype=bool)
+    for b in range(len(K)):
+        try:
+            out[b] = np.linalg.solve(K[b], rhs)[:m, 0]
+        except np.linalg.LinAlgError:
+            singular[b] = True
+    return out, singular
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_solve_blocks_matches_per_block_solve(seed):
+    # KKT blocks [[G G^T, 1], [1^T, 0]] of random displacement stacks G, with
+    # singular blocks planted by repeated rows (and, in integer data, by
+    # chance); solutions and the singular mask equal the loop's bit for bit
+    rng = np.random.default_rng(seed)
+    planted = 0
+    for _ in range(60):
+        k, batch, dim = (int(v) for v in rng.integers(1, [5, 30, 4]))
+        G = rng.normal(size=(batch, k, dim))
+        repeat = rng.random(batch) < 0.3
+        G[repeat, -1] = G[repeat, 0]
+        G[rng.random(batch) < 0.2] = rng.integers(-1, 2, size=(k, dim))
+        K = np.zeros((batch, k + 1, k + 1))
+        K[:, :k, :k] = G @ G.transpose(0, 2, 1)
+        K[:, :k, k] = K[:, k, :k] = 1.0
+        rhs = np.eye(k + 1)[:, k:]
+        got, got_singular = _solve_blocks(K, rhs)
+        want, want_singular = _solve_blocks_reference(K, rhs)
+        assert np.array_equal(got_singular, want_singular)
+        assert np.array_equal(got, want)
+        planted += int(want_singular.sum())
+    assert planted > 0
