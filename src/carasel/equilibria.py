@@ -36,7 +36,7 @@ from .selection import (
     _select_table,
     caratheodory_select,
 )
-from .setops import DEDUP_TOL, PointSet, _cross_dists, _solve_blocks, segment_distances
+from .setops import PointSet, _solve_blocks, segment_distances
 
 JOINT_NODE_CAP = 10_000
 DEFAULT_FIXPOINT_TOL = 1e-6
@@ -276,13 +276,8 @@ def pref_from_payoff(g: GameSpec, i: int, strict_margin: float = 0.0) -> Corr:
         # u_i(t, y, x_-i) - u_i(t, x)
         gains = np.expand_dims(np.moveaxis(u, i, -1), i) - u[..., None]
         better.append((gains > strict_margin).reshape(-1, len(own)))
-    better = np.array(better)
-    # an own point within DEDUP_TOL of an earlier kept one is dropped, as
-    # PointSet.of would
-    close = np.tril(_cross_dists(own, own) <= DEDUP_TOL, -1)
-    for k in np.flatnonzero(close.any(axis=1)):
-        better[..., k] &= ~(better[..., :k] & close[k, :k]).any(axis=-1)
-    better = better.reshape(-1, len(own))
+    # GridSpace keeps own points distinct, so each row is a set as is
+    better = np.array(better).reshape(-1, len(own))
     # each row's packed bits as one 1-D bytes key: equal keys, equal sets
     bits = np.packbits(better, axis=1)
     _, first, seg = np.unique(bits.view(f"V{bits.shape[1]}").ravel(),

@@ -287,7 +287,8 @@ def _payoff_from_spec(spec: dict, space: AtomSpace, grids, own_slice):
     if form == "quad_own":
         weight = _number(spec.get("weight", 1.0), "quad_own 'weight'")
         centers = {
-            space.index_of(label): _vector(vec, f"quad_own center {label!r}")
+            space.index_of(label): _vector(vec, f"quad_own center {label!r}",
+                                           own_slice.stop - own_slice.start)
             for label, vec in spec["center"].items()
         }
         if len(centers) != len(space):

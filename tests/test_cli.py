@@ -262,9 +262,9 @@ def _with_box_lo(value):
     ("quadratic-bayes.json", _set_leaf("game", "payoffs", 0, "weight", False),
      "quad_own 'weight' must be a number, got False"),
     ("quadratic-bayes.json", _set_leaf("game", "payoffs", 0, "center", "w2", [True]),
-     "quad_own center 'w2' must be an array of numbers, got [True]"),
+     "quad_own center 'w2' must be an array of 1 numbers, got [True]"),
     ("quadratic-bayes.json", _set_leaf("game", "payoffs", 1, "center", "w1", [[1.0]]),
-     "quad_own center 'w1' must be an array of numbers, got [[1.0]]"),
+     "quad_own center 'w1' must be an array of 1 numbers, got [[1.0]]"),
     ("quadratic-bayes.json", _set_leaf("game", "payoffs", 0, "x"),
      "'str' object has no attribute 'get'"),
     ("quadratic-bayes.json", _set_leaf("priors", 0, [1]), "'list' object has no attribute 'get'"),
@@ -312,9 +312,9 @@ def _with_box_lo(value):
     ("quadratic-bayes.json", _set_leaf("game", "payoffs", 0, "weight", "1.0"),
      "quad_own 'weight' must be a number, got '1.0'"),
     ("quadratic-bayes.json", _set_leaf("game", "payoffs", 0, "center", "w1", [None]),
-     "quad_own center 'w1' must be an array of numbers, got [None]"),
+     "quad_own center 'w1' must be an array of 1 numbers, got [None]"),
     ("quadratic-bayes.json", _set_leaf("game", "payoffs", 1, "center", "w2", ["1.0"]),
-     "quad_own center 'w2' must be an array of numbers, got ['1.0']"),
+     "quad_own center 'w2' must be an array of 1 numbers, got ['1.0']"),
     ("quadratic-bayes.json", _with_table_payoff(True),
      "table payoff values 'w1' must be an array of 121 numbers, got [True, "),
     ("quadratic-bayes.json", _with_table_payoff(None),
@@ -329,6 +329,14 @@ def _with_box_lo(value):
      "option 'eps_eq' must be a number, got '0.01'"),
     ("quadratic-bayes.json", _set_leaf("options", "strict_margin", "0.0"),
      "option 'strict_margin' must be a number, got '0.0'"),
+    # a centre longer than the player's 1-D strategies broadcast into a
+    # payoff the file did not state, and certified ok
+    ("quadratic-bayes.json", _set_leaf("game", "payoffs", 0, "center", "w1", [0.0, 1.0]),
+     "quad_own center 'w1' must be an array of 1 numbers, got [0.0, 1.0]"),
+    # a repeated grid node read 0 from its twin and certified ok
+    ("example-3-2.json", _set_leaf("grid", "points", 3, [-0.8]), "grid points must be distinct"),
+    ("quadratic-bayes.json", _set_leaf("game", "grids", 0, "points", 2, [0.1 + 1e-13]),
+     "grid points must be distinct"),
 ], ids=["grid-point", "mesh", "adjacency-radius", "space-weight", "dim", "game-grid-point",
         "concave-string", "concave-number", "uniform-number", "player-true", "player-list",
         "player-empty", "quad-weight", "quad-center-true", "quad-center-nested",
@@ -340,7 +348,8 @@ def _with_box_lo(value):
         "option-seed-float", "option-seed-string", "metric-false",
         "game-mesh-string", "game-grid-point-string", "quad-weight-string", "quad-center-null",
         "quad-center-string", "table-value-true", "table-value-null", "table-value-string",
-        "density-true", "density-string", "option-eps-eq-string", "option-strict-margin-string"])
+        "density-true", "density-string", "option-eps-eq-string", "option-strict-margin-string",
+        "quad-center-length", "grid-point-repeated", "game-grid-point-repeated"])
 def test_wrong_json_type_exit_2(tmp_path, capsys, fixture, edit, message):
     # each of these used to read as a number, a flag or a name and certify
     # ok, or (a payoff or prior that is not an object) end in a traceback

@@ -389,13 +389,17 @@ def test_witness_radius_table_must_have_the_locals_shape(jump):
             w.radius(t, z)
 
 
-@pytest.mark.parametrize("key", [21, 99, -1, 2.5, "3", None])
+@pytest.mark.parametrize("key", [21, 99, -1, 2.5, 1.0, "1", "3", None])
 def test_witness_rejects_local_keys_off_the_grid(jump, key):
+    # the error names the first bad key in the locals' order, not the
+    # later 22; a key takes node 1's place, so that 1.0 stays a float key
     space, grid, psi, w = jump
     f = w.locals[0]
+    locs = {0: f, key: f, **{z: f for z in range(2, 21)}, 22: f}
     with pytest.raises(DomainError, match=re.escape(f"witness local key {key!r} is not a node "
                                                     "index in [0, 21)")):
-        CipWitness("countable", {**{z: f for z in range(21)}, key: f}, w.radii)
+        CipWitness("countable", locs, w.radii)
+    assert CipWitness("countable", {np.int64(z): f for z in range(21)}, w.radii).local(20) is f
 
 
 def test_witness_locals_share_one_shape(jump):
@@ -1028,6 +1032,57 @@ def test_directed_pairs_match_list_reference(seed):
         assert list(zip(pi.tolist(), pj.tolist())) == pairs + [(b, a) for a, b in pairs]
 
 
+@pytest.mark.parametrize("mesh", [None, 0.5])
+def test_grid_rejects_repeated_nodes(mesh):
+    # a repeated node used to build: the metric read 0 between two nodes,
+    # and a problem file with such a grid certified ok
+    for points in ([[0.0], [0.5], [0.0]], [[0.0, 1.0], [0.5, 0.5], [0.5, 0.5 + 1e-13]]):
+        with pytest.raises(DomainError, match="grid points must be distinct"):
+            GridSpace(points, mesh=mesh)
+    zero = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+    with pytest.raises(DomainError, match="grid points must be distinct under the metric"):
+        GridSpace([[0.0], [0.5], [1.0]], metric=zero, mesh=mesh)
+    with pytest.raises(DomainError, match="grid points must be distinct"):
+        GridSpace([[0.0], [0.0], [1.0]], metric=zero + 1.0 - np.eye(3), mesh=mesh)
+    assert len(GridSpace([[0.0], [1e-11], [1.0]], mesh=mesh)) == 3
+
+
+def _lattice(n, dim):
+    """The n^dim product lattice of n points in [0, 1] per axis."""
+    return np.stack(np.meshgrid(*[np.linspace(0.0, 1.0, n)] * dim, indexing="ij"),
+                    axis=-1).reshape(-1, dim)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_grid_metric_matches_cross_dists(dim):
+    # the metric is built in place one coordinate at a time: bit for bit
+    # the einsum reference in dims 1 and 2, within 4 ulp beyond
+    rng = np.random.default_rng(dim)
+    clouds = [rng.normal(size=(60, dim)) * 10.0 ** rng.integers(-3, 4, size=(60, 1)),
+              _lattice({1: 41, 2: 21, 3: 7, 4: 4}[dim], dim)]
+    if dim == 2:
+        clouds += [_lattice(n, 2) for n in (31, 51)]
+    for pts in clouds:
+        got, want = GridSpace(pts).metric, _cross_dists(pts, pts)
+        if dim <= 2:
+            assert np.array_equal(got, want)
+        else:
+            assert (np.abs(got - want) <= 4 * np.spacing(want)).all()
+
+
+def test_grid_metric_build_peaks_below_two_buffers():
+    # one (n, n) metric and one scratch buffer; the einsum build took a
+    # (n, n, 2) difference stack, its squares' sum, a sqrt copy and a copy
+    pts = _lattice(31, 2)
+    tracemalloc.start()
+    try:
+        GridSpace(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.2 * len(pts) ** 2 * 8
+
+
 # ---------------------------------------------------------- packed gap kernel
 
 def _pair_loop_gaps(psi, t):
@@ -1231,7 +1286,8 @@ def test_gap_kernel_measures_each_distinct_segment_pair_once(dim, monkeypatch):
     """The kernel behind directed_gaps runs once per table, on the first
     read, and receives every pair of distinct segments that a
     live adjacent pair of any atom joins, each exactly once in either
-    order, and no pair of one segment."""
+    order, except pairs of two single points, and no pair of one
+    segment."""
     calls = []
     for name in ("_ordered_gaps", "_padded_gaps"):
         def recording(points, bounds, src, dst, kernel=getattr(corr, name)):
@@ -1249,11 +1305,47 @@ def test_gap_kernel_measures_each_distinct_segment_pair_once(dim, monkeypatch):
             psi.directed_gaps()[t]
         a, b = psi.bounds[:, pi], psi.bounds[:, pj]
         live = (psi.counts[:, pi] > 0) & (psi.counts[:, pj] > 0) & (a != b).any(axis=-1)
-        want = {tuple(sorted(pair)) for pair in zip(map(tuple, a[live].tolist()),
-                                                     map(tuple, b[live].tolist()))}
+        points = (psi.counts[:, pi] == 1) & (psi.counts[:, pj] == 1)
+        want = {tuple(sorted(pair)) for pair in zip(map(tuple, a[live & ~points].tolist()),
+                                                     map(tuple, b[live & ~points].tolist()))}
+        assert (live & points).any()
         assert len(calls) == 1
         assert len(calls[0]) == len(want) < live.sum() // 2
         assert set(calls[0]) == want
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_closed_form_gaps_match_the_kernels(dim, monkeypatch):
+    """A pair of two single points, measured in closed form, gets the
+    kernel's gaps and farthest rows bit for bit, in one call with pairs
+    that do reach the kernel; a table of one segment gets 0.0 and -1 on
+    every live pair with no kernel call."""
+    rng = np.random.default_rng(dim)
+    points = np.vstack([rng.normal(size=(30, dim)) * 10.0 ** rng.integers(-3, 4, size=(30, 1)),
+                        rng.integers(-3, 4, size=(30, dim)) * 0.25])
+    bounds = np.vstack([np.column_stack([np.arange(60), np.arange(1, 61)]),
+                        [[0, 5], [10, 12], [40, 50], [7, 7]]])
+    src, dst = rng.integers(0, len(bounds), size=(2, 400))
+    gaps, far = corr._packed_gaps(points, bounds, np.concatenate([src, dst]),
+                                  np.concatenate([dst, src]))
+    counts = bounds[:, 1] - bounds[:, 0]
+    live = (counts[src] > 0) & (counts[dst] > 0) & (src != dst)
+    kernel = corr._ordered_gaps if dim == 1 else corr._padded_gaps
+    want_gaps, want_far = kernel(points, bounds, src[live], dst[live])
+    at = np.concatenate([np.flatnonzero(live), np.flatnonzero(live) + len(src)])
+    assert ((counts[src] == 1) & (counts[dst] == 1) & live).sum() > 300
+    assert np.array_equal(gaps[at], want_gaps) and np.array_equal(far[at], want_far)
+
+    def refuse(*args):
+        raise AssertionError("a one-segment table reached the kernel")
+
+    monkeypatch.setattr(corr, "_ordered_gaps", refuse)
+    monkeypatch.setattr(corr, "_padded_gaps", refuse)
+    space, grid = AtomSpace(("a", "b"), [0.5, 0.5]), line_grid(7)
+    for size in (1, 3):
+        f = Corr.constant(space, grid, PointSet.of(dim, rng.normal(size=(size, dim))))
+        assert (f.directed_gaps() == 0.0).all() and (f.farthest_rows() == -1).all()
+    assert np.isnan(Corr.constant(space, grid, PointSet.empty(dim)).directed_gaps()).all()
 
 
 def _loop_hull_modulus(psi, w):

@@ -394,8 +394,8 @@ def test_pref_matches_per_node_reference(seed):
     rng = np.random.default_rng(seed)
     space = AtomSpace(("a", "b", "c"), [1.0] * 3)
     plane = GridSpace(rng.uniform(size=(4, 2)))
-    twice = GridSpace(np.array([[0.0], [0.5], [0.5], [1.0], [0.5 + 1e-13]]), mesh=0.5)
-    grids = (line_grid(int(rng.integers(2, 7))), plane, twice)  # twice repeats a point
+    unsorted = GridSpace(np.array([[0.0], [0.5], [0.25], [1.0], [0.5 + 1e-6]]), mesh=0.5)
+    grids = (line_grid(int(rng.integers(2, 7))), plane, unsorted)
     tables = [rng.integers(-2, 3, size=(3, len(grids[0]), 4, 5)).astype(float)
               for _ in grids]
     nodes = {i: {tuple(p): k for k, p in enumerate(g.points)} for i, g in enumerate(grids)}
