@@ -19,6 +19,7 @@ from .measure import AtomSpace, InfoPartition
 from .setops import (
     DEDUP_TOL,
     PointSet,
+    _distinct,
     _padded_rows,
     _segment_rows,
     segment_distances,
@@ -32,6 +33,9 @@ ADJ_TOL = 1e-12
 # x kmax padded ones, or in R^1 GAP_CHUNK // 16 source points, each with
 # about 16 temporaries; bounds the temporaries to a few MiB.
 GAP_CHUNK = 1 << 18
+# Scratch entries of the Euclidean metric build (_euclidean): 1 MiB of
+# float64, so the build peaks near the finished metric's own size.
+METRIC_BLOCK = 1 << 17
 # Points measured at once by the stacked inclusion residuals (_residuals):
 # each row holds an (m+1, m+1) system in the min-norm kernel.
 RESIDUAL_CHUNK = 1 << 12
@@ -120,12 +124,18 @@ class GridSpace:
 
 def _euclidean(pts: np.ndarray) -> np.ndarray:
     """The (n, n) Euclidean distances between the rows of pts, summed one
-    coordinate at a time through one scratch buffer and rooted in place;
-    bit for bit setops._cross_dists in dims 1 and 2 (same sums)."""
-    d, scratch = np.zeros((len(pts), len(pts))), np.empty((len(pts), len(pts)))
-    for x in pts.T:
-        np.subtract.outer(x, x, out=scratch)
-        d += np.multiply(scratch, scratch, out=scratch)
+    coordinate at a time, a block of rows at a time, through one scratch
+    buffer of at most METRIC_BLOCK entries (one row when a row is
+    longer), and rooted in place; bit for bit setops._cross_dists in dims
+    1 and 2 (same sums)."""
+    n = len(pts)
+    step = max(1, METRIC_BLOCK // n)
+    d, scratch = np.zeros((n, n)), np.empty((min(step, n), n))
+    for lo in range(0, n, step):
+        block, buf = d[lo:lo + step], scratch[:min(step, n - lo)]
+        for x in pts.T:
+            np.subtract.outer(x[lo:lo + step], x, out=buf)
+            block += np.multiply(buf, buf, out=buf)
     return np.sqrt(d, out=d)
 
 
@@ -276,7 +286,7 @@ class Corr:
         segment_margins entry)."""
         segs, cell_seg = self.segment_index()
         on = on & (self.counts > 0)
-        margins = self.segment_margins(np.unique(cell_seg[on]))
+        margins = self.segment_margins(_distinct(cell_seg[on]))
         has = np.zeros(len(segs) + 1, dtype=bool)  # the last entry serves cell_seg == -1
         if len(segs):
             has[:-1] = np.maximum.reduceat(margins, _segment_rows(segs)[1]) > 0.0
@@ -339,13 +349,19 @@ def _packed_gaps(points: np.ndarray, bounds: np.ndarray, pi: np.ndarray,
     shared segment, is the diagonal key: 0.0 and -1.  Two single points
     x, y are sqrt(sum((x - y)^2)) apart as the kernels compute it, each
     its own farthest point; only the other distinct pairs reach the
-    kernel (_ordered_gaps in R^1, _padded_gaps otherwise)."""
+    kernel (_ordered_gaps in R^1, _padded_gaps otherwise).  When every
+    nonempty row is one segment (a Corr.constant table, say), every live
+    pair is that diagonal key, and the gaps are set without keying."""
     half = len(pi) // 2
     out = np.full(len(pi), np.nan)
     far = np.full(len(pi), -1)
     counts = bounds[:, 1] - bounds[:, 0]
     live = np.flatnonzero((counts[pi[:half]] > 0) & (counts[pj[:half]] > 0))
     if not len(live):
+        return out, far
+    nonempty = bounds[counts > 0]
+    if (nonempty == nonempty[0]).all():
+        out[live] = out[live + half] = 0.0
         return out, far
     # each row's segment as the exact int64 code start * (P + 1) + stop
     codes, seg = np.unique(bounds[:, 0] * (len(points) + 1) + bounds[:, 1], return_inverse=True)
@@ -422,7 +438,7 @@ def _ordered_gaps(points: np.ndarray, bounds: np.ndarray, src: np.ndarray,
     ordered = x[rows[np.argsort(keys, kind="stable")]]
     keys.sort()
     size = counts[src]
-    cuts = np.unique(np.searchsorted(np.cumsum(size) - size, range(0, size.sum(), GAP_CHUNK // 16)))
+    cuts = _distinct(np.searchsorted(np.cumsum(size) - size, range(0, size.sum(), GAP_CHUNK // 16)))
     for i, j in zip(cuts, [*cuts[1:], len(src)]):
         flat, begin = _segment_rows(np.column_stack([first[src[i:j]], first[src[i:j]] + size[i:j]]))
         target = np.repeat(dst[i:j], size[i:j])
@@ -545,7 +561,7 @@ def _cell_failures(varying: np.ndarray, part: InfoPartition) -> np.ndarray:
     with its axes reversed: one per index and cell c with a marked atom."""
     rows = np.argwhere(varying.T)
     rows[:, -1] = part.cell_index[rows[:, -1]]
-    return np.unique(rows, axis=0)
+    return _distinct(rows)
 
 
 def _outside(key, shape: tuple) -> bool:
@@ -921,7 +937,7 @@ def _captured_part(f: Corr, on: np.ndarray, interior: bool) -> tuple[np.ndarray,
     if not interior:
         return f.points, bounds
     segs, cell_seg = f.segment_index()
-    used = np.unique(cell_seg[on])
+    used = _distinct(cell_seg[on])
     counts = segs[:, 1] - segs[:, 0]
     owner = np.repeat(np.arange(len(segs)), counts)
     picked = np.zeros(len(segs), dtype=bool)

@@ -36,7 +36,7 @@ from .selection import (
     _select_table,
     caratheodory_select,
 )
-from .setops import PointSet, _solve_blocks, segment_distances
+from .setops import PointSet, _distinct, _solve_blocks, segment_distances
 
 JOINT_NODE_CAP = 10_000
 DEFAULT_FIXPOINT_TOL = 1e-6
@@ -66,7 +66,7 @@ def _faces(points: np.ndarray) -> list[np.ndarray]:
         simplices = Delaunay(points).simplices
     simplices, m = np.sort(simplices, axis=1), simplices.shape[1]
     return [np.arange(len(points))[:, None]] + [
-        np.unique(simplices[:, list(itertools.combinations(range(m), k))].reshape(-1, k), axis=0)
+        _distinct(simplices[:, list(itertools.combinations(range(m), k))].reshape(-1, k))
         for k in range(2, m + 1)]
 
 

@@ -29,6 +29,8 @@ from .measure import InfoPartition
 from .reporting import CheckSet
 from .setops import (
     ConvexSet,
+    _distinct,
+    _interval_ends,
     _padded_rows,
     _project_to_intervals,
     convex_distance,
@@ -184,7 +186,7 @@ def _barycenters(points: np.ndarray, segs: np.ndarray, draws: np.ndarray = ()) -
     dim) block per row length k, each reducing as the row's own slice."""
     counts = segs[:, 1] - segs[:, 0]
     out = np.empty((1 + len(draws), len(segs), points.shape[1]))
-    for k in np.unique(counts):
+    for k in _distinct(counts):
         rows = np.flatnonzero(counts == k)
         verts = points[segs[rows, :1] + np.arange(k)]
         out[0, rows] = verts.mean(axis=1)
@@ -208,10 +210,19 @@ def _sweep(points: np.ndarray, segs: np.ndarray, edges: tuple, atom: np.ndarray,
     of squared adjacent differences, for many groups at once.  segs, edges
     and atom lay out C cells as _layout gives them; row r * C + c of the
     (R * C, dim) starts is restart r of cell c, and each (restart, atom)
-    is a group.  The rows with neighbours, their bins, group runs, limits
-    and hulls (interval ends in R^1) are gathered once; each sweep
-    projects that row set in one _project_to_intervals (R^1) or
-    convex_project call.  A group freezes once no row moved more than
+    is a group.
+
+    The hulls are gathered once: in R^1 a (rows, 2, 1) block of each
+    cell's interval ends (setops._interval_ends), otherwise the padded
+    vertex block.  So are the rows with neighbours, their group runs and
+    limits, and a neighbour table: column i lists the neighbours of the
+    i-th such row in edge order, padded to the largest degree with the
+    index of a zero row kept after the iterate, so it holds rows x max
+    degree entries.  Each sweep sums every row's neighbours with one take
+    and one sum down the table's columns, which adds the same terms in
+    the same order as a bincount over the edges (a padding +0.0 changes
+    no sum), and projects the row set in one _project_to_intervals (R^1)
+    or convex_project call.  A group freezes once no row moved more than
     _SWEEP_STOP times its hull scale: a mask keeps its rows, and sweeps
     stop when no group is live.  Steps combine feasible points, so
     iterates stay feasible; a residual above tol raises, naming the lowest
@@ -220,26 +231,35 @@ def _sweep(points: np.ndarray, segs: np.ndarray, edges: tuple, atom: np.ndarray,
     rank = np.cumsum(np.diff(atom, prepend=-1) > 0) - 1  # atoms ascend over the cells
     group = (np.arange(reps)[:, None] * (rank[-1] + 1) + rank).ravel()
     first = np.flatnonzero(np.diff(group, prepend=-1))
-    V = points[_padded_rows(np.tile(segs, (reps, 1)))]
-    X = np.array(starts, dtype=float)
+    dim = starts.shape[1]
+    if dim == 1:
+        V = np.tile(np.column_stack(_interval_ends(points, segs)), (reps, 1))[..., None]
+    else:
+        V = points[_padded_rows(np.tile(segs, (reps, 1)))]
+    X = np.zeros((len(starts) + 1, dim))  # the iterate, then the zero row padding points at
+    X[:-1] = starts
+    flat = X.ravel()
     src, dst = (np.add.outer(np.arange(reps) * len(segs), e).ravel() for e in edges[:2])
     scale = np.maximum(1.0, np.maximum.reduceat(np.abs(V).max(axis=(1, 2)), first))
-    degree = np.bincount(src, minlength=len(X))
+    degree = np.bincount(src, minlength=len(starts))
     rows = np.flatnonzero(degree)
-    dim = X.shape[1]
-    # bin (src's place in rows) * dim + k sums coordinate k, in edge order
-    bins = ((np.cumsum(degree > 0) - 1)[src, None] * dim + np.arange(dim)).ravel()
-    near = (dst[:, None] * dim + np.arange(dim)).ravel()  # in X.ravel(), as bins
-    deg = degree[rows, None]
+    count = degree[rows]
+    deg = count[:, None]
+    # entry [k, i]: the target of the k-th edge out of rows[i], in edge order
+    order = np.argsort(src, kind="stable")
+    slot = np.arange(len(src)) - np.repeat(np.cumsum(count) - count, count)
+    table = np.full((count.max(initial=0), len(rows)), len(starts))
+    table[slot, (np.cumsum(degree > 0) - 1)[src[order]]] = dst[order]
+    near = table[..., None] * dim + np.arange(dim)  # (max degree, rows, dim) places in flat
     runs = np.flatnonzero(np.diff(group[rows], prepend=-1))  # rows ascend by group
     size = np.diff(runs, append=len(rows))
     limit = _SWEEP_STOP * scale[group[rows[runs]]]
-    hulls = (V[rows].min(axis=1), V[rows].max(axis=1)) if dim == 1 else V[rows]
+    hulls = (V[rows, 0], V[rows, 1]) if dim == 1 else V[rows]
     live = np.ones(len(runs), dtype=bool)  # the groups with a row with neighbours
     for _ in range(max_sweeps):
         if not live.any():
             break
-        target = np.bincount(bins, X.ravel()[near], len(rows) * dim).reshape(-1, dim) / deg
+        target = flat.take(near).sum(axis=0, initial=0.0) / deg
         projected = (_project_to_intervals(target, *hulls) if dim == 1
                      else convex_project(target, hulls)[0])
         old = X[rows]
@@ -247,6 +267,7 @@ def _sweep(points: np.ndarray, segs: np.ndarray, edges: tuple, atom: np.ndarray,
         X[rows] = new if live.all() else np.where(np.repeat(live, size)[:, None], new, old)
         live &= np.maximum.reduceat(np.linalg.norm(new - old, axis=1), runs) > limit
 
+    X = X[:-1]
     residual = np.maximum.reduceat(convex_distance(X, V), first)
     by_atom = residual.reshape(reps, -1).T.ravel()  # groups atom by atom, restarts within
     g = int(np.argmax(by_atom > tol))  # the first group above tol, if any

@@ -9,7 +9,8 @@ tail-window surrogates for lower/upper set-sequence limits.
 The inclusion residual, the irreflexivity test and a selection's
 membership certificate share one grouped pass, segment_distances: the
 distance of each point from the hull of its own segment of one points
-array, one batched projection per segment length, no segment padded.
+array, from each segment's interval ends in R^1, otherwise one batched
+projection per segment length, no segment padded.
 
 scipy is imported inside the two functions that call it (the LP
 fallback of convex membership and the Qhull margins in dimension > 1),
@@ -190,6 +191,36 @@ def _padded_rows(segs: np.ndarray) -> np.ndarray:
     return segs[:, :1] + np.where(slot < counts[:, None], slot, 0)
 
 
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """np.unique(a) of a 1-D array, or np.unique(a, axis=0) of the rows of
+    a 2-D integer array: the same sorted distinct values, by one sort.
+    numpy 2's plain np.unique asks np.ma.is_masked, which imports
+    numpy.ma into every process that reaches it."""
+    if a.ndim == 1:
+        a = np.sort(a)
+        keep = np.ones(len(a), dtype=bool)
+        keep[1:] = a[1:] != a[:-1]
+    else:
+        a = a[np.lexsort(a.T[::-1])]
+        keep = np.ones(len(a), dtype=bool)
+        keep[1:] = (a[1:] != a[:-1]).any(axis=1)
+    return a[keep]
+
+
+def _interval_ends(points: np.ndarray, segs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The least and the largest value of every nonempty [start, stop)
+    row of segs of the (P, 1) points: each row's hull, an interval of
+    R^1.  Each distinct row, keyed by the exact int64 code start * (P + 1)
+    + stop, is reduced once: one minimum and one maximum reduceat over
+    the distinct rows' points back to back.  min and max are exact, so
+    the ends are the row's own."""
+    size = len(points) + 1
+    codes, row = np.unique(segs[:, 0] * size + segs[:, 1], return_inverse=True)
+    rows, first = _segment_rows(np.column_stack(np.divmod(codes, size)))
+    x = points[rows, 0]
+    return np.minimum.reduceat(x, first)[row], np.maximum.reduceat(x, first)[row]
+
+
 def _project_to_intervals(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """The closed-form projection of every x onto its interval [lo, hi] of R^1."""
     return np.minimum(np.maximum(x, lo), hi)
@@ -348,14 +379,20 @@ def convex_distance(x, c) -> float | np.ndarray:
 
 def segment_distances(X: np.ndarray, points: np.ndarray, segs: np.ndarray) -> np.ndarray:
     """dist(X[k], hull of the points of the nonempty [start, stop) row
-    segs[k]) for every k: one convex_distance call per distinct row
-    length k, over the (rows, k, dim) block of the rows of that length.
-    No row is padded and the kernel's rows do not interact, so every
-    distance has the bits of a lone convex_distance call on its row's
-    hull."""
+    segs[k]) for every k.  In R^1 every hull is the interval between its
+    row's ends (_interval_ends), and each distance is |x - p| for x's
+    closed-form projection p, as the kernel's R^1 branch computes it, in
+    one pass over all rows.  Otherwise one convex_distance call per
+    distinct row length k, over the (rows, k, dim) block of the rows of
+    that length.  No row is padded and the kernel's rows do not
+    interact, so every distance has the bits of a lone convex_distance
+    call on its row's hull."""
+    if points.shape[1] == 1:
+        p = _project_to_intervals(X[:, 0], *_interval_ends(points, segs))
+        return np.abs(X[:, 0] - p)
     counts = segs[:, 1] - segs[:, 0]
     out = np.empty(len(segs))
-    for k in np.unique(counts):
+    for k in _distinct(counts):
         rows = np.flatnonzero(counts == k)
         out[rows] = convex_distance(X[rows], points[segs[rows, :1] + np.arange(k)])
     return out
@@ -425,10 +462,8 @@ def segment_margins(points: np.ndarray, segs: np.ndarray) -> np.ndarray:
         return np.zeros(0)
     if points.shape[1] > 1:
         return np.concatenate([_margins(points[a:b], points[a:b]) for a, b in segs])
-    rows, first = _segment_rows(segs)
-    x = points[rows, 0]
-    lo, hi = (np.repeat(extreme.reduceat(x, first), segs[:, 1] - segs[:, 0])
-              for extreme in (np.minimum, np.maximum))
+    x = points[_segment_rows(segs)[0], 0]
+    lo, hi = (np.repeat(end, segs[:, 1] - segs[:, 0]) for end in _interval_ends(points, segs))
     return np.where(hi > lo, np.maximum(0.0, np.minimum(x - lo, hi - x)), 0.0)
 
 

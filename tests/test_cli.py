@@ -702,14 +702,16 @@ def test_fixture_certificate_matches_golden(tmp_path, name):
 
 def run_fresh(tmp_path, problem):
     """Run carasel.cli.main on a problem file in a fresh interpreter;
-    returns the exit code, the certificate and the scipy modules loaded
-    by the end of the run."""
+    returns the exit code, the certificate and the lazily needed modules
+    loaded by the end of the run: scipy's, and numpy.ma's (numpy 2's
+    plain np.unique imports it)."""
     script = (
         "import json, sys\n"
         "from carasel.cli import main\n"
         f"code = main(['run', {str(problem)!r}])\n"
-        "mods = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-        "print(json.dumps({'code': code, 'scipy': mods}))\n"
+        "mods = sorted(m for m in sys.modules\n"
+        "              if m.split('.')[0] == 'scipy' or m.split('.')[:2] == ['numpy', 'ma'])\n"
+        "print(json.dumps({'code': code, 'lazy': mods}))\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
@@ -717,18 +719,19 @@ def run_fresh(tmp_path, problem):
                           capture_output=True, text=True, timeout=120, check=True)
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     cert = json.loads(problem.with_suffix(".cert.json").read_text())
-    return result["code"], cert, result["scipy"]
+    return result["code"], cert, result["lazy"]
 
 
 @pytest.mark.parametrize("name", FIXTURES)
 def test_fixture_run_never_loads_scipy(tmp_path, name):
-    # every docs/ fixture is 1-D, so no kernel call needs scipy
+    # every docs/ fixture is 1-D, so no kernel call needs scipy; and no
+    # np.unique call takes the form that imports numpy.ma
     problem = tmp_path / name
     problem.write_text((DOCS / name).read_text())
-    code, cert, scipy_modules = run_fresh(tmp_path, problem)
+    code, cert, lazy_modules = run_fresh(tmp_path, problem)
     assert code == 0
     assert cert["status"] == "ok"
-    assert scipy_modules == []
+    assert lazy_modules == []
 
 
 def _triangle_problem(kind):
@@ -753,11 +756,11 @@ def test_planar_run_certifies_in_fresh_interpreter(tmp_path, kind):
     # imports scipy.spatial from inside setops
     problem = tmp_path / f"planar-{kind}.json"
     problem.write_text(json.dumps(_triangle_problem(kind)))
-    code, cert, scipy_modules = run_fresh(tmp_path, problem)
+    code, cert, lazy_modules = run_fresh(tmp_path, problem)
     assert code == 0
     assert cert["status"] == "ok"
     if kind == "select":
-        assert "scipy.spatial" in scipy_modules
+        assert "scipy.spatial" in lazy_modules
 
 
 def _fixpoint_problem(points, fn):
@@ -788,10 +791,10 @@ def test_line_fixpoint_never_loads_scipy(tmp_path):
     problem = tmp_path / "halving.json"
     problem.write_text(json.dumps(_fixpoint_problem([[z / 10] for z in range(11)],
                                                     lambda x: [x[0] / 2])))
-    code, cert, scipy_modules = run_fresh(tmp_path, problem)
+    code, cert, lazy_modules = run_fresh(tmp_path, problem)
     assert code == 0
     assert cert["outputs"]["fixed_points"] == [{"atom": "a", "value": [0.0], "residual": 0.0}]
-    assert scipy_modules == []
+    assert not any(m.startswith("scipy") for m in lazy_modules)
 
 
 def test_planar_fixpoint_certificate_is_deterministic(tmp_path):

@@ -1083,6 +1083,32 @@ def test_grid_metric_build_peaks_below_two_buffers():
     assert peak < 2.2 * len(pts) ** 2 * 8
 
 
+def test_grid_metric_build_peaks_near_the_metric_itself():
+    # the scratch holds a block of at most METRIC_BLOCK entries, not (n, n)
+    pts = _lattice(40, 2)
+    tracemalloc.start()
+    try:
+        GridSpace(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.15 * len(pts) ** 2 * 8
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize("block", [1, 7, 1 << 17])
+def test_grid_metric_blocks_match_the_whole_buffer_build(dim, block, monkeypatch):
+    # row blocks of one row, of a few rows and of many rows make the same
+    # elementwise operations as one (n, n) scratch buffer, in every dim
+    pts = np.random.default_rng(dim).normal(size=(90, dim))
+    d, scratch = np.zeros((90, 90)), np.empty((90, 90))
+    for x in pts.T:
+        np.subtract.outer(x, x, out=scratch)
+        d += np.multiply(scratch, scratch, out=scratch)
+    monkeypatch.setattr(corr, "METRIC_BLOCK", block)
+    assert corr._euclidean(pts).tobytes() == np.sqrt(d).tobytes()
+
+
 # ---------------------------------------------------------- packed gap kernel
 
 def _pair_loop_gaps(psi, t):
@@ -1279,6 +1305,40 @@ def test_gaps_of_shared_segments_match_pair_loop_reference(dim, chunk, monkeypat
                     assert far[k] == psi.bounds[t, pi[k], 0] + first
                     checked += 1
     assert checked > 200
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_one_segment_table_gaps_skip_keying_and_kernels(dim, monkeypatch):
+    """A table whose nonempty cells all hold one segment, an empty cell
+    included, reads the gaps and farthest rows of the keyed path without
+    sorting a key or running a kernel.  The keyed path is forced by one
+    more, unreferenced row of bounds: it keys every live pair to the
+    diagonal."""
+    rng = np.random.default_rng(dim)
+    grid = GridSpace(rng.uniform(size=(20, 2)))
+    value = PointSet.of(dim, rng.uniform(size=(4, dim)))
+    bounds = np.full((2, len(grid), 2), [0, 4])
+    bounds[1, 3] = [0, 0]
+    psi = Corr(AtomSpace(("a", "b"), [0.5, 0.5]), grid, dim, value.points, bounds)
+    pi, pj = grid.directed_pair_arrays()
+    rows = np.arange(2 * len(grid)).reshape(2, -1)
+    src, dst = rows[:, pi[:len(pi) // 2]].ravel(), rows[:, pj[:len(pj) // 2]].ravel()
+    keyed = corr._packed_gaps(psi.points, np.vstack([bounds.reshape(-1, 2), [[0, 1]]]),
+                              np.concatenate([src, dst]), np.concatenate([dst, src]))
+
+    def forbidden(*_, **__):
+        raise AssertionError("the one-segment table was keyed or measured")
+
+    for name in ("_ordered_gaps", "_padded_gaps"):
+        monkeypatch.setattr(corr, name, forbidden)
+    monkeypatch.setattr(np, "unique", forbidden)
+    gaps, far = psi.directed_gaps(), psi.farthest_rows()
+    monkeypatch.undo()
+    for got, want in ((gaps, keyed[0]), (far, keyed[1])):
+        # (directions, atoms, pairs) -> (atoms, directions * pairs), as _cache_gaps lays out
+        want = want.reshape(2, 2, -1).transpose(1, 0, 2).reshape(2, -1)
+        assert got.tobytes() == want.tobytes()
+    assert (gaps[0] == 0.0).all() and np.isnan(gaps[1]).any() and (far == -1).all()
 
 
 @pytest.mark.parametrize("dim", [1, 2])

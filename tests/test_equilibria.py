@@ -1,6 +1,7 @@
 """Fixed points, preference tables, equilibrium and maximal-element
 certificates, conditional-expectation payoffs."""
 
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +48,7 @@ from carasel.setops import ConvexSet, _segment_rows, convex_membership
 from conftest import line_grid, single_atom
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def singleton_map_corr(space, grid, fn):
@@ -675,6 +677,36 @@ def test_scaling_leaves_profile_fixed_and_scales_regret():
     assert c1.profile_indices == c2.profile_indices
     for key in c1.regrets:
         assert c2.regrets[key] == pytest.approx(3.0 * c1.regrets[key], abs=1e-12)
+
+
+def nash_21x21_certificate() -> str:
+    """The canonical text of a seeded 21x21, 4-atom concave-quadratic
+    random_nash with selection on: every check, the profile, its
+    indices, regrets and warnings, and per player the sha256 of the
+    selected (atoms, nodes, dim) table that the gluing checks read (its
+    float64 bytes) with its worst membership residual."""
+    g, part, eps_eq = _quadratic_game(np.random.default_rng(21), 21, ((0, 1), (2,), (3,)))
+    cert = random_nash(g, part, eps_eq)
+    selections = []
+    for i in range(g.n_players):
+        p = pref_from_payoff(g, i)
+        table, _, worst = _select_table(p, _glued_phi(p, canonical_witness(p)), part,
+                                        DEFAULT_SELECTION_TOL)
+        selections.append([hashlib.sha256(table.tobytes()).hexdigest(), worst])
+    return canonical_json({
+        "checks": [c.as_dict() for c in cert.checks],
+        "profile": [[t, cert.profile_indices[t], [float(x) for x in v]]
+                    for t, v in sorted(cert.profile.items())],
+        "regrets": [[t, i, r] for (t, i), r in sorted(cert.regrets.items())],
+        "selections": selections,
+        "warnings": list(cert.warnings),
+    })
+
+
+def test_nash_21x21_certificate_matches_golden():
+    # a bench-sized layout (1,764 cells per player); pins the selection
+    # bit for bit, not only the gluing verdicts
+    assert nash_21x21_certificate() == (GOLDEN / "nash-21x21.json").read_text()
 
 
 # ------------------------------------------------------------------- bayes

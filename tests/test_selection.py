@@ -569,6 +569,58 @@ def test_sweep_groups_freezing_at_different_sweeps_match_reference(dim, monkeypa
         assert np.array_equal(residual, ref_residual)
 
 
+def _star_grid(n):
+    """n nodes on a line under a user metric: node 0 at distance 1 from
+    every other node, the others 2 apart, so only node 0 has more than
+    one neighbour (degrees n - 1 and 1)."""
+    metric = np.full((n, n), 2.0) - 2.0 * np.eye(n)
+    metric[0, 1:] = metric[1:, 0] = 1.0
+    grid = GridSpace(np.arange(float(n))[:, None], metric=metric, mesh=1.0, adjacency_radius=1.0)
+    assert np.array_equal(np.bincount(grid.directed_pair_arrays()[0]), [n - 1] + [1] * (n - 1))
+    return grid
+
+
+def _random_layout(rng, grid, dim, restarts):
+    """Two atoms of random 1-5 point values on grid, every cell nonempty,
+    with restarts starts per cell (barycentric, then random feasible):
+    (points, segs, edges, atom, starts) as _sweep takes them."""
+    space = AtomSpace(("a", "b"), [0.5, 0.5])
+    values = [[PointSet.of(dim, rng.uniform(-1.0, 1.0, size=(int(rng.integers(1, 6)), dim)))
+               for _ in range(len(grid))] for _ in range(2)]
+    phi = Corr.from_function(space, grid, dim, lambda t, z: values[t][z])
+    segs, atom, edges = _layout(phi, phi.counts > 0)
+    draws = rng.exponential(size=(restarts - 1, int((segs[:, 1] - segs[:, 0]).sum())))
+    starts = _barycenters(phi.points, segs, draws).reshape(-1, dim)
+    return phi.points, segs, edges, atom, starts
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_sweep_matches_reference_on_uneven_degrees_and_without_edges(dim):
+    # the neighbour table pads every column to node 0's degree, n - 1;
+    # a grid whose adjacency radius joins no pair leaves it empty
+    rng = np.random.default_rng(40 + dim)
+    no_edges = GridSpace(np.arange(6.0)[:, None], adjacency_radius=0.5)
+    assert len(no_edges.directed_pair_arrays()[0]) == 0
+    for grid in (_star_grid(12), no_edges):
+        layout = _random_layout(rng, grid, dim, 3)
+        for max_sweeps in (1, DEFAULT_MAX_SWEEPS):
+            solved, residual = carasel.selection._sweep(*layout, 1e-7, max_sweeps)
+            ref, ref_residual = _sweep_per_coordinate(*layout, 1e-7, max_sweeps)
+            assert solved.tobytes() == ref.tobytes()
+            assert residual.tobytes() == ref_residual.tobytes()
+        if grid is no_edges:
+            assert np.array_equal(solved, layout[-1])
+
+
+def test_one_dimensional_sweep_takes_interval_ends_not_padded_rows(monkeypatch):
+    layout = _random_layout(np.random.default_rng(3), _star_grid(9), 1, 2)
+    want = _sweep_per_coordinate(*layout, 1e-7, DEFAULT_MAX_SWEEPS)
+    monkeypatch.setattr(carasel.selection, "_padded_rows",
+                        lambda *_: pytest.fail("the R^1 sweep padded its rows"))
+    got = carasel.selection._sweep(*layout, 1e-7, DEFAULT_MAX_SWEEPS)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
 def test_one_dimensional_sweep_makes_no_convex_project_call_per_sweep(monkeypatch):
     g, _, _ = _quadratic_game(np.random.default_rng(5), 9, ((0,), (1,), (2,), (3,)))
     p = pref_from_payoff(g, 0)

@@ -371,8 +371,42 @@ def test_segment_distances_equal_lone_projections(dim):
 
 
 def test_segment_distances_of_no_rows():
-    assert segment_distances(np.zeros((0, 2)), np.zeros((3, 2)),
-                             np.zeros((0, 2), dtype=int)).shape == (0,)
+    for dim in (1, 2):
+        assert segment_distances(np.zeros((0, dim)), np.zeros((3, dim)),
+                                 np.zeros((0, 2), dtype=int)).shape == (0,)
+
+
+def _per_length_distances(X, points, segs):
+    """segment_distances as it was in every dim: one convex_distance call
+    per distinct row length, on the (rows, k, dim) block of those rows."""
+    counts = segs[:, 1] - segs[:, 0]
+    out = np.empty(len(segs))
+    for k in sorted(set(counts.tolist())):
+        rows = np.flatnonzero(counts == k)
+        out[rows] = convex_distance(X[rows], points[segs[rows, :1] + np.arange(k)])
+    return out
+
+
+def test_segment_distances_in_r1_match_the_per_length_kernel_bit_for_bit(monkeypatch):
+    # rows sharing a segment, overlapping and repeated segments, single
+    # points, points repeated inside a segment, and ends of either sign
+    # of zero; the queries sit inside, outside, on an end and on -0.0/0.0
+    rng = np.random.default_rng(7)
+    points = np.concatenate([rng.normal(size=30) * 10.0 ** rng.integers(-2, 3, size=30),
+                             [-0.0, 0.0, 0.5, -0.0, 1.0, 0.0, 0.0, -0.0, 2.0, 2.0]])[:, None]
+    starts = rng.integers(0, 30, size=40)
+    segs = np.concatenate([
+        np.column_stack([starts, np.minimum(starts + rng.integers(1, 8, size=40), 30)]),
+        [[30, 31], [30, 32], [31, 33], [33, 35], [35, 38], [36, 38], [30, 40], [38, 40],
+         [37, 38], [0, 1], [5, 5 + 1], [0, 30]]])
+    segs = segs[rng.integers(0, len(segs), size=400)]  # every segment shared or repeated
+    X = np.concatenate([rng.normal(size=380) * 5.0, [0.0, -0.0] * 5,
+                        points[segs[-10:, 0], 0]])[:, None]
+    want = _per_length_distances(X, points, segs)
+    monkeypatch.setattr(setops, "convex_project", lambda *_: pytest.fail("kernel called"))
+    got = segment_distances(X, points, segs)
+    assert got.tobytes() == want.tobytes()
+    assert (got == 0.0).any() and (got > 0.0).any()
 
 
 # ---------------------------------------------- hausdorff distance of hulls
