@@ -10,6 +10,7 @@ operator collecting interiors of the local inclusion witnesses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
@@ -106,17 +107,20 @@ class GridSpace:
     def dim(self) -> int:
         return self.points.shape[1]
 
-    @property
+    @cached_property
     def diameter(self) -> float:
+        """The largest metric entry, computed once."""
         return float(self.metric.max())
 
     def directed_pair_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Index arrays (sources, targets) listing every node pair within
         the adjacency radius in both directions; the first half is each
-        pair (i, j) with i < j, in row-major order."""
+        pair (i, j) with i < j, in row-major order.  Cached."""
         cached = self.__dict__.get("_pair_arrays")
         if cached is None:
-            i, j = np.nonzero(np.triu(self.metric <= self.adjacency_radius + ADJ_TOL, 1))
+            i, j = np.nonzero(self.metric <= self.adjacency_radius + ADJ_TOL)
+            upper = i < j
+            i, j = i[upper], j[upper]
             cached = (np.concatenate([i, j]), np.concatenate([j, i]))
             object.__setattr__(self, "_pair_arrays", cached)
         return cached
@@ -342,16 +346,18 @@ def _packed_gaps(points: np.ndarray, bounds: np.ndarray, pi: np.ndarray,
     points of each gap's farthest source point (see Corr.directed_gaps
     and Corr.farthest_rows); NaN and -1 where either row is empty.
 
-    Every live pair is keyed by its two exact [start, stop) rows,
-    unordered, and each distinct key is measured once, in both
-    directions; equal keys name the same points, so the gaps and the
-    first farthest point scatter back unchanged.  A pair of one row, a
-    shared segment, is the diagonal key: 0.0 and -1.  Two single points
-    x, y are sqrt(sum((x - y)^2)) apart as the kernels compute it, each
-    its own farthest point; only the other distinct pairs reach the
-    kernel (_ordered_gaps in R^1, _padded_gaps otherwise).  When every
-    nonempty row is one segment (a Corr.constant table, say), every live
-    pair is that diagonal key, and the gaps are set without keying."""
+    A live pair of two single-point rows is measured first, pair by
+    pair: 0.0 and -1 when both rows are one segment, otherwise the two
+    points x, y are sqrt(sum((x - y)^2)) apart as the kernels compute
+    it, each its own farthest point.  Every other live pair is keyed by
+    its two exact [start, stop) rows, unordered, and each distinct key
+    is measured once, in both directions; equal keys name the same
+    points, so the gaps and the first farthest point scatter back
+    unchanged.  A pair of one row, a shared segment, is the diagonal
+    key: 0.0 and -1; only the other distinct keys reach the kernel
+    (_ordered_gaps in R^1, _padded_gaps otherwise).  When every nonempty
+    row is one segment (a Corr.constant table, say), every live pair is
+    that diagonal key, and the gaps are set without keying."""
     half = len(pi) // 2
     out = np.full(len(pi), np.nan)
     far = np.full(len(pi), -1)
@@ -363,6 +369,16 @@ def _packed_gaps(points: np.ndarray, bounds: np.ndarray, pi: np.ndarray,
     if (nonempty == nonempty[0]).all():
         out[live] = out[live + half] = 0.0
         return out, far
+    single = (counts[pi[live]] == 1) & (counts[pj[live]] == 1)
+    pair = live[single]
+    x, y = bounds[pi[pair], 0], bounds[pj[pair], 0]
+    diff = points[x] - points[y]
+    out[pair] = out[pair + half] = np.sqrt(np.einsum("kd,kd->k", diff, diff))
+    shared = x == y  # one segment: 0.0 above, and no farthest point
+    far[pair], far[pair + half] = np.where(shared, -1, x), np.where(shared, -1, y)
+    live = live[~single]
+    if not len(live):
+        return out, far
     # each row's segment as the exact int64 code start * (P + 1) + stop
     codes, seg = np.unique(bounds[:, 0] * (len(points) + 1) + bounds[:, 1], return_inverse=True)
     a, b = seg[pi[live]], seg[pj[live]]
@@ -371,15 +387,7 @@ def _packed_gaps(points: np.ndarray, bounds: np.ndarray, pi: np.ndarray,
     n = len(keys)
     gap, row = np.zeros(2 * n), np.full(2 * n, -1)  # u -> v, then v -> u; the diagonal stays
     starts, stops = np.divmod(codes, len(points) + 1)
-    single = stops - starts == 1
-    off = u != v
-    closed = off & single[u] & single[v]
-    pair = np.flatnonzero(closed)
-    if len(pair):
-        diff = points[starts[u[pair]]] - points[starts[v[pair]]]
-        gap[pair] = gap[pair + n] = np.sqrt(np.einsum("kd,kd->k", diff, diff))
-        row[pair], row[pair + n] = starts[u[pair]], starts[v[pair]]
-    off = np.flatnonzero(off & ~closed)
+    off = np.flatnonzero(u != v)
     if len(off):
         at = np.concatenate([off, off + n])
         kernel = _ordered_gaps if points.shape[1] == 1 else _padded_gaps

@@ -2,8 +2,9 @@
 
 A verified inclusion witness is glued into a sub-correspondence that is
 lower semicontinuous per atom, shares the original domain, and is
-measurable cell by cell; an energy-minimizing solve then extracts a
-single-valued selection through it, certified by direct membership and a
+measurable cell by cell; a solve then extracts a single-valued
+selection through it (of least Lipschitz modulus in R^1, of low
+Dirichlet energy otherwise), certified by direct membership and a
 Lipschitz modulus rather than by the construction that produced it.
 """
 
@@ -16,6 +17,7 @@ import numpy as np
 from .corr import (
     CipWitness,
     Corr,
+    GridSpace,
     SET_EQUALITY_TOL,
     _absorbed,
     _residuals,
@@ -32,7 +34,6 @@ from .setops import (
     _distinct,
     _interval_ends,
     _padded_rows,
-    _project_to_intervals,
     convex_distance,
     convex_project,
     segment_distances,
@@ -76,7 +77,7 @@ class PhiResult:
 
 @dataclass
 class AtomSelection:
-    """Per-atom output of the energy-minimizing grid solve."""
+    """Per-atom output of the grid solve (grid_select)."""
 
     values: dict  # node -> vector
     modulus: float
@@ -160,23 +161,29 @@ def _glued_phi(psi: Corr, w: CipWitness, atomic: bool = False) -> Corr:
     return pool_captured(psi, w)
 
 
-def _layout(phi: Corr, on: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
+def _layout(phi: Corr, on: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The flat layout of the cells of phi that the (atoms, nodes) mask
-    on selects, in C order: their [start, stop) rows of phi.points, each
-    cell's atom, and the adjacent pairs of cells of one atom in both
-    directions, atom by atom in directed_pair_arrays order, as (sources,
-    targets) cell positions and their distances."""
+    on selects, in C order: their [start, stop) rows of phi.points, and
+    each cell's atom and node."""
     atom, node = np.nonzero(on)
     segs = phi.bounds[atom, node]
     empty = np.flatnonzero(segs[:, 1] == segs[:, 0])
     if len(empty):
         raise ConstructionError(f"inconsistent domain: empty value at node {node[empty[0]]} "
                                 f"of atom {atom[empty[0]]}")
+    return segs, atom, node
+
+
+def _edges(grid: GridSpace, on: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The adjacent pairs of the cells of one atom that on selects, in
+    both directions, atom by atom in directed_pair_arrays order, as
+    (sources, targets) positions in _layout's cell order and their
+    distances."""
     cell = np.where(on, np.cumsum(on).reshape(on.shape) - 1, -1)  # each cell's row, or -1
-    pi, pj = phi.grid.directed_pair_arrays()
+    pi, pj = grid.directed_pair_arrays()
     src, dst = cell[:, pi], cell[:, pj]
     inside = (src >= 0) & (dst >= 0)  # (atoms, pairs)
-    return segs, atom, (src[inside], dst[inside], phi.grid.metric[pi, pj][inside.nonzero()[1]])
+    return src[inside], dst[inside], grid.metric[pi, pj][inside.nonzero()[1]]
 
 
 def _barycenters(points: np.ndarray, segs: np.ndarray, draws: np.ndarray = ()) -> np.ndarray:
@@ -204,64 +211,169 @@ def _modulus(x: np.ndarray, edges: tuple) -> float:
     return float((gaps / dist[positive]).max(initial=0.0))
 
 
+def _neighbour_table(src: np.ndarray, n: int, *columns: tuple) -> tuple[np.ndarray, list]:
+    """The rows among n that the edges leave, ascending, and for each
+    (values, pad) in columns a (max degree, rows) table: entry [k, i] is
+    the value of the k-th edge out of the i-th such row, in edge order,
+    and pad past that row's degree."""
+    degree = np.bincount(src, minlength=n)
+    rows = np.flatnonzero(degree)
+    count = degree[rows]
+    order = np.argsort(src, kind="stable")
+    # the k-th edge out of rows[i] lands at flat place k * len(rows) + i
+    place = ((np.arange(len(src)) - np.repeat(np.cumsum(count) - count, count)) * len(rows)
+             + np.repeat(np.arange(len(rows)), count))
+    tables = []
+    for values, pad in columns:
+        tables.append(np.full((count.max(initial=0), len(rows)), pad))
+        tables[-1].ravel()[place] = values[order]
+    return rows, tables
+
+
+def _envelope(top: np.ndarray, rows: np.ndarray, near: np.ndarray, dist: np.ndarray,
+              slope: np.ndarray, paths: bool = False) -> tuple[np.ndarray, ...]:
+    """The least u <= top with u_i <= u_j + slope_i * d(i, j) for every
+    row i and entry j of its column of the neighbour table (near, dist):
+    the min-plus relaxation u_i <- min(u_i, u_j + slope_i * d(i, j)),
+    repeated until no entry changes.  Entries of top that rows does not
+    list stay as they are (+inf blocks a path).  Values only fall,
+    through a finite set of floats, so the loop ends; with positive d it
+    takes at most one step per row.  Returns (u,), or with paths (u,
+    source, length): each entry's source j and path length, u_i = top_j
+    + slope_i * length up to rounding, carried through the same steps,
+    which give the same u."""
+    value = top.copy()
+    source, length = np.arange(len(value)), np.zeros(len(value))
+    step = slope * dist
+    cols = np.arange(len(rows))
+    while len(rows):
+        cand = value[near] + step
+        if paths:
+            k = cand.argmin(axis=0)
+            best = cand[k, cols]
+        else:
+            best = cand.min(axis=0)
+        better = np.flatnonzero(best < value[rows])
+        if not len(better):
+            break
+        value[rows[better]] = best[better]
+        if paths:
+            via = near[k[better], better]
+            source[rows[better]] = source[via]
+            length[rows[better]] = length[via] + dist[k[better], better]
+    return (value, source, length) if paths else (value,)
+
+
+def _least_modulus(points: np.ndarray, segs: np.ndarray, atom: np.ndarray, node: np.ndarray,
+                   grid: GridSpace) -> tuple[np.ndarray, np.ndarray]:
+    """The selection of least Lipschitz modulus in R^1 for every atom at
+    once, on the cells of _layout (their segs, atoms and nodes of grid),
+    with each atom's modulus L, a lower bound on the modulus of any
+    selection over the adjacent pairs of cells of one atom.
+
+    Each cell's hull is its interval [lo, hi] (setops._interval_ends).
+    L starts at the adjacent bound max(0, (lo_i - hi_j) / d(i, j)) over
+    the atom's adjacent pairs.  The upper envelope u_i = min_j hi_j + L
+    d_G(i, j) (McShane 1934) and the lower one l_i = max_j lo_j - L
+    d_G(i, j) (Whitney 1934), d_G the path metric of those pairs, are
+    both L-Lipschitz on every pair, and lo <= l, u <= hi.  Where l <= u
+    everywhere, the midpoint lies in every interval with modulus L.
+    Where l_i > u_i, the path from l_i's source j through i to u_i's
+    source k forces a modulus of at least (lo_j - hi_k) / (its length) >
+    L: the envelopes are rebuilt with their paths, L rises to the worst
+    such ratio of the atom, and both are solved again (Dinkelbach 1967).
+    L only rises, through the finite set of path ratios; a rise that
+    rounding leaves at L ends the loop.
+
+    The envelopes live in an (atoms, nodes + 1) block, +inf off the
+    cells, and relax over the grid's _neighbour_table: a cell's column
+    lists the block places of its node's neighbours in its atom's row,
+    the padding the last column.  Returns (cells, 1) points clipped into
+    their intervals and L per atom, atoms ascending."""
+    lo, hi = _interval_ends(points, segs)
+    rank = np.cumsum(np.diff(atom, prepend=-1) > 0) - 1  # atoms ascend over the cells
+    width = len(grid) + 1
+    cell = rank * width + node  # each cell's place in the block
+    pi, pj = grid.directed_pair_arrays()
+    # a padding entry reads +inf, so any positive distance serves it
+    nodes, (near, dist) = _neighbour_table(pi, len(grid), (pj, len(grid)),
+                                           (grid.metric[pi, pj], 1.0))
+    column = np.full(len(grid), -1)
+    column[nodes] = np.arange(len(nodes))
+    inner = np.flatnonzero(column[node] >= 0)  # the cells whose node has neighbours
+    rows = cell[inner]
+    # take keeps both tables in C order, so the reductions down their columns stay fast
+    near = near.take(column[node[inner]], axis=1) + rank[inner] * width
+    dist = dist.take(column[node[inner]], axis=1)
+    ends = [np.full((rank[-1] + 1) * width, np.inf) for _ in range(2)]
+    ends[0][cell], ends[1][cell] = hi, -lo
+    bound = np.zeros(rank[-1] + 1)
+    if len(rows):  # the rows run atom by atom
+        first = np.flatnonzero(np.diff(rank[inner], prepend=-1))
+        ratio = ((lo[inner] - ends[0][near]) / dist).max(axis=0)
+        bound[rank[inner[first]]] = np.maximum.reduceat(ratio, first)
+    bound = np.maximum(bound, 0.0)
+    while True:
+        slope = bound[rank[inner]]
+        (u,), (l,) = (_envelope(end, rows, near, dist, slope) for end in ends)
+        u, l = u[cell], -l[cell]
+        bad = np.flatnonzero(l > u)
+        raised = bound.copy()
+        if len(bad):
+            _, u_from, u_len = _envelope(ends[0], rows, near, dist, slope, paths=True)
+            _, l_from, l_len = _envelope(ends[1], rows, near, dist, slope, paths=True)
+            at = cell[bad]
+            np.maximum.at(raised, rank[bad], (-ends[1][l_from[at]] - ends[0][u_from[at]])
+                          / (l_len[at] + u_len[at]))
+        if not (raised > bound).any():
+            return np.clip((u + l) / 2, lo, hi)[:, None], bound
+        bound = raised
+
+
 def _sweep(points: np.ndarray, segs: np.ndarray, edges: tuple, atom: np.ndarray,
            starts: np.ndarray, tol: float, max_sweeps: int) -> tuple[np.ndarray, np.ndarray]:
     """Damped Jacobi sweeps of project-onto-value steps minimizing the sum
-    of squared adjacent differences, for many groups at once.  segs, edges
-    and atom lay out C cells as _layout gives them; row r * C + c of the
-    (R * C, dim) starts is restart r of cell c, and each (restart, atom)
-    is a group.
+    of squared adjacent differences, for many groups at once, in dim 2 or
+    more (R^1 takes _least_modulus).  segs, edges and atom lay out C cells
+    as _layout and _edges give them; row r * C + c of the (R * C, dim)
+    starts is restart r of cell c, and each (restart, atom) is a group.
 
-    The hulls are gathered once: in R^1 a (rows, 2, 1) block of each
-    cell's interval ends (setops._interval_ends), otherwise the padded
-    vertex block.  So are the rows with neighbours, their group runs and
-    limits, and a neighbour table: column i lists the neighbours of the
-    i-th such row in edge order, padded to the largest degree with the
-    index of a zero row kept after the iterate, so it holds rows x max
-    degree entries.  Each sweep sums every row's neighbours with one take
-    and one sum down the table's columns, which adds the same terms in
-    the same order as a bincount over the edges (a padding +0.0 changes
-    no sum), and projects the row set in one _project_to_intervals (R^1)
-    or convex_project call.  A group freezes once no row moved more than
-    _SWEEP_STOP times its hull scale: a mask keeps its rows, and sweeps
-    stop when no group is live.  Steps combine feasible points, so
-    iterates stay feasible; a residual above tol raises, naming the lowest
-    such atom.  Returns the rows, as laid out, and each group's residual."""
+    The padded vertex block of the hulls is gathered once, and so are the
+    rows with neighbours, their group runs and limits, and their
+    _neighbour_table, padded with the index of a zero row kept after the
+    iterate.  Each sweep sums every row's neighbours with one take and
+    one sum down the table's columns, which adds the same terms in the
+    same order as a bincount over the edges (a padding +0.0 changes no
+    sum), and projects the row set in one convex_project call.  A group
+    freezes once no row moved more than _SWEEP_STOP times its hull scale:
+    a mask keeps its rows, and sweeps stop when no group is live.  Steps
+    combine feasible points, so iterates stay feasible; a residual above
+    tol raises, naming the lowest such atom.  Returns the rows, as laid
+    out, and each group's residual."""
     reps = len(starts) // len(segs)
     rank = np.cumsum(np.diff(atom, prepend=-1) > 0) - 1  # atoms ascend over the cells
     group = (np.arange(reps)[:, None] * (rank[-1] + 1) + rank).ravel()
     first = np.flatnonzero(np.diff(group, prepend=-1))
     dim = starts.shape[1]
-    if dim == 1:
-        V = np.tile(np.column_stack(_interval_ends(points, segs)), (reps, 1))[..., None]
-    else:
-        V = points[_padded_rows(np.tile(segs, (reps, 1)))]
+    V = points[_padded_rows(np.tile(segs, (reps, 1)))]
     X = np.zeros((len(starts) + 1, dim))  # the iterate, then the zero row padding points at
     X[:-1] = starts
     flat = X.ravel()
     src, dst = (np.add.outer(np.arange(reps) * len(segs), e).ravel() for e in edges[:2])
     scale = np.maximum(1.0, np.maximum.reduceat(np.abs(V).max(axis=(1, 2)), first))
-    degree = np.bincount(src, minlength=len(starts))
-    rows = np.flatnonzero(degree)
-    count = degree[rows]
-    deg = count[:, None]
-    # entry [k, i]: the target of the k-th edge out of rows[i], in edge order
-    order = np.argsort(src, kind="stable")
-    slot = np.arange(len(src)) - np.repeat(np.cumsum(count) - count, count)
-    table = np.full((count.max(initial=0), len(rows)), len(starts))
-    table[slot, (np.cumsum(degree > 0) - 1)[src[order]]] = dst[order]
+    rows, (table,) = _neighbour_table(src, len(starts), (dst, len(starts)))
+    deg = np.bincount(src)[rows, None]
     near = table[..., None] * dim + np.arange(dim)  # (max degree, rows, dim) places in flat
     runs = np.flatnonzero(np.diff(group[rows], prepend=-1))  # rows ascend by group
     size = np.diff(runs, append=len(rows))
     limit = _SWEEP_STOP * scale[group[rows[runs]]]
-    hulls = (V[rows, 0], V[rows, 1]) if dim == 1 else V[rows]
+    hulls = V[rows]
     live = np.ones(len(runs), dtype=bool)  # the groups with a row with neighbours
     for _ in range(max_sweeps):
         if not live.any():
             break
         target = flat.take(near).sum(axis=0, initial=0.0) / deg
-        projected = (_project_to_intervals(target, *hulls) if dim == 1
-                     else convex_project(target, hulls)[0])
+        projected = convex_project(target, hulls)[0]
         old = X[rows]
         new = (1.0 - _RELAXATION) * old + _RELAXATION * projected
         X[rows] = new if live.all() else np.where(np.repeat(live, size)[:, None], new, old)
@@ -286,11 +398,14 @@ def grid_select(
     max_sweeps: int = DEFAULT_MAX_SWEEPS,
 ) -> AtomSelection:
     """Select one point per node of phi(t, .) on its nonempty section (or
-    the given distinct nodes), minimizing the sum of squared adjacent
-    differences by damped Jacobi sweeps from init (default: each hull's
-    barycenter): the sweep caratheodory_select runs, on the layout of a
-    one-atom mask with one restart.  The output is deterministic; the
-    returned modulus is the achieved per-adjacent-pair Lipschitz ratio."""
+    the given distinct nodes), on the layout of a one-atom mask, by the
+    solve caratheodory_select runs: in R^1 the least-modulus selection
+    (_least_modulus), otherwise damped Jacobi sweeps minimizing the sum of
+    squared adjacent differences from init (default: each hull's
+    barycenter) for at most max_sweeps sweeps, one restart.  init and
+    max_sweeps act only in dim 2 or more; init is validated in every dim.
+    The output is deterministic; the returned modulus is the achieved
+    per-adjacent-pair Lipschitz ratio."""
     if tol <= 0:
         raise DomainError("tol must be positive")
     if not 0 <= t < len(phi.space):
@@ -300,7 +415,8 @@ def grid_select(
     on[t] = np.isin(np.arange(len(phi.grid)), nodes)
     if np.count_nonzero(on) != len(nodes):
         raise DomainError(f"nodes must be distinct and lie in [0, {len(phi.grid)})")
-    segs, atom, edges = _layout(phi, on)
+    segs, atom, node = _layout(phi, on)
+    edges = _edges(phi.grid, on)
     section = np.flatnonzero(on[t]).tolist()
     init = init or {}
     stray = [z for z in init if z not in section]
@@ -310,11 +426,15 @@ def grid_select(
         raise DomainError(f"init values must be length-{phi.dim} vectors")
     if not section:
         return AtomSelection({}, 0.0, 0.0)
-    x = _barycenters(phi.points, segs)[0]
-    for z, v in init.items():
-        x[section.index(z)] = v
-    x, residual = _sweep(phi.points, segs, edges, atom, x, tol, max_sweeps)
-    return AtomSelection(dict(zip(section, x)), _modulus(x, edges), float(residual[0]))
+    if phi.dim == 1:  # clipped into its intervals: no residual
+        x, residual = _least_modulus(phi.points, segs, atom, node, phi.grid)[0], 0.0
+    else:
+        x = _barycenters(phi.points, segs)[0]
+        for z, v in init.items():
+            x[section.index(z)] = v
+        x, residual = _sweep(phi.points, segs, edges, atom, x, tol, max_sweeps)
+        residual = float(residual[0])
+    return AtomSelection(dict(zip(section, x)), _modulus(x, edges), residual)
 
 
 def _halving_weights(count: int, k_max: int) -> np.ndarray:
@@ -351,22 +471,27 @@ def interior_series(b: ConvexSet, dense, k_max: int) -> np.ndarray:
 
 def _select_table(psi: Corr, phi: Corr, part: InfoPartition, tol: float,
                   weights: np.ndarray | None = None,
-                  seed: int = 0) -> tuple[np.ndarray, tuple, float]:
+                  seed: int = 0) -> tuple[np.ndarray, float]:
     """The selection through phi, a glued sub-correspondence of psi, as an
     (atoms, nodes, dim) table of points (zero off phi's domain), with the
-    edges of its _layout and the worst membership residual in psi's hulls.
+    worst membership residual in psi's hulls.
 
-    Every (restart, atom) group is solved in one sweep: from the
-    barycenters only when weights is None (the closed-valued branch), or
-    also from len(weights) - 1 random feasible starts drawn per atom by
-    its cell head's seed, whose pushed results the halving series weights
-    combine with the barycentric one.  Raises a ConstructionError where
-    the sweep escapes phi's hulls, where phi is empty on psi's domain, or
-    where a selected point lies farther than tol from psi's hull."""
+    In R^1 every atom takes its least-modulus selection (_least_modulus),
+    on which every restart would land, so no start is drawn and the
+    series is the identity.  Otherwise every (restart, atom) group is
+    solved in one sweep: from the barycenters only when weights is None
+    (the closed-valued branch), or also from len(weights) - 1 random
+    feasible starts drawn per atom by its cell head's seed, whose pushed
+    results the halving series weights combine with the barycentric one.
+    Raises a ConstructionError where the sweep escapes phi's hulls, where
+    phi is empty on psi's domain, or where a selected point lies farther
+    than tol from psi's hull."""
     on = phi.counts > 0
-    segs, atom, edges = _layout(phi, on)
+    segs, atom, node = _layout(phi, on)
     table = np.zeros(psi.counts.shape + (psi.dim,))  # the selected points, by (t, z)
-    if len(segs):
+    if len(segs) and phi.dim == 1:
+        table[on] = _least_modulus(phi.points, segs, atom, node, phi.grid)[0]
+    elif len(segs):
         heads = np.flatnonzero(np.diff(atom, prepend=-1))  # each atom's first cell
         draws = ()
         if weights is not None and len(weights) > 1:  # one draw per atom, by its cell head
@@ -376,8 +501,8 @@ def _select_table(psi: Corr, phi: Corr, part: InfoPartition, tol: float,
                     size=(len(weights) - 1, n))
                 for t, n in zip(atom[heads], np.add.reduceat(segs[:, 1] - segs[:, 0], heads))])
         starts = _barycenters(phi.points, segs, draws)  # restart by restart, cell by cell
-        x = _sweep(phi.points, segs, edges, atom, starts.reshape(-1, phi.dim), tol,
-                   DEFAULT_MAX_SWEEPS)[0]
+        x = _sweep(phi.points, segs, _edges(phi.grid, on), atom, starts.reshape(-1, phi.dim),
+                   tol, DEFAULT_MAX_SWEEPS)[0]
         if weights is not None:  # the series over the base and the pushed restarts, atom by atom
             x = x.reshape(starts.shape)
             diff = x - x[0]
@@ -398,7 +523,7 @@ def _select_table(psi: Corr, phi: Corr, part: InfoPartition, tol: float,
             f"membership certification failed at (t={t[k]}, z={z[k]}): "
             f"residual {worst:.3e} > tol {tol:g}"
         )
-    return table, edges, worst
+    return table, worst
 
 
 def caratheodory_select(
@@ -416,13 +541,16 @@ def caratheodory_select(
     """Produce a certified selection through psi on its domain.
 
     Pipeline: glue the witness into the sub-correspondence
-    (construct_phi), then solve it with _select_table: from the
-    barycenters only (closed-valued branch), or also from restarts - 1
-    random feasible starts combined by the halving series (general
-    branch).  The certificate is independent of the branch: phi's five
-    checks, direct membership of every selected point in the hull of
-    psi's value within tol, the achieved modulus, and cell-wise
-    measurability whenever the inputs are cell-wise constant.
+    (construct_phi), then solve it with _select_table.  In R^1 that is
+    the least-modulus selection, whatever the branch: restarts, k_max
+    and seed have no effect there (but are validated).  Otherwise the
+    sweeps start from the barycenters only (closed-valued branch), or
+    also from restarts - 1 random feasible starts combined by the
+    halving series (general branch).  The certificate is independent of
+    the branch: phi's five checks, direct membership of every selected
+    point in the hull of psi's value within tol, the achieved modulus,
+    and cell-wise measurability whenever the inputs are cell-wise
+    constant.
     """
     if tol <= 0:
         raise DomainError("tol must be positive")
@@ -431,8 +559,7 @@ def caratheodory_select(
     weights = _halving_weights(restarts, k_max)
     phi_res = construct_phi(psi, w, part, eps=eps, atomic=atomic)
     phi = phi_res.phi
-    table, edges, worst = _select_table(psi, phi, part, tol,
-                                        None if closed_valued else weights, seed)
+    table, worst = _select_table(psi, phi, part, tol, None if closed_valued else weights, seed)
 
     checks = CheckSet()
     checks.extend(phi_res.certificate)
@@ -451,7 +578,8 @@ def caratheodory_select(
         checks.add("selection-measurability", 0.0, 0.0,
                    "trivially measurable (finest partition)")
 
-    return Selection(values, _modulus(table[phi.counts > 0], edges), worst, checks)
+    on = phi.counts > 0
+    return Selection(values, _modulus(table[on], _edges(phi.grid, on)), worst, checks)
 
 
 def _inputs_cell_constant(psi: Corr, w: CipWitness, part: InfoPartition) -> bool:

@@ -231,21 +231,19 @@ def _nearest_in_hulls(X: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndar
     rows of V[b] (which may repeat), or of V[0] for every row when V
     holds one hull; returns the projected points and their distances.
 
-    In R^1 the closed form _project_to_intervals, which the selection
-    sweep shares.  Otherwise Wolfe's (1976) min-norm-point search, run in
-    lockstep over the rows.  Each row is translated to its x and
-    divided by its largest vertex distance, so the optimality band
-    and the weight cut-off are relative.  A row alternates major steps
-    (stop at the optimality condition, else add the most improving
-    vertex to its support) with minimizations over the affine hull of its
-    support, one stacked KKT solve for all rows with identity rows off
-    the support, and boundary line searches that drop the vertex whose
-    weight dies.  Weights stay a convex combination, so every point
-    returned lies in its hull.  A row stops once its best vertex is
-    already in its support, its norm stops decreasing or its KKT block is
-    singular (it keeps its last point), and leaves the stacked arrays;
-    every row stops after 16 (m + 2) iterations, m the padded vertex
-    count."""
+    In R^1 the closed form _project_to_intervals.  Otherwise Wolfe's (1976)
+    min-norm-point search, run in lockstep over the rows.  Each row is
+    translated to its x and divided by its largest vertex distance, so the
+    optimality band and the weight cut-off are relative.  A row alternates
+    major steps (stop at the optimality condition, else add the most
+    improving vertex to its support) with minimizations over the affine hull
+    of its support, one stacked KKT solve for all rows with identity rows
+    off the support, and boundary line searches that drop the vertex whose
+    weight dies.  Weights stay a convex combination, so every point returned
+    lies in its hull.  A row stops once its best vertex is already in its
+    support, its norm stops decreasing or its KKT block is singular (it
+    keeps its last point), and leaves the stacked arrays; every row stops
+    after 16 (m + 2) iterations, m the padded vertex count."""
     B, (m, dim) = len(X), V.shape[1:]
     if dim == 1:
         P = _project_to_intervals(X[:, 0], V[:, :, 0].min(axis=1), V[:, :, 0].max(axis=1))

@@ -1408,6 +1408,83 @@ def test_closed_form_gaps_match_the_kernels(dim, monkeypatch):
     assert np.isnan(Corr.constant(space, grid, PointSet.empty(dim)).directed_gaps()).all()
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_single_point_pairs_are_measured_before_keying(dim, monkeypatch):
+    """A glued table gives every domain cell its own single point: those
+    pairs are measured before keying, so no pair of two single-point
+    rows reaches a kernel, and only the pairs with a longer row are
+    keyed.  Every gap and farthest row matches a per-pair cross-distance
+    reference."""
+    rng = np.random.default_rng(dim)
+    grid = GridSpace(rng.uniform(size=(40, 2)))
+    on = rng.uniform(size=(2, len(grid))) < 0.7
+    fallback = rng.normal(size=(3, dim))
+    bounds = np.zeros((2, len(grid), 2), dtype=int)
+    bounds[~on] = [0, 3]
+    bounds[on] = 3 + _segments(np.ones(on.sum(), dtype=int))
+    bounds[1, 5] = [0, 0]  # an empty cell
+    points = np.vstack([fallback, rng.normal(size=(on.sum(), dim))])
+    psi = Corr(AtomSpace(("a", "b"), [0.5, 0.5]), grid, dim, points, bounds)
+    pi, pj = grid.directed_pair_arrays()
+    pairs, keyed = [], []
+    for name in ("_ordered_gaps", "_padded_gaps"):
+        def recording(points, rows, src, dst, kernel=getattr(corr, name)):
+            pairs.extend(zip((rows[src, 1] - rows[src, 0]).tolist(),
+                             (rows[dst, 1] - rows[dst, 0]).tolist()))
+            return kernel(points, rows, src, dst)
+
+        monkeypatch.setattr(corr, name, recording)
+    unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda a, **kw: keyed.append(len(a)) or unique(a, **kw))
+    gaps, far = psi.directed_gaps(), psi.farthest_rows()
+    monkeypatch.undo()
+    count = psi.counts
+    live = (count[:, pi] > 0) & (count[:, pj] > 0)
+    longer = live & ((count[:, pi] > 1) | (count[:, pj] > 1))
+    assert pairs and (1, 1) not in pairs
+    assert (live & ~longer).sum() > longer.sum() > 0
+    # the segment codes of every row, then one key per unordered pair left
+    assert keyed[:2] == [bounds.size // 2, longer.sum() // 2]
+    for t in range(2):
+        for k in range(len(pi)):
+            if not live[t, k]:
+                assert np.isnan(gaps[t, k]) and far[t, k] == -1
+                continue
+            a, b = bounds[t, pi[k]], bounds[t, pj[k]]
+            near = _cross_dists(points[a[0]:a[1]], points[b[0]:b[1]]).min(axis=1)
+            assert gaps[t, k] == near.max()
+            assert far[t, k] == (-1 if (a == b).all() else a[0] + near.argmax())
+
+
+def _old_pair_arrays(grid):
+    """directed_pair_arrays as it was, through a triu copy of the mask."""
+    i, j = np.nonzero(np.triu(grid.metric <= grid.adjacency_radius + corr.ADJ_TOL, 1))
+    return np.concatenate([i, j]), np.concatenate([j, i])
+
+
+def test_pair_arrays_and_diameter_match_the_old_forms():
+    # bit for bit the triu form and a fresh metric.max(), on random
+    # Euclidean grids, a user metric and one node; the diameter is read
+    # from the metric once
+    rng = np.random.default_rng(6)
+    metric = np.array([[0.0, 1.0, 2.0, 1.5], [1.0, 0.0, 1.0, 2.0],
+                       [2.0, 1.0, 0.0, 1.0], [1.5, 2.0, 1.0, 0.0]])
+    grids = [GridSpace(rng.uniform(size=(int(rng.integers(2, 60)), int(rng.integers(1, 4)))))
+             for _ in range(6)]
+    grids += [GridSpace(np.arange(4.0)[:, None], metric=metric, mesh=1.0, adjacency_radius=1.0),
+              GridSpace([[0.3, 0.7]])]
+    for grid in grids:
+        for got, want in zip(grid.directed_pair_arrays(), _old_pair_arrays(grid)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        want = float(grid.metric.max())
+        assert grid.diameter == want and isinstance(grid.diameter, float)
+    assert len(grids[-1].directed_pair_arrays()[0]) == 0 and grids[-1].diameter == 0.0
+    fresh = GridSpace(rng.uniform(size=(30, 2)))
+    first = fresh.diameter
+    object.__setattr__(fresh, "metric", None)  # a second read must not touch the metric
+    assert fresh.diameter == first
+
+
 def _loop_hull_modulus(psi, w):
     """scip_verify's indexed-mode modulus as the per-(t, x, pair) loop it
     was before it went through the gap kernel."""

@@ -321,11 +321,13 @@ def test_random_nash_builds_no_selection_certificate(monkeypatch):
     assert sum(c.name.startswith("glue-") for c in cert.checks) == 2 * g.n_players
 
 
-def test_random_nash_keeps_the_sweep_escape_guard(monkeypatch):
-    # a projection that leaves the value set must still end the solve
+def test_random_nash_keeps_the_membership_guard(monkeypatch):
+    # a selected point off the preferred set must still end the solve
     g, part, eps_eq = _quadratic_game(np.random.default_rng(0), 9, ((0,), (1,)))
-    monkeypatch.setattr(carasel.selection, "_project_to_intervals", lambda x, lo, hi: x + 1.0)
-    with pytest.raises(ConstructionError, match="selection escaped its value set"):
+    solve = carasel.selection._least_modulus
+    monkeypatch.setattr(carasel.selection, "_least_modulus",
+                        lambda *args: (solve(*args)[0] + 1.0, None))
+    with pytest.raises(ConstructionError, match="membership certification failed"):
         random_nash(g, part, eps_eq)
 
 
@@ -690,8 +692,8 @@ def nash_21x21_certificate() -> str:
     selections = []
     for i in range(g.n_players):
         p = pref_from_payoff(g, i)
-        table, _, worst = _select_table(p, _glued_phi(p, canonical_witness(p)), part,
-                                        DEFAULT_SELECTION_TOL)
+        table, worst = _select_table(p, _glued_phi(p, canonical_witness(p)), part,
+                                     DEFAULT_SELECTION_TOL)
         selections.append([hashlib.sha256(table.tobytes()).hexdigest(), worst])
     return canonical_json({
         "checks": [c.as_dict() for c in cert.checks],

@@ -2,6 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
 
 from carasel import (
     AtomSpace,
@@ -36,7 +40,16 @@ import carasel.selection
 from carasel.corr import ADJ_TOL
 from carasel.reporting import CheckSet
 from carasel.selection import Selection
-from carasel.selection import DEFAULT_MAX_SWEEPS, _barycenters, _layout
+from carasel.selection import (
+    DEFAULT_MAX_SWEEPS,
+    _barycenters,
+    _edges,
+    _envelope,
+    _layout,
+    _least_modulus,
+    _modulus,
+    _select_table,
+)
 from carasel.setops import _nearest_in_hulls, _padded_rows, _project_to_intervals
 from conftest import jump_problem, line_grid, same_set, single_atom
 from instances import random_cip_instance
@@ -386,8 +399,9 @@ def test_select_measurability_under_coarse_partition():
 
 
 def test_series_selection_measurable_under_coarse_partitions():
-    # atoms of one cell draw their restarts from the cell's first atom, so
-    # cell-constant inputs give cell-constant selections
+    # atoms of one cell draw their restarts from the cell's first atom, and
+    # in R^1 equal tables solve to equal values, so cell-constant inputs
+    # give cell-constant selections
     rng = np.random.default_rng(4)
     checked = 0
     for _ in range(40):
@@ -442,6 +456,8 @@ def _caratheodory_reference(inst, closed_valued, k_max=40, restarts=8, seed=0):
 
 
 def test_caratheodory_select_matches_per_restart_reference():
+    # in R^1 every restart of the reference lands on the least-modulus
+    # table, and the halving series of equal tables is that table
     rng = np.random.default_rng(12)
     per_dim = {1: 0, 2: 0, 3: 0}  # two instances in each of dims 1-3
     while min(per_dim.values()) < 2:
@@ -504,12 +520,14 @@ def _sweep_per_coordinate(points, segs, edges, atom, starts, tol, max_sweeps):
 def test_sweep_matches_per_coordinate_reference(monkeypatch):
     # bincount adds each bin's weights in input order, so the one-bincount
     # sums, refiltered only after a group froze, give bit-identical values
+    # (R^1 takes the least-modulus solve, not the sweep)
     rng = np.random.default_rng(21)
-    instances = [random_cip_instance(rng) for _ in range(8)]
+    instances = [inst for inst in (random_cip_instance(rng) for _ in range(12))
+                 if inst.psi.dim > 1]
     selected = [caratheodory_select(inst.psi, inst.witness, inst.part, eps=inst.eps)
                 for inst in instances]
     monkeypatch.setattr(carasel.selection, "_sweep", _sweep_per_coordinate)
-    assert {inst.psi.dim for inst in instances} == {1, 2, 3}
+    assert {inst.psi.dim for inst in instances} == {2, 3} and len(instances) == 7
     for inst, sel in zip(instances, selected):
         ref = caratheodory_select(inst.psi, inst.witness, inst.part, eps=inst.eps)
         assert sel.values.keys() == ref.values.keys()
@@ -519,8 +537,8 @@ def test_sweep_matches_per_coordinate_reference(monkeypatch):
 
 @pytest.mark.parametrize("cells", [((0,), (1,), (2,), (3,)), ((0, 2), (1, 3))])
 def test_sweep_matches_per_coordinate_reference_on_preference_tables(cells, monkeypatch):
-    # 1-D own strategies on a 9x9 joint grid, 4 atoms: the R^1 sweep
-    # projects by the closed form onto interval ends taken once per call
+    # 1-D own strategies on a 9x9 joint grid, 4 atoms: the R^1 selection
+    # is the least-modulus solve, so the reference sweep changes no bit
     g, part, _ = _quadratic_game(np.random.default_rng(len(cells)), 9, cells)
     prefs = [pref_from_payoff(g, i) for i in range(2)]
     assert {p.dim for p in prefs} == {1} and prefs[0].grid.dim == 2
@@ -539,9 +557,11 @@ def _staggered_layout(dim):
     """Two atoms of one hull on a 2-node line grid, each solved from three
     starts whose gaps (1, 1e-5, 1e-9) shrink by 0.4 per sweep, so the
     groups freeze at different sweeps: (points, segs, edges, atom, starts)."""
-    hull = [[0.0], [1.0]] if dim == 1 else [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+    # the unit simplex in 2-d; twice as wide in 3-d, so one sweep stays inside
+    hull = np.vstack([np.zeros(dim), np.eye(dim) * (dim - 1)])
     phi = Corr.constant(AtomSpace(("a", "b"), [1.0, 1.0]), line_grid(2), PointSet.of(dim, hull))
-    segs, atom, edges = _layout(phi, phi.counts > 0)
+    segs, atom, _ = _layout(phi, phi.counts > 0)
+    edges = _edges(phi.grid, phi.counts > 0)
     centre = np.full(dim, 0.25)
     step = np.eye(dim)[0] / 2
     starts = np.array([[(centre + side * gap * step) * (1 + t) for t in range(2) for side in (-1, 1)]
@@ -549,13 +569,12 @@ def _staggered_layout(dim):
     return phi.points, segs, edges, atom, starts.reshape(-1, dim)
 
 
-@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("dim", [2, 3])
 def test_sweep_groups_freezing_at_different_sweeps_match_reference(dim, monkeypatch):
     layout = _staggered_layout(dim)
     sizes = []
-    name = "_project_to_intervals" if dim == 1 else "convex_project"
-    project = getattr(carasel.selection, name)
-    monkeypatch.setattr(carasel.selection, name,
+    project = carasel.selection.convex_project
+    monkeypatch.setattr(carasel.selection, "convex_project",
                         lambda x, *hulls: sizes.append(len(x)) or project(x, *hulls))
     for max_sweeps in (1, 3, DEFAULT_MAX_SWEEPS):
         sizes.clear()
@@ -588,7 +607,8 @@ def _random_layout(rng, grid, dim, restarts):
     values = [[PointSet.of(dim, rng.uniform(-1.0, 1.0, size=(int(rng.integers(1, 6)), dim)))
                for _ in range(len(grid))] for _ in range(2)]
     phi = Corr.from_function(space, grid, dim, lambda t, z: values[t][z])
-    segs, atom, edges = _layout(phi, phi.counts > 0)
+    segs, atom, _ = _layout(phi, phi.counts > 0)
+    edges = _edges(phi.grid, phi.counts > 0)
     draws = rng.exponential(size=(restarts - 1, int((segs[:, 1] - segs[:, 0]).sum())))
     starts = _barycenters(phi.points, segs, draws).reshape(-1, dim)
     return phi.points, segs, edges, atom, starts
@@ -612,33 +632,125 @@ def test_sweep_matches_reference_on_uneven_degrees_and_without_edges(dim):
             assert np.array_equal(solved, layout[-1])
 
 
+def _least_modulus_of(phi):
+    """_least_modulus on the whole domain of phi, with the segs and edges
+    of its layout: (x, bound, segs, edges)."""
+    on = phi.counts > 0
+    segs, atom, node = _layout(phi, on)
+    return (*_least_modulus(phi.points, segs, atom, node, phi.grid), segs, _edges(phi.grid, on))
+
+
 def test_one_dimensional_sweep_takes_interval_ends_not_padded_rows(monkeypatch):
-    layout = _random_layout(np.random.default_rng(3), _star_grid(9), 1, 2)
-    want = _sweep_per_coordinate(*layout, 1e-7, DEFAULT_MAX_SWEEPS)
+    # the R^1 solve reads each cell's interval once, as its two ends
+    phi = _random_table(np.random.default_rng(3), 1, _star_grid(9))
+    want = _least_modulus_of(phi)
     monkeypatch.setattr(carasel.selection, "_padded_rows",
-                        lambda *_: pytest.fail("the R^1 sweep padded its rows"))
-    got = carasel.selection._sweep(*layout, 1e-7, DEFAULT_MAX_SWEEPS)
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+                        lambda *_: pytest.fail("the R^1 solve padded its rows"))
+    got = _least_modulus_of(phi)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got[:2], want[:2]))
+    ends = [phi.points[a:b, 0] for a, b in got[2]]
+    assert all(v.min() <= x <= v.max() for v, x in zip(ends, got[0][:, 0]))
 
 
 def test_one_dimensional_sweep_makes_no_convex_project_call_per_sweep(monkeypatch):
+    # the R^1 selection of a preference table is the least-modulus solve:
+    # no projection at all, and every envelope ends at an exact fixed point
     g, _, _ = _quadratic_game(np.random.default_rng(5), 9, ((0,), (1,), (2,), (3,)))
     p = pref_from_payoff(g, 0)
-    segs, atom, edges = _layout(p, p.counts > 0)
-    calls = []
+    calls, relaxed = [], []
     for module in (carasel.selection, carasel.setops):
         monkeypatch.setattr(module, "convex_project",
-                            lambda *args, m=module.__name__, f=module.convex_project:
-                            calls.append(m) or f(*args))
-    sweeps = []
-    closed_form = carasel.selection._project_to_intervals
-    monkeypatch.setattr(carasel.selection, "_project_to_intervals",
-                        lambda *args: sweeps.append(1) or closed_form(*args))
-    carasel.selection._sweep(p.points, segs, edges, atom, _barycenters(p.points, segs)[0], 1e-7,
-                             DEFAULT_MAX_SWEEPS)
-    assert len(sweeps) == DEFAULT_MAX_SWEEPS  # these groups never freeze
-    # the one convex_project call is the final residual's convex_distance
-    assert calls == ["carasel.setops"]
+                            lambda *args, m=module.__name__: calls.append(m))
+    monkeypatch.setattr(carasel.selection, "_sweep", lambda *_: pytest.fail("R^1 swept"))
+    envelope = carasel.selection._envelope
+    monkeypatch.setattr(carasel.selection, "_envelope", lambda *args, **kw: relaxed.append(
+        (args, envelope(*args, **kw))) or relaxed[-1][1])
+    table = _select_table(p, p, InfoPartition.finest(p.space), 1e-7)[0]
+    x, bound, _, edges = _least_modulus_of(p)
+    assert calls == [] and len(relaxed) == 4
+    assert table[p.counts > 0].tobytes() == x.tobytes()
+    assert _modulus(x, edges) == pytest.approx(bound.max(), rel=1e-12, abs=0.0)
+    for (top, rows, near, dist, slope), (u,) in relaxed:
+        assert (u <= top).all()
+        # one more relaxation step changes no entry
+        assert not ((u[near] + slope * dist).min(axis=0) < u[rows]).any()
+
+
+@st.composite
+def _interval_tables(draw):
+    """A small R^1 table: 2-7 distinct nodes of a 4 x 4 lattice at a drawn
+    spacing and adjacency radius, 1-3 atoms, each cell holding 0-3 values
+    in [-2, 2] (0: off the domain).  (points, radius, cells[t][z])."""
+    nodes = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                          min_size=2, max_size=7, unique=True))
+    spacing = draw(st.sampled_from([0.1, 1.0, 3.0]))
+    radius = draw(st.sampled_from([1.0, 1.5, 2.5])) * spacing
+    value = st.lists(st.floats(-2.0, 2.0), max_size=3)
+    row = st.lists(value, min_size=len(nodes), max_size=len(nodes))
+    return np.array(nodes) * spacing, radius, draw(st.lists(row, min_size=1, max_size=3))
+
+
+def _least_modulus_oracle(psi, t):
+    """The least modulus of any selection of atom t of the R^1 table psi:
+    max(0, max over domain nodes j, k joined by a path of
+    (lo_j - hi_k) / d_G(j, k)), d_G the all-pairs shortest paths over the
+    adjacent domain pairs (scipy.sparse.csgraph)."""
+    nodes = np.flatnonzero(psi.counts[t])
+    lo = np.array([psi.value(t, z).points.min() for z in nodes])
+    hi = np.array([psi.value(t, z).points.max() for z in nodes])
+    d = psi.grid.metric[np.ix_(nodes, nodes)]
+    adjacent = (d <= psi.grid.adjacency_radius + ADJ_TOL) & ~np.eye(len(nodes), dtype=bool)
+    dist = shortest_path(csr_matrix(np.where(adjacent, d, 0.0)), directed=False)
+    joined = np.isfinite(dist) & (dist > 0)
+    return max(0.0, float(((lo[:, None] - hi[None, :])[joined] / dist[joined]).max(initial=0.0)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_interval_tables())
+@example((np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]), 1.0, [[[1.0], [0.0, 1.0], [0.0]]]))
+def test_least_modulus_matches_the_shortest_path_oracle(table):
+    # the chain example has no adjacent bound (0) but a path bound of 1/2
+    # through its middle node, so the Dinkelbach step must raise L
+    points, radius, cells = table
+    grid = GridSpace(points, adjacency_radius=radius)
+    space = AtomSpace(tuple(f"w{t}" for t in range(len(cells) + 1)), [1.0] * (len(cells) + 1))
+    cells = cells + cells[:1]  # the last atom repeats the first, in its information cell
+    psi = Corr.from_function(space, grid, 1, lambda t, z: PointSet.of(
+        1, [[v] for v in cells[t][z]]) if cells[t][z] else PointSet.empty(1))
+    if not psi.counts.any():
+        return
+    x, bound, segs, (src, dst, dist) = _least_modulus_of(psi)
+    atom = np.nonzero(psi.counts)[0]
+    lo, hi = carasel.setops._interval_ends(psi.points, segs)
+    assert ((lo <= x[:, 0]) & (x[:, 0] <= hi)).all()
+    # the modulus is read off rounded values: allow a few roundings of the
+    # values' scale over the shortest edge besides the relative 1e-12
+    floor = 8 * np.finfo(float).eps * np.abs(psi.points).max() / dist.min(initial=np.inf)
+    for rank, t in enumerate(np.unique(atom)):
+        want = _least_modulus_oracle(psi, t)
+        assert bound[rank] == pytest.approx(want, rel=1e-12, abs=0.0)
+        mine = atom[src] == t
+        ratios = np.abs(x[src[mine], 0] - x[dst[mine], 0]) / dist[mine]
+        assert ratios.max(initial=0.0) == pytest.approx(want, rel=1e-12, abs=floor)
+    last = len(cells) - 1
+    part = InfoPartition(space, ((0, last),) + tuple((t,) for t in range(1, last)))
+    sel = caratheodory_select(psi, canonical_witness(psi), part)
+    assert next(c for c in sel.checks if c.name == "selection-measurability").ok
+    assert all(sel.value(0, z).tobytes() == sel.value(last, z).tobytes()
+               for z in np.flatnonzero(psi.counts[0]))
+
+
+def test_least_modulus_raises_past_the_adjacent_bound():
+    # [1, 1], [0, 1], [0, 0] on a unit chain: every adjacent pair allows
+    # modulus 0, the path from node 0 to node 2 forces 1/2
+    chain = [[[1.0]], [[0.0], [1.0]], [[0.0]]]
+    grid = GridSpace(np.arange(3.0)[:, None], adjacency_radius=1.0)
+    psi = Corr.from_function(single_atom(), grid, 1, lambda t, z: PointSet.of(1, chain[z]))
+    x, bound, _, edges = _least_modulus_of(psi)
+    assert x[:, 0].tolist() == [1.0, 0.5, 0.0] and bound.tolist() == [0.5]
+    assert _modulus(x, edges) == 0.5
+    sel = grid_select(psi, 0, tol=1e-9, init={1: [0.9]}, max_sweeps=1)  # both ignored in R^1
+    assert [sel.values[z][0] for z in range(3)] == [1.0, 0.5, 0.0] and sel.modulus == 0.5
 
 
 def test_interval_closed_form_is_the_kernels_r1_output():
@@ -826,8 +938,9 @@ def _atom_block(phi, t, section):
 
 
 def _layout_per_atom(phi, on):
-    """_layout's (segs, atom, edges) from one _atom_block per atom, each
-    atom's pairs shifted past the cells of the atoms before it."""
+    """_layout's segs and atom with _edges' pairs, from one _atom_block
+    per atom, each atom's pairs shifted past the cells of the atoms
+    before it."""
     segs, atom, src, dst, dist = [], [], [], [], []
     for t in range(len(phi.space)):
         section = np.flatnonzero(on[t]).tolist()
@@ -870,9 +983,10 @@ def test_selection_blocks_match_per_node_hulls(dim):
         # the flat layout is the per-atom blocks one after another, on the
         # whole domain and on a random part of it
         for on in (phi.counts > 0, (phi.counts > 0) & (rng.uniform(size=phi.counts.shape) < 0.7)):
-            (segs, atom, edges), want = _layout(phi, on), _layout_per_atom(phi, on)
+            (segs, atom, node), want = _layout(phi, on), _layout_per_atom(phi, on)
             assert np.array_equal(segs, want[0]) and np.array_equal(atom, want[1])
-            assert all(np.array_equal(x, y) for x, y in zip(edges, want[2]))
+            assert np.array_equal(node, np.nonzero(on)[1])
+            assert all(np.array_equal(x, y) for x, y in zip(_edges(phi.grid, on), want[2]))
         empty = np.argwhere(phi.counts == 0)
         if len(empty):
             t, z = empty[0]
