@@ -108,7 +108,7 @@ def random_fixed_point(
             K = np.ones((len(f), k + 1, k + 1))
             K[:, :k, :k] = g @ g.transpose(0, 2, 1)
             K[:, k, k] = 0.0
-            lam, singular = _solve_blocks(K, np.eye(k + 1)[:, k:])
+            lam, singular = _solve_blocks(K, np.eye(k + 1)[k])
             keep = ~singular & (lam >= 0).all(axis=1)
             lam = lam[keep] / lam[keep].sum(axis=1, keepdims=True)
             xs.append(np.einsum("fk,fkd->fd", lam, grid.points[f[keep]]))

@@ -34,8 +34,8 @@ from .setops import (
     _distinct,
     _interval_ends,
     _padded_rows,
+    _WarmProjector,
     convex_distance,
-    convex_project,
     segment_distances,
 )
 
@@ -204,10 +204,13 @@ def _barycenters(points: np.ndarray, segs: np.ndarray, draws: np.ndarray = ()) -
 
 
 def _modulus(x: np.ndarray, edges: tuple) -> float:
-    """The largest ratio |x_i - x_j| / d(i, j) over the pairs with d > 0."""
+    """The largest ratio |x_i - x_j| / d(i, j) over the pairs with d > 0;
+    in R^1 |x_i - x_j| itself, since a norm squares the difference and a
+    difference below about 1e-154 would lose digits to underflow."""
     src, dst, dist = edges
     positive = dist > 0
-    gaps = np.linalg.norm(x[src[positive]] - x[dst[positive]], axis=1)
+    diff = x[src[positive]] - x[dst[positive]]
+    gaps = np.abs(diff[:, 0]) if x.shape[1] == 1 else np.linalg.norm(diff, axis=1)
     return float((gaps / dist[positive]).max(initial=0.0))
 
 
@@ -344,12 +347,15 @@ def _sweep(points: np.ndarray, segs: np.ndarray, edges: tuple, atom: np.ndarray,
     iterate.  Each sweep sums every row's neighbours with one take and
     one sum down the table's columns, which adds the same terms in the
     same order as a bincount over the edges (a padding +0.0 changes no
-    sum), and projects the row set in one convex_project call.  A group
+    sum), and projects the row set in one step of a setops._WarmProjector
+    built once over their fixed hulls: a row whose cached Wolfe support
+    still gives an optimal point keeps it, the others (every row on the
+    first sweep) take the kernel, whose supports the step caches.  A group
     freezes once no row moved more than _SWEEP_STOP times its hull scale:
     a mask keeps its rows, and sweeps stop when no group is live.  Steps
-    combine feasible points, so iterates stay feasible; a residual above
-    tol raises, naming the lowest such atom.  Returns the rows, as laid
-    out, and each group's residual."""
+    combine feasible points, so iterates stay feasible; a final residual
+    (a cold convex_distance) above tol raises, naming the lowest such
+    atom.  Returns the rows, as laid out, and each group's residual."""
     reps = len(starts) // len(segs)
     rank = np.cumsum(np.diff(atom, prepend=-1) > 0) - 1  # atoms ascend over the cells
     group = (np.arange(reps)[:, None] * (rank[-1] + 1) + rank).ravel()
@@ -367,13 +373,13 @@ def _sweep(points: np.ndarray, segs: np.ndarray, edges: tuple, atom: np.ndarray,
     runs = np.flatnonzero(np.diff(group[rows], prepend=-1))  # rows ascend by group
     size = np.diff(runs, append=len(rows))
     limit = _SWEEP_STOP * scale[group[rows[runs]]]
-    hulls = V[rows]
+    step = _WarmProjector(V[rows])
     live = np.ones(len(runs), dtype=bool)  # the groups with a row with neighbours
     for _ in range(max_sweeps):
         if not live.any():
             break
         target = flat.take(near).sum(axis=0, initial=0.0) / deg
-        projected = convex_project(target, hulls)[0]
+        projected = step.project(target, slice(None))
         old = X[rows]
         new = (1.0 - _RELAXATION) * old + _RELAXATION * projected
         X[rows] = new if live.all() else np.where(np.repeat(live, size)[:, None], new, old)

@@ -15,6 +15,14 @@ projection per segment length, no segment padded.
 scipy is imported inside the two functions that call it (the LP
 fallback of convex membership and the Qhull margins in dimension > 1),
 so a 1-D problem never loads it.
+
+Projections onto polytopes come from one batched Wolfe min-norm-point
+kernel (_nearest_in_hulls).  A caller that projects changing points onto
+fixed hulls again and again, as the selection sweep does, goes through
+_WarmProjector: each hull keeps the support its last kernel search
+ended on, with that support's KKT solution map, and a row reaches the
+kernel again only where the point on its cached support fails the
+kernel's own optimality test or loses a weight.
 """
 
 from __future__ import annotations
@@ -45,16 +53,15 @@ _WEIGHT_CUT = 1e-14
 def _as_points(dim: int, points) -> np.ndarray:
     if dim < 1:
         raise DomainError("dim must be a positive integer")
-    arr = np.asarray(points, dtype=float)
+    arr = np.array(points, dtype=float, order="C")  # the one copy: the input stays the caller's
     if arr.size == 0:
         arr = arr.reshape(0, dim)
     if arr.ndim == 1:
         arr = arr.reshape(-1, dim) if dim == 1 else arr.reshape(1, -1)
     if arr.ndim != 2 or arr.shape[1] != dim:
         raise DomainError(f"points must be vectors of length {dim}, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DomainError("points must be finite")
-    arr = arr.copy()
     arr.flags.writeable = False
     return arr
 
@@ -226,10 +233,13 @@ def _project_to_intervals(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.n
     return np.minimum(np.maximum(x, lo), hi)
 
 
-def _nearest_in_hulls(X: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _nearest_in_hulls(X: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray,
+                                                              np.ndarray | None]:
     """Euclidean projection of every row x_b of X onto the hull of the
     rows of V[b] (which may repeat), or of V[0] for every row when V
-    holds one hull; returns the projected points and their distances.
+    holds one hull; returns the projected points, their distances and
+    each row's final support, a (B, m) mask of the vertices its point
+    combines (None in R^1).
 
     In R^1 the closed form _project_to_intervals.  Otherwise Wolfe's (1976)
     min-norm-point search, run in lockstep over the rows.  Each row is
@@ -247,7 +257,7 @@ def _nearest_in_hulls(X: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndar
     B, (m, dim) = len(X), V.shape[1:]
     if dim == 1:
         P = _project_to_intervals(X[:, 0], V[:, :, 0].min(axis=1), V[:, :, 0].max(axis=1))
-        return P[:, None], np.abs(X[:, 0] - P)
+        return P[:, None], np.abs(X[:, 0] - P), None
     W = V - X[:, None, :]
     norms2 = np.einsum("bmd,bmd->bm", W, W)
     R = np.sqrt(norms2.max(axis=1))
@@ -260,6 +270,7 @@ def _nearest_in_hulls(X: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndar
     lam = support[:, :m].astype(float)
     p = W[rows, start]
     out = np.empty((B, dim))
+    out_support = np.empty((B, m), dtype=bool)
     live = rows  # the rows still searching, in the order of the stacked arrays
     last_pp = np.full(B, np.inf)
     at_minimizer = np.ones(B, dtype=bool)  # lam minimizes over the support's affine hull
@@ -276,6 +287,7 @@ def _nearest_in_hulls(X: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndar
             break
         if n_stop:
             out[live[stop]] = p[stop]
+            out_support[live[stop]] = support[stop, :m]
             go = ~stop
             live, W, support, lam, p, pp, j, last_pp, at_minimizer = (
                 a[go] for a in (live, W, support, lam, p, pp, j, last_pp, at_minimizer))
@@ -289,7 +301,7 @@ def _nearest_in_hulls(X: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndar
             K_all[:, :m, :m] = W @ W.transpose(0, 2, 1)
             K_all[:, m, m] = 0.0
             eye = np.eye(m + 1)
-            e_last = eye[:, m:]
+            e_last = eye[m]
         support[rows, j] |= at_minimizer
         last_pp = np.where(at_minimizer, pp, last_pp)
         beta, singular = _solve_blocks(
@@ -320,23 +332,130 @@ def _nearest_in_hulls(X: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndar
         lam /= lam.sum(axis=1, keepdims=True)
         p = (lam[:, None, :] @ W)[:, 0]
     out[live] = p
-    return X + R[:, None] * out, R * np.sqrt(np.einsum("bd,bd->b", out, out))
+    out_support[live] = support[:, :m]
+    return X + R[:, None] * out, R * np.sqrt(np.einsum("bd,bd->b", out, out)), out_support
 
 
 def _solve_blocks(K: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The first m entries of the solution of every block K[b] x = rhs,
-    m = len(rhs) - 1, and the mask of singular blocks, whose solution
-    rows are left 0.  A block is singular when its LU factorization meets
-    a zero pivot, the test np.linalg.solve makes, so slogdet's zero sign
-    marks exactly the blocks that make the batched solve raise."""
-    m = len(rhs) - 1
+    """The first m = K.shape[1] - 1 rows of the solution of every block
+    K[b] x = rhs, for one right-hand side, a vector, shared by every block
+    (a (B, m) result) or a (B, m + 1, k) stack of one per block (a (B, m,
+    k) result), and the mask of singular blocks, whose solutions are left
+    0.  A block is singular when its LU factorization meets a zero pivot,
+    the test np.linalg.solve makes, so slogdet's zero sign marks exactly
+    the blocks that make the batched solve raise."""
+    m = K.shape[1] - 1
     try:
-        return np.linalg.solve(K, rhs)[:, :m, 0], np.zeros(len(K), dtype=bool)
+        return np.linalg.solve(K, rhs)[:, :m], np.zeros(len(K), dtype=bool)
     except np.linalg.LinAlgError:
         singular = np.linalg.slogdet(K)[0] == 0
-        out = np.zeros((len(K), m))
-        out[~singular] = np.linalg.solve(K[~singular], rhs)[:, :m, 0]
+        out = np.zeros((len(K), m) + rhs.shape[2:])
+        ok = ~singular
+        out[ok] = np.linalg.solve(K[ok], rhs if rhs.ndim == 1 else rhs[ok])[:, :m]
         return out, singular
+
+
+class _WarmProjector:
+    """Projections of changing points onto fixed hulls, row b of the
+    (B, m, dim) block V listing the vertices (repeats allowed) of hull b,
+    the layout of points[_padded_rows(segs)]: project(X, rows) projects
+    every X[k] onto hull rows[k], rows an index array or a slice.
+
+    Each hull keeps the support that its last kernel search
+    (_nearest_in_hulls) ended on, with the solution map of that support's
+    bordered KKT matrix [[G_S, 1], [1^T, 0]], G_S the Gram matrix of the
+    support's vertices translated by the hull's first vertex v_0 and
+    divided by their largest norm.  The map does not depend on the point,
+    so it is built once per support change (_factor), and a call first
+    takes every point's minimizer over the affine hull of its cached
+    support from one batched product (_warm).  A row keeps that point only
+    where every support weight is above _WEIGHT_CUT (renormalised to sum to
+    1, as the kernel does) and the point passes the kernel's optimality
+    test; the other rows go to the kernel, and their hulls cache its new
+    supports.  So every row of the first call, every row of a hull whose
+    KKT block is singular and every row in R^1 (the closed form, no
+    support) takes the kernel.  Rows do not interact: each row's result
+    depends only on its hull, its point and the points its hull was given
+    before."""
+
+    def __init__(self, V: np.ndarray):
+        B, m, dim = V.shape
+        self.V = V
+        U = V - V[:, :1]
+        width = np.sqrt(np.einsum("bmd,bmd->bm", U, U).max(axis=1))
+        width[width == 0.0] = 1.0  # a one-point hull: its weight is 1 whatever the point
+        self.U, self.width = U / width[:, None, None], width
+        # weights = gain (x - v_0) / width + offset on the cached support;
+        # a hull with none holds {v_0}, whose weight is 1, and reads uncached
+        self.gain = np.zeros((B, m, dim))
+        self.offset = np.zeros((B, m))
+        self.offset[:, 0] = 1.0
+        self.support = np.zeros((B, m), dtype=bool)
+        self.support[:, 0] = True
+        self.cached = np.zeros(B, dtype=bool)
+
+    def project(self, X: np.ndarray, rows) -> np.ndarray:
+        """The projection of every X[k] onto hull rows[k] (distinct)."""
+        P, _, ok = self._warm(X, rows)
+        cold = np.flatnonzero(~ok)
+        if len(cold):
+            hulls = np.arange(len(self.V))[rows][cold]
+            P[cold], _, support = _nearest_in_hulls(X[cold], self.V[hulls])
+            if support is not None:
+                self._factor(hulls, support)
+        return P
+
+    def _warm(self, X: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every X[k]'s minimizer over the affine hull of hull rows[k]'s
+        cached support, its (len(X), m) weights, renormalised and 0 off
+        the support, and the mask of the rows that keep it (a hull with
+        no cached support reads False).  The test, in units of R, the
+        largest vertex distance from X[k], is the kernel's: |p| <=
+        _OPT_BAND, or no vertex improves on p by more than _OPT_BAND |p|,
+        which bounds the distance error by _OPT_BAND R."""
+        V = self.V[rows]
+        y = (X - V[:, 0]) / self.width[rows, None]
+        weights = (self.gain[rows] @ y[:, :, None])[:, :, 0] + self.offset[rows]
+        on = self.support[rows]
+        ok = self.cached[rows] & ((weights > _WEIGHT_CUT) | ~on).all(axis=1)  # NaN fails too
+        weights = np.where(on, weights, 0.0)
+        weights /= weights.sum(axis=1, keepdims=True)
+        W = V - X[:, None, :]
+        # the max and min run down the columns of C-ordered (m, rows)
+        # arrays: numpy reduces a short last axis one row at a time
+        R = np.sqrt(np.einsum("bmd,bmd->mb", W, W, order="C").max(axis=0))
+        R[R == 0.0] = 1.0
+        W /= R[:, None, None]
+        p = (weights[:, None, :] @ W)[:, 0]
+        pp = np.einsum("bd,bd->b", p, p)
+        norm_p = np.sqrt(pp)
+        dots = (W @ p[:, :, None])[:, :, 0]
+        ok &= (norm_p <= _OPT_BAND) | (pp - dots.T.copy().min(axis=0) <= _OPT_BAND * norm_p)
+        return X + R[:, None] * p, weights, ok
+
+    def _factor(self, hulls: np.ndarray, support: np.ndarray) -> None:
+        """Cache support[k] and its KKT solution map for hull hulls[k]: the
+        weights of the minimizer over the support's affine hull are gain y
+        + offset for y = (x - v_0) / width, the first m rows of the solution
+        of K [gain | offset] = [[U_S, 0], [0, 1]], one solve with identity
+        rows off the support (_solve_blocks).  A singular block leaves its
+        hull uncached, holding {v_0}."""
+        U = self.U[hulls]
+        m, dim = U.shape[1:]
+        K = np.ones((len(hulls), m + 1, m + 1))
+        K[:, :m, :m] = U @ U.transpose(0, 2, 1)
+        K[:, m, m] = 0.0
+        on = np.ones((len(hulls), m + 1), dtype=bool)
+        on[:, :m] = support
+        K = np.where(on[:, :, None] & on[:, None, :], K, np.eye(m + 1))
+        rhs = np.zeros((len(hulls), m + 1, dim + 1))
+        rhs[:, :m, :dim] = np.where(support[:, :, None], U, 0.0)
+        rhs[:, m, dim] = 1.0
+        sol, singular = _solve_blocks(K, rhs)
+        sol[singular, 0, dim] = 1.0  # gain 0, offset e_0: the {v_0} of an uncached hull
+        self.gain[hulls], self.offset[hulls] = sol[:, :, :dim], sol[:, :, dim]
+        self.support[hulls] = np.where(singular[:, None], np.arange(m) == 0, support)
+        self.cached[hulls] = ~singular
 
 
 def convex_project(x, c) -> tuple[np.ndarray, float | np.ndarray]:
@@ -347,11 +466,13 @@ def convex_project(x, c) -> tuple[np.ndarray, float | np.ndarray]:
     which returns a (B, dim) stack and B distances.  c is a ConvexSet,
     the hull for every point, or a (B, m, dim) block whose row b lists
     the vertices (repeats allowed) of point b's hull, the layout of
-    points[_padded_rows(segs)].  The work is one call of the batched
+    points[_padded_rows(segs)].  The work is one cold call of the batched
     kernel _nearest_in_hulls: the closed form for intervals in R^1,
     otherwise a min-norm-point search in units of the largest vertex
     distance from each point, so its accuracy does not depend on the
-    coordinates' scale or offset.  An exact vertex hit gives distance 0."""
+    coordinates' scale or offset.  An exact vertex hit gives distance 0.
+    Repeated projections onto fixed hulls warm-start instead through
+    _WarmProjector."""
     X = np.asarray(x, dtype=float)
     single = X.ndim <= 1
     X = X.reshape(1, -1) if single else X
@@ -363,7 +484,7 @@ def convex_project(x, c) -> tuple[np.ndarray, float | np.ndarray]:
             raise DomainError(f"{len(X)} points need {len(X)} hulls, got a block of shape {V.shape}")
     if X.ndim != 2 or X.shape[1] != V.shape[2]:
         raise DomainError(f"point has dim {X.shape[-1]}, set has dim {V.shape[2]}")
-    P, d = _nearest_in_hulls(X, V)
+    P, d, _ = _nearest_in_hulls(X, V)
     if single:
         return P[0], float(d[0])
     return P, d

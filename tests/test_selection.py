@@ -481,7 +481,9 @@ def _sweep_per_coordinate(points, segs, edges, atom, starts, tol, max_sweeps):
     """selection._sweep as it was before its neighbour sums became one
     bincount and before it took the flat layout: the (atom, restart)
     groups stacked atom by atom, the live edges refiltered every sweep
-    and one bincount per coordinate.  Takes and returns what _sweep does."""
+    and one bincount per coordinate, projecting only the live rows with
+    the same warm-started projection step.  Takes and returns what _sweep
+    does."""
     sel = carasel.selection
     cells = len(segs)
     reps = len(starts) // cells
@@ -499,6 +501,7 @@ def _sweep_per_coordinate(points, segs, edges, atom, starts, tol, max_sweeps):
     scale = np.maximum(1.0, np.maximum.reduceat(np.abs(V).max(axis=(1, 2)), first))
     degree = np.bincount(src, minlength=len(X))
     live = np.bincount(group[src], minlength=len(sizes)) > 0
+    step = carasel.setops._WarmProjector(V)
     for _ in range(max_sweeps):
         rows = np.flatnonzero(live[group] & (degree > 0))
         if not rows.size:
@@ -507,7 +510,7 @@ def _sweep_per_coordinate(points, segs, edges, atom, starts, tol, max_sweeps):
         sums = np.column_stack([
             np.bincount(src[edges], X[dst[edges], k], len(X)) for k in range(X.shape[1])
         ])
-        projected = sel.convex_project(sums[rows] / degree[rows, None], V[rows])[0]
+        projected = step.project(sums[rows] / degree[rows, None], rows)
         new = (1.0 - sel._RELAXATION) * X[rows] + sel._RELAXATION * projected
         move = np.zeros(len(sizes))
         np.maximum.at(move, group[rows], np.linalg.norm(new - X[rows], axis=1))
@@ -573,9 +576,9 @@ def _staggered_layout(dim):
 def test_sweep_groups_freezing_at_different_sweeps_match_reference(dim, monkeypatch):
     layout = _staggered_layout(dim)
     sizes = []
-    project = carasel.selection.convex_project
-    monkeypatch.setattr(carasel.selection, "convex_project",
-                        lambda x, *hulls: sizes.append(len(x)) or project(x, *hulls))
+    project = carasel.setops._WarmProjector.project
+    monkeypatch.setattr(carasel.setops._WarmProjector, "project",
+                        lambda step, x, rows: sizes.append(len(x)) or project(step, x, rows))
     for max_sweeps in (1, 3, DEFAULT_MAX_SWEEPS):
         sizes.clear()
         solved, residual = carasel.selection._sweep(*layout, 1e-9, max_sweeps)
@@ -658,9 +661,8 @@ def test_one_dimensional_sweep_makes_no_convex_project_call_per_sweep(monkeypatc
     g, _, _ = _quadratic_game(np.random.default_rng(5), 9, ((0,), (1,), (2,), (3,)))
     p = pref_from_payoff(g, 0)
     calls, relaxed = [], []
-    for module in (carasel.selection, carasel.setops):
-        monkeypatch.setattr(module, "convex_project",
-                            lambda *args, m=module.__name__: calls.append(m))
+    for name in ("convex_project", "_nearest_in_hulls"):
+        monkeypatch.setattr(carasel.setops, name, lambda *args, f=name: calls.append(f))
     monkeypatch.setattr(carasel.selection, "_sweep", lambda *_: pytest.fail("R^1 swept"))
     envelope = carasel.selection._envelope
     monkeypatch.setattr(carasel.selection, "_envelope", lambda *args, **kw: relaxed.append(
@@ -740,6 +742,17 @@ def test_least_modulus_matches_the_shortest_path_oracle(table):
                for z in np.flatnonzero(psi.counts[0]))
 
 
+def test_modulus_in_r1_is_the_exact_difference_ratio():
+    # squaring 8.7e-161 underflows to a subnormal, so a norm loses digits;
+    # the R^1 modulus reads |x_i - x_j| / d itself
+    grid = GridSpace(np.array([[0.0], [0.1]]), adjacency_radius=0.1)
+    values = [[[0.0]], [[8.7e-161]]]
+    psi = Corr.from_function(single_atom(), grid, 1, lambda t, z: PointSet.of(1, values[z]))
+    sel = grid_select(psi, 0, tol=1e-9)
+    assert sel.modulus == 8.7e-161 / 0.1
+    assert _modulus(np.array([[8.7e-161], [0.0]]), _edges(grid, psi.counts > 0)) == 8.7e-161 / 0.1
+
+
 def test_least_modulus_raises_past_the_adjacent_bound():
     # [1, 1], [0, 1], [0, 0] on a unit chain: every adjacent pair allows
     # modulus 0, the path from node 0 to node 2 forces 1/2
@@ -762,7 +775,8 @@ def test_interval_closed_form_is_the_kernels_r1_output():
     X = np.array([[x] for x, _ in pairs])
     m = max(len(h) for h in hulls)
     V = np.array([[[v] for v in h + h[:1] * (m - len(h))] for _, h in pairs])
-    P, d = _nearest_in_hulls(X, V)
+    P, d, support = _nearest_in_hulls(X, V)
+    assert support is None  # the closed form combines no vertices
     lo, hi = V[:, :, 0].min(axis=1), V[:, :, 0].max(axis=1)
     closed = _project_to_intervals(X[:, 0], lo, hi)
     assert P[:, 0].tobytes() == closed.tobytes()  # bit for bit, the sign of zero too
@@ -775,8 +789,30 @@ def test_interval_closed_form_is_the_kernels_r1_output():
     assert np.array_equal(closed[X[:, 0] > hi], hi[X[:, 0] > hi])
 
 
+@pytest.mark.parametrize("seed, share", [(1, 0.05), (6, 0.02)])
+def test_warm_projections_keep_most_sweep_rows_off_the_kernel(seed, share, monkeypatch):
+    # a count of work, not of time: after the first sweep, which sends
+    # every row to the kernel, at most `share` of the rows of the 2-D
+    # instance (canonical at seed 1, 2.7% measured; moving singletons at
+    # seed 6, 0.5%) miss their cached support and take the kernel again
+    inst = random_cip_instance(np.random.default_rng(seed))
+    assert inst.psi.dim == 2
+    rows, cold = [], []
+    warm = carasel.setops._WarmProjector._warm
+
+    def counted(step, X, which):
+        P, lam, ok = warm(step, X, which)
+        rows.append(len(X))
+        cold.append(int(np.count_nonzero(~ok)))
+        return P, lam, ok
+    monkeypatch.setattr(carasel.setops._WarmProjector, "_warm", counted)
+    caratheodory_select(inst.psi, inst.witness, inst.part, eps=inst.eps)
+    assert len(rows) == DEFAULT_MAX_SWEEPS and cold[0] == rows[0]
+    assert sum(cold[1:]) <= share * sum(rows[1:])
+
+
 def test_caratheodory_select_projects_all_restarts_of_all_atoms_per_sweep(monkeypatch):
-    # one convex_project call per sweep for every restart of every atom,
+    # one projection step per sweep for every restart of every atom,
     # where one grid_select per restart made up to max_sweeps calls each
     rng = np.random.default_rng(4)
     while True:  # a glued table whose values are not all single points, in 2 or more atoms
@@ -785,9 +821,9 @@ def test_caratheodory_select_projects_all_restarts_of_all_atoms_per_sweep(monkey
         if inst.psi.dim > 1 and sum(len(phi.value(t, z)) > 1 for t, z in domain(phi)) > 20:
             break
     calls = []
-    project = carasel.selection.convex_project
-    monkeypatch.setattr(carasel.selection, "convex_project",
-                        lambda *args: calls.append(len(args[0])) or project(*args))
+    project = carasel.setops._WarmProjector.project
+    monkeypatch.setattr(carasel.setops._WarmProjector, "project",
+                        lambda step, x, rows: calls.append(len(x)) or project(step, x, rows))
     caratheodory_select(inst.psi, inst.witness, inst.part, restarts=8, eps=inst.eps)
     assert 0 < len(calls) <= DEFAULT_MAX_SWEEPS
     assert calls[0] == 8 * len(domain(phi))  # every node of every section has a neighbour
@@ -836,9 +872,9 @@ def test_selection_escaping_its_value_set_raises(monkeypatch):
     space = AtomSpace(("a", "b"), [1.0, 1.0])
     tri = PointSet.of(2, [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     psi = Corr.constant(space, line_grid(5), tri)
-    project = carasel.selection.convex_project
-    monkeypatch.setattr(carasel.selection, "convex_project",
-                        lambda x, c: (project(x, c)[0] + 5.0, None))
+    project = carasel.setops._WarmProjector.project
+    monkeypatch.setattr(carasel.setops._WarmProjector, "project",
+                        lambda step, x, rows: project(step, x, rows) + 5.0)
     with pytest.raises(ConstructionError, match="escaped its value set .* at atom 1"):
         grid_select(psi, 1, tol=1e-9)
     with pytest.raises(ConstructionError, match="escaped its value set .* at atom 0"):

@@ -26,11 +26,16 @@ from carasel import (
 )
 import carasel.setops as setops
 from carasel.setops import (
+    _OPT_BAND,
+    _WEIGHT_CUT,
     _as_points,
     _cross_dists,
     _dedup,
+    _nearest_in_hulls,
     _padded_rows,
+    _project_to_intervals,
     _solve_blocks,
+    _WarmProjector,
     segment_distances,
     segment_margins,
 )
@@ -700,6 +705,24 @@ def test_pointset_of_checks_each_list_once(monkeypatch):
         PointSet.of(0, [])
 
 
+def test_pointset_of_keeps_its_own_copy():
+    # the one float copy is the set's: mutating the input afterwards,
+    # a list or an array, a float or an int array, leaves the set as built
+    inputs = [(2, [[0.0, 1.0], [2.0, 3.0]]), (1, np.array([0.0, 1.0])),
+              (2, np.array([[0.0, 1.0], [2.0, 3.0]])), (2, np.array([[0, 1], [2, 3]]))]
+    for dim, raw in inputs:
+        for build in (PointSet.of, PointSet, ConvexSet):
+            pts = [list(row) for row in raw] if isinstance(raw, list) else raw.copy()
+            made = build(dim, pts)
+            arr = made.vertices if build is ConvexSet else made.points
+            before = arr.copy()
+            if isinstance(pts, list):
+                pts[0][0] = 9.0
+            else:
+                pts[...] = 9
+            assert np.array_equal(arr, before) and not arr.flags.writeable
+
+
 def test_convex_set_needs_a_vertex():
     with pytest.raises(DomainError):
         ConvexSet(1, np.zeros((0, 1)))
@@ -711,7 +734,7 @@ def _solve_blocks_reference(K, rhs):
     out, singular = np.zeros((len(K), m)), np.zeros(len(K), dtype=bool)
     for b in range(len(K)):
         try:
-            out[b] = np.linalg.solve(K[b], rhs)[:m, 0]
+            out[b] = np.linalg.solve(K[b], rhs[:, None])[:m, 0]
         except np.linalg.LinAlgError:
             singular[b] = True
     return out, singular
@@ -733,10 +756,108 @@ def test_solve_blocks_matches_per_block_solve(seed):
         K = np.zeros((batch, k + 1, k + 1))
         K[:, :k, :k] = G @ G.transpose(0, 2, 1)
         K[:, :k, k] = K[:, k, :k] = 1.0
-        rhs = np.eye(k + 1)[:, k:]
+        rhs = np.eye(k + 1)[k]
         got, got_singular = _solve_blocks(K, rhs)
         want, want_singular = _solve_blocks_reference(K, rhs)
         assert np.array_equal(got_singular, want_singular)
         assert np.array_equal(got, want)
         planted += int(want_singular.sum())
     assert planted > 0
+
+
+# ------------------------------------------------ warm-started projections
+
+@st.composite
+def _warm_cases(draw):
+    """Hulls in dims 2-4 of 1-6 distinct vertices, some listed twice, in one
+    block padded by each hull's first vertex as _padded_rows pads, and two
+    targets per hull, each inside, outside or on a vertex; the second is
+    also drawn as a small move of the first.  (V, first, second)."""
+    dim = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    hulls = []
+    for _ in range(draw(st.integers(1, 6))):
+        verts = rng.uniform(-1.0, 1.0, size=(int(rng.integers(1, 7)), dim))
+        twice = verts[rng.integers(0, len(verts), size=int(rng.integers(0, 3)))]
+        hulls.append(scale * np.vstack([verts, twice]))
+    m = max(len(h) for h in hulls)
+    V = np.array([np.vstack([h, np.repeat(h[:1], m - len(h), axis=0)]) for h in hulls])
+
+    def target(h, kind):
+        if kind == "inside":
+            return rng.dirichlet(np.ones(len(h))) @ h
+        if kind == "vertex":
+            return h[rng.integers(len(h))]
+        return scale * rng.uniform(-3.0, 3.0, size=dim)
+
+    kinds = st.sampled_from(["inside", "outside", "vertex"])
+    first = np.array([target(h, draw(kinds)) for h in hulls])
+    second = np.array([target(h, draw(kinds)) for h in hulls])
+    moved = rng.random(len(hulls)) < 0.5
+    second[moved] = first[moved] + 1e-3 * scale * rng.normal(size=(moved.sum(), dim))
+    return V, first, second
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_warm_cases())
+def test_warm_projection_matches_the_cold_kernel(case):
+    # the first call sends every row to the kernel and caches its
+    # supports; on the second, every point the warm path keeps is a convex
+    # combination of its cached support with weights above the cut, and
+    # within _OPT_BAND R of the kernel's distance, R the largest vertex
+    # distance; project returns it there and the kernel's point elsewhere
+    V, first, second = case
+    rows = np.arange(len(V))
+    step = _WarmProjector(V)
+    assert np.array_equal(step.project(first, rows), _nearest_in_hulls(first, V)[0])
+    P, lam, ok = step._warm(second, rows)
+    cold_P, cold_d, _ = _nearest_in_hulls(second, V)
+    W = V - second[:, None, :]
+    R = np.sqrt(np.einsum("bmd,bmd->bm", W, W).max(axis=1))
+    on = step.support
+    m = V.shape[1]
+    assert (lam[ok][on[ok]] > _WEIGHT_CUT).all() and (lam[ok][~on[ok]] == 0.0).all()
+    assert (np.abs(lam[ok].sum(axis=1) - 1.0) <= 1e-15 * m).all()
+    assert (np.abs(np.linalg.norm(P - second, axis=1) - cold_d)[ok] <= _OPT_BAND * R[ok]).all()
+    assert (np.abs(P - np.einsum("bm,bmd->bd", lam, V)).max(axis=1)[ok]
+            <= 1e-14 * np.abs(V).max(axis=(1, 2))[ok]).all()
+    got = step.project(second, rows)
+    assert np.array_equal(got[ok], P[ok]) and np.array_equal(got[~ok], cold_P[~ok])
+
+
+def test_warm_projection_sends_a_singular_support_to_the_kernel(monkeypatch):
+    # a support holding a vertex and its padding copy has a singular KKT
+    # block: that hull stays uncached and its rows take the kernel, which
+    # then caches the support it ends on
+    tri = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]
+    step = _WarmProjector(np.array([tri, tri]))
+    step._factor(np.arange(2), np.array([[True, True, False, True], [True, True, False, False]]))
+    assert step.cached.tolist() == [False, True]
+    sent = []
+    kernel = setops._nearest_in_hulls
+    monkeypatch.setattr(setops, "_nearest_in_hulls",
+                        lambda X, V: sent.append(len(X)) or kernel(X, V))
+    X = np.array([[0.5, -0.5], [0.25, -1.0]])  # both project onto the edge [v_0, v_1]
+    assert np.allclose(step.project(X, np.arange(2)), [[0.5, 0.0], [0.25, 0.0]],
+                       rtol=0.0, atol=1e-15)
+    assert sent == [1]
+    assert step.cached.all() and step.support.tolist() == [[True, True, False, False]] * 2
+
+
+def test_warm_projection_in_r1_always_takes_the_closed_form(monkeypatch):
+    # the closed form has no support to cache: every row of every call
+    # takes it, bit for bit
+    rng = np.random.default_rng(8)
+    V = rng.uniform(-1.0, 1.0, size=(7, 3, 1))
+    step = _WarmProjector(V)
+    sent = []
+    kernel = setops._nearest_in_hulls
+    monkeypatch.setattr(setops, "_nearest_in_hulls",
+                        lambda X, V: sent.append(len(X)) or kernel(X, V))
+    for _ in range(3):
+        X = rng.uniform(-1.5, 1.5, size=(7, 1))
+        got = step.project(X, np.arange(7))
+        want = _project_to_intervals(X[:, 0], V.min(axis=1)[:, 0], V.max(axis=1)[:, 0])
+        assert got[:, 0].tobytes() == want.tobytes()
+    assert sent == [7, 7, 7] and not step.cached.any()
