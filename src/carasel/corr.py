@@ -20,7 +20,9 @@ from .measure import AtomSpace, InfoPartition
 from .setops import (
     DEDUP_TOL,
     PointSet,
+    _cross_dists,
     _distinct,
+    _distinct_segments,
     _padded_rows,
     _segment_rows,
     segment_distances,
@@ -239,38 +241,33 @@ class Corr:
         the whole table in one _packed_gaps call, which measures each
         distinct pair of segments once (two single points in closed form,
         others by sorted rows in R^1 and padded blocks otherwise), however
-        many adjacent pairs of any atom join it.
+        many adjacent pairs of any atom join it.  Only gaps are kept:
+        lsc_check and usc_check find the point behind a gap they report.
         Cached (the table is immutable); cip_verify fills the caches of
         all witness locals in one such call (_cache_gaps)."""
         _cache_gaps([self])
-        return self.__dict__["_gap_cache"][0]
-
-    def farthest_rows(self) -> np.ndarray:
-        """Read-only (atoms, directed adjacent pairs) table: the row of
-        points holding the source point farthest from the target value
-        (the first such point), found with directed_gaps; -1 where the
-        gap is NaN or 0.0 by a shared segment."""
-        _cache_gaps([self])
-        return self.__dict__["_gap_cache"][1]
+        return self.__dict__["_gap_cache"]
 
     def segment_index(self) -> tuple[np.ndarray, np.ndarray]:
         """(segs, cell_seg): the distinct [start, stop) rows of the
-        nonempty cells in sorted order, and the index into segs of each
-        cell's row, -1 where the cell is empty.  Cached."""
+        nonempty cells in sorted order (setops._distinct_segments), and
+        the index into segs of each cell's row, -1 where the cell is
+        empty.  Cached."""
         if "_segment_index" not in self.__dict__:
             on = self.counts > 0
-            segs, inv = np.unique(self.bounds[on], axis=0, return_inverse=True)
+            segs, index = _distinct_segments(self.bounds[on], len(self.points))
             cell_seg = np.full(self.counts.shape, -1)
-            cell_seg[on] = inv.ravel()
-            self.__dict__["_segment_index"] = (segs.reshape(-1, 2), cell_seg)
+            cell_seg[on] = index
+            self.__dict__["_segment_index"] = (segs, cell_seg)
         return self.__dict__["_segment_index"]
 
     def segment_margins(self, used: np.ndarray) -> np.ndarray:
         """The interior margin of every point of every row of
         segment_index() within that row's own hull, flat in row order
         (setops.segment_margins), valid on the rows listed in used; each
-        row is computed once and cached, so k_operator and the
-        interiority check of construct_phi share the work."""
+        row is computed once and cached, so k_operator and
+        interior_cells share the work: construct_phi's interiority check
+        reads each local's margins and phi's, one table in shared mode."""
         segs = self.segment_index()[0]
         counts = segs[:, 1] - segs[:, 0]
         if "_margins" not in self.__dict__:
@@ -304,110 +301,93 @@ def _segments(counts: np.ndarray) -> np.ndarray:
     return np.stack([stop - counts, stop], axis=-1)
 
 
-def _stacked(tables: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(points, bounds, starts): the tables' points back to back, their
-    bounds as one (tables, atoms, nodes, 2) stack of rows into them, and
-    where each table's points begin."""
+def _stacked(tables: list) -> tuple[np.ndarray, np.ndarray]:
+    """(points, bounds): the tables' points back to back, and their
+    bounds as one (tables, atoms, nodes, 2) stack of rows into them."""
     sizes = [len(f.points) for f in tables]
     starts = np.cumsum(sizes) - sizes
     points = tables[0].points if len(tables) == 1 else np.concatenate([f.points for f in tables])
-    return points, np.stack([f.bounds + k for f, k in zip(tables, starts)]), starts
+    return points, np.stack([f.bounds + k for f, k in zip(tables, starts)])
 
 
 def _cache_gaps(tables: list) -> None:
-    """Fill the gap cache (Corr.directed_gaps, Corr.farthest_rows) of
-    every table on the first one's grid not yet cached, with one
-    _packed_gaps call over every atom's adjacent pairs of all of them,
-    forward halves first; farthest rows are rebased to each table's own
-    points.  A table on another grid fills its own on first read."""
+    """Fill the gap cache (Corr.directed_gaps) of every table on the
+    first one's grid not yet cached, with one _packed_gaps call over
+    every atom's adjacent pairs of all of them, each pair once.  A table
+    on another grid fills its own on first read."""
     todo = [f for f in dict.fromkeys(tables)
             if "_gap_cache" not in f.__dict__ and f.grid is tables[0].grid]
     if not todo:
         return
-    points, bounds, starts = _stacked(todo)
+    points, bounds = _stacked(todo)
     pi, pj = (p[:len(p) // 2] for p in todo[0].grid.directed_pair_arrays())
     rows = np.arange(bounds.size // 2).reshape(bounds.shape[:-1])
-    src, dst = rows[..., pi].ravel(), rows[..., pj].ravel()
-    pairs = _packed_gaps(points, bounds.reshape(-1, 2), np.concatenate([src, dst]),
-                         np.concatenate([dst, src]))
+    gaps = _packed_gaps(points, bounds.reshape(-1, 2), rows[..., pi].ravel(), rows[..., pj].ravel())
     # (2, tables, atoms, half) -> (tables, atoms, 2 * half), forward halves first
-    gaps, far = (a.reshape((2,) + rows.shape[:2] + (-1,)).transpose(1, 2, 0, 3)
-                 .reshape(rows.shape[:2] + (-1,)) for a in pairs)
-    far = np.where(far >= 0, far - starts[:, None, None], far)
-    gaps.flags.writeable = far.flags.writeable = False
-    for f, g, r in zip(todo, gaps, far):
-        f.__dict__["_gap_cache"] = (g, r)
+    gaps = (gaps.reshape((2,) + rows.shape[:2] + (-1,)).transpose(1, 2, 0, 3)
+            .reshape(rows.shape[:2] + (-1,)))
+    gaps.flags.writeable = False
+    for f, g in zip(todo, gaps):
+        f.__dict__["_gap_cache"] = g
 
 
-def _packed_gaps(points: np.ndarray, bounds: np.ndarray, pi: np.ndarray,
-                 pj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Both one-sided gaps of the directed pairs pi[k] -> pj[k] of rows
-    of bounds, whose second half reverses the first, and the row of
-    points of each gap's farthest source point (see Corr.directed_gaps
-    and Corr.farthest_rows); NaN and -1 where either row is empty.
+def _packed_gaps(points: np.ndarray, bounds: np.ndarray, a: np.ndarray,
+                 b: np.ndarray) -> np.ndarray:
+    """The (2, pairs) one-sided gaps of the pairs (a[k], b[k]) of rows of
+    bounds (see Corr.directed_gaps): row 0 from a[k] to b[k], row 1 back;
+    NaN where either row is empty.
 
     A live pair of two single-point rows is measured first, pair by
-    pair: 0.0 and -1 when both rows are one segment, otherwise the two
-    points x, y are sqrt(sum((x - y)^2)) apart as the kernels compute
-    it, each its own farthest point.  Every other live pair is keyed by
-    its two exact [start, stop) rows, unordered, and each distinct key
-    is measured once, in both directions; equal keys name the same
-    points, so the gaps and the first farthest point scatter back
-    unchanged.  A pair of one row, a shared segment, is the diagonal
-    key: 0.0 and -1; only the other distinct keys reach the kernel
+    pair: its points x, y are sqrt(sum((x - y)^2)) apart as the kernels
+    compute it, 0.0 when both rows are one segment.  Every other live
+    pair is keyed by its two exact [start, stop) rows, unordered
+    (setops._distinct_segments), and each distinct key is measured once,
+    in both directions; equal keys name the same points, so the gaps
+    scatter back unchanged.  A pair of one row, a shared segment, is the
+    diagonal key: 0.0; only the other distinct keys reach the kernel
     (_ordered_gaps in R^1, _padded_gaps otherwise).  When every nonempty
     row is one segment (a Corr.constant table, say), every live pair is
     that diagonal key, and the gaps are set without keying."""
-    half = len(pi) // 2
-    out = np.full(len(pi), np.nan)
-    far = np.full(len(pi), -1)
+    out = np.full((2, len(a)), np.nan)
     counts = bounds[:, 1] - bounds[:, 0]
-    live = np.flatnonzero((counts[pi[:half]] > 0) & (counts[pj[:half]] > 0))
+    live = np.flatnonzero((counts[a] > 0) & (counts[b] > 0))
     if not len(live):
-        return out, far
+        return out
     nonempty = bounds[counts > 0]
     if (nonempty == nonempty[0]).all():
-        out[live] = out[live + half] = 0.0
-        return out, far
-    single = (counts[pi[live]] == 1) & (counts[pj[live]] == 1)
+        out[:, live] = 0.0
+        return out
+    single = (counts[a[live]] == 1) & (counts[b[live]] == 1)
     pair = live[single]
-    x, y = bounds[pi[pair], 0], bounds[pj[pair], 0]
-    diff = points[x] - points[y]
-    out[pair] = out[pair + half] = np.sqrt(np.einsum("kd,kd->k", diff, diff))
-    shared = x == y  # one segment: 0.0 above, and no farthest point
-    far[pair], far[pair + half] = np.where(shared, -1, x), np.where(shared, -1, y)
+    diff = points[bounds[a[pair], 0]] - points[bounds[b[pair], 0]]
+    out[:, pair] = np.sqrt(np.einsum("kd,kd->k", diff, diff))
     live = live[~single]
     if not len(live):
-        return out, far
-    # each row's segment as the exact int64 code start * (P + 1) + stop
-    codes, seg = np.unique(bounds[:, 0] * (len(points) + 1) + bounds[:, 1], return_inverse=True)
-    a, b = seg[pi[live]], seg[pj[live]]
-    keys, key = np.unique(np.minimum(a, b) * len(codes) + np.maximum(a, b), return_inverse=True)
-    u, v = np.divmod(keys, len(codes))
-    n = len(keys)
-    gap, row = np.zeros(2 * n), np.full(2 * n, -1)  # u -> v, then v -> u; the diagonal stays
-    starts, stops = np.divmod(codes, len(points) + 1)
+        return out
+    segs, seg = _distinct_segments(bounds, len(points))
+    sa, sb = seg[a[live]], seg[b[live]]
+    keys, key = np.unique(np.minimum(sa, sb) * len(segs) + np.maximum(sa, sb), return_inverse=True)
+    u, v = np.divmod(keys, len(segs))
+    gap = np.zeros((2, len(keys)))  # u -> v, then v -> u; the diagonal stays 0.0
     off = np.flatnonzero(u != v)
     if len(off):
-        at = np.concatenate([off, off + n])
         kernel = _ordered_gaps if points.shape[1] == 1 else _padded_gaps
-        gap[at], row[at] = kernel(points, np.column_stack([starts, stops]), u[off], v[off])
-    flip = np.where(a > b, n, 0)
-    out[live], far[live] = gap[key + flip], row[key + flip]
-    out[live + half], far[live + half] = gap[key + n - flip], row[key + n - flip]
-    return out, far
+        gap[:, off] = kernel(points, segs, u[off], v[off])
+    flip = (sa > sb).astype(int)
+    out[0, live], out[1, live] = gap[flip, key], gap[1 - flip, key]
+    return out
 
 
 def _padded_gaps(points: np.ndarray, bounds: np.ndarray, src: np.ndarray,
-                 dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                 dst: np.ndarray) -> np.ndarray:
     """_packed_gaps' kernel in any dim for the pairs (src[k], dst[k]) of
-    nonempty rows of bounds: the gaps and farthest rows of every src[k]
-    -> dst[k], then of every dst[k] -> src[k].  One squared-distance
-    block per pair, a shorter segment padded by repeating its first
-    point (setops._padded_rows), which changes no nearest or farthest
-    distance.  Nearest squared distances are reduced before the square
-    root, exactly: sqrt is monotone and correctly rounded."""
-    gaps, far = np.empty(2 * len(src)), np.empty(2 * len(src), dtype=int)
+    nonempty rows of bounds: the (2, pairs) gaps of every src[k] ->
+    dst[k], then of every dst[k] -> src[k].  One squared-distance block
+    per pair, a shorter segment padded by repeating its first point
+    (setops._padded_rows), which changes no nearest or farthest
+    distance.  Squared distances are reduced before the one square root,
+    exactly: sqrt is monotone and correctly rounded."""
+    gaps = np.empty((2, len(src)))
     counts = bounds[:, 1] - bounds[:, 0]
     take = _padded_rows(bounds)
     # widest pairs first, so each chunk is padded only to its own widest value
@@ -420,24 +400,23 @@ def _padded_gaps(points: np.ndarray, bounds: np.ndarray, src: np.ndarray,
         first += len(k)
         diff = points[take[src[k], :m]][:, :, None, :] - points[take[dst[k], :m]][:, None, :, :]
         d2 = np.einsum("pijk,pijk->pij", diff, diff)
-        for ends, near, at in ((src[k], d2.min(axis=2), k), (dst[k], d2.min(axis=1), k + len(src))):
-            near = np.sqrt(near)  # each source point's distance to the target value
-            gaps[at] = near.max(axis=1)
-            far[at] = take[ends, near.argmax(axis=1)]
-    return gaps, far
+        gaps[0, k] = np.sqrt(d2.min(axis=2).max(axis=1))
+        gaps[1, k] = np.sqrt(d2.min(axis=1).max(axis=1))
+    return gaps
 
 
 def _ordered_gaps(points: np.ndarray, bounds: np.ndarray, src: np.ndarray,
-                  dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                  dst: np.ndarray) -> np.ndarray:
     """_packed_gaps' kernel in R^1 for the pairs (src[k], dst[k]) of
     nonempty rows of bounds, in the layout of _padded_gaps.  Each row is
     sorted once by the exact int64 key row * R + rank (R distinct
     values), and a source value's nearest target value is one of the two
     around its searchsorted place: fl(a - b) is monotone in b and
-    fl(d * d) in |d|, so that is the full block's minimum, bit for bit."""
+    fl(d * d) in |d|, so that is the full block's minimum, bit for bit;
+    the one square root follows the max, as in _padded_gaps."""
     x = points[:, 0]
     src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
-    gaps, far = np.empty(len(src)), np.empty(len(src), dtype=int)
+    gaps = np.empty(len(src))
     counts = np.zeros(len(bounds), dtype=int)
     counts[src] = bounds[src, 1] - bounds[src, 0]  # src now holds every dst row too
     rows, first = _segment_rows(np.column_stack([bounds[:, 0], bounds[:, 0] + counts]))
@@ -452,12 +431,10 @@ def _ordered_gaps(points: np.ndarray, bounds: np.ndarray, src: np.ndarray,
         target = np.repeat(dst[i:j], size[i:j])
         lo, hi = first[target], first[target] + counts[target] - 1
         pos = np.searchsorted(keys, target * len(distinct) + rank[flat])
-        near = np.sqrt(np.minimum((x[rows[flat]] - ordered[np.clip(pos - 1, lo, hi)]) ** 2,
-                                  (x[rows[flat]] - ordered[np.clip(pos, lo, hi)]) ** 2))
-        gaps[i:j] = np.maximum.reduceat(near, begin)
-        hit = np.where(near == np.repeat(gaps[i:j], size[i:j]), flat, len(rows))
-        far[i:j] = rows[np.minimum.reduceat(hit, begin)]  # the first farthest point
-    return gaps, far
+        near = np.minimum((x[rows[flat]] - ordered[np.clip(pos - 1, lo, hi)]) ** 2,
+                          (x[rows[flat]] - ordered[np.clip(pos, lo, hi)]) ** 2)
+        gaps[i:j] = np.sqrt(np.maximum.reduceat(near, begin))
+    return gaps.reshape(2, -1)
 
 
 def domain(psi: Corr) -> frozenset:
@@ -484,7 +461,8 @@ def lsc_check(psi: Corr, t: int, eps: float) -> SemicontinuityReport:
     of the value at z must lie within eps of the value at z' (no value
     point may vanish when stepping to a neighbor).  Row t of
     Corr.directed_gaps; each violation's witness point is the source
-    point farthest from the target value (Corr.farthest_rows)."""
+    point farthest from the target value (the first such point), found
+    on that pair alone.  t must be an atom index in [0, atoms)."""
     return _semicontinuity(psi, t, eps, upper=False)
 
 
@@ -493,7 +471,8 @@ def usc_check(psi: Corr, t: int, eps: float) -> SemicontinuityReport:
     unordered adjacent pair with both values nonempty, at least one value
     must collapse into the eps-neighborhood of the other (growth at a
     node is tolerated, mutual separation is not).  Row t of each pair's
-    smaller one-sided gap; the witness point leaves that side."""
+    smaller one-sided gap; the witness point leaves that side, found as
+    lsc_check finds its own."""
     return _semicontinuity(psi, t, eps, upper=True)
 
 
@@ -510,6 +489,8 @@ def _semicontinuity(psi: Corr, t: int, eps: float, upper: bool) -> Semicontinuit
     """lsc_check (upper False) or usc_check at atom t."""
     if not eps > 0:  # NaN too: it compares false with every gap
         raise DomainError("eps must be positive")
+    if _outside((t,), (len(psi.space),)):
+        raise DomainError(f"atom {t!r} is outside [0, {len(psi.space)})")
     pi, pj = psi.grid.directed_pair_arrays()
     directed = psi.directed_gaps()[t]
     gaps = _absorbed(directed, upper)
@@ -520,7 +501,11 @@ def _semicontinuity(psi: Corr, t: int, eps: float, upper: bool) -> Semicontinuit
     side = bad
     if upper:  # the witness point leaves the side with the smaller one-sided gap
         side = np.where(directed[bad] <= directed[bad + len(gaps)], bad, bad + len(gaps))
-    lost = psi.points[psi.farthest_rows()[t, side]]
+    # each witness: the first source point farthest from the target value
+    rows = [a + int(_cross_dists(psi.points[a:b], psi.points[c:d]).min(axis=1).argmax())
+            for (a, b), (c, d) in zip(psi.bounds[t, pi[side]].tolist(),
+                                      psi.bounds[t, pj[side]].tolist())]
+    lost = psi.points[np.array(rows, dtype=int)]
     violations = list(zip(pi[bad].tolist(), pj[bad].tolist(), lost))
     return SemicontinuityReport(not violations, violations, float(gaps[mask].max()))
 
@@ -535,12 +520,11 @@ def cell_varying(tables: list, part: InfoPartition) -> np.ndarray:
     every cell at node z iff its column z is unmarked.  A table listed
     more than once (by identity) is measured once."""
     distinct = list(dict.fromkeys(tables))
-    points, bounds, _ = _stacked(distinct)
+    points, bounds = _stacked(distinct)
     flat = np.arange(bounds.size // 2).reshape(bounds.shape[:-1])  # (f, t, z) -> row
     off = part.head != np.arange(flat.shape[1])  # the atoms that are not heads
     a, b = flat[:, off].ravel(), flat[:, part.head[off]].ravel()
-    gaps = _packed_gaps(points, bounds.reshape(-1, 2), np.concatenate([a, b]),
-                        np.concatenate([b, a]))[0].reshape(2, -1)
+    gaps = _packed_gaps(points, bounds.reshape(-1, 2), a, b)
     counts = (bounds[..., 1] - bounds[..., 0]).reshape(-1)
     equal = np.where(np.isnan(gaps[0]), (counts[a] > 0) == (counts[b] > 0),
                      gaps.max(axis=0) <= SET_EQUALITY_TOL)
@@ -722,7 +706,7 @@ def _residuals(psi: Corr, tables: list, on: np.ndarray) -> np.ndarray:
     or is psi's own segment, inf where psi(t, x) is empty, else the max
     distance of F(t, x)'s points from psi's hull (a vertex of it is at
     exactly 0), by segment_distances calls of RESIDUAL_CHUNK points."""
-    points, bounds, _ = _stacked(tables)
+    points, bounds = _stacked(tables)
     res = np.zeros(on.shape)
     same = np.stack([(f.bounds == psi.bounds).all(axis=-1) & (f.points is psi.points)
                      for f in tables])
@@ -753,8 +737,8 @@ def cip_verify(
     convex hull of psi(t, x) within tol.  The convex hulls of F_z(t, .)
     must pass the discrete l.s.c. check at eps inside the ball (on the
     whole grid when strict=True), and on the whole grid for atoms t with
-    psi(t, z) empty.  Every local must live on psi's grid points, atom
-    count and dim.
+    psi(t, z) empty.  Every local must live on psi's grid, or on one with
+    its points and adjacent pairs, and on psi's atom count and dim.
 
     One _cache_gaps call fills every local's gap table and one
     _residuals pass measures every (local, atom, node) cell a ball of
@@ -773,8 +757,9 @@ def cip_verify(
     pi, pj = psi.grid.directed_pair_arrays()
     groups = w.distinct_locals()
     tables = [f for f, _ in groups]
-    for f in tables:
-        if f.grid is not psi.grid and not np.array_equal(f.grid.points, psi.grid.points):
+    for f in tables:  # a local's gap table must list psi's pairs
+        if f.grid is not psi.grid and not (np.array_equal(f.grid.points, psi.grid.points) and all(
+                map(np.array_equal, f.grid.directed_pair_arrays(), (pi, pj)))):
             raise DomainError("witness locals must live on psi's grid")
         if len(f.space) != len(psi.space) or f.dim != psi.dim:
             raise DomainError("witness locals must live on psi's atoms, in psi's dim")
@@ -908,9 +893,9 @@ def _hull_modulus(psi: Corr, w: CipWitness, groups: list) -> float:
     d = psi.grid.metric[pi, pj]
     cells = psi.counts.size
     rows = group[np.stack([pi, pj])[:, d > 0]][..., None] * cells + np.arange(cells)
-    points, bounds, _ = _stacked([f for f, _ in groups])
-    gaps = _packed_gaps(points, bounds.reshape(-1, 2), rows.reshape(-1), rows[::-1].reshape(-1))[0]
-    ratio = gaps.reshape(2, -1).max(axis=0) / np.repeat(d[d > 0], cells)
+    points, bounds = _stacked([f for f, _ in groups])
+    gaps = _packed_gaps(points, bounds.reshape(-1, 2), rows[0].ravel(), rows[1].ravel())
+    ratio = gaps.max(axis=0) / np.repeat(d[d > 0], cells)
     return float(ratio[~np.isnan(ratio)].max(initial=0.0))
 
 

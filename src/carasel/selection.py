@@ -22,8 +22,8 @@ from .corr import (
     _absorbed,
     _residuals,
     _segments,
+    capture_matrix,
     cell_varying,
-    k_operator,
     pool_captured,
 )
 from .errors import ConstructionError, DomainError, PreconditionError
@@ -68,11 +68,10 @@ class PhiResult:
     """A glued sub-correspondence with its executed property checks:
     (A) inclusion, (B) domain equality, (C) per-atom l.s.c., (D)
     cell-wise measurability, (E) interiority where the interior-union
-    operator is nonempty."""
+    operator (k_operator) is nonempty."""
 
     phi: Corr
     certificate: CheckSet
-    interior_union: Corr  # the tabulated interior-collecting operator
 
 
 @dataclass
@@ -112,11 +111,11 @@ def construct_phi(
     adjacency radius), positive; the phi-lsc check reads every atom's
     row of phi's directed gaps at once (lsc_check per atom).
 
-    The interiority check is one array pass: wherever psi and the
-    interior-union table are both nonempty, phi's value must carry a
-    sample interior to its own hull, read from phi's cached segment
-    margins (Corr.interior_cells), which in shared mode are the ones
-    k_operator has just computed for the same local.
+    The interiority check builds no interior-union table: it is
+    nonempty where a local whose ball captures the cell has interior
+    there (Corr.interior_cells, once per distinct local).  Wherever psi
+    is nonempty too, phi's value must carry a sample interior to its own
+    hull, from phi's cached margins (the local's own in shared mode).
     """
     if eps is None:
         eps = psi.grid.adjacency_radius
@@ -140,14 +139,16 @@ def construct_phi(
     bad_nodes = np.count_nonzero(cell_varying([phi], part)[0].any(axis=0))
     cert.add("phi-measurability", bad_nodes, 0, "cell-wise set constancy per node")
 
-    kpsi = k_operator(psi, w)
-    need = (psi.counts > 0) & (kpsi.counts > 0)
+    captures = capture_matrix(psi, w)
+    need = psi.counts > 0
+    need &= np.any([f.interior_cells(captures[..., zs].any(axis=2))
+                    for f, zs in w.distinct_locals()], axis=0)
     interiority_failures = np.count_nonzero(need & ~phi.interior_cells(need))
     detail = ("interior margin positive wherever the interior union is nonempty" if need.any()
               else "interior union empty everywhere (vacuous)")
     cert.add("phi-interiority", interiority_failures, 0, detail)
 
-    return PhiResult(phi, cert, kpsi)
+    return PhiResult(phi, cert)
 
 
 def _glued_phi(psi: Corr, w: CipWitness, atomic: bool = False) -> Corr:

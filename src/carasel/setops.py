@@ -214,16 +214,25 @@ def _distinct(a: np.ndarray) -> np.ndarray:
     return a[keep]
 
 
+def _distinct_segments(segs: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(segs, axis=0, return_inverse=True) of [start, stop) rows
+    into size points: the distinct rows in sorted order, and the index
+    into them of every row.  Each row is keyed by the exact int64 code
+    start * (size + 1) + stop, whose order is the rows' own, and the
+    codes are sorted as one flat array."""
+    base = size + 1
+    codes, index = np.unique(segs[:, 0] * base + segs[:, 1], return_inverse=True)
+    return np.column_stack(np.divmod(codes, base)), index.ravel()
+
+
 def _interval_ends(points: np.ndarray, segs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The least and the largest value of every nonempty [start, stop)
     row of segs of the (P, 1) points: each row's hull, an interval of
-    R^1.  Each distinct row, keyed by the exact int64 code start * (P + 1)
-    + stop, is reduced once: one minimum and one maximum reduceat over
-    the distinct rows' points back to back.  min and max are exact, so
-    the ends are the row's own."""
-    size = len(points) + 1
-    codes, row = np.unique(segs[:, 0] * size + segs[:, 1], return_inverse=True)
-    rows, first = _segment_rows(np.column_stack(np.divmod(codes, size)))
+    R^1.  Each distinct row (_distinct_segments) is reduced once: one
+    minimum and one maximum reduceat over the distinct rows' points back
+    to back.  min and max are exact, so the ends are the row's own."""
+    distinct, row = _distinct_segments(segs, len(points))
+    rows, first = _segment_rows(distinct)
     x = points[rows, 0]
     return np.minimum.reduceat(x, first)[row], np.maximum.reduceat(x, first)[row]
 

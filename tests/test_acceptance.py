@@ -33,6 +33,7 @@ from carasel import (
     eps_neighborhood_contains,
     hausdorff_dist,
     interior_series,
+    k_operator,
     lsc_check,
     maximal_element,
     random_fixed_point,
@@ -158,8 +159,9 @@ def test_c3_gluing_certificates(cip_pool):
         all_ok &= names["phi-interiority"].residual == 0
         # (E) re-checked directly: positive margin wherever the interior
         # union is nonempty
+        interior_union = k_operator(inst.psi, inst.witness)
         for (t, z) in domain(inst.psi):
-            if not res.interior_union.value(t, z).is_empty:
+            if not interior_union.value(t, z).is_empty:
                 hull = ConvexSet(res.phi.dim, res.phi.value(t, z).points)
                 all_ok &= max_vertex_margin(hull) > 0.0
     elapsed = time.perf_counter() - t0

@@ -36,6 +36,7 @@ from carasel.corr import (
     CipReport,
     _segments,
     capture_matrix,
+    cell_varying,
     pool_captured,
 )
 from carasel.reporting import CheckSet
@@ -619,10 +620,28 @@ def test_cip_rejects_a_local_on_other_grid_points():
     witness = CipWitness.shared(far, f, {(0, z): 0.3 for z in range(5)})
     with pytest.raises(DomainError, match="grid"):
         cip_verify(psi, witness, eps=0.5)
+    # psi's points with a wider adjacency radius: a gap table of 18 pairs
+    # to psi's 14, which psi's pairs would misread
+    wide = GridSpace(psi.grid.points, adjacency_radius=3.5 * psi.grid.mesh)
+    assert len(wide.directed_pair_arrays()[0]) == 18
+    f = Corr.from_function(space, wide, 1, lambda t, z: PointSet.of(1, [[float(z % 2)]]))
+    witness = CipWitness.shared(wide, f, {(0, z): 0.3 for z in range(5)})
+    with pytest.raises(DomainError, match="witness locals must live on psi's grid"):
+        cip_verify(psi, witness, eps=0.5)
     # the same points on another grid object are psi's grid
     same = Corr.constant(space, line_grid(5), PointSet.of(1, [[0.5]]))
     witness = CipWitness.shared(same.grid, same, {(0, z): 0.3 for z in range(5)})
     assert cip_verify(psi, witness, eps=0.5).ok
+
+
+@pytest.mark.parametrize("t", [-1, 2, 1.0, np.float64(0.0), "0", None])
+def test_semicontinuity_checks_reject_an_atom_outside_the_table(t):
+    space = AtomSpace(("a", "b"), [1.0, 1.0])
+    psi = Corr.constant(space, line_grid(5), PointSet.of(1, [[0.0], [1.0]]))
+    for check in (lsc_check, usc_check):
+        with pytest.raises(DomainError, match=re.escape(f"atom {t!r} is outside [0, 2)")):
+            check(psi, t, 0.5)
+        assert check(psi, np.int64(1), 0.5).ok
 
 
 def test_cip_rejects_a_local_with_fewer_atoms():
@@ -1207,9 +1226,9 @@ def _ordered_rows(rng, kind, grid):
 @pytest.mark.parametrize("chunk", [16, 64, 1 << 18])
 @pytest.mark.parametrize("kind", ["lattice", "signed-zero", "tiny", "scaled"])
 def test_ordered_gaps_match_pair_loop_reference(kind, chunk, monkeypatch):
-    """The 1-D kernel gives the pair loop's gaps and the first farthest
-    source point's row, with == , chunk by chunk (GAP_CHUNK // 16 source
-    points per chunk, so 16 forces one pair per chunk)."""
+    """The 1-D kernel gives the pair loop's gaps, with == , chunk by
+    chunk (GAP_CHUNK // 16 source points per chunk, so 16 forces one
+    pair per chunk)."""
     monkeypatch.setattr(corr, "GAP_CHUNK", chunk)
     rng = np.random.default_rng(len(kind) * chunk)
     checked = 0
@@ -1218,16 +1237,12 @@ def test_ordered_gaps_match_pair_loop_reference(kind, chunk, monkeypatch):
             psi = _ordered_rows(rng, kind, grid)
             pi, pj = grid.directed_pair_arrays()
             for t in range(2):
-                gaps, far = psi.directed_gaps()[t], psi.farthest_rows()[t]
+                gaps = psi.directed_gaps()[t]
                 want = _pair_loop_gaps(psi, t)
                 assert np.array_equal(gaps, want, equal_nan=True)
                 assert np.array_equal(np.signbit(gaps), np.signbit(want))
-                for k in np.flatnonzero(far >= 0):
-                    a, b = psi.value(t, pi[k]), psi.value(t, pj[k])
-                    first = np.argmax(_cross_dists(a.points, b.points).min(axis=1))
-                    assert far[k] == psi.bounds[t, pi[k], 0] + first
-                    assert np.array_equal(psi.points[far[k]], _lost_point(a, b))
-                    checked += 1
+                measured = (psi.bounds[t, pi] != psi.bounds[t, pj]).any(axis=1)
+                checked += np.count_nonzero(measured & ~np.isnan(gaps))
     assert checked > 50
 
 
@@ -1257,7 +1272,7 @@ def test_ordered_gaps_peak_memory_within_padded_path():
     def peak(points):
         tracemalloc.start()
         try:
-            corr._packed_gaps(points, bounds, pi, pj)
+            corr._packed_gaps(points, bounds, pi[:len(pi) // 2], pj[:len(pj) // 2])
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1284,9 +1299,8 @@ def _shared_rows(rng, dim, grid):
 @pytest.mark.parametrize("chunk", [16, 1 << 18])
 @pytest.mark.parametrize("dim", [1, 2])
 def test_gaps_of_shared_segments_match_pair_loop_reference(dim, chunk, monkeypatch):
-    """Cells sharing a few segments give the pair loop's gaps, -1 as the
-    farthest row exactly where the gap is NaN or both ends share a
-    segment, and otherwise the first farthest source point's row."""
+    """Cells sharing a few segments give the pair loop's gaps, 0.0
+    wherever both ends share a segment."""
     monkeypatch.setattr(corr, "GAP_CHUNK", chunk)
     rng = np.random.default_rng(10 * dim + chunk.bit_length())
     checked = 0
@@ -1295,25 +1309,20 @@ def test_gaps_of_shared_segments_match_pair_loop_reference(dim, chunk, monkeypat
         for _ in range(4):
             psi = _shared_rows(rng, dim, grid)
             for t in range(2):
-                gaps, far = psi.directed_gaps()[t], psi.farthest_rows()[t]
+                gaps = psi.directed_gaps()[t]
                 assert np.array_equal(gaps, _pair_loop_gaps(psi, t), equal_nan=True)
                 shared = (psi.bounds[t, pi] == psi.bounds[t, pj]).all(axis=1)
-                assert np.array_equal(far < 0, np.isnan(gaps) | shared)
-                for k in np.flatnonzero(far >= 0):
-                    a, b = psi.value(t, pi[k]), psi.value(t, pj[k])
-                    first = np.argmax(_cross_dists(a.points, b.points).min(axis=1))
-                    assert far[k] == psi.bounds[t, pi[k], 0] + first
-                    checked += 1
+                assert (gaps[shared & ~np.isnan(gaps)] == 0.0).all()
+                checked += np.count_nonzero(~np.isnan(gaps) & ~shared)
     assert checked > 200
 
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_one_segment_table_gaps_skip_keying_and_kernels(dim, monkeypatch):
     """A table whose nonempty cells all hold one segment, an empty cell
-    included, reads the gaps and farthest rows of the keyed path without
-    sorting a key or running a kernel.  The keyed path is forced by one
-    more, unreferenced row of bounds: it keys every live pair to the
-    diagonal."""
+    included, reads the gaps of the keyed path without sorting a key or
+    running a kernel.  The keyed path is forced by one more,
+    unreferenced row of bounds: it keys every live pair to the diagonal."""
     rng = np.random.default_rng(dim)
     grid = GridSpace(rng.uniform(size=(20, 2)))
     value = PointSet.of(dim, rng.uniform(size=(4, dim)))
@@ -1323,8 +1332,7 @@ def test_one_segment_table_gaps_skip_keying_and_kernels(dim, monkeypatch):
     pi, pj = grid.directed_pair_arrays()
     rows = np.arange(2 * len(grid)).reshape(2, -1)
     src, dst = rows[:, pi[:len(pi) // 2]].ravel(), rows[:, pj[:len(pj) // 2]].ravel()
-    keyed = corr._packed_gaps(psi.points, np.vstack([bounds.reshape(-1, 2), [[0, 1]]]),
-                              np.concatenate([src, dst]), np.concatenate([dst, src]))
+    keyed = corr._packed_gaps(psi.points, np.vstack([bounds.reshape(-1, 2), [[0, 1]]]), src, dst)
 
     def forbidden(*_, **__):
         raise AssertionError("the one-segment table was keyed or measured")
@@ -1332,13 +1340,12 @@ def test_one_segment_table_gaps_skip_keying_and_kernels(dim, monkeypatch):
     for name in ("_ordered_gaps", "_padded_gaps"):
         monkeypatch.setattr(corr, name, forbidden)
     monkeypatch.setattr(np, "unique", forbidden)
-    gaps, far = psi.directed_gaps(), psi.farthest_rows()
+    gaps = psi.directed_gaps()
     monkeypatch.undo()
-    for got, want in ((gaps, keyed[0]), (far, keyed[1])):
-        # (directions, atoms, pairs) -> (atoms, directions * pairs), as _cache_gaps lays out
-        want = want.reshape(2, 2, -1).transpose(1, 0, 2).reshape(2, -1)
-        assert got.tobytes() == want.tobytes()
-    assert (gaps[0] == 0.0).all() and np.isnan(gaps[1]).any() and (far == -1).all()
+    # (directions, atoms, pairs) -> (atoms, directions * pairs), as _cache_gaps lays out
+    want = keyed.reshape(2, 2, -1).transpose(1, 0, 2).reshape(2, -1)
+    assert gaps.tobytes() == want.tobytes()
+    assert (gaps[0] == 0.0).all() and np.isnan(gaps[1]).any()
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -1377,24 +1384,21 @@ def test_gap_kernel_measures_each_distinct_segment_pair_once(dim, monkeypatch):
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_closed_form_gaps_match_the_kernels(dim, monkeypatch):
     """A pair of two single points, measured in closed form, gets the
-    kernel's gaps and farthest rows bit for bit, in one call with pairs
-    that do reach the kernel; a table of one segment gets 0.0 and -1 on
-    every live pair with no kernel call."""
+    kernel's gaps bit for bit, in one call with pairs that do reach the
+    kernel; a table of one segment gets 0.0 on every live pair with no
+    kernel call."""
     rng = np.random.default_rng(dim)
     points = np.vstack([rng.normal(size=(30, dim)) * 10.0 ** rng.integers(-3, 4, size=(30, 1)),
                         rng.integers(-3, 4, size=(30, dim)) * 0.25])
     bounds = np.vstack([np.column_stack([np.arange(60), np.arange(1, 61)]),
                         [[0, 5], [10, 12], [40, 50], [7, 7]]])
     src, dst = rng.integers(0, len(bounds), size=(2, 400))
-    gaps, far = corr._packed_gaps(points, bounds, np.concatenate([src, dst]),
-                                  np.concatenate([dst, src]))
+    gaps = corr._packed_gaps(points, bounds, src, dst)
     counts = bounds[:, 1] - bounds[:, 0]
     live = (counts[src] > 0) & (counts[dst] > 0) & (src != dst)
     kernel = corr._ordered_gaps if dim == 1 else corr._padded_gaps
-    want_gaps, want_far = kernel(points, bounds, src[live], dst[live])
-    at = np.concatenate([np.flatnonzero(live), np.flatnonzero(live) + len(src)])
     assert ((counts[src] == 1) & (counts[dst] == 1) & live).sum() > 300
-    assert np.array_equal(gaps[at], want_gaps) and np.array_equal(far[at], want_far)
+    assert np.array_equal(gaps[:, live], kernel(points, bounds, src[live], dst[live]))
 
     def refuse(*args):
         raise AssertionError("a one-segment table reached the kernel")
@@ -1404,7 +1408,7 @@ def test_closed_form_gaps_match_the_kernels(dim, monkeypatch):
     space, grid = AtomSpace(("a", "b"), [0.5, 0.5]), line_grid(7)
     for size in (1, 3):
         f = Corr.constant(space, grid, PointSet.of(dim, rng.normal(size=(size, dim))))
-        assert (f.directed_gaps() == 0.0).all() and (f.farthest_rows() == -1).all()
+        assert (f.directed_gaps() == 0.0).all()
     assert np.isnan(Corr.constant(space, grid, PointSet.empty(dim)).directed_gaps()).all()
 
 
@@ -1413,8 +1417,7 @@ def test_single_point_pairs_are_measured_before_keying(dim, monkeypatch):
     """A glued table gives every domain cell its own single point: those
     pairs are measured before keying, so no pair of two single-point
     rows reaches a kernel, and only the pairs with a longer row are
-    keyed.  Every gap and farthest row matches a per-pair cross-distance
-    reference."""
+    keyed.  Every gap matches a per-pair cross-distance reference."""
     rng = np.random.default_rng(dim)
     grid = GridSpace(rng.uniform(size=(40, 2)))
     on = rng.uniform(size=(2, len(grid))) < 0.7
@@ -1436,7 +1439,7 @@ def test_single_point_pairs_are_measured_before_keying(dim, monkeypatch):
         monkeypatch.setattr(corr, name, recording)
     unique = np.unique
     monkeypatch.setattr(np, "unique", lambda a, **kw: keyed.append(len(a)) or unique(a, **kw))
-    gaps, far = psi.directed_gaps(), psi.farthest_rows()
+    gaps = psi.directed_gaps()
     monkeypatch.undo()
     count = psi.counts
     live = (count[:, pi] > 0) & (count[:, pj] > 0)
@@ -1448,12 +1451,11 @@ def test_single_point_pairs_are_measured_before_keying(dim, monkeypatch):
     for t in range(2):
         for k in range(len(pi)):
             if not live[t, k]:
-                assert np.isnan(gaps[t, k]) and far[t, k] == -1
+                assert np.isnan(gaps[t, k])
                 continue
             a, b = bounds[t, pi[k]], bounds[t, pj[k]]
             near = _cross_dists(points[a[0]:a[1]], points[b[0]:b[1]]).min(axis=1)
             assert gaps[t, k] == near.max()
-            assert far[t, k] == (-1 if (a == b).all() else a[0] + near.argmax())
 
 
 def _old_pair_arrays(grid):
@@ -1592,6 +1594,34 @@ def test_semicontinuity_violations_match_per_pair_reference():
     assert seen > 100
 
 
+def test_witness_points_are_found_only_for_reported_violations(monkeypatch):
+    """The gap tables hold gaps only: verifying, gluing, selecting and
+    the cell-constancy tests never measure a witness point, and
+    lsc_check and usc_check measure one pair per violation they report."""
+    calls = []
+    cross = corr._cross_dists
+    monkeypatch.setattr(corr, "_cross_dists", lambda a, b: calls.append(len(a)) or cross(a, b))
+    rng = np.random.default_rng(5)
+    for seed in range(6):
+        inst = random_cip_instance(np.random.default_rng(seed))
+        inst.psi.directed_gaps()
+        cip_verify(inst.psi, inst.witness, eps=inst.eps)
+        cell_varying([inst.psi], inst.part)
+        caratheodory_select(inst.psi, inst.witness, inst.part, eps=inst.eps, restarts=2)
+    assert calls == []
+    reported = 0
+    for dim in (1, 2):
+        psi = _random_rows(rng, dim, GridSpace(rng.uniform(size=(15, 2))))
+        for t in range(len(psi.space)):
+            for check in (lsc_check, usc_check):
+                for eps in (1e-3, 0.5, 1e9):
+                    calls.clear()
+                    report = check(psi, t, eps)
+                    assert len(calls) == len(report.violations)
+                    reported += len(calls)
+    assert reported > 20
+
+
 def _segment_pool_reference(psi, w, take=None):
     """pool_captured as it ran before the interior points came from the
     locals' cached segment margins: take applied once per distinct
@@ -1703,8 +1733,8 @@ def test_witness_family_kernel_call_budget(monkeypatch):
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_family_gap_caches_match_fresh_tables(dim):
     """After cip_verify fills the caches of all locals in one pass, each
-    local's gaps, farthest rows and l.s.c. violation points equal those
-    of a fresh copy of it that computes its own, bit for bit."""
+    local's gaps and l.s.c. violation points equal those of a fresh copy
+    of it that computes its own, bit for bit."""
     psi, w = _countable_family(dim, dim)
     cip_verify(psi, w, eps=0.3)
     nan = shared = lost = 0
@@ -1712,13 +1742,12 @@ def test_family_gap_caches_match_fresh_tables(dim):
         assert "_gap_cache" in f.__dict__
         fresh = Corr(f.space, f.grid, f.dim, f.points, f.bounds)
         for t in range(len(f.space)):
-            gaps, far = f.directed_gaps()[t], f.farthest_rows()[t]
+            gaps = f.directed_gaps()[t]
             assert np.array_equal(gaps, fresh.directed_gaps()[t], equal_nan=True)
-            assert np.array_equal(far, fresh.farthest_rows()[t])
             report = lsc_check(f, t, 0.3)
             _same_report(report, lsc_check(fresh, t, 0.3))
             nan += np.isnan(gaps).sum()
-            shared += ((gaps == 0.0) & (far == -1)).sum()
+            shared += (gaps == 0.0).sum()
             lost += len(report.violations)
     assert nan and shared and lost
 

@@ -285,7 +285,7 @@ def test_maximal_element_measurability_counts_match_per_cell_reference(seed):
 def test_measurability_checks_measure_a_repeated_table_once(monkeypatch):
     # a canonical witness's local is the preference table itself: the
     # measurability calls of maximal_element and _inputs_cell_constant
-    # send its 2 non-head atoms x 6 nodes x 2 directions = 24 pairs, not 48
+    # send its 2 non-head atoms x 6 nodes = 12 pairs, not 24
     space = AtomSpace(tuple(f"a{k}" for k in range(4)), [1.0] * 4)
     grid = line_grid(6)
     part = InfoPartition(space, ((0, 2), (1, 3)))
@@ -296,11 +296,11 @@ def test_measurability_checks_measure_a_repeated_table_once(monkeypatch):
     pairs = []
     packed = carasel.corr._packed_gaps
     monkeypatch.setattr(carasel.corr, "_packed_gaps",
-                        lambda points, bounds, pi, pj: pairs.append(len(pi))
-                        or packed(points, bounds, pi, pj))
+                        lambda points, bounds, a, b: pairs.append(len(a))
+                        or packed(points, bounds, a, b))
     res = maximal_element(p, w, part, run_selection=False)
     assert _inputs_cell_constant(p, w, part)
-    assert pairs == [24, 24]
+    assert pairs == [12, 12]
     assert _check(res.checks, "preference-measurability") == 0
     assert _check(res.checks, "witness-measurability") == 0
 

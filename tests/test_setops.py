@@ -31,6 +31,7 @@ from carasel.setops import (
     _as_points,
     _cross_dists,
     _dedup,
+    _distinct_segments,
     _nearest_in_hulls,
     _padded_rows,
     _project_to_intervals,
@@ -726,6 +727,26 @@ def test_pointset_of_keeps_its_own_copy():
 def test_convex_set_needs_a_vertex():
     with pytest.raises(DomainError):
         ConvexSet(1, np.zeros((0, 1)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_distinct_segments_match_unique_rows(seed):
+    # random [start, stop) rows into size points, repeated, empty and
+    # ending at size included, then no rows at all: the sorted distinct
+    # rows and each row's index are np.unique's along axis 0
+    rng = np.random.default_rng(seed)
+    for size in (0, 1, 7, 1000):
+        start = rng.integers(0, size + 1, size=int(rng.integers(0, 60)))
+        stop = np.minimum(size, start + rng.integers(0, 4, size=len(start)))
+        segs = np.column_stack([start, stop])
+        segs = np.vstack([segs, segs[rng.integers(0, len(segs), size=len(segs) // 2)]])
+        for rows in (segs, segs[:0]):
+            got, index = _distinct_segments(rows, size)
+            want, inverse = np.unique(rows.reshape(-1, 2), axis=0, return_inverse=True)
+            assert got.dtype == want.dtype and got.shape == want.reshape(-1, 2).shape
+            assert np.array_equal(got, want.reshape(-1, 2))
+            assert np.array_equal(index, inverse.ravel()) and index.ndim == 1
+            assert np.array_equal(got[index], rows)
 
 
 def _solve_blocks_reference(K, rhs):
