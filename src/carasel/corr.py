@@ -127,6 +127,42 @@ class GridSpace:
             object.__setattr__(self, "_pair_arrays", cached)
         return cached
 
+    def neighbour_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(nodes, near, dist): the nodes with an adjacent pair, ascending,
+        and the (max degree, nodes) _neighbour_table of their neighbours
+        and distances over directed_pair_arrays, padded with len(self)
+        and 1.0.  Cached and read-only: every R^1 least-modulus selection
+        on this grid reads the one table."""
+        cached = self.__dict__.get("_neighbours")
+        if cached is None:
+            pi, pj = self.directed_pair_arrays()
+            nodes, tables = _neighbour_table(pi, len(self), (pj, len(self)),
+                                             (self.metric[pi, pj], 1.0))
+            cached = (nodes, *tables)
+            for arr in cached:
+                arr.flags.writeable = False
+            object.__setattr__(self, "_neighbours", cached)
+        return cached
+
+
+def _neighbour_table(src: np.ndarray, n: int, *columns: tuple) -> tuple[np.ndarray, list]:
+    """The rows among n that the edges leave, ascending, and for each
+    (values, pad) in columns a (max degree, rows) table: entry [k, i] is
+    the value of the k-th edge out of the i-th such row, in edge order,
+    and pad past that row's degree."""
+    degree = np.bincount(src, minlength=n)
+    rows = np.flatnonzero(degree)
+    count = degree[rows]
+    order = np.argsort(src, kind="stable")
+    # the k-th edge out of rows[i] lands at flat place k * len(rows) + i
+    place = ((np.arange(len(src)) - np.repeat(np.cumsum(count) - count, count)) * len(rows)
+             + np.repeat(np.arange(len(rows)), count))
+    tables = []
+    for values, pad in columns:
+        tables.append(np.full((count.max(initial=0), len(rows)), pad))
+        tables[-1].ravel()[place] = values[order]
+    return rows, tables
+
 
 def _euclidean(pts: np.ndarray) -> np.ndarray:
     """The (n, n) Euclidean distances between the rows of pts, summed one
@@ -238,10 +274,20 @@ class Corr:
         farthest any point of the value at (t, source k) must travel to
         reach the value at (t, target k); NaN when either side is empty,
         0.0 when both ends share one segment.  The first call computes
-        the whole table in one _packed_gaps call, which measures each
-        distinct pair of segments once (two single points in closed form,
-        others by sorted rows in R^1 and padded blocks otherwise), however
-        many adjacent pairs of any atom join it.  Only gaps are kept:
+        the whole table in one _packed_gaps call, however many adjacent
+        pairs of any atom join each pair of segments.  In R^1 a pair of
+        two saturated values is measured in closed form: a value is
+        saturated when its distinct points are all the distinct points
+        of the table's nonempty cells inside its hull [lo, hi], so a
+        source point inside that hull is one of its points, at 0.0, and
+        one outside is nearest to the nearer end; as fl(a - b) is
+        monotone in a and b and fl(d * d) in |d|, the gap is the root of
+        the square of the larger overhang, max(lo_t - lo_s, hi_s - hi_t,
+        0.0), bit for bit the kernel's.  In any other dim two single
+        points are measured in closed form.  Every other distinct pair
+        of segments is measured once, by sorted rows in R^1 and padded
+        blocks otherwise.  A table whose nonempty cells all hold one
+        segment is read from its counts alone.  Only gaps are kept:
         lsc_check and usc_check find the point behind a gap they report.
         Cached (the table is immutable); cip_verify fills the caches of
         all witness locals in one such call (_cache_gaps)."""
@@ -314,13 +360,28 @@ def _cache_gaps(tables: list) -> None:
     """Fill the gap cache (Corr.directed_gaps) of every table on the
     first one's grid not yet cached, with one _packed_gaps call over
     every atom's adjacent pairs of all of them, each pair once.  A table
-    on another grid fills its own on first read."""
+    whose nonempty cells all hold one segment (a Corr.constant table,
+    say) is read from its counts alone: 0.0 on every live pair, NaN on
+    the others.  A table on another grid fills its own on first read."""
     todo = [f for f in dict.fromkeys(tables)
             if "_gap_cache" not in f.__dict__ and f.grid is tables[0].grid]
     if not todo:
         return
+    pi, pj = todo[0].grid.directed_pair_arrays()
+    for f in todo:
+        on = f.counts > 0
+        nonempty = f.bounds[on]
+        if (nonempty == nonempty[:1]).all():
+            gaps = np.zeros((len(on), len(pi)))
+            holes = ~on.all(axis=1)  # the atoms with an empty cell
+            gaps[holes] = np.where(on[holes][:, pi] & on[holes][:, pj], 0.0, np.nan)
+            gaps.flags.writeable = False
+            f.__dict__["_gap_cache"] = gaps
+    todo = [f for f in todo if "_gap_cache" not in f.__dict__]
+    if not todo:
+        return
     points, bounds = _stacked(todo)
-    pi, pj = (p[:len(p) // 2] for p in todo[0].grid.directed_pair_arrays())
+    pi, pj = pi[:len(pi) // 2], pj[:len(pj) // 2]
     rows = np.arange(bounds.size // 2).reshape(bounds.shape[:-1])
     gaps = _packed_gaps(points, bounds.reshape(-1, 2), rows[..., pi].ravel(), rows[..., pj].ravel())
     # (2, tables, atoms, half) -> (tables, atoms, 2 * half), forward halves first
@@ -337,26 +398,48 @@ def _packed_gaps(points: np.ndarray, bounds: np.ndarray, a: np.ndarray,
     bounds (see Corr.directed_gaps): row 0 from a[k] to b[k], row 1 back;
     NaN where either row is empty.
 
-    A live pair of two single-point rows is measured first, pair by
-    pair: its points x, y are sqrt(sum((x - y)^2)) apart as the kernels
-    compute it, 0.0 when both rows are one segment.  Every other live
-    pair is keyed by its two exact [start, stop) rows, unordered
-    (setops._distinct_segments), and each distinct key is measured once,
-    in both directions; equal keys name the same points, so the gaps
-    scatter back unchanged.  A pair of one row, a shared segment, is the
-    diagonal key: 0.0; only the other distinct keys reach the kernel
-    (_ordered_gaps in R^1, _padded_gaps otherwise).  When every nonempty
-    row is one segment (a Corr.constant table, say), every live pair is
-    that diagonal key, and the gaps are set without keying."""
-    out = np.full((2, len(a)), np.nan)
+    In R^1 every direction toward a saturated row is measured in closed
+    form, all at once (_saturated_ends): a row B is saturated when its
+    distinct values are all the distinct values of the nonempty rows of
+    bounds that lie in its hull [lo_B, hi_B].  A source value a inside
+    that hull is then a point of B, at (a - a)**2 = +0.0; a value below
+    lo_B is nearest to lo_B and one above hi_B to hi_B.  fl(a - b) is
+    monotone in a and b and fl(d * d) in |d|, so the gap from a row A is
+    the root of the square of the larger of lo_B - lo_A, hi_A - hi_B and
+    0.0 (_hull_gaps): the kernel's value, bit for bit and with its sign
+    of zero.  A single point is always saturated.  Only the directions
+    toward an unsaturated row are keyed, by their exact (source, target)
+    segment pair (setops._distinct_segments), and each distinct key is
+    measured once by _ordered_gaps; a direction within one segment is
+    the diagonal key: 0.0.
+
+    In any other dim a live pair of two single-point rows is measured in
+    closed form: its points x, y are sqrt(sum((x - y)^2)) apart as the
+    kernel computes it.  Every other live pair is keyed by its two
+    segments, unordered, and each distinct key is measured once, in both
+    directions, by _padded_gaps; the diagonal key reads 0.0.  Equal keys
+    name the same points, so the gaps scatter back unchanged."""
+    if not len(a):
+        return np.zeros((2, 0))
     counts = bounds[:, 1] - bounds[:, 0]
+    segs, seg = _distinct_segments(bounds, len(points))
+    if points.shape[1] == 1:
+        lo, hi, full = (end[seg] for end in _saturated_ends(points, segs))  # per row
+        out = _hull_gaps(lo[a], hi[a], lo[b], hi[b])
+        if full.all():
+            return out
+        src, dst = np.concatenate([a, b]), np.concatenate([b, a])  # out's entries, flat
+        on = counts > 0
+        need = np.flatnonzero(~full[dst] & on[src] & on[dst])
+        keys, key = np.unique(seg[src[need]] * len(segs) + seg[dst[need]], return_inverse=True)
+        u, v = np.divmod(keys, len(segs))
+        gap = np.zeros(len(keys))  # the diagonal stays 0.0
+        off = np.flatnonzero(u != v)
+        gap[off] = _ordered_gaps(points, segs, u[off], v[off])
+        out.ravel()[need] = gap[key]
+        return out
+    out = np.full((2, len(a)), np.nan)
     live = np.flatnonzero((counts[a] > 0) & (counts[b] > 0))
-    if not len(live):
-        return out
-    nonempty = bounds[counts > 0]
-    if (nonempty == nonempty[0]).all():
-        out[:, live] = 0.0
-        return out
     single = (counts[a[live]] == 1) & (counts[b[live]] == 1)
     pair = live[single]
     diff = points[bounds[a[pair], 0]] - points[bounds[b[pair], 0]]
@@ -364,18 +447,60 @@ def _packed_gaps(points: np.ndarray, bounds: np.ndarray, a: np.ndarray,
     live = live[~single]
     if not len(live):
         return out
-    segs, seg = _distinct_segments(bounds, len(points))
     sa, sb = seg[a[live]], seg[b[live]]
     keys, key = np.unique(np.minimum(sa, sb) * len(segs) + np.maximum(sa, sb), return_inverse=True)
     u, v = np.divmod(keys, len(segs))
     gap = np.zeros((2, len(keys)))  # u -> v, then v -> u; the diagonal stays 0.0
     off = np.flatnonzero(u != v)
     if len(off):
-        kernel = _ordered_gaps if points.shape[1] == 1 else _padded_gaps
-        gap[:, off] = kernel(points, segs, u[off], v[off])
+        gap[:, off] = _padded_gaps(points, segs, u[off], v[off])
     flip = (sa > sb).astype(int)
     out[0, live], out[1, live] = gap[flip, key], gap[1 - flip, key]
     return out
+
+
+def _saturated_ends(points: np.ndarray, segs: np.ndarray) -> tuple[np.ndarray, np.ndarray,
+                                                                   np.ndarray]:
+    """(lo, hi, full) of the [start, stop) rows of segs of the (P, 1)
+    points: each nonempty row's least and largest value, and whether it
+    is saturated, holding every distinct value of the nonempty rows of
+    segs that lies in [lo, hi].  An empty row reads NaN, NaN and True: a
+    closed-form gap to or from it is NaN, as _packed_gaps reports it.
+    One sort ranks the values of the nonempty rows (R distinct); the
+    exact int64 keys row * R + rank, sorted stably (linear on rows
+    already in order), list each row's ranks ascending, and a row is
+    saturated iff its distinct ranks run from its least to its largest
+    with none missing.  The ends are distinct values equal to the row's
+    own, up to the sign of a zero, which no squared difference keeps."""
+    size = segs[:, 1] - segs[:, 0]
+    filled = np.flatnonzero(size)
+    lo, hi, full = np.full(len(segs), np.nan), np.full(len(segs), np.nan), np.ones(len(segs), bool)
+    rows, first = _segment_rows(segs[filled])
+    distinct, rank = np.unique(points[rows, 0], return_inverse=True)
+    base = np.repeat(np.arange(len(filled)) * len(distinct), size[filled])
+    keys = base + rank.ravel()
+    keys.sort(kind="stable")
+    fresh = np.ones(len(keys), dtype=bool)  # the first entry of each distinct key
+    fresh[1:] = keys[1:] != keys[:-1]
+    least = keys[first] - base[first]
+    largest = keys[first + size[filled] - 1] - base[first]
+    lo[filled], hi[filled] = distinct[least], distinct[largest]
+    full[filled] = np.add.reduceat(fresh, first) == largest - least + 1
+    return lo, hi, full
+
+
+def _hull_gaps(lo_a: np.ndarray, hi_a: np.ndarray, lo_b: np.ndarray,
+               hi_b: np.ndarray) -> np.ndarray:
+    """The (2, pairs) one-sided gaps between R^1 rows with ends (lo_a,
+    hi_a) and (lo_b, hi_b), both saturated (see _packed_gaps): row 0 the
+    root of the square of max(lo_b - lo_a, hi_a - hi_b, 0.0), row 1 of
+    max(lo_a - lo_b, hi_b - hi_a, 0.0).  Squaring is monotone in |d|, so
+    this is the larger square; NaN ends give NaN, as max carries it."""
+    out = np.empty((2, len(lo_a)))
+    np.maximum(lo_b - lo_a, hi_a - hi_b, out=out[0])
+    np.maximum(lo_a - lo_b, hi_b - hi_a, out=out[1])
+    np.maximum(out, 0.0, out=out)
+    return np.sqrt(np.multiply(out, out, out=out), out=out)
 
 
 def _padded_gaps(points: np.ndarray, bounds: np.ndarray, src: np.ndarray,
@@ -407,18 +532,18 @@ def _padded_gaps(points: np.ndarray, bounds: np.ndarray, src: np.ndarray,
 
 def _ordered_gaps(points: np.ndarray, bounds: np.ndarray, src: np.ndarray,
                   dst: np.ndarray) -> np.ndarray:
-    """_packed_gaps' kernel in R^1 for the pairs (src[k], dst[k]) of
-    nonempty rows of bounds, in the layout of _padded_gaps.  Each row is
-    sorted once by the exact int64 key row * R + rank (R distinct
-    values), and a source value's nearest target value is one of the two
-    around its searchsorted place: fl(a - b) is monotone in b and
-    fl(d * d) in |d|, so that is the full block's minimum, bit for bit;
-    the one square root follows the max, as in _padded_gaps."""
+    """_packed_gaps' kernel in R^1: the one-sided gap of every src[k] ->
+    dst[k], pairs of nonempty rows of bounds.  Each row is sorted once by
+    the exact int64 key row * R + rank (R distinct values), and a source
+    value's nearest target value is one of the two around its
+    searchsorted place: fl(a - b) is monotone in b and fl(d * d) in |d|,
+    so that is the full block's minimum, bit for bit; the one square
+    root follows the max, as in _padded_gaps."""
     x = points[:, 0]
-    src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
     gaps = np.empty(len(src))
     counts = np.zeros(len(bounds), dtype=int)
-    counts[src] = bounds[src, 1] - bounds[src, 0]  # src now holds every dst row too
+    for r in (src, dst):
+        counts[r] = bounds[r, 1] - bounds[r, 0]
     rows, first = _segment_rows(np.column_stack([bounds[:, 0], bounds[:, 0] + counts]))
     distinct, rank = np.unique(x[rows], return_inverse=True)
     keys = np.repeat(np.arange(len(bounds)), counts) * len(distinct) + rank
@@ -434,7 +559,7 @@ def _ordered_gaps(points: np.ndarray, bounds: np.ndarray, src: np.ndarray,
         near = np.minimum((x[rows[flat]] - ordered[np.clip(pos - 1, lo, hi)]) ** 2,
                           (x[rows[flat]] - ordered[np.clip(pos, lo, hi)]) ** 2)
         gaps[i:j] = np.sqrt(np.maximum.reduceat(near, begin))
-    return gaps.reshape(2, -1)
+    return gaps
 
 
 def domain(psi: Corr) -> frozenset:

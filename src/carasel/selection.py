@@ -20,6 +20,7 @@ from .corr import (
     GridSpace,
     SET_EQUALITY_TOL,
     _absorbed,
+    _neighbour_table,
     _residuals,
     _segments,
     capture_matrix,
@@ -215,25 +216,6 @@ def _modulus(x: np.ndarray, edges: tuple) -> float:
     return float((gaps / dist[positive]).max(initial=0.0))
 
 
-def _neighbour_table(src: np.ndarray, n: int, *columns: tuple) -> tuple[np.ndarray, list]:
-    """The rows among n that the edges leave, ascending, and for each
-    (values, pad) in columns a (max degree, rows) table: entry [k, i] is
-    the value of the k-th edge out of the i-th such row, in edge order,
-    and pad past that row's degree."""
-    degree = np.bincount(src, minlength=n)
-    rows = np.flatnonzero(degree)
-    count = degree[rows]
-    order = np.argsort(src, kind="stable")
-    # the k-th edge out of rows[i] lands at flat place k * len(rows) + i
-    place = ((np.arange(len(src)) - np.repeat(np.cumsum(count) - count, count)) * len(rows)
-             + np.repeat(np.arange(len(rows)), count))
-    tables = []
-    for values, pad in columns:
-        tables.append(np.full((count.max(initial=0), len(rows)), pad))
-        tables[-1].ravel()[place] = values[order]
-    return rows, tables
-
-
 def _envelope(top: np.ndarray, rows: np.ndarray, near: np.ndarray, dist: np.ndarray,
               slope: np.ndarray, paths: bool = False) -> tuple[np.ndarray, ...]:
     """The least u <= top with u_i <= u_j + slope_i * d(i, j) for every
@@ -290,18 +272,16 @@ def _least_modulus(points: np.ndarray, segs: np.ndarray, atom: np.ndarray, node:
     rounding leaves at L ends the loop.
 
     The envelopes live in an (atoms, nodes + 1) block, +inf off the
-    cells, and relax over the grid's _neighbour_table: a cell's column
-    lists the block places of its node's neighbours in its atom's row,
-    the padding the last column.  Returns (cells, 1) points clipped into
-    their intervals and L per atom, atoms ascending."""
+    cells, and relax over the grid's cached neighbour_table: a cell's
+    column lists the block places of its node's neighbours in its atom's
+    row, the padding the last column (+inf, so its distance 1.0 never
+    counts).  Returns (cells, 1) points clipped into their intervals and
+    L per atom, atoms ascending."""
     lo, hi = _interval_ends(points, segs)
     rank = np.cumsum(np.diff(atom, prepend=-1) > 0) - 1  # atoms ascend over the cells
     width = len(grid) + 1
     cell = rank * width + node  # each cell's place in the block
-    pi, pj = grid.directed_pair_arrays()
-    # a padding entry reads +inf, so any positive distance serves it
-    nodes, (near, dist) = _neighbour_table(pi, len(grid), (pj, len(grid)),
-                                           (grid.metric[pi, pj], 1.0))
+    nodes, near, dist = grid.neighbour_table()
     column = np.full(len(grid), -1)
     column[nodes] = np.arange(len(nodes))
     inner = np.flatnonzero(column[node] >= 0)  # the cells whose node has neighbours

@@ -1149,6 +1149,20 @@ def _pair_loop_gaps(psi, t):
     return out
 
 
+def _saturated_cells(psi):
+    """Boolean (atoms, nodes) table of the R^1 cells whose distinct values
+    are all the distinct values of psi's nonempty cells inside their
+    hull, False where empty: the saturation rule, by Python sets."""
+    x = psi.points[:, 0].tolist()
+    table = {v for s, e in psi.bounds[psi.counts > 0].tolist() for v in x[s:e]}
+    full = np.zeros(psi.counts.shape, dtype=bool)
+    for t, z in np.argwhere(psi.counts > 0).tolist():
+        s, e = psi.bounds[t, z].tolist()
+        values = set(x[s:e])
+        full[t, z] = values == {v for v in table if min(values) <= v <= max(values)}
+    return full
+
+
 def _random_rows(rng, dim, grid):
     """Two atoms of values with 0-8 points at scales 1e-3..1e3, empty
     values, and one PointSet object shared by several nodes."""
@@ -1246,6 +1260,96 @@ def test_ordered_gaps_match_pair_loop_reference(kind, chunk, monkeypatch):
     assert checked > 50
 
 
+def _saturation_rows(rng, kind, grid):
+    """An R^1 table built with Corr(...) from rows over a lattice of
+    values of the given kind: runs of consecutive lattice values,
+    repeated and shuffled, which are saturated unless another row holds
+    a value inside their hull that they lack; runs that skip every other
+    value; and runs with a midpoint added off the lattice, so nearest
+    distances tie.  Cells draw from these rows, some laid out twice, and
+    about a fifth are empty."""
+    if kind == "signed-zero":
+        lattice = np.array([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0])
+    else:
+        lattice = np.arange(-4, 5) * (1e-200 if kind == "tiny" else 0.5)
+    half = (lattice[1] - lattice[0]) / 2
+    rows = []
+    for _ in range(8):
+        i = int(rng.integers(0, len(lattice)))
+        run = lattice[i:int(rng.integers(i + 1, len(lattice) + 1))]
+        u = rng.uniform()
+        if u < 0.6:
+            rows.append(rng.permutation(np.repeat(run, rng.integers(1, 3, size=len(run)))))
+        elif u < 0.8:
+            rows.append(run[::2])
+        else:
+            rows.append(np.append(run, run[-1] - half))
+    rows += rows[:2]  # equal values in distinct segments
+    segs = _segments(np.array([len(r) for r in rows]))
+    bounds = segs[rng.integers(0, len(segs), size=(2, len(grid)))]
+    bounds[rng.uniform(size=(2, len(grid))) < 0.2] = [0, 0]
+    return Corr(AtomSpace(("a", "b"), [0.5, 0.5]), grid, 1,
+                np.concatenate(rows).reshape(-1, 1), bounds)
+
+
+@pytest.mark.parametrize("kind", ["lattice", "signed-zero", "tiny"])
+def test_saturated_row_gaps_match_pair_loop_reference(kind, monkeypatch):
+    """R^1 tables mixing saturated and unsaturated rows, with repeated
+    values in a row, +-0.0, 1e-200 steps and tied nearest distances,
+    give the pair loop's gaps, with == and the same sign bits, both in
+    the directions toward a saturated row, measured in closed form, and
+    in those that reach _ordered_gaps."""
+    kernel_pairs = []
+
+    def recording(points, bounds, src, dst, kernel=corr._ordered_gaps):
+        kernel_pairs.append(len(src))
+        return kernel(points, bounds, src, dst)
+
+    monkeypatch.setattr(corr, "_ordered_gaps", recording)
+    rng = np.random.default_rng(len(kind))
+    closed = open_ = 0  # directions toward a saturated row, and toward another
+    for grid in (line_grid(25), GridSpace(rng.uniform(size=(20, 2)))):
+        pi, pj = grid.directed_pair_arrays()
+        for _ in range(6):
+            psi = _saturation_rows(rng, kind, grid)
+            full = _saturated_cells(psi)
+            live = (psi.counts[:, pi] > 0) & (psi.counts[:, pj] > 0)
+            closed += np.count_nonzero(live & full[:, pj])
+            open_ += np.count_nonzero(live & ~full[:, pj])
+            for t in range(2):
+                gaps, want = psi.directed_gaps()[t], _pair_loop_gaps(psi, t)
+                assert np.array_equal(gaps, want, equal_nan=True)
+                assert np.array_equal(np.signbit(gaps), np.signbit(want))
+    assert closed > 100 and open_ > 100 and sum(kernel_pairs) > 0
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_concave_preference_gaps_skip_keying_and_kernel(seed, monkeypatch):
+    """A concave payoff makes every improvement set a run of consecutive
+    own-grid nodes, so every nonempty cell of a pref_from_payoff table
+    is saturated: its gaps, the pair loop's, come from the closed form
+    alone, with no pair key sorted and no _ordered_gaps call."""
+    def refuse(*_):
+        raise AssertionError("a saturated pair reached the R^1 kernel")
+
+    rng = np.random.default_rng(seed)
+    g, _, _ = _quadratic_game(rng, int(rng.integers(5, 16)), ((0,), (1, 2)))
+    for i in range(2):
+        p = pref_from_payoff(g, i)
+        assert _saturated_cells(p)[p.counts > 0].all()
+        sorts, unique = [], np.unique
+        monkeypatch.setattr(np, "unique", lambda a, **kw: sorts.append(len(a)) or unique(a, **kw))
+        monkeypatch.setattr(corr, "_ordered_gaps", refuse)
+        gaps = p.directed_gaps()
+        monkeypatch.undo()
+        segs = p.segment_index()[0]
+        assert len(segs) > 1 and (p.counts == 0).any()
+        # the segment codes of every row, then the values of the distinct rows
+        assert sorts == [p.counts.size, (segs[:, 1] - segs[:, 0]).sum()]
+        for t in range(len(p.space)):
+            assert np.array_equal(gaps[t], _pair_loop_gaps(p, t), equal_nan=True)
+
+
 def test_ordered_gaps_form_no_padded_block(monkeypatch):
     def padded(*_):
         raise AssertionError("the 1-D gap kernel padded its rows")
@@ -1320,9 +1424,11 @@ def test_gaps_of_shared_segments_match_pair_loop_reference(dim, chunk, monkeypat
 @pytest.mark.parametrize("dim", [1, 2])
 def test_one_segment_table_gaps_skip_keying_and_kernels(dim, monkeypatch):
     """A table whose nonempty cells all hold one segment, an empty cell
-    included, reads the gaps of the keyed path without sorting a key or
-    running a kernel.  The keyed path is forced by one more,
-    unreferenced row of bounds: it keys every live pair to the diagonal."""
+    included, reads the gaps of the general path from its counts alone,
+    without stacking the table, sorting a key or running a kernel.  The
+    general path is forced by one more, unreferenced row of bounds: it
+    keys every live pair to the diagonal, or in R^1 finds every row
+    saturated and measures each pair in closed form."""
     rng = np.random.default_rng(dim)
     grid = GridSpace(rng.uniform(size=(20, 2)))
     value = PointSet.of(dim, rng.uniform(size=(4, dim)))
@@ -1337,7 +1443,7 @@ def test_one_segment_table_gaps_skip_keying_and_kernels(dim, monkeypatch):
     def forbidden(*_, **__):
         raise AssertionError("the one-segment table was keyed or measured")
 
-    for name in ("_ordered_gaps", "_padded_gaps"):
+    for name in ("_ordered_gaps", "_padded_gaps", "_packed_gaps", "_stacked"):
         monkeypatch.setattr(corr, name, forbidden)
     monkeypatch.setattr(np, "unique", forbidden)
     gaps = psi.directed_gaps()
@@ -1351,15 +1457,17 @@ def test_one_segment_table_gaps_skip_keying_and_kernels(dim, monkeypatch):
 @pytest.mark.parametrize("dim", [1, 2])
 def test_gap_kernel_measures_each_distinct_segment_pair_once(dim, monkeypatch):
     """The kernel behind directed_gaps runs once per table, on the first
-    read, and receives every pair of distinct segments that a
-    live adjacent pair of any atom joins, each exactly once in either
-    order, except pairs of two single points, and no pair of one
-    segment."""
+    read, and receives every pair of distinct segments that a live
+    adjacent pair of any atom joins, each exactly once, except the
+    pairs measured in closed form, and no pair of one segment.  In R^1
+    a pair is one direction, source then target, and only a direction
+    toward an unsaturated target reaches the kernel; otherwise a pair is
+    unordered, and only pairs of two single points are left out."""
     calls = []
     for name in ("_ordered_gaps", "_padded_gaps"):
         def recording(points, bounds, src, dst, kernel=getattr(corr, name)):
-            calls.append([tuple(sorted(pair)) for pair in zip(map(tuple, bounds[src].tolist()),
-                                                              map(tuple, bounds[dst].tolist()))])
+            pairs = zip(map(tuple, bounds[src].tolist()), map(tuple, bounds[dst].tolist()))
+            calls.append([pair if dim == 1 else tuple(sorted(pair)) for pair in pairs])
             return kernel(points, bounds, src, dst)
 
         monkeypatch.setattr(corr, name, recording)
@@ -1372,10 +1480,13 @@ def test_gap_kernel_measures_each_distinct_segment_pair_once(dim, monkeypatch):
             psi.directed_gaps()[t]
         a, b = psi.bounds[:, pi], psi.bounds[:, pj]
         live = (psi.counts[:, pi] > 0) & (psi.counts[:, pj] > 0) & (a != b).any(axis=-1)
-        points = (psi.counts[:, pi] == 1) & (psi.counts[:, pj] == 1)
-        want = {tuple(sorted(pair)) for pair in zip(map(tuple, a[live & ~points].tolist()),
-                                                     map(tuple, b[live & ~points].tolist()))}
-        assert (live & points).any()
+        if dim == 1:  # pi, pj list each pair in both directions
+            closed, key = _saturated_cells(psi)[:, pj], tuple
+        else:
+            closed, key = (psi.counts[:, pi] == 1) & (psi.counts[:, pj] == 1), sorted
+        want = {tuple(key(pair)) for pair in zip(map(tuple, a[live & ~closed].tolist()),
+                                                  map(tuple, b[live & ~closed].tolist()))}
+        assert (live & closed).any()
         assert len(calls) == 1
         assert len(calls[0]) == len(want) < live.sum() // 2
         assert set(calls[0]) == want
@@ -1396,9 +1507,13 @@ def test_closed_form_gaps_match_the_kernels(dim, monkeypatch):
     gaps = corr._packed_gaps(points, bounds, src, dst)
     counts = bounds[:, 1] - bounds[:, 0]
     live = (counts[src] > 0) & (counts[dst] > 0) & (src != dst)
-    kernel = corr._ordered_gaps if dim == 1 else corr._padded_gaps
     assert ((counts[src] == 1) & (counts[dst] == 1) & live).sum() > 300
-    assert np.array_equal(gaps[:, live], kernel(points, bounds, src[live], dst[live]))
+    if dim == 1:  # one direction per call
+        want = np.stack([corr._ordered_gaps(points, bounds, s[live], d[live])
+                         for s, d in ((src, dst), (dst, src))])
+    else:
+        want = corr._padded_gaps(points, bounds, src[live], dst[live])
+    assert np.array_equal(gaps[:, live], want)
 
     def refuse(*args):
         raise AssertionError("a one-segment table reached the kernel")
@@ -1416,8 +1531,10 @@ def test_closed_form_gaps_match_the_kernels(dim, monkeypatch):
 def test_single_point_pairs_are_measured_before_keying(dim, monkeypatch):
     """A glued table gives every domain cell its own single point: those
     pairs are measured before keying, so no pair of two single-point
-    rows reaches a kernel, and only the pairs with a longer row are
-    keyed.  Every gap matches a per-pair cross-distance reference."""
+    rows reaches a kernel.  Only the pairs with a longer row are keyed;
+    in R^1 only their directions toward an unsaturated row, here a
+    fallback of three points with singletons inside its hull.  Every
+    gap matches a per-pair cross-distance reference."""
     rng = np.random.default_rng(dim)
     grid = GridSpace(rng.uniform(size=(40, 2)))
     on = rng.uniform(size=(2, len(grid))) < 0.7
@@ -1444,10 +1561,17 @@ def test_single_point_pairs_are_measured_before_keying(dim, monkeypatch):
     count = psi.counts
     live = (count[:, pi] > 0) & (count[:, pj] > 0)
     longer = live & ((count[:, pi] > 1) | (count[:, pj] > 1))
+    # the segment codes of every row, then one key per unordered pair left
+    codes, left = [bounds.size // 2], longer.sum() // 2
+    if dim == 1:  # the values of the distinct rows are ranked in between
+        full = _saturated_cells(psi)
+        assert full[count == 1].all() and not full[count == 3].any()
+        longer &= ~full[:, pj]  # pi, pj list each pair in both directions
+        codes.append(3 + np.count_nonzero(count == 1))
+        left = longer.sum()  # one key per direction left
     assert pairs and (1, 1) not in pairs
     assert (live & ~longer).sum() > longer.sum() > 0
-    # the segment codes of every row, then one key per unordered pair left
-    assert keyed[:2] == [bounds.size // 2, longer.sum() // 2]
+    assert keyed[:len(codes) + 1] == codes + [left]
     for t in range(2):
         for k in range(len(pi)):
             if not live[t, k]:

@@ -678,6 +678,27 @@ def test_one_dimensional_sweep_makes_no_convex_project_call_per_sweep(monkeypatc
         assert not ((u[near] + slope * dist).min(axis=0) < u[rows]).any()
 
 
+def test_least_modulus_reads_one_cached_neighbour_table(monkeypatch):
+    # both players' R^1 selections on the shared joint grid build its
+    # neighbour table once; the cached table is read-only and equals a
+    # fresh build
+    g, _, _ = _quadratic_game(np.random.default_rng(6), 9, ((0,), (1, 2)))
+    prefs = [pref_from_payoff(g, i) for i in range(2)]
+    grid = prefs[0].grid
+    assert prefs[1].grid is grid
+    builds, build = [], carasel.corr._neighbour_table
+    monkeypatch.setattr(carasel.corr, "_neighbour_table",
+                        lambda *args: builds.append(args) or build(*args))
+    for p in prefs:
+        _least_modulus_of(p)
+    assert len(builds) == 1
+    pi, pj = grid.directed_pair_arrays()
+    nodes, (near, dist) = build(pi, len(grid), (pj, len(grid)), (grid.metric[pi, pj], 1.0))
+    cached = grid.neighbour_table()
+    assert all(a.tobytes() == b.tobytes() and not a.flags.writeable
+               for a, b in zip(cached, (nodes, near, dist)))
+
+
 @st.composite
 def _interval_tables(draw):
     """A small R^1 table: 2-7 distinct nodes of a 4 x 4 lattice at a drawn
