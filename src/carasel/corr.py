@@ -10,15 +10,14 @@ operator collecting interiors of the local inclusion witnesses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
 
 from .errors import DomainError, PreconditionError
+from .grid import METRIC_BLOCK, GridSpace
 from .measure import AtomSpace, InfoPartition
 from .setops import (
-    DEDUP_TOL,
     PointSet,
     _cross_dists,
     _distinct,
@@ -30,181 +29,13 @@ from .setops import (
 )
 
 SET_EQUALITY_TOL = 1e-9
-METRIC_TOL = 1e-9
-ADJ_TOL = 1e-12
 # Distance entries evaluated at once by Corr.directed_gaps: pairs x kmax
 # x kmax padded ones, or in R^1 GAP_CHUNK // 16 source points, each with
 # about 16 temporaries; bounds the temporaries to a few MiB.
 GAP_CHUNK = 1 << 18
-# Scratch entries of the Euclidean metric build (_euclidean): 1 MiB of
-# float64, so the build peaks near the finished metric's own size.
-METRIC_BLOCK = 1 << 17
 # Points measured at once by the stacked inclusion residuals (_residuals):
 # each row holds an (m+1, m+1) system in the min-norm kernel.
 RESIDUAL_CHUNK = 1 << 12
-
-
-@dataclass(frozen=True, eq=False)
-class GridSpace:
-    """A finite net of points in R^m with an explicit metric: a user
-    metric, validated and copied, or the Euclidean one built in place
-    (_euclidean).  Nodes within DEDUP_TOL of each other, as points or
-    under the metric, are rejected.
-
-    mesh is the claimed covering radius of the net (default the largest
-    nearest-neighbor distance); adjacency_radius bounds which node pairs
-    count as neighbors for the discrete semicontinuity checks (default
-    twice the mesh).
-    """
-
-    points: np.ndarray
-    metric: np.ndarray = None
-    mesh: float = None
-    adjacency_radius: float = None
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts.reshape(-1, 1)
-        if pts.ndim != 2 or len(pts) == 0:
-            raise DomainError("grid points must form a nonempty 2-d array")
-        if not np.isfinite(pts).all():  # a NaN node has no neighbours: every check passes there
-            raise DomainError("grid points must be finite")
-        pts = pts.copy()
-        pts.flags.writeable = False
-        object.__setattr__(self, "points", pts)
-
-        d = _euclidean(pts)
-        if self.metric is not None:
-            if _nearest(d).min() <= DEDUP_TOL:
-                raise DomainError("grid points must be distinct")
-            d = np.array(self.metric, dtype=float)
-            if d.shape != (len(pts), len(pts)):
-                raise DomainError("metric must be a square pairwise-distance matrix")
-            _validate_metric(d)
-        nearest = _nearest(d)
-        if nearest.min() <= DEDUP_TOL:
-            raise DomainError("grid points must be distinct under the metric")
-        d.flags.writeable = False
-        object.__setattr__(self, "metric", d)
-
-        mesh = self.mesh
-        if mesh is None:
-            mesh = 1.0 if len(pts) == 1 else float(nearest.max())
-        if not 0 < mesh < np.inf:
-            raise DomainError("mesh must be finite and positive")
-        object.__setattr__(self, "mesh", float(mesh))
-
-        radius = self.adjacency_radius
-        if radius is None:
-            radius = 2.0 * mesh
-        if not 0 < radius < np.inf:
-            raise DomainError("adjacency_radius must be finite and positive")
-        object.__setattr__(self, "adjacency_radius", float(radius))
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
-
-    @cached_property
-    def diameter(self) -> float:
-        """The largest metric entry, computed once."""
-        return float(self.metric.max())
-
-    def directed_pair_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Index arrays (sources, targets) listing every node pair within
-        the adjacency radius in both directions; the first half is each
-        pair (i, j) with i < j, in row-major order.  Cached."""
-        cached = self.__dict__.get("_pair_arrays")
-        if cached is None:
-            i, j = np.nonzero(self.metric <= self.adjacency_radius + ADJ_TOL)
-            upper = i < j
-            i, j = i[upper], j[upper]
-            cached = (np.concatenate([i, j]), np.concatenate([j, i]))
-            object.__setattr__(self, "_pair_arrays", cached)
-        return cached
-
-    def neighbour_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(nodes, near, dist): the nodes with an adjacent pair, ascending,
-        and the (max degree, nodes) _neighbour_table of their neighbours
-        and distances over directed_pair_arrays, padded with len(self)
-        and 1.0.  Cached and read-only: every R^1 least-modulus selection
-        on this grid reads the one table."""
-        cached = self.__dict__.get("_neighbours")
-        if cached is None:
-            pi, pj = self.directed_pair_arrays()
-            nodes, tables = _neighbour_table(pi, len(self), (pj, len(self)),
-                                             (self.metric[pi, pj], 1.0))
-            cached = (nodes, *tables)
-            for arr in cached:
-                arr.flags.writeable = False
-            object.__setattr__(self, "_neighbours", cached)
-        return cached
-
-
-def _neighbour_table(src: np.ndarray, n: int, *columns: tuple) -> tuple[np.ndarray, list]:
-    """The rows among n that the edges leave, ascending, and for each
-    (values, pad) in columns a (max degree, rows) table: entry [k, i] is
-    the value of the k-th edge out of the i-th such row, in edge order,
-    and pad past that row's degree."""
-    degree = np.bincount(src, minlength=n)
-    rows = np.flatnonzero(degree)
-    count = degree[rows]
-    order = np.argsort(src, kind="stable")
-    # the k-th edge out of rows[i] lands at flat place k * len(rows) + i
-    place = ((np.arange(len(src)) - np.repeat(np.cumsum(count) - count, count)) * len(rows)
-             + np.repeat(np.arange(len(rows)), count))
-    tables = []
-    for values, pad in columns:
-        tables.append(np.full((count.max(initial=0), len(rows)), pad))
-        tables[-1].ravel()[place] = values[order]
-    return rows, tables
-
-
-def _euclidean(pts: np.ndarray) -> np.ndarray:
-    """The (n, n) Euclidean distances between the rows of pts, summed one
-    coordinate at a time, a block of rows at a time, through one scratch
-    buffer of at most METRIC_BLOCK entries (one row when a row is
-    longer), and rooted in place; bit for bit setops._cross_dists in dims
-    1 and 2 (same sums)."""
-    n = len(pts)
-    step = max(1, METRIC_BLOCK // n)
-    d, scratch = np.zeros((n, n)), np.empty((min(step, n), n))
-    for lo in range(0, n, step):
-        block, buf = d[lo:lo + step], scratch[:min(step, n - lo)]
-        for x in pts.T:
-            np.subtract.outer(x[lo:lo + step], x, out=buf)
-            block += np.multiply(buf, buf, out=buf)
-    return np.sqrt(d, out=d)
-
-
-def _nearest(d: np.ndarray) -> np.ndarray:
-    """Each node's distance to its nearest other node under the square
-    metric d (inf for a lone node), with d's diagonal set aside in place."""
-    diag = d.diagonal().copy()
-    np.fill_diagonal(d, np.inf)
-    nearest = d.min(axis=1)
-    np.fill_diagonal(d, diag)
-    return nearest
-
-
-def _validate_metric(d: np.ndarray) -> None:
-    if not np.all(np.isfinite(d)):
-        raise DomainError("metric entries must be finite")
-    if np.abs(np.diag(d)).max(initial=0.0) > METRIC_TOL:
-        raise DomainError("metric diagonal must be zero")
-    if np.abs(d - d.T).max() > METRIC_TOL:
-        raise DomainError("metric must be symmetric")
-    if d.min() < -METRIC_TOL:
-        raise DomainError("metric entries must be nonnegative")
-    n = len(d)
-    for k in range(n):
-        # d(i,j) <= d(i,k) + d(k,j) for all i, j
-        if (d - (d[:, k:k + 1] + d[k:k + 1, :])).max() > METRIC_TOL:
-            raise DomainError("metric violates the triangle inequality")
 
 
 @dataclass(frozen=True, eq=False)
@@ -372,10 +203,12 @@ def _cache_gaps(tables: list) -> None:
         on = f.counts > 0
         nonempty = f.bounds[on]
         if (nonempty == nonempty[:1]).all():
-            gaps = np.zeros((len(on), len(pi)))
             holes = ~on.all(axis=1)  # the atoms with an empty cell
-            gaps[holes] = np.where(on[holes][:, pi] & on[holes][:, pj], 0.0, np.nan)
-            gaps.flags.writeable = False
+            gaps = np.broadcast_to(0.0, (len(on), len(pi)))  # read-only, no table behind it
+            if holes.any():
+                gaps = np.zeros(gaps.shape)
+                gaps[holes] = np.where(on[holes][:, pi] & on[holes][:, pj], 0.0, np.nan)
+                gaps.flags.writeable = False
             f.__dict__["_gap_cache"] = gaps
     todo = [f for f in todo if "_gap_cache" not in f.__dict__]
     if not todo:
@@ -425,7 +258,7 @@ def _packed_gaps(points: np.ndarray, bounds: np.ndarray, a: np.ndarray,
     segs, seg = _distinct_segments(bounds, len(points))
     if points.shape[1] == 1:
         lo, hi, full = (end[seg] for end in _saturated_ends(points, segs))  # per row
-        out = _hull_gaps(lo[a], hi[a], lo[b], hi[b])
+        out = _hull_gaps(lo, hi, a, b)
         if full.all():
             return out
         src, dst = np.concatenate([a, b]), np.concatenate([b, a])  # out's entries, flat
@@ -489,16 +322,20 @@ def _saturated_ends(points: np.ndarray, segs: np.ndarray) -> tuple[np.ndarray, n
     return lo, hi, full
 
 
-def _hull_gaps(lo_a: np.ndarray, hi_a: np.ndarray, lo_b: np.ndarray,
-               hi_b: np.ndarray) -> np.ndarray:
-    """The (2, pairs) one-sided gaps between R^1 rows with ends (lo_a,
-    hi_a) and (lo_b, hi_b), both saturated (see _packed_gaps): row 0 the
+def _hull_gaps(lo: np.ndarray, hi: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The (2, pairs) one-sided gaps between the R^1 rows a[k] and b[k]
+    with ends lo and hi, both saturated (see _packed_gaps): row 0 the
     root of the square of max(lo_b - lo_a, hi_a - hi_b, 0.0), row 1 of
     max(lo_a - lo_b, hi_b - hi_a, 0.0).  Squaring is monotone in |d|, so
-    this is the larger square; NaN ends give NaN, as max carries it."""
-    out = np.empty((2, len(lo_a)))
-    np.maximum(lo_b - lo_a, hi_a - hi_b, out=out[0])
-    np.maximum(lo_a - lo_b, hi_b - hi_a, out=out[1])
+    this is the larger square; NaN ends give NaN, as max carries it.
+    The ends are gathered GAP_CHUNK // 16 pairs at a time, so the
+    temporaries stay small."""
+    out = np.empty((2, len(a)))
+    step = GAP_CHUNK // 16
+    for k in range(0, len(a), step):
+        (lo_a, hi_a), (lo_b, hi_b) = ((lo[r[k:k + step]], hi[r[k:k + step]]) for r in (a, b))
+        np.maximum(lo_b - lo_a, hi_a - hi_b, out=out[0, k:k + step])
+        np.maximum(lo_a - lo_b, hi_b - hi_a, out=out[1, k:k + step])
     np.maximum(out, 0.0, out=out)
     return np.sqrt(np.multiply(out, out, out=out), out=out)
 
@@ -719,10 +556,10 @@ class CipWitness:
         shape = first.counts.shape
         if any(f.counts.shape != shape for f in locs.values()):
             raise DomainError("witness locals must share one (atoms, nodes) shape")
-        # _outside's rule for all keys in one pass (0.4 ms less than a call
-        # per key at 441 nodes, 1.2 ms at 961); keep the two in step, as
-        # _outside names the first bad key
-        if not (all(isinstance(z, (int, np.integer)) for z in locs)
+        # _outside's rule for all keys in one pass, each distinct key type
+        # tested once (0.4 ms less than a call per key at 441 nodes, 1.2 ms
+        # at 961); keep the two in step, as _outside names the first bad key
+        if not (all(issubclass(kind, (int, np.integer)) for kind in set(map(type, locs)))
                 and 0 <= min(locs) and max(locs) < shape[1]):
             z = next(z for z in locs if _outside((z,), shape[1:]))
             raise DomainError(f"witness local key {z!r} is not a node index in [0, {shape[1]})")
@@ -776,17 +613,19 @@ class CipWitness:
     def distinct_locals(self) -> list:
         """(local, sorted node indices sharing it), grouped by identity;
         shared witnesses collapse to a single group."""
+        if self.mode == "shared":
+            return [(next(iter(self.locals.values())), sorted(self.locals))]
         groups: dict[int, tuple[Corr, list[int]]] = {}
         for z, f in self.locals.items():
             groups.setdefault(id(f), (f, []))[1].append(z)
         return [(f, sorted(zs)) for f, zs in groups.values()]
 
 
-def capture_matrix(psi: Corr, w: CipWitness) -> np.ndarray:
-    """Boolean (atoms, nodes, nodes) stack M[t, x, z]: witness node z has
-    a nonempty value of psi at atom t and its ball reaches x.  Raises for
-    the first (t, z) of psi's section without a radius, then for the
-    first node of it without a local."""
+def _ball_radii(psi: Corr, w: CipWitness) -> np.ndarray:
+    """The (atoms, nodes) radii of the witness balls: w's radius at every
+    cell of psi's section, -inf off it (no ball).  Raises for a witness
+    of another shape, then for the first (t, z) of psi's section without
+    a radius, then for the first node of it without a local."""
     if w.radii.shape != psi.counts.shape:
         raise DomainError("witness locals must live on psi's atoms and grid")
     radii = np.where(psi.counts > 0, w.radii, -np.inf)
@@ -796,7 +635,60 @@ def capture_matrix(psi: Corr, w: CipWitness) -> np.ndarray:
     unwitnessed[list(w.locals)] = False
     for z in np.flatnonzero(unwitnessed)[:1].tolist():
         w.local(z)  # raises: no local there
-    return psi.grid.metric < radii[:, None, :]
+    return radii
+
+
+def capture_matrix(psi: Corr, w: CipWitness) -> np.ndarray:
+    """Boolean (atoms, nodes, nodes) stack M[t, x, z]: witness node z has
+    a nonempty value of psi at atom t and its ball reaches x, d(x, z) <
+    r(t, z), filled in row blocks of the metric.  Raises as _ball_radii.
+    scip_verify compares it cell by cell in countable and indexed mode;
+    cip_verify and the pooling read only _reach_masks."""
+    radii = _ball_radii(psi, w)
+    nodes = np.arange(len(psi.grid))
+    caps = np.empty((len(radii), len(nodes), len(nodes)), dtype=bool)
+    for lo, block in psi.grid._row_blocks(nodes, nodes):
+        np.less(block, radii[:, None, :], out=caps[:, lo:lo + len(block)])
+    return caps
+
+
+def _reach_masks(grid: GridSpace, radii: np.ndarray, groups: list) -> np.ndarray:
+    """The (groups, atoms, nodes) stack of capture_matrix(psi, w)[..., zs]
+    .any(axis=2) for each (local, zs) group of w, from its _ball_radii
+    table, with no (atoms, nodes, nodes) stack: x is reached at atom t
+    when the ball of some node z of zs holds it, d(x, z) < r(t, z).  Each
+    node of psi's section is in its own ball where d(z, z) < r(t, z),
+    which is everywhere on a Euclidean grid (d(z, z) = 0), so a group
+    whose nodes cover psi's section reads only the rows of the other,
+    empty nodes; every other node's row is read at the groups' columns,
+    group by group, in row blocks reduced group by group."""
+    sizes = [len(zs) for _, zs in groups]
+    cols = np.concatenate([zs for _, zs in groups]).astype(int)
+    reach = np.zeros((len(groups),) + radii.shape, dtype=bool)
+    own = (radii[:, cols] > -np.inf) & (grid._diagonal()[cols] < radii[:, cols])
+    reach[np.repeat(np.arange(len(groups)), sizes), :, cols] = own.T
+    rows = np.flatnonzero(~reach.all(axis=(0, 1)))
+    starts = np.cumsum([0] + sizes[:-1])
+    r = radii[:, None, cols]
+    for lo, block in grid._row_blocks(rows, cols):
+        # order="C": the default follows the broadcast strides, slow to fill and to reduce
+        hit = np.logical_or.reduceat(np.less(block, r, order="C"), starts, axis=2)
+        reach[:, :, rows[lo:lo + len(block)]] |= hit.transpose(2, 0, 1)
+    return reach
+
+
+def _mark_balls(fails: np.ndarray, grid: GridSpace, radii: np.ndarray, zs: list,
+                at: np.ndarray, *ends: np.ndarray) -> None:
+    """Set fails[at[i], c] wherever the ball of witness node zs[c] at atom
+    at[i] holds the node ends[e][i] of every ends array: capture_matrix
+    read at those rows and zs's columns only, in row blocks."""
+    step = max(1, METRIC_BLOCK // len(zs))
+    for lo in range(0, len(at), step):
+        t = at[lo:lo + step]
+        r = radii[np.ix_(t, zs)]
+        hit = np.logical_and.reduce([grid.distances(end[lo:lo + step], zs) < r for end in ends])
+        i, c = np.nonzero(hit)
+        fails[t[i], c] = True
 
 
 def canonical_witness(psi: Corr) -> CipWitness:
@@ -804,14 +696,19 @@ def canonical_witness(psi: Corr) -> CipWitness:
     every node shares psi as its local correspondence, and each ball is
     as large as possible while staying inside the nonempty section
     (radius up to the nearest empty node, or past the grid diameter when
-    the section is full)."""
+    the section is full).  Only the metric's columns at the empty nodes
+    are read, in row blocks."""
     nonempty = psi.counts > 0
-    reach = np.full(nonempty.shape, psi.grid.diameter + 1.0)
-    for t in np.flatnonzero(~nonempty.all(axis=1)):
-        reach[t] = psi.grid.metric[:, ~nonempty[t]].min(axis=1)
+    grid = psi.grid
+    reach = np.full(nonempty.shape, grid.diameter + 1.0)
+    holes = np.flatnonzero(~nonempty.all(axis=1))
+    hole, empty = np.nonzero(~nonempty[holes])  # each atom's empty nodes, atom by atom
+    starts = np.flatnonzero(np.diff(hole, prepend=-1))
+    for lo, block in (grid._row_blocks(np.arange(len(grid)), empty) if len(holes) else ()):
+        reach[holes, lo:lo + len(block)] = np.minimum.reduceat(block, starts, axis=1).T
     reach[~nonempty] = np.nan
     reach.flags.writeable = False
-    return CipWitness.shared(psi.grid, psi, reach)
+    return CipWitness.shared(grid, psi, reach)
 
 
 @dataclass
@@ -867,34 +764,36 @@ def cip_verify(
 
     One _cache_gaps call fills every local's gap table and one
     _residuals pass measures every (local, atom, node) cell a ball of
-    that local reaches.  The balls form one boolean stack ball[t, x, z]
-    = d(x, z) < r(t, z) (capture_matrix; no ball off psi's section).
-    Per local, array passes over its gap table and the cells that are
-    empty or escape psi mark the failing (atom, witness node) cells:
-    a ball reaching such a cell or both ends of a pair that loses a
-    value point at eps, and any witness node off psi's section at an
-    atom with such a pair.  Only the marked cells are visited, atoms
-    then nodes ascending, to list their failures.  eps must be positive.
+    that local reaches (_reach_masks; no ball off psi's section), with no
+    (atoms, nodes, nodes) ball stack.  Per local, array passes over its
+    gap table and the reached cells that are empty or escape psi mark
+    the failing (atom, witness node) cells: a ball reaching such a cell
+    or both ends of a pair that loses a value point at eps, read from
+    the ball rows of those nodes alone (_mark_balls), and any witness
+    node off psi's section at an atom with such a pair.  Only the marked
+    cells are visited, atoms then nodes ascending, each reading its own
+    ball, to list their failures.  eps must be positive.
     """
     if not eps > 0:  # NaN too: it compares false with every gap
         raise DomainError("eps must be positive")
     report = CipReport(True, eps=eps)
-    pi, pj = psi.grid.directed_pair_arrays()
+    grid = psi.grid
+    pi, pj = grid.directed_pair_arrays()
     groups = w.distinct_locals()
     tables = [f for f, _ in groups]
     for f in tables:  # a local's gap table must list psi's pairs
-        if f.grid is not psi.grid and not (np.array_equal(f.grid.points, psi.grid.points) and all(
+        if f.grid is not grid and not (np.array_equal(f.grid.points, grid.points) and all(
                 map(np.array_equal, f.grid.directed_pair_arrays(), (pi, pj)))):
             raise DomainError("witness locals must live on psi's grid")
         if len(f.space) != len(psi.space) or f.dim != psi.dim:
             raise DomainError("witness locals must live on psi's atoms, in psi's dim")
-    caps = capture_matrix(psi, w)
-    # each local's columns: the stack itself for a local of every node
-    balls = [caps if len(zs) == caps.shape[2] else caps[..., zs] for _, zs in groups]
+    radii = _ball_radii(psi, w)
     _cache_gaps(tables)
-    residuals = _residuals(psi, tables, np.stack([ball.any(axis=2) for ball in balls]))
+    reaches = _reach_masks(grid, radii, groups)
+    residuals = _residuals(psi, tables, reaches)
     report.inclusion_residual = float(residuals.max(initial=0.0))
-    for (f, zs), res, ball in zip(groups, residuals, balls):
+    nodes = np.arange(len(grid))
+    for (f, zs), res, reach in zip(groups, residuals, reaches):
         gaps = f.directed_gaps()
         finite = ~np.isnan(gaps)
         if finite.any():
@@ -902,20 +801,19 @@ def cip_verify(
         lost = finite & (gaps >= eps)
         on = psi.counts[:, zs] > 0
         fails = np.zeros(on.shape, dtype=bool)
-        at, x = np.nonzero((f.counts == 0) | (res > tol))  # res is 0 where F is empty
-        r, c = np.nonzero(ball[at, x])
-        fails[at[r], c] = True
+        at, x = np.nonzero(reach & ((f.counts == 0) | (res > tol)))  # res is 0 where F is empty
+        _mark_balls(fails, grid, radii, zs, at, x)
         at, k = np.nonzero(lost)
         if strict:
             fails[at] = True
         else:
-            r, c = np.nonzero(ball[at, pi[k]] & ball[at, pj[k]])
-            fails[at[r], c] = True
+            both = reach[at, pi[k]] & reach[at, pj[k]]
+            _mark_balls(fails, grid, radii, zs, at[both], pi[k[both]], pj[k[both]])
             fails[at] |= ~on[at]
         for t, c in np.argwhere(fails).tolist():
             z, pairs, kind = zs[c], np.flatnonzero(lost[t]), "lsc-offsection"
             if on[t, c]:
-                cell, kind = ball[t, :, c], "lsc"
+                cell, kind = grid.distances(nodes, [z])[:, 0] < radii[t, z], "lsc"
                 for x in np.flatnonzero(cell & (f.counts[t] == 0)).tolist():
                     report.failures.append(("nonempty", t, z, x, "local value empty in ball"))
                 for x in np.flatnonzero(cell & (res[t] > tol)).tolist():
@@ -1015,7 +913,7 @@ def _hull_modulus(psi: Corr, w: CipWitness, groups: list) -> float:
     ends = np.column_stack([pi, pj]).ravel()
     for z in ends[group[ends] < 0][:1]:
         w.local(int(z))  # raises for the first node without a local, in pair order
-    d = psi.grid.metric[pi, pj]
+    d = psi.grid.pair_distances()[:len(pi)]
     cells = psi.counts.size
     rows = group[np.stack([pi, pj])[:, d > 0]][..., None] * cells + np.arange(cells)
     points, bounds = _stacked([f for f, _ in groups])
@@ -1033,11 +931,9 @@ def pool_captured(psi: Corr, w: CipWitness, interior: bool = False) -> Corr:
     once per distinct segment.  One local (every shared witness) keeps
     that table; several are pooled cell by cell."""
     groups = w.distinct_locals()
-    captures = capture_matrix(psi, w)
-    parts = []
-    for f, zs in groups:
-        on = captures[..., zs].any(axis=2) & (f.counts > 0)
-        parts.append(_captured_part(f, on, interior))
+    reaches = _reach_masks(psi.grid, _ball_radii(psi, w), groups)
+    parts = [_captured_part(f, reach & (f.counts > 0), interior)
+             for (f, _), reach in zip(groups, reaches)]
     if len(groups) > 1:
         def pooled(t, x):
             pts = [points[a:b] for points, bounds in parts for a, b in [bounds[t, x]] if b > a]

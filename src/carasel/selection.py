@@ -20,14 +20,15 @@ from .corr import (
     GridSpace,
     SET_EQUALITY_TOL,
     _absorbed,
-    _neighbour_table,
+    _ball_radii,
+    _reach_masks,
     _residuals,
     _segments,
-    capture_matrix,
     cell_varying,
     pool_captured,
 )
 from .errors import ConstructionError, DomainError, PreconditionError
+from .grid import _neighbour_table
 from .measure import InfoPartition
 from .reporting import CheckSet
 from .setops import (
@@ -140,10 +141,10 @@ def construct_phi(
     bad_nodes = np.count_nonzero(cell_varying([phi], part)[0].any(axis=0))
     cert.add("phi-measurability", bad_nodes, 0, "cell-wise set constancy per node")
 
-    captures = capture_matrix(psi, w)
+    groups = w.distinct_locals()
     need = psi.counts > 0
-    need &= np.any([f.interior_cells(captures[..., zs].any(axis=2))
-                    for f, zs in w.distinct_locals()], axis=0)
+    need &= np.any([f.interior_cells(reach) for (f, _), reach in
+                    zip(groups, _reach_masks(psi.grid, _ball_radii(psi, w), groups))], axis=0)
     interiority_failures = np.count_nonzero(need & ~phi.interior_cells(need))
     detail = ("interior margin positive wherever the interior union is nonempty" if need.any()
               else "interior union empty everywhere (vacuous)")
@@ -185,7 +186,7 @@ def _edges(grid: GridSpace, on: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     pi, pj = grid.directed_pair_arrays()
     src, dst = cell[:, pi], cell[:, pj]
     inside = (src >= 0) & (dst >= 0)  # (atoms, pairs)
-    return src[inside], dst[inside], grid.metric[pi, pj][inside.nonzero()[1]]
+    return src[inside], dst[inside], grid.pair_distances()[inside.nonzero()[1]]
 
 
 def _barycenters(points: np.ndarray, segs: np.ndarray, draws: np.ndarray = ()) -> np.ndarray:
@@ -232,8 +233,10 @@ def _envelope(top: np.ndarray, rows: np.ndarray, near: np.ndarray, dist: np.ndar
     source, length = np.arange(len(value)), np.zeros(len(value))
     step = slope * dist
     cols = np.arange(len(rows))
+    cand = np.empty(near.shape)  # one buffer for every step's candidates
     while len(rows):
-        cand = value[near] + step
+        # near holds valid places; mode "raise" would copy through a second buffer
+        np.add(value.take(near, out=cand, mode="clip"), step, out=cand)
         if paths:
             k = cand.argmin(axis=0)
             best = cand[k, cols]
@@ -287,14 +290,17 @@ def _least_modulus(points: np.ndarray, segs: np.ndarray, atom: np.ndarray, node:
     inner = np.flatnonzero(column[node] >= 0)  # the cells whose node has neighbours
     rows = cell[inner]
     # take keeps both tables in C order, so the reductions down their columns stay fast
-    near = near.take(column[node[inner]], axis=1) + rank[inner] * width
+    near = near.take(column[node[inner]], axis=1)
+    near += rank[inner] * width
     dist = dist.take(column[node[inner]], axis=1)
     ends = [np.full((rank[-1] + 1) * width, np.inf) for _ in range(2)]
     ends[0][cell], ends[1][cell] = hi, -lo
     bound = np.zeros(rank[-1] + 1)
     if len(rows):  # the rows run atom by atom
         first = np.flatnonzero(np.diff(rank[inner], prepend=-1))
-        ratio = ((lo[inner] - ends[0][near]) / dist).max(axis=0)
+        ratio = ends[0].take(near)
+        np.subtract(lo[inner], ratio, out=ratio)
+        ratio = np.divide(ratio, dist, out=ratio).max(axis=0)
         bound[rank[inner[first]]] = np.maximum.reduceat(ratio, first)
     bound = np.maximum(bound, 0.0)
     while True:

@@ -31,6 +31,7 @@ from carasel import (
     usc_check,
 )
 import carasel.corr as corr
+import carasel.grid as grid_module
 from carasel.corr import (
     SET_EQUALITY_TOL,
     CipReport,
@@ -1095,7 +1096,7 @@ def test_grid_metric_build_peaks_below_two_buffers():
     pts = _lattice(31, 2)
     tracemalloc.start()
     try:
-        GridSpace(pts)
+        GridSpace(pts).metric  # built on this first read
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1107,7 +1108,7 @@ def test_grid_metric_build_peaks_near_the_metric_itself():
     pts = _lattice(40, 2)
     tracemalloc.start()
     try:
-        GridSpace(pts)
+        GridSpace(pts).metric  # built on this first read
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1124,8 +1125,8 @@ def test_grid_metric_blocks_match_the_whole_buffer_build(dim, block, monkeypatch
     for x in pts.T:
         np.subtract.outer(x, x, out=scratch)
         d += np.multiply(scratch, scratch, out=scratch)
-    monkeypatch.setattr(corr, "METRIC_BLOCK", block)
-    assert corr._euclidean(pts).tobytes() == np.sqrt(d).tobytes()
+    monkeypatch.setattr(grid_module, "METRIC_BLOCK", block)
+    assert grid_module._euclidean(pts).tobytes() == np.sqrt(d).tobytes()
 
 
 # ---------------------------------------------------------- packed gap kernel
@@ -1584,14 +1585,14 @@ def test_single_point_pairs_are_measured_before_keying(dim, monkeypatch):
 
 def _old_pair_arrays(grid):
     """directed_pair_arrays as it was, through a triu copy of the mask."""
-    i, j = np.nonzero(np.triu(grid.metric <= grid.adjacency_radius + corr.ADJ_TOL, 1))
+    i, j = np.nonzero(np.triu(grid.metric <= grid.adjacency_radius + grid_module.ADJ_TOL, 1))
     return np.concatenate([i, j]), np.concatenate([j, i])
 
 
-def test_pair_arrays_and_diameter_match_the_old_forms():
+def test_pair_arrays_and_diameter_match_the_old_forms(monkeypatch):
     # bit for bit the triu form and a fresh metric.max(), on random
-    # Euclidean grids, a user metric and one node; the diameter is read
-    # from the metric once
+    # Euclidean grids, a user metric and one node; the diameter is
+    # computed once
     rng = np.random.default_rng(6)
     metric = np.array([[0.0, 1.0, 2.0, 1.5], [1.0, 0.0, 1.0, 2.0],
                        [2.0, 1.0, 0.0, 1.0], [1.5, 2.0, 1.0, 0.0]])
@@ -1607,7 +1608,9 @@ def test_pair_arrays_and_diameter_match_the_old_forms():
     assert len(grids[-1].directed_pair_arrays()[0]) == 0 and grids[-1].diameter == 0.0
     fresh = GridSpace(rng.uniform(size=(30, 2)))
     first = fresh.diameter
-    object.__setattr__(fresh, "metric", None)  # a second read must not touch the metric
+    # a second read computes no distance and builds no metric
+    monkeypatch.setattr(grid_module, "_distances", None)
+    monkeypatch.setattr(grid_module, "_euclidean", None)
     assert fresh.diameter == first
 
 
@@ -1899,3 +1902,25 @@ def test_residual_chunk_of_one_point_keeps_reports(seed, monkeypatch):
     assert any(report["failures"] for report, _ in want)
     monkeypatch.setattr(corr, "RESIDUAL_CHUNK", 1)
     assert outputs() == want
+
+
+def _distinct_locals_loop_reference(w):
+    """distinct_locals as one identity-keyed setdefault per node, the form
+    every mode took before shared witnesses read their one local."""
+    groups = {}
+    for z, f in w.locals.items():
+        groups.setdefault(id(f), (f, []))[1].append(z)
+    return [(f, sorted(zs)) for f, zs in groups.values()]
+
+
+def test_shared_distinct_locals_is_the_grouping_loop():
+    space = AtomSpace(("a", "b"), [1.0, 1.0])
+    grid = line_grid(6)
+    f = Corr.constant(space, grid, PointSet.of(1, [[0.5]]))
+    radii = np.full((2, 6), 0.3)
+    for locs in ({z: f for z in range(6)}, {z: f for z in reversed(range(6))},
+                 {np.int64(z): f for z in (3, 0, 5)}):
+        w = CipWitness("shared", locs, radii)
+        (got_f, got_zs), = w.distinct_locals()
+        (want_f, want_zs), = _distinct_locals_loop_reference(w)
+        assert got_f is want_f and got_zs == want_zs == sorted(locs)

@@ -34,6 +34,7 @@ from carasel import (
 )
 import carasel
 import carasel.corr
+import carasel.grid
 import carasel.equilibria
 import carasel.problems
 import carasel.selection
@@ -299,8 +300,9 @@ def test_bayes_fixture_glue_checks_match_the_reference_bytes(monkeypatch):
 
 def test_random_nash_builds_no_selection_certificate(monkeypatch):
     """With shared canonical witnesses, the gluing step of random_nash
-    builds no phi checks, interior-union table or pooled table, and
-    cip_verify's ball stack is the only one built per player."""
+    builds no phi checks, interior-union table or pooled table, and no
+    (atoms, nodes, nodes) ball stack is built: cip_verify reads the
+    balls' reach from the empty nodes' rows."""
     def fail(name):
         def call(*args, **kwargs):
             raise AssertionError(f"{name} called")
@@ -317,8 +319,23 @@ def test_random_nash_builds_no_selection_certificate(monkeypatch):
     g, part, eps_eq = _quadratic_game(np.random.default_rng(0), 9, ((0,), (1, 2)))
     cert = random_nash(g, part, eps_eq)
     assert cert.checks.ok
-    assert len(stacks) == g.n_players
+    assert stacks == []
     assert sum(c.name.startswith("glue-") for c in cert.checks) == 2 * g.n_players
+
+
+def test_random_nash_with_selection_never_builds_the_joint_metric(monkeypatch):
+    # the joint grid keeps its points only: pairs, diameter, the canonical
+    # radii, cip_verify's balls and the R^1 selection all read distances
+    # from them, so no (nodes, nodes) metric is built
+    def refuse(*_):
+        raise AssertionError("the dense metric was built")
+
+    monkeypatch.setattr(carasel.grid, "_euclidean", refuse)
+    g, part, eps_eq = _quadratic_game(np.random.default_rng(1), 11, ((0,), (1, 2)))
+    cert = random_nash(g, part, eps_eq, run_selection=True)
+    assert cert.checks.ok
+    assert sum(c.name.startswith("glue-") for c in cert.checks) == 2 * g.n_players
+    assert "_metric" not in g.joint_grid().__dict__
 
 
 def test_random_nash_keeps_the_membership_guard(monkeypatch):

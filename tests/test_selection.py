@@ -36,8 +36,9 @@ from carasel import (
 )
 
 import carasel.corr
+import carasel.grid
 import carasel.selection
-from carasel.corr import ADJ_TOL
+from carasel.grid import ADJ_TOL
 from carasel.reporting import CheckSet
 from carasel.selection import Selection
 from carasel.selection import (
@@ -686,8 +687,8 @@ def test_least_modulus_reads_one_cached_neighbour_table(monkeypatch):
     prefs = [pref_from_payoff(g, i) for i in range(2)]
     grid = prefs[0].grid
     assert prefs[1].grid is grid
-    builds, build = [], carasel.corr._neighbour_table
-    monkeypatch.setattr(carasel.corr, "_neighbour_table",
+    builds, build = [], carasel.grid._neighbour_table
+    monkeypatch.setattr(carasel.grid, "_neighbour_table",
                         lambda *args: builds.append(args) or build(*args))
     for p in prefs:
         _least_modulus_of(p)
