@@ -39,9 +39,10 @@ class GridSpace:
     by one float expression (_distances): the adjacent pairs and their
     distances come from a fixed-radius cell search (_close_pairs), and
     the diameter, the default mesh and every ball test from row blocks.
-    Reading the metric attribute builds the dense (n, n) metric once
-    (_euclidean), the same bits, and later reads slice it; no pipeline
-    reads it on a Euclidean grid.
+    Every method of a grid takes one path: a user metric's slices, or the
+    points.  Reading the metric attribute of a Euclidean grid builds the
+    dense (n, n) metric once (_euclidean), the same bits, and keeps it
+    for later reads of the attribute alone; no pipeline reads it.
 
     mesh is the claimed covering radius of the net (default the largest
     nearest-neighbor distance); adjacency_radius bounds which node pairs
@@ -66,25 +67,27 @@ class GridSpace:
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
 
-        if len(_close_pairs(pts, DEDUP_TOL)[0]):
-            raise DomainError("grid points must be distinct"
-                              + (" under the metric" if metric is None else ""))
-        nearest = None
         if metric is not None:
+            if len(_close_pairs(pts, DEDUP_TOL)[0]):
+                raise DomainError("grid points must be distinct")
             d = np.array(metric, dtype=float)
             if d.shape != (len(pts), len(pts)):
                 raise DomainError("metric must be a square pairwise-distance matrix")
             _validate_metric(d)
             d.flags.writeable = False
-            self.__dict__["_metric"] = d
+            self.__dict__["_user_metric"] = d
+        nearest = None
+        if metric is not None or self.mesh is None:  # the default mesh reads every nearest distance
             nearest = self._nearest()
-            if nearest.min() <= DEDUP_TOL:
-                raise DomainError("grid points must be distinct under the metric")
+            clash = nearest.min() <= DEDUP_TOL
+        else:
+            clash = len(_close_pairs(pts, DEDUP_TOL)[0]) > 0
+        if clash:
+            raise DomainError("grid points must be distinct under the metric")
 
         mesh = self.mesh
         if mesh is None:
-            mesh = 1.0 if len(pts) == 1 else float((self._nearest() if nearest is None
-                                                    else nearest).max())
+            mesh = 1.0 if len(pts) == 1 else float(nearest.max())
         if not 0 < mesh < np.inf:
             raise DomainError("mesh must be finite and positive")
         object.__setattr__(self, "mesh", float(mesh))
@@ -105,10 +108,9 @@ class GridSpace:
 
     def distances(self, rows, cols) -> np.ndarray:
         """The (len(rows), len(cols)) block d(rows, cols) of the metric,
-        for node index arrays rows and cols: sliced from a dense metric
-        (a user's, or the Euclidean one once read), else summed from the
-        points (_distances), the same bits."""
-        dense = self.__dict__.get("_metric")
+        for node index arrays rows and cols: sliced from a user metric,
+        else summed from the points (_distances)."""
+        dense = self.__dict__.get("_user_metric")
         if dense is not None:
             return dense[np.ix_(rows, cols)]
         return _distances(self.points[rows], self.points[cols])
@@ -118,7 +120,7 @@ class GridSpace:
         cols), step rows at a time so that a block holds at most
         METRIC_BLOCK entries (one row when a row is longer)."""
         step = max(1, METRIC_BLOCK // max(1, len(cols)))
-        dense, at = self.__dict__.get("_metric"), self.points[cols]
+        dense, at = self.__dict__.get("_user_metric"), self.points[cols]
         for lo in range(0, len(rows), step):
             block = rows[lo:lo + step]
             yield lo, (_distances(self.points[block], at) if dense is None
@@ -126,9 +128,9 @@ class GridSpace:
 
     def _diagonal(self) -> np.ndarray:
         """d(z, z) at every node: 0.0 on a Euclidean grid, where every
-        coordinate difference x - x is 0, else the dense metric's
-        diagonal (a user's is within METRIC_TOL of 0)."""
-        dense = self.__dict__.get("_metric")
+        coordinate difference x - x is 0, else the user metric's
+        diagonal (within METRIC_TOL of 0)."""
+        dense = self.__dict__.get("_user_metric")
         return np.zeros(len(self)) if dense is None else dense.diagonal()
 
     def _nearest(self) -> np.ndarray:
@@ -149,16 +151,19 @@ class GridSpace:
         only the rows whose bound r_i + max r (widened by 1e-9 for
         rounding) reaches the larger row maximum of the node farthest
         from the centroid and of its own farthest node are read, in row
-        blocks: a lattice reads its corners."""
-        dense = self.__dict__.get("_metric")
+        blocks: a lattice reads its corners.  A grid whose whole metric
+        fits one row block reads that block."""
+        dense = self.__dict__.get("_user_metric")
         if dense is not None:
             return float(dense.max())
-        nodes = np.arange(len(self))
-        r = _distances(self.points, self.points.mean(axis=0, keepdims=True))[:, 0]
-        row = self.distances([int(r.argmax())], nodes)[0]
-        best = max(row.max(), self.distances([int(row.argmax())], nodes).max())
-        for _, block in self._row_blocks(np.flatnonzero(~((r + r.max()) * (1 + 1e-9) < best)),
-                                         nodes):
+        nodes = rows = np.arange(len(self))
+        best = 0.0
+        if len(self) ** 2 > METRIC_BLOCK:  # else one row block holds every row
+            r = _distances(self.points, self.points.mean(axis=0, keepdims=True))[:, 0]
+            row = self.distances([int(r.argmax())], nodes)[0]
+            best = max(row.max(), self.distances([int(row.argmax())], nodes).max())
+            rows = np.flatnonzero(~((r + r.max()) * (1 + 1e-9) < best))
+        for _, block in self._row_blocks(rows, nodes):
             best = max(best, block.max())
         return float(best)
 
@@ -175,13 +180,13 @@ class GridSpace:
 
     def _pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(sources, targets, distances) of directed_pair_arrays: the pairs
-        within adjacency_radius + ADJ_TOL from a dense metric's mask, or
+        within adjacency_radius + ADJ_TOL from a user metric's mask, or
         from _close_pairs on the points, their distances bit for bit the
         metric's entries."""
         cached = self.__dict__.get("_pair_arrays")
         if cached is None:
             limit = self.adjacency_radius + ADJ_TOL
-            dense = self.__dict__.get("_metric")
+            dense = self.__dict__.get("_user_metric")
             if dense is None:
                 i, j, d = _close_pairs(self.points, limit)
                 cached = (np.concatenate([i, j]), np.concatenate([j, i]), np.concatenate([d, d]))
@@ -213,12 +218,13 @@ class GridSpace:
 
 def _metric(grid: GridSpace) -> np.ndarray:
     """GridSpace.metric: the read-only (n, n) metric, the user's or, on a
-    Euclidean grid, _euclidean's, built on the first read and kept."""
-    d = grid.__dict__.get("_metric")
+    Euclidean grid, _euclidean's, built on the first read and kept where
+    no method of the grid reads it."""
+    d = grid.__dict__.get("_user_metric", grid.__dict__.get("_euclidean_metric"))
     if d is None:
         d = _euclidean(grid.points)
         d.flags.writeable = False
-        grid.__dict__["_metric"] = d
+        grid.__dict__["_euclidean_metric"] = d
     return d
 
 
@@ -297,14 +303,18 @@ def _close_pairs(pts: np.ndarray, limit: float) -> tuple[np.ndarray, np.ndarray,
     its points share a cell or sit in neighbouring ones: each cell is
     paired with itself and with its neighbours of larger key, and the
     candidates of those cell pairs are measured PAIR_CHUNK at a time, so
-    memory stays O(pairs) however the points cluster.  Points whose pairs
-    all fit one chunk are measured pair by pair, with no cells."""
+    memory stays O(pairs) however the points cluster.  Up to 128 points,
+    whose whole metric fits one METRIC_BLOCK, the block is masked
+    instead, with no cells: on 1-D grids of 5-31 nodes that takes about
+    0.02 ms against 0.12-0.20 ms for the cells, whose set-up dominates
+    there."""
     n, k = len(pts), min(pts.shape[1], 3)
-    if n * (n - 1) // 2 <= PAIR_CHUNK:
-        i, j = np.triu_indices(n, 1)
-        d = _pair_distances(pts, i, j)
-        close = d <= limit
-        return i[close], j[close], d[close]
+    if n * n <= METRIC_BLOCK:  # the whole metric is one row block: mask it
+        d = _distances(pts, pts)
+        i, j = np.nonzero(d <= limit)
+        upper = i < j
+        i, j = i[upper], j[upper]
+        return i, j, d[i, j]
     x = pts[:, :k]
     lo = x.min(axis=0)
     # k keys of bits + 1 bits fit 62; 2^40 cells of rounding 2^-52 each stay below 1e-3

@@ -234,8 +234,11 @@ def _envelope(top: np.ndarray, rows: np.ndarray, near: np.ndarray, dist: np.ndar
     step = slope * dist
     cols = np.arange(len(rows))
     cand = np.empty(near.shape)  # one buffer for every step's candidates
+    # checked once here, so each step can take with mode "clip": mode
+    # "raise" copies through a second buffer of cand's size
+    if near.size and not 0 <= near.min() <= near.max() < len(value):
+        raise IndexError("neighbour table entry outside the envelope")
     while len(rows):
-        # near holds valid places; mode "raise" would copy through a second buffer
         np.add(value.take(near, out=cand, mode="clip"), step, out=cand)
         if paths:
             k = cand.argmin(axis=0)

@@ -99,7 +99,7 @@ def random_cip_instance(rng: np.random.Generator) -> CipInstance:
         c = cell_of[t]
         for z in range(empty_from[c]):
             if empty_from[c] < n_nodes:
-                gap_to_empty = float(grid.metric[z, empty_from[c]:].min())
+                gap_to_empty = float(grid.distances([z], np.arange(empty_from[c], n_nodes)).min())
             else:
                 gap_to_empty = np.inf
             r = min(float(rng.uniform(0.6, 3.0)) * grid.mesh, gap_to_empty)

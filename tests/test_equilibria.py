@@ -335,7 +335,7 @@ def test_random_nash_with_selection_never_builds_the_joint_metric(monkeypatch):
     cert = random_nash(g, part, eps_eq, run_selection=True)
     assert cert.checks.ok
     assert sum(c.name.startswith("glue-") for c in cert.checks) == 2 * g.n_players
-    assert "_metric" not in g.joint_grid().__dict__
+    assert "_euclidean_metric" not in g.joint_grid().__dict__
 
 
 def test_random_nash_keeps_the_membership_guard(monkeypatch):

@@ -83,18 +83,24 @@ def _check_against_dense(grid, d):
         assert np.array_equal(near[:mine.sum(), k], pj[mine])
         assert dist[:mine.sum(), k].tobytes() == d[z, pj[mine]].tobytes()
     assert grid.diameter == float(d.max())
-    assert "_metric" not in grid.__dict__  # nothing above built the dense metric
+    assert "_euclidean_metric" not in grid.__dict__  # nothing above built the dense metric
 
 
-# the default measures these small sets pair by pair; a chunk of 61 takes
-# the cell search and splits cell pairs across chunks
-CHUNKS = [grid_module.PAIR_CHUNK, 61]
+# (PAIR_CHUNK, METRIC_BLOCK): the defaults read these small sets as one
+# row block; (61, 1) takes the cell search, splits cell pairs across
+# chunks, and prunes the diameter's rows and reads them one at a time
+CHUNKS = [(grid_module.PAIR_CHUNK, grid_module.METRIC_BLOCK), (61, 1)]
+
+
+def _set_chunks(monkeypatch, chunks):
+    for name, value in zip(("PAIR_CHUNK", "METRIC_BLOCK"), chunks):
+        monkeypatch.setattr(grid_module, name, value)
 
 
 @pytest.mark.parametrize("chunk", CHUNKS)
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_pairs_mesh_and_diameter_match_the_dense_metric(dim, chunk, monkeypatch):
-    monkeypatch.setattr(grid_module, "PAIR_CHUNK", chunk)
+    _set_chunks(monkeypatch, chunk)
     rng = np.random.default_rng(dim)
     for _ in range(3):
         for pts in _clouds(rng, dim):
@@ -109,10 +115,13 @@ def test_pairs_mesh_and_diameter_match_the_dense_metric(dim, chunk, monkeypatch)
             assert "metric" not in repr(grid)
 
 
-def test_diameter_reads_every_row_its_centroid_bound_keeps():
+@pytest.mark.parametrize("block", [1, 64])
+def test_diameter_reads_every_row_its_centroid_bound_keeps(block, monkeypatch):
     # near-regular polygons and near-antipodal pairs on a sphere: every
     # node is about as far from the centroid as the diameter's ends, so
-    # the two far rows read first often miss the diameter
+    # the two far rows read first often miss the diameter; blocks this
+    # small make every grid take the centroid bound
+    monkeypatch.setattr(grid_module, "METRIC_BLOCK", block)
     rng = np.random.default_rng(8)
     for _ in range(60):
         n, dim = int(rng.integers(5, 60)), int(rng.integers(2, 4))
@@ -154,7 +163,7 @@ def test_joint_grid_pairs_at_the_radius_match_the_dense_metric(n):
 @pytest.mark.parametrize("chunk", CHUNKS)
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_distinctness_is_decided_as_the_dense_metric_decides(dim, chunk, monkeypatch):
-    monkeypatch.setattr(grid_module, "PAIR_CHUNK", chunk)
+    _set_chunks(monkeypatch, chunk)
     rng = np.random.default_rng(20 + dim)
     axis = np.eye(dim)[int(rng.integers(dim))]
     for scale in (1.0, 1e3):
@@ -164,39 +173,28 @@ def test_distinctness_is_decided_as_the_dense_metric_decides(dim, chunk, monkeyp
             d = _dense(pts)
             close = (d + np.diag(np.full(len(d), np.inf))).min() <= DEDUP_TOL
             metric = d + DEDUP_TOL * (1 - np.eye(len(d)))  # apart under the metric
+            # the default mesh decides from the nearest distances, a given
+            # mesh from the pair search
             if close:
-                with pytest.raises(DomainError, match="distinct under the metric"):
-                    GridSpace(pts)
+                for mesh in (None, 1.0):
+                    with pytest.raises(DomainError, match="distinct under the metric"):
+                        GridSpace(pts, mesh=mesh)
                 with pytest.raises(DomainError, match="grid points must be distinct$"):
                     GridSpace(pts, metric=metric)
             else:
-                assert len(GridSpace(pts)) == 26
+                assert len(GridSpace(pts)) == len(GridSpace(pts, mesh=1.0)) == 26
     for pts in ([[0.0] * dim, [0.0] * dim], [[1e6] * dim, [0.0] * dim, [1e6] * dim]):
-        with pytest.raises(DomainError, match="distinct"):
-            GridSpace(pts)
-
-
-def _rehomed(psi, w, grid):
-    """psi and w on grid, a new grid object: the locals keep their sharing."""
-    moved = {}
-
-    def home(f):
-        if id(f) not in moved:
-            moved[id(f)] = Corr(f.space, grid, f.dim, f.points, f.bounds)
-        return moved[id(f)]
-
-    locs = {z: home(f) for z, f in w.locals.items()}
-    return home(psi), CipWitness(w.mode, locs, w.radii, w.box)
+        for mesh in (None, 1.0):
+            with pytest.raises(DomainError, match="distinct"):
+                GridSpace(pts, mesh=mesh)
 
 
 def _instances():
-    """random_cip_instance draws on fresh grids of their points (the
-    generator reads its grid's metric), and the preference tables of a
+    """random_cip_instance draws, and the preference tables of a
     quadratic game on joint grids, with canonical witnesses."""
     for seed in range(8):
         inst = random_cip_instance(np.random.default_rng(seed))
-        grid = GridSpace(inst.psi.grid.points)
-        yield (*_rehomed(inst.psi, inst.witness, grid), inst.eps)
+        yield inst.psi, inst.witness, inst.eps
     rng = np.random.default_rng(5)
     for n in (5, 8):
         space = AtomSpace(("w0", "w1"), [1.0, 1.0])
@@ -291,7 +289,7 @@ def test_canonical_radii_match_the_dense_columns():
             want[t] = d[:, ~nonempty[t]].min(axis=1)
         want[~nonempty] = np.nan
         assert np.array_equal(canonical_witness(psi).radii, want, equal_nan=True)
-        assert "_metric" not in psi.grid.__dict__
+        assert "_euclidean_metric" not in psi.grid.__dict__
 
 
 def test_reach_masks_and_reports_match_the_dense_ball_stack():
@@ -315,7 +313,7 @@ def test_reach_masks_and_reports_match_the_dense_ball_stack():
                     want.ok, want.inclusion_residual, want.lsc_gap)
                 kinds |= {kind for kind, *_ in got.failures}
             modes.add((w.mode, len(groups) > 1))
-            assert "_metric" not in psi.grid.__dict__
+            assert "_euclidean_metric" not in psi.grid.__dict__
     assert kinds == {"nonempty", "inclusion", "lsc", "lsc-offsection"}
     assert {("shared", False), ("countable", True), ("indexed", True)} <= modes
 
@@ -360,4 +358,4 @@ def test_a_grid_at_the_joint_node_cap_holds_no_dense_array():
     assert diameter == float(np.sqrt(2.0))
     assert peak < 64 * 2 ** 20
     assert wall < 20.0
-    assert "_metric" not in grid.__dict__
+    assert "_euclidean_metric" not in grid.__dict__

@@ -679,6 +679,15 @@ def test_one_dimensional_sweep_makes_no_convex_project_call_per_sweep(monkeypatc
         assert not ((u[near] + slope * dist).min(axis=0) < u[rows]).any()
 
 
+@pytest.mark.parametrize("bad", [-1, 4])
+def test_envelope_rejects_a_neighbour_outside_the_table(bad):
+    # the relaxation takes candidates with mode "clip", so an entry
+    # outside [0, len(top)) must raise rather than read an end entry
+    near = np.array([[1, 0, bad]])
+    with pytest.raises(IndexError):
+        _envelope(np.zeros(4), np.arange(3), near, np.ones((1, 3)), np.ones(3))
+
+
 def test_least_modulus_reads_one_cached_neighbour_table(monkeypatch):
     # both players' R^1 selections on the shared joint grid build its
     # neighbour table once; the cached table is read-only and equals a
