@@ -9,6 +9,7 @@ operator collecting interiors of the local inclusion witnesses.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -73,19 +74,20 @@ class Corr:
     @classmethod
     def from_function(cls, space: AtomSpace, grid: GridSpace, dim: int, fn) -> "Corr":
         """Tabulate fn(atom_index, node_index) -> PointSet; the cells
-        given one PointSet object share its segment."""
-        seen, chunks, size = {}, [np.zeros((0, dim))], 0
-        bounds = np.zeros((len(space), len(grid), 2), dtype=int)
+        given one PointSet object share its segment.  The cells' [start,
+        stop) rows are collected in a list and made one array at the end."""
+        seen, chunks, size, cells = {}, [np.zeros((0, dim))], 0, []
         for t in range(len(space)):
             for z in range(len(grid)):
                 ps = fn(t, z)
                 if not isinstance(ps, PointSet) or ps.dim != dim:
                     raise DomainError("all values must be PointSets of the common dim")
                 if id(ps) not in seen:  # holding ps keeps its id unique
-                    seen[id(ps)] = (ps, size, size + len(ps))
+                    seen[id(ps)] = (ps, (size, size + len(ps)))
                     chunks.append(ps.points)
                     size += len(ps)
-                bounds[t, z] = seen[id(ps)][1:]
+                cells.append(seen[id(ps)][1])
+        bounds = np.array(cells, dtype=int).reshape(len(space), len(grid), 2)
         return cls(space, grid, dim, np.concatenate(chunks), bounds)
 
     @classmethod
@@ -656,24 +658,26 @@ def _reach_masks(grid: GridSpace, radii: np.ndarray, groups: list) -> np.ndarray
     """The (groups, atoms, nodes) stack of capture_matrix(psi, w)[..., zs]
     .any(axis=2) for each (local, zs) group of w, from its _ball_radii
     table, with no (atoms, nodes, nodes) stack: x is reached at atom t
-    when the ball of some node z of zs holds it, d(x, z) < r(t, z).  Each
-    node of psi's section is in its own ball where d(z, z) < r(t, z),
-    which is everywhere on a Euclidean grid (d(z, z) = 0), so a group
-    whose nodes cover psi's section reads only the rows of the other,
-    empty nodes; every other node's row is read at the groups' columns,
-    group by group, in row blocks reduced group by group."""
+    when the ball of some node z of zs holds it, d(x, z) < r(t, z).  A
+    node of every group's zs that is in its own ball at every atom, d(x,
+    x) < r(t, x), is reached everywhere and its row is not read; on a
+    Euclidean grid (d(x, x) = 0) that is every node of a one-group
+    witness's full section, so a shared witness reads only the rows of
+    the nodes empty at some atom.  Every other row is read at the groups'
+    columns in row blocks, reduced group by group (one reduceat), and
+    written once."""
     sizes = [len(zs) for _, zs in groups]
     cols = np.concatenate([zs for _, zs in groups]).astype(int)
-    reach = np.zeros((len(groups),) + radii.shape, dtype=bool)
-    own = (radii[:, cols] > -np.inf) & (grid._diagonal()[cols] < radii[:, cols])
-    reach[np.repeat(np.arange(len(groups)), sizes), :, cols] = own.T
-    rows = np.flatnonzero(~reach.all(axis=(0, 1)))
-    starts = np.cumsum([0] + sizes[:-1])
+    inner = ((np.bincount(cols, minlength=len(grid)) == len(groups))
+             & (grid._diagonal() < radii).all(axis=0))
+    reach = np.ones((len(groups),) + radii.shape, dtype=bool)
+    rows = np.flatnonzero(~inner)
+    starts = list(itertools.accumulate(sizes[:-1], initial=0))
     r = radii[:, None, cols]
     for lo, block in grid._row_blocks(rows, cols):
         # order="C": the default follows the broadcast strides, slow to fill and to reduce
         hit = np.logical_or.reduceat(np.less(block, r, order="C"), starts, axis=2)
-        reach[:, :, rows[lo:lo + len(block)]] |= hit.transpose(2, 0, 1)
+        reach[:, :, rows[lo:lo + len(block)]] = hit.transpose(2, 0, 1)
     return reach
 
 

@@ -135,13 +135,37 @@ class GridSpace:
 
     def _nearest(self) -> np.ndarray:
         """Each node's distance to its nearest other node (inf for a lone
-        node), in row blocks."""
-        nodes = np.arange(len(self))
-        nearest = np.empty(len(self))
-        for lo, block in self._row_blocks(nodes, nodes):
-            rows = np.arange(len(block))
-            block[rows, lo + rows] = np.inf
-            nearest[lo:lo + len(block)] = block.min(axis=1)
+        node).  A user metric, or a grid whose whole metric fits one row
+        block, reads its rows in row blocks.  A larger Euclidean grid runs
+        the cell search (_close_pairs) for the pairs of the nodes that
+        have none yet, doubling the radius until every node has one: a
+        node with a pair within the radius has its nearest node among its
+        pairs, so each distance is exact, and no row is read whole.  The
+        radius starts at the least positive distance between nodes
+        adjacent in first-coordinate order, and at least DEDUP_TOL, so
+        that each node settles near its own scale and a dense cluster is
+        not measured at the spacing of the whole cloud."""
+        n = len(self)
+        if "_user_metric" in self.__dict__ or n * n <= METRIC_BLOCK:
+            nodes = np.arange(n)
+            nearest = np.empty(n)
+            for lo, block in self._row_blocks(nodes, nodes):
+                rows = np.arange(len(block))
+                block[rows, lo + rows] = np.inf
+                nearest[lo:lo + len(block)] = block.min(axis=1)
+            return nearest
+        order = np.argsort(self.points[:, 0], kind="stable")
+        gap = _pair_distances(self.points, order[:-1], order[1:])
+        positive = gap[gap > 0]
+        radius = max(DEDUP_TOL, float(positive.min())) if len(positive) else DEDUP_TOL
+        nearest = np.full(n, np.inf)
+        todo = np.ones(n, dtype=bool)
+        while todo.any():
+            i, j, d = _close_pairs(self.points, radius, todo)
+            np.minimum.at(nearest, i, d)
+            np.minimum.at(nearest, j, d)
+            todo = nearest == np.inf
+            radius *= 2.0
         return nearest
 
     @cached_property
@@ -290,9 +314,14 @@ def _euclidean(pts: np.ndarray) -> np.ndarray:
     return d
 
 
-def _close_pairs(pts: np.ndarray, limit: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _close_pairs(pts: np.ndarray, limit: float,
+                 among: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(i, j, d): every node pair i < j of the rows of pts whose distance
-    d, as _distances sums it, is at most limit, in row-major order.
+    d, as _distances sums it, is at most limit, in row-major order; with
+    the boolean mask among, only the pairs with an end in it: within each
+    cell the nodes of among come first, and only the candidates with such
+    an end are enumerated, so a few wanted nodes in crowded cells cost
+    their own candidates alone.
 
     The fixed-radius near-neighbour cell search of Bentley, Stanat and
     Williams (1977, Inf. Process. Lett. 6(6)).  The first k <= 3
@@ -309,10 +338,12 @@ def _close_pairs(pts: np.ndarray, limit: float) -> tuple[np.ndarray, np.ndarray,
     0.02 ms against 0.12-0.20 ms for the cells, whose set-up dominates
     there."""
     n, k = len(pts), min(pts.shape[1], 3)
+    if among is not None and not among.any():
+        return np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0)
     if n * n <= METRIC_BLOCK:  # the whole metric is one row block: mask it
         d = _distances(pts, pts)
         i, j = np.nonzero(d <= limit)
-        upper = i < j
+        upper = i < j if among is None else (i < j) & (among[i] | among[j])
         i, j = i[upper], j[upper]
         return i, j, d[i, j]
     x = pts[:, :k]
@@ -326,7 +357,8 @@ def _close_pairs(pts: np.ndarray, limit: float) -> tuple[np.ndarray, np.ndarray,
     for a in range(k - 2, -1, -1):  # mixed radix, the last coordinate fastest
         radix[a] = radix[a + 1] * (cell[:, a + 1].max() + 2)
     key = cell @ radix
-    order = np.argsort(key, kind="stable")
+    # within a cell, the nodes of among first
+    order = np.argsort(key, kind="stable") if among is None else np.lexsort((~among, key))
     first = np.flatnonzero(np.diff(key[order], prepend=-1))  # each cell's run in order
     keys, count = key[order[first]], np.diff(first, append=n)
     a, b = [np.arange(len(keys))], [np.arange(len(keys))]
@@ -338,18 +370,30 @@ def _close_pairs(pts: np.ndarray, limit: float) -> tuple[np.ndarray, np.ndarray,
             a.append(hit)
             b.append(pos[hit])
     a, b = np.concatenate(a), np.concatenate(b)
-    size = count[a] * count[b]
+    # the candidates of a cell pair: the run [a_at, a_at + a_len) of order
+    # against [b_at, b_at + b_len); with among, the among nodes of a
+    # against all of b, and for two cells the other nodes of a against
+    # the among nodes of b
+    a_at, a_len, b_at, b_len, same = first[a], count[a], first[b], count[b], a == b
+    if among is not None:
+        hot = np.add.reduceat(among[order], first)
+        other = ~same
+        a_at, b_at, same = (np.concatenate([x, y[other]]) for x, y in (
+            (a_at, a_at + hot[a]), (b_at, b_at), (same, same)))
+        a_len, b_len = np.concatenate([hot[a], (count - hot)[a][other]]), np.concatenate(
+            [b_len, hot[b][other]])
+    size = a_len * b_len
     stop = np.cumsum(size)
     found = []
     for start in range(0, int(stop[-1]), PAIR_CHUNK):
         end = min(start + PAIR_CHUNK, int(stop[-1]))
-        # each candidate's cell pair p, and its place u in a[p]'s run and v in b[p]'s
+        # each candidate's run pair p, and its place u in a's run and v in b's
         span = np.arange(*np.searchsorted(stop, [start, end - 1], side="right") + [0, 1])
         begin = stop[span] - size[span]
         p = np.repeat(span, np.minimum(stop[span], end) - np.maximum(begin, start))
-        u, v = np.divmod(np.arange(start, end) - (stop[p] - size[p]), count[b[p]])
-        keep = (a[p] != b[p]) | (u < v)  # a cell with itself: each pair once
-        i, j = order[first[a[p[keep]]] + u[keep]], order[first[b[p[keep]]] + v[keep]]
+        u, v = np.divmod(np.arange(start, end) - (stop[p] - size[p]), b_len[p])
+        keep = ~same[p] | (u < v)  # a cell with itself: each pair once
+        i, j = order[a_at[p[keep]] + u[keep]], order[b_at[p[keep]] + v[keep]]
         d = _pair_distances(pts, i, j)
         close = d <= limit
         found.append((np.minimum(i, j)[close], np.maximum(i, j)[close], d[close]))

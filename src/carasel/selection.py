@@ -341,11 +341,12 @@ def _sweep(points: np.ndarray, segs: np.ndarray, edges: tuple, atom: np.ndarray,
     built once over their fixed hulls: a row whose cached Wolfe support
     still gives an optimal point keeps it, the others (every row on the
     first sweep) take the kernel, whose supports the step caches.  A group
-    freezes once no row moved more than _SWEEP_STOP times its hull scale:
-    a mask keeps its rows, and sweeps stop when no group is live.  Steps
-    combine feasible points, so iterates stay feasible; a final residual
-    (a cold convex_distance) above tol raises, naming the lowest such
-    atom.  Returns the rows, as laid out, and each group's residual."""
+    freezes once no row moved more than _SWEEP_STOP times its hull scale
+    (compared in squares): a mask keeps its rows, and sweeps stop when no
+    group is live.  Steps combine feasible points, so iterates stay
+    feasible; a final residual (a cold convex_distance) above tol raises,
+    naming the lowest such atom.  Returns the rows, as laid out, and each
+    group's residual."""
     reps = len(starts) // len(segs)
     rank = np.cumsum(np.diff(atom, prepend=-1) > 0) - 1  # atoms ascend over the cells
     group = (np.arange(reps)[:, None] * (rank[-1] + 1) + rank).ravel()
@@ -362,7 +363,7 @@ def _sweep(points: np.ndarray, segs: np.ndarray, edges: tuple, atom: np.ndarray,
     near = table[..., None] * dim + np.arange(dim)  # (max degree, rows, dim) places in flat
     runs = np.flatnonzero(np.diff(group[rows], prepend=-1))  # rows ascend by group
     size = np.diff(runs, append=len(rows))
-    limit = _SWEEP_STOP * scale[group[rows[runs]]]
+    limit2 = (_SWEEP_STOP * scale[group[rows[runs]]]) ** 2
     step = _WarmProjector(V[rows])
     live = np.ones(len(runs), dtype=bool)  # the groups with a row with neighbours
     for _ in range(max_sweeps):
@@ -373,7 +374,8 @@ def _sweep(points: np.ndarray, segs: np.ndarray, edges: tuple, atom: np.ndarray,
         old = X[rows]
         new = (1.0 - _RELAXATION) * old + _RELAXATION * projected
         X[rows] = new if live.all() else np.where(np.repeat(live, size)[:, None], new, old)
-        live &= np.maximum.reduceat(np.linalg.norm(new - old, axis=1), runs) > limit
+        move = new - old
+        live &= np.maximum.reduceat(np.einsum("rd,rd->r", move, move), runs) > limit2
 
     X = X[:-1]
     residual = np.maximum.reduceat(convex_distance(X, V), first)

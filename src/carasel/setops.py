@@ -69,10 +69,20 @@ def _as_points(dim: int, points) -> np.ndarray:
 def _dedup(points: np.ndarray) -> np.ndarray:
     """The one distinctness kernel: the points farther than DEDUP_TOL from
     every earlier kept point, in order (greedy, the first of a close
-    pair is kept).  One pairwise comparison; when it shows only the
-    diagonal, the input object itself is returned, so `_dedup(arr) is
-    not arr` tells whether arr holds points within DEDUP_TOL of each other."""
+    pair is kept).  When the input holds no close pair, the input object
+    itself is returned, so `_dedup(arr) is not arr` tells whether arr
+    holds points within DEDUP_TOL of each other.
+
+    Points whose sorted first coordinates are more than DEDUP_TOL apart
+    hold no close pair, and no pairwise matrix is built: a pair's computed
+    distance, the root of a sum of rounded squares, is at least its
+    rounded first-coordinate gap, which is at least the gap between two
+    neighbours in that order (rounded subtraction is monotone).  Other
+    inputs take one pairwise comparison (_cross_dists)."""
     if len(points) <= 1:
+        return points
+    x = sorted(points[:, 0].tolist())
+    if all(b - a > DEDUP_TOL for a, b in zip(x, x[1:])):
         return points
     close = _cross_dists(points, points) <= DEDUP_TOL
     n = len(points)
@@ -104,7 +114,9 @@ class PointSet:
     def of(cls, dim: int, points) -> "PointSet":
         """Build a PointSet, silently deduplicating near-equal points.
         The points are checked once: the deduplicated array holds no
-        close pair, so __post_init__ would find nothing to reject."""
+        close pair, so __post_init__ would find nothing to reject.  Points
+        whose first coordinates are spread more than DEDUP_TOL apart are
+        told distinct from those alone (_dedup)."""
         return cls._view(dim, _dedup(_as_points(dim, points)))
 
     @classmethod
@@ -374,34 +386,55 @@ class _WarmProjector:
     (_nearest_in_hulls) ended on, with the solution map of that support's
     bordered KKT matrix [[G_S, 1], [1^T, 0]], G_S the Gram matrix of the
     support's vertices translated by the hull's first vertex v_0 and
-    divided by their largest norm.  The map does not depend on the point,
-    so it is built once per support change (_factor), and a call first
-    takes every point's minimizer over the affine hull of its cached
-    support from one batched product (_warm).  A row keeps that point only
-    where every support weight is above _WEIGHT_CUT (renormalised to sum to
-    1, as the kernel does) and the point passes the kernel's optimality
-    test; the other rows go to the kernel, and their hulls cache its new
-    supports.  So every row of the first call, every row of a hull whose
-    KKT block is singular and every row in R^1 (the closed form, no
-    support) takes the kernel.  Rows do not interact: each row's result
-    depends only on its hull, its point and the points its hull was given
-    before."""
+    divided by their largest norm, the width.  The map does not depend on
+    the point, so it is built once per support change (_factor), from
+    the bordered Gram block of every vertex that the constructor builds
+    once per hull; the width is folded into it there.  A call first takes
+    every point's minimizer over the affine hull of its cached support
+    (_warm).  A row keeps that point only where every support weight is
+    above _WEIGHT_CUT (renormalised to sum to 1, as the kernel does) and
+    the point passes the kernel's optimality test; the other rows go to
+    the kernel, and their hulls cache its new supports.  So every row of
+    the first call, every row of a hull whose KKT block is singular and
+    every row in R^1 (the closed form, no support) takes the kernel.
+
+    The hull data that _warm reads is held coordinate-major, (dim, m, B)
+    and (m, B), so every product it takes runs along the hulls rather
+    than along a short axis of dim or m entries.  Rows do not interact:
+    each row's result depends only on its hull, its point and the points
+    its hull was given before."""
 
     def __init__(self, V: np.ndarray):
         B, m, dim = V.shape
         self.V = V
+        self.VT = np.ascontiguousarray(V.transpose(2, 1, 0))
         U = V - V[:, :1]
         width = np.sqrt(np.einsum("bmd,bmd->bm", U, U).max(axis=1))
         width[width == 0.0] = 1.0  # a one-point hull: its weight is 1 whatever the point
-        self.U, self.width = U / width[:, None, None], width
-        # weights = gain (x - v_0) / width + offset on the cached support;
-        # a hull with none holds {v_0}, whose weight is 1, and reads uncached
-        self.gain = np.zeros((B, m, dim))
-        self.offset = np.zeros((B, m))
-        self.offset[:, 0] = 1.0
+        U /= width[:, None, None]
+        self.width = width
+        self.K = np.ones((B, m + 1, m + 1))  # [[G, 1], [1^T, 0]] over every vertex
+        self.K[:, :m, :m] = U @ U.transpose(0, 2, 1)
+        self.K[:, m, m] = 0.0
+        self.rhs = np.zeros((B, m + 1, dim + 1))  # [[U, 0], [0, 1]] over every vertex
+        self.rhs[:, :m, :dim] = U
+        self.rhs[:, m, dim] = 1.0
+        # weights = offset - gain (v_0 - x) on the cached support, gain the
+        # KKT map's divided by the width; floor is _WEIGHT_CUT on the
+        # support, -inf off it, and +inf at v_0 of a hull with no cached
+        # support, which holds {v_0} and reads uncached
+        self.gain = np.zeros((dim, m, B))
+        self.offset = np.zeros((m, B))
+        self.offset[0] = 1.0
+        self.floor = np.full((m, B), -np.inf)
+        self.floor[0] = np.inf
         self.support = np.zeros((B, m), dtype=bool)
         self.support[:, 0] = True
-        self.cached = np.zeros(B, dtype=bool)
+
+    @property
+    def cached(self) -> np.ndarray:
+        """The hulls that hold a cached support."""
+        return self.floor[0] < np.inf
 
     def project(self, X: np.ndarray, rows) -> np.ndarray:
         """The projection of every X[k] onto hull rows[k] (distinct)."""
@@ -415,56 +448,65 @@ class _WarmProjector:
         return P
 
     def _warm(self, X: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every X[k]'s minimizer over the affine hull of hull rows[k]'s
+        """Every X[k]'s minimizer P over the affine hull of hull rows[k]'s
         cached support, its (len(X), m) weights, renormalised and 0 off
         the support, and the mask of the rows that keep it (a hull with
-        no cached support reads False).  The test, in units of R, the
-        largest vertex distance from X[k], is the kernel's: |p| <=
-        _OPT_BAND, or no vertex improves on p by more than _OPT_BAND |p|,
-        which bounds the distance error by _OPT_BAND R."""
-        V = self.V[rows]
-        y = (X - V[:, 0]) / self.width[rows, None]
-        weights = (self.gain[rows] @ y[:, :, None])[:, :, 0] + self.offset[rows]
-        on = self.support[rows]
-        ok = self.cached[rows] & ((weights > _WEIGHT_CUT) | ~on).all(axis=1)  # NaN fails too
-        weights = np.where(on, weights, 0.0)
-        weights /= weights.sum(axis=1, keepdims=True)
-        W = V - X[:, None, :]
-        # the max and min run down the columns of C-ordered (m, rows)
-        # arrays: numpy reduces a short last axis one row at a time
-        R = np.sqrt(np.einsum("bmd,bmd->mb", W, W, order="C").max(axis=0))
-        R[R == 0.0] = 1.0
-        W /= R[:, None, None]
-        p = (weights[:, None, :] @ W)[:, 0]
-        pp = np.einsum("bd,bd->b", p, p)
-        norm_p = np.sqrt(pp)
-        dots = (W @ p[:, :, None])[:, :, 0]
-        ok &= (norm_p <= _OPT_BAND) | (pp - dots.T.copy().min(axis=0) <= _OPT_BAND * norm_p)
-        return X + R[:, None] * p, weights, ok
+        no cached support reads False).  Everything is read from the
+        unscaled differences D = V - x, one product and one sum each, with
+        no scaled copy of D: the weights from the folded map and D's first
+        vertex, v_0 - x, then P - x = sum_v w_v D_v and R = max_v |D_v|.
+        The test is the kernel's, in units of R: |P - x| <= _OPT_BAND R,
+        or no vertex improves on P by more than that, max_v (P - v).(P -
+        x) <= _OPT_BAND R |P - x|; it bounds the distance error by
+        _OPT_BAND R.
+
+        Every sum runs along an outer axis of C-ordered (dim, m, rows)
+        arrays, one term at a time along the row axis, so a row's bits do
+        not depend on the other rows; a lone row would be summed along its
+        short axes instead, in another order, so it is read as a pair with
+        itself."""
+        if len(X) == 1:
+            hull = np.arange(len(self.V))[rows]
+            P, weights, ok = self._warm(np.repeat(X, 2, axis=0), np.repeat(hull, 2))
+            return P[:1], weights[:1], ok[:1]
+        VT, gain, offset = (np.ascontiguousarray(a[..., rows])
+                            for a in (self.VT, self.gain, self.offset))
+        XT = np.ascontiguousarray(X.T)
+        D = VT - XT[:, None, :]
+        weights = offset - (gain * D[:, :1]).sum(axis=0)
+        ok = (weights > self.floor[:, rows]).all(axis=0)  # NaN fails too
+        weights /= weights.sum(axis=0)
+        R = np.sqrt((D * D).sum(axis=0).max(axis=0))
+        q = (weights * D).sum(axis=1)
+        qq = (q * q).sum(axis=0)
+        band = _OPT_BAND * R
+        norm_q = np.sqrt(qq)
+        ok &= (norm_q <= band) | (qq - (D * q[:, None]).sum(axis=0).min(axis=0) <= band * norm_q)
+        return (XT + q).T, weights.T, ok
 
     def _factor(self, hulls: np.ndarray, support: np.ndarray) -> None:
         """Cache support[k] and its KKT solution map for hull hulls[k]: the
         weights of the minimizer over the support's affine hull are gain y
         + offset for y = (x - v_0) / width, the first m rows of the solution
         of K [gain | offset] = [[U_S, 0], [0, 1]], one solve with identity
-        rows off the support (_solve_blocks).  A singular block leaves its
-        hull uncached, holding {v_0}."""
-        U = self.U[hulls]
-        m, dim = U.shape[1:]
-        K = np.ones((len(hulls), m + 1, m + 1))
-        K[:, :m, :m] = U @ U.transpose(0, 2, 1)
-        K[:, m, m] = 0.0
+        rows off the support (_solve_blocks), K and the right-hand side
+        masked from the blocks the constructor builds over every vertex.
+        gain is stored divided by the width, so that _warm reads it
+        against x - v_0.  A singular block leaves its hull uncached,
+        holding {v_0}."""
+        m, dim = self.V.shape[1:]
         on = np.ones((len(hulls), m + 1), dtype=bool)
         on[:, :m] = support
-        K = np.where(on[:, :, None] & on[:, None, :], K, np.eye(m + 1))
-        rhs = np.zeros((len(hulls), m + 1, dim + 1))
-        rhs[:, :m, :dim] = np.where(support[:, :, None], U, 0.0)
-        rhs[:, m, dim] = 1.0
-        sol, singular = _solve_blocks(K, rhs)
-        sol[singular, 0, dim] = 1.0  # gain 0, offset e_0: the {v_0} of an uncached hull
-        self.gain[hulls], self.offset[hulls] = sol[:, :, :dim], sol[:, :, dim]
-        self.support[hulls] = np.where(singular[:, None], np.arange(m) == 0, support)
-        self.cached[hulls] = ~singular
+        K = np.where(on[:, :, None] & on[:, None, :], self.K[hulls], np.eye(m + 1))
+        sol, singular = _solve_blocks(K, np.where(on[:, :, None], self.rhs[hulls], 0.0))
+        floor = np.where(support, _WEIGHT_CUT, -np.inf)
+        if singular.any():  # gain 0, offset e_0: the {v_0} of an uncached hull
+            sol[singular, 0, dim] = 1.0
+            support = np.where(singular[:, None], np.arange(m) == 0, support)
+            floor[singular] = np.where(np.arange(m) == 0, np.inf, -np.inf)
+        self.gain[:, :, hulls] = (sol[:, :, :dim] / self.width[hulls, None, None]).T
+        self.offset[:, hulls], self.floor[:, hulls] = sol[:, :, dim].T, floor.T
+        self.support[hulls] = support
 
 
 def convex_project(x, c) -> tuple[np.ndarray, float | np.ndarray]:
@@ -584,14 +626,23 @@ def segment_margins(points: np.ndarray, segs: np.ndarray) -> np.ndarray:
     """interior_point_margin of every point of every nonempty [start,
     stop) row of segs within the hull of that row's points, flat in the
     order of segs and of the points in each row.  In R^1 the closed
-    form for all rows at once, from each row's least and largest value;
-    otherwise one Qhull call per row."""
+    form for all rows at once, from each row's least and largest value.
+    Otherwise a row of at most dim points spans no full-dimensional hull
+    and reads 0 from its count alone, as _margins would return it; each
+    longer row takes one Qhull call (_margins)."""
     if not len(segs):
         return np.zeros(0)
-    if points.shape[1] > 1:
-        return np.concatenate([_margins(points[a:b], points[a:b]) for a, b in segs])
+    counts = segs[:, 1] - segs[:, 0]
+    dim = points.shape[1]
+    if dim > 1:
+        out = np.zeros(counts.sum())
+        first = np.cumsum(counts) - counts
+        for k in np.flatnonzero(counts > dim):
+            (a, b), at = segs[k], first[k]
+            out[at:at + b - a] = _margins(points[a:b], points[a:b])
+        return out
     x = points[_segment_rows(segs)[0], 0]
-    lo, hi = (np.repeat(end, segs[:, 1] - segs[:, 0]) for end in _interval_ends(points, segs))
+    lo, hi = (np.repeat(end, counts) for end in _interval_ends(points, segs))
     return np.where(hi > lo, np.maximum(0.0, np.minimum(x - lo, hi - x)), 0.0)
 
 

@@ -86,6 +86,40 @@ def test_domain_jump_table_is_full():
     assert len(domain(psi)) == 4 * 21
 
 
+def test_from_function_rejects_a_value_that_is_not_a_pointset_of_the_dim():
+    space = AtomSpace(("a", "b"), [1.0, 1.0])
+    grid = line_grid(3)
+    good = PointSet.of(2, [[0.0, 1.0]])
+    for bad in ([[0.0, 1.0]], np.zeros((1, 2)), None, PointSet.of(1, [[0.0]]),
+                PointSet.empty(3)):
+        # the bad value at the last cell: every earlier cell was read
+        def fn(t, z, bad=bad):
+            return bad if (t, z) == (1, 2) else good
+        with pytest.raises(DomainError, match="PointSets of the common dim"):
+            Corr.from_function(space, grid, 2, fn)
+
+
+def test_from_function_shares_one_segment_per_pointset_object():
+    # one object at many cells is one segment; an equal but distinct
+    # object is another; the bounds are the cells' rows in C order
+    space = AtomSpace(("a", "b", "c"), [1.0, 1.0, 1.0])
+    grid = line_grid(4)
+    shared = PointSet.of(2, [[0.0, 0.0], [1.0, 0.0]])
+    twin = PointSet.of(2, [[0.0, 0.0], [1.0, 0.0]])
+    empty = PointSet.empty(2)
+    values = {(0, 0): twin, (1, 1): empty, (2, 3): PointSet.of(2, [[5.0, 5.0]])}
+    psi = Corr.from_function(space, grid, 2, lambda t, z: values.get((t, z), shared))
+    assert psi.bounds.shape == (3, 4, 2) and psi.bounds.dtype == np.dtype(int)
+    assert psi.bounds[0, 0].tolist() == [0, 2] and psi.bounds[0, 1].tolist() == [2, 4]
+    assert psi.bounds[1, 1].tolist() == [4, 4] and psi.bounds[2, 3].tolist() == [4, 5]
+    rows = {tuple(psi.bounds[t, z]) for t in range(3) for z in range(4)
+            if (t, z) not in values}
+    assert rows == {(2, 4)} and len(psi.points) == 5
+    assert np.array_equal(psi.points[2:4], shared.points)
+    none = Corr.from_function(AtomSpace(("a",), [1.0]), line_grid(2), 2, lambda t, z: empty)
+    assert none.bounds.tolist() == [[[0, 0], [0, 0]]] and none.points.shape == (0, 2)
+
+
 # --------------------------------------------------------- semicontinuity
 
 def test_lsc_fails_on_jump_with_witness_point_one(jump):

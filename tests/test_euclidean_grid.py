@@ -45,6 +45,22 @@ def _dense(pts) -> np.ndarray:
     return np.sqrt(d, out=d)
 
 
+def _dense_nearest(pts, step=256) -> np.ndarray:
+    """Each node's nearest distance to another node from _dense's sums,
+    a block of rows at a time."""
+    pts = np.asarray(pts, dtype=float)
+    out = np.empty(len(pts))
+    for lo in range(0, len(pts), step):
+        block = pts[lo:lo + step]
+        d = np.zeros((len(block), len(pts)))
+        for x, y in zip(block.T, pts.T):
+            diff = np.subtract.outer(x, y)
+            d += diff * diff
+        d[np.arange(len(block)), lo + np.arange(len(block))] = np.inf
+        out[lo:lo + step] = np.sqrt(d).min(axis=1)
+    return out
+
+
 def _dense_pairs(d, radius):
     """directed_pair_arrays from the metric's mask."""
     i, j = np.nonzero(d <= radius + ADJ_TOL)
@@ -113,6 +129,27 @@ def test_pairs_mesh_and_diameter_match_the_dense_metric(dim, chunk, monkeypatch)
                 _check_against_dense(grid, d)
             assert grid.metric.tobytes() == d.tobytes() and not grid.metric.flags.writeable
             assert "metric" not in repr(grid)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_default_mesh_of_a_large_grid_matches_the_dense_scan(dim, monkeypatch):
+    # past one row block the nearest distances come from the growing cell
+    # search: uniform, clustered (with a far outlier, so the radius grows
+    # many times) and near-lattice clouds of 129-3,000 nodes give every
+    # node's nearest distance bit for bit, and no row is read
+    rng = np.random.default_rng(40 + dim)
+    monkeypatch.setattr(GridSpace, "_row_blocks",
+                        lambda *_: pytest.fail("a row block was read"))
+    for n in (129, int(rng.integers(130, 1000)), 3000):
+        centres = rng.uniform(-5.0, 5.0, size=(3, dim))
+        clustered = centres[rng.integers(3, size=n)] + 1e-3 * rng.normal(size=(n, dim))
+        clustered[0] = 100.0
+        lattice = np.round(rng.uniform(0.0, 20.0, size=(n, dim))) + 1e-3 * rng.random((n, dim))
+        for pts in (rng.uniform(size=(n, dim)), clustered, lattice):
+            nearest = _dense_nearest(pts)
+            grid = GridSpace(pts)
+            assert grid._nearest().tobytes() == nearest.tobytes()
+            assert grid.mesh == float(nearest.max())
 
 
 @pytest.mark.parametrize("block", [1, 64])

@@ -820,6 +820,27 @@ def test_interval_closed_form_is_the_kernels_r1_output():
     assert np.array_equal(closed[X[:, 0] > hi], hi[X[:, 0] > hi])
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_a_sweep_whose_rows_keep_their_supports_takes_the_kernel_once(dim, monkeypatch):
+    # a work count: every node's value is one simplex and every start lies
+    # inside it, so every projection is its own point and every cached
+    # support, the whole simplex, stays optimal; the kernel sees each row
+    # once, on sweep 1, and then only the final residual guard's rows
+    hull = np.vstack([np.zeros(dim), 4.0 * np.eye(dim)])
+    phi = Corr.constant(AtomSpace(("a",), [1.0]), line_grid(7), PointSet.of(dim, hull))
+    rng = np.random.default_rng(dim)
+    init = {z: rng.dirichlet(np.ones(dim + 1)) @ hull for z in range(7)}
+    kernel, sent, sweeps = carasel.setops._nearest_in_hulls, [], []
+    monkeypatch.setattr(carasel.setops, "_nearest_in_hulls",
+                        lambda X, V: sent.append(len(X)) or kernel(X, V))
+    project = carasel.setops._WarmProjector.project
+    monkeypatch.setattr(carasel.setops._WarmProjector, "project",
+                        lambda step, x, rows: sweeps.append(len(x)) or project(step, x, rows))
+    sel = grid_select(phi, 0, tol=1e-9, init=init, max_sweeps=DEFAULT_MAX_SWEEPS)
+    assert len(sweeps) > 3 and sent == [7, 7]
+    assert sel.residual <= 1e-12 and len(sel.values) == 7
+
+
 @pytest.mark.parametrize("seed, share", [(1, 0.05), (6, 0.02)])
 def test_warm_projections_keep_most_sweep_rows_off_the_kernel(seed, share, monkeypatch):
     # a count of work, not of time: after the first sweep, which sends

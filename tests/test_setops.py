@@ -26,6 +26,7 @@ from carasel import (
 )
 import carasel.setops as setops
 from carasel.setops import (
+    DEDUP_TOL,
     _OPT_BAND,
     _WEIGHT_CUT,
     _as_points,
@@ -882,3 +883,153 @@ def test_warm_projection_in_r1_always_takes_the_closed_form(monkeypatch):
         want = _project_to_intervals(X[:, 0], V.min(axis=1)[:, 0], V.max(axis=1)[:, 0])
         assert got[:, 0].tobytes() == want.tobytes()
     assert sent == [7, 7, 7] and not step.cached.any()
+
+
+@st.composite
+def _moving_cases(draw):
+    """Hulls in dims 2-3 of 1-5 distinct vertices, some one-point hulls and
+    some with a vertex listed twice, padded as _padded_rows pads; a start
+    per hull and a velocity, so that the points slide across faces and
+    vertices over the steps.  (V, X0, velocity)."""
+    dim = draw(st.integers(2, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    hulls = []
+    for _ in range(draw(st.integers(2, 7))):
+        verts = rng.uniform(-1.0, 1.0, size=(int(rng.integers(1, 6)), dim))
+        if rng.random() < 0.3:
+            verts = np.vstack([verts, verts[:1]])
+        hulls.append(scale * verts)
+    m = max(len(h) for h in hulls)
+    V = np.array([np.vstack([h, np.repeat(h[:1], m - len(h), axis=0)]) for h in hulls])
+    X0 = scale * rng.uniform(-2.0, 2.0, size=(len(hulls), dim))
+    return V, X0, scale * rng.normal(size=X0.shape) / 8
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_moving_cases())
+def test_warm_projection_stays_within_the_band_of_the_cold_kernel_along_moving_points(case):
+    # along 16 steps of moving points, every warm projection is as close
+    # as the cold kernel's, within _OPT_BAND R (R the largest vertex
+    # distance), and lies in its hull; after the first step every hull is
+    # handed the support {v_0, last slot}, singular where the last slot
+    # repeats v_0, which leaves those hulls uncached, so their rows take
+    # the kernel again and cache its supports
+    V, X0, velocity = case
+    rows = np.arange(len(V))
+    step = _WarmProjector(V)
+    m = V.shape[1]
+    for k in range(16):
+        X = X0 + k * velocity
+        P = step.project(X, rows)
+        _, cold_d, _ = _nearest_in_hulls(X, V)
+        W = V - X[:, None, :]
+        R = np.sqrt(np.einsum("bmd,bmd->bm", W, W).max(axis=1))
+        got = np.linalg.norm(P - X, axis=1)
+        assert (np.abs(got - cold_d) <= _OPT_BAND * R + 1e-15 * np.abs(V).max()).all()
+        assert (convex_distance(P, V) <= 1e-12 * np.abs(V).max()).all()
+        if k == 0 and m > 1:
+            planted = np.zeros((len(V), m), dtype=bool)
+            planted[:, 0] = planted[:, -1] = True
+            step._factor(rows, planted)
+            assert np.array_equal(step.cached, (V[:, -1] != V[:, 0]).any(axis=1))
+
+
+def test_warm_projection_of_one_point_hulls_is_the_point(monkeypatch):
+    # a one-point hull caches the support {v_0}, whose weight is 1 for
+    # every point: each later call keeps it (x + (v_0 - x), within
+    # rounding of v_0), off the kernel
+    V = np.array([[[1.0, 2.0]] * 3, [[-1.0, 0.5]] * 3])
+    step = _WarmProjector(V)
+    sent = []
+    kernel = setops._nearest_in_hulls
+    monkeypatch.setattr(setops, "_nearest_in_hulls",
+                        lambda X, V: sent.append(len(X)) or kernel(X, V))
+    rng = np.random.default_rng(2)
+    for _ in range(4):
+        P = step.project(rng.normal(size=(2, 2)), np.arange(2))
+        assert np.abs(P - V[:, 0]).max() <= 8e-15
+    assert sent == [2]
+
+
+@st.composite
+def _dedup_tie_cases(draw):
+    """Point lists whose first coordinates tie, or sit exactly DEDUP_TOL
+    apart or one rounding step either side of it, mixed with box-corner
+    clouds (every first coordinate shared by half the corners) and
+    random points, in dims 1-3, in any order."""
+    dim = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    base = draw(st.sampled_from([0.0, 1.0, -3.5, 1e3]))
+    gaps = [0.0, DEDUP_TOL, np.nextafter(DEDUP_TOL, 0.0), np.nextafter(DEDUP_TOL, 1.0),
+            2 * DEDUP_TOL, 0.5 * DEDUP_TOL, 1e-3]
+    pts = []
+    for _ in range(draw(st.integers(1, 6))):
+        p = rng.uniform(-1.0, 1.0, size=dim)
+        p[0] = base + gaps[int(rng.integers(len(gaps)))]
+        if rng.random() < 0.3 and pts:  # the same point as an earlier one but the first coordinate
+            p[1:] = pts[int(rng.integers(len(pts)))][1:]
+        pts.append(p)
+    if draw(st.booleans()):
+        corners = np.array(list(itertools.product((0.0, 1.0), repeat=dim)))
+        pts.extend(base + corners * draw(st.sampled_from([1.0, DEDUP_TOL, 1e-6])))
+    pts = np.array(pts)
+    return dim, pts[rng.permutation(len(pts))]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_dedup_tie_cases())
+def test_dedup_early_exit_agrees_with_the_pairwise_test(case):
+    # the sorted first coordinates decide only where all their gaps exceed
+    # DEDUP_TOL; every other list takes the pairwise matrix, and both give
+    # the greedy reference's points, and the input object when none is dropped
+    dim, pts = case
+    arr = _as_points(dim, pts)
+    want = _greedy_dedup_reference(arr)
+    got = _dedup(arr)
+    assert np.array_equal(got, want)
+    assert (got is arr) == (len(want) == len(arr))
+    x = np.sort(arr[:, 0])
+    if (x[1:] - x[:-1] > DEDUP_TOL).all():
+        assert got is arr
+
+
+def test_pointset_of_separated_first_coordinates_builds_no_pairwise_matrix(monkeypatch):
+    # a work count: points whose sorted first coordinates are spread more
+    # than DEDUP_TOL apart are told distinct without _cross_dists
+    def refuse(*_):
+        raise AssertionError("pairwise matrix built")
+    monkeypatch.setattr(setops, "_cross_dists", refuse)
+    rng = np.random.default_rng(6)
+    for dim in (1, 2, 3):
+        for n in (2, 3, 9, 50):
+            pts = rng.uniform(-1.0, 1.0, size=(n, dim))
+            pts[:, 0] = np.sort(rng.permutation(n) + rng.uniform(0.0, 0.5, size=n))[rng.permutation(n)]
+            assert np.array_equal(PointSet.of(dim, pts).points, pts)
+            assert np.array_equal(PointSet(dim, pts).points, pts)
+            assert np.array_equal(ConvexSet(dim, pts).vertices, pts)
+    with pytest.raises(AssertionError, match="pairwise"):
+        PointSet.of(2, [[0.0, 0.0], [0.0, 1.0]])  # a tie takes the matrix
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_segment_margins_match_the_per_row_qhull_reference(dim):
+    # rows of 1 to dim + 3 points, flat and full-dimensional, some sharing
+    # points: a row of at most dim points reads 0 from its count, every
+    # other row is _margins over its own points, bit for bit
+    rng = np.random.default_rng(dim)
+    points = rng.uniform(-1.0, 1.0, size=(60, dim))
+    points[10:14, -1] = 0.25  # a flat row: zero margin from Qhull's failure or its facets
+    starts = rng.integers(0, 50, size=40)
+    counts = rng.integers(1, dim + 4, size=40)
+    counts[:3] = (1, dim, dim + 1)
+    simplex = np.vstack([np.zeros(dim), np.eye(dim)])
+    points[40:dim + 42] = np.vstack([simplex, simplex.mean(axis=0)])  # an interior point
+    starts[3:5] = 10, 40
+    counts[3:5] = 4, dim + 2
+    segs = np.column_stack([starts, starts + counts])
+    want = np.concatenate([setops._margins(points[a:b], points[a:b]) for a, b in segs])
+    got = segment_margins(points, segs)
+    assert got.tobytes() == want.tobytes()
+    assert (got > 0).any() and not got[:counts[0] + counts[1]].any()
+    assert segment_margins(points, segs[:0]).shape == (0,)
