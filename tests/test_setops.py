@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, QhullError
@@ -979,6 +979,9 @@ def _dedup_tie_cases(draw):
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_dedup_tie_cases())
+@example((1, np.array([[0.0], [DEDUP_TOL]])))  # a gap of exactly DEDUP_TOL is close
+@example((2, np.array([[DEDUP_TOL, 5.0], [3.0, -1.0], [0.0, 5.0]])))
+@example((3, np.array([[0.0, 1.0, 2.0], [np.nextafter(DEDUP_TOL, 1.0), 1.0, 2.0]])))
 def test_dedup_early_exit_agrees_with_the_pairwise_test(case):
     # the sorted first coordinates decide only where all their gaps exceed
     # DEDUP_TOL; every other list takes the pairwise matrix, and both give
