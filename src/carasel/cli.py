@@ -86,6 +86,9 @@ def cmd_run(args) -> int:
         overrides = _parse_overrides(args)
         doc = load_problem(args.problem)
         if args.mesh is not None:
+            if doc["kind"] in ("nash", "bayes"):
+                raise ParseError(f"--mesh sets the grid section's mesh, which a {doc['kind']} "
+                                 "problem does not have; set each game grid's mesh instead")
             doc.setdefault("grid", {})["mesh"] = args.mesh
         cert = run_problem(doc, overrides)
     except ParseError as e:

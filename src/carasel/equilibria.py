@@ -10,7 +10,7 @@ into the certificate, but the brute-force regret bound is the oracle.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -75,18 +75,20 @@ def random_fixed_point(
     w: CipWitness,
     part: InfoPartition = None,
     tol: float = DEFAULT_FIXPOINT_TOL,
-    **select_opts,
+    eps: float = None,
 ) -> FixedPointProfile:
     """Solve x = psi-selection(t, x) atom by atom.
 
-    Runs the certified selection and solves its piecewise-linear extension
-    over a triangulation of the grid (_faces) exactly.  On a face with
-    displacements g_i, the KKT block [[G G^T, 1], [1^T, 0]] gives the
-    weights l, sum l = 1, of the least |sum l_i g_i|: one batched solve per
-    face size.  Skipping singular blocks loses no fixed point (by
-    Caratheodory).  Of the faces with l >= 0, takes the point within tol
-    nearest the grid barycenter, ties to the earlier face in (size,
-    vertices) order, else reports the least residual.
+    Runs the certified closed-valued selection, its phi checks at the
+    l.s.c. tolerance eps (default: the grid's adjacency radius), and
+    solves its piecewise-linear extension over a triangulation of the
+    grid (_faces) exactly.  On a face with displacements g_i, the KKT
+    block [[G G^T, 1], [1^T, 0]] gives the weights l, sum l = 1, of the
+    least |sum l_i g_i|: one batched solve per face size.  Skipping
+    singular blocks loses no fixed point (by Caratheodory).  Of the faces
+    with l >= 0, takes the point within tol nearest the grid barycenter,
+    ties to the earlier face in (size, vertices) order, else reports the
+    least residual.
     """
     if part is None:
         part = InfoPartition.finest(psi.space)
@@ -97,8 +99,7 @@ def random_fixed_point(
         raise DomainError(f"fixed points need values in R^{grid.dim}, the grid's space")
     faces = _faces(grid.points)
     bary = grid.points.mean(axis=0)
-    select_opts.setdefault("closed_valued", True)
-    sel = caratheodory_select(psi, w, part, **select_opts)
+    sel = caratheodory_select(psi, w, part, closed_valued=True, eps=eps)
 
     def solve_atom(t: int) -> tuple[np.ndarray, float]:
         disp = np.array([sel.value(t, z) for z in range(len(grid))]) - grid.points
@@ -385,13 +386,23 @@ def _add_glue_checks(checks: CheckSet, p: Corr, w: CipWitness, part: InfoPartiti
             checks.add(c.name + suffix, c.residual, c.tolerance, c.detail)
 
 
+def _check_inclusion(checks: CheckSet, p: Corr, w: CipWitness, name: str, owner: str) -> None:
+    """Probe the inclusion property of p's witness w at an eps above
+    every gap of p's grid (its diameter + 1), add the probe's check as
+    name, and raise a PreconditionError naming owner where it fails."""
+    probe = cip_verify(p, w, eps=p.grid.diameter + 1.0)
+    checks.add(name, len(probe.failures), 0,
+               f"inclusion witness verified; l.s.c. certified at eps={probe.lsc_gap + 1e-12:.3g}")
+    if not probe.ok:
+        raise PreconditionError(f"inclusion property fails for {owner}")
+
+
 def random_equilibrium(
     g: GameSpec,
     prefs: list[Corr],
     witnesses: list[CipWitness],
     part: InfoPartition,
     eps_eq: float,
-    run_selection: bool = True,
 ) -> EquilibriumCertificate:
     """Certify a profile at which every player's strict-improvement set
     is empty up to eps_eq at every atom.
@@ -412,15 +423,9 @@ def random_equilibrium(
     _check_irreflexivity(g, prefs)
 
     checks = CheckSet()
-    grid = g.joint_grid()
     for i, (p, w) in enumerate(zip(prefs, witnesses)):
-        probe = cip_verify(p, w, eps=grid.diameter + 1.0)
-        eps_cert = probe.lsc_gap + 1e-12
-        checks.add(f"cip-player-{i}", len(probe.failures), 0,
-                   f"inclusion witness verified; l.s.c. certified at eps={eps_cert:.3g}")
-        if not probe.ok:
-            raise PreconditionError(f"inclusion property fails for player {i}")
-        if run_selection and p.counts.any():
+        _check_inclusion(checks, p, w, f"cip-player-{i}", f"player {i}")
+        if p.counts.any():
             _add_glue_checks(checks, p, w, part, g.strategy_grids[i].points, f"-player-{i}")
 
     # (atoms, players, nodes); the first node of least worst regret is
@@ -452,7 +457,6 @@ def random_nash(
     eps_eq: float,
     strict_margin: float = 0.0,
     seed: int = 0,
-    run_selection: bool = True,
 ) -> EquilibriumCertificate:
     """Equilibrium certificate for a payoff-based random game: derives
     the strict-improvement correspondences, equips them with their
@@ -470,11 +474,7 @@ def random_nash(
 
     prefs = [pref_from_payoff(g, i, strict_margin) for i in range(g.n_players)]
     witnesses = [canonical_witness(p) for p in prefs]
-    cert = random_equilibrium(g, prefs, witnesses, part, eps_eq, run_selection=run_selection)
-    return EquilibriumCertificate(
-        cert.profile, cert.profile_indices, cert.regrets,
-        cert.measurable_wrt, cert.checks, warnings + cert.warnings,
-    )
+    return replace(random_equilibrium(g, prefs, witnesses, part, eps_eq), warnings=warnings)
 
 
 def bayes_h(b: BayesSpec, i: int, omega: int, x: np.ndarray) -> float:
@@ -513,7 +513,6 @@ def bayes_equilibrium(
     eps_eq: float,
     strict_margin: float = 0.0,
     seed: int = 0,
-    run_selection: bool = True,
 ) -> EquilibriumCertificate:
     """Certify a Bayesian equilibrium: build the conditional-expectation
     game and solve it as a random game against the information partition.
@@ -524,10 +523,7 @@ def bayes_equilibrium(
                 f"player {i}: concavity in the own strategy must be declared"
             )
     derived = derived_bayes_game(b)
-    cert = random_nash(
-        derived, b.partition, eps_eq, strict_margin=strict_margin,
-        seed=seed, run_selection=run_selection,
-    )
+    cert = random_nash(derived, b.partition, eps_eq, strict_margin=strict_margin, seed=seed)
     gap = _profile_cell_constancy(cert.profile, b.partition)
     if gap > SET_EQUALITY_TOL:
         raise ConstructionError(
@@ -549,7 +545,6 @@ def maximal_element(
     p: Corr,
     w: CipWitness,
     part: InfoPartition,
-    run_selection: bool = True,
 ) -> MaximalResult:
     """Find, per atom, a grid node whose preferred set is empty.
 
@@ -563,11 +558,7 @@ def maximal_element(
         raise PreconditionError(f"irreflexivity violated at atom {hit[0]}, node {hit[1]}")
 
     checks = CheckSet()
-    probe = cip_verify(p, w, eps=grid.diameter + 1.0)
-    checks.add("cip", len(probe.failures), 0,
-               f"inclusion witness verified; l.s.c. certified at eps={probe.lsc_gap + 1e-12:.3g}")
-    if not probe.ok:
-        raise PreconditionError("inclusion property fails for the preference table")
+    _check_inclusion(checks, p, w, "cip", "the preference table")
 
     varying = cell_varying([p] + [f for f, _ in w.distinct_locals()], part).any(axis=1)
     checks.add("preference-measurability", np.count_nonzero(varying[0]), 0,
@@ -577,7 +568,7 @@ def maximal_element(
     checks.add("witness-measurability", bad_w, 0,
                "cell-wise constancy of the witness locals")
 
-    if run_selection and p.counts.any():
+    if p.counts.any():
         _add_glue_checks(checks, p, w, part, grid.points)
 
     values, indices = {}, {}

@@ -148,12 +148,7 @@ def run_fixpoint(doc: dict, opts: dict) -> Certificate:
     rep, eps = _verification_checks(psi, witness, part, mode, opts, checks)
     if not rep.ok:
         raise PreconditionError("inclusion-property verification failed")
-    profile = random_fixed_point(
-        psi, witness, part,
-        tol=opts["tol"],
-        eps=eps,
-        seed=opts["seed"],
-    )
+    profile = random_fixed_point(psi, witness, part, tol=opts["tol"], eps=eps)
     checks.extend(profile.checks)
     outputs = {
         "fixed_points": [

@@ -166,15 +166,10 @@ def _glued_phi(psi: Corr, w: CipWitness, atomic: bool = False) -> Corr:
 
 def _layout(phi: Corr, on: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The flat layout of the cells of phi that the (atoms, nodes) mask
-    on selects, in C order: their [start, stop) rows of phi.points, and
-    each cell's atom and node."""
+    on selects, all nonempty, in C order: their [start, stop) rows of
+    phi.points, and each cell's atom and node."""
     atom, node = np.nonzero(on)
-    segs = phi.bounds[atom, node]
-    empty = np.flatnonzero(segs[:, 1] == segs[:, 0])
-    if len(empty):
-        raise ConstructionError(f"inconsistent domain: empty value at node {node[empty[0]]} "
-                                f"of atom {atom[empty[0]]}")
-    return segs, atom, node
+    return phi.bounds[atom, node], atom, node
 
 
 def _edges(grid: GridSpace, on: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -387,52 +382,23 @@ def _sweep(points: np.ndarray, segs: np.ndarray, edges: tuple, atom: np.ndarray,
     return X, residual
 
 
-def grid_select(
-    phi: Corr,
-    t: int,
-    tol: float,
-    nodes=None,
-    init: dict | None = None,
-    max_sweeps: int = DEFAULT_MAX_SWEEPS,
-) -> AtomSelection:
-    """Select one point per node of phi(t, .) on its nonempty section (or
-    the given distinct nodes), on the layout of a one-atom mask, by the
-    solve caratheodory_select runs: in R^1 the least-modulus selection
-    (_least_modulus), otherwise damped Jacobi sweeps minimizing the sum of
-    squared adjacent differences from init (default: each hull's
-    barycenter) for at most max_sweeps sweeps, one restart.  init and
-    max_sweeps act only in dim 2 or more; init is validated in every dim.
-    The output is deterministic; the returned modulus is the achieved
-    per-adjacent-pair Lipschitz ratio."""
-    if tol <= 0:
-        raise DomainError("tol must be positive")
+def grid_select(phi: Corr, t: int, tol: float) -> AtomSelection:
+    """Select one point per node of phi(t, .) on its nonempty section by
+    the pipelines' closed-valued solve (_select_table) on a copy of phi
+    that keeps atom t and leaves every other atom empty: in R^1 the
+    least-modulus selection, otherwise damped Jacobi sweeps from each
+    hull's barycenter.  Errors name atom t.  The output is deterministic;
+    the returned modulus is the achieved per-adjacent-pair Lipschitz
+    ratio and the residual the worst distance to phi's hulls."""
     if not 0 <= t < len(phi.space):
         raise DomainError(f"atom {t} is outside [0, {len(phi.space)})")
-    nodes = np.flatnonzero(phi.counts[t]) if nodes is None else list(nodes)
-    on = np.zeros(phi.counts.shape, dtype=bool)
-    on[t] = np.isin(np.arange(len(phi.grid)), nodes)
-    if np.count_nonzero(on) != len(nodes):
-        raise DomainError(f"nodes must be distinct and lie in [0, {len(phi.grid)})")
-    segs, atom, node = _layout(phi, on)
-    edges = _edges(phi.grid, on)
-    section = np.flatnonzero(on[t]).tolist()
-    init = init or {}
-    stray = [z for z in init if z not in section]
-    if stray:
-        raise DomainError(f"init node {stray[0]!r} is not a solved node")
-    if any(np.shape(v) != (phi.dim,) for v in init.values()):
-        raise DomainError(f"init values must be length-{phi.dim} vectors")
-    if not section:
-        return AtomSelection({}, 0.0, 0.0)
-    if phi.dim == 1:  # clipped into its intervals: no residual
-        x, residual = _least_modulus(phi.points, segs, atom, node, phi.grid)[0], 0.0
-    else:
-        x = _barycenters(phi.points, segs)[0]
-        for z, v in init.items():
-            x[section.index(z)] = v
-        x, residual = _sweep(phi.points, segs, edges, atom, x, tol, max_sweeps)
-        residual = float(residual[0])
-    return AtomSelection(dict(zip(section, x)), _modulus(x, edges), residual)
+    bounds = np.zeros_like(phi.bounds)
+    bounds[t] = phi.bounds[t]
+    one = Corr(phi.space, phi.grid, phi.dim, phi.points, bounds)
+    table, residual = _select_table(one, one, InfoPartition.finest(phi.space), tol)
+    on = one.counts > 0
+    return AtomSelection(dict(zip(np.flatnonzero(on[t]).tolist(), table[on])),
+                         _modulus(table[on], _edges(phi.grid, on)), residual)
 
 
 def _halving_weights(count: int, k_max: int) -> np.ndarray:
@@ -481,9 +447,12 @@ def _select_table(psi: Corr, phi: Corr, part: InfoPartition, tol: float,
     (the closed-valued branch), or also from len(weights) - 1 random
     feasible starts drawn per atom by its cell head's seed, whose pushed
     results the halving series weights combine with the barycentric one.
-    Raises a ConstructionError where the sweep escapes phi's hulls, where
-    phi is empty on psi's domain, or where a selected point lies farther
-    than tol from psi's hull."""
+    Raises a DomainError unless tol is positive, and a ConstructionError
+    where the sweep escapes phi's hulls, where phi is empty on psi's
+    domain, or where a selected point lies farther than tol from psi's
+    hull."""
+    if not tol > 0:  # NaN too: no residual exceeds it
+        raise DomainError("tol must be positive")
     on = phi.counts > 0
     segs, atom, node = _layout(phi, on)
     table = np.zeros(psi.counts.shape + (psi.dim,))  # the selected points, by (t, z)
@@ -550,8 +519,6 @@ def caratheodory_select(
     and cell-wise measurability whenever the inputs are cell-wise
     constant.
     """
-    if tol <= 0:
-        raise DomainError("tol must be positive")
     if restarts < 1:
         raise DomainError("restarts must be a positive integer")
     weights = _halving_weights(restarts, k_max)

@@ -596,6 +596,22 @@ def test_override_flags(tmp_path):
     assert cert["provenance"]["seed"] == 3
 
 
+@pytest.mark.parametrize("kind", ["nash", "bayes"])
+def test_mesh_flag_on_a_game_exit_2(tmp_path, capsys, kind):
+    # a game has no grid section for --mesh to set; the same file runs
+    # without the flag
+    doc = json.loads((DOCS / "quadratic-bayes.json").read_text())
+    doc["kind"] = kind
+    if kind == "nash":  # on the finest partition, where the payoffs may vary
+        del doc["partition"], doc["priors"]
+    p = tmp_path / "game.json"
+    p.write_text(json.dumps(doc))
+    assert main(["run", str(p), "--mesh", "123"]) == 2
+    assert "--mesh" in capsys.readouterr().err
+    assert not (tmp_path / "game.cert.json").exists()
+    assert main(["run", str(p)]) == 0
+
+
 def test_out_flag(tmp_path):
     src = (DOCS / "lsc-canonical.json").read_text()
     problem = tmp_path / "lsc-canonical.json"

@@ -332,7 +332,7 @@ def test_random_nash_with_selection_never_builds_the_joint_metric(monkeypatch):
 
     monkeypatch.setattr(carasel.grid, "_euclidean", refuse)
     g, part, eps_eq = _quadratic_game(np.random.default_rng(1), 11, ((0,), (1, 2)))
-    cert = random_nash(g, part, eps_eq, run_selection=True)
+    cert = random_nash(g, part, eps_eq)
     assert cert.checks.ok
     assert sum(c.name.startswith("glue-") for c in cert.checks) == 2 * g.n_players
     assert "_euclidean_metric" not in g.joint_grid().__dict__
@@ -523,7 +523,7 @@ def test_profile_and_regrets_match_per_atom_reference(seed):
     rounded = GameSpec(g.players, g.state_space, g.strategy_grids,
                        tuple(lambda t, x, u=u: round(u(t, x), 1) for u in g.payoffs), (True, True))
     for game in (g, rounded):
-        cert = random_nash(game, part, 1.0, run_selection=False)
+        cert = random_nash(game, part, 1.0)
         for t in range(len(game.state_space)):
             worst = np.zeros(len(game.joint_nodes()))
             for i in range(game.n_players):

@@ -3,7 +3,10 @@ the package modules is used, every module-level function or class of
 the package, and every method of such a class, is referenced from the
 package, apart from the few kept on purpose, every defaulted
 parameter of a private module-level function is passed by some package
-call, and every parameter of a package function is read by its body.
+call, every defaulted parameter of a public module-level function that
+the package or the benchmark calls is passed by one of those calls (so
+no option is set by tests alone), and every parameter of a package
+function is read by its body.
 __init__.py is skipped by the import check, since its imports
 are the public API it re-exports; those re-exports count as
 references."""
@@ -15,6 +18,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "carasel"
+BENCH = SRC.parent.parent / "bench"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 # definitions the package keeps with no caller of its own, and why
@@ -63,19 +67,19 @@ def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
     return [name for name in defined if name.rsplit(".", 1)[1] not in used]
 
 
-def uncalled_private_parameters(sources: dict[str, str]) -> list[str]:
+def _unpassed_parameters(sources: dict[str, str], callers: dict[str, str],
+                         private: bool) -> list[str]:
     """"module.function.parameter" of every defaulted parameter of a
-    module-level function named with a single leading underscore, in
-    the modules of sources, that no call in them (by the function's name,
+    module-level function of sources, private (one leading underscore)
+    or public as asked, that no call in callers (by the function's name,
     bare or as an attribute) passes by position or by keyword; a call
-    with *args or **kwargs passes every parameter.  In module order,
-    then signature order."""
+    with *args or **kwargs passes every parameter.  A public function
+    no caller calls is skipped.  In module order, then signature order."""
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     params, calls = [], defaultdict(list)
     for module, source in sources.items():
-        tree = ast.parse(source)
-        for node in tree.body:
-            if (isinstance(node, functions) and node.name.startswith("_")
+        for node in ast.parse(source).body:
+            if (isinstance(node, functions) and node.name.startswith("_") == private
                     and not node.name.startswith("__")):
                 a = node.args
                 positional = a.posonlyargs + a.args
@@ -84,7 +88,8 @@ def uncalled_private_parameters(sources: dict[str, str]) -> list[str]:
                            for i, p in enumerate(positional) if i >= first]
                 params += [(module, node.name, None, p.arg)
                            for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
-        for node in ast.walk(tree):
+    for source in callers.values():
+        for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.Call):
                 calls[getattr(node.func, "id", getattr(node.func, "attr", None))].append(node)
 
@@ -94,7 +99,21 @@ def uncalled_private_parameters(sources: dict[str, str]) -> list[str]:
                 or any(k.arg in (None, name) for k in call.keywords))
 
     return [f"{m}.{fn}.{name}" for m, fn, i, name in params
-            if not any(passes(c, i, name) for c in calls[fn])]
+            if (private or calls[fn]) and not any(passes(c, i, name) for c in calls[fn])]
+
+
+def uncalled_private_parameters(sources: dict[str, str]) -> list[str]:
+    """The defaulted parameters of the private module-level functions of
+    sources that no call in sources passes (_unpassed_parameters)."""
+    return _unpassed_parameters(sources, sources, private=True)
+
+
+def unset_public_parameters(sources: dict[str, str], callers: dict[str, str]) -> list[str]:
+    """The defaulted parameters of the public module-level functions of
+    sources that some call in sources or callers makes, where no such
+    call passes them (_unpassed_parameters): an option that only tests
+    set."""
+    return _unpassed_parameters(sources, {**sources, **callers}, private=False)
 
 
 def unread_parameters(sources: dict[str, str]) -> list[str]:
@@ -125,6 +144,12 @@ def unread_parameters(sources: dict[str, str]) -> list[str]:
 
 def package_sources() -> dict[str, str]:
     return {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+
+
+def bench_sources() -> dict[str, str]:
+    """The benchmark's modules, its tests left out, keyed bench.<name>."""
+    return {f"bench.{p.stem}": p.read_text(encoding="utf-8") for p in sorted(BENCH.glob("*.py"))
+            if not p.name.startswith("test_")}
 
 
 def test_the_check_sees_an_orphaned_import():
@@ -191,6 +216,30 @@ def test_the_check_sees_a_private_parameter_without_a_caller():
 
 def test_no_private_parameter_without_a_caller():
     assert uncalled_private_parameters(package_sources()) == []
+
+
+def test_the_check_sees_a_public_option_only_tests_set():
+    sources = {
+        "a": "def solve(x, tol=1.0, k=2, mode='a'):\n    pass\n\n"
+             "def idle(x, tol=1.0):\n    pass\n\n"
+             "def star(x, y=0):\n    pass\n\n"
+             "def _helper(x, y=0):\n    pass\n",
+        "b": "from . import a\n\ndef run(args):\n"
+             "    a.solve(1, 0.5)\n    a.star(*args)\n    a._helper(1)\n",
+    }
+    callers = {"bench.run": "import a\n\na.solve(1, k=3)\n"}
+    assert unset_public_parameters(sources, callers) == ["a.solve.mode"]
+    # the selection switch only tests turned off, put back on maximal_element
+    sources = package_sources()
+    sources["equilibria"] = sources["equilibria"].replace(
+        "    part: InfoPartition,\n) -> MaximalResult:",
+        "    part: InfoPartition,\n    run_selection: bool = True,\n) -> MaximalResult:", 1)
+    assert unset_public_parameters(sources, bench_sources()) == \
+        ["equilibria.maximal_element.run_selection"]
+
+
+def test_no_public_option_only_tests_set():
+    assert unset_public_parameters(package_sources(), bench_sources()) == []
 
 
 def test_the_check_sees_an_unread_parameter():

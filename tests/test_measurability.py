@@ -285,7 +285,9 @@ def test_maximal_element_measurability_counts_match_per_cell_reference(seed):
 def test_measurability_checks_measure_a_repeated_table_once(monkeypatch):
     # a canonical witness's local is the preference table itself: the
     # measurability calls of maximal_element and _inputs_cell_constant
-    # send its 2 non-head atoms x 6 nodes = 12 pairs, not 24
+    # send its 2 non-head atoms x 6 nodes = 12 pairs, not 24; they are
+    # the calls on the table's own points, as the glue's calls stack the
+    # glued table and the fallback
     space = AtomSpace(tuple(f"a{k}" for k in range(4)), [1.0] * 4)
     grid = line_grid(6)
     part = InfoPartition(space, ((0, 2), (1, 3)))
@@ -296,9 +298,9 @@ def test_measurability_checks_measure_a_repeated_table_once(monkeypatch):
     pairs = []
     packed = carasel.corr._packed_gaps
     monkeypatch.setattr(carasel.corr, "_packed_gaps",
-                        lambda points, bounds, a, b: pairs.append(len(a))
+                        lambda points, bounds, a, b: (points is p.points and pairs.append(len(a)))
                         or packed(points, bounds, a, b))
-    res = maximal_element(p, w, part, run_selection=False)
+    res = maximal_element(p, w, part)
     assert _inputs_cell_constant(p, w, part)
     assert pairs == [12, 12]
     assert _check(res.checks, "preference-measurability") == 0
@@ -493,7 +495,7 @@ def test_maximal_element_stacked_witness_measurability(seed):
 
     locs = {z: chain if z % 3 == 0 else local() for z in range(6)}
     w = CipWitness("countable", locs, canonical_witness(chain).radii)
-    res = maximal_element(chain, w, part, run_selection=False)
+    res = maximal_element(chain, w, part)
     want = sum(np.count_nonzero(cell_varying([f], part)[0].any(axis=0))
                for f, _ in w.distinct_locals())
     assert want > 0

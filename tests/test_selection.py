@@ -201,7 +201,24 @@ def _grid_select_reference(phi, t, init=None, max_sweeps=DEFAULT_MAX_SWEEPS, rel
     return {z: x[pos[z]] for z in section}, modulus, residual
 
 
+def _swept(phi, t, init, max_sweeps=DEFAULT_MAX_SWEEPS, tol=1e-9):
+    """_sweep on atom t of phi, in dim 2 or more, from each hull's
+    barycenter but at the nodes of init (node -> point), for at most
+    max_sweeps sweeps: the one-atom solve from a given start.  Returns
+    (values, modulus, residual) as grid_select's fields."""
+    on = np.zeros(phi.counts.shape, dtype=bool)
+    on[t] = phi.counts[t] > 0
+    segs, atom, node = _layout(phi, on)
+    edges = _edges(phi.grid, on)
+    x = _barycenters(phi.points, segs)[0]
+    for z, v in init.items():
+        x[node == z] = v
+    x, residual = carasel.selection._sweep(phi.points, segs, edges, atom, x, tol, max_sweeps)
+    return dict(zip(node.tolist(), x)), _modulus(x, edges), float(residual[0])
+
+
 def test_grid_select_matches_per_node_projection_reference():
+    # grid_select from the barycenters; _sweep from a random start at atom 0
     rng = np.random.default_rng(8)
     per_dim = {2: 0, 3: 0}  # two instances in each of dims 2 and 3
     while min(per_dim.values()) < 2:
@@ -217,13 +234,16 @@ def test_grid_select_matches_per_node_projection_reference():
                 for z in section:
                     wts = rng.exponential(size=len(psi.value(t, z)))
                     init[z] = psi.value(t, z).points.T @ (wts / wts.sum())
-            sel = grid_select(psi, t, tol=1e-7, init=init)
+                got = _swept(psi, t, init, tol=1e-7)
+            else:
+                sel = grid_select(psi, t, tol=1e-7)
+                got = sel.values, sel.modulus, sel.residual
             values, modulus, residual = _grid_select_reference(psi, t, init=init)
             scale = max(1.0, max(float(np.abs(psi.value(t, z).points).max()) for z in section))
             for z in section:
-                assert np.abs(sel.values[z] - values[z]).max() <= 1e-12 * scale
-            assert abs(sel.modulus - modulus) <= 1e-12 * scale
-            assert abs(sel.residual - residual) <= 1e-12 * scale
+                assert np.abs(got[0][z] - values[z]).max() <= 1e-12 * scale
+            assert abs(got[1] - modulus) <= 1e-12 * scale
+            assert abs(got[2] - residual) <= 1e-12 * scale
 
 
 def test_grid_select_sweeps_follow_the_damped_rate():
@@ -233,55 +253,71 @@ def test_grid_select_sweeps_follow_the_damped_rate():
     start = {0: [0.0, 0.0], 1: [1.0, 0.0]}
     # two nodes pulled together: each moves 0.7 of their gap g toward the
     # other, so g shrinks by -0.4 per sweep
-    done = grid_select(phi, 0, tol=1e-9, init=start)
-    assert np.allclose(done.values[0], [0.5, 0.0]) and np.allclose(done.values[1], [0.5, 0.0])
-    capped = grid_select(phi, 0, tol=1e-9, init=start, max_sweeps=5)
+    done = _swept(phi, 0, start)[0]
+    assert np.allclose(done[0], [0.5, 0.0]) and np.allclose(done[1], [0.5, 0.0])
+    capped = _swept(phi, 0, start, max_sweeps=5)[0]
     gap = 0.4 ** 5  # node 0 ends at 0.5 + gap / 2 after five sweeps
-    assert np.allclose(capped.values[0], [0.5 + gap / 2, 0.0], rtol=0, atol=1e-12)
-    assert np.allclose(capped.values[1], [0.5 - gap / 2, 0.0], rtol=0, atol=1e-12)
+    assert np.allclose(capped[0], [0.5 + gap / 2, 0.0], rtol=0, atol=1e-12)
+    assert np.allclose(capped[1], [0.5 - gap / 2, 0.0], rtol=0, atol=1e-12)
     empty = Corr.from_function(space, line_grid(2), 2, lambda t, z: PointSet.empty(2))
     assert grid_select(empty, 0, tol=1e-9).values == {}
 
 
-def test_grid_select_inconsistent_domain_raises():
-    space = single_atom()
-    grid = line_grid(3)
-    phi = Corr.from_function(
-        space, grid, 1,
-        lambda t, z: PointSet.empty(1) if z == 1 else PointSet.of(1, [[0.0]]),
-    )
-    with pytest.raises(ConstructionError):
-        grid_select(phi, 0, tol=1e-9, nodes=[0, 1, 2])
-
-
-@pytest.mark.parametrize("t, nodes, message", [
-    (-1, None, "atom -1 is outside"),  # would solve the last atom
-    (2, None, "atom 2 is outside"),
-    (0, [-1, 0], "nodes must be distinct and lie in"),  # would solve node 4 as -1
-    (0, [0, 5], "nodes must be distinct and lie in"),
-    (0, [1, 1, 2], "nodes must be distinct and lie in"),  # would collapse to one node
+@pytest.mark.parametrize("t, message", [
+    (-1, "atom -1 is outside"),  # would solve the last atom
+    (2, "atom 2 is outside"),
 ])
-def test_grid_select_rejects_indices_outside_the_table(t, nodes, message):
+def test_grid_select_rejects_indices_outside_the_table(t, message):
     space = AtomSpace(("a", "b"), [1.0, 1.0])
     phi = Corr.constant(space, line_grid(5), PointSet.of(1, [[0.0], [1.0]]))
     with pytest.raises(DomainError, match=message):
-        grid_select(phi, t, tol=1e-9, nodes=nodes)
+        grid_select(phi, t, tol=1e-9)
 
 
-@pytest.mark.parametrize("nodes, init, message", [
-    (None, {9: [0.3], -1: [0.9]}, "init node 9 is not a solved node"),
-    (None, {-1: [0.9]}, "init node -1 is not a solved node"),
-    ([0, 1], {3: [0.5]}, "init node 3 is not a solved node"),
-    (None, {0: 0.5}, "init values must be length-1 vectors"),  # would broadcast
-    (None, {0: [0.5, 0.5]}, "init values must be length-1 vectors"),
-    (None, {0: [[0.5]]}, "init values must be length-1 vectors"),
-], ids=["node-9", "node-minus-1", "off-the-given-nodes", "scalar", "two-wide", "nested"])
-def test_grid_select_rejects_bad_init_entries(nodes, init, message):
-    # these used to be ignored (a bad node) or broadcast (a scalar) without a word
-    space = AtomSpace(("a", "b"), [1.0, 1.0])
-    phi = Corr.constant(space, line_grid(5), PointSet.of(1, [[0.0], [1.0]]))
-    with pytest.raises(DomainError, match=message):
-        grid_select(phi, 0, tol=1e-9, nodes=nodes, init=init)
+@pytest.mark.parametrize("tol", [0.0, -1e-7, float("nan")])
+def test_grid_select_and_caratheodory_select_reject_a_nonpositive_tol(jump, tol):
+    # a NaN tol compares false with every residual, so no check could
+    # decide membership against it
+    space, grid, psi, witness = jump
+    with pytest.raises(DomainError, match="tol must be positive"):
+        grid_select(psi, 0, tol=tol)
+    with pytest.raises(DomainError, match="tol must be positive"):
+        caratheodory_select(psi, witness, InfoPartition.finest(space), tol=tol)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_grid_select_is_a_row_of_the_closed_valued_selection(dim, monkeypatch):
+    # the one-atom solve is the pipelines' solve on atom t alone: its
+    # values are row t of the closed-valued table bit for bit, and its
+    # errors name atom t, not the first atom of the copy
+    rng = np.random.default_rng(30 + dim)
+    solved = 0
+    while solved < 3:
+        inst = random_cip_instance(rng)
+        if inst.psi.dim != dim:
+            continue
+        sel = caratheodory_select(inst.psi, inst.witness, inst.part, closed_valued=True,
+                                  eps=inst.eps)
+        phi = construct_phi(inst.psi, inst.witness, inst.part, eps=inst.eps).phi
+        for t in range(len(phi.space)):
+            one = grid_select(phi, t, tol=1e-7)
+            assert sorted(one.values) == np.flatnonzero(phi.counts[t]).tolist()
+            assert all(v.tobytes() == sel.value(t, z).tobytes() for z, v in one.values.items())
+            assert one.residual <= 1e-7 and np.isfinite(one.modulus)
+        solved += 1
+    t = len(phi.space) - 1
+    if dim == 1:  # a selected point off its interval fails the membership check
+        least = carasel.selection._least_modulus
+        monkeypatch.setattr(carasel.selection, "_least_modulus",
+                            lambda *args: (least(*args)[0] + 1e3,))
+        match = rf"membership certification failed at \(t={t}, "
+    else:
+        project = carasel.setops._WarmProjector.project
+        monkeypatch.setattr(carasel.setops._WarmProjector, "project",
+                            lambda step, x, rows: project(step, x, rows) + 1e3)
+        match = f"escaped its value set .* at atom {t}$"
+    with pytest.raises(ConstructionError, match=match):
+        grid_select(phi, t, tol=1e-7)
 
 
 # ---------------------------------------------------------- interior_series
@@ -434,7 +470,7 @@ def _caratheodory_reference(inst, closed_valued, k_max=40, restarts=8, seed=0):
                 verts = phi.value(t, z).points
                 wts = arng.exponential(size=len(verts))
                 init[z] = verts.T @ (wts / wts.sum())
-            family.append(grid_select(phi, t, 1e-7, init=init).values)
+            family.append(base if phi.dim == 1 else _swept(phi, t, init, tol=1e-7)[0])
         for z in base:
             if closed_valued:
                 values[(t, z)] = base[z]
@@ -793,7 +829,7 @@ def test_least_modulus_raises_past_the_adjacent_bound():
     x, bound, _, edges = _least_modulus_of(psi)
     assert x[:, 0].tolist() == [1.0, 0.5, 0.0] and bound.tolist() == [0.5]
     assert _modulus(x, edges) == 0.5
-    sel = grid_select(psi, 0, tol=1e-9, init={1: [0.9]}, max_sweeps=1)  # both ignored in R^1
+    sel = grid_select(psi, 0, tol=1e-9)
     assert [sel.values[z][0] for z in range(3)] == [1.0, 0.5, 0.0] and sel.modulus == 0.5
 
 
@@ -836,9 +872,9 @@ def test_a_sweep_whose_rows_keep_their_supports_takes_the_kernel_once(dim, monke
     project = carasel.setops._WarmProjector.project
     monkeypatch.setattr(carasel.setops._WarmProjector, "project",
                         lambda step, x, rows: sweeps.append(len(x)) or project(step, x, rows))
-    sel = grid_select(phi, 0, tol=1e-9, init=init, max_sweeps=DEFAULT_MAX_SWEEPS)
+    values, _, residual = _swept(phi, 0, init)
     assert len(sweeps) > 3 and sent == [7, 7]
-    assert sel.residual <= 1e-12 and len(sel.values) == 7
+    assert residual <= 1e-12 and len(values) == 7
 
 
 @pytest.mark.parametrize("seed, share", [(1, 0.05), (6, 0.02)])
@@ -1012,11 +1048,6 @@ def _atom_block(phi, t, section):
     section's adjacent pairs in both directions, (sources, targets) as
     section positions, and their distances."""
     segs = phi.bounds[t, section]
-    empty = np.flatnonzero(segs[:, 1] == segs[:, 0])
-    if len(empty):
-        raise ConstructionError(
-            f"inconsistent domain: empty value at node {section[empty[0]]} of atom {t}"
-        )
     pos = np.full(len(phi.grid), -1)
     pos[section] = np.arange(len(section))
     pi, pj = phi.grid.directed_pair_arrays()
@@ -1075,13 +1106,6 @@ def test_selection_blocks_match_per_node_hulls(dim):
             assert np.array_equal(segs, want[0]) and np.array_equal(atom, want[1])
             assert np.array_equal(node, np.nonzero(on)[1])
             assert all(np.array_equal(x, y) for x, y in zip(_edges(phi.grid, on), want[2]))
-        empty = np.argwhere(phi.counts == 0)
-        if len(empty):
-            t, z = empty[0]
-            on = phi.counts > 0
-            on[t, z] = True
-            with pytest.raises(ConstructionError, match=f"empty value at node {z} of atom {t}$"):
-                _layout(phi, on)
 
 
 def _interiority_reference(psi, w, phi):
