@@ -10,6 +10,7 @@ operator collecting interiors of the local inclusion witnesses.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -19,8 +20,10 @@ from .errors import DomainError, PreconditionError
 from .grid import METRIC_BLOCK, GridSpace
 from .measure import AtomSpace, InfoPartition
 from .setops import (
+    DEDUP_TOL,
     PointSet,
     _cross_dists,
+    _dedup,
     _distinct,
     _distinct_segments,
     _padded_rows,
@@ -74,15 +77,16 @@ class Corr:
     @classmethod
     def from_function(cls, space: AtomSpace, grid: GridSpace, dim: int, fn) -> "Corr":
         """Tabulate fn(atom_index, node_index) -> PointSet; the cells
-        given one PointSet object share its segment.  The cells' [start,
-        stop) rows are collected in a list and made one array at the end."""
+        given one PointSet object share its segment, and each distinct
+        object is type-checked once.  The cells' [start, stop) rows are
+        collected in a list and made one array at the end."""
         seen, chunks, size, cells = {}, [np.zeros((0, dim))], 0, []
         for t in range(len(space)):
             for z in range(len(grid)):
                 ps = fn(t, z)
-                if not isinstance(ps, PointSet) or ps.dim != dim:
-                    raise DomainError("all values must be PointSets of the common dim")
                 if id(ps) not in seen:  # holding ps keeps its id unique
+                    if not isinstance(ps, PointSet) or ps.dim != dim:
+                        raise DomainError("all values must be PointSets of the common dim")
                     seen[id(ps)] = (ps, (size, size + len(ps)))
                     chunks.append(ps.points)
                     size += len(ps)
@@ -163,9 +167,15 @@ class Corr:
     def interior_cells(self, on: np.ndarray) -> np.ndarray:
         """Boolean (atoms, nodes) table: the cell is in the mask on and its
         value carries a point interior to its own hull (a positive
-        segment_margins entry)."""
+        segment_margins entry).  A value of at most dim points spans no
+        full-dimensional hull and has none (segment_margins' own count
+        rule), so only the cells holding more are looked at, and a table
+        with none, such as one of single points, reads no segment_index
+        and no margins."""
+        on = on & (self.counts > self.dim)
+        if not on.any():
+            return on
         segs, cell_seg = self.segment_index()
-        on = on & (self.counts > 0)
         margins = self.segment_margins(_distinct(cell_seg[on]))
         has = np.zeros(len(segs) + 1, dtype=bool)  # the last entry serves cell_seg == -1
         if len(segs):
@@ -731,22 +741,41 @@ def _residuals(psi: Corr, tables: list, on: np.ndarray) -> np.ndarray:
     nodes) mask on, for every table F: 0 off it, where F(t, x) is empty
     or is psi's own segment, inf where psi(t, x) is empty, else the max
     distance of F(t, x)'s points from psi's hull (a vertex of it is at
-    exactly 0), by segment_distances calls of RESIDUAL_CHUNK points."""
-    points, bounds = _stacked(tables)
-    res = np.zeros(on.shape)
-    same = np.stack([(f.bounds == psi.bounds).all(axis=-1) & (f.points is psi.points)
-                     for f in tables])
-    cells = on & (bounds[..., 1] > bounds[..., 0]) & ~same
-    res[cells & (psi.counts == 0)] = np.inf
-    k, t, x = np.nonzero(cells & (psi.counts > 0))
-    segs = bounds[k, t, x]
-    rows, first = _segment_rows(segs)
-    owner = np.repeat(psi.bounds[t, x], segs[:, 1] - segs[:, 0], axis=0)  # psi's row per point
-    if len(rows):
-        res[k, t, x] = np.maximum.reduceat(np.concatenate([segment_distances(
-            points[rows[i:i + RESIDUAL_CHUNK]], psi.points, owner[i:i + RESIDUAL_CHUNK])
-            for i in range(0, len(rows), RESIDUAL_CHUNK)]), first)
-    return res
+    exactly 0), by segment_distances calls of RESIDUAL_CHUNK points.
+
+    Each table's residuals are kept on psi, by (atom, node) cell, NaN
+    until measured, and only the cells of on not yet measured are
+    measured, every table's in one stacked pass; psi and the tables are
+    immutable, so the cache never goes stale.  It is keyed weakly by
+    the table: a canonical witness's local is psi itself, and a strong
+    key would make psi hold itself in a reference cycle, keeping every
+    table alive until the cycle collector runs."""
+    cache = psi.__dict__.get("_residual_cache")
+    if cache is None:
+        cache = psi.__dict__["_residual_cache"] = weakref.WeakKeyDictionary()
+    for f in tables:
+        if f not in cache:
+            cache[f] = np.full(psi.counts.shape, np.nan)
+    res = np.stack([cache[f] for f in tables])
+    todo = on & np.isnan(res)
+    if todo.any():
+        res[todo] = 0.0
+        points, bounds = _stacked(tables)
+        same = np.stack([(f.bounds == psi.bounds).all(axis=-1) & (f.points is psi.points)
+                         for f in tables])
+        cells = todo & (bounds[..., 1] > bounds[..., 0]) & ~same
+        res[cells & (psi.counts == 0)] = np.inf
+        k, t, x = np.nonzero(cells & (psi.counts > 0))
+        segs = bounds[k, t, x]
+        rows, first = _segment_rows(segs)
+        owner = np.repeat(psi.bounds[t, x], segs[:, 1] - segs[:, 0], axis=0)  # psi's row per point
+        if len(rows):
+            res[k, t, x] = np.maximum.reduceat(np.concatenate([segment_distances(
+                points[rows[i:i + RESIDUAL_CHUNK]], psi.points, owner[i:i + RESIDUAL_CHUNK])
+                for i in range(0, len(rows), RESIDUAL_CHUNK)]), first)
+        for f, got, new in zip(tables, res, todo):
+            cache[f][new] = got[new]
+    return np.where(on, res, 0.0)
 
 
 def cip_verify(
@@ -929,22 +958,47 @@ def _hull_modulus(psi: Corr, w: CipWitness, groups: list) -> float:
 def pool_captured(psi: Corr, w: CipWitness, interior: bool = False) -> Corr:
     """Pool, at every (t, x), the local values over the witness nodes
     whose ball captures x, or only the points of each value interior to
-    that value's own hull when interior.  Each local's captured cells
-    come from one array pass over its segments: a mask of the cells,
-    and for interior the local's cached Corr.segment_margins, gathered
-    once per distinct segment.  One local (every shared witness) keeps
-    that table; several are pooled cell by cell."""
+    that value's own hull when interior (_pool)."""
     groups = w.distinct_locals()
-    reaches = _reach_masks(psi.grid, _ball_radii(psi, w), groups)
+    return _pool(psi, groups, _reach_masks(psi.grid, _ball_radii(psi, w), groups), interior)
+
+
+def _pool(psi: Corr, groups: list, reaches: np.ndarray, interior: bool) -> Corr:
+    """pool_captured from w's (local, zs) groups and their _reach_masks.
+    Each local's captured cells come from one array pass over its
+    segments: a mask of the cells, and for interior the local's cached
+    Corr.segment_margins, gathered once per distinct segment.  One local
+    (every shared witness) keeps that table.  Several are pooled in one
+    array pass: each cell's captured segments back to back in group
+    order, the cells in C order (_segments), and only a cell whose
+    sorted first coordinates come within DEDUP_TOL goes through _dedup.
+    The points and bounds are those of Corr.from_function over one
+    PointSet.of(np.vstack(...)) per cell, bit for bit."""
     parts = [_captured_part(f, reach & (f.counts > 0), interior)
              for (f, _), reach in zip(groups, reaches)]
-    if len(groups) > 1:
-        def pooled(t, x):
-            pts = [points[a:b] for points, bounds in parts for a, b in [bounds[t, x]] if b > a]
-            return PointSet.of(psi.dim, np.vstack(pts)) if pts else PointSet.empty(psi.dim)
-
-        return Corr.from_function(psi.space, psi.grid, psi.dim, pooled)
-    return Corr(psi.space, psi.grid, psi.dim, *parts[0])
+    if len(parts) == 1:
+        return Corr(psi.space, psi.grid, psi.dim, *parts[0])
+    sizes = [len(points) for points, _ in parts]
+    starts = np.cumsum(sizes) - sizes
+    segs = np.stack([bounds + k for (_, bounds), k in zip(parts, starts)], axis=2)
+    rows, _ = _segment_rows(segs.reshape(-1, 2))
+    points = np.concatenate([points for points, _ in parts])[rows]
+    counts = (segs[..., 1] - segs[..., 0]).sum(axis=2).ravel()
+    # a cell holds a close pair only if two of its sorted first coordinates do
+    cell = np.repeat(np.arange(len(counts)), counts)
+    order = np.lexsort((points[:, 0], cell))
+    x, cell = points[order, 0], cell[order]
+    near = (cell[1:] == cell[:-1]) & ~(x[1:] - x[:-1] > DEDUP_TOL)
+    suspect = _distinct(cell[1:][near])
+    if len(suspect):
+        first, chunks, done = np.cumsum(counts) - counts, [], 0
+        for c in suspect.tolist():
+            a, b = first[c], first[c] + counts[c]
+            kept = _dedup(points[a:b])
+            chunks += [points[done:a], kept]
+            counts[c], done = len(kept), b
+        points = np.concatenate(chunks + [points[done:]])
+    return Corr(psi.space, psi.grid, psi.dim, points, _segments(counts.reshape(psi.counts.shape)))
 
 
 def _captured_part(f: Corr, on: np.ndarray, interior: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -972,12 +1026,3 @@ def k_operator(psi: Corr, w: CipWitness) -> Corr:
     (pool_captured with interior, so the margins are the locals' cached
     ones).  Empty wherever no local value has ambient interior."""
     return pool_captured(psi, w, interior=True)
-
-
-def n_operator(t: int, x: int, c, w: CipWitness) -> PointSet:
-    """Union of the (closed) convex hulls of the local values at (t, x)
-    over witness nodes z in c, returned as the pooled vertex list (the
-    union of V-polytopes, not their joint hull)."""
-    pts = [w.local(z).value(t, x).points for z in sorted(int(z) for z in c)]
-    dim = next(iter(w.locals.values())).dim
-    return PointSet.of(dim, np.vstack(pts)) if pts else PointSet.empty(dim)

@@ -21,6 +21,7 @@ from .corr import (
     SET_EQUALITY_TOL,
     _absorbed,
     _ball_radii,
+    _pool,
     _reach_masks,
     _residuals,
     _segments,
@@ -111,7 +112,21 @@ def construct_phi(
     the point, representing the hull of the union.  eps is the l.s.c.
     tolerance the witness was certified at (default: the grid's
     adjacency radius), positive; the phi-lsc check reads every atom's
-    row of phi's directed gaps at once (lsc_check per atom).
+    row of phi's directed gaps at once (lsc_check per atom).  The balls'
+    reach (_reach_masks) is computed once, for the pooling and the
+    interiority check.
+
+    phi-inclusion reads the residuals cip_verify keeps on psi (corr.
+    _residuals), so a witness verified first is not measured again.  In
+    shared mode phi holds the local's points and segments, so the
+    local's residuals are phi's, on every cell where psi is nonempty.  A
+    pooled phi(t, x) holds the values of the locals whose balls reach x,
+    so its residual is the largest of those locals' residuals over the
+    cells where psi is nonempty.  That equals phi's own bit for bit, but
+    in two cases: a point pooling dropped within DEDUP_TOL of a kept one
+    can only raise it, by at most DEDUP_TOL, the safe side; and a local
+    sharing psi's own segment at a cell reads the exact 0 that
+    _residuals gives such a cell.
 
     The interiority check builds no interior-union table: it is
     nonempty where a local whose ball captures the cell has interior
@@ -121,14 +136,20 @@ def construct_phi(
     """
     if eps is None:
         eps = psi.grid.adjacency_radius
-    phi = _glued_phi(psi, w, atomic)
+    groups = w.distinct_locals()
+    reaches = _reach_masks(psi.grid, _ball_radii(psi, w), groups)
+    on = psi.counts > 0
+    if w.mode == "shared" and not atomic:
+        phi, cells = _glued_phi(psi, w), on[None]
+    else:
+        phi, cells = _pool(psi, groups, reaches, False), reaches & on
 
     cert = CheckSet()
-    worst_inclusion = float(_residuals(psi, [phi], (psi.counts > 0)[None]).max(initial=0.0))
+    worst_inclusion = float(_residuals(psi, [f for f, _ in groups], cells).max(initial=0.0))
     cert.add("phi-inclusion", worst_inclusion, SET_EQUALITY_TOL,
              "every glued vertex lies in the hull of the original value")
 
-    mismatches = np.count_nonzero((psi.counts > 0) != (phi.counts > 0))
+    mismatches = np.count_nonzero(on != (phi.counts > 0))
     cert.add("phi-domain-equality", mismatches, 0, "glued and original domains coincide")
 
     if not eps > 0:  # NaN too: it compares false with every gap
@@ -141,10 +162,8 @@ def construct_phi(
     bad_nodes = np.count_nonzero(cell_varying([phi], part)[0].any(axis=0))
     cert.add("phi-measurability", bad_nodes, 0, "cell-wise set constancy per node")
 
-    groups = w.distinct_locals()
-    need = psi.counts > 0
-    need &= np.any([f.interior_cells(reach) for (f, _), reach in
-                    zip(groups, _reach_masks(psi.grid, _ball_radii(psi, w), groups))], axis=0)
+    need = on & np.any([f.interior_cells(reach) for (f, _), reach in zip(groups, reaches)],
+                       axis=0)
     interiority_failures = np.count_nonzero(need & ~phi.interior_cells(need))
     detail = ("interior margin positive wherever the interior union is nonempty" if need.any()
               else "interior union empty everywhere (vacuous)")
@@ -153,10 +172,10 @@ def construct_phi(
     return PhiResult(phi, cert)
 
 
-def _glued_phi(psi: Corr, w: CipWitness, atomic: bool = False) -> Corr:
+def _glued_phi(psi: Corr, w: CipWitness) -> Corr:
     """construct_phi's sub-correspondence without its checks: the shared
-    local (on psi's space and grid) unless atomic, else pool_captured."""
-    if w.mode == "shared" and not atomic:
+    local (on psi's space and grid), else pool_captured."""
+    if w.mode == "shared":
         phi = next(iter(w.locals.values()))
         if phi.space is psi.space and phi.grid is psi.grid and phi.dim == psi.dim:
             return phi

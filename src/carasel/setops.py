@@ -27,6 +27,7 @@ kernel's own optimality test or loses a weight.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,7 +61,13 @@ def _as_points(dim: int, points) -> np.ndarray:
         arr = arr.reshape(-1, dim) if dim == 1 else arr.reshape(1, -1)
     if arr.ndim != 2 or arr.shape[1] != dim:
         raise DomainError(f"points must be vectors of length {dim}, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
+    # a finite sum has finite terms; only a sum that is not (an overflow,
+    # or an inf or NaN term) is re-checked term by term
+    try:
+        finite = math.isfinite(np.add.reduce(arr, axis=None))
+    except FloatingPointError:  # the caller's np.seterr raises on the overflow
+        finite = False
+    if not finite and not np.isfinite(arr).all():
         raise DomainError("points must be finite")
     arr.flags.writeable = False
     return arr
@@ -124,8 +131,9 @@ class PointSet:
         """Wrap finite, read-only, pairwise distinct (dim)-vectors as they
         are, without checking them."""
         ps = object.__new__(cls)
-        object.__setattr__(ps, "dim", dim)
-        object.__setattr__(ps, "points", points)
+        fields = ps.__dict__  # frozen: the fields are written past __setattr__
+        fields["dim"] = dim
+        fields["points"] = points
         return ps
 
     @classmethod

@@ -2,8 +2,10 @@
 measurability, inclusion-property verification, the interior-union and
 hull-union operators."""
 
+import gc
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -25,7 +27,6 @@ from carasel import (
     k_operator,
     lower_measurable_check,
     lsc_check,
-    n_operator,
     pref_from_payoff,
     scip_verify,
     usc_check,
@@ -43,6 +44,7 @@ from carasel.corr import (
 from carasel.reporting import CheckSet
 from carasel.selection import _inputs_cell_constant
 from carasel.setops import (
+    DEDUP_TOL,
     ConvexSet,
     _cross_dists,
     convex_distance,
@@ -981,6 +983,16 @@ def test_constant_stores_its_value_once():
         assert len(gaps) and np.all(gaps == 0.0)
 
 
+def n_operator(t: int, x: int, c, w: CipWitness) -> PointSet:
+    """Union of the (closed) convex hulls of the local values at (t, x)
+    over witness nodes z in c, as the pooled vertex list (the union of
+    V-polytopes, not their joint hull): the per-cell oracle of
+    pool_captured's array pooling."""
+    pts = [w.local(z).value(t, x).points for z in sorted(int(z) for z in c)]
+    dim = next(iter(w.locals.values())).dim
+    return PointSet.of(dim, np.vstack(pts)) if pts else PointSet.empty(dim)
+
+
 def test_n_operator_union_not_hull():
     space = AtomSpace(("a",), [1.0])
     grid = line_grid(2)
@@ -1839,6 +1851,73 @@ def test_k_operator_matches_per_segment_reference(dim):
     assert interior > 0
 
 
+def _near_duplicate_family(rng, dim):
+    """psi and a countable and an indexed witness pooling three locals:
+    one of _random_rows, the same moved by 0.4 DEDUP_TOL (every pooled
+    cell holding both keeps only the first's points), and in dim >= 2 the
+    same with its first coordinates kept and the others moved by 1.0 (a
+    cell that _dedup must look at and keep whole)."""
+    grid = line_grid(int(rng.integers(3, 14)))
+    psi = _random_rows(rng, dim, grid)
+    a = _random_rows(rng, dim, grid)
+    apart = a.points + np.r_[0.0, np.ones(dim - 1)] if dim > 1 else a.points + 5.0
+    locs = [a] + [Corr(a.space, grid, dim, points, a.bounds)
+                  for points in (a.points + 0.4 * DEDUP_TOL, apart)]
+    radii = {key: float(rng.uniform(0.5, 3.0)) * grid.mesh for key in domain(psi)}
+    box = (np.full(dim, -1e4), np.full(dim, 1e4))
+    return psi, [CipWitness("countable", {z: locs[z % 3] for z in range(len(grid))}, radii),
+                 CipWitness("indexed", {z: locs[(z + 1) % 3] for z in range(len(grid))},
+                            radii, box)]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_pooling_of_several_locals_matches_per_cell_reference(dim):
+    """The one array pass of pool_captured equals Corr.from_function over
+    one PointSet.of per cell, points and bounds bit for bit, and at every
+    cell the union of the values of the capturing nodes' locals
+    (n_operator) as a set, up to the near-duplicates dropped."""
+    rng = np.random.default_rng(60 + dim)
+    dropped = 0
+    for _ in range(3):
+        near, witnesses = _near_duplicate_family(rng, dim)
+        for psi, w in [(near, w) for w in witnesses] + _pooling_cases(rng, dim)[2:]:
+            got = pool_captured(psi, w)
+            want = _segment_pool_reference(psi, w)
+            assert np.array_equal(got.points, want.points)
+            assert np.array_equal(got.bounds, want.bounds)
+            captures = capture_matrix(psi, w)
+            for t, x in np.ndindex(got.counts.shape):
+                union = n_operator(t, x, np.flatnonzero(captures[t, x]), w)
+                value = got.value(t, x)
+                assert len(value) == len(union)
+                if len(value):
+                    d = _cross_dists(value.points, union.points)
+                    assert d.min(axis=0).max() <= DEDUP_TOL and d.min(axis=1).max() <= DEDUP_TOL
+                raw = sum(len(f.value(t, x)) for f, zs in w.distinct_locals()
+                          if captures[t, x, zs].any())
+                dropped += raw - len(value)
+    assert dropped > 0
+
+
+def test_interior_cells_of_at_most_dim_points_read_no_margins():
+    """A table holding at most dim points per cell has no interior cell,
+    as the margin path finds, and builds no segment index or margins."""
+    rng = np.random.default_rng(70)
+    for dim in (1, 2, 3):
+        def value(t, z):
+            return PointSet.of(dim, rng.normal(size=(int(rng.integers(0, dim + 1)), dim)))
+
+        small = Corr.from_function(AtomSpace(("a", "b"), [0.5, 0.5]), line_grid(9), dim, value)
+        assert small.counts.max() == dim
+        on = rng.random(small.counts.shape) < 0.7
+        got = small.interior_cells(on)
+        assert "_segment_index" not in small.__dict__ and "_margins" not in small.__dict__
+        want = np.zeros(on.shape, dtype=bool)
+        for t, z in np.argwhere(on & (small.counts > 0)):
+            want[t, z] = max_vertex_margin(ConvexSet(dim, small.value(t, z).points)) > 0.0
+        assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_interior_cells_match_per_cell_margins(dim):
     rng = np.random.default_rng(50 + dim)
@@ -1865,22 +1944,33 @@ def _countable_family(seed, dim=2, n=12):
 def test_witness_family_kernel_call_budget(monkeypatch):
     """cip_verify fills every local's gap table with one _packed_gaps call
     and measures all inclusion residuals with one segment_distances call;
-    reading a local's gaps later adds no call, and each stacked
-    cell-constancy test is one call."""
-    calls = {"_packed_gaps": 0, "segment_distances": 0}
-    for name in calls:
+    a second cip_verify measures nothing (the residuals are kept on psi)
+    and reading a local's gaps later adds no call.  construct_phi after
+    cip_verify reads phi-inclusion from those residuals and builds no
+    PointSet, pooled or shared; each stacked cell-constancy test is one
+    call."""
+    calls = {"_packed_gaps": 0, "segment_distances": 0, "PointSet.of": 0}
+    for name in ("_packed_gaps", "segment_distances"):
         def counting(*args, name=name, kernel=getattr(corr, name)):
             calls[name] += 1
             return kernel(*args)
 
         monkeypatch.setattr(corr, name, counting)
+    of = PointSet.of
+
+    def counting_of(cls, *args):
+        calls["PointSet.of"] += 1
+        return of(*args)
+
+    monkeypatch.setattr(PointSet, "of", classmethod(counting_of))
     psi, w = _countable_family(0)
     assert len(w.distinct_locals()) >= 5
+    calls["PointSet.of"] = 0
     report = cip_verify(psi, w, eps=0.3)
     assert report.inclusion_residual > 0.0
-    assert calls == {"_packed_gaps": 1, "segment_distances": 1}
-    cip_verify(psi, w, eps=0.3)  # every local is cached now
-    assert calls == {"_packed_gaps": 1, "segment_distances": 2}
+    assert calls == {"_packed_gaps": 1, "segment_distances": 1, "PointSet.of": 0}
+    cip_verify(psi, w, eps=0.3)  # every local's gaps and residuals are cached now
+    assert calls == {"_packed_gaps": 1, "segment_distances": 1, "PointSet.of": 0}
     for f, _ in w.distinct_locals():
         lsc_check(f, 1, 0.3)
     assert calls["_packed_gaps"] == 1
@@ -1889,6 +1979,65 @@ def test_witness_family_kernel_call_budget(monkeypatch):
     assert calls["_packed_gaps"] == 2
     _inputs_cell_constant(psi, w, part)
     assert calls["_packed_gaps"] == 3
+    shared = CipWitness.shared(psi.grid, w.local(0), w.radii)
+    assert cip_verify(psi, shared, eps=0.3).inclusion_residual > 0.0
+    measured = calls["segment_distances"]
+    for witness in (w, shared):
+        res = construct_phi(psi, witness, part, eps=0.3)
+        assert (res.phi.points is w.local(0).points) == (witness is shared)
+        assert next(c for c in res.certificate if c.name == "phi-inclusion").residual > 0.0
+    assert calls["segment_distances"] == measured and calls["PointSet.of"] == 0
+
+
+def test_residuals_measure_only_the_cells_not_yet_kept(monkeypatch):
+    """_residuals under a partial mask, then a wider one, returns what a
+    psi with no kept residuals returns under each mask, and the second
+    call measures only the points of the cells the first left out."""
+    measured = []
+
+    def counting(x, *args, kernel=corr.segment_distances):
+        measured.append(len(x))
+        return kernel(x, *args)
+
+    rng = np.random.default_rng(5)
+    for dim in (1, 2):
+        psi, w = _countable_family(20 + dim, dim)
+        tables = [psi] + [f for f, _ in w.distinct_locals()]
+        narrow = rng.random((len(tables),) + psi.counts.shape) < 0.3
+        wide = narrow | (rng.random(narrow.shape) < 0.5)
+        for on in (narrow, wide):
+            want = corr._residuals(Corr(psi.space, psi.grid, dim, psi.points, psi.bounds),
+                                   tables, on)
+            monkeypatch.setattr(corr, "segment_distances", counting)
+            measured.clear()
+            got = corr._residuals(psi, tables, on)
+            monkeypatch.undo()
+            assert np.array_equal(got, want)
+            new = on & ~narrow if on is wide else on
+            live = new & (psi.counts > 0) & ~np.stack([(f.bounds == psi.bounds).all(axis=-1)
+                                                       & (f.points is psi.points) for f in tables])
+            assert sum(measured) == sum(f.counts[m].sum() for f, m in zip(tables, live))
+        assert np.isinf(got).any() and (got > 0.0).any()
+
+
+def test_residual_cache_holds_no_reference_cycle():
+    """The residuals kept on psi are keyed weakly by the table: a
+    canonical witness's local is psi itself, so a strong key would hold
+    psi in a reference cycle until the cycle collector ran.  Once every
+    reference to psi is dropped, psi is freed at once."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        space, grid, psi = jump_problem()
+        w = canonical_witness(psi)
+        assert cip_verify(psi, w, eps=1.5).ok
+        assert psi in psi.__dict__["_residual_cache"]
+        gone = weakref.ref(psi)
+        del psi, w
+        assert gone() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -1927,6 +2076,8 @@ def test_residual_chunk_of_one_point_keeps_reports(seed, monkeypatch):
     def outputs():
         out = []
         for psi, w in cases:
+            # a fresh psi keeps no residual from the last pass (corr._residuals)
+            psi = Corr(psi.space, psi.grid, psi.dim, psi.points, psi.bounds)
             part = InfoPartition.trivial(psi.space)
             out.append((vars(cip_verify(psi, w, eps=0.3)),
                         [c.as_dict() for c in construct_phi(psi, w, part, eps=0.3).certificate]))

@@ -279,7 +279,8 @@ def _stack_cip_reference(psi, w, eps, strict, tol=SET_EQUALITY_TOL):
     radii = np.where(psi.counts > 0, w.radii, -np.inf)
     caps = _dense(psi.grid.points) < radii[:, None, :]
     balls = [caps[..., zs] for _, zs in groups]
-    residuals = corr._residuals(psi, tables, np.stack([ball.any(axis=2) for ball in balls]))
+    fresh = Corr(psi.space, psi.grid, psi.dim, psi.points, psi.bounds)  # no residual kept
+    residuals = corr._residuals(fresh, tables, np.stack([ball.any(axis=2) for ball in balls]))
     report.inclusion_residual = float(residuals.max(initial=0.0))
     for (f, zs), res, ball in zip(groups, residuals, balls):
         gaps = f.directed_gaps()

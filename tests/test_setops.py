@@ -707,6 +707,20 @@ def test_pointset_of_checks_each_list_once(monkeypatch):
         PointSet.of(0, [])
 
 
+def test_pointset_finiteness_is_one_sum_rechecked_term_by_term():
+    """Finite terms whose sum overflows are finite points; an inf, -inf
+    or NaN term raises, also where the terms' sum is inf - inf."""
+    for overflow in ("ignore", "raise"):  # the one sum overflows
+        with np.errstate(over=overflow):
+            big = PointSet.of(2, [[1e308, 1e308]])
+        assert np.array_equal(big.points, [[1e308, 1e308]])
+    for bad in ([[np.inf, 0.0]], [[0.0, -np.inf]], [[np.nan, 1.0]], [[np.inf, -np.inf]]):
+        for build in (PointSet.of, PointSet, ConvexSet):
+            with np.errstate(invalid="raise"), pytest.raises(DomainError,
+                                                             match="^points must be finite$"):
+                build(2, bad)
+
+
 def test_pointset_of_keeps_its_own_copy():
     # the one float copy is the set's: mutating the input afterwards,
     # a list or an array, a float or an int array, leaves the set as built
