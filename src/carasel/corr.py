@@ -507,13 +507,6 @@ def cell_varying(tables: list, part: InfoPartition) -> np.ndarray:
     return varying[[distinct.index(f) for f in tables]]
 
 
-def lower_measurable_check(psi: Corr, part: InfoPartition, z: int) -> bool:
-    """Sufficient-condition check for lower measurability of t -> psi(t,z)
-    under a finite partition: the value is constant as a set (within
-    1e-9) on every cell, decided by cell_varying."""
-    return not cell_varying([psi], part)[0, :, z].any()
-
-
 def _atom_failures(varying: np.ndarray, part: InfoPartition) -> list[tuple[int, int]]:
     """The (node, atom) index of every marked entry of an (atoms, nodes)
     table: nodes ascending, then atoms in part.cells order."""

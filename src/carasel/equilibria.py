@@ -376,8 +376,7 @@ def _add_glue_checks(checks: CheckSet, p: Corr, w: CipWitness, part: InfoPartiti
     glue would, but no phi or selection certificate is built: no phi
     checks (so no k_operator), no modulus, no selection measurability and
     no per-cell values dict.  The missing-value and membership
-    ConstructionErrors still raise, and so does the sweep's escape check
-    in dim 2 or more."""
+    ConstructionErrors still raise."""
     table = _select_table(p, _glued_phi(p, w), part, DEFAULT_SELECTION_TOL)[0]
     glued = _glue_table(p, table, Corr.constant(p.space, p.grid, PointSet.of(p.dim, fallback)),
                         part)

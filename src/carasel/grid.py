@@ -17,9 +17,8 @@ from .setops import DEDUP_TOL
 
 METRIC_TOL = 1e-9
 ADJ_TOL = 1e-12
-# Entries of one block of metric rows (GridSpace._row_blocks, _euclidean,
-# corr's ball tests): 128 KiB of float64, so a dense build peaks near the
-# finished metric's own size, and the temporaries stay small enough to be
+# Entries of one block of metric rows (GridSpace._row_blocks, corr's ball
+# tests): 128 KiB of float64, so the temporaries stay small enough to be
 # reused from the heap rather than mapped and faulted in afresh for every
 # block.
 METRIC_BLOCK = 1 << 14
@@ -40,9 +39,7 @@ class GridSpace:
     distances come from a fixed-radius cell search (_close_pairs), and
     the diameter, the default mesh and every ball test from row blocks.
     Every method of a grid takes one path: a user metric's slices, or the
-    points.  Reading the metric attribute of a Euclidean grid builds the
-    dense (n, n) metric once (_euclidean), the same bits, and keeps it
-    for later reads of the attribute alone; no pipeline reads it.
+    points.  distances(rows, cols) reads any block of the metric.
 
     mesh is the claimed covering radius of the net (default the largest
     nearest-neighbor distance); adjacency_radius bounds which node pairs
@@ -240,20 +237,8 @@ class GridSpace:
         return cached
 
 
-def _metric(grid: GridSpace) -> np.ndarray:
-    """GridSpace.metric: the read-only (n, n) metric, the user's or, on a
-    Euclidean grid, _euclidean's, built on the first read and kept where
-    no method of the grid reads it."""
-    d = grid.__dict__.get("_user_metric", grid.__dict__.get("_euclidean_metric"))
-    if d is None:
-        d = _euclidean(grid.points)
-        d.flags.writeable = False
-        grid.__dict__["_euclidean_metric"] = d
-    return d
-
-
-# set after the class body, where the name is the constructor's InitVar
-GridSpace.metric = property(_metric, doc=_metric.__doc__)
+# the constructor's InitVar would otherwise read back as a None attribute
+del GridSpace.metric
 
 
 def _neighbour_table(src: np.ndarray, n: int, *columns: tuple) -> tuple[np.ndarray, list]:
@@ -300,18 +285,6 @@ def _pair_distances(pts: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray
         diff = x[i] - x[j]
         d += diff * diff
     return np.sqrt(d)
-
-
-def _euclidean(pts: np.ndarray) -> np.ndarray:
-    """The dense (n, n) Euclidean metric of the rows of pts, _distances a
-    block of rows at a time, each block at most METRIC_BLOCK entries (one
-    row when a row is longer)."""
-    n = len(pts)
-    step = max(1, METRIC_BLOCK // n)
-    d = np.empty((n, n))
-    for lo in range(0, n, step):
-        d[lo:lo + step] = _distances(pts[lo:lo + step], pts)
-    return d
 
 
 def _close_pairs(pts: np.ndarray, limit: float,

@@ -138,18 +138,6 @@ class Prior:
         return cls(space, np.full(len(space), 1.0 / space.total))
 
 
-def integrate(space: AtomSpace, f) -> float:
-    """Sum of f over atoms weighted by the atom measures.  f may be a
-    callable on atom labels or a per-atom sequence of values."""
-    if callable(f):
-        vals = np.array([float(f(a)) for a in space.atoms])
-    else:
-        vals = np.asarray(f, dtype=float).reshape(-1)
-        if vals.shape[0] != len(space):
-            raise DomainError("f must provide one value per atom")
-    return float(vals @ space.weights)
-
-
 def conditional_density(prior: Prior, part: InfoPartition, omega: int) -> np.ndarray:
     """Per-atom conditional density given the partition cell of atom
     omega: zero off the cell, q(t) / integral of q over the cell on it.

@@ -16,25 +16,26 @@ from pathlib import Path
 
 import numpy as np
 
-from .corr import CipWitness, Corr, GridSpace, canonical_witness
+from .corr import SET_EQUALITY_TOL, CipWitness, Corr, GridSpace, canonical_witness
 from .equilibria import BayesSpec, GameSpec
 from .errors import DomainError, ParseError
 from .measure import AtomSpace, InfoPartition, Prior
+from .selection import DEFAULT_K_MAX, DEFAULT_RESTARTS, DEFAULT_SELECTION_TOL
 from .setops import PointSet
 
 KINDS = ("cip-check", "select", "fixpoint", "nash", "bayes", "maximal")
 
 OPTION_DEFAULTS = {
-    "tol": 1e-7,
-    "inclusion_tol": 1e-9,
+    "tol": DEFAULT_SELECTION_TOL,
+    "inclusion_tol": SET_EQUALITY_TOL,
     "eps": None,            # default: grid adjacency radius
     "eps_eq": 1e-6,
     "seed": 0,
     "mode": None,           # default: the witness's own mode
     "strict_cip": False,
     "closed_valued": False,
-    "k_max": 40,
-    "restarts": 8,
+    "k_max": DEFAULT_K_MAX,
+    "restarts": DEFAULT_RESTARTS,
     "strict_margin": 0.0,
 }
 _POSITIVE_OPTIONS = ("tol", "inclusion_tol", "eps", "eps_eq", "k_max", "restarts")

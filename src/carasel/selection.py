@@ -174,10 +174,11 @@ def construct_phi(
 
 def _glued_phi(psi: Corr, w: CipWitness) -> Corr:
     """construct_phi's sub-correspondence without its checks: the shared
-    local (on psi's space and grid), else pool_captured."""
+    local itself where its space equals psi's and its grid is psi's, so
+    its cached gaps and margins serve phi, else pool_captured."""
     if w.mode == "shared":
         phi = next(iter(w.locals.values()))
-        if phi.space is psi.space and phi.grid is psi.grid and phi.dim == psi.dim:
+        if phi.space == psi.space and phi.grid is psi.grid and phi.dim == psi.dim:
             return phi
         return Corr(psi.space, psi.grid, psi.dim, phi.points, phi.bounds)
     return pool_captured(psi, w)
@@ -338,7 +339,7 @@ def _least_modulus(points: np.ndarray, segs: np.ndarray, atom: np.ndarray, node:
 
 
 def _sweep(points: np.ndarray, segs: np.ndarray, edges: tuple, atom: np.ndarray,
-           starts: np.ndarray, tol: float, max_sweeps: int) -> tuple[np.ndarray, np.ndarray]:
+           starts: np.ndarray, max_sweeps: int) -> np.ndarray:
     """Damped Jacobi sweeps of project-onto-value steps minimizing the sum
     of squared adjacent differences, for many groups at once, in dim 2 or
     more (R^1 takes _least_modulus).  segs, edges and atom lay out C cells
@@ -358,9 +359,8 @@ def _sweep(points: np.ndarray, segs: np.ndarray, edges: tuple, atom: np.ndarray,
     freezes once no row moved more than _SWEEP_STOP times its hull scale
     (compared in squares): a mask keeps its rows, and sweeps stop when no
     group is live.  Steps combine feasible points, so iterates stay
-    feasible; a final residual (a cold convex_distance) above tol raises,
-    naming the lowest such atom.  Returns the rows, as laid out, and each
-    group's residual."""
+    feasible; the caller certifies them against psi's hulls
+    (_select_table).  Returns the rows, as laid out."""
     reps = len(starts) // len(segs)
     rank = np.cumsum(np.diff(atom, prepend=-1) > 0) - 1  # atoms ascend over the cells
     group = (np.arange(reps)[:, None] * (rank[-1] + 1) + rank).ravel()
@@ -391,14 +391,7 @@ def _sweep(points: np.ndarray, segs: np.ndarray, edges: tuple, atom: np.ndarray,
         move = new - old
         live &= np.maximum.reduceat(np.einsum("rd,rd->r", move, move), runs) > limit2
 
-    X = X[:-1]
-    residual = np.maximum.reduceat(convex_distance(X, V), first)
-    by_atom = residual.reshape(reps, -1).T.ravel()  # groups atom by atom, restarts within
-    g = int(np.argmax(by_atom > tol))  # the first group above tol, if any
-    if by_atom[g] > tol:
-        raise ConstructionError(f"selection escaped its value set by {by_atom[g]:.3e} "
-                                f"at atom {atom[first[g // reps]]}")
-    return X, residual
+    return X[:-1]
 
 
 def grid_select(phi: Corr, t: int, tol: float) -> AtomSelection:
@@ -467,9 +460,10 @@ def _select_table(psi: Corr, phi: Corr, part: InfoPartition, tol: float,
     feasible starts drawn per atom by its cell head's seed, whose pushed
     results the halving series weights combine with the barycentric one.
     Raises a DomainError unless tol is positive, and a ConstructionError
-    where the sweep escapes phi's hulls, where phi is empty on psi's
-    domain, or where a selected point lies farther than tol from psi's
-    hull."""
+    where phi is empty on psi's domain, or where a selected point lies
+    farther than tol from psi's hull.  That is the one membership pass:
+    the sweep's steps stay in phi's hulls, which phi-inclusion certifies
+    inside psi's, so the sweep has no escape check of its own."""
     if not tol > 0:  # NaN too: no residual exceeds it
         raise DomainError("tol must be positive")
     on = phi.counts > 0
@@ -488,7 +482,7 @@ def _select_table(psi: Corr, phi: Corr, part: InfoPartition, tol: float,
                 for t, n in zip(atom[heads], np.add.reduceat(segs[:, 1] - segs[:, 0], heads))])
         starts = _barycenters(phi.points, segs, draws)  # restart by restart, cell by cell
         x = _sweep(phi.points, segs, _edges(phi.grid, on), atom, starts.reshape(-1, phi.dim),
-                   tol, DEFAULT_MAX_SWEEPS)[0]
+                   DEFAULT_MAX_SWEEPS)
         if weights is not None:  # the series over the base and the pushed restarts, atom by atom
             x = x.reshape(starts.shape)
             diff = x - x[0]

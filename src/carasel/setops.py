@@ -2,9 +2,8 @@
 
 Sets are finite point lists in R^n; convex sets are V-polytopes given by
 their vertex (or sample) lists.  Everything here is exact enumeration or
-small convex solves: Hausdorff distances, eps-neighborhood inclusions,
-convex membership and projection, ambient interior margins, and the
-tail-window surrogates for lower/upper set-sequence limits.
+small convex solves: Hausdorff distances, convex membership and
+projection, and ambient interior margins.
 
 The inclusion residual, the irreflexivity test and a selection's
 membership certificate share one grouped pass, segment_distances: the
@@ -36,7 +35,6 @@ from .errors import DomainError
 
 DEDUP_TOL = 1e-12
 DEFAULT_MEMBERSHIP_TOL = 1e-9
-DEFAULT_CLUSTER_TOL = 1e-6
 
 # Band below which an nnls residual is re-decided by an exact linear
 # feasibility solve, so that genuine members pass even at tol=0.
@@ -162,21 +160,6 @@ class ConvexSet:
         object.__setattr__(self, "vertices", arr)
 
 
-@dataclass(frozen=True)
-class SetSequence:
-    """An ordered finite sequence of point sets sharing one ambient dim."""
-
-    dim: int
-    terms: tuple
-
-    def __post_init__(self):
-        terms = tuple(self.terms)
-        for t in terms:
-            if not isinstance(t, PointSet) or t.dim != self.dim:
-                raise DomainError("all terms must be PointSets of the common dim")
-        object.__setattr__(self, "terms", terms)
-
-
 def _cross_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise Euclidean distances, shape (len(a), len(b))."""
     diff = a[:, None, :] - b[None, :, :]
@@ -192,20 +175,6 @@ def hausdorff_dist(a: PointSet, b: PointSet) -> float:
         raise DomainError("hausdorff_dist requires matching dims")
     d = _cross_dists(a.points, b.points)
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
-
-
-def eps_neighborhood_contains(a: PointSet, b: PointSet, eps: float) -> bool:
-    """True iff every point of a lies strictly within eps of b
-    (a is contained in the open eps-neighborhood of b).  Vacuously true
-    for empty a."""
-    if eps <= 0:
-        raise DomainError("eps must be positive")
-    if a.is_empty:
-        return True
-    if b.is_empty:
-        raise DomainError("eps-neighborhood of the empty set is empty")
-    d = _cross_dists(a.points, b.points)
-    return bool(d.min(axis=1).max() < eps)
 
 
 def _padded_rows(segs: np.ndarray) -> np.ndarray:
@@ -678,50 +647,3 @@ def _margins(X: np.ndarray, V: np.ndarray) -> np.ndarray:
     out = np.array([max(0.0, float((-(facets[:, :-1] @ x + facets[:, -1])).min())) for x in X])
     out[(X[:, None, :] == V[hull.vertices]).all(axis=2).any(axis=1)] = 0.0
     return out
-
-
-def convex_hausdorff_dist(a: ConvexSet, b: ConvexSet) -> float:
-    """Hausdorff distance between two V-polytopes.  The sup of the convex
-    function dist(., hull) over a polytope is attained at a vertex, so
-    vertex-to-hull projections suffice."""
-    if a.dim != b.dim:
-        raise DomainError("convex_hausdorff_dist requires matching dims")
-    d_ab = convex_distance(a.vertices, b).max()
-    d_ba = convex_distance(b.vertices, a).max()
-    return float(max(d_ab, d_ba))
-
-
-def _limit_window(s: SetSequence, tail: int, tol_cluster: float) -> tuple[np.ndarray, np.ndarray]:
-    """The candidate pool of one tail-window limit, and its (candidates,
-    tail) table of which term hits each candidate within tol_cluster."""
-    if not s.terms:
-        raise DomainError("the sequence has no terms")
-    if tail < 1 or tail > len(s.terms):
-        raise DomainError("tail must satisfy 1 <= tail <= len(terms)")
-    window = s.terms[len(s.terms) - tail:]
-    pools = [t.points for t in window if not t.is_empty]
-    if not pools:
-        return np.zeros((0, s.dim)), np.zeros((0, tail), dtype=bool)
-    candidates = _dedup(np.vstack(pools))
-    hits = np.zeros((len(candidates), tail), dtype=bool)
-    for j, term in enumerate(window):
-        if term.is_empty:
-            continue
-        d = _cross_dists(candidates, term.points)
-        hits[:, j] = d.min(axis=1) <= tol_cluster
-    return candidates, hits
-
-
-def li_limit(s: SetSequence, tail: int, tol_cluster: float = DEFAULT_CLUSTER_TOL) -> PointSet:
-    """Tail-window surrogate of the lower set limit: points hit by every
-    one of the last `tail` terms within tol_cluster."""
-    candidates, hits = _limit_window(s, tail, tol_cluster)
-    return PointSet.of(s.dim, candidates[hits.all(axis=1)])
-
-
-def ls_limit(s: SetSequence, tail: int, tol_cluster: float = DEFAULT_CLUSTER_TOL) -> PointSet:
-    """Tail-window surrogate of the upper set limit: points hit by at
-    least ceil(tail/2) of the last `tail` terms within tol_cluster."""
-    candidates, hits = _limit_window(s, tail, tol_cluster)
-    need = -(-tail // 2)  # ceil(tail / 2)
-    return PointSet.of(s.dim, candidates[hits.sum(axis=1) >= need])

@@ -1,12 +1,12 @@
-"""Shared fixtures: the jump-discontinuity correspondence and small
-builder helpers used across the suite."""
+"""Shared fixtures: the jump-discontinuity correspondence, small
+builder helpers and the reference oracles used across the suite."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from carasel import AtomSpace, CipWitness, Corr, GridSpace, PointSet
+from carasel import AtomSpace, CipWitness, Corr, DomainError, GridSpace, PointSet
 from carasel.setops import DEDUP_TOL, _cross_dists
 
 
@@ -53,3 +53,40 @@ def same_set(a: PointSet, b: PointSet, tol: float = DEDUP_TOL) -> bool:
         return a.is_empty and b.is_empty
     d = _cross_dists(a.points, b.points)
     return float(max(d.min(axis=1).max(), d.min(axis=0).max())) <= tol
+
+
+def dense_metric(grid: GridSpace) -> np.ndarray:
+    """The whole (n, n) metric of grid, read through grid.distances: a
+    reference for tests, which no package code builds."""
+    nodes = np.arange(len(grid))
+    return grid.distances(nodes, nodes)
+
+
+def eps_neighborhood_contains(a: PointSet, b: PointSet, eps: float) -> bool:
+    """True iff every point of a lies strictly within eps of b
+    (a is contained in the open eps-neighborhood of b).  Vacuously true
+    for empty a."""
+    if eps <= 0:
+        raise DomainError("eps must be positive")
+    if a.is_empty:
+        return True
+    if b.is_empty:
+        raise DomainError("eps-neighborhood of the empty set is empty")
+    d = _cross_dists(a.points, b.points)
+    return bool(d.min(axis=1).max() < eps)
+
+
+def hausdorff_by_bisection(a: PointSet, b: PointSet) -> float:
+    """The Hausdorff distance by an independent route: the infimum of eps
+    with mutual inclusion in the open eps-neighborhoods, located by
+    bisection."""
+    lo, hi = 0.0, 1.0
+    while not (eps_neighborhood_contains(a, b, hi) and eps_neighborhood_contains(b, a, hi)):
+        hi *= 2.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if eps_neighborhood_contains(a, b, mid) and eps_neighborhood_contains(b, a, mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi

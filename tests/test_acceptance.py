@@ -30,7 +30,6 @@ from carasel import (
     construct_phi,
     convex_distance,
     domain,
-    eps_neighborhood_contains,
     hausdorff_dist,
     interior_series,
     k_operator,
@@ -42,7 +41,7 @@ from carasel import (
 from carasel.pipelines import run_problem
 from carasel.problems import canonical_json, parse_problem
 
-from conftest import jump_problem, jump_witness, line_grid, same_set
+from conftest import hausdorff_by_bisection, jump_problem, jump_witness, line_grid, same_set
 from instances import random_cip_instance
 from test_corr import max_vertex_margin
 
@@ -95,19 +94,6 @@ def _random_sets(rng, count):
     return pools
 
 
-def _hausdorff_inf_form(a, b, iters=60):
-    lo, hi = 0.0, 1.0
-    while not (eps_neighborhood_contains(a, b, hi) and eps_neighborhood_contains(b, a, hi)):
-        hi *= 2.0
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if eps_neighborhood_contains(a, b, mid) and eps_neighborhood_contains(b, a, mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 def test_c2_hausdorff_metric_suite():
     rng = np.random.default_rng(2024)
     pools = _random_sets(rng, 1000)
@@ -117,7 +103,7 @@ def test_c2_hausdorff_metric_suite():
             a, b = pool[i], pool[i + 1]
             h = hausdorff_dist(a, b)
             symmetry &= h == hausdorff_dist(b, a)
-            inf_form &= abs(h - _hausdorff_inf_form(a, b)) <= 1e-9
+            inf_form &= abs(h - hausdorff_by_bisection(a, b)) <= 1e-9
         for a in pool:
             shuffled = PointSet.of(a.dim, a.points[::-1].copy())
             identity &= hausdorff_dist(a, shuffled) <= 1e-12

@@ -25,7 +25,6 @@ from carasel import (
     domain,
     hausdorff_dist,
     k_operator,
-    lower_measurable_check,
     lsc_check,
     pref_from_payoff,
     scip_verify,
@@ -51,7 +50,7 @@ from carasel.setops import (
     segment_margins,
 )
 
-from conftest import jump_problem, line_grid, single_atom
+from conftest import dense_metric, jump_problem, line_grid, single_atom
 from instances import random_cip_instance
 from test_equilibria import _quadratic_game
 
@@ -183,7 +182,7 @@ def test_lower_measurable_finest_always():
         space, grid, 1, lambda t, z: PointSet.of(1, [[float(t)]])
     )
     part = InfoPartition.finest(space)
-    assert all(lower_measurable_check(psi, part, z) for z in range(3))
+    assert not cell_varying([psi], part).any()
 
 
 def test_lower_measurable_one_cell():
@@ -193,9 +192,9 @@ def test_lower_measurable_one_cell():
     varying = Corr.from_function(
         space, grid, 1, lambda t, z: PointSet.of(1, [[float(t)]])
     )
-    assert not lower_measurable_check(varying, part, 0)
+    assert cell_varying([varying], part)[0, :, 0].any()
     constant = Corr.constant(space, grid, PointSet.of(1, [[0.5]]))
-    assert lower_measurable_check(constant, part, 0)
+    assert not cell_varying([constant], part)[0, :, 0].any()
 
 
 # ------------------------------------------------------------ verification
@@ -289,12 +288,13 @@ def _canonical_radii_reference(psi):
     node) before it reduced each atom's metric columns at once, kept as
     its reference."""
     big = psi.grid.diameter + 1.0
+    metric = dense_metric(psi.grid)
     radii = {}
     for t in range(len(psi.space)):
         empty_nodes = [z for z in range(len(psi.grid)) if psi.counts[t, z] == 0]
         for z in range(len(psi.grid)):
             if psi.counts[t, z] > 0:
-                radii[(t, z)] = (float(min(psi.grid.metric[z, e] for e in empty_nodes))
+                radii[(t, z)] = (float(min(metric[z, e] for e in empty_nodes))
                                  if empty_nodes else big)
     return radii
 
@@ -339,7 +339,7 @@ def _canonical_witness_loop_reference(psi):
         if nonempty.all():
             reach = np.full(len(psi.grid), big)
         else:
-            reach = psi.grid.metric[:, ~nonempty].min(axis=1)
+            reach = dense_metric(psi.grid)[:, ~nonempty].min(axis=1)
         for z in np.flatnonzero(nonempty):
             radii[(t, int(z))] = float(reach[z])
     return radii
@@ -537,7 +537,7 @@ def _per_node_cip_reference(psi, w, eps, strict, residuals, tol=SET_EQUALITY_TOL
     once per (local, atom), kept as its reference.  residuals caches each
     (local, atom) residual row across calls on the same psi."""
     report = CipReport(True, eps=eps)
-    metric = psi.grid.metric
+    metric = dense_metric(psi.grid)
     pi, pj = psi.grid.directed_pair_arrays()
     n = len(psi.grid)
     for f, zs in w.distinct_locals():
@@ -838,9 +838,10 @@ def _loop_capture_failures(psi, w, part):
     """Reference: the ball- and index-measurability failures computed
     entry by entry, in the order scip_verify reports them."""
     n = len(psi.grid)
+    metric = dense_metric(psi.grid)
 
     def captures(t, x, z):
-        return psi.counts[t, z] > 0 and psi.grid.metric[x, z] < w.radius(t, z)
+        return psi.counts[t, z] > 0 and metric[x, z] < w.radius(t, z)
 
     ball = [("ball-measurability", cell[0], z, x, "ball indicator not cell-constant")
             for z in range(n) for x in range(n) for cell in part.cells
@@ -1092,7 +1093,7 @@ def test_directed_pairs_match_list_reference(seed):
     pts = rng.uniform(size=(int(rng.integers(2, 25)), 2))
     d = _cross_dists(pts, pts) * rng.uniform(1.0, 1.2)
     for grid in (GridSpace(pts), GridSpace(pts, metric=d, adjacency_radius=0.4)):
-        i, j = np.nonzero(grid.metric <= grid.adjacency_radius + 1e-12)
+        i, j = np.nonzero(dense_metric(grid) <= grid.adjacency_radius + 1e-12)
         pairs = [(int(a), int(b)) for a, b in zip(i, j) if a < b]
         pi, pj = grid.directed_pair_arrays()
         assert list(zip(pi.tolist(), pj.tolist())) == pairs + [(b, a) for a, b in pairs]
@@ -1121,7 +1122,7 @@ def _lattice(n, dim):
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_grid_metric_matches_cross_dists(dim):
-    # the metric is built in place one coordinate at a time: bit for bit
+    # the metric is summed in place one coordinate at a time: bit for bit
     # the einsum reference in dims 1 and 2, within 4 ulp beyond
     rng = np.random.default_rng(dim)
     clouds = [rng.normal(size=(60, dim)) * 10.0 ** rng.integers(-3, 4, size=(60, 1)),
@@ -1129,7 +1130,7 @@ def test_grid_metric_matches_cross_dists(dim):
     if dim == 2:
         clouds += [_lattice(n, 2) for n in (31, 51)]
     for pts in clouds:
-        got, want = GridSpace(pts).metric, _cross_dists(pts, pts)
+        got, want = dense_metric(GridSpace(pts)), _cross_dists(pts, pts)
         if dim <= 2:
             assert np.array_equal(got, want)
         else:
@@ -1137,28 +1138,18 @@ def test_grid_metric_matches_cross_dists(dim):
 
 
 def test_grid_metric_build_peaks_below_two_buffers():
-    # one (n, n) metric and one scratch buffer; the einsum build took a
-    # (n, n, 2) difference stack, its squares' sum, a sqrt copy and a copy
+    # one (n, n) block of the metric and one scratch buffer; the einsum
+    # build took a (n, n, 2) difference stack, its squares' sum, a sqrt
+    # copy and a copy
     pts = _lattice(31, 2)
+    grid = GridSpace(pts)
     tracemalloc.start()
     try:
-        GridSpace(pts).metric  # built on this first read
+        dense_metric(grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2.2 * len(pts) ** 2 * 8
-
-
-def test_grid_metric_build_peaks_near_the_metric_itself():
-    # the scratch holds a block of at most METRIC_BLOCK entries, not (n, n)
-    pts = _lattice(40, 2)
-    tracemalloc.start()
-    try:
-        GridSpace(pts).metric  # built on this first read
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.15 * len(pts) ** 2 * 8
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
@@ -1172,7 +1163,9 @@ def test_grid_metric_blocks_match_the_whole_buffer_build(dim, block, monkeypatch
         np.subtract.outer(x, x, out=scratch)
         d += np.multiply(scratch, scratch, out=scratch)
     monkeypatch.setattr(grid_module, "METRIC_BLOCK", block)
-    assert grid_module._euclidean(pts).tobytes() == np.sqrt(d).tobytes()
+    nodes = np.arange(90)
+    rows = np.concatenate([b for _, b in GridSpace(pts)._row_blocks(nodes, nodes)])
+    assert rows.tobytes() == np.sqrt(d).tobytes()
 
 
 # ---------------------------------------------------------- packed gap kernel
@@ -1631,7 +1624,8 @@ def test_single_point_pairs_are_measured_before_keying(dim, monkeypatch):
 
 def _old_pair_arrays(grid):
     """directed_pair_arrays as it was, through a triu copy of the mask."""
-    i, j = np.nonzero(np.triu(grid.metric <= grid.adjacency_radius + grid_module.ADJ_TOL, 1))
+    close = dense_metric(grid) <= grid.adjacency_radius + grid_module.ADJ_TOL
+    i, j = np.nonzero(np.triu(close, 1))
     return np.concatenate([i, j]), np.concatenate([j, i])
 
 
@@ -1649,14 +1643,13 @@ def test_pair_arrays_and_diameter_match_the_old_forms(monkeypatch):
     for grid in grids:
         for got, want in zip(grid.directed_pair_arrays(), _old_pair_arrays(grid)):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-        want = float(grid.metric.max())
+        want = float(dense_metric(grid).max())
         assert grid.diameter == want and isinstance(grid.diameter, float)
     assert len(grids[-1].directed_pair_arrays()[0]) == 0 and grids[-1].diameter == 0.0
     fresh = GridSpace(rng.uniform(size=(30, 2)))
     first = fresh.diameter
-    # a second read computes no distance and builds no metric
+    # a second read computes no distance
     monkeypatch.setattr(grid_module, "_distances", None)
-    monkeypatch.setattr(grid_module, "_euclidean", None)
     assert fresh.diameter == first
 
 
@@ -1664,6 +1657,7 @@ def _loop_hull_modulus(psi, w):
     """scip_verify's indexed-mode modulus as the per-(t, x, pair) loop it
     was before it went through the gap kernel."""
     modulus = 0.0
+    metric = dense_metric(psi.grid)
     pi, pj = psi.grid.directed_pair_arrays()
     pairs = list(zip(pi[:len(pi) // 2].tolist(), pj[:len(pj) // 2].tolist()))
     for t in range(len(psi.space)):
@@ -1673,7 +1667,7 @@ def _loop_hull_modulus(psi, w):
                 b = w.local(j).value(t, x)
                 if a.is_empty or b.is_empty:
                     continue
-                d = psi.grid.metric[i, j]
+                d = metric[i, j]
                 if d <= 0:
                     continue
                 modulus = max(modulus, hausdorff_dist(a, b) / d)
@@ -1948,7 +1942,9 @@ def test_witness_family_kernel_call_budget(monkeypatch):
     and reading a local's gaps later adds no call.  construct_phi after
     cip_verify reads phi-inclusion from those residuals and builds no
     PointSet, pooled or shared; each stacked cell-constancy test is one
-    call."""
+    call.  A shared local on a space equal to psi's (not the same object)
+    is phi itself, so its phi-lsc check reads the gap table cip_verify
+    filled."""
     calls = {"_packed_gaps": 0, "segment_distances": 0, "PointSet.of": 0}
     for name in ("_packed_gaps", "segment_distances"):
         def counting(*args, name=name, kernel=getattr(corr, name)):
@@ -1987,6 +1983,10 @@ def test_witness_family_kernel_call_budget(monkeypatch):
         assert (res.phi.points is w.local(0).points) == (witness is shared)
         assert next(c for c in res.certificate if c.name == "phi-inclusion").residual > 0.0
     assert calls["segment_distances"] == measured and calls["PointSet.of"] == 0
+    assert shared.local(0).space is not psi.space and shared.local(0).space == psi.space
+    gaps = calls["_packed_gaps"]
+    assert construct_phi(psi, shared, part, eps=0.3).phi is shared.local(0)
+    assert calls["_packed_gaps"] == gaps + 1  # the cell-constancy test alone
 
 
 def test_residuals_measure_only_the_cells_not_yet_kept(monkeypatch):

@@ -40,6 +40,7 @@ import carasel.problems
 import carasel.selection
 from carasel.corr import SET_EQUALITY_TOL, _segments
 from carasel.equilibria import _reflexive_at
+from carasel.grid import METRIC_BLOCK
 from carasel.pipelines import run_problem, run_select
 from carasel.problems import canonical_json, merge_options, parse_problem
 from carasel.reporting import CheckSet
@@ -326,16 +327,18 @@ def test_random_nash_builds_no_selection_certificate(monkeypatch):
 def test_random_nash_with_selection_never_builds_the_joint_metric(monkeypatch):
     # the joint grid keeps its points only: pairs, diameter, the canonical
     # radii, cip_verify's balls and the R^1 selection all read distances
-    # from them, so no (nodes, nodes) metric is built
-    def refuse(*_):
-        raise AssertionError("the dense metric was built")
-
-    monkeypatch.setattr(carasel.grid, "_euclidean", refuse)
-    g, part, eps_eq = _quadratic_game(np.random.default_rng(1), 11, ((0,), (1, 2)))
+    # from them a block at a time, so no (nodes, nodes) metric is built;
+    # a 13 x 13 joint grid's metric is larger than one block
+    sizes = []
+    distances = carasel.grid._distances
+    monkeypatch.setattr(carasel.grid, "_distances",
+                        lambda a, b: sizes.append(len(a) * len(b)) or distances(a, b))
+    g, part, eps_eq = _quadratic_game(np.random.default_rng(1), 13, ((0,), (1, 2)))
     cert = random_nash(g, part, eps_eq)
     assert cert.checks.ok
     assert sum(c.name.startswith("glue-") for c in cert.checks) == 2 * g.n_players
-    assert "_euclidean_metric" not in g.joint_grid().__dict__
+    assert len(g.joint_grid()) ** 2 > METRIC_BLOCK
+    assert sizes and max(sizes) <= METRIC_BLOCK
 
 
 def test_random_nash_keeps_the_membership_guard(monkeypatch):

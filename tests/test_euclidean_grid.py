@@ -30,7 +30,7 @@ from carasel.errors import DomainError
 from carasel.grid import ADJ_TOL
 from carasel.setops import DEDUP_TOL
 
-from conftest import line_grid
+from conftest import dense_metric, line_grid
 from instances import random_cip_instance
 
 
@@ -99,7 +99,6 @@ def _check_against_dense(grid, d):
         assert np.array_equal(near[:mine.sum(), k], pj[mine])
         assert dist[:mine.sum(), k].tobytes() == d[z, pj[mine]].tobytes()
     assert grid.diameter == float(d.max())
-    assert "_euclidean_metric" not in grid.__dict__  # nothing above built the dense metric
 
 
 # (PAIR_CHUNK, METRIC_BLOCK): the defaults read these small sets as one
@@ -127,7 +126,7 @@ def test_pairs_mesh_and_diameter_match_the_dense_metric(dim, chunk, monkeypatch)
                 grid = GridSpace(pts, adjacency_radius=radius)
                 assert grid.mesh == mesh
                 _check_against_dense(grid, d)
-            assert grid.metric.tobytes() == d.tobytes() and not grid.metric.flags.writeable
+            assert dense_metric(grid).tobytes() == d.tobytes() and not hasattr(grid, "metric")
             assert "metric" not in repr(grid)
 
 
@@ -327,7 +326,6 @@ def test_canonical_radii_match_the_dense_columns():
             want[t] = d[:, ~nonempty[t]].min(axis=1)
         want[~nonempty] = np.nan
         assert np.array_equal(canonical_witness(psi).radii, want, equal_nan=True)
-        assert "_euclidean_metric" not in psi.grid.__dict__
 
 
 def test_reach_masks_and_reports_match_the_dense_ball_stack():
@@ -351,7 +349,6 @@ def test_reach_masks_and_reports_match_the_dense_ball_stack():
                     want.ok, want.inclusion_residual, want.lsc_gap)
                 kinds |= {kind for kind, *_ in got.failures}
             modes.add((w.mode, len(groups) > 1))
-            assert "_euclidean_metric" not in psi.grid.__dict__
     assert kinds == {"nonempty", "inclusion", "lsc", "lsc-offsection"}
     assert {("shared", False), ("countable", True), ("indexed", True)} <= modes
 
@@ -396,4 +393,3 @@ def test_a_grid_at_the_joint_node_cap_holds_no_dense_array():
     assert diameter == float(np.sqrt(2.0))
     assert peak < 64 * 2 ** 20
     assert wall < 20.0
-    assert "_euclidean_metric" not in grid.__dict__

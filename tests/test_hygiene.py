@@ -8,8 +8,9 @@ the package or the benchmark calls is passed by one of those calls (so
 no option is set by tests alone), and every parameter of a package
 function is read by its body.
 __init__.py is skipped by the import check, since its imports
-are the public API it re-exports; those re-exports count as
-references."""
+are the public API it re-exports; those re-exports do not count as
+references, so a public definition that no package module calls is
+flagged unless ALLOWED_UNREFERENCED lists it with its reason."""
 
 import ast
 from collections import defaultdict
@@ -21,9 +22,22 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "carasel"
 BENCH = SRC.parent.parent / "bench"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
-# definitions the package keeps with no caller of its own, and why
+# definitions the package keeps with no caller of its own, and why; in
+# the order the check finds them
+_SPANS = "a bench/tracer.py SPANS target, kept until ROADMAP item 1"
 ALLOWED_UNREFERENCED = {
-    "measure.InfoPartition.trivial": "the coarsest partition, a paper object the tests build with",
+    "corr.domain": "acceptance criteria C3 and C4 test it",
+    "corr.lsc_check": "acceptance criterion C1 tests it",
+    "corr.usc_check": "lsc_check's u.s.c. twin: the per-atom report of the decision "
+                      "glue-usc-preserved makes for every atom at once",
+    "corr.k_operator": _SPANS,
+    "measure.InfoPartition.trivial": "acceptance criterion C7 builds its Bayes games with it",
+    "selection.grid_select": _SPANS,
+    "selection.interior_series": "acceptance criterion C4 tests it",
+    "selection.glue": _SPANS,
+    "setops.hausdorff_dist": "acceptance criterion C2 tests it",
+    "setops.convex_membership": _SPANS,
+    "setops.interior_point_margin": _SPANS,
 }
 
 
@@ -45,8 +59,8 @@ def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
     """"module.name" of every module-level function or class, and
     "module.Class.name" of every method of a module-level class other
     than a dunder, of the modules in sources (module name -> source)
-    whose name no module reads, as a name or an attribute, or imports;
-    in module order."""
+    whose name no module other than __init__ reads, as a name or an
+    attribute, or imports; in module order."""
     defined, used = [], set()
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     for module, source in sources.items():
@@ -57,6 +71,8 @@ def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
             if isinstance(node, ast.ClassDef):
                 defined += [f"{module}.{node.name}.{item.name}" for item in node.body
                             if isinstance(item, functions) and not item.name.startswith("__")]
+        if module == "__init__":  # a re-export is not a use
+            continue
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 used.add(node.id)
@@ -170,6 +186,25 @@ def test_the_check_sees_an_orphaned_definition():
     sources["setops"] += ("\n\ndef vertex_margins(c):\n"
                           "    return segment_margins(c.vertices, [[0, len(c.vertices)]])\n")
     assert unreferenced_definitions(sources) == [*ALLOWED_UNREFERENCED, "setops.vertex_margins"]
+
+
+def test_the_check_sees_a_definition_that_is_only_reexported():
+    sources = {
+        "__init__": "from .a import Called, exported\n",
+        "a": "class Called:\n    pass\n\ndef exported():\n    pass\n",
+        "b": "from .a import Called\n",
+    }
+    assert unreferenced_definitions(sources) == ["a.exported"]
+    # the polytope Hausdorff distance, put back into setops and re-exported
+    sources = package_sources()
+    sources["setops"] += ("\n\ndef convex_hausdorff_dist(a, b):\n"
+                          "    return max(convex_distance(a.vertices, b).max(),\n"
+                          "               convex_distance(b.vertices, a).max())\n")
+    sources["__init__"] = sources["__init__"].replace(
+        "    convex_project,\n", "    convex_hausdorff_dist,\n    convex_project,\n", 1)
+    assert "convex_hausdorff_dist" in sources["__init__"]
+    assert unreferenced_definitions(sources) == [*ALLOWED_UNREFERENCED,
+                                                 "setops.convex_hausdorff_dist"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -11,20 +11,7 @@ from carasel import (
     InfoPartition,
     Prior,
     conditional_density,
-    integrate,
 )
-
-
-def test_integrate_normalized_constant():
-    space = AtomSpace(("a", "b"), [0.5, 0.5])
-    assert integrate(space, lambda _: 1.0) == pytest.approx(1.0)
-
-
-def test_integrate_vector_values():
-    space = AtomSpace(("a", "b"), [0.5, 0.5])
-    assert integrate(space, [1.0, 0.0]) == pytest.approx(0.5)
-    space2 = AtomSpace(("a", "b"), [0.25, 0.75])
-    assert integrate(space2, [2.0, -2.0]) == pytest.approx(-1.0)
 
 
 def test_conditional_density_trivial_partition_uniform():
@@ -41,7 +28,7 @@ def test_conditional_density_normalizes():
     part = InfoPartition.trivial(space)
     dens = conditional_density(prior, part, 0)
     assert np.allclose(dens, [1.2, 0.8])
-    assert integrate(space, dens) == pytest.approx(1.0, abs=1e-12)
+    assert dens @ space.weights == pytest.approx(1.0, abs=1e-12)
 
 
 def test_conditional_density_singleton_cells():

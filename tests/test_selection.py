@@ -52,7 +52,7 @@ from carasel.selection import (
     _select_table,
 )
 from carasel.setops import _nearest_in_hulls, _padded_rows, _project_to_intervals
-from conftest import jump_problem, line_grid, same_set, single_atom
+from conftest import dense_metric, jump_problem, line_grid, same_set, single_atom
 from instances import random_cip_instance
 from test_corr import max_vertex_margin
 from test_equilibria import _quadratic_game
@@ -162,7 +162,8 @@ def test_grid_select_sliding_intervals_members():
 def _neighbors(grid, z):
     """The nodes within the adjacency radius of node z, z excluded: the
     per-node adjacency list the references walk."""
-    return [j for j in np.flatnonzero(grid.metric[z] <= grid.adjacency_radius + ADJ_TOL) if j != z]
+    row = grid.distances([z], np.arange(len(grid)))[0]
+    return [j for j in np.flatnonzero(row <= grid.adjacency_radius + ADJ_TOL) if j != z]
 
 
 def _grid_select_reference(phi, t, init=None, max_sweeps=DEFAULT_MAX_SWEEPS, relaxation=0.7):
@@ -195,17 +196,18 @@ def _grid_select_reference(phi, t, init=None, max_sweeps=DEFAULT_MAX_SWEEPS, rel
         x = new
         if move <= 1e-10 * scale:
             break
-    modulus = max((np.linalg.norm(x[r] - x[c]) / phi.grid.metric[section[r], section[c]]
+    metric = dense_metric(phi.grid)
+    modulus = max((np.linalg.norm(x[r] - x[c]) / metric[section[r], section[c]]
                    for r, c in pairs), default=0.0)
     residual = max(convex_distance(x[pos[z]], hulls[z]) for z in section)
     return {z: x[pos[z]] for z in section}, modulus, residual
 
 
-def _swept(phi, t, init, max_sweeps=DEFAULT_MAX_SWEEPS, tol=1e-9):
+def _swept(phi, t, init, max_sweeps=DEFAULT_MAX_SWEEPS):
     """_sweep on atom t of phi, in dim 2 or more, from each hull's
     barycenter but at the nodes of init (node -> point), for at most
     max_sweeps sweeps: the one-atom solve from a given start.  Returns
-    (values, modulus, residual) as grid_select's fields."""
+    (values, modulus) as grid_select's fields."""
     on = np.zeros(phi.counts.shape, dtype=bool)
     on[t] = phi.counts[t] > 0
     segs, atom, node = _layout(phi, on)
@@ -213,8 +215,8 @@ def _swept(phi, t, init, max_sweeps=DEFAULT_MAX_SWEEPS, tol=1e-9):
     x = _barycenters(phi.points, segs)[0]
     for z, v in init.items():
         x[node == z] = v
-    x, residual = carasel.selection._sweep(phi.points, segs, edges, atom, x, tol, max_sweeps)
-    return dict(zip(node.tolist(), x)), _modulus(x, edges), float(residual[0])
+    x = carasel.selection._sweep(phi.points, segs, edges, atom, x, max_sweeps)
+    return dict(zip(node.tolist(), x)), _modulus(x, edges)
 
 
 def test_grid_select_matches_per_node_projection_reference():
@@ -234,16 +236,17 @@ def test_grid_select_matches_per_node_projection_reference():
                 for z in section:
                     wts = rng.exponential(size=len(psi.value(t, z)))
                     init[z] = psi.value(t, z).points.T @ (wts / wts.sum())
-                got = _swept(psi, t, init, tol=1e-7)
-            else:
-                sel = grid_select(psi, t, tol=1e-7)
-                got = sel.values, sel.modulus, sel.residual
             values, modulus, residual = _grid_select_reference(psi, t, init=init)
             scale = max(1.0, max(float(np.abs(psi.value(t, z).points).max()) for z in section))
+            if t == 0:
+                got = _swept(psi, t, init)
+            else:
+                sel = grid_select(psi, t, tol=1e-7)
+                got = sel.values, sel.modulus
+                assert abs(sel.residual - residual) <= 1e-12 * scale
             for z in section:
                 assert np.abs(got[0][z] - values[z]).max() <= 1e-12 * scale
             assert abs(got[1] - modulus) <= 1e-12 * scale
-            assert abs(got[2] - residual) <= 1e-12 * scale
 
 
 def test_grid_select_sweeps_follow_the_damped_rate():
@@ -306,17 +309,16 @@ def test_grid_select_is_a_row_of_the_closed_valued_selection(dim, monkeypatch):
             assert one.residual <= 1e-7 and np.isfinite(one.modulus)
         solved += 1
     t = len(phi.space) - 1
-    if dim == 1:  # a selected point off its interval fails the membership check
+    # a selected point off its hull fails the membership check
+    if dim == 1:
         least = carasel.selection._least_modulus
         monkeypatch.setattr(carasel.selection, "_least_modulus",
                             lambda *args: (least(*args)[0] + 1e3,))
-        match = rf"membership certification failed at \(t={t}, "
     else:
         project = carasel.setops._WarmProjector.project
         monkeypatch.setattr(carasel.setops._WarmProjector, "project",
                             lambda step, x, rows: project(step, x, rows) + 1e3)
-        match = f"escaped its value set .* at atom {t}$"
-    with pytest.raises(ConstructionError, match=match):
+    with pytest.raises(ConstructionError, match=rf"membership certification failed at \(t={t}, "):
         grid_select(phi, t, tol=1e-7)
 
 
@@ -458,6 +460,7 @@ def _caratheodory_reference(inst, closed_valued, k_max=40, restarts=8, seed=0):
     halving series as a term-by-term loop, and the modulus as a loop over
     each node's neighbours.  Returns (values, modulus)."""
     phi = construct_phi(inst.psi, inst.witness, inst.part, eps=inst.eps).phi
+    metric = dense_metric(phi.grid)
     atom_seeds = np.random.default_rng(seed).integers(0, 2 ** 31 - 1, size=len(phi.space))
     values, modulus = {}, 0.0
     for t in range(len(phi.space)):
@@ -470,7 +473,7 @@ def _caratheodory_reference(inst, closed_valued, k_max=40, restarts=8, seed=0):
                 verts = phi.value(t, z).points
                 wts = arng.exponential(size=len(verts))
                 init[z] = verts.T @ (wts / wts.sum())
-            family.append(base if phi.dim == 1 else _swept(phi, t, init, tol=1e-7)[0])
+            family.append(base if phi.dim == 1 else _swept(phi, t, init)[0])
         for z in base:
             if closed_valued:
                 values[(t, z)] = base[z]
@@ -486,9 +489,9 @@ def _caratheodory_reference(inst, closed_valued, k_max=40, restarts=8, seed=0):
             values[(t, z)] = total + 0.5 ** k_max * base[z]
         for z in base:
             for j in _neighbors(phi.grid, z):
-                if j in base and phi.grid.metric[z, j] > 0:
+                if j in base and metric[z, j] > 0:
                     gap = np.linalg.norm(values[(t, z)] - values[(t, j)])
-                    modulus = max(modulus, float(gap) / phi.grid.metric[z, j])
+                    modulus = max(modulus, float(gap) / metric[z, j])
     return values, modulus
 
 
@@ -514,7 +517,7 @@ def test_caratheodory_select_matches_per_restart_reference():
             assert abs(sel.modulus - modulus) <= 1e-12 * scale
 
 
-def _sweep_per_coordinate(points, segs, edges, atom, starts, tol, max_sweeps):
+def _sweep_per_coordinate(points, segs, edges, atom, starts, max_sweeps):
     """selection._sweep as it was before its neighbour sums became one
     bincount and before it took the flat layout: the (atom, restart)
     groups stacked atom by atom, the live edges refiltered every sweep
@@ -553,8 +556,7 @@ def _sweep_per_coordinate(points, segs, edges, atom, starts, tol, max_sweeps):
         np.maximum.at(move, group[rows], np.linalg.norm(new - X[rows], axis=1))
         X[rows] = new
         live &= move > sel._SWEEP_STOP * scale
-    residual = np.maximum.reduceat(convex_distance(X, V), first)
-    return X[place], residual.reshape(-1, reps).T.ravel()  # groups restart by restart
+    return X[place]
 
 
 def test_sweep_matches_per_coordinate_reference(monkeypatch):
@@ -618,14 +620,12 @@ def test_sweep_groups_freezing_at_different_sweeps_match_reference(dim, monkeypa
                         lambda step, x, rows: sizes.append(len(x)) or project(step, x, rows))
     for max_sweeps in (1, 3, DEFAULT_MAX_SWEEPS):
         sizes.clear()
-        solved, residual = carasel.selection._sweep(*layout, 1e-9, max_sweeps)
+        solved = carasel.selection._sweep(*layout, max_sweeps)
         assert len(sizes) <= max_sweeps
         if max_sweeps == DEFAULT_MAX_SWEEPS:
             # every sweep projects the same 12 rows; frozen groups are masked
             assert set(sizes) == {12} and len(sizes) < max_sweeps
-        ref, ref_residual = _sweep_per_coordinate(*layout, 1e-9, max_sweeps)
-        assert np.array_equal(solved, ref)
-        assert np.array_equal(residual, ref_residual)
+        assert np.array_equal(solved, _sweep_per_coordinate(*layout, max_sweeps))
 
 
 def _star_grid(n):
@@ -664,10 +664,8 @@ def test_sweep_matches_reference_on_uneven_degrees_and_without_edges(dim):
     for grid in (_star_grid(12), no_edges):
         layout = _random_layout(rng, grid, dim, 3)
         for max_sweeps in (1, DEFAULT_MAX_SWEEPS):
-            solved, residual = carasel.selection._sweep(*layout, 1e-7, max_sweeps)
-            ref, ref_residual = _sweep_per_coordinate(*layout, 1e-7, max_sweeps)
-            assert solved.tobytes() == ref.tobytes()
-            assert residual.tobytes() == ref_residual.tobytes()
+            solved = carasel.selection._sweep(*layout, max_sweeps)
+            assert solved.tobytes() == _sweep_per_coordinate(*layout, max_sweeps).tobytes()
         if grid is no_edges:
             assert np.array_equal(solved, layout[-1])
 
@@ -739,7 +737,7 @@ def test_least_modulus_reads_one_cached_neighbour_table(monkeypatch):
         _least_modulus_of(p)
     assert len(builds) == 1
     pi, pj = grid.directed_pair_arrays()
-    nodes, (near, dist) = build(pi, len(grid), (pj, len(grid)), (grid.metric[pi, pj], 1.0))
+    nodes, (near, dist) = build(pi, len(grid), (pj, len(grid)), (dense_metric(grid)[pi, pj], 1.0))
     cached = grid.neighbour_table()
     assert all(a.tobytes() == b.tobytes() and not a.flags.writeable
                for a, b in zip(cached, (nodes, near, dist)))
@@ -767,7 +765,7 @@ def _least_modulus_oracle(psi, t):
     nodes = np.flatnonzero(psi.counts[t])
     lo = np.array([psi.value(t, z).points.min() for z in nodes])
     hi = np.array([psi.value(t, z).points.max() for z in nodes])
-    d = psi.grid.metric[np.ix_(nodes, nodes)]
+    d = dense_metric(psi.grid)[np.ix_(nodes, nodes)]
     adjacent = (d <= psi.grid.adjacency_radius + ADJ_TOL) & ~np.eye(len(nodes), dtype=bool)
     dist = shortest_path(csr_matrix(np.where(adjacent, d, 0.0)), directed=False)
     joined = np.isfinite(dist) & (dist > 0)
@@ -861,7 +859,7 @@ def test_a_sweep_whose_rows_keep_their_supports_takes_the_kernel_once(dim, monke
     # a work count: every node's value is one simplex and every start lies
     # inside it, so every projection is its own point and every cached
     # support, the whole simplex, stays optimal; the kernel sees each row
-    # once, on sweep 1, and then only the final residual guard's rows
+    # once, on sweep 1
     hull = np.vstack([np.zeros(dim), 4.0 * np.eye(dim)])
     phi = Corr.constant(AtomSpace(("a",), [1.0]), line_grid(7), PointSet.of(dim, hull))
     rng = np.random.default_rng(dim)
@@ -872,9 +870,10 @@ def test_a_sweep_whose_rows_keep_their_supports_takes_the_kernel_once(dim, monke
     project = carasel.setops._WarmProjector.project
     monkeypatch.setattr(carasel.setops._WarmProjector, "project",
                         lambda step, x, rows: sweeps.append(len(x)) or project(step, x, rows))
-    values, _, residual = _swept(phi, 0, init)
-    assert len(sweeps) > 3 and sent == [7, 7]
-    assert residual <= 1e-12 and len(values) == 7
+    values, _ = _swept(phi, 0, init)
+    assert len(sweeps) > 3 and sent == [7]
+    assert len(values) == 7
+    assert convex_distance(np.array(list(values.values())), ConvexSet(dim, hull)).max() <= 1e-12
 
 
 @pytest.mark.parametrize("seed, share", [(1, 0.05), (6, 0.02)])
@@ -955,17 +954,18 @@ def test_caratheodory_select_makes_one_sweep_and_one_draw_per_atom(monkeypatch):
 
 
 def test_selection_escaping_its_value_set_raises(monkeypatch):
-    # a projection that lands outside its hull is caught after the sweeps,
-    # naming the atom, in both the one-group and the all-atoms solve
+    # a projection that lands outside its hull is caught by the membership
+    # certification after the sweeps, naming the worst cell, in both the
+    # one-atom and the all-atoms solve
     space = AtomSpace(("a", "b"), [1.0, 1.0])
     tri = PointSet.of(2, [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     psi = Corr.constant(space, line_grid(5), tri)
     project = carasel.setops._WarmProjector.project
     monkeypatch.setattr(carasel.setops._WarmProjector, "project",
                         lambda step, x, rows: project(step, x, rows) + 5.0)
-    with pytest.raises(ConstructionError, match="escaped its value set .* at atom 1"):
+    with pytest.raises(ConstructionError, match=r"membership certification failed at \(t=1, "):
         grid_select(psi, 1, tol=1e-9)
-    with pytest.raises(ConstructionError, match="escaped its value set .* at atom 0"):
+    with pytest.raises(ConstructionError, match=r"membership certification failed at \(t=[01], "):
         caratheodory_select(psi, canonical_witness(psi), InfoPartition.finest(space))
 
 
@@ -1053,7 +1053,7 @@ def _atom_block(phi, t, section):
     pi, pj = phi.grid.directed_pair_arrays()
     inside = (pos[pi] >= 0) & (pos[pj] >= 0)
     pi, pj = pi[inside], pj[inside]
-    return segs, (pos[pi], pos[pj], phi.grid.metric[pi, pj])
+    return segs, (pos[pi], pos[pj], dense_metric(phi.grid)[pi, pj])
 
 
 def _layout_per_atom(phi, on):

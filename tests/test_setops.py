@@ -1,4 +1,4 @@
-"""Finite-geometry core: distances, memberships, margins, set limits."""
+"""Finite-geometry core: distances, memberships, margins."""
 
 import itertools
 
@@ -13,16 +13,11 @@ from carasel import (
     ConvexSet,
     DomainError,
     PointSet,
-    SetSequence,
     convex_distance,
-    convex_hausdorff_dist,
     convex_membership,
     convex_project,
-    eps_neighborhood_contains,
     hausdorff_dist,
     interior_point_margin,
-    li_limit,
-    ls_limit,
 )
 import carasel.setops as setops
 from carasel.setops import (
@@ -42,7 +37,7 @@ from carasel.setops import (
     segment_margins,
 )
 
-from conftest import same_set
+from conftest import eps_neighborhood_contains, hausdorff_by_bisection, same_set
 from test_corr import max_vertex_margin, vertex_margins
 
 
@@ -87,21 +82,6 @@ def test_hausdorff_empty_is_domain_error():
         hausdorff_dist(PointSet.empty(1), ps(1, [[0.0]]))
 
 
-def _hausdorff_by_bisection(a, b, iters=80):
-    """Independent route: the infimum of eps with mutual inclusion in the
-    open eps-neighborhoods, located by bisection."""
-    lo, hi = 0.0, 1.0
-    while not (eps_neighborhood_contains(a, b, hi) and eps_neighborhood_contains(b, a, hi)):
-        hi *= 2.0
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if eps_neighborhood_contains(a, b, mid) and eps_neighborhood_contains(b, a, mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 point_sets = st.integers(min_value=1, max_value=3).flatmap(
     lambda d: st.lists(
         st.lists(st.floats(-10, 10, allow_nan=False, width=32), min_size=d, max_size=d),
@@ -117,7 +97,7 @@ def test_hausdorff_symmetry_and_inf_form(a, b):
         return
     h = hausdorff_dist(a, b)
     assert h == hausdorff_dist(b, a)
-    assert abs(h - _hausdorff_by_bisection(a, b)) <= 1e-9
+    assert abs(h - hausdorff_by_bisection(a, b)) <= 1e-9
 
 
 @given(point_sets, point_sets, point_sets)
@@ -138,7 +118,7 @@ def test_hausdorff_identity_of_indiscernibles(a):
         assert hausdorff_dist(a, bumped) > 1e-12
 
 
-# ------------------------------------------------------- eps neighborhoods
+# --------------------------------------- eps neighborhoods (conftest oracle)
 
 def test_eps_neighborhood_examples():
     assert eps_neighborhood_contains(ps(1, [[0.5]]), ps(1, [[0.0], [1.0]]), 0.6)
@@ -416,40 +396,6 @@ def test_segment_distances_in_r1_match_the_per_length_kernel_bit_for_bit(monkeyp
     assert (got == 0.0).any() and (got > 0.0).any()
 
 
-# ---------------------------------------------- hausdorff distance of hulls
-
-@pytest.mark.parametrize("scale", [0.1, 1.0, 1e3])
-def test_convex_hausdorff_dist_of_intervals_is_the_endpoint_gap(scale):
-    rng = np.random.default_rng(int(scale * 10))
-    for _ in range(30):
-        a = ConvexSet(1, scale * rng.uniform(-1.0, 1.0, size=(int(rng.integers(1, 6)), 1)))
-        b = ConvexSet(1, scale * rng.uniform(-1.0, 1.0, size=(int(rng.integers(1, 6)), 1)))
-        lo_a, hi_a = a.vertices.min(), a.vertices.max()
-        lo_b, hi_b = b.vertices.min(), b.vertices.max()
-        want = max(abs(lo_a - lo_b), abs(hi_a - hi_b))
-        assert abs(convex_hausdorff_dist(a, b) - want) <= 1e-12 * scale
-
-
-@pytest.mark.parametrize("dim", [2, 3])
-def test_convex_hausdorff_dist_matches_face_enumeration_oracle(dim):
-    # the sup of dist(., hull) over a polytope sits at a vertex, so the
-    # oracle takes the exact distance of every vertex from the other hull
-    rng = np.random.default_rng(70 + dim)
-    for _ in range(25):
-        scale = 10.0 ** rng.integers(-1, 4)
-        a = ConvexSet(dim, scale * rng.uniform(-1.0, 1.0, size=(int(rng.integers(1, 7)), dim)))
-        b = ConvexSet(dim, scale * rng.uniform(-0.5, 1.5, size=(int(rng.integers(1, 7)), dim)))
-        want = max(max(_exact_hull_distance(v, b.vertices) for v in a.vertices),
-                   max(_exact_hull_distance(v, a.vertices) for v in b.vertices))
-        assert abs(convex_hausdorff_dist(a, b) - want) <= 1e-12 * scale
-        assert convex_hausdorff_dist(a, a) == 0.0
-
-
-def test_convex_hausdorff_dist_rejects_mismatched_dims():
-    with pytest.raises(DomainError):
-        convex_hausdorff_dist(UNIT_SQUARE, ConvexSet(1, [[0.0]]))
-
-
 # ----------------------------------------------------------------- margins
 
 def test_margin_interval_midpoint():
@@ -561,51 +507,6 @@ def test_max_vertex_margin_detects_interior_sample():
     with_center = ConvexSet(2, np.vstack([UNIT_SQUARE.vertices, [[0.5, 0.5]]]))
     assert max_vertex_margin(with_center) == pytest.approx(0.5)
     assert max_vertex_margin(UNIT_SQUARE) == 0.0
-
-
-# ------------------------------------------------------------- set limits
-
-def test_limits_convergent_reciprocals():
-    terms = tuple(ps(1, [[1.0 / n]]) for n in range(1, 21))
-    s = SetSequence(1, terms)
-    li = li_limit(s, tail=10, tol_cluster=0.05)
-    ls = ls_limit(s, tail=10, tol_cluster=0.05)
-    assert not li.is_empty and not ls.is_empty
-    assert all(any(np.allclose(p, q) for q in ls.points) for p in li.points)
-
-
-def test_limits_alternating():
-    terms = tuple(ps(1, [[float(n % 2)]]) for n in range(20))
-    s = SetSequence(1, terms)
-    assert li_limit(s, tail=10).is_empty
-    ls = ls_limit(s, tail=10)
-    assert any(np.allclose(p, [0.0]) for p in ls.points)
-    assert any(np.allclose(p, [1.0]) for p in ls.points)
-
-
-def test_limits_constant_sequence():
-    a = ps(2, [[0.0, 0.0], [1.0, 2.0]])
-    s = SetSequence(2, tuple(a for _ in range(8)))
-    li, ls = li_limit(s, tail=5), ls_limit(s, tail=5)
-    assert same_set(li, a) and same_set(ls, a)
-
-
-@given(st.data())
-@settings(max_examples=60, deadline=None)
-def test_lower_limit_contained_in_upper(data):
-    rng = np.random.default_rng(data.draw(st.integers(0, 10 ** 6)))
-    dim = data.draw(st.integers(1, 2))
-    n_terms = data.draw(st.integers(2, 10))
-    terms = []
-    for _ in range(n_terms):
-        k = int(rng.integers(0, 4))
-        terms.append(PointSet.of(dim, rng.integers(0, 3, size=(k, dim)).astype(float))
-                     if k else PointSet.empty(dim))
-    s = SetSequence(dim, tuple(terms))
-    tail = data.draw(st.integers(1, n_terms))
-    li, ls = li_limit(s, tail), ls_limit(s, tail)
-    for p in li.points:
-        assert any(np.linalg.norm(p - q) <= 1e-9 for q in ls.points)
 
 
 # ------------------------------------------------------------- validation
