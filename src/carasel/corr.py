@@ -78,20 +78,23 @@ class Corr:
     def from_function(cls, space: AtomSpace, grid: GridSpace, dim: int, fn) -> "Corr":
         """Tabulate fn(atom_index, node_index) -> PointSet; the cells
         given one PointSet object share its segment, and each distinct
-        object is type-checked once.  The cells' [start, stop) rows are
-        collected in a list and made one array at the end."""
-        seen, chunks, size, cells = {}, [np.zeros((0, dim))], 0, []
+        object is type-checked once.  Each cell costs one dict lookup, and
+        its start and stop go to one flat int list, made one array at the
+        end."""
+        seen, held, chunks, size, flat = {}, [], [np.zeros((0, dim))], 0, []
         for t in range(len(space)):
             for z in range(len(grid)):
                 ps = fn(t, z)
-                if id(ps) not in seen:  # holding ps keeps its id unique
+                row = seen.get(id(ps))
+                if row is None:
                     if not isinstance(ps, PointSet) or ps.dim != dim:
                         raise DomainError("all values must be PointSets of the common dim")
-                    seen[id(ps)] = (ps, (size, size + len(ps)))
+                    held.append(ps)  # holding ps keeps its id unique
+                    row = seen[id(ps)] = (size, size + len(ps))
                     chunks.append(ps.points)
                     size += len(ps)
-                cells.append(seen[id(ps)][1])
-        bounds = np.array(cells, dtype=int).reshape(len(space), len(grid), 2)
+                flat += row
+        bounds = np.array(flat, dtype=int).reshape(len(space), len(grid), 2)
         return cls(space, grid, dim, np.concatenate(chunks), bounds)
 
     @classmethod

@@ -37,6 +37,7 @@ from .setops import (
     _distinct,
     _interval_ends,
     _padded_rows,
+    _segment_rows,
     _WarmProjector,
     convex_distance,
     segment_distances,
@@ -358,9 +359,13 @@ def _sweep(points: np.ndarray, segs: np.ndarray, edges: tuple, atom: np.ndarray,
     first sweep) take the kernel, whose supports the step caches.  A group
     freezes once no row moved more than _SWEEP_STOP times its hull scale
     (compared in squares): a mask keeps its rows, and sweeps stop when no
-    group is live.  Steps combine feasible points, so iterates stay
-    feasible; the caller certifies them against psi's hulls
-    (_select_table).  Returns the rows, as laid out."""
+    group is live.  When every row has neighbours, each sweep reads and
+    writes the iterate as the view X[:-1], and relaxes, divides by the
+    degree and squares the move in place.  Steps combine feasible
+    points, so iterates stay feasible; the caller certifies them against
+    psi's hulls (_select_table), on every atom, also those that took a
+    cell head's solve and were not laid out here.  Returns the rows, as
+    laid out."""
     reps = len(starts) // len(segs)
     rank = np.cumsum(np.diff(atom, prepend=-1) > 0) - 1  # atoms ascend over the cells
     group = (np.arange(reps)[:, None] * (rank[-1] + 1) + rank).ravel()
@@ -380,16 +385,21 @@ def _sweep(points: np.ndarray, segs: np.ndarray, edges: tuple, atom: np.ndarray,
     limit2 = (_SWEEP_STOP * scale[group[rows[runs]]]) ** 2
     step = _WarmProjector(V[rows])
     live = np.ones(len(runs), dtype=bool)  # the groups with a row with neighbours
+    at = slice(-1) if len(rows) == len(starts) else rows  # every row has neighbours: a view
     for _ in range(max_sweeps):
         if not live.any():
             break
-        target = flat.take(near).sum(axis=0, initial=0.0) / deg
+        target = flat.take(near).sum(axis=0, initial=0.0)
+        target /= deg
         projected = step.project(target, slice(None))
-        old = X[rows]
-        new = (1.0 - _RELAXATION) * old + _RELAXATION * projected
-        X[rows] = new if live.all() else np.where(np.repeat(live, size)[:, None], new, old)
-        move = new - old
-        live &= np.maximum.reduceat(np.einsum("rd,rd->r", move, move), runs) > limit2
+        old = X[at]
+        new = (1.0 - _RELAXATION) * old
+        projected *= _RELAXATION
+        new += projected  # (1 - w) old + w projected: the same products, summed once
+        move = np.subtract(new, old, out=projected)
+        X[at] = new if live.all() else np.where(np.repeat(live, size)[:, None], new, old)
+        move *= move
+        live &= np.maximum.reduceat(move.sum(axis=1), runs) > limit2
 
     return X[:-1]
 
@@ -445,6 +455,30 @@ def interior_series(b: ConvexSet, dense, k_max: int) -> np.ndarray:
     return weights @ (y + diff / np.maximum(1.0, np.linalg.norm(diff, axis=1))[:, None])
 
 
+def _head_map(tables: list, part: InfoPartition) -> np.ndarray:
+    """Each atom's cell head where every table's row at the atom equals
+    the head's bit for bit, else the atom itself: equal rows have the
+    same nonempty nodes, and each such cell the same points in the same
+    order.  Cells sharing the head's segment are equal unread; the other
+    cells of rows of equal counts compare their points' bits in one
+    gather per table, for all atoms at once."""
+    atoms = np.arange(len(part.head))
+    same = part.head != atoms  # the atoms still equal to their heads
+    for f in dict.fromkeys(tables):
+        if not same.any():
+            break
+        t = np.flatnonzero(same)
+        h = part.head[t]
+        same[t] = (f.counts[t] == f.counts[h]).all(axis=1)
+        t, h = t[same[t]], h[same[t]]
+        r, z = np.nonzero((f.bounds[t, :, 0] != f.bounds[h, :, 0]) & (f.counts[t] > 0))
+        bits = f.points.view(np.int64)
+        a, b = (bits[_segment_rows(f.bounds[s[r], z])[0]] for s in (t, h))
+        differ = (a != b).any(axis=1)
+        same[t[np.repeat(r, f.counts[t[r], z])[differ]]] = False
+    return np.where(same, part.head, atoms)
+
+
 def _select_table(psi: Corr, phi: Corr, part: InfoPartition, tol: float,
                   weights: np.ndarray | None = None,
                   seed: int = 0) -> tuple[np.ndarray, float]:
@@ -452,34 +486,41 @@ def _select_table(psi: Corr, phi: Corr, part: InfoPartition, tol: float,
     (atoms, nodes, dim) table of points (zero off phi's domain), with the
     worst membership residual in psi's hulls.
 
-    In R^1 every atom takes its least-modulus selection (_least_modulus),
-    on which every restart would land, so no start is drawn and the
-    series is the identity.  Otherwise every (restart, atom) group is
-    solved in one sweep: from the barycenters only when weights is None
-    (the closed-valued branch), or also from len(weights) - 1 random
-    feasible starts drawn per atom by its cell head's seed, whose pushed
-    results the halving series weights combine with the barycentric one.
-    Raises a DomainError unless tol is positive, and a ConstructionError
-    where phi is empty on psi's domain, or where a selected point lies
-    farther than tol from psi's hull.  That is the one membership pass:
-    the sweep's steps stay in phi's hulls, which phi-inclusion certifies
-    inside psi's, so the sweep has no escape check of its own."""
+    Only the cell heads of part and the atoms whose row of phi differs
+    from their head's are solved: an atom whose row equals its head's
+    bit for bit (_head_map) takes the head's points, which its own solve
+    would give bit for bit, as atoms never interact in either solve and
+    draw by their head's seed.  In R^1 every solved atom takes its
+    least-modulus selection (_least_modulus), on which every restart
+    would land, so no start is drawn and the series is the identity.
+    Otherwise every (restart, solved atom) group is solved in one sweep:
+    from the barycenters only when weights is None (the closed-valued
+    branch), or also from len(weights) - 1 random feasible starts drawn
+    per atom by its cell head's seed, whose pushed results the halving
+    series weights combine with the barycentric one.  Raises a
+    DomainError unless tol is positive, and a ConstructionError where
+    phi is empty on psi's domain, or where a selected point lies farther
+    than tol from psi's hull.  That is the one membership pass, over
+    every domain cell of every atom, copies included: the sweep's steps
+    stay in phi's hulls, which phi-inclusion certifies inside psi's, so
+    the sweep has no escape check of its own."""
     if not tol > 0:  # NaN too: no residual exceeds it
         raise DomainError("tol must be positive")
-    on = phi.counts > 0
+    source = _head_map([phi], part)
+    on = (phi.counts > 0) & (source == np.arange(len(source)))[:, None]  # the cells solved
     segs, atom, node = _layout(phi, on)
     table = np.zeros(psi.counts.shape + (psi.dim,))  # the selected points, by (t, z)
     if len(segs) and phi.dim == 1:
         table[on] = _least_modulus(phi.points, segs, atom, node, phi.grid)[0]
     elif len(segs):
-        heads = np.flatnonzero(np.diff(atom, prepend=-1))  # each atom's first cell
+        first = np.flatnonzero(np.diff(atom, prepend=-1))  # each atom's first cell
         draws = ()
         if weights is not None and len(weights) > 1:  # one draw per atom, by its cell head
             seeds = np.random.default_rng(seed).integers(0, 2 ** 31 - 1, size=len(psi.space))
             draws = np.hstack([  # (restarts - 1, points), each cell's points side by side
                 np.random.default_rng(int(seeds[part.head[t]])).exponential(
                     size=(len(weights) - 1, n))
-                for t, n in zip(atom[heads], np.add.reduceat(segs[:, 1] - segs[:, 0], heads))])
+                for t, n in zip(atom[first], np.add.reduceat(segs[:, 1] - segs[:, 0], first))])
         starts = _barycenters(phi.points, segs, draws)  # restart by restart, cell by cell
         x = _sweep(phi.points, segs, _edges(phi.grid, on), atom, starts.reshape(-1, phi.dim),
                    DEFAULT_MAX_SWEEPS)
@@ -488,8 +529,9 @@ def _select_table(psi: Corr, phi: Corr, part: InfoPartition, tol: float,
             diff = x - x[0]
             pushed = x[0] + diff / np.maximum(1.0, np.linalg.norm(diff, axis=2))[..., None]
             x = np.concatenate([np.tensordot(weights, p, axes=1)
-                                for p in np.split(pushed, heads[1:], axis=1)])
+                                for p in np.split(pushed, first[1:], axis=1)])
         table[on] = x
+    table = table[source]  # each copy takes its head's points
 
     t, z = np.nonzero(psi.counts > 0)  # the domain, in sorted order
     missing = np.flatnonzero(phi.counts[t, z] == 0)
@@ -526,11 +568,12 @@ def caratheodory_select(
     and seed have no effect there (but are validated).  Otherwise the
     sweeps start from the barycenters only (closed-valued branch), or
     also from restarts - 1 random feasible starts combined by the
-    halving series (general branch).  The certificate is independent of
-    the branch: phi's five checks, direct membership of every selected
-    point in the hull of psi's value within tol, the achieved modulus,
-    and cell-wise measurability whenever the inputs are cell-wise
-    constant.
+    halving series (general branch).  An atom whose row of phi equals
+    its cell head's bit for bit takes the head's solve.  The certificate
+    is independent of the branch, and every check runs on every atom:
+    phi's five checks, direct membership of every selected point in the
+    hull of psi's value within tol, the achieved modulus, and cell-wise
+    measurability whenever the inputs are cell-wise constant.
     """
     if restarts < 1:
         raise DomainError("restarts must be a positive integer")
@@ -562,11 +605,14 @@ def caratheodory_select(
 
 def _inputs_cell_constant(psi: Corr, w: CipWitness, part: InfoPartition) -> bool:
     """psi, every witness local and the radii (NaN where absent) are
-    constant on every cell of a coarser than finest partition."""
-    if part.is_finest:
+    constant on every cell of a coarser than finest partition: equal to
+    the cell head's bit for bit (_head_map), or else within
+    SET_EQUALITY_TOL as sets (cell_varying), which measures the gaps."""
+    if part.is_finest or not np.array_equal(w.radii, w.radii[part.head], equal_nan=True):
         return False
-    return (np.array_equal(w.radii, w.radii[part.head], equal_nan=True)
-            and not cell_varying([psi] + [f for f, _ in w.distinct_locals()], part).any())
+    tables = [psi] + [f for f, _ in w.distinct_locals()]
+    return (np.array_equal(_head_map(tables, part), part.head)
+            or not cell_varying(tables, part).any())
 
 
 def glue(

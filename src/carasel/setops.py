@@ -60,12 +60,10 @@ def _as_points(dim: int, points) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[1] != dim:
         raise DomainError(f"points must be vectors of length {dim}, got shape {arr.shape}")
     # a finite sum has finite terms; only a sum that is not (an overflow,
-    # or an inf or NaN term) is re-checked term by term
-    try:
-        finite = math.isfinite(np.add.reduce(arr, axis=None))
-    except FloatingPointError:  # the caller's np.seterr raises on the overflow
-        finite = False
-    if not finite and not np.isfinite(arr).all():
+    # or an inf or NaN term) is re-checked term by term.  Python floats
+    # overflow to inf silently, whatever numpy's error handling says
+    flat = arr.ravel().tolist()
+    if not (math.isfinite(sum(flat)) or all(map(math.isfinite, flat))):
         raise DomainError("points must be finite")
     arr.flags.writeable = False
     return arr

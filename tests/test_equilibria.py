@@ -793,6 +793,35 @@ def test_bayes_singleton_cells_match_random_nash():
         assert cert_b.regrets[key] == cert_n.regrets[key]
 
 
+def test_bayes_cell_takes_its_heads_solve_bit_for_bit(monkeypatch):
+    # one 2-atom cell: the derived payoffs, so the preference tables, are
+    # equal on both atoms, and the glue's selection solves atom 0 alone;
+    # the certificate and the selected tables are the per-atom solve's
+    # byte for byte
+    b = make_bayes({0: (0.23, 0.67), 1: (0.81, 0.14)}, ((0, 1),))
+    head_map, select = carasel.selection._head_map, carasel.equilibria._select_table
+    maps, tables = [], []
+    monkeypatch.setattr(carasel.selection, "_head_map",
+                        lambda *args: maps.append(head_map(*args).tolist()) or head_map(*args))
+    monkeypatch.setattr(carasel.equilibria, "_select_table",
+                        lambda *args: tables.append(select(*args)) or tables[-1])
+
+    def text(cert):
+        return canonical_json({
+            "checks": [c.as_dict() for c in cert.checks],
+            "profile": [[t, cert.profile_indices[t], [float(x) for x in v]]
+                        for t, v in sorted(cert.profile.items())],
+            "regrets": [[t, i, r] for (t, i), r in sorted(cert.regrets.items())],
+            "selections": [[hashlib.sha256(x.tobytes()).hexdigest(), worst] for x, worst in tables],
+            "warnings": list(cert.warnings),
+        })
+    mine = text(bayes_equilibrium(b, eps_eq=0.01, seed=2))
+    assert maps and all(m == [0, 0] for m in maps) and len(tables) == 2
+    tables.clear()
+    monkeypatch.setattr(carasel.selection, "_head_map", lambda tables, part: np.arange(2))
+    assert text(bayes_equilibrium(b, eps_eq=0.01, seed=2)) == mine
+
+
 def test_bayes_zero_payoffs_zero_regret():
     space = AtomSpace(("w1", "w2"), [0.5, 0.5])
     g = two_player_game(space, (lambda t, x: 0.0, lambda t, x: 0.0), n_nodes=5)

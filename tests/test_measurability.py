@@ -284,8 +284,9 @@ def test_maximal_element_measurability_counts_match_per_cell_reference(seed):
 
 def test_measurability_checks_measure_a_repeated_table_once(monkeypatch):
     # a canonical witness's local is the preference table itself: the
-    # measurability calls of maximal_element and _inputs_cell_constant
-    # send its 2 non-head atoms x 6 nodes = 12 pairs, not 24; they are
+    # measurability call of maximal_element sends its 2 non-head atoms x
+    # 6 nodes = 12 pairs, not 24, and _inputs_cell_constant sends none,
+    # as every atom's row equals its cell head's bit for bit; these are
     # the calls on the table's own points, as the glue's calls stack the
     # glued table and the fallback
     space = AtomSpace(tuple(f"a{k}" for k in range(4)), [1.0] * 4)
@@ -302,7 +303,7 @@ def test_measurability_checks_measure_a_repeated_table_once(monkeypatch):
                         or packed(points, bounds, a, b))
     res = maximal_element(p, w, part)
     assert _inputs_cell_constant(p, w, part)
-    assert pairs == [12, 12]
+    assert pairs == [12]
     assert _check(res.checks, "preference-measurability") == 0
     assert _check(res.checks, "witness-measurability") == 0
 

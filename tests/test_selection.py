@@ -46,6 +46,7 @@ from carasel.selection import (
     _barycenters,
     _edges,
     _envelope,
+    _head_map,
     _layout,
     _least_modulus,
     _modulus,
@@ -913,7 +914,10 @@ def test_caratheodory_select_projects_all_restarts_of_all_atoms_per_sweep(monkey
                         lambda step, x, rows: calls.append(len(x)) or project(step, x, rows))
     caratheodory_select(inst.psi, inst.witness, inst.part, restarts=8, eps=inst.eps)
     assert 0 < len(calls) <= DEFAULT_MAX_SWEEPS
-    assert calls[0] == 8 * len(domain(phi))  # every node of every section has a neighbour
+    # every node of every section has a neighbour; an atom equal to its
+    # cell head takes the head's solve, so only the heads' domain is swept
+    solved = _head_map([phi], inst.part) == np.arange(len(phi.space))
+    assert calls[0] == 8 * np.count_nonzero(phi.counts[solved])
 
 
 class _RecordingGenerator:
@@ -932,9 +936,10 @@ class _RecordingGenerator:
 
 
 def test_caratheodory_select_makes_one_sweep_and_one_draw_per_atom(monkeypatch):
-    # atoms in cells (0, 2) and (1, 3), atom 3 empty everywhere: three
-    # atoms draw, each in one call for all its restarts and cells, and
-    # atom 2 draws what its cell head, atom 0, draws
+    # atoms in cells (0, 2) and (1, 3), atom 3 empty everywhere: atoms 0
+    # and 1 draw, each in one call for all its restarts and cells, and
+    # atom 2, equal to its cell head atom 0, takes atom 0's solve and
+    # draws nothing
     space = AtomSpace(("a", "b", "c", "d"), [1.0] * 4)
     tri = PointSet.of(2, [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     psi = Corr.from_function(space, line_grid(6), 2,
@@ -947,10 +952,79 @@ def test_caratheodory_select_makes_one_sweep_and_one_draw_per_atom(monkeypatch):
     sweep = carasel.selection._sweep
     monkeypatch.setattr(carasel.selection, "_sweep", lambda *args: sweeps.append(1) or sweep(*args))
     sel = caratheodory_select(psi, canonical_witness(psi), part, restarts=5)
-    assert len(sweeps) == 1 and len(draws) == 3
+    assert len(sweeps) == 1 and len(draws) == 2
     assert all(d.shape == (4, 6 * 3) for d in draws)  # (restarts - 1, points of the atom)
-    assert np.array_equal(draws[0], draws[2]) and not np.array_equal(draws[0], draws[1])
+    assert not np.array_equal(draws[0], draws[1])
     assert all(np.array_equal(sel.value(0, z), sel.value(2, z)) for z in range(6))
+
+
+@st.composite
+def _cell_tables(draw):
+    """A small table on a coarse partition: dim 1-3, 3-6 nodes of a line,
+    2-4 atoms in 1-2 cells with at least one cell of two atoms.  Each
+    head row holds 0-3 points per node in [-2, 2]; every other atom
+    shares its head's PointSets ("share"), copies their points into new
+    ones ("copy"), moves one coordinate of one point by one ulp ("ulp")
+    or draws its own row ("fresh").  (dim, nodes, cells, rows, kinds)."""
+    dim, nodes = draw(st.integers(1, 3)), draw(st.integers(3, 6))
+    cell = draw(st.lists(st.integers(0, 1), min_size=2, max_size=4))
+    if len(set(cell)) == len(cell):
+        cell[1] = cell[0]
+    cells = tuple(tuple(t for t in range(len(cell)) if cell[t] == c) for c in sorted(set(cell)))
+    point = st.lists(st.floats(-2.0, 2.0), min_size=dim, max_size=dim)
+    row = st.lists(st.lists(point, max_size=3), min_size=nodes, max_size=nodes)
+    rows, kinds = [None] * len(cell), [None] * len(cell)
+    for c in cells:
+        rows[c[0]] = draw(row)
+        for t in c[1:]:
+            kinds[t] = draw(st.sampled_from(["share", "copy", "ulp", "fresh"]))
+            rows[t] = draw(row) if kinds[t] == "fresh" else [list(map(list, v)) for v in rows[c[0]]]
+            full = [z for z, v in enumerate(rows[t]) if v]
+            if kinds[t] == "ulp" and full:
+                z = draw(st.sampled_from(full))
+                k, d = draw(st.integers(0, len(rows[t][z]) - 1)), draw(st.integers(0, dim - 1))
+                rows[t][z][k][d] = float(np.nextafter(rows[t][z][k][d], np.inf))
+    return dim, nodes, cells, rows, kinds
+
+
+def _solved(psi, part, weights):
+    """_select_table's (table bytes, worst residual), or its error text."""
+    try:
+        table, worst = _select_table(psi, psi, part, 1e-7, weights, seed=3)
+    except ConstructionError as e:
+        return str(e)
+    return table.tobytes(), worst
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_cell_tables())
+def test_select_table_solving_cell_heads_matches_the_per_atom_solve(case):
+    # an atom whose row equals its cell head's bit for bit takes the
+    # head's solve; the table must be the one a solve of every atom gives,
+    # in R^1, the closed-valued branch and the restarts branch
+    dim, nodes, cells, rows, kinds = case
+    space = AtomSpace(tuple(f"w{t}" for t in range(len(rows))), [1.0] * len(rows))
+    part = InfoPartition(space, cells)
+    sets = {}
+    for t, row in enumerate(rows):
+        for z, v in enumerate(row):
+            sets[(t, z)] = (sets[(part.head[t], z)] if kinds[t] == "share" else
+                            PointSet.of(dim, v) if v else PointSet.empty(dim))
+    psi = Corr.from_function(space, line_grid(nodes), dim, lambda t, z: sets[(t, z)])
+    # the head map against a per-node comparison of the points' bytes
+    equal = [all(psi.value(t, z).points.tobytes() == psi.value(part.head[t], z).points.tobytes()
+                 for z in range(nodes)) for t in range(len(rows))]
+    heads = _head_map([psi], part)
+    assert heads.tolist() == [int(part.head[t]) if equal[t] else t for t in range(len(rows))]
+    assert all(heads[t] == part.head[t] for t in range(len(rows)) if kinds[t] in ("share", "copy"))
+    assert all(heads[t] == t for t in range(len(rows))
+               if kinds[t] == "ulp" and (psi.counts[t] == psi.counts[part.head[t]]).all()
+               and psi.counts[t].any())
+    for weights in (None, carasel.selection._halving_weights(4, 40)):
+        mine = _solved(psi, part, weights)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(carasel.selection, "_head_map", lambda tables, part: np.arange(len(part.head)))
+            assert mine == _solved(psi, part, weights)
 
 
 def test_selection_escaping_its_value_set_raises(monkeypatch):

@@ -1,6 +1,7 @@
 """Finite-geometry core: distances, memberships, margins."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -620,6 +621,24 @@ def test_pointset_finiteness_is_one_sum_rechecked_term_by_term():
             with np.errstate(invalid="raise"), pytest.raises(DomainError,
                                                              match="^points must be finite$"):
                 build(2, bad)
+
+
+@pytest.mark.parametrize("errors", ["warn", "raise"])
+def test_pointset_finiteness_warns_and_raises_nothing_from_numpy(errors):
+    """The finiteness test reads Python floats, so neither numpy's error
+    handling (its default "warn" or "raise") nor a warnings filter sees
+    the overflowing or invalid sum: the overflow builds, an inf, -inf or
+    NaN term is a DomainError."""
+    with warnings.catch_warnings(), np.errstate(all=errors):
+        warnings.simplefilter("error")
+        for build in (PointSet.of, PointSet, ConvexSet):
+            made = build(2, [[1e308, 1e308]])
+            arr = made.vertices if build is ConvexSet else made.points
+            assert np.array_equal(arr, [[1e308, 1e308]])
+            for bad in ([[np.inf, 0.0]], [[0.0, -np.inf]], [[np.nan, 1.0]], [[np.inf, -np.inf]],
+                        [[1e308, 1e308], [np.inf, 0.0]]):
+                with pytest.raises(DomainError, match="^points must be finite$"):
+                    build(2, bad)
 
 
 def test_pointset_of_keeps_its_own_copy():
