@@ -184,9 +184,13 @@ class GameSpec:
         """All joint strategy vectors, lexicographic in per-player node
         indices (C order of the joint shape)."""
         if "nodes" not in self._cache:
-            coords = [g.points for g in self.strategy_grids]
-            rows = [np.concatenate(tup) for tup in itertools.product(*coords)]
-            arr = np.array(rows)
+            shape = self.joint_shape
+            arr = np.empty(shape + (sum(g.dim for g in self.strategy_grids),))
+            for k, (g, own) in enumerate(zip(self.strategy_grids, self.own_slices)):
+                # player k's coordinates vary along axis k only
+                arr[..., own] = g.points.reshape((1,) * k + (-1,) + (1,) * (len(shape) - k - 1)
+                                                 + (g.dim,))
+            arr = arr.reshape(-1, arr.shape[-1])
             arr.flags.writeable = False
             self._cache["nodes"] = arr
         return self._cache["nodes"]
@@ -201,8 +205,10 @@ class GameSpec:
         """u_i(t, .) over the joint nodes, shaped by the joint shape."""
         key = ("table", i, t)
         if key not in self._cache:
+            if "rows" not in self._cache:  # one read-only view per joint node, for every table
+                self._cache["rows"] = list(self.joint_nodes())
             u = self.payoffs[i]
-            vals = np.array([float(u(t, x)) for x in self.joint_nodes()])
+            vals = np.array([float(u(t, x)) for x in self._cache["rows"]])
             if not np.all(np.isfinite(vals)):
                 raise DomainError(f"payoff of player {i} not finite at atom {t}")
             vals = vals.reshape(self.joint_shape)

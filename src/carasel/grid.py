@@ -225,7 +225,9 @@ class GridSpace:
         and the (max degree, nodes) _neighbour_table of their neighbours
         and distances over directed_pair_arrays, padded with len(self)
         and 1.0.  Cached and read-only: every R^1 least-modulus selection
-        on this grid reads the one table."""
+        on this grid relaxes its (len(self) + 1, atoms) envelope blocks
+        over these arrays themselves, the padding pointing at the blocks'
+        last row."""
         cached = self.__dict__.get("_neighbours")
         if cached is None:
             pi, pj, d = self._pairs()

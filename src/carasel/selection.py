@@ -233,43 +233,59 @@ def _modulus(x: np.ndarray, edges: tuple) -> float:
     return float((gaps / dist[positive]).max(initial=0.0))
 
 
-def _envelope(top: np.ndarray, rows: np.ndarray, near: np.ndarray, dist: np.ndarray,
-              slope: np.ndarray, paths: bool = False) -> tuple[np.ndarray, ...]:
-    """The least u <= top with u_i <= u_j + slope_i * d(i, j) for every
-    row i and entry j of its column of the neighbour table (near, dist):
-    the min-plus relaxation u_i <- min(u_i, u_j + slope_i * d(i, j)),
-    repeated until no entry changes.  Entries of top that rows does not
-    list stay as they are (+inf blocks a path).  Values only fall,
-    through a finite set of floats, so the loop ends; with positive d it
-    takes at most one step per row.  Returns (u,), or with paths (u,
-    source, length): each entry's source j and path length, u_i = top_j
-    + slope_i * length up to rounding, carried through the same steps,
-    which give the same u."""
+def _envelope(top: np.ndarray, on: np.ndarray, table: tuple, step: np.ndarray,
+              paths: bool = False) -> tuple[np.ndarray, ...]:
+    """The least u <= top with u[i, a] <= u[j, a] + step[k, c, a] for
+    every column c of a grid's neighbour table (nodes, near, dist), its
+    node i = nodes[c] and k-th neighbour j = near[k, c], and every atom a
+    that the (nodes, atoms) mask on keeps at [c, a]: the min-plus
+    relaxation u[i, a] <- min(u[i, a], u[j, a] + step[k, c, a]),
+    repeated until no entry changes.  top is a (grid nodes + 1, atoms)
+    block whose last row is the padding the table points at; entries
+    that on does not keep stay as they are (+inf blocks a path).  Each Jacobi step fetches every neighbour's row, all
+    atoms at once, with one take down the block, and updates the kept
+    entries from the same old values.  Values only fall, through a finite
+    set of floats, so the loop ends; with positive steps it takes at most
+    one step per node.  Returns (u,), or with paths (u, source, length):
+    for each entry the flat index into top where its path starts (in the
+    same atom column) and the path's length (a sum of dist), u =
+    top.flat[source] + slope * length up to rounding, carried through the
+    same steps, which give the same u; argmin keeps the first neighbour
+    of a tie."""
+    nodes, near, dist = table
     value = top.copy()
-    source, length = np.arange(len(value)), np.zeros(len(value))
-    step = slope * dist
-    cols = np.arange(len(rows))
-    cand = np.empty(near.shape)  # one buffer for every step's candidates
+    flat = value.reshape(-1)
+    width = top.shape[1]
+    place = np.add.outer(nodes * width, np.arange(width)).ravel()  # each (node, atom) in flat
+    on = on.ravel()
+    if paths:
+        source, length = np.arange(value.size), np.zeros(value.size)
+        cols = np.arange(len(place))
+    cand = np.empty(near.shape + (width,))  # one buffer for every step's candidates
+    flat_cand = cand.reshape(len(near), len(place))
     # checked once here, so each step can take with mode "clip": mode
     # "raise" copies through a second buffer of cand's size
-    if near.size and not 0 <= near.min() <= near.max() < len(value):
+    if near.size and not 0 <= near.min() <= near.max() < len(top):
         raise IndexError("neighbour table entry outside the envelope")
-    while len(rows):
-        np.add(value.take(near, out=cand, mode="clip"), step, out=cand)
+    while len(nodes):
+        np.add(value.take(near, axis=0, out=cand, mode="clip"), step, out=cand)
         if paths:
-            k = cand.argmin(axis=0)
-            best = cand[k, cols]
+            k = flat_cand.argmin(axis=0)
+            best = flat_cand[k, cols]
         else:
-            best = cand.min(axis=0)
-        better = np.flatnonzero(best < value[rows])
+            best = flat_cand.min(axis=0)
+        better = np.flatnonzero((best < flat[place]) & on)
         if not len(better):
             break
-        value[rows[better]] = best[better]
+        flat[place[better]] = best[better]
         if paths:
-            via = near[k[better], better]
-            source[rows[better]] = source[via]
-            length[rows[better]] = length[via] + dist[k[better], better]
-    return (value, source, length) if paths else (value,)
+            k, r = k[better], better // width
+            via = near[k, r] * width + better % width
+            source[place[better]] = source[via]
+            length[place[better]] = length[via] + dist[k, r]
+    if paths:
+        return value, source.reshape(top.shape), length.reshape(top.shape)
+    return (value,)
 
 
 def _least_modulus(points: np.ndarray, segs: np.ndarray, atom: np.ndarray, node: np.ndarray,
@@ -293,46 +309,42 @@ def _least_modulus(points: np.ndarray, segs: np.ndarray, atom: np.ndarray, node:
     L only rises, through the finite set of path ratios; a rise that
     rounding leaves at L ends the loop.
 
-    The envelopes live in an (atoms, nodes + 1) block, +inf off the
-    cells, and relax over the grid's cached neighbour_table: a cell's
-    column lists the block places of its node's neighbours in its atom's
-    row, the padding the last column (+inf, so its distance 1.0 never
-    counts).  Returns (cells, 1) points clipped into their intervals and
-    L per atom, atoms ascending."""
+    The envelopes live in (nodes + 1, atoms) blocks, +inf off the cells
+    and on the last row, the padding of the grid's cached
+    neighbour_table, which they relax over as the grid keeps it (its
+    padding distance 1.0 never counts against +inf).  Each round builds
+    one (max degree, nodes, atoms) step table dist * L, which both
+    envelopes share.  Returns (cells, 1) points clipped into their
+    intervals and L per atom, atoms ascending."""
     lo, hi = _interval_ends(points, segs)
     rank = np.cumsum(np.diff(atom, prepend=-1) > 0) - 1  # atoms ascend over the cells
-    width = len(grid) + 1
-    cell = rank * width + node  # each cell's place in the block
-    nodes, near, dist = grid.neighbour_table()
-    column = np.full(len(grid), -1)
-    column[nodes] = np.arange(len(nodes))
-    inner = np.flatnonzero(column[node] >= 0)  # the cells whose node has neighbours
-    rows = cell[inner]
-    # take keeps both tables in C order, so the reductions down their columns stay fast
-    near = near.take(column[node[inner]], axis=1)
-    near += rank[inner] * width
-    dist = dist.take(column[node[inner]], axis=1)
-    ends = [np.full((rank[-1] + 1) * width, np.inf) for _ in range(2)]
-    ends[0][cell], ends[1][cell] = hi, -lo
-    bound = np.zeros(rank[-1] + 1)
-    if len(rows):  # the rows run atom by atom
-        first = np.flatnonzero(np.diff(rank[inner], prepend=-1))
-        ratio = ends[0].take(near)
-        np.subtract(lo[inner], ratio, out=ratio)
-        ratio = np.divide(ratio, dist, out=ratio).max(axis=0)
-        bound[rank[inner[first]]] = np.maximum.reduceat(ratio, first)
-    bound = np.maximum(bound, 0.0)
+    table = grid.neighbour_table()
+    nodes, near, dist = table
+    ends = np.full((2, len(grid) + 1, rank[-1] + 1), np.inf)
+    ends[0, node, rank], ends[1, node, rank] = hi, -lo
+    on = np.zeros(ends.shape[1:], dtype=bool)
+    on[node, rank] = True
+    on = on[nodes]  # the cells of the nodes with neighbours
+    # lo_i - hi_j is -inf off the cells and at the padding, so only the
+    # atom's adjacent pairs of cells count
+    ratio = ends[0].take(near, axis=0)
+    np.subtract(-ends[1][nodes], ratio, out=ratio)
+    ratio /= dist[..., None]
+    # the last maximum takes 0.0 over a zero of either sign
+    bound = np.maximum(ratio.max(axis=0, initial=-np.inf).max(axis=0, initial=-np.inf), 0.0)
+    step = ratio  # the bound is read, so its buffer holds each round's step table
     while True:
-        slope = bound[rank[inner]]
-        (u,), (l,) = (_envelope(end, rows, near, dist, slope) for end in ends)
-        u, l = u[cell], -l[cell]
+        for a, slope in enumerate(bound):  # one strided product per atom
+            np.multiply(dist, slope, out=step[..., a])
+        (u,), (l,) = (_envelope(end, on, table, step) for end in ends)
+        u, l = u[node, rank], -l[node, rank]
         bad = np.flatnonzero(l > u)
         raised = bound.copy()
         if len(bad):
-            _, u_from, u_len = _envelope(ends[0], rows, near, dist, slope, paths=True)
-            _, l_from, l_len = _envelope(ends[1], rows, near, dist, slope, paths=True)
-            at = cell[bad]
-            np.maximum.at(raised, rank[bad], (-ends[1][l_from[at]] - ends[0][u_from[at]])
+            _, u_from, u_len = _envelope(ends[0], on, table, step, paths=True)
+            _, l_from, l_len = _envelope(ends[1], on, table, step, paths=True)
+            at = node[bad], rank[bad]
+            np.maximum.at(raised, rank[bad], (-ends[1].take(l_from[at]) - ends[0].take(u_from[at]))
                           / (l_len[at] + u_len[at]))
         if not (raised > bound).any():
             return np.clip((u + l) / 2, lo, hi)[:, None], bound

@@ -450,6 +450,38 @@ def test_witness_locals_share_one_shape(jump):
             CipWitness("countable", {**{z: f for z in range(20)}, 20: other}, w.radii)
 
 
+class _CountingLocal:
+    """A local correspondence that counts the reads of its counts."""
+
+    def __init__(self, f):
+        self.f, self.reads = f, 0
+
+    def __getattr__(self, name):
+        self.reads += name == "counts"
+        return getattr(self.f, name)
+
+
+@pytest.mark.parametrize("mode", ["shared", "countable"])
+def test_witness_checks_each_distinct_local_once(jump, mode):
+    # the sharing and shape checks run once per distinct local object,
+    # not once per node, and keep their errors
+    space, grid, psi, w = jump
+    f = _CountingLocal(w.locals[0])
+    assert CipWitness(mode, {z: f for z in range(21)}, w.radii).local(20) is f
+    assert f.reads <= 2
+    g = _CountingLocal(Corr.constant(space, grid, PointSet.of(1, [[0.5]])))
+    mixed = {z: (g if z % 2 else f) for z in range(21)}
+    if mode == "shared":
+        with pytest.raises(DomainError, match="shared mode requires one common local correspondence"):
+            CipWitness(mode, mixed, w.radii)
+    else:
+        assert CipWitness(mode, mixed, w.radii).local(1) is g
+    wider = _CountingLocal(Corr.constant(space, line_grid(22), PointSet.of(1, [[0.0]])))
+    with pytest.raises(DomainError, match=r"share one \(atoms, nodes\) shape"):
+        CipWitness("countable", {**{z: f for z in range(20)}, 20: wider}, w.radii)
+    assert wider.reads == 1
+
+
 def test_witness_locals_are_read_only(jump):
     # a built witness cannot drift from what __post_init__ checked, so a
     # shared witness always has one local

@@ -2,6 +2,7 @@
 certificates, conditional-expectation payoffs."""
 
 import hashlib
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -369,6 +370,47 @@ def test_select_table_keeps_the_domain_and_membership_guards():
 
 
 # ------------------------------------------------------- preference tables
+
+@pytest.mark.parametrize("grids", [
+    (np.linspace(0.0, 1.0, 4)[:, None], np.array([[0.0], [0.5], [2.0]])),
+    (np.array([[0.0], [1.0]]), np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.5]]),
+     np.array([[-1.0], [0.25], [3.0], [4.0]])),
+], ids=["two-players", "three-players-one-2d"])
+def test_joint_nodes_match_the_per_node_concatenation(grids):
+    # the broadcast block holds, byte for byte, one concatenation of the
+    # players' points per node of itertools.product, lexicographic
+    g = GameSpec(tuple(f"p{i}" for i in range(len(grids))), single_atom(),
+                 tuple(GridSpace(x) for x in grids), (lambda t, x: 0.0,) * len(grids),
+                 (True,) * len(grids))
+    want = np.array([np.concatenate(tup) for tup in
+                     itertools.product(*(grid.points for grid in g.strategy_grids))])
+    got = g.joint_nodes()
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes() and got.flags.c_contiguous
+    assert not got.flags.writeable and g.joint_nodes() is got
+
+
+def test_payoff_tables_read_one_cached_row_view_per_node():
+    # every table calls the payoff on the same read-only row views of the
+    # joint nodes; a non-finite payoff still names its player and atom
+    seen = []
+
+    def u(t, x):
+        seen.append(x)
+        return float(x.sum()) if t == 0 else np.inf
+
+    space = AtomSpace(("a", "b"), [0.5, 0.5])
+    g = GameSpec(("p1", "p2"), space, (line_grid(3), line_grid(4)), (u, u), (True, True))
+    for i in range(2):
+        assert g.payoff_table(i, 0).tobytes() == g.joint_nodes().sum(axis=1).reshape(3, 4).tobytes()
+    nodes = g.joint_nodes()
+    assert len(seen) == 2 * len(nodes)
+    assert all(a is b for a, b in zip(seen[:len(nodes)], seen[len(nodes):]))
+    assert all(np.shares_memory(x, nodes) and not x.flags.writeable for x in seen)
+    assert all(x.tobytes() == row.tobytes() for x, row in zip(seen, nodes))
+    with pytest.raises(DomainError, match="payoff of player 1 not finite at atom 1"):
+        g.payoff_table(1, 1)
+
 
 def test_pref_constant_payoff_empty():
     space = single_atom()

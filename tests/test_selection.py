@@ -1,5 +1,7 @@
 """Gluing, grid selection, interior series, certified selection, glue."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -708,19 +710,20 @@ def test_one_dimensional_sweep_makes_no_convex_project_call_per_sweep(monkeypatc
     assert calls == [] and len(relaxed) == 4
     assert table[p.counts > 0].tobytes() == x.tobytes()
     assert _modulus(x, edges) == pytest.approx(bound.max(), rel=1e-12, abs=0.0)
-    for (top, rows, near, dist, slope), (u,) in relaxed:
+    for (top, on, (nodes, near, _), step), (u,) in relaxed:
         assert (u <= top).all()
-        # one more relaxation step changes no entry
-        assert not ((u[near] + slope * dist).min(axis=0) < u[rows]).any()
+        # one more relaxation step changes no kept entry
+        assert not (((u[near] + step).min(axis=0) < u[nodes]) & on).any()
 
 
 @pytest.mark.parametrize("bad", [-1, 4])
 def test_envelope_rejects_a_neighbour_outside_the_table(bad):
     # the relaxation takes candidates with mode "clip", so an entry
-    # outside [0, len(top)) must raise rather than read an end entry
-    near = np.array([[1, 0, bad]])
+    # outside the block's rows [0, len(top)) must raise rather than read
+    # an end row
+    table = (np.arange(3), np.array([[1, 0, bad]]), np.ones((1, 3)))
     with pytest.raises(IndexError):
-        _envelope(np.zeros(4), np.arange(3), near, np.ones((1, 3)), np.ones(3))
+        _envelope(np.zeros((4, 2)), np.ones((3, 2), dtype=bool), table, np.ones((1, 3, 2)))
 
 
 def test_least_modulus_reads_one_cached_neighbour_table(monkeypatch):
@@ -734,6 +737,10 @@ def test_least_modulus_reads_one_cached_neighbour_table(monkeypatch):
     builds, build = [], carasel.grid._neighbour_table
     monkeypatch.setattr(carasel.grid, "_neighbour_table",
                         lambda *args: builds.append(args) or build(*args))
+    tables, envelope = [], carasel.selection._envelope
+    monkeypatch.setattr(carasel.selection, "_envelope",
+                        lambda top, on, table, *rest, **kw: tables.append(table)
+                        or envelope(top, on, table, *rest, **kw))
     for p in prefs:
         _least_modulus_of(p)
     assert len(builds) == 1
@@ -742,6 +749,9 @@ def test_least_modulus_reads_one_cached_neighbour_table(monkeypatch):
     cached = grid.neighbour_table()
     assert all(a.tobytes() == b.tobytes() and not a.flags.writeable
                for a, b in zip(cached, (nodes, near, dist)))
+    # every relaxation reads the grid's cached arrays themselves, no copy
+    assert len(tables) >= 4
+    assert all(got is want for table in tables for got, want in zip(table, cached, strict=True))
 
 
 @st.composite
@@ -830,6 +840,147 @@ def test_least_modulus_raises_past_the_adjacent_bound():
     assert _modulus(x, edges) == 0.5
     sel = grid_select(psi, 0, tol=1e-9)
     assert [sel.values[z][0] for z in range(3)] == [1.0, 0.5, 0.0] and sel.modulus == 0.5
+
+
+# The per-cell R^1 solve as it stood before the envelopes moved to
+# (nodes + 1, atoms) blocks: an (atoms, nodes + 1) flat vector relaxed over
+# per-cell copies of the grid's neighbour table.  The block solve must
+# match it bit for bit, paths included.
+
+def _per_cell_envelope(top, rows, near, dist, slope, paths=False):
+    value = top.copy()
+    source, length = np.arange(len(value)), np.zeros(len(value))
+    step = slope * dist
+    cols = np.arange(len(rows))
+    cand = np.empty(near.shape)
+    if near.size and not 0 <= near.min() <= near.max() < len(value):
+        raise IndexError("neighbour table entry outside the envelope")
+    while len(rows):
+        np.add(value.take(near, out=cand, mode="clip"), step, out=cand)
+        if paths:
+            k = cand.argmin(axis=0)
+            best = cand[k, cols]
+        else:
+            best = cand.min(axis=0)
+        better = np.flatnonzero(best < value[rows])
+        if not len(better):
+            break
+        value[rows[better]] = best[better]
+        if paths:
+            via = near[k[better], better]
+            source[rows[better]] = source[via]
+            length[rows[better]] = length[via] + dist[k[better], better]
+    return (value, source, length) if paths else (value,)
+
+
+def _per_cell_least_modulus(points, segs, atom, node, grid, relax=_per_cell_envelope):
+    lo, hi = carasel.setops._interval_ends(points, segs)
+    rank = np.cumsum(np.diff(atom, prepend=-1) > 0) - 1
+    width = len(grid) + 1
+    cell = rank * width + node
+    nodes, near, dist = grid.neighbour_table()
+    column = np.full(len(grid), -1)
+    column[nodes] = np.arange(len(nodes))
+    inner = np.flatnonzero(column[node] >= 0)
+    rows = cell[inner]
+    near = near.take(column[node[inner]], axis=1)
+    near += rank[inner] * width
+    dist = dist.take(column[node[inner]], axis=1)
+    ends = [np.full((rank[-1] + 1) * width, np.inf) for _ in range(2)]
+    ends[0][cell], ends[1][cell] = hi, -lo
+    bound = np.zeros(rank[-1] + 1)
+    if len(rows):
+        first = np.flatnonzero(np.diff(rank[inner], prepend=-1))
+        ratio = ends[0].take(near)
+        np.subtract(lo[inner], ratio, out=ratio)
+        ratio = np.divide(ratio, dist, out=ratio).max(axis=0)
+        bound[rank[inner[first]]] = np.maximum.reduceat(ratio, first)
+    bound = np.maximum(bound, 0.0)
+    while True:
+        slope = bound[rank[inner]]
+        (u,), (l,) = (relax(end, rows, near, dist, slope) for end in ends)
+        u, l = u[cell], -l[cell]
+        bad = np.flatnonzero(l > u)
+        raised = bound.copy()
+        if len(bad):
+            _, u_from, u_len = relax(ends[0], rows, near, dist, slope, paths=True)
+            _, l_from, l_len = relax(ends[1], rows, near, dist, slope, paths=True)
+            at = cell[bad]
+            np.maximum.at(raised, rank[bad], (-ends[1][l_from[at]] - ends[0][u_from[at]])
+                          / (l_len[at] + u_len[at]))
+        if not (raised > bound).any():
+            return np.clip((u + l) / 2, lo, hi)[:, None], bound
+        bound = raised
+
+
+def _block_matches_per_cell(psi):
+    """Solve psi's whole domain both ways and compare the points, the
+    moduli and every path run's sources and lengths at the cells, bit for
+    bit; returns the number of path runs."""
+    segs, atom, node = _layout(psi, psi.counts > 0)
+    rank = np.cumsum(np.diff(atom, prepend=-1) > 0) - 1
+    width, atoms = len(psi.grid) + 1, rank[-1] + 1
+    old_paths, new_paths = [], []
+
+    def per_cell(*args, paths=False):
+        out = _per_cell_envelope(*args, paths=paths)
+        if paths:  # flat place rank * width + node
+            source, length = out[1][rank * width + node], out[2][rank * width + node]
+            assert np.array_equal(source // width, rank)
+            old_paths.append((source % width, length))
+        return out
+
+    block = carasel.selection._envelope
+
+    def blocked(*args, paths=False):
+        out = block(*args, paths=paths)
+        if paths:  # flat place node * atoms + rank
+            source, length = out[1][node, rank], out[2][node, rank]
+            assert np.array_equal(source % atoms, rank)
+            new_paths.append((source // atoms, length))
+        return out
+
+    want = _per_cell_least_modulus(psi.points, segs, atom, node, psi.grid, relax=per_cell)
+    with mock.patch.object(carasel.selection, "_envelope", blocked):
+        got = _least_modulus(psi.points, segs, atom, node, psi.grid)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want, strict=True))
+    assert len(new_paths) == len(old_paths)
+    for (a, b), (c, d) in zip(new_paths, old_paths):
+        assert a.tobytes() == c.tobytes() and b.tobytes() == d.tobytes()
+    return len(new_paths)
+
+
+def _interval_table(points, radius, cells):
+    grid = GridSpace(np.asarray(points, dtype=float), adjacency_radius=radius)
+    space = AtomSpace(tuple(f"w{t}" for t in range(len(cells))), [1.0] * len(cells))
+    return Corr.from_function(space, grid, 1, lambda t, z: PointSet.of(
+        1, [[v] for v in cells[t][z]]) if cells[t][z] else PointSet.empty(1))
+
+
+_CHAIN = (np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [5.0, 0.0]]), 1.0,
+          [[[1.0], [0.0, 1.0], [0.0], [0.5]], [[], [0.0, 1.0], [0.0], []],
+           [[1.0], [0.0, 1.0], [0.0], [2.0]]])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_interval_tables())
+@example(_CHAIN)
+@example((np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]), 1.0, [[[-0.0], [0.0], [-0.0]]]))
+def test_block_least_modulus_matches_the_per_cell_solve(table):
+    # drawn: isolated nodes, off-domain cells, 1-3 atoms and Dinkelbach
+    # rounds, whose paths the block relaxation must trace the same way;
+    # the zeros of both signs must give the same modulus +0.0
+    psi = _interval_table(*table)
+    if psi.counts.any():
+        _block_matches_per_cell(psi)
+
+
+def test_block_least_modulus_traces_the_per_cell_paths():
+    # the chain forces a Dinkelbach round in atoms 0 and 2, around atom
+    # 1's off-domain cells and an isolated node 3
+    psi = _interval_table(*_CHAIN)
+    assert psi.grid.neighbour_table()[0].tolist() == [0, 1, 2]
+    assert _block_matches_per_cell(psi) == 2
 
 
 def test_interval_closed_form_is_the_kernels_r1_output():
