@@ -102,7 +102,7 @@ def random_fixed_point(
     sel = caratheodory_select(psi, w, part, closed_valued=True, eps=eps)
 
     def solve_atom(t: int) -> tuple[np.ndarray, float]:
-        disp = np.array([sel.value(t, z) for z in range(len(grid))]) - grid.points
+        disp = sel.table[t] - grid.points
         xs, res = [], []
         for f in faces:
             g, k = disp[f], f.shape[1]
@@ -131,6 +131,12 @@ def random_fixed_point(
     checks.add("fixed-point-residual", worst, tol,
                "max over atoms of the displacement at the solution")
     return FixedPointProfile(values, residuals, sel, checks)
+
+
+def own_slices(grids) -> list[slice]:
+    """Each player's coordinates in a joint vector: the grids' dims side by side."""
+    ends = list(itertools.accumulate(g.dim for g in grids))
+    return [slice(end - g.dim, end) for g, end in zip(grids, ends)]
 
 
 @dataclass(frozen=True)
@@ -172,21 +178,13 @@ class GameSpec:
     def joint_shape(self) -> tuple:
         return tuple(len(g) for g in self.strategy_grids)
 
-    @property
-    def own_slices(self) -> list[slice]:
-        out, off = [], 0
-        for g in self.strategy_grids:
-            out.append(slice(off, off + g.dim))
-            off += g.dim
-        return out
-
     def joint_nodes(self) -> np.ndarray:
         """All joint strategy vectors, lexicographic in per-player node
         indices (C order of the joint shape)."""
         if "nodes" not in self._cache:
             shape = self.joint_shape
             arr = np.empty(shape + (sum(g.dim for g in self.strategy_grids),))
-            for k, (g, own) in enumerate(zip(self.strategy_grids, self.own_slices)):
+            for k, (g, own) in enumerate(zip(self.strategy_grids, own_slices(self.strategy_grids))):
                 # player k's coordinates vary along axis k only
                 arr[..., own] = g.points.reshape((1,) * k + (-1,) + (1,) * (len(shape) - k - 1)
                                                  + (g.dim,))
@@ -313,7 +311,7 @@ def _reflexive_at(p: Corr, own: np.ndarray) -> tuple[int, int] | None:
 def _check_irreflexivity(g: GameSpec, prefs: list[Corr]) -> None:
     nodes = g.joint_nodes()
     for i, p in enumerate(prefs):
-        hit = _reflexive_at(p, nodes[:, g.own_slices[i]])
+        hit = _reflexive_at(p, nodes[:, own_slices(g.strategy_grids)[i]])
         if hit is not None:
             raise PreconditionError(
                 f"irreflexivity violated: own strategy inside the hull of the "
@@ -345,7 +343,7 @@ def _spot_check_quasiconcavity(g: GameSpec, seed: int) -> list[str]:
         gi = g.strategy_grids[i]
         lo = gi.points.min(axis=0)
         hi = gi.points.max(axis=0)
-        sl = g.own_slices[i]
+        sl = own_slices(g.strategy_grids)[i]
         bad = 0
         for _ in range(20):
             t = int(rng.integers(len(g.state_space)))
@@ -380,9 +378,8 @@ def _add_glue_checks(checks: CheckSet, p: Corr, w: CipWitness, part: InfoPartiti
 
     The selection is caratheodory_select's closed-valued one, glued as
     glue would, but no phi or selection certificate is built: no phi
-    checks (so no k_operator), no modulus, no selection measurability and
-    no per-cell values dict.  The missing-value and membership
-    ConstructionErrors still raise."""
+    checks (so no k_operator), no modulus and no selection measurability.
+    The missing-value and membership ConstructionErrors still raise."""
     table = _select_table(p, _glued_phi(p, w), part, DEFAULT_SELECTION_TOL)[0]
     glued = _glue_table(p, table, Corr.constant(p.space, p.grid, PointSet.of(p.dim, fallback)),
                         part)

@@ -76,11 +76,8 @@ class GridSpace:
         nearest = None
         if metric is not None or self.mesh is None:  # the default mesh reads every nearest distance
             nearest = self._nearest()
-            clash = nearest.min() <= DEDUP_TOL
-        else:
-            clash = len(_close_pairs(pts, DEDUP_TOL)[0]) > 0
-        if clash:
-            raise DomainError("grid points must be distinct under the metric")
+            if nearest.min() <= DEDUP_TOL:
+                raise DomainError("grid points must be distinct under the metric")
 
         mesh = self.mesh
         if mesh is None:
@@ -95,6 +92,9 @@ class GridSpace:
         if not 0 < radius < np.inf:
             raise DomainError("adjacency_radius must be finite and positive")
         object.__setattr__(self, "adjacency_radius", float(radius))
+        # a given Euclidean mesh: ADJ_TOL >= DEDUP_TOL makes every clash adjacent
+        if nearest is None and (self.pair_distances() <= DEDUP_TOL).any():
+            raise DomainError("grid points must be distinct under the metric")
 
     def __len__(self) -> int:
         return len(self.points)

@@ -60,10 +60,9 @@ def _vector(v) -> list:
 
 
 def _selection_records(space, sel) -> list:
-    return [
-        {"atom": space.atoms[t], "node": z, "value": _vector(sel.values[(t, z)])}
-        for (t, z) in sorted(sel.values)
-    ]
+    t, z = np.nonzero(sel.domain)
+    return [{"atom": space.atoms[a], "node": n, "value": v}
+            for a, n, v in zip(t.tolist(), z.tolist(), sel.table[t, z].tolist())]
 
 
 def _resolve_mode(doc: dict, opts: dict, witness) -> str:
@@ -99,7 +98,7 @@ def _verification_checks(psi, witness, part, mode, opts, checks: CheckSet):
 
 
 def run_cip_check(doc: dict, opts: dict) -> Certificate:
-    _, part, _, psi, witness, mode = _select_common(doc, opts)
+    _, part, psi, witness, mode = _select_common(doc, opts)
     checks = CheckSet()
     _verification_checks(psi, witness, part, mode, opts, checks)
     status = "ok" if checks.ok else "failed"
@@ -110,15 +109,14 @@ def run_cip_check(doc: dict, opts: dict) -> Certificate:
 def _select_common(doc: dict, opts: dict):
     space = problems.build_space(doc)
     part = problems.build_partition(doc, space)
-    grid = problems.build_grid(doc)
-    psi = problems.build_correspondence(doc, space, grid)
+    psi = problems.build_correspondence(doc, space, problems.build_grid(doc))
     witness = problems.build_witness(doc, psi)
     mode = _resolve_mode(doc, opts, witness)
-    return space, part, grid, psi, witness, mode
+    return space, part, psi, witness, mode
 
 
 def run_select(doc: dict, opts: dict) -> Certificate:
-    space, part, grid, psi, witness, mode = _select_common(doc, opts)
+    space, part, psi, witness, mode = _select_common(doc, opts)
     checks = CheckSet()
     rep, eps = _verification_checks(psi, witness, part, mode, opts, checks)
     if not rep.ok:
@@ -143,7 +141,7 @@ def run_select(doc: dict, opts: dict) -> Certificate:
 
 
 def run_fixpoint(doc: dict, opts: dict) -> Certificate:
-    space, part, grid, psi, witness, mode = _select_common(doc, opts)
+    space, part, psi, witness, mode = _select_common(doc, opts)
     checks = CheckSet()
     rep, eps = _verification_checks(psi, witness, part, mode, opts, checks)
     if not rep.ok:
@@ -195,7 +193,7 @@ def run_bayes(doc: dict, opts: dict) -> Certificate:
 
 
 def run_maximal(doc: dict, opts: dict) -> Certificate:
-    space, part, grid, pref, witness, mode = _select_common(doc, opts)
+    space, part, pref, witness, mode = _select_common(doc, opts)
     result = maximal_element(pref, witness, part)
     outputs = {
         "maximal": [

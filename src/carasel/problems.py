@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .corr import SET_EQUALITY_TOL, CipWitness, Corr, GridSpace, canonical_witness
-from .equilibria import BayesSpec, GameSpec
+from .equilibria import BayesSpec, GameSpec, own_slices
 from .errors import DomainError, ParseError
 from .measure import AtomSpace, InfoPartition, Prior
 from .selection import DEFAULT_K_MAX, DEFAULT_RESTARTS, DEFAULT_SELECTION_TOL
@@ -329,14 +329,9 @@ def build_game(doc: dict) -> GameSpec:
     space = build_space(doc)
     grids = tuple(build_grid(doc, g) for g in sec["grids"])
     players = tuple(_label(p, f"player {i}") for i, p in enumerate(sec["players"]))
-    offsets, off = [], 0
-    for g in grids:
-        offsets.append(slice(off, off + g.dim))
-        off += g.dim
-    payoffs = tuple(
-        _payoff_from_spec(spec, space, grids, offsets[i])
-        for i, spec in enumerate(sec["payoffs"])
-    )
+    own = own_slices(grids)  # indexed, so a payoff past the last grid raises
+    payoffs = tuple(_payoff_from_spec(spec, space, grids, own[i])
+                    for i, spec in enumerate(sec["payoffs"]))
     concave = tuple(_flag(c, f"game 'concave' entry {i}")
                     for i, c in enumerate(sec.get("concave", [True] * len(players))))
     return GameSpec(players, space, grids, payoffs, concave)

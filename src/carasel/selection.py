@@ -11,6 +11,8 @@ Lipschitz modulus rather than by the construction that produced it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -49,19 +51,28 @@ DEFAULT_RESTARTS = 8
 DEFAULT_MAX_SWEEPS = 40
 _SWEEP_STOP = 1e-10
 _RELAXATION = 0.7
+_MEMBERSHIP = "selected point inside the hull of the original value at every domain node"
 
 
 @dataclass(frozen=True, eq=False)
 class Selection:
-    """A single-valued certified selection on the domain of a
-    correspondence psi: values maps exactly the (t, z) with psi(t, z)
-    nonempty to a point; also a per-adjacent-pair Lipschitz modulus, the
-    worst membership residual, and the executed checks."""
+    """A single-valued certified selection on the (atoms, nodes) domain
+    mask of a correspondence psi: the read-only (atoms, nodes, dim) table
+    of the selected points, zero off the domain, with a per-adjacent-pair
+    Lipschitz modulus, the worst membership residual and the executed
+    checks.  values maps each domain cell (t, z), in C order, to its row
+    of table: read-only, built on first read."""
 
-    values: dict
+    table: np.ndarray
+    domain: np.ndarray
     modulus: float
     membership_residual: float
     checks: CheckSet
+
+    @cached_property
+    def values(self) -> MappingProxyType:
+        t, z = np.nonzero(self.domain)
+        return MappingProxyType(dict(zip(zip(t.tolist(), z.tolist()), self.table[t, z])))
 
     def value(self, t: int, z: int) -> np.ndarray:
         return self.values[(t, z)]
@@ -76,15 +87,6 @@ class PhiResult:
 
     phi: Corr
     certificate: CheckSet
-
-
-@dataclass
-class AtomSelection:
-    """Per-atom output of the grid solve (grid_select)."""
-
-    values: dict  # node -> vector
-    modulus: float
-    residual: float
 
 
 @dataclass
@@ -242,16 +244,17 @@ def _envelope(top: np.ndarray, on: np.ndarray, table: tuple, step: np.ndarray,
     relaxation u[i, a] <- min(u[i, a], u[j, a] + step[k, c, a]),
     repeated until no entry changes.  top is a (grid nodes + 1, atoms)
     block whose last row is the padding the table points at; entries
-    that on does not keep stay as they are (+inf blocks a path).  Each Jacobi step fetches every neighbour's row, all
-    atoms at once, with one take down the block, and updates the kept
-    entries from the same old values.  Values only fall, through a finite
-    set of floats, so the loop ends; with positive steps it takes at most
-    one step per node.  Returns (u,), or with paths (u, source, length):
-    for each entry the flat index into top where its path starts (in the
+    that on does not keep stay as they are (+inf blocks a path).  Each
+    Jacobi step fetches every neighbour's row, all atoms at once, with
+    one take down the block, and updates the kept entries from the same
+    old values, by min.  Values only fall, through a finite set of
+    floats, so the loop ends; with positive steps it takes at most one
+    step per node.  Returns (u,), or with paths (u, source, length): for
+    each entry the flat index into top where its path starts (in the
     same atom column) and the path's length (a sum of dist), u =
     top.flat[source] + slope * length up to rounding, carried through the
-    same steps, which give the same u; argmin keeps the first neighbour
-    of a tie."""
+    same steps by an argmin over the improved entries' columns alone,
+    which keeps the first neighbour of a tie."""
     nodes, near, dist = table
     value = top.copy()
     flat = value.reshape(-1)
@@ -260,7 +263,6 @@ def _envelope(top: np.ndarray, on: np.ndarray, table: tuple, step: np.ndarray,
     on = on.ravel()
     if paths:
         source, length = np.arange(value.size), np.zeros(value.size)
-        cols = np.arange(len(place))
     cand = np.empty(near.shape + (width,))  # one buffer for every step's candidates
     flat_cand = cand.reshape(len(near), len(place))
     # checked once here, so each step can take with mode "clip": mode
@@ -269,17 +271,13 @@ def _envelope(top: np.ndarray, on: np.ndarray, table: tuple, step: np.ndarray,
         raise IndexError("neighbour table entry outside the envelope")
     while len(nodes):
         np.add(value.take(near, axis=0, out=cand, mode="clip"), step, out=cand)
-        if paths:
-            k = flat_cand.argmin(axis=0)
-            best = flat_cand[k, cols]
-        else:
-            best = flat_cand.min(axis=0)
+        best = flat_cand.min(axis=0)
         better = np.flatnonzero((best < flat[place]) & on)
         if not len(better):
             break
         flat[place[better]] = best[better]
-        if paths:
-            k, r = k[better], better // width
+        if paths:  # the neighbour each improved entry came through
+            k, r = flat_cand[:, better].argmin(axis=0), better // width
             via = near[k, r] * width + better % width
             source[place[better]] = source[via]
             length[place[better]] = length[via] + dist[k, r]
@@ -416,14 +414,15 @@ def _sweep(points: np.ndarray, segs: np.ndarray, edges: tuple, atom: np.ndarray,
     return X[:-1]
 
 
-def grid_select(phi: Corr, t: int, tol: float) -> AtomSelection:
+def grid_select(phi: Corr, t: int, tol: float) -> Selection:
     """Select one point per node of phi(t, .) on its nonempty section by
     the pipelines' closed-valued solve (_select_table) on a copy of phi
     that keeps atom t and leaves every other atom empty: in R^1 the
     least-modulus selection, otherwise damped Jacobi sweeps from each
-    hull's barycenter.  Errors name atom t.  The output is deterministic;
-    the returned modulus is the achieved per-adjacent-pair Lipschitz
-    ratio and the residual the worst distance to phi's hulls."""
+    hull's barycenter.  Errors name atom t.  The output is deterministic:
+    a Selection on phi's section at atom t, row t of the closed-valued
+    selection through phi bit for bit, with its achieved modulus and its
+    membership residual in phi's hulls, checked."""
     if not 0 <= t < len(phi.space):
         raise DomainError(f"atom {t} is outside [0, {len(phi.space)})")
     bounds = np.zeros_like(phi.bounds)
@@ -431,8 +430,10 @@ def grid_select(phi: Corr, t: int, tol: float) -> AtomSelection:
     one = Corr(phi.space, phi.grid, phi.dim, phi.points, bounds)
     table, residual = _select_table(one, one, InfoPartition.finest(phi.space), tol)
     on = one.counts > 0
-    return AtomSelection(dict(zip(np.flatnonzero(on[t]).tolist(), table[on])),
-                         _modulus(table[on], _edges(phi.grid, on)), residual)
+    table.flags.writeable = False
+    checks = CheckSet()
+    checks.add("selection-membership", residual, tol, _MEMBERSHIP)
+    return Selection(table, on, _modulus(table[on], _edges(phi.grid, on)), residual, checks)
 
 
 def _halving_weights(count: int, k_max: int) -> np.ndarray:
@@ -596,10 +597,7 @@ def caratheodory_select(
 
     checks = CheckSet()
     checks.extend(phi_res.certificate)
-    checks.add("selection-membership", worst, tol,
-               "selected point inside the hull of the original value at every domain node")
-    t, z = np.nonzero(psi.counts > 0)
-    values = dict(zip(zip(t.tolist(), z.tolist()), table[t, z]))
+    checks.add("selection-membership", worst, tol, _MEMBERSHIP)
     if _inputs_cell_constant(psi, w, part):
         # the inputs fix each cell's presence pattern, so every selected
         # point has one at its cell head to compare with (0 - 0 elsewhere)
@@ -612,7 +610,11 @@ def caratheodory_select(
                    "trivially measurable (finest partition)")
 
     on = phi.counts > 0
-    return Selection(values, _modulus(table[on], _edges(phi.grid, on)), worst, checks)
+    modulus = _modulus(table[on], _edges(phi.grid, on))
+    domain = psi.counts > 0
+    table[~domain] = 0.0  # phi's domain may be larger where phi-domain-equality fails
+    table.flags.writeable = False
+    return Selection(table, domain, modulus, worst, checks)
 
 
 def _inputs_cell_constant(psi: Corr, w: CipWitness, part: InfoPartition) -> bool:
@@ -638,17 +640,14 @@ def glue(
     fallback (together with the selection, for measurability) passes a
     semicontinuity or cell-constancy check, the glued table must pass it
     too.  Semicontinuity is usc_check's and lsc_check's at the grid's
-    adjacency radius, decided for all atoms from both gap tables."""
-    on = psi.counts > 0
-    t, z = np.nonzero(on)
-    single = [sel.values.get(key) for key in zip(t.tolist(), z.tolist())]
-    if len(sel.values) != len(single) or any(v is None for v in single):
+    adjacency radius, decided for all atoms from both gap tables.  Raises
+    a DomainError unless sel.domain is psi's, or where the fallback is
+    empty off it."""
+    if not np.array_equal(sel.domain, psi.counts > 0):
         raise DomainError("selection domain differs from the correspondence domain")
-    table = np.zeros(on.shape + (psi.dim,))
-    table[on] = np.reshape(single, (-1, psi.dim))
     if part is None:
         part = InfoPartition.finest(psi.space)
-    return _glue_table(psi, table, fallback, part)
+    return _glue_table(psi, sel.table, fallback, part)
 
 
 def _glue_table(psi: Corr, table: np.ndarray, fallback: Corr, part: InfoPartition) -> GlueResult:

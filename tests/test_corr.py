@@ -779,8 +779,8 @@ def test_array_dataclasses_compare_by_identity(jump):
     pairs = [(GridSpace(grid.points), GridSpace(grid.points)),
              (Corr.constant(space, grid, value), Corr.constant(space, grid, value)),
              (CipWitness.shared(grid, psi, w.radii), CipWitness.shared(grid, psi, w.radii)),
-             (Selection({(0, 0): np.zeros(1)}, 0.0, 0.0, CheckSet()),
-              Selection({(0, 0): np.zeros(1)}, 0.0, 0.0, CheckSet()))]
+             (Selection(np.zeros((1, 1, 1)), np.ones((1, 1), bool), 0.0, 0.0, CheckSet()),
+              Selection(np.zeros((1, 1, 1)), np.ones((1, 1), bool), 0.0, 0.0, CheckSet()))]
     for a, b in pairs:
         assert (a == b) is False and (a != b) is True
         assert a == a

@@ -196,6 +196,22 @@ def test_joint_grid_pairs_at_the_radius_match_the_dense_metric(n):
     assert grid.neighbour_table()[1].shape == (24, n * n)
 
 
+@pytest.mark.parametrize("n", [5, 21])
+def test_a_given_mesh_grid_runs_one_pair_search(n, monkeypatch):
+    # distinctness reads the adjacent pairs' distances, which every
+    # pipeline reads anyway, so a joint grid searches its pairs once
+    calls = []
+    search = grid_module._close_pairs
+    monkeypatch.setattr(grid_module, "_close_pairs",
+                        lambda *args: calls.append(args[1]) or search(*args))
+    space = AtomSpace(("w",), [1.0])
+    g = GameSpec(("p1", "p2"), space, (line_grid(n), line_grid(n)),
+                 (lambda t, x: 0.0, lambda t, x: 0.0), (True, True))
+    grid = g.joint_grid()
+    grid.directed_pair_arrays()
+    assert calls == [grid.adjacency_radius + ADJ_TOL]
+
+
 @pytest.mark.parametrize("chunk", CHUNKS)
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_distinctness_is_decided_as_the_dense_metric_decides(dim, chunk, monkeypatch):
@@ -210,7 +226,7 @@ def test_distinctness_is_decided_as_the_dense_metric_decides(dim, chunk, monkeyp
             close = (d + np.diag(np.full(len(d), np.inf))).min() <= DEDUP_TOL
             metric = d + DEDUP_TOL * (1 - np.eye(len(d)))  # apart under the metric
             # the default mesh decides from the nearest distances, a given
-            # mesh from the pair search
+            # mesh from the adjacent pairs' distances
             if close:
                 for mesh in (None, 1.0):
                     with pytest.raises(DomainError, match="distinct under the metric"):

@@ -26,7 +26,6 @@ MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 # the order the check finds them
 _SPANS = "a bench/tracer.py SPANS target, kept until ROADMAP item 1"
 ALLOWED_UNREFERENCED = {
-    "corr.domain": "acceptance criteria C3 and C4 test it",
     "corr.lsc_check": "acceptance criterion C1 tests it",
     "corr.usc_check": "lsc_check's u.s.c. twin: the per-atom report of the decision "
                       "glue-usc-preserved makes for every atom at once",

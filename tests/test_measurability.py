@@ -314,14 +314,15 @@ def test_glue_measurability_count_matches_per_cell_reference(seed):
     psi = _random_table(rng, space, grid, dim, part)
     fallback = _random_table(rng, space, grid, dim, part,
                              kinds=("same", "permuted", "within", "beyond"), p_empty=0.0)
-    values = {}
+    on = psi.counts > 0
+    table = np.zeros(on.shape + (dim,))
     for t, z in sorted(domain(psi), key=lambda key: part.cell_of(key[0])[0] != key[0]):
-        head = values.get((part.cell_of(t)[0], z))
-        kind = rng.integers(4) if head is not None else 3
+        head = part.cell_of(t)[0]
+        kind = rng.integers(4) if on[head, z] and head != t else 3
         step = np.zeros(dim)
         step[0] = (0.0, WITHIN, BEYOND, 0.0)[kind]
-        values[(t, z)] = head + step if kind < 3 else rng.uniform(0.0, 1.0, size=dim)
-    sel = Selection(values, 0.0, 0.0, CheckSet())
+        table[t, z] = table[head, z] + step if kind < 3 else rng.uniform(0.0, 1.0, size=dim)
+    sel = Selection(table, on, 0.0, 0.0, CheckSet())
     res = glue(psi, sel, fallback, part=part)
     expected = sum(_constant_at(fallback, part, z) and _selection_constant_at(sel, part, z)
                    and not _constant_at(res.glued, part, z) for z in range(len(grid)))

@@ -152,14 +152,14 @@ def test_grid_select_sliding_intervals_members():
         ),
     )
     sel = grid_select(phi, 0, tol=1e-9)
-    for z, v in sel.values.items():
+    for (_, z), v in sel.values.items():
         lo = grid.points[z, 0]
         assert lo - 1e-9 <= v[0] <= lo + 1.0 + 1e-9
     # brute-force feasibility oracle: fine enumeration finds no selection
     # with all values outside what the solve certifies (membership only)
     for z in range(5):
         candidates = np.linspace(grid.points[z, 0], grid.points[z, 0] + 1.0, 21)
-        assert any(abs(sel.values[z][0] - c) <= 0.05 + 1e-9 for c in candidates)
+        assert any(abs(sel.value(0, z)[0] - c) <= 0.05 + 1e-9 for c in candidates)
 
 
 def _neighbors(grid, z):
@@ -245,8 +245,8 @@ def test_grid_select_matches_per_node_projection_reference():
                 got = _swept(psi, t, init)
             else:
                 sel = grid_select(psi, t, tol=1e-7)
-                got = sel.values, sel.modulus
-                assert abs(sel.residual - residual) <= 1e-12 * scale
+                got = sel.table[t], sel.modulus
+                assert abs(sel.membership_residual - residual) <= 1e-12 * scale
             for z in section:
                 assert np.abs(got[0][z] - values[z]).max() <= 1e-12 * scale
             assert abs(got[1] - modulus) <= 1e-12 * scale
@@ -307,9 +307,10 @@ def test_grid_select_is_a_row_of_the_closed_valued_selection(dim, monkeypatch):
         phi = construct_phi(inst.psi, inst.witness, inst.part, eps=inst.eps).phi
         for t in range(len(phi.space)):
             one = grid_select(phi, t, tol=1e-7)
-            assert sorted(one.values) == np.flatnonzero(phi.counts[t]).tolist()
-            assert all(v.tobytes() == sel.value(t, z).tobytes() for z, v in one.values.items())
-            assert one.residual <= 1e-7 and np.isfinite(one.modulus)
+            assert list(one.values) == [(t, z) for z in np.flatnonzero(phi.counts[t]).tolist()]
+            assert all(v.tobytes() == sel.value(*key).tobytes() for key, v in one.values.items())
+            assert one.membership_residual <= 1e-7 and np.isfinite(one.modulus)
+            assert [c.name for c in one.checks] == ["selection-membership"] and one.checks.ok
         solved += 1
     t = len(phi.space) - 1
     # a selected point off its hull fails the membership check
@@ -467,7 +468,7 @@ def _caratheodory_reference(inst, closed_valued, k_max=40, restarts=8, seed=0):
     atom_seeds = np.random.default_rng(seed).integers(0, 2 ** 31 - 1, size=len(phi.space))
     values, modulus = {}, 0.0
     for t in range(len(phi.space)):
-        base = grid_select(phi, t, 1e-7).values
+        base = {z: v for (_, z), v in grid_select(phi, t, 1e-7).values.items()}
         family = []
         arng = np.random.default_rng(int(atom_seeds[inst.part.cell_of(t)[0]]))
         for _ in range(0 if closed_valued or not base else restarts - 1):
@@ -839,7 +840,7 @@ def test_least_modulus_raises_past_the_adjacent_bound():
     assert x[:, 0].tolist() == [1.0, 0.5, 0.0] and bound.tolist() == [0.5]
     assert _modulus(x, edges) == 0.5
     sel = grid_select(psi, 0, tol=1e-9)
-    assert [sel.values[z][0] for z in range(3)] == [1.0, 0.5, 0.0] and sel.modulus == 0.5
+    assert [sel.value(0, z)[0] for z in range(3)] == [1.0, 0.5, 0.0] and sel.modulus == 0.5
 
 
 # The per-cell R^1 solve as it stood before the envelopes moved to
@@ -1247,6 +1248,60 @@ def test_glue_reports_lsc_break_at_boundary():
     assert names["glue-usc-preserved"].ok
 
 
+def test_glue_rejects_a_selection_of_another_domain(jump):
+    # a selection certified on the full domain glued into a psi with one
+    # empty cell: glue decides the two domains differ before any check
+    space, grid, psi, witness = jump
+    sel = caratheodory_select(psi, witness, InfoPartition.finest(space))
+    holed = Corr.from_function(space, grid, 1, lambda t, z: PointSet.empty(1) if (t, z) == (2, 7)
+                               else psi.value(t, z))
+    fallback = Corr.constant(space, grid, PointSet.of(1, [[0.5]]))
+    with pytest.raises(DomainError, match="selection domain differs from the correspondence "
+                                          "domain"):
+        glue(holed, sel, fallback)
+
+
+def test_glue_rejects_a_fallback_empty_off_the_domain():
+    # psi is empty at nodes 4-7 and the fallback empty at nodes 6 and 7:
+    # the glued table would be empty at (0, 6), named in the error
+    space = single_atom()
+    grid = line_grid(8)
+    psi = Corr.from_function(space, grid, 1, lambda t, z: PointSet.of(1, [[0.0]]) if z < 4
+                             else PointSet.empty(1))
+    sel = caratheodory_select(psi, canonical_witness(psi), InfoPartition.finest(space))
+    fallback = Corr.from_function(space, grid, 1, lambda t, z: PointSet.of(1, [[0.5]]) if z < 6
+                                  else PointSet.empty(1))
+    with pytest.raises(DomainError, match=r"fallback is empty off the domain at \(t=0, z=6\)"):
+        glue(psi, sel, fallback)
+
+
+def test_selection_values_are_the_table_on_the_domain():
+    # values lists the domain cells in C order under Python-int (t, z)
+    # keys, each mapped to its row of table; table is zero off the domain
+    rng = np.random.default_rng(41)
+    for _ in range(4):
+        inst = random_cip_instance(rng)
+        sel = caratheodory_select(inst.psi, inst.witness, inst.part, eps=inst.eps)
+        assert np.array_equal(sel.domain, inst.psi.counts > 0)
+        t, z = np.nonzero(sel.domain)
+        assert list(sel.values) == list(zip(t.tolist(), z.tolist()))
+        assert all(type(a) is int and type(b) is int for a, b in sel.values)
+        assert all(np.array_equal(v, sel.table[key]) for key, v in sel.values.items())
+        assert not sel.table[~sel.domain].any() and not sel.table.flags.writeable
+        with pytest.raises(TypeError):
+            sel.values[(0, 0)] = np.zeros(inst.psi.dim)
+    # a shared local nonempty off psi's domain: phi-domain-equality fails,
+    # and the table still reads zero there
+    space, grid = single_atom(), line_grid(5)
+    psi = Corr.from_function(space, grid, 1, lambda t, z: PointSet.of(1, [[0.0], [1.0]]) if z < 3
+                             else PointSet.empty(1))
+    local = Corr.constant(space, grid, PointSet.of(1, [[0.5]]))
+    sel = caratheodory_select(psi, CipWitness.shared(grid, local, {(0, z): 0.5 for z in range(5)}),
+                              InfoPartition.finest(space))
+    assert not next(c for c in sel.checks if c.name == "phi-domain-equality").ok
+    assert sel.table[0, :, 0].tolist() == [0.5, 0.5, 0.5, 0.0, 0.0]
+
+
 # ------------------------------------------- array passes against per-cell code
 
 def _random_table(rng, dim, grid, empty_share=0.2):
@@ -1420,9 +1475,11 @@ def test_semicontinuity_checks_match_per_atom_reference(dim):
                             np.where(steady, table.bounds[:1, :1], table.bounds))
             flat = rng.uniform(size=len(psi.space)) < 0.5
             point = rng.normal(size=dim)
-            values = {(t, z): point if flat[t] else rng.normal(size=dim)
-                      for t, z in zip(*np.nonzero(psi.counts > 0))}
-            glued = glue(psi, Selection(values, 0.0, 0.0, CheckSet()), fallback)
+            on = psi.counts > 0
+            table = np.zeros(on.shape + (dim,))
+            for t, z in zip(*np.nonzero(on)):
+                table[t, z] = point if flat[t] else rng.normal(size=dim)
+            glued = glue(psi, Selection(table, on, 0.0, 0.0, CheckSet()), fallback)
             for name, check in (("glue-usc-preserved", usc_check),
                                 ("glue-lsc-preserved", lsc_check)):
                 want = _glue_broken_reference(fallback, glued.glued, check)
