@@ -170,12 +170,12 @@ class Corr:
     def interior_cells(self, on: np.ndarray) -> np.ndarray:
         """Boolean (atoms, nodes) table: the cell is in the mask on and its
         value carries a point interior to its own hull (a positive
-        segment_margins entry).  A value of at most dim points spans no
-        full-dimensional hull and has none (segment_margins' own count
-        rule), so only the cells holding more are looked at, and a table
-        with none, such as one of single points, reads no segment_index
-        and no margins."""
-        on = on & (self.counts > self.dim)
+        segment_margins entry).  A value of at most dim + 1 points has
+        none, each point a vertex of its hull or the hull flat
+        (segment_margins' own count rule), so only the cells holding more
+        are looked at, and a table with none, such as one of single
+        points, reads no segment_index and no margins."""
+        on = on & (self.counts > self.dim + 1)
         if not on.any():
             return on
         segs, cell_seg = self.segment_index()
@@ -414,11 +414,6 @@ def _ordered_gaps(points: np.ndarray, bounds: np.ndarray, src: np.ndarray,
     return gaps
 
 
-def domain(psi: Corr) -> frozenset:
-    """U = {(t, z) : value nonempty}."""
-    return frozenset(map(tuple, np.argwhere(psi.counts).tolist()))
-
-
 @dataclass
 class SemicontinuityReport:
     """Outcome of a discrete semicontinuity check over adjacent pairs.
@@ -516,14 +511,6 @@ def _atom_failures(varying: np.ndarray, part: InfoPartition) -> list[tuple[int, 
     order = np.argsort(part.cell_index, kind="stable")
     x, k = np.nonzero(varying[order].T)
     return list(zip(x.tolist(), order[k].tolist()))
-
-
-def _cell_failures(varying: np.ndarray, part: InfoPartition) -> np.ndarray:
-    """The sorted rows (index..., c) of a boolean (atoms, ...) table read
-    with its axes reversed: one per index and cell c with a marked atom."""
-    rows = np.argwhere(varying.T)
-    rows[:, -1] = part.cell_index[rows[:, -1]]
-    return _distinct(rows)
 
 
 def _outside(key, shape: tuple) -> bool:
@@ -649,25 +636,11 @@ def _ball_radii(psi: Corr, w: CipWitness) -> np.ndarray:
     return radii
 
 
-def capture_matrix(psi: Corr, w: CipWitness) -> np.ndarray:
-    """Boolean (atoms, nodes, nodes) stack M[t, x, z]: witness node z has
-    a nonempty value of psi at atom t and its ball reaches x, d(x, z) <
-    r(t, z), filled in row blocks of the metric.  Raises as _ball_radii.
-    scip_verify compares it cell by cell in countable and indexed mode;
-    cip_verify and the pooling read only _reach_masks."""
-    radii = _ball_radii(psi, w)
-    nodes = np.arange(len(psi.grid))
-    caps = np.empty((len(radii), len(nodes), len(nodes)), dtype=bool)
-    for lo, block in psi.grid._row_blocks(nodes, nodes):
-        np.less(block, radii[:, None, :], out=caps[:, lo:lo + len(block)])
-    return caps
-
-
 def _reach_masks(grid: GridSpace, radii: np.ndarray, groups: list) -> np.ndarray:
-    """The (groups, atoms, nodes) stack of capture_matrix(psi, w)[..., zs]
-    .any(axis=2) for each (local, zs) group of w, from its _ball_radii
-    table, with no (atoms, nodes, nodes) stack: x is reached at atom t
-    when the ball of some node z of zs holds it, d(x, z) < r(t, z).  A
+    """The (groups, atoms, nodes) masks of where each (local, zs) group of
+    w reaches, from w's _ball_radii table, with no (atoms, nodes, nodes)
+    ball stack: x is reached at atom t when the ball of some node z of
+    zs holds it, d(x, z) < r(t, z), the metric read with x as the row.  A
     node of every group's zs that is in its own ball at every atom, d(x,
     x) < r(t, x), is reached everywhere and its row is not read; on a
     Euclidean grid (d(x, x) = 0) that is every node of a one-group
@@ -693,8 +666,9 @@ def _reach_masks(grid: GridSpace, radii: np.ndarray, groups: list) -> np.ndarray
 def _mark_balls(fails: np.ndarray, grid: GridSpace, radii: np.ndarray, zs: list,
                 at: np.ndarray, *ends: np.ndarray) -> None:
     """Set fails[at[i], c] wherever the ball of witness node zs[c] at atom
-    at[i] holds the node ends[e][i] of every ends array: capture_matrix
-    read at those rows and zs's columns only, in row blocks."""
+    at[i] holds the node ends[e][i] of every ends array, d(end, zs[c]) <
+    r(at[i], zs[c]): the metric read at those rows and zs's columns
+    only, in row blocks."""
     step = max(1, METRIC_BLOCK // len(zs))
     for lo in range(0, len(at), step):
         t = at[lo:lo + step]
@@ -702,6 +676,21 @@ def _mark_balls(fails: np.ndarray, grid: GridSpace, radii: np.ndarray, zs: list,
         hit = np.logical_and.reduce([grid.distances(end[lo:lo + step], zs) < r for end in ends])
         i, c = np.nonzero(hit)
         fails[t[i], c] = True
+
+
+def _ball_changes(grid: GridSpace, radii: np.ndarray, head: np.ndarray) -> tuple:
+    """(t, x, z) arrays: each node x that the ball of witness node z holds
+    at atom t and not at its cell head head[t], or the other way round,
+    from the _ball_radii table radii.  Two balls around z differ only
+    where their radii do, so d(x, z) is read, x the row, in row blocks of
+    one column per (t, z) cell whose radius differs from the head's."""
+    t, z = np.nonzero(radii != radii[head])
+    own, first = radii[t, z], radii[head[t], z]
+    found = []
+    for lo, block in grid._row_blocks(np.arange(len(grid)), z):
+        x, k = np.nonzero((block < own) != (block < first))
+        found.append(np.stack([t[k], lo + x, z[k]]))
+    return tuple(np.concatenate(found, axis=1))
 
 
 def canonical_witness(psi: Corr) -> CipWitness:
@@ -866,7 +855,6 @@ class ScipReport:
 
     ok: bool
     mode: str
-    cip: CipReport
     failures: list = field(default_factory=list)
     hull_modulus: float = 0.0  # indexed mode: discrete modulus of z -> con F_z(t,x)
 
@@ -884,10 +872,12 @@ def scip_verify(
     conditions.  Each measurability check compares every atom's table
     with its cell head's (InfoPartition.head); the locals' values go
     through one cell_varying call, which names each one's first failing
-    node."""
+    node.  The ball checks read the metric only where a ball's radius
+    differs from its cell head's (_ball_changes), and the hull modulus
+    measures each pair of adjacent locals once (_hull_modulus)."""
     if not cip.ok:
         raise PreconditionError("plain continuous-inclusion verification failed")
-    report = ScipReport(True, w.mode, cip)
+    report = ScipReport(True, w.mode)
 
     groups = w.distinct_locals()
     ordered = sorted(groups, key=lambda group: group[1][0])
@@ -900,19 +890,22 @@ def scip_verify(
     if w.mode == "countable":
         # finiteness of the tables is automatic; the ball-membership
         # indicator {(t,x): x in O_z^t} must be cell-constant in t
-        caps = capture_matrix(psi, w)
-        for z, x, c in _cell_failures(caps != caps[part.head], part).tolist():
+        t, x, z = _ball_changes(psi.grid, _ball_radii(psi, w), part.head)
+        for z, x, c in _distinct(np.column_stack([z, x, part.cell_index[t]])).tolist():
             report.failures.append(("ball-measurability", part.cells[c][0], z, x,
                                     "ball indicator not cell-constant"))
     elif w.mode == "indexed":
         # domain of psi must be cell-constant in t
         nonempty = psi.counts > 0
-        for z, c in _cell_failures(nonempty != nonempty[part.head], part).tolist():
+        t, z = np.nonzero(nonempty != nonempty[part.head])
+        for z, c in _distinct(np.column_stack([z, part.cell_index[t]])).tolist():
             report.failures.append(("domain-measurability", part.cells[c][0], z, -1,
                                     "nonemptiness not cell-constant"))
         # the capture-index map must have cell-constant (finite) values
-        caps = capture_matrix(psi, w)
-        for x, t in _atom_failures((caps != caps[part.head]).any(axis=2), part):
+        t, x, _ = _ball_changes(psi.grid, _ball_radii(psi, w), part.head)
+        changed = np.zeros(psi.counts.shape, dtype=bool)
+        changed[t, x] = True
+        for x, t in _atom_failures(changed, part):
             report.failures.append(
                 ("index-measurability", t, -1, x, "capture set not cell-constant")
             )
@@ -935,9 +928,11 @@ def scip_verify(
 
 def _hull_modulus(psi: Corr, w: CipWitness, groups: list) -> float:
     """Max over (t, x) and adjacent node pairs at a positive distance d of
-    the Hausdorff distance of the two ends' nonempty local values over d,
-    from one _packed_gaps call over the _stacked segments of all locals
-    (groups)."""
+    the Hausdorff distance of the two ends' nonempty local values over d.
+    Ends sharing one local read 0.0 or NaN and are skipped; each other
+    pair of locals (groups) is measured once, at its shortest d, as
+    fl(h / d) rises with h and falls with d: one _packed_gaps call over
+    the _stacked segments of all locals."""
     pi, pj = (p[:len(p) // 2] for p in psi.grid.directed_pair_arrays())
     group = np.full(len(psi.grid), -1)
     for g, (_, zs) in enumerate(groups):
@@ -946,11 +941,15 @@ def _hull_modulus(psi: Corr, w: CipWitness, groups: list) -> float:
     for z in ends[group[ends] < 0][:1]:
         w.local(int(z))  # raises for the first node without a local, in pair order
     d = psi.grid.pair_distances()[:len(pi)]
+    keep = (group[pi] != group[pj]) & (d > 0)
+    lo, hi = np.sort(group[np.stack([pi, pj])[:, keep]], axis=0)
+    order = np.lexsort((d[keep], hi, lo))  # each pair of locals at its shortest d first
+    key, first = np.unique((lo * len(groups) + hi)[order], return_index=True)
     cells = psi.counts.size
-    rows = group[np.stack([pi, pj])[:, d > 0]][..., None] * cells + np.arange(cells)
+    rows = np.stack(np.divmod(key, len(groups)))[..., None] * cells + np.arange(cells)
     points, bounds = _stacked([f for f, _ in groups])
     gaps = _packed_gaps(points, bounds.reshape(-1, 2), rows[0].ravel(), rows[1].ravel())
-    ratio = gaps.max(axis=0) / np.repeat(d[d > 0], cells)
+    ratio = gaps.max(axis=0) / np.repeat(d[keep][order][first], cells)
     return float(ratio[~np.isnan(ratio)].max(initial=0.0))
 
 

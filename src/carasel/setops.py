@@ -602,9 +602,10 @@ def segment_margins(points: np.ndarray, segs: np.ndarray) -> np.ndarray:
     stop) row of segs within the hull of that row's points, flat in the
     order of segs and of the points in each row.  In R^1 the closed
     form for all rows at once, from each row's least and largest value.
-    Otherwise a row of at most dim points spans no full-dimensional hull
-    and reads 0 from its count alone, as _margins would return it; each
-    longer row takes one Qhull call (_margins)."""
+    Otherwise a row of at most dim + 1 points reads 0 from its count
+    alone, as _margins returns it: such a row is flat (Qhull raises, no
+    interior) or a simplex (every point a vertex); each longer row takes
+    one Qhull call (_margins)."""
     if not len(segs):
         return np.zeros(0)
     counts = segs[:, 1] - segs[:, 0]
@@ -612,7 +613,7 @@ def segment_margins(points: np.ndarray, segs: np.ndarray) -> np.ndarray:
     if dim > 1:
         out = np.zeros(counts.sum())
         first = np.cumsum(counts) - counts
-        for k in np.flatnonzero(counts > dim):
+        for k in np.flatnonzero(counts > dim + 1):
             (a, b), at = segs[k], first[k]
             out[at:at + b - a] = _margins(points[a:b], points[a:b])
         return out

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from carasel import AtomSpace, CipWitness, Corr, DomainError, GridSpace, PointSet
+from carasel.corr import _ball_radii, _packed_gaps, _stacked
 from carasel.setops import DEDUP_TOL, _cross_dists
 
 
@@ -60,6 +61,42 @@ def dense_metric(grid: GridSpace) -> np.ndarray:
     reference for tests, which no package code builds."""
     nodes = np.arange(len(grid))
     return grid.distances(nodes, nodes)
+
+
+def capture_matrix(psi: Corr, w: CipWitness) -> np.ndarray:
+    """Boolean (atoms, nodes, nodes) stack M[t, x, z]: witness node z has
+    a nonempty value of psi at atom t and its ball reaches x, d(x, z) <
+    r(t, z), filled in row blocks of the metric (x the row).  Raises as
+    corr._ball_radii.  The dense ball stack scip_verify's countable and
+    indexed checks once compared cell by cell, kept as their reference."""
+    radii = _ball_radii(psi, w)
+    nodes = np.arange(len(psi.grid))
+    caps = np.empty((len(radii), len(nodes), len(nodes)), dtype=bool)
+    for lo, block in psi.grid._row_blocks(nodes, nodes):
+        np.less(block, radii[:, None, :], out=caps[:, lo:lo + len(block)])
+    return caps
+
+
+def all_pairs_hull_modulus(psi: Corr, w: CipWitness, groups: list) -> float:
+    """scip_verify's indexed-mode hull modulus over every adjacent node
+    pair at a positive distance and every (t, x) cell, shared locals
+    included, from one (2, pairs, atoms * nodes) block of row indices:
+    the all-pairs form corr._hull_modulus had before it measured each
+    distinct pair of locals once, kept as its reference."""
+    pi, pj = (p[:len(p) // 2] for p in psi.grid.directed_pair_arrays())
+    group = np.full(len(psi.grid), -1)
+    for g, (_, zs) in enumerate(groups):
+        group[zs] = g
+    ends = np.column_stack([pi, pj]).ravel()
+    for z in ends[group[ends] < 0][:1]:
+        w.local(int(z))  # raises for the first node without a local, in pair order
+    d = psi.grid.pair_distances()[:len(pi)]
+    cells = psi.counts.size
+    rows = group[np.stack([pi, pj])[:, d > 0]][..., None] * cells + np.arange(cells)
+    points, bounds = _stacked([f for f, _ in groups])
+    gaps = _packed_gaps(points, bounds.reshape(-1, 2), rows[0].ravel(), rows[1].ravel())
+    ratio = gaps.max(axis=0) / np.repeat(d[d > 0], cells)
+    return float(ratio[~np.isnan(ratio)].max(initial=0.0))
 
 
 def eps_neighborhood_contains(a: PointSet, b: PointSet, eps: float) -> bool:

@@ -22,6 +22,11 @@ from carasel import (
 )
 
 
+def domain(psi: Corr) -> frozenset:
+    """U = {(t, z) : psi(t, z) nonempty}, as (atom, node) index pairs."""
+    return frozenset(map(tuple, np.argwhere(psi.counts).tolist()))
+
+
 @dataclass
 class CipInstance:
     psi: Corr

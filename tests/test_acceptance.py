@@ -29,7 +29,6 @@ from carasel import (
     cip_verify,
     construct_phi,
     convex_distance,
-    domain,
     hausdorff_dist,
     interior_series,
     k_operator,
@@ -42,7 +41,7 @@ from carasel.pipelines import run_problem
 from carasel.problems import canonical_json, parse_problem
 
 from conftest import hausdorff_by_bisection, jump_problem, jump_witness, line_grid, same_set
-from instances import random_cip_instance
+from instances import domain, random_cip_instance
 from test_corr import max_vertex_margin
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"

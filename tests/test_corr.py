@@ -22,7 +22,6 @@ from carasel import (
     caratheodory_select,
     cip_verify,
     construct_phi,
-    domain,
     hausdorff_dist,
     k_operator,
     lsc_check,
@@ -36,7 +35,6 @@ from carasel.corr import (
     SET_EQUALITY_TOL,
     CipReport,
     _segments,
-    capture_matrix,
     cell_varying,
     pool_captured,
 )
@@ -50,8 +48,15 @@ from carasel.setops import (
     segment_margins,
 )
 
-from conftest import dense_metric, jump_problem, line_grid, single_atom
-from instances import random_cip_instance
+from conftest import (
+    all_pairs_hull_modulus,
+    capture_matrix,
+    dense_metric,
+    jump_problem,
+    line_grid,
+    single_atom,
+)
+from instances import domain, random_cip_instance
 from test_equilibria import _quadratic_game
 
 
@@ -900,6 +905,126 @@ def test_scip_capture_checks_match_loop_reference(seed):
         rep = scip_verify(psi, witness, part, cip_verify(psi, witness, eps=10.0))
         assert expected
         assert [fl for fl in rep.failures if fl[0] == kind] == expected
+
+
+def _stack_scip_reference(psi, w, part):
+    """The ball- and index-measurability failures and the hull modulus as
+    scip_verify computed them from the dense (atoms, nodes, nodes) ball
+    stack and the all-pairs modulus block."""
+    caps = capture_matrix(psi, w)
+    varying = caps != caps[part.head]
+    rows = np.argwhere(varying.T)  # (z, x, t) ascending
+    rows[:, -1] = part.cell_index[rows[:, -1]]
+    ball = [("ball-measurability", part.cells[c][0], z, x, "ball indicator not cell-constant")
+            for z, x, c in np.unique(rows, axis=0).tolist()]
+    index = [("index-measurability", t, -1, x, "capture set not cell-constant")
+             for x, t in corr._atom_failures(varying.any(axis=2), part)]
+    return ball, index, all_pairs_hull_modulus(psi, w, w.distinct_locals())
+
+
+def _scip_ball_case(rng):
+    """(psi, part, locals, radii, box) on a random grid: a line, a 2-D
+    lattice, a random cloud, or a lattice under a user metric that is
+    symmetric and triangular only within METRIC_TOL, each entry moved by
+    up to 3e-10, so a radius at a lattice distance can hold x in the
+    ball of z and not z in the ball of x.  The atoms fall into random
+    cells, psi and the locals have empty cells, and each local's cells
+    share PointSet objects; the locals are one object at every node or a
+    mix of three.  Radii come from a small set of lattice distances, a
+    non-head atom's mostly its cell head's."""
+    n_atoms = int(rng.integers(2, 6))
+    space = AtomSpace(tuple(f"t{k}" for k in range(n_atoms)), [1.0] * n_atoms)
+    labels = rng.integers(0, int(rng.integers(1, n_atoms + 1)), size=n_atoms)
+    part = InfoPartition(space, tuple(tuple(np.flatnonzero(labels == c).tolist())
+                                      for c in rng.permutation(np.unique(labels))))
+    kind = int(rng.integers(4))
+    if kind == 0:
+        grid = line_grid(int(rng.integers(4, 12)))
+    elif kind == 2:
+        grid = GridSpace(rng.uniform(size=(int(rng.integers(8, 30)), 2)))
+    else:
+        side = int(rng.integers(3, 7))
+        grid = GridSpace(_lattice(side, 2), mesh=1.0 / (side - 1))
+        if kind == 3:
+            metric = dense_metric(grid) + rng.uniform(-3e-10, 3e-10, size=(len(grid),) * 2)
+            np.fill_diagonal(metric, 0.0)
+            grid = GridSpace(grid.points, metric=metric, mesh=grid.mesh)
+    n, dim = len(grid), int(rng.integers(1, 3))
+    steps = np.array([1.0, 1.5, 2.0, np.sqrt(2.0)]) * grid.mesh
+
+    def table():
+        shared = [PointSet.of(dim, rng.normal(size=(k, dim))) for k in (1, 2, 3)]
+        values = [[shared[int(rng.integers(3))] if rng.random() < 0.5
+                   else PointSet.of(dim, rng.normal(size=(int(rng.integers(0, 4)), dim)))
+                   for _ in range(n)] for _ in range(n_atoms)]
+        return Corr.from_function(space, grid, dim, lambda t, z: values[t][z])
+
+    psi = table()
+    tables = [table() for _ in range(3)]
+    locs = ({z: tables[0] for z in range(n)} if rng.random() < 0.4
+            else {z: tables[int(rng.integers(3))] for z in range(n)})
+    radii = rng.choice(steps, size=(n_atoms, n))
+    keep = rng.random(radii.shape) < 0.6
+    radii = np.where(keep, radii[part.head], radii)
+    return psi, part, locs, radii, (np.full(dim, -1e4), np.full(dim, 1e4))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_scip_ball_checks_and_hull_modulus_match_the_dense_stack(seed):
+    rng = np.random.default_rng(seed)
+    found = {"ball-measurability": 0, "index-measurability": 0}
+    moduli = 0
+    for _ in range(4):
+        psi, part, locs, radii, box = _scip_ball_case(rng)
+        for mode in ("countable", "indexed"):
+            w = CipWitness(mode, locs, radii, box)
+            ball, index, modulus = _stack_scip_reference(psi, w, part)
+            kind, want = (("ball-measurability", ball) if mode == "countable"
+                          else ("index-measurability", index))
+            rep = scip_verify(psi, w, part, CipReport(True))
+            assert [fl for fl in rep.failures if fl[0] == kind] == want
+            found[kind] += len(want)
+            if mode == "indexed":
+                assert rep.hull_modulus.hex() == modulus.hex()
+                moduli += modulus > 0.0
+    assert all(found.values()) and moduli > 0
+
+
+@pytest.mark.parametrize("mode", ["countable", "indexed"])
+def test_scip_ball_checks_on_a_100_by_100_grid_stay_small(mode):
+    # the dense ball stack alone would be 4 x 10^4 x 10^4 bytes, 381 MiB,
+    # and the all-pairs modulus block of a shared local far more
+    space = AtomSpace(("a", "b", "c", "d"), [1.0] * 4)
+    grid = GridSpace(_lattice(100, 2), mesh=1.0 / 99)
+    part = InfoPartition(space, ((0, 1), (2, 3)))
+    psi = Corr.constant(space, grid, PointSet.of(1, [[0.0], [1.0]]))
+    f = Corr.constant(space, grid, PointSet.of(1, [[0.5]]))
+    radii = np.full((4, len(grid)), 1.5 * grid.mesh)
+    moved = ((1, 0), (1, 5050), (3, 5050), (3, 9999))
+    for t, z in moved:
+        radii[t, z] = 3.0 * grid.mesh
+    w = CipWitness(mode, {z: f for z in range(len(grid))}, radii, box=([-1.0], [2.0]))
+    cip = CipReport(True)
+    tracemalloc.start()
+    try:
+        rep = scip_verify(psi, w, part, cip)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200 * 2**20
+    # each moved ball adds the nodes at distance in [1.5, 3) meshes
+    hits = []
+    for t, z in moved:
+        d = grid.distances(np.arange(len(grid)), [z])[:, 0]
+        hits += [(t, x, z) for x in np.flatnonzero((d >= 1.5 * grid.mesh) & (d < 3.0 * grid.mesh))]
+    if mode == "countable":
+        want = [("ball-measurability", part.cells[c][0], z, int(x),
+                 "ball indicator not cell-constant")
+                for z, x, c in sorted({(z, x, part.cell_index[t]) for t, x, z in hits})]
+    else:
+        want = [("index-measurability", t, -1, int(x), "capture set not cell-constant")
+                for x, t in sorted({(x, t) for t, x, _ in hits})]
+    assert len(want) > 20 and rep.failures == want and rep.hull_modulus == 0.0
 
 
 def test_scip_requires_cip():

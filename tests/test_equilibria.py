@@ -42,8 +42,8 @@ import carasel.selection
 from carasel.corr import SET_EQUALITY_TOL, _segments
 from carasel.equilibria import _reflexive_at
 from carasel.grid import METRIC_BLOCK
-from carasel.pipelines import run_problem, run_select
-from carasel.problems import canonical_json, merge_options, parse_problem
+from carasel.pipelines import run_problem
+from carasel.problems import canonical_json, parse_problem
 from carasel.reporting import CheckSet
 from carasel.selection import DEFAULT_SELECTION_TOL, _glue_table, _glued_phi, _select_table
 from carasel.setops import ConvexSet, _segment_rows, convex_membership
@@ -155,26 +155,6 @@ def test_fixed_point_requires_total_domain():
     )
     with pytest.raises(PreconditionError):
         random_fixed_point(psi, canonical_witness(psi))
-
-
-def test_package_paths_never_call_domain(monkeypatch):
-    """corr.domain stays public (it is the paper's U), but random_nash,
-    random_fixed_point and the select pipeline read the count tables
-    instead of building it."""
-    def fail(psi):
-        raise AssertionError("corr.domain called")
-
-    for module in (carasel, carasel.corr, carasel.equilibria, carasel.problems, carasel.selection):
-        if hasattr(module, "domain"):
-            monkeypatch.setattr(module, "domain", fail)
-    g, part, eps_eq = _quadratic_game(np.random.default_rng(0), 7, ((0,), (1,)))
-    assert random_nash(g, part, eps_eq).checks.ok
-    space = AtomSpace(("a", "b"), [0.5, 0.5])
-    psi = singleton_map_corr(space, line_grid(11), lambda t, x: np.array([0.3 + 0.5 * t]))
-    assert random_fixed_point(psi, canonical_witness(psi), tol=1e-6).checks.ok
-    doc = parse_problem((DOCS / "example-3-2.json").read_text())
-    cert = run_select(doc, merge_options(doc, {}))
-    assert cert.status == "ok" and len(cert.outputs["selection"]) == 4 * 21
 
 
 # ------------------------------------------- gluing without the certificate
@@ -302,9 +282,7 @@ def test_bayes_fixture_glue_checks_match_the_reference_bytes(monkeypatch):
 
 def test_random_nash_builds_no_selection_certificate(monkeypatch):
     """With shared canonical witnesses, the gluing step of random_nash
-    builds no phi checks, interior-union table or pooled table, and no
-    (atoms, nodes, nodes) ball stack is built: cip_verify reads the
-    balls' reach from the empty nodes' rows."""
+    builds no phi checks, interior-union table or pooled table."""
     def fail(name):
         def call(*args, **kwargs):
             raise AssertionError(f"{name} called")
@@ -314,14 +292,9 @@ def test_random_nash_builds_no_selection_certificate(monkeypatch):
         for module in (carasel, carasel.corr, carasel.equilibria, carasel.selection):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, fail(name))
-    stacks = []
-    capture = carasel.corr.capture_matrix
-    monkeypatch.setattr(carasel.corr, "capture_matrix",
-                        lambda psi, w: stacks.append(psi) or capture(psi, w))
     g, part, eps_eq = _quadratic_game(np.random.default_rng(0), 9, ((0,), (1, 2)))
     cert = random_nash(g, part, eps_eq)
     assert cert.checks.ok
-    assert stacks == []
     assert sum(c.name.startswith("glue-") for c in cert.checks) == 2 * g.n_players
 
 

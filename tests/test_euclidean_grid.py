@@ -24,13 +24,13 @@ from carasel import (
     canonical_witness,
     cip_verify,
 )
-from carasel.corr import SET_EQUALITY_TOL, CipReport, capture_matrix
+from carasel.corr import SET_EQUALITY_TOL, CipReport
 from carasel.equilibria import JOINT_NODE_CAP, pref_from_payoff
 from carasel.errors import DomainError
 from carasel.grid import ADJ_TOL
 from carasel.setops import DEDUP_TOL
 
-from conftest import dense_metric, line_grid
+from conftest import capture_matrix, dense_metric, line_grid
 from instances import random_cip_instance
 
 

@@ -58,9 +58,14 @@ def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
     """"module.name" of every module-level function or class, and
     "module.Class.name" of every method of a module-level class other
     than a dunder, of the modules in sources (module name -> source)
-    whose name no module other than __init__ reads, as a name or an
-    attribute, or imports; in module order."""
-    defined, used = [], set()
+    that no module other than __init__ uses; in module order.  A
+    module-level m.name is used by a bare name read in m itself, by
+    `from .m import name` in any module, or by an attribute read
+    alias.name where alias is m as bound by `from . import m`, so a
+    field, attribute or local of another module that shares its name
+    does not hide it.  A method is used by a read of its name as a name
+    or an attribute, or an import of it, in any module."""
+    defined, used, names = [], set(), set()
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     for module, source in sources.items():
         tree = ast.parse(source)
@@ -72,14 +77,23 @@ def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
                             if isinstance(item, functions) and not item.name.startswith("__")]
         if module == "__init__":  # a re-export is not a use
             continue
+        imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+        modules = {a.asname or a.name: a.name for node in imports
+                   if node.level and node.module is None for a in node.names}
+        for node in imports:
+            names.update(a.name for a in node.names)
+            if node.level and node.module:
+                used.update(f"{node.module}.{a.name}" for a in node.names)
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                used.add(node.id)
+                used.add(f"{module}.{node.id}")
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                used.update(a.name for a in node.names)
-    return [name for name in defined if name.rsplit(".", 1)[1] not in used]
+                names.add(node.attr)
+                if isinstance(node.value, ast.Name) and node.value.id in modules:
+                    used.add(f"{modules[node.value.id]}.{node.attr}")
+    return [name for name in defined
+            if (name.rsplit(".", 1)[1] not in names if name.count(".") == 2 else name not in used)]
 
 
 def _unpassed_parameters(sources: dict[str, str], callers: dict[str, str],
@@ -185,6 +199,25 @@ def test_the_check_sees_an_orphaned_definition():
     sources["setops"] += ("\n\ndef vertex_margins(c):\n"
                           "    return segment_margins(c.vertices, [[0, len(c.vertices)]])\n")
     assert unreferenced_definitions(sources) == [*ALLOWED_UNREFERENCED, "setops.vertex_margins"]
+
+
+def test_a_name_shared_with_another_module_does_not_hide_a_definition():
+    sources = {
+        "a": "def size():\n    pass\n\ndef shape():\n    pass\n\n"
+             "def width():\n    pass\n\ndef depth():\n    pass\n\nwidth()\n",
+        "b": "from . import a as alias\nfrom .a import depth\n\n"
+             "def run(obj, size):\n    alias.shape()\n    return obj.size, size, obj.width\n",
+        "c": "from . import b\n\nb.run(None, 0)\n",
+    }
+    assert unreferenced_definitions(sources) == ["a.size"]
+    # the domain-set helper, put back into corr: the Selection.domain field
+    # and the domain locals of selection.py are not uses of it
+    sources = package_sources()
+    sources["corr"] += ("\n\ndef domain(psi):\n"
+                        "    return frozenset(map(tuple, np.argwhere(psi.counts).tolist()))\n")
+    assert "domain" in sources["selection"]
+    allowed = list(ALLOWED_UNREFERENCED)
+    assert unreferenced_definitions(sources) == [*allowed[:3], "corr.domain", *allowed[3:]]
 
 
 def test_the_check_sees_a_definition_that_is_only_reexported():

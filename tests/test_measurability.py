@@ -20,7 +20,6 @@ from carasel import (
     canonical_witness,
     caratheodory_select,
     construct_phi,
-    domain,
     glue,
     maximal_element,
     scip_verify,
@@ -29,14 +28,13 @@ from carasel.corr import (
     SET_EQUALITY_TOL,
     CipReport,
     _atom_failures,
-    capture_matrix,
     cell_varying,
 )
 from carasel.equilibria import _payoff_cell_constancy, _profile_cell_constancy
 from carasel.reporting import CheckSet
 from carasel.selection import _inputs_cell_constant
-from conftest import line_grid, same_set
-from instances import random_cip_instance
+from conftest import capture_matrix, line_grid, same_set
+from instances import domain, random_cip_instance
 
 WITHIN, BEYOND = 0.9e-9, 1.1e-9  # moves on either side of SET_EQUALITY_TOL
 

@@ -26,7 +26,6 @@ from carasel import (
     convex_distance,
     convex_membership,
     convex_project,
-    domain,
     glue,
     grid_select,
     interior_point_margin,
@@ -56,7 +55,7 @@ from carasel.selection import (
 )
 from carasel.setops import _nearest_in_hulls, _padded_rows, _project_to_intervals
 from conftest import dense_metric, jump_problem, line_grid, same_set, single_atom
-from instances import random_cip_instance
+from instances import domain, random_cip_instance
 from test_corr import max_vertex_margin
 from test_equilibria import _quadratic_game
 from test_setops import pack_hulls

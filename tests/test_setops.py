@@ -952,8 +952,8 @@ def test_pointset_of_separated_first_coordinates_builds_no_pairwise_matrix(monke
 @pytest.mark.parametrize("dim", [2, 3])
 def test_segment_margins_match_the_per_row_qhull_reference(dim):
     # rows of 1 to dim + 3 points, flat and full-dimensional, some sharing
-    # points: a row of at most dim points reads 0 from its count, every
-    # other row is _margins over its own points, bit for bit
+    # points: a row of at most dim + 1 points reads 0 from its count,
+    # every other row is _margins over its own points, bit for bit
     rng = np.random.default_rng(dim)
     points = rng.uniform(-1.0, 1.0, size=(60, dim))
     points[10:14, -1] = 0.25  # a flat row: zero margin from Qhull's failure or its facets
@@ -970,3 +970,34 @@ def test_segment_margins_match_the_per_row_qhull_reference(dim):
     assert got.tobytes() == want.tobytes()
     assert (got > 0).any() and not got[:counts[0] + counts[1]].any()
     assert segment_margins(points, segs[:0]).shape == (0,)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_segment_margins_of_simplices_and_flat_rows_call_no_qhull(dim, monkeypatch):
+    # a row of at most dim + 1 points is a simplex, every point a vertex,
+    # or flat, so Qhull fails: _margins reads 0.0 for it either way, and
+    # segment_margins reads the same from the row's count alone
+    rng = np.random.default_rng(30 + dim)
+    rows = [rng.normal(size=(dim + 1, dim)) for _ in range(40)]  # simplices
+    for _ in range(40):  # flat: on a random hyperplane, exactly or within 1e-9
+        basis = rng.normal(size=(dim - 1, dim))
+        row = rng.normal(size=(dim + 1, dim - 1)) @ basis + rng.normal(size=dim)
+        rows.append(row + 1e-9 * rng.normal(size=row.shape) * rng.integers(2))
+    rows.append(np.repeat(rng.normal(size=(1, dim)), dim + 1, axis=0))  # one point, repeated
+    rows += [rng.normal(size=(k, dim)) for k in range(1, dim + 1)]
+    want = np.concatenate([setops._margins(row, row) for row in rows])
+    assert not want.any()
+    calls = []
+
+    def hull(*args, **kwargs):
+        calls.append(args)
+        return ConvexHull(*args, **kwargs)
+
+    monkeypatch.setattr("scipy.spatial.ConvexHull", hull)
+    counts = [len(row) for row in rows]
+    segs = np.column_stack([np.cumsum(counts) - counts, np.cumsum(counts)])
+    got = segment_margins(np.vstack(rows), segs)
+    assert got.tobytes() == want.tobytes() and calls == []
+    # a row of dim + 2 points still takes its Qhull call
+    segment_margins(rng.normal(size=(dim + 2, dim)), np.array([[0, dim + 2]]))
+    assert len(calls) == 1
