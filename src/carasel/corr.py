@@ -9,9 +9,9 @@ operator collecting interiors of the local inclusion witnesses.
 
 from __future__ import annotations
 
-import itertools
 import weakref
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
@@ -608,30 +608,50 @@ class CipWitness:
             raise DomainError(f"witness has no radius at (t={t}, z={z})")
         return r
 
-    def distinct_locals(self) -> list:
-        """(local, sorted node indices sharing it), grouped by identity;
-        shared witnesses collapse to a single group."""
-        if self.mode == "shared":
-            return [(next(iter(self.locals.values())), sorted(self.locals))]
-        groups: dict[int, tuple[Corr, list[int]]] = {}
-        for z, f in self.locals.items():
-            groups.setdefault(id(f), (f, []))[1].append(z)
-        return [(f, sorted(zs)) for f, zs in groups.values()]
+    @cached_property
+    def owner(self) -> np.ndarray:
+        """Read-only (nodes,) array: each node's index into groups, -1
+        where the node has no local."""
+        nodes = np.fromiter(self.locals, int, len(self.locals))
+        index = {f: g for g, f in enumerate(dict.fromkeys(self.locals.values()))}
+        group = (np.fromiter(map(index.__getitem__, self.locals.values()), int, len(nodes))
+                 if len(index) > 1 else np.zeros(len(nodes), int))
+        first = np.full(len(index), self.radii.shape[1])
+        np.minimum.at(first, group, nodes)
+        owner = np.full(self.radii.shape[1], -1)
+        owner[nodes] = np.argsort(np.argsort(first))[group]  # groups by first node
+        owner.flags.writeable = False
+        return owner
+
+    @cached_property
+    def groups(self) -> tuple:
+        """(local, nodes) per distinct local object, by first node; nodes
+        are the read-only ascending indices of the nodes holding it."""
+        order = np.argsort(self.owner, kind="stable")[np.count_nonzero(self.owner < 0):]
+        order.flags.writeable = False
+        cuts = [0, *(np.flatnonzero(np.diff(self.owner[order])) + 1).tolist(), len(order)]
+        return tuple((self.locals[z], order[a:b])
+                     for z, a, b in zip(order[cuts[:-1]].tolist(), cuts, cuts[1:]))
 
 
 def _ball_radii(psi: Corr, w: CipWitness) -> np.ndarray:
     """The (atoms, nodes) radii of the witness balls: w's radius at every
-    cell of psi's section, -inf off it (no ball).  Raises for a witness
-    of another shape, then for the first (t, z) of psi's section without
-    a radius, then for the first node of it without a local."""
-    if w.radii.shape != psi.counts.shape:
-        raise DomainError("witness locals must live on psi's atoms and grid")
+    cell of psi's section, -inf off it (no ball).  Every consumer's check
+    that w fits psi: raises for the first local off psi's grid (or one
+    with its points and adjacent pairs), atom count or dim, then for the
+    first (t, z) of psi's section without a radius, then for the first
+    node of it without a local."""
+    grid = psi.grid
+    for f, _ in w.groups:  # a local's gap table must list psi's pairs
+        if f.grid is not grid and not (np.array_equal(f.grid.points, grid.points) and all(
+                map(np.array_equal, f.grid.directed_pair_arrays(), grid.directed_pair_arrays()))):
+            raise DomainError("witness locals must live on psi's grid")
+        if len(f.space) != len(psi.space) or f.dim != psi.dim:
+            raise DomainError("witness locals must live on psi's atoms, in psi's dim")
     radii = np.where(psi.counts > 0, w.radii, -np.inf)
     for t, z in np.argwhere(np.isnan(radii))[:1].tolist():
         w.radius(t, z)  # raises: no radius there
-    unwitnessed = (psi.counts > 0).any(axis=0)
-    unwitnessed[list(w.locals)] = False
-    for z in np.flatnonzero(unwitnessed)[:1].tolist():
+    for z in np.flatnonzero((psi.counts > 0).any(axis=0) & (w.owner < 0))[:1].tolist():
         w.local(z)  # raises: no local there
     return radii
 
@@ -648,13 +668,12 @@ def _reach_masks(grid: GridSpace, radii: np.ndarray, groups: list) -> np.ndarray
     the nodes empty at some atom.  Every other row is read at the groups'
     columns in row blocks, reduced group by group (one reduceat), and
     written once."""
-    sizes = [len(zs) for _, zs in groups]
-    cols = np.concatenate([zs for _, zs in groups]).astype(int)
+    cols = np.concatenate([zs for _, zs in groups])
     inner = ((np.bincount(cols, minlength=len(grid)) == len(groups))
              & (grid._diagonal() < radii).all(axis=0))
     reach = np.ones((len(groups),) + radii.shape, dtype=bool)
     rows = np.flatnonzero(~inner)
-    starts = list(itertools.accumulate(sizes[:-1], initial=0))
+    starts = np.cumsum([0] + [len(zs) for _, zs in groups[:-1]])
     r = radii[:, None, cols]
     for lo, block in grid._row_blocks(rows, cols):
         # order="C": the default follows the broadcast strides, slow to fill and to reduce
@@ -721,7 +740,6 @@ class CipReport:
     failures: list = field(default_factory=list)  # (kind, t, z, x, detail)
     inclusion_residual: float = 0.0
     lsc_gap: float = 0.0
-    eps: float = 0.0
 
 
 def _residuals(psi: Corr, tables: list, on: np.ndarray) -> np.ndarray:
@@ -780,8 +798,7 @@ def cip_verify(
     convex hull of psi(t, x) within tol.  The convex hulls of F_z(t, .)
     must pass the discrete l.s.c. check at eps inside the ball (on the
     whole grid when strict=True), and on the whole grid for atoms t with
-    psi(t, z) empty.  Every local must live on psi's grid, or on one with
-    its points and adjacent pairs, and on psi's atom count and dim.
+    psi(t, z) empty.  w must fit psi (_ball_radii).
 
     One _cache_gaps call fills every local's gap table and one
     _residuals pass measures every (local, atom, node) cell a ball of
@@ -797,24 +814,17 @@ def cip_verify(
     """
     if not eps > 0:  # NaN too: it compares false with every gap
         raise DomainError("eps must be positive")
-    report = CipReport(True, eps=eps)
+    report = CipReport(True)
     grid = psi.grid
     pi, pj = grid.directed_pair_arrays()
-    groups = w.distinct_locals()
-    tables = [f for f, _ in groups]
-    for f in tables:  # a local's gap table must list psi's pairs
-        if f.grid is not grid and not (np.array_equal(f.grid.points, grid.points) and all(
-                map(np.array_equal, f.grid.directed_pair_arrays(), (pi, pj)))):
-            raise DomainError("witness locals must live on psi's grid")
-        if len(f.space) != len(psi.space) or f.dim != psi.dim:
-            raise DomainError("witness locals must live on psi's atoms, in psi's dim")
+    tables = [f for f, _ in w.groups]
     radii = _ball_radii(psi, w)
     _cache_gaps(tables)
-    reaches = _reach_masks(grid, radii, groups)
+    reaches = _reach_masks(grid, radii, w.groups)
     residuals = _residuals(psi, tables, reaches)
     report.inclusion_residual = float(residuals.max(initial=0.0))
     nodes = np.arange(len(grid))
-    for (f, zs), res, reach in zip(groups, residuals, reaches):
+    for (f, zs), res, reach in zip(w.groups, residuals, reaches):
         gaps = f.directed_gaps()
         finite = ~np.isnan(gaps)
         if finite.any():
@@ -832,7 +842,7 @@ def cip_verify(
             _mark_balls(fails, grid, radii, zs, at[both], pi[k[both]], pj[k[both]])
             fails[at] |= ~on[at]
         for t, c in np.argwhere(fails).tolist():
-            z, pairs, kind = zs[c], np.flatnonzero(lost[t]), "lsc-offsection"
+            z, pairs, kind = int(zs[c]), np.flatnonzero(lost[t]), "lsc-offsection"
             if on[t, c]:
                 cell, kind = grid.distances(nodes, [z])[:, 0] < radii[t, z], "lsc"
                 for x in np.flatnonzero(cell & (f.counts[t] == 0)).tolist():
@@ -879,9 +889,7 @@ def scip_verify(
         raise PreconditionError("plain continuous-inclusion verification failed")
     report = ScipReport(True, w.mode)
 
-    groups = w.distinct_locals()
-    ordered = sorted(groups, key=lambda group: group[1][0])
-    for (_, zs), varying in zip(ordered, cell_varying([f for f, _ in ordered], part)):
+    for (_, zs), varying in zip(w.groups, cell_varying([f for f, _ in w.groups], part)):
         for x, t in _atom_failures(varying, part)[:1]:
             report.failures.append(
                 ("measurability", t, f"F_{zs[0]}", x, "local value not cell-constant")
@@ -913,52 +921,54 @@ def scip_verify(
             report.failures.append(("box", -1, -1, -1, "indexed mode requires a bounding box"))
         else:
             lo, hi = w.box
-            worst = 0.0
-            for f, _ in groups:
-                v = f.points[_segment_rows(f.segment_index()[0])[0]]  # every cell's points
-                worst = max(worst, float(np.maximum(v - hi, 0.0).max(initial=0.0)),
-                            float(np.maximum(lo - v, 0.0).max(initial=0.0)))
+            v = np.concatenate([f.points[_segment_rows(f.segment_index()[0])[0]]
+                                for f, _ in w.groups])  # every cell's points
+            worst = float(np.maximum(v - hi, lo - v).max(initial=0.0))
             if worst > tol:
                 report.failures.append(("box", -1, -1, -1, f"values escape the box by {worst:.3e}"))
         # discrete modulus of z -> local value at fixed (t, x), finite by construction
-        report.hull_modulus = _hull_modulus(psi, w, groups)
+        report.hull_modulus = _hull_modulus(psi, w)
     report.ok = not report.failures
     return report
 
 
-def _hull_modulus(psi: Corr, w: CipWitness, groups: list) -> float:
+def _hull_modulus(psi: Corr, w: CipWitness) -> float:
     """Max over (t, x) and adjacent node pairs at a positive distance d of
     the Hausdorff distance of the two ends' nonempty local values over d.
     Ends sharing one local read 0.0 or NaN and are skipped; each other
-    pair of locals (groups) is measured once, at its shortest d, as
-    fl(h / d) rises with h and falls with d: one _packed_gaps call over
-    the _stacked segments of all locals."""
+    pair of locals (w.groups) is measured once, at its shortest d, as
+    fl(h / d) rises with h and falls with d, GAP_CHUNK // cells pairs at
+    a time over the _stacked segments of their own locals: a pair's gaps
+    do not depend on the rows stacked beside it (an R^1 row saturated
+    among more rows is saturated among fewer, and both _packed_gaps paths
+    give the kernel's bits)."""
     pi, pj = (p[:len(p) // 2] for p in psi.grid.directed_pair_arrays())
-    group = np.full(len(psi.grid), -1)
-    for g, (_, zs) in enumerate(groups):
-        group[zs] = g
+    owner, n = w.owner, len(w.groups)
     ends = np.column_stack([pi, pj]).ravel()
-    for z in ends[group[ends] < 0][:1]:
+    for z in ends[owner[ends] < 0][:1]:
         w.local(int(z))  # raises for the first node without a local, in pair order
     d = psi.grid.pair_distances()[:len(pi)]
-    keep = (group[pi] != group[pj]) & (d > 0)
-    lo, hi = np.sort(group[np.stack([pi, pj])[:, keep]], axis=0)
+    keep = (owner[pi] != owner[pj]) & (d > 0)
+    lo, hi = np.sort(owner[np.stack([pi, pj])[:, keep]], axis=0)
     order = np.lexsort((d[keep], hi, lo))  # each pair of locals at its shortest d first
-    key, first = np.unique((lo * len(groups) + hi)[order], return_index=True)
-    cells = psi.counts.size
-    rows = np.stack(np.divmod(key, len(groups)))[..., None] * cells + np.arange(cells)
-    points, bounds = _stacked([f for f, _ in groups])
-    gaps = _packed_gaps(points, bounds.reshape(-1, 2), rows[0].ravel(), rows[1].ravel())
-    ratio = gaps.max(axis=0) / np.repeat(d[keep][order][first], cells)
-    return float(ratio[~np.isnan(ratio)].max(initial=0.0))
+    key, first = np.unique((lo * n + hi)[order], return_index=True)
+    pairs, dist = np.stack(np.divmod(key, n)), d[keep][order][first]
+    cells, worst, step = psi.counts.size, 0.0, max(1, GAP_CHUNK // psi.counts.size)
+    for k in range(0, len(key), step):
+        used, at = np.unique(pairs[:, k:k + step], return_inverse=True)
+        points, bounds = _stacked([w.groups[g][0] for g in used])
+        rows = at.reshape(2, -1, 1) * cells + np.arange(cells)
+        gaps = _packed_gaps(points, bounds.reshape(-1, 2), rows[0].ravel(), rows[1].ravel())
+        ratio = gaps.max(axis=0) / np.repeat(dist[k:k + step], cells)
+        worst = max(worst, float(ratio[~np.isnan(ratio)].max(initial=0.0)))
+    return worst
 
 
 def pool_captured(psi: Corr, w: CipWitness, interior: bool = False) -> Corr:
     """Pool, at every (t, x), the local values over the witness nodes
     whose ball captures x, or only the points of each value interior to
     that value's own hull when interior (_pool)."""
-    groups = w.distinct_locals()
-    return _pool(psi, groups, _reach_masks(psi.grid, _ball_radii(psi, w), groups), interior)
+    return _pool(psi, w.groups, _reach_masks(psi.grid, _ball_radii(psi, w), w.groups), interior)
 
 
 def _pool(psi: Corr, groups: list, reaches: np.ndarray, interior: bool) -> Corr:

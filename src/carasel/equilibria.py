@@ -30,7 +30,6 @@ from .measure import AtomSpace, InfoPartition, Prior, conditional_density
 from .reporting import CheckSet
 from .selection import (
     DEFAULT_SELECTION_TOL,
-    Selection,
     _glue_table,
     _glued_phi,
     _select_table,
@@ -48,7 +47,6 @@ class FixedPointProfile:
 
     values: dict      # atom index -> vector
     residuals: dict   # atom index -> float
-    selection: Selection
     checks: CheckSet
 
 
@@ -130,7 +128,7 @@ def random_fixed_point(
     checks.extend(sel.checks)
     checks.add("fixed-point-residual", worst, tol,
                "max over atoms of the displacement at the solution")
-    return FixedPointProfile(values, residuals, sel, checks)
+    return FixedPointProfile(values, residuals, checks)
 
 
 def own_slices(grids) -> list[slice]:
@@ -248,13 +246,12 @@ class BayesSpec:
 
 @dataclass(frozen=True)
 class EquilibriumCertificate:
-    """A per-atom joint profile with exhaustive per-player regrets, the
-    partition it is measurable against, and the executed checks."""
+    """A per-atom joint profile with exhaustive per-player regrets and
+    the executed checks."""
 
     profile: dict              # atom index -> joint vector
     profile_indices: dict      # atom index -> flat joint node index
     regrets: dict              # (atom index, player index) -> float
-    measurable_wrt: InfoPartition
     checks: CheckSet
     warnings: tuple = ()
 
@@ -450,7 +447,7 @@ def random_equilibrium(
         )
     checks.add("profile-measurability", _profile_cell_constancy(profile, part),
                SET_EQUALITY_TOL, "profile constant on every information cell")
-    return EquilibriumCertificate(profile, indices, regrets, part, checks)
+    return EquilibriumCertificate(profile, indices, regrets, checks)
 
 
 def random_nash(
@@ -562,7 +559,7 @@ def maximal_element(
     checks = CheckSet()
     _check_inclusion(checks, p, w, "cip", "the preference table")
 
-    varying = cell_varying([p] + [f for f, _ in w.distinct_locals()], part).any(axis=1)
+    varying = cell_varying([p] + [f for f, _ in w.groups], part).any(axis=1)
     checks.add("preference-measurability", np.count_nonzero(varying[0]), 0,
                "cell-wise constancy of the preferred sets (reported separately "
                "from the witness checks)")

@@ -139,7 +139,7 @@ def construct_phi(
     """
     if eps is None:
         eps = psi.grid.adjacency_radius
-    groups = w.distinct_locals()
+    groups = w.groups
     reaches = _reach_masks(psi.grid, _ball_radii(psi, w), groups)
     on = psi.counts > 0
     if w.mode == "shared" and not atomic:
@@ -176,12 +176,12 @@ def construct_phi(
 
 
 def _glued_phi(psi: Corr, w: CipWitness) -> Corr:
-    """construct_phi's sub-correspondence without its checks: the shared
-    local itself where its space equals psi's and its grid is psi's, so
-    its cached gaps and margins serve phi, else pool_captured."""
+    """construct_phi's sub-correspondence of a w that fits psi: the
+    shared local itself where its space equals psi's and its grid is
+    psi's, so its cached gaps and margins serve phi, else pool_captured."""
     if w.mode == "shared":
-        phi = next(iter(w.locals.values()))
-        if phi.space == psi.space and phi.grid is psi.grid and phi.dim == psi.dim:
+        phi = w.groups[0][0]
+        if phi.space == psi.space and phi.grid is psi.grid:
             return phi
         return Corr(psi.space, psi.grid, psi.dim, phi.points, phi.bounds)
     return pool_captured(psi, w)
@@ -624,7 +624,7 @@ def _inputs_cell_constant(psi: Corr, w: CipWitness, part: InfoPartition) -> bool
     SET_EQUALITY_TOL as sets (cell_varying), which measures the gaps."""
     if part.is_finest or not np.array_equal(w.radii, w.radii[part.head], equal_nan=True):
         return False
-    tables = [psi] + [f for f, _ in w.distinct_locals()]
+    tables = [psi] + [f for f, _ in w.groups]
     return (np.array_equal(_head_map(tables, part), part.head)
             or not cell_varying(tables, part).any())
 

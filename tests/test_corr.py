@@ -573,11 +573,11 @@ def _per_node_cip_reference(psi, w, eps, strict, residuals, tol=SET_EQUALITY_TOL
     """The per-node loop cip_verify ran before it found the lost pairs
     once per (local, atom), kept as its reference.  residuals caches each
     (local, atom) residual row across calls on the same psi."""
-    report = CipReport(True, eps=eps)
+    report = CipReport(True)
     metric = dense_metric(psi.grid)
     pi, pj = psi.grid.directed_pair_arrays()
     n = len(psi.grid)
-    for f, zs in w.distinct_locals():
+    for f, zs in w.groups:
         for t in range(len(psi.space)):
             gaps = f.directed_gaps()[t]
             finite = ~np.isnan(gaps)
@@ -644,14 +644,14 @@ def test_cip_matches_per_node_reference():
         rng = np.random.default_rng(seed)
         inst = random_cip_instance(rng)
         w = inst.witness
-        swap = {id(f): _planted(rng, f) for f, _ in w.distinct_locals()[:3]}
+        swap = {id(f): _planted(rng, f) for f, _ in w.groups[:3]}
         planted = CipWitness(w.mode, {z: swap.get(id(f), f) for z, f in w.locals.items()},
                              w.radii, w.box)
         offsection |= not all(inst.psi.counts[t, z] > 0 for t in range(len(inst.psi.space))
                               for z in range(len(inst.psi.grid)))
         residuals = {}
         for witness in (w, planted):
-            modes.add((witness.mode, len(witness.distinct_locals()) > 1))
+            modes.add((witness.mode, len(witness.groups) > 1))
             for eps in (inst.eps, inst.eps / 100):
                 for strict in (False, True):
                     got = cip_verify(inst.psi, witness, eps, strict=strict)
@@ -751,9 +751,9 @@ def test_ball_tables_reject_a_witness_of_another_shape():
     psi = Corr.constant(space, grid, PointSet.of(1, [[0.5]]))
     f = Corr.constant(AtomSpace(("a",), [1.0]), grid, PointSet.of(1, [[0.5]]))
     w = CipWitness("countable", {z: f for z in range(5)}, {(0, z): 0.3 for z in range(5)})
-    for call in (capture_matrix, k_operator,
+    for call in (capture_matrix, k_operator, lambda psi, w: cip_verify(psi, w, eps=0.5),
                  lambda psi, w: construct_phi(psi, w, InfoPartition.finest(space))):
-        with pytest.raises(DomainError, match="witness locals must live on psi's atoms and grid"):
+        with pytest.raises(DomainError, match="must live on psi's atoms, in psi's dim"):
             call(psi, w)
 
 
@@ -919,7 +919,7 @@ def _stack_scip_reference(psi, w, part):
             for z, x, c in np.unique(rows, axis=0).tolist()]
     index = [("index-measurability", t, -1, x, "capture set not cell-constant")
              for x, t in corr._atom_failures(varying.any(axis=2), part)]
-    return ball, index, all_pairs_hull_modulus(psi, w, w.distinct_locals())
+    return ball, index, all_pairs_hull_modulus(psi, w, w.groups)
 
 
 def _scip_ball_case(rng):
@@ -1090,7 +1090,7 @@ def _interior_samples(fv):
 def _pool_reference(psi, w, take=None):
     """The per-(t, x) loop pool_captured ran for every witness before it
     masked a single local's segments, kept as its reference."""
-    groups = w.distinct_locals()
+    groups = w.groups
     rows = []
     for t in range(len(psi.space)):
         captures = capture_matrix(psi, w)[t]
@@ -1846,7 +1846,7 @@ def test_hull_modulus_matches_loop_reference(dim):
         w = CipWitness("indexed", locs, {}, box=(np.full(dim, -1e4), np.full(dim, 1e4)))
         want = _loop_hull_modulus(psi, w)
         assert want > 0.0
-        assert corr._hull_modulus(psi, w, w.distinct_locals()) == want
+        assert corr._hull_modulus(psi, w) == want
 
 
 def test_hull_modulus_missing_local_names_first_node_in_pair_order():
@@ -1856,7 +1856,7 @@ def test_hull_modulus_missing_local_names_first_node_in_pair_order():
     with pytest.raises(DomainError) as want:
         _loop_hull_modulus(Corr.constant(space, grid, PointSet.of(1, [[0.0]])), w)
     with pytest.raises(DomainError) as got:
-        corr._hull_modulus(f, w, w.distinct_locals())
+        corr._hull_modulus(f, w)
     assert str(got.value) == str(want.value) == "witness has no local correspondence at node 3"
 
 
@@ -1950,7 +1950,7 @@ def _segment_pool_reference(psi, w, take=None):
     """pool_captured as it ran before the interior points came from the
     locals' cached segment margins: take applied once per distinct
     active segment of one local, and per cell when pooling several."""
-    groups = w.distinct_locals()
+    groups = w.groups
     captures = capture_matrix(psi, w)
     active = np.array([[c[:, zs].any(axis=1) for c in captures] for _, zs in groups])
     if len(groups) > 1:
@@ -2044,7 +2044,7 @@ def test_pooling_of_several_locals_matches_per_cell_reference(dim):
                 if len(value):
                     d = _cross_dists(value.points, union.points)
                     assert d.min(axis=0).max() <= DEDUP_TOL and d.min(axis=1).max() <= DEDUP_TOL
-                raw = sum(len(f.value(t, x)) for f, zs in w.distinct_locals()
+                raw = sum(len(f.value(t, x)) for f, zs in w.groups
                           if captures[t, x, zs].any())
                 dropped += raw - len(value)
     assert dropped > 0
@@ -2117,14 +2117,14 @@ def test_witness_family_kernel_call_budget(monkeypatch):
 
     monkeypatch.setattr(PointSet, "of", classmethod(counting_of))
     psi, w = _countable_family(0)
-    assert len(w.distinct_locals()) >= 5
+    assert len(w.groups) >= 5
     calls["PointSet.of"] = 0
     report = cip_verify(psi, w, eps=0.3)
     assert report.inclusion_residual > 0.0
     assert calls == {"_packed_gaps": 1, "segment_distances": 1, "PointSet.of": 0}
     cip_verify(psi, w, eps=0.3)  # every local's gaps and residuals are cached now
     assert calls == {"_packed_gaps": 1, "segment_distances": 1, "PointSet.of": 0}
-    for f, _ in w.distinct_locals():
+    for f, _ in w.groups:
         lsc_check(f, 1, 0.3)
     assert calls["_packed_gaps"] == 1
     part = InfoPartition.trivial(psi.space)
@@ -2159,7 +2159,7 @@ def test_residuals_measure_only_the_cells_not_yet_kept(monkeypatch):
     rng = np.random.default_rng(5)
     for dim in (1, 2):
         psi, w = _countable_family(20 + dim, dim)
-        tables = [psi] + [f for f, _ in w.distinct_locals()]
+        tables = [psi] + [f for f, _ in w.groups]
         narrow = rng.random((len(tables),) + psi.counts.shape) < 0.3
         wide = narrow | (rng.random(narrow.shape) < 0.5)
         for on in (narrow, wide):
@@ -2205,7 +2205,7 @@ def test_family_gap_caches_match_fresh_tables(dim):
     psi, w = _countable_family(dim, dim)
     cip_verify(psi, w, eps=0.3)
     nan = shared = lost = 0
-    for f, _ in w.distinct_locals():
+    for f, _ in w.groups:
         assert "_gap_cache" in f.__dict__
         fresh = Corr(f.space, f.grid, f.dim, f.points, f.bounds)
         for t in range(len(f.space)):
@@ -2246,23 +2246,139 @@ def test_residual_chunk_of_one_point_keeps_reports(seed, monkeypatch):
     assert outputs() == want
 
 
-def _distinct_locals_loop_reference(w):
-    """distinct_locals as one identity-keyed setdefault per node, the form
-    every mode took before shared witnesses read their one local."""
+def _groups_loop_reference(w):
+    """w's groups as one identity-keyed setdefault per node, ordered by
+    first node: the grouping loop each consumer ran before the witness
+    kept its one layout."""
     groups = {}
     for z, f in w.locals.items():
-        groups.setdefault(id(f), (f, []))[1].append(z)
-    return [(f, sorted(zs)) for f, zs in groups.values()]
+        groups.setdefault(id(f), (f, []))[1].append(int(z))
+    return sorted(((f, sorted(zs)) for f, zs in groups.values()), key=lambda group: group[1][0])
 
 
-def test_shared_distinct_locals_is_the_grouping_loop():
+def test_witness_groups_are_the_grouping_loop():
     space = AtomSpace(("a", "b"), [1.0, 1.0])
     grid = line_grid(6)
-    f = Corr.constant(space, grid, PointSet.of(1, [[0.5]]))
+    f, g = (Corr.constant(space, grid, PointSet.of(1, [[v]])) for v in (0.5, 0.25))
     radii = np.full((2, 6), 0.3)
-    for locs in ({z: f for z in range(6)}, {z: f for z in reversed(range(6))},
-                 {np.int64(z): f for z in (3, 0, 5)}):
-        w = CipWitness("shared", locs, radii)
-        (got_f, got_zs), = w.distinct_locals()
-        (want_f, want_zs), = _distinct_locals_loop_reference(w)
-        assert got_f is want_f and got_zs == want_zs == sorted(locs)
+    for mode, locs in (("shared", {z: f for z in range(6)}),
+                       ("shared", {z: f for z in reversed(range(6))}),
+                       ("shared", {np.int64(z): f for z in (3, 0, 5)}),
+                       ("countable", {z: (g if z in (1, 4) else f) for z in reversed(range(6))}),
+                       ("indexed", {np.int64(z): Corr.constant(space, grid, PointSet.of(
+                           1, [[z]])) if z % 2 else g for z in (5, 2, 3, 0)})):
+        w = CipWitness(mode, locs, radii)
+        want = _groups_loop_reference(w)
+        assert [(f, zs.tolist()) for f, zs in w.groups] == want
+        owner = np.full(6, -1)
+        for k, (_, zs) in enumerate(want):
+            owner[zs] = k
+        assert w.owner.tolist() == owner.tolist()
+        assert not w.owner.flags.writeable
+        assert not any(zs.flags.writeable for _, zs in w.groups)
+
+
+def test_witness_layout_ignores_insertion_order():
+    """groups and owner, and so cip_verify's failures and the pooled
+    points, do not depend on the order the locals mapping was built in."""
+    rng = np.random.default_rng(5)
+    space = AtomSpace(("a", "b"), [1.0, 1.0])
+    grid = line_grid(8)
+    psi = Corr.constant(space, grid, PointSet.of(1, [[0.0], [1.0]]))
+    tables = [Corr.constant(space, grid, PointSet.of(1, [[v]])) for v in (0.5, 1.5, 0.25)]
+    radii = np.full((2, 8), 0.2)
+    pick = rng.integers(3, size=8)
+    outputs = []
+    for nodes in (range(8), reversed(range(8)), rng.permutation(8).tolist()):
+        w = CipWitness("countable", {z: tables[pick[z]] for z in nodes}, radii)
+        pooled = pool_captured(psi, w)
+        outputs.append(([(id(f), zs.tolist()) for f, zs in w.groups], w.owner.tolist(),
+                        cip_verify(psi, w, eps=0.5).failures,
+                        pooled.points.tolist(), pooled.bounds.tolist()))
+    assert outputs[0][2]  # the 1.5 local escapes psi
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+def _mismatched_witnesses():
+    """(psi, witness) pairs whose locals do not fit psi: a shared local
+    on a grid with psi's node count and other points, a countable
+    witness mixing a dim-1 and a dim-2 local, and a dim-2 shared local
+    on a dim-1 psi."""
+    space = AtomSpace(("a", "b"), [1.0, 1.0])
+    grid, far = line_grid(5), line_grid(5, 10.0, 20.0)
+    psi = Corr.constant(space, grid, PointSet.of(1, [[0.0], [1.0]]))
+    radii = np.full((2, 5), 0.3)
+    one = Corr.constant(space, grid, PointSet.of(1, [[0.5]]))
+    two = Corr.constant(space, grid, PointSet.of(2, [[0.5, 0.5]]))
+    yield psi, CipWitness.shared(far, Corr.constant(space, far, PointSet.of(1, [[0.5]])), radii)
+    yield psi, CipWitness("countable", {z: two if z % 2 else one for z in range(5)}, radii)
+    yield psi, CipWitness.shared(grid, two, radii)
+
+
+def test_every_witness_consumer_rejects_a_mismatched_witness_as_cip_verify():
+    part = InfoPartition.finest(AtomSpace(("a", "b"), [1.0, 1.0]))
+    messages = []
+    for psi, w in _mismatched_witnesses():
+        with pytest.raises(DomainError) as want:
+            cip_verify(psi, w, eps=0.5)
+        messages.append(str(want.value))
+        for call in (lambda: construct_phi(psi, w, part, eps=0.5),
+                     lambda: caratheodory_select(psi, w, part, eps=0.5, restarts=2),
+                     lambda: pool_captured(psi, w), lambda: k_operator(psi, w)):
+            with pytest.raises(DomainError) as got:
+                call()
+            assert str(got.value) == messages[-1]
+    assert messages == ["witness locals must live on psi's grid"] + [
+        "witness locals must live on psi's atoms, in psi's dim"] * 2
+
+
+def _per_node_locals(side):
+    """The hull-modulus stress case: an indexed witness on a 2-D side x side
+    lattice, 4 atoms in cells {0, 1}, {2, 3}, with one single-point
+    Corr.constant local per node, at half the node's coordinates."""
+    space = AtomSpace(("a", "b", "c", "d"), [1.0] * 4)
+    grid = GridSpace(_lattice(side, 2), mesh=1.0 / (side - 1))
+    locs = {z: Corr.constant(space, grid, PointSet.of(2, 0.5 * grid.points[z:z + 1]))
+            for z in range(len(grid))}
+    psi = Corr.constant(space, grid, PointSet.of(2, [[0.0, 0.0], [1.0, 1.0]]))
+    return psi, CipWitness("indexed", locs, {}, box=([-1.0, -1.0], [2.0, 2.0]))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_hull_modulus_in_chunks_is_the_all_pairs_bits(monkeypatch, seed):
+    """_hull_modulus measures the pairs of locals GAP_CHUNK // cells at a
+    time, each chunk over its own locals; with one chunk or many the
+    result is the all-pairs oracle's, bit for bit, including R^1 locals
+    whose rows are saturated among fewer stacked rows."""
+    rng = np.random.default_rng(seed)
+    space = AtomSpace(("a", "b", "c"), [1.0] * 3)
+    grid = GridSpace(_lattice(5, 2), mesh=0.25)
+    dim = 1 + seed % 2
+    tables = [_random_rows(rng, dim, grid) for _ in range(6)]
+    tables = [Corr(space, grid, dim, f.points, np.concatenate([f.bounds, f.bounds[:1]]))
+              for f in tables]
+    w = CipWitness("indexed", {z: tables[int(rng.integers(6))] for z in range(len(grid))}, {})
+    psi = tables[0]
+    want = all_pairs_hull_modulus(psi, w, w.groups)
+    assert want > 0.0 and len(w.groups) == 6
+    for chunk in (corr.GAP_CHUNK, 2 * psi.counts.size, 16):
+        monkeypatch.setattr(corr, "GAP_CHUNK", chunk)
+        assert corr._hull_modulus(psi, w).hex() == want.hex()
+    psi, w = _per_node_locals(5)
+    want = all_pairs_hull_modulus(psi, w, w.groups)
+    monkeypatch.setattr(corr, "GAP_CHUNK", 3 * psi.counts.size)
+    assert corr._hull_modulus(psi, w).hex() == want.hex()
+
+
+def test_hull_modulus_of_per_node_locals_stays_small():
+    # every adjacent pair joins two locals: measured all at once, their
+    # gap temporaries would trace about 389 MiB
+    psi, w = _per_node_locals(21)
+    tracemalloc.start()
+    try:
+        modulus = corr._hull_modulus(psi, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert abs(modulus - 0.5) < 1e-12

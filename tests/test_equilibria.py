@@ -236,7 +236,7 @@ def test_pooled_witness_glue_checks_match_the_reference_bytes(monkeypatch, mode)
             if mode == "countable" else p
         locs = {z: (p, twin)[z % 2] for z in range(len(p.grid))}
         witnesses.append(CipWitness(mode, locs, canonical_witness(p).radii))
-    assert len(witnesses[0].distinct_locals()) == (2 if mode == "countable" else 1)
+    assert len(witnesses[0].groups) == (2 if mode == "countable" else 1)
     new, old = _glued_both_ways(
         monkeypatch, lambda: random_equilibrium(g, prefs, witnesses, part, eps_eq))
     assert new == old

@@ -287,9 +287,9 @@ def _variants(rng, psi, w):
 def _stack_cip_reference(psi, w, eps, strict, tol=SET_EQUALITY_TOL):
     """cip_verify as it ran on the (atoms, nodes, nodes) ball stack of the
     dense metric, kept as its reference."""
-    report = CipReport(True, eps=eps)
+    report = CipReport(True)
     pi, pj = psi.grid.directed_pair_arrays()
-    groups = w.distinct_locals()
+    groups = w.groups
     tables = [f for f, _ in groups]
     radii = np.where(psi.counts > 0, w.radii, -np.inf)
     caps = _dense(psi.grid.points) < radii[:, None, :]
@@ -349,7 +349,7 @@ def test_reach_masks_and_reports_match_the_dense_ball_stack():
     rng = np.random.default_rng(3)
     for psi, w0, eps in _instances():
         for w in _variants(rng, psi, w0):
-            groups = w.distinct_locals()
+            groups = w.groups
             radii = np.where(psi.counts > 0, w.radii, -np.inf)
             caps = _dense(psi.grid.points) < radii[:, None, :]
             reach = corr._reach_masks(psi.grid, corr._ball_radii(psi, w), groups)
@@ -382,7 +382,7 @@ def test_a_ball_that_misses_its_own_centre_under_a_user_metric():
     w = CipWitness.shared(grid, psi, radii)
     want = metric < radii[:, None, :]
     assert np.array_equal(capture_matrix(psi, w), want)
-    reach = corr._reach_masks(grid, corr._ball_radii(psi, w), w.distinct_locals())
+    reach = corr._reach_masks(grid, corr._ball_radii(psi, w), w.groups)
     assert reach.tolist() == [[[False, False, True, True, True]]]
 
 

@@ -28,7 +28,8 @@ _SPANS = "a bench/tracer.py SPANS target, kept until ROADMAP item 1"
 ALLOWED_UNREFERENCED = {
     "corr.lsc_check": "acceptance criterion C1 tests it",
     "corr.usc_check": "lsc_check's u.s.c. twin: the per-atom report of the decision "
-                      "glue-usc-preserved makes for every atom at once",
+                      "glue-usc-preserved makes for every atom at once, pinned by "
+                      "tests/test_selection.py::test_usc_check_is_glue_usc_preserved_per_atom",
     "corr.k_operator": _SPANS,
     "measure.InfoPartition.trivial": "acceptance criterion C7 builds its Bayes games with it",
     "selection.grid_select": _SPANS,
@@ -327,3 +328,13 @@ def test_the_check_sees_an_unread_parameter():
 
 def test_no_unread_parameter():
     assert unread_parameters(package_sources()) == []
+
+
+def test_declared_numpy_floor_has_vecdot():
+    """The package calls np.vecdot (in caratheodory_select and in every
+    random_equilibrium), which NumPy added in 2.0, so pyproject.toml must
+    not admit an older numpy."""
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((SRC.parent.parent / "pyproject.toml").read_text())["project"]
+    floor, = (dep.split(">=")[1] for dep in project["dependencies"] if dep.startswith("numpy"))
+    assert tuple(map(int, floor.split("."))) >= (2, 0)

@@ -125,7 +125,7 @@ def _first_local_failure(f: Corr, part: InfoPartition):
 
 def _scip_measurability_reference(psi, w, part):
     failures = []
-    for f, zs in sorted(w.distinct_locals(), key=lambda group: group[1][0]):
+    for f, zs in sorted(w.groups, key=lambda group: group[1][0]):
         hit = _first_local_failure(f, part)
         if hit:
             failures.append(("measurability", hit[0], f"F_{zs[0]}", hit[1],
@@ -161,7 +161,7 @@ def _inputs_reference(psi, w, part) -> bool:
     if part.is_finest:
         return False
     n = len(psi.grid)
-    if not all(_constant_at(f, part, z) for f in [psi] + [f for f, _ in w.distinct_locals()]
+    if not all(_constant_at(f, part, z) for f in [psi] + [f for f, _ in w.groups]
                for z in range(n)):
         return False
     return all(len({None if np.isnan(w.radii[t, z]) else float(w.radii[t, z]) for t in cell}) == 1
@@ -277,7 +277,7 @@ def test_maximal_element_measurability_counts_match_per_cell_reference(seed):
     assert _check(res.checks, "preference-measurability") == \
         sum(not _constant_at(p, part, z) for z in range(6))
     assert _check(res.checks, "witness-measurability") == \
-        sum(not _constant_at(f, part, z) for f, _ in w.distinct_locals() for z in range(6))
+        sum(not _constant_at(f, part, z) for f, _ in w.groups for z in range(6))
 
 
 def test_measurability_checks_measure_a_repeated_table_once(monkeypatch):
@@ -435,7 +435,7 @@ def _planted(f: Corr, t: int, x: int) -> Corr:
 def _local_measurability_reference(w: CipWitness, part: InfoPartition) -> list:
     """scip_verify's measurability failures as the per-local loop."""
     failures = []
-    for f, zs in sorted(w.distinct_locals(), key=lambda group: group[1][0]):
+    for f, zs in sorted(w.groups, key=lambda group: group[1][0]):
         for x, t in _atom_failures(cell_varying([f], part)[0], part)[:1]:
             failures.append(("measurability", t, f"F_{zs[0]}", x, "local value not cell-constant"))
     return failures
@@ -444,7 +444,7 @@ def _local_measurability_reference(w: CipWitness, part: InfoPartition) -> list:
 def _inputs_constant_reference(psi: Corr, w: CipWitness, part: InfoPartition) -> bool:
     return (not part.is_finest and np.array_equal(w.radii, w.radii[part.head], equal_nan=True)
             and not any(cell_varying([f], part)[0].any()
-                        for f in [psi] + [f for f, _ in w.distinct_locals()]))
+                        for f in [psi] + [f for f, _ in w.groups]))
 
 
 def test_stacked_cell_constancy_matches_per_local_loop():
@@ -462,7 +462,7 @@ def test_stacked_cell_constancy_matches_per_local_loop():
             continue
         seen.add(len(part.cells))
         t = int(np.flatnonzero(part.head != np.arange(len(psi.space)))[0])
-        locs = dict(reversed(w.locals.items()))  # distinct_locals in reverse node order
+        locs = dict(reversed(w.locals.items()))  # the locals in reverse node order
         for z in rng.choice(len(psi.grid), size=2, replace=False).tolist():
             locs[z] = _planted(locs[z], t, int(rng.integers(len(psi.grid))))
         for witness in (w, CipWitness("indexed", locs, w.radii, w.box)):
@@ -497,7 +497,7 @@ def test_maximal_element_stacked_witness_measurability(seed):
     w = CipWitness("countable", locs, canonical_witness(chain).radii)
     res = maximal_element(chain, w, part)
     want = sum(np.count_nonzero(cell_varying([f], part)[0].any(axis=0))
-               for f, _ in w.distinct_locals())
+               for f, _ in w.groups)
     assert want > 0
     assert _check(res.checks, "witness-measurability") == want
     assert _check(res.checks, "preference-measurability") == \

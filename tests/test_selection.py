@@ -1487,6 +1487,36 @@ def test_semicontinuity_checks_match_per_atom_reference(dim):
     assert phi_inf and phi_finite and broken
 
 
+def test_usc_check_is_glue_usc_preserved_per_atom():
+    """usc_check, kept as the per-atom report of glue-usc-preserved's
+    decision: on the glued tables glue builds from random_cip_instance
+    selections and a fallback holding a common point c, or c and a
+    scattered point, at the grid's adjacency radius, each atom's ok is
+    the glued table's side of that decision (no absorbed gap at or above
+    the radius) and its max_gap is the largest finite absorbed gap.  The
+    fallback's one-sided gaps differ by direction ({c} lies in {c, s}),
+    so reading either side alone would change the decisions."""
+    rng = np.random.default_rng(43)
+    seen = set()
+    for _ in range(10):
+        inst = random_cip_instance(rng)
+        psi, radius = inst.psi, inst.psi.grid.adjacency_radius
+        sel = caratheodory_select(psi, inst.witness, inst.part, closed_valued=True, eps=inst.eps)
+        scatter = rng.uniform(-5.0, 5.0, size=psi.counts.shape + (psi.dim,))
+        lone = rng.uniform(size=psi.counts.shape) < 0.5
+        fallback = Corr.from_function(psi.space, psi.grid, psi.dim, lambda t, z: PointSet.of(
+            psi.dim, np.vstack([np.zeros((1, psi.dim)), scatter[t, z:z + 1 - lone[t, z]]])))
+        glued = glue(psi, sel, fallback, inst.part).glued
+        absorbed = carasel.corr._absorbed(glued.directed_gaps(), upper=True)
+        fails = (absorbed >= radius).any(axis=1)
+        for t, row in enumerate(absorbed):
+            report = usc_check(glued, t, radius)
+            assert report.ok == (not fails[t])
+            assert report.max_gap == row[~np.isnan(row)].max(initial=0.0)
+            seen.add(report.ok)
+    assert seen == {True, False}
+
+
 @pytest.mark.parametrize("eps", [0.0, -0.5, float("nan")])
 def test_phi_and_selection_reject_nonpositive_eps(jump, eps):
     space, grid, psi, witness = jump
