@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import runtime
 from .corr import (
     CipWitness,
     Corr,
@@ -43,10 +42,11 @@ DEFAULT_FIXPOINT_TOL = 1e-6
 
 @dataclass(frozen=True)
 class FixedPointProfile:
-    """Per-atom solutions of x = psi(t, x) with their residuals."""
+    """Per-atom solutions of x = psi(t, x) with their residuals, read-only
+    arrays indexed by atom."""
 
-    values: dict      # atom index -> vector
-    residuals: dict   # atom index -> float
+    values: np.ndarray     # (atoms, dim)
+    residuals: np.ndarray  # (atoms,)
     checks: CheckSet
 
 
@@ -75,18 +75,18 @@ def random_fixed_point(
     tol: float = DEFAULT_FIXPOINT_TOL,
     eps: float = None,
 ) -> FixedPointProfile:
-    """Solve x = psi-selection(t, x) atom by atom.
+    """Solve x = psi-selection(t, x) at every atom.
 
     Runs the certified closed-valued selection, its phi checks at the
     l.s.c. tolerance eps (default: the grid's adjacency radius), and
     solves its piecewise-linear extension over a triangulation of the
     grid (_faces) exactly.  On a face with displacements g_i, the KKT
     block [[G G^T, 1], [1^T, 0]] gives the weights l, sum l = 1, of the
-    least |sum l_i g_i|: one batched solve per face size.  Skipping
-    singular blocks loses no fixed point (by Caratheodory).  Of the faces
-    with l >= 0, takes the point within tol nearest the grid barycenter,
-    ties to the earlier face in (size, vertices) order, else reports the
-    least residual.
+    least |sum l_i g_i|: one batched solve per face size over every
+    (atom, face) block.  Skipping singular blocks loses no fixed point
+    (by Caratheodory).  Per atom, of the faces with l >= 0, takes the
+    point within tol nearest the grid barycenter, ties to the earlier
+    face in (size, vertices) order, else reports the least residual.
     """
     if part is None:
         part = InfoPartition.finest(psi.space)
@@ -98,28 +98,30 @@ def random_fixed_point(
     faces = _faces(grid.points)
     bary = grid.points.mean(axis=0)
     sel = caratheodory_select(psi, w, part, closed_valued=True, eps=eps)
-
-    def solve_atom(t: int) -> tuple[np.ndarray, float]:
-        disp = sel.table[t] - grid.points
-        xs, res = [], []
-        for f in faces:
-            g, k = disp[f], f.shape[1]
-            K = np.ones((len(f), k + 1, k + 1))
-            K[:, :k, :k] = g @ g.transpose(0, 2, 1)
-            K[:, k, k] = 0.0
-            lam, singular = _solve_blocks(K, np.eye(k + 1)[k])
-            keep = ~singular & (lam >= 0).all(axis=1)
-            lam = lam[keep] / lam[keep].sum(axis=1, keepdims=True)
-            xs.append(np.einsum("fk,fkd->fd", lam, grid.points[f[keep]]))
-            res.append(np.linalg.norm(np.einsum("fk,fkd->fd", lam, g[keep]), axis=1))
-        x, r = np.concatenate(xs), np.concatenate(res)
-        key = np.where(r <= tol, np.linalg.norm(x - bary, axis=1), np.inf)
-        best = int((key if (r <= tol).any() else r).argmin())
-        return x[best], float(r[best])
-
-    solved = runtime.atom_map(solve_atom, range(len(psi.space)))
-    values, residuals = (dict(enumerate(column)) for column in zip(*solved))
-    worst = max(residuals.values())
+    disp = sel.table - grid.points  # (atoms, nodes, dim)
+    n = len(psi.space)
+    xs, res = [], []  # per face size, (atoms, faces, dim) and (atoms, faces)
+    for f in faces:
+        g, k = disp[:, f], f.shape[1]
+        K = np.ones((n, len(f), k + 1, k + 1))
+        K[..., :k, :k] = g @ g.swapaxes(-1, -2)
+        K[..., k, k] = 0.0
+        lam, singular = _solve_blocks(K.reshape(-1, k + 1, k + 1), np.eye(k + 1)[k])
+        t, j = np.nonzero((~singular & (lam >= 0).all(axis=1)).reshape(n, len(f)))
+        lam = lam.reshape(n, len(f), k)[t, j]
+        lam /= lam.sum(axis=1, keepdims=True)
+        x, r = np.zeros((n, len(f), grid.dim)), np.full((n, len(f)), np.inf)
+        x[t, j] = np.einsum("fk,fkd->fd", lam, grid.points[f[j]])
+        r[t, j] = np.linalg.norm(np.einsum("fk,fkd->fd", lam, g[t, j]), axis=1)
+        xs.append(x)
+        res.append(r)
+    x, r = np.concatenate(xs, axis=1), np.concatenate(res, axis=1)
+    solved = r <= tol
+    key = np.where(solved, np.linalg.norm(x - bary, axis=2), np.inf)
+    best = np.where(solved.any(axis=1), key.argmin(axis=1), r.argmin(axis=1))
+    values, residuals = x[np.arange(n), best], r[np.arange(n), best]
+    values.flags.writeable = residuals.flags.writeable = False
+    worst = float(residuals.max())
     if worst > tol:
         raise NoCertificateError(f"fixed-point residual {worst:.3e} exceeds tol {tol:g} (0 is "
                                  "reached whenever the selection maps the grid's hull into "
@@ -249,7 +251,7 @@ class EquilibriumCertificate:
     """A per-atom joint profile with exhaustive per-player regrets and
     the executed checks."""
 
-    profile: dict              # atom index -> joint vector
+    profile: np.ndarray        # (atoms, joint dim) read-only, the joint node per atom
     profile_indices: dict      # atom index -> flat joint node index
     regrets: dict              # (atom index, player index) -> float
     checks: CheckSet
@@ -323,10 +325,9 @@ def _payoff_cell_constancy(g: GameSpec, part: InfoPartition) -> float:
     return float(np.abs(u - u[:, part.head]).max())
 
 
-def _profile_cell_constancy(profile: dict, part: InfoPartition) -> float:
-    """The largest distance between an atom's profile and its cell head's."""
-    x = np.array([profile[t] for t in range(len(part.head))])
-    diff = x - x[part.head]
+def _profile_cell_constancy(profile: np.ndarray, part: InfoPartition) -> float:
+    """The largest distance between an atom's profile row and its cell head's."""
+    diff = profile - profile[part.head]
     return float(np.sqrt(np.vecdot(diff, diff)).max())
 
 
@@ -419,6 +420,10 @@ def random_equilibrium(
         raise DomainError("eps_eq must be nonnegative")
     if not len(prefs) == len(witnesses) == g.n_players:
         raise DomainError("one preference table and one witness per player are required")
+    for i, (p, own) in enumerate(zip(prefs, g.strategy_grids)):
+        if p.dim != own.dim:
+            raise DomainError(f"player {i}'s preferred sets need values in R^{own.dim}, "
+                              "the player's own strategy space")
     _check_irreflexivity(g, prefs)
 
     checks = CheckSet()
@@ -432,7 +437,8 @@ def random_equilibrium(
     table = np.array([[g.regret_table(i, t) for i in range(g.n_players)]
                       for t in range(len(g.state_space))])
     flat = table.max(axis=1).argmin(axis=1)
-    profile = {t: g.joint_nodes()[k].copy() for t, k in enumerate(flat.tolist())}
+    profile = g.joint_nodes()[flat]
+    profile.flags.writeable = False
     indices = dict(enumerate(flat.tolist()))
     regrets = {(t, i): float(r) for t, row in enumerate(table[np.arange(len(flat)), :, flat])
                for i, r in enumerate(row)}
@@ -515,7 +521,8 @@ def bayes_equilibrium(
 ) -> EquilibriumCertificate:
     """Certify a Bayesian equilibrium: build the conditional-expectation
     game and solve it as a random game against the information partition.
-    The profile must come out constant on every information cell."""
+    The profile must come out constant on every information cell, as
+    random_nash's profile-measurability check measures it."""
     for i, declared in enumerate(b.game.concavity_declared):
         if not declared:
             raise PreconditionError(
@@ -523,7 +530,7 @@ def bayes_equilibrium(
             )
     derived = derived_bayes_game(b)
     cert = random_nash(derived, b.partition, eps_eq, strict_margin=strict_margin, seed=seed)
-    gap = _profile_cell_constancy(cert.profile, b.partition)
+    gap = next(c.residual for c in cert.checks if c.name == "profile-measurability")
     if gap > SET_EQUALITY_TOL:
         raise ConstructionError(
             f"equilibrium profile varies by {gap:.3e} inside an information cell"
@@ -533,10 +540,11 @@ def bayes_equilibrium(
 
 @dataclass(frozen=True)
 class MaximalResult:
-    """Per-atom maximal elements: nodes with empty preferred set."""
+    """Per-atom maximal elements: nodes with empty preferred set, as
+    read-only arrays indexed by atom."""
 
-    values: dict   # atom index -> vector
-    indices: dict  # atom index -> node index
+    values: np.ndarray   # (atoms, dim)
+    indices: np.ndarray  # (atoms,) node indices
     checks: CheckSet
 
 
@@ -552,6 +560,8 @@ def maximal_element(
     runs the selection-plus-fallback construction, and returns the
     lexicographically first empty-preference node per atom."""
     grid = p.grid
+    if p.dim != grid.dim:
+        raise DomainError(f"preferred sets need values in R^{grid.dim}, the grid's space")
     hit = _reflexive_at(p, grid.points)
     if hit is not None:
         raise PreconditionError(f"irreflexivity violated at atom {hit[0]}, node {hit[1]}")
@@ -570,20 +580,15 @@ def maximal_element(
     if p.counts.any():
         _add_glue_checks(checks, p, w, part, grid.points)
 
-    values, indices = {}, {}
-    missing = []
-    for t in range(len(p.space)):
-        empty_nodes = np.flatnonzero(p.counts[t] == 0)
-        if not len(empty_nodes):
-            missing.append(t)
-            continue
-        z = int(empty_nodes[0])
-        indices[t] = z
-        values[t] = grid.points[z].copy()
+    empty = p.counts == 0
+    missing = np.flatnonzero(~empty.any(axis=1)).tolist()
     if missing:
         raise NoCertificateError(
             f"no empty-preference node at atoms {missing}", best_residual=float(len(missing))
         )
+    indices = empty.argmax(axis=1)
+    values = grid.points[indices]
+    indices.flags.writeable = values.flags.writeable = False
     checks.add("maximal-emptiness", 0.0, 0.0,
                "every atom carries a node with empty preferred set")
     return MaximalResult(values, indices, checks)

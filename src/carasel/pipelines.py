@@ -55,10 +55,6 @@ def _provenance(doc: dict, opts: dict) -> dict:
     }
 
 
-def _vector(v) -> list:
-    return [float(x) for x in np.asarray(v, dtype=float).reshape(-1)]
-
-
 def _selection_records(space, sel) -> list:
     t, z = np.nonzero(sel.domain)
     return [{"atom": space.atoms[a], "node": n, "value": v}
@@ -150,21 +146,19 @@ def run_fixpoint(doc: dict, opts: dict) -> Certificate:
     checks.extend(profile.checks)
     outputs = {
         "fixed_points": [
-            {"atom": space.atoms[t], "value": _vector(v),
-             "residual": profile.residuals[t]}
-            for t, v in sorted(profile.values.items())
+            {"atom": a, "value": v, "residual": r}
+            for a, v, r in zip(space.atoms, profile.values.tolist(), profile.residuals.tolist())
         ],
     }
     return Certificate("ok" if checks.ok else "failed", "fixpoint", checks, outputs)
 
 
-def _profile_outputs(space, cert) -> dict:
-    n_players = max(i for (_, i) in cert.regrets) + 1
+def _profile_outputs(game, cert) -> dict:
     return {
         "profile": [
-            {"atom": space.atoms[t], "value": _vector(v),
-             "regrets": [cert.regrets[(t, i)] for i in range(n_players)]}
-            for t, v in sorted(cert.profile.items())
+            {"atom": a, "value": v,
+             "regrets": [cert.regrets[(t, i)] for i in range(game.n_players)]}
+            for t, (a, v) in enumerate(zip(game.state_space.atoms, cert.profile.tolist()))
         ],
         "worst_regret": cert.worst_regret,
     }
@@ -177,7 +171,7 @@ def run_nash(doc: dict, opts: dict) -> Certificate:
                        strict_margin=opts["strict_margin"], seed=opts["seed"])
     return Certificate(
         "ok" if cert.checks.ok else "failed", "nash", cert.checks,
-        _profile_outputs(game.state_space, cert), warnings=cert.warnings,
+        _profile_outputs(game, cert), warnings=cert.warnings,
     )
 
 
@@ -188,7 +182,7 @@ def run_bayes(doc: dict, opts: dict) -> Certificate:
                              strict_margin=opts["strict_margin"], seed=opts["seed"])
     return Certificate(
         "ok" if cert.checks.ok else "failed", "bayes", cert.checks,
-        _profile_outputs(game.state_space, cert), warnings=cert.warnings,
+        _profile_outputs(game, cert), warnings=cert.warnings,
     )
 
 
@@ -197,8 +191,8 @@ def run_maximal(doc: dict, opts: dict) -> Certificate:
     result = maximal_element(pref, witness, part)
     outputs = {
         "maximal": [
-            {"atom": space.atoms[t], "node": result.indices[t], "value": _vector(v)}
-            for t, v in sorted(result.values.items())
+            {"atom": a, "node": z, "value": v}
+            for a, z, v in zip(space.atoms, result.indices.tolist(), result.values.tolist())
         ],
     }
     return Certificate("ok" if result.checks.ok else "failed", "maximal",

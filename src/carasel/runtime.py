@@ -1,7 +1,8 @@
 """Per-atom fan-out.
 
-Atoms decouple in every pipeline; per-atom work goes through atom_map,
-which runs it in atom order, so the output never depends on scheduling.
+atom_map runs per-atom work in atom order, so the output never depends
+on scheduling.  No package code calls it, since every pipeline solves
+its atoms in batched array passes; bench/tracer.py still traces it.
 """
 
 from __future__ import annotations

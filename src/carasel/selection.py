@@ -74,9 +74,6 @@ class Selection:
         t, z = np.nonzero(self.domain)
         return MappingProxyType(dict(zip(zip(t.tolist(), z.tolist()), self.table[t, z])))
 
-    def value(self, t: int, z: int) -> np.ndarray:
-        return self.values[(t, z)]
-
 
 @dataclass
 class PhiResult:

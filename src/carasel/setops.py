@@ -406,11 +406,6 @@ class _WarmProjector:
         self.support = np.zeros((B, m), dtype=bool)
         self.support[:, 0] = True
 
-    @property
-    def cached(self) -> np.ndarray:
-        """The hulls that hold a cached support."""
-        return self.floor[0] < np.inf
-
     def project(self, X: np.ndarray, rows) -> np.ndarray:
         """The projection of every X[k] onto hull rows[k] (distinct)."""
         P, _, ok = self._warm(X, rows)

@@ -8,7 +8,7 @@ import pytest
 
 from carasel import AtomSpace, CipWitness, Corr, DomainError, GridSpace, PointSet
 from carasel.corr import _ball_radii, _packed_gaps, _stacked
-from carasel.setops import DEDUP_TOL, _cross_dists
+from carasel.setops import DEDUP_TOL, _cross_dists, _solve_blocks
 
 
 def jump_problem():
@@ -127,3 +127,36 @@ def hausdorff_by_bisection(a: PointSet, b: PointSet) -> float:
         else:
             lo = mid
     return hi
+
+
+def fixed_points_per_atom(table: np.ndarray, points: np.ndarray, faces: list,
+                          tol: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """The per-atom fixed-point solve random_fixed_point made before it
+    batched the atoms, as an oracle.  Per atom t, over the displacements
+    table[t] - points: each face size's KKT blocks solved together, the
+    faces with nonsingular blocks and nonnegative weights kept in (size,
+    face) order, and of their points the one within tol nearest the
+    barycenter of points (first on ties), else the least residual.
+    (values, residuals, singular blocks met), values (atoms, dim)."""
+    bary = points.mean(axis=0)
+    values, residuals, n_singular = [], [], 0
+    for t in range(len(table)):
+        disp = table[t] - points
+        xs, res = [], []
+        for f in faces:
+            g, k = disp[f], f.shape[1]
+            K = np.ones((len(f), k + 1, k + 1))
+            K[:, :k, :k] = g @ g.transpose(0, 2, 1)
+            K[:, k, k] = 0.0
+            lam, singular = _solve_blocks(K, np.eye(k + 1)[k])
+            n_singular += int(singular.sum())
+            keep = ~singular & (lam >= 0).all(axis=1)
+            lam = lam[keep] / lam[keep].sum(axis=1, keepdims=True)
+            xs.append(np.einsum("fk,fkd->fd", lam, points[f[keep]]))
+            res.append(np.linalg.norm(np.einsum("fk,fkd->fd", lam, g[keep]), axis=1))
+        x, r = np.concatenate(xs), np.concatenate(res)
+        key = np.where(r <= tol, np.linalg.norm(x - bary, axis=1), np.inf)
+        best = int((key if (r <= tol).any() else r).argmin())
+        values.append(x[best])
+        residuals.append(r[best])
+    return np.array(values), np.array(residuals), n_singular

@@ -165,7 +165,7 @@ def test_c4_selection_validity(cip_pool):
         all_ok &= np.isfinite(sel.modulus) and set(sel.values) == domain(inst.psi)
         for (t, z) in sel.values:
             hull = ConvexSet(inst.psi.dim, inst.psi.value(t, z).points)
-            all_ok &= convex_distance(sel.value(t, z), hull) <= 1e-7
+            all_ok &= convex_distance(sel.values[t, z], hull) <= 1e-7
 
     rng = np.random.default_rng(999)
     series_ok = True

@@ -3,6 +3,7 @@ certificates, conditional-expectation payoffs."""
 
 import hashlib
 import itertools
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +41,7 @@ import carasel.equilibria
 import carasel.problems
 import carasel.selection
 from carasel.corr import SET_EQUALITY_TOL, _segments
-from carasel.equilibria import _reflexive_at
+from carasel.equilibria import DEFAULT_FIXPOINT_TOL, _faces, _reflexive_at
 from carasel.grid import METRIC_BLOCK
 from carasel.pipelines import run_problem
 from carasel.problems import canonical_json, parse_problem
@@ -48,7 +49,7 @@ from carasel.reporting import CheckSet
 from carasel.selection import DEFAULT_SELECTION_TOL, _glue_table, _glued_phi, _select_table
 from carasel.setops import ConvexSet, _segment_rows, convex_membership
 
-from conftest import line_grid, single_atom
+from conftest import fixed_points_per_atom, line_grid, single_atom
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -155,6 +156,76 @@ def test_fixed_point_requires_total_domain():
     )
     with pytest.raises(PreconditionError):
         random_fixed_point(psi, canonical_witness(psi))
+
+
+def _fixed_point_layout(rng, dim: int, kind: str) -> Corr:
+    """A table on 2-9 (R^1) or 4-9 (R^2) random nodes, or on the integer
+    lattice of 2-9 (R^1) or 4 or 9 (R^2) nodes, whose symmetry ties the
+    nearest points to the barycenter, with 1-4 atoms, each atom's cells holding an affine map's image of the node, for some
+    atoms with a second point within 1e-3.  kind "contract": maps fixing
+    the nodes' mean c; "singular": the identity, or in R^2 the map x ->
+    (x_0, c_1), whose displacements are 0, or collinear, up to rounding,
+    so singular KKT blocks occur; "off": one atom's map fixes a point far
+    outside the hull, so no face solves it within tol."""
+    n = int(rng.integers(2 if dim == 1 else 4, 10))
+    if rng.random() < 0.5:
+        grid = GridSpace(rng.uniform(size=(n, dim)))
+    else:
+        side = n if dim == 1 else int(rng.integers(2, 4))
+        grid = GridSpace(np.array(list(itertools.product(range(side), repeat=dim)), dtype=float))
+    atoms = int(rng.integers(1, 5))
+    space = AtomSpace(tuple(f"a{t}" for t in range(atoms)), [1.0] * atoms)
+    c = grid.points.mean(axis=0)
+    maps = []  # per atom x -> b + A (x - c), and whether cells hold a second point
+    for t in range(atoms):
+        A, b = rng.uniform(-0.9, 0.9, size=(dim, dim)) / dim, c
+        if kind == "singular":
+            A = np.diag([1.0, 0.0]) if dim == 2 and rng.random() < 0.5 else np.eye(dim)
+        elif kind == "off" and t == 0:
+            b = c + 3.0 * (1.0 + rng.random(dim))
+        maps.append((A, b, kind != "singular" and rng.random() < 0.5))
+
+    def cell(t, z):
+        A, b, pair = maps[t]
+        y = b + A @ (grid.points[z] - c)
+        return PointSet.of(dim, [y, y + 1e-3 * rng.uniform(-1.0, 1.0, dim)] if pair else [y])
+
+    return Corr.from_function(space, grid, dim, cell)
+
+
+def test_fixed_points_match_the_per_atom_reference():
+    """random_fixed_point's one batched solve per face size over every
+    (atom, face) block equals the per-atom solve it replaced
+    (conftest.fixed_points_per_atom) bit for bit, on 48 seeded layouts
+    in R^1 and R^2 with 1-4 atoms: the read-only values and residuals
+    where it certifies; where an atom has no face within tol (the
+    least-residual path), the best residual it raises with."""
+    select = carasel.equilibria.caratheodory_select
+    seen = Counter()
+    for seed in range(48):
+        rng = np.random.default_rng(seed)
+        dim, kind = 1 + seed % 2, ("contract", "singular", "off")[seed // 2 % 3]
+        psi = _fixed_point_layout(rng, dim, kind)
+        sels = []
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(carasel.equilibria, "caratheodory_select",
+                      lambda *args, **kwargs: sels.append(select(*args, **kwargs)) or sels[-1])
+            try:
+                prof, err = random_fixed_point(psi, canonical_witness(psi)), None
+            except NoCertificateError as e:
+                prof, err = None, e
+        values, residuals, singular = fixed_points_per_atom(
+            sels[0].table, psi.grid.points, _faces(psi.grid.points), DEFAULT_FIXPOINT_TOL)
+        if err is None:
+            assert prof.values.tobytes() == values.tobytes()
+            assert prof.residuals.tobytes() == residuals.tobytes()
+            assert not prof.values.flags.writeable and not prof.residuals.flags.writeable
+        else:
+            assert err.best_residual == residuals.max() > DEFAULT_FIXPOINT_TOL
+        seen[dim, kind, err is None, singular > 0] += 1
+    for dim in (1, 2):
+        assert seen[dim, "contract", True, False] and seen[dim, "singular", True, True]
+        assert sum(seen[dim, "off", False, s] for s in (False, True)) == 8
 
 
 # ------------------------------------------- gluing without the certificate
@@ -523,7 +594,7 @@ def test_random_nash_certificate_matches_one_segment_per_cell_layout(cells, monk
     assert all(len(original(g, i).segment_index()[0]) < len(p.segment_index()[0])
                for i, p in enumerate(separate_prefs))
     assert shared.profile_indices == separate_cert.profile_indices
-    assert all(np.array_equal(shared.profile[t], separate_cert.profile[t]) for t in shared.profile)
+    assert np.array_equal(shared.profile, separate_cert.profile)
     assert shared.regrets == separate_cert.regrets
     assert shared.warnings == separate_cert.warnings
     assert [(c.name, c.residual, c.tolerance, c.detail) for c in shared.checks] == \
@@ -646,6 +717,19 @@ def test_random_equilibrium_needs_one_table_per_player():
         random_equilibrium(g, [p], [canonical_witness(p)], InfoPartition.finest(space), 0.0)
 
 
+@pytest.mark.parametrize("value", [[[1.0]], [[5.0]]], ids=["reflexive", "far"])
+def test_random_equilibrium_rejects_a_table_of_another_dim(value):
+    # player 1 plays on a 2-D grid but is handed a 1-D preference table
+    space = single_atom()
+    xs = np.array([0.0, 1.0])
+    grids = (line_grid(3), GridSpace(np.array([[a, b] for a in xs for b in xs])))
+    g = GameSpec(("p", "q"), space, grids, (lambda t, x: 0.0, lambda t, x: 0.0), (True, True))
+    prefs = [pref_from_payoff(g, 0), Corr.constant(space, g.joint_grid(), PointSet.of(1, value))]
+    with pytest.raises(DomainError, match=r"player 1's preferred sets need values in R\^2"):
+        random_equilibrium(g, prefs, [canonical_witness(p) for p in prefs],
+                           InfoPartition.finest(space), 0.0)
+
+
 def test_random_nash_zero_payoffs():
     space = single_atom()
     g = two_player_game(space, (lambda t, x: 0.0, lambda t, x: 0.0), n_nodes=5)
@@ -732,8 +816,8 @@ def nash_21x21_certificate() -> str:
         selections.append([hashlib.sha256(table.tobytes()).hexdigest(), worst])
     return canonical_json({
         "checks": [c.as_dict() for c in cert.checks],
-        "profile": [[t, cert.profile_indices[t], [float(x) for x in v]]
-                    for t, v in sorted(cert.profile.items())],
+        "profile": [[t, cert.profile_indices[t], v]
+                    for t, v in enumerate(cert.profile.tolist())],
         "regrets": [[t, i, r] for (t, i), r in sorted(cert.regrets.items())],
         "selections": selections,
         "warnings": list(cert.warnings),
@@ -824,8 +908,8 @@ def test_bayes_cell_takes_its_heads_solve_bit_for_bit(monkeypatch):
     def text(cert):
         return canonical_json({
             "checks": [c.as_dict() for c in cert.checks],
-            "profile": [[t, cert.profile_indices[t], [float(x) for x in v]]
-                        for t, v in sorted(cert.profile.items())],
+            "profile": [[t, cert.profile_indices[t], v]
+                        for t, v in enumerate(cert.profile.tolist())],
             "regrets": [[t, i, r] for (t, i), r in sorted(cert.regrets.items())],
             "selections": [[hashlib.sha256(x.tobytes()).hexdigest(), worst] for x, worst in tables],
             "warnings": list(cert.warnings),
@@ -931,6 +1015,62 @@ def test_maximal_utility_induced_argmax():
         assert res.values[t][0] == pytest.approx(centers[t], abs=1e-12)
     names = {c.name for c in res.checks}
     assert "preference-measurability" in names and "witness-measurability" in names
+
+
+def _maximal_reference(p):
+    """The per-atom loop maximal_element ran before its one argmax: per
+    atom the first node with an empty preferred set, as (indices, values)
+    dicts, and the atoms that have none."""
+    values, indices, missing = {}, {}, []
+    for t in range(len(p.space)):
+        empty_nodes = np.flatnonzero(p.counts[t] == 0)
+        if not len(empty_nodes):
+            missing.append(t)
+            continue
+        indices[t] = int(empty_nodes[0])
+        values[t] = p.grid.points[indices[t]].copy()
+    return indices, values, missing
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_maximal_element_matches_per_atom_reference(seed):
+    # strict improvements of a rounded concave payoff on a random line
+    # grid: ties leave several nodes empty, so the first must win
+    rng = np.random.default_rng(seed)
+    atoms = int(rng.integers(1, 5))
+    space = AtomSpace(tuple(f"a{t}" for t in range(atoms)), [1.0] * atoms)
+    grid = GridSpace(rng.uniform(size=(int(rng.integers(2, 12)), 1)))
+    c = rng.uniform(size=atoms)
+    g = GameSpec(("p",), space, (grid,), (lambda t, x: round(-(x[0] - c[t]) ** 2, 2),), (True,))
+    p = pref_from_payoff(g, 0)
+    res = maximal_element(p, canonical_witness(p), InfoPartition.finest(space))
+    indices, values, missing = _maximal_reference(p)
+    assert not missing and res.indices.tolist() == [indices[t] for t in range(atoms)]
+    assert res.values.tobytes() == np.array([values[t] for t in range(atoms)]).tobytes()
+    assert not res.indices.flags.writeable and not res.values.flags.writeable
+
+
+def test_maximal_no_empty_node_names_every_such_atom():
+    # atom 0 ranks the nodes, atoms 1 and 2 prefer the other end at each end
+    space = AtomSpace(("a", "b", "c"), [1.0] * 3)
+    grid = line_grid(5)
+    p = Corr.from_function(space, grid, 1, lambda t, z: (
+        PointSet.empty(1) if t == 0 and z == 4 else
+        PointSet.of(1, [[grid.points[4 if t == 0 or z == 0 else 0, 0]]])))
+    assert _maximal_reference(p)[2] == [1, 2]
+    with pytest.raises(NoCertificateError, match=r"no empty-preference node at atoms \[1, 2\]"):
+        maximal_element(p, canonical_witness(p), InfoPartition.finest(space))
+
+
+@pytest.mark.parametrize("value", [[[0.5]], [[5.0]], []], ids=["reflexive", "far", "empty"])
+def test_maximal_element_rejects_a_table_of_another_dim(value):
+    # a 1-D preference table on a 2-D grid: once decided on its first
+    # coordinate alone, now refused whatever it holds
+    xs = np.array([0.0, 0.5, 1.0])
+    grid = GridSpace(np.array([[a, b] for a in xs for b in xs]))
+    p = Corr.constant(single_atom(), grid, PointSet.of(1, value) if value else PointSet.empty(1))
+    with pytest.raises(DomainError, match=r"preferred sets need values in R\^2"):
+        maximal_element(p, canonical_witness(p), InfoPartition.finest(p.space))
 
 
 def test_maximal_no_empty_node_raises():

@@ -152,7 +152,7 @@ def _selection_constant_at(sel: Selection, part: InfoPartition, z: int) -> bool:
         if present and len(present) != len(cell):
             return False
         for t in present[1:]:
-            if np.linalg.norm(sel.value(t, z) - sel.value(present[0], z)) > SET_EQUALITY_TOL:
+            if np.linalg.norm(sel.values[t, z] - sel.values[present[0], z]) > SET_EQUALITY_TOL:
                 return False
     return True
 
@@ -384,7 +384,7 @@ def test_payoff_and_profile_residuals_match_per_cell_reference(seed):
                 worst = max(worst, float(gap))
     assert _payoff_cell_constancy(g, part) == worst
 
-    profile = {t: rng.uniform(0.0, 1.0, size=2) for t in range(5)}
+    profile = rng.uniform(0.0, 1.0, size=(5, 2))
     for t in range(5):
         head = part.cell_of(t)[0]
         if t != head and rng.random() < 0.5:

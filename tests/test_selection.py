@@ -158,7 +158,7 @@ def test_grid_select_sliding_intervals_members():
     # with all values outside what the solve certifies (membership only)
     for z in range(5):
         candidates = np.linspace(grid.points[z, 0], grid.points[z, 0] + 1.0, 21)
-        assert any(abs(sel.value(0, z)[0] - c) <= 0.05 + 1e-9 for c in candidates)
+        assert any(abs(sel.values[0, z][0] - c) <= 0.05 + 1e-9 for c in candidates)
 
 
 def _neighbors(grid, z):
@@ -307,7 +307,7 @@ def test_grid_select_is_a_row_of_the_closed_valued_selection(dim, monkeypatch):
         for t in range(len(phi.space)):
             one = grid_select(phi, t, tol=1e-7)
             assert list(one.values) == [(t, z) for z in np.flatnonzero(phi.counts[t]).tolist()]
-            assert all(v.tobytes() == sel.value(*key).tobytes() for key, v in one.values.items())
+            assert all(v.tobytes() == sel.values[key].tobytes() for key, v in one.values.items())
             assert one.membership_residual <= 1e-7 and np.isfinite(one.modulus)
             assert [c.name for c in one.checks] == ["selection-membership"] and one.checks.ok
         solved += 1
@@ -377,7 +377,7 @@ def test_select_jump_is_zero_with_zero_modulus(jump):
     assert sel.modulus == 0.0
     assert set(sel.values) == domain(psi)
     for (t, z) in sel.values:
-        assert np.allclose(sel.value(t, z), [0.0])
+        assert np.allclose(sel.values[t, z], [0.0])
     assert sel.checks.ok
 
 
@@ -387,7 +387,7 @@ def test_select_triangle_single_node():
     tri = PointSet.of(2, [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     psi = Corr.constant(space, grid, tri)
     sel = caratheodory_select(psi, canonical_witness(psi), InfoPartition.finest(space))
-    v = sel.value(0, 0)
+    v = sel.values[0, 0]
     assert convex_membership(v, ConvexSet(tri.dim, tri.points), 1e-9)
 
 
@@ -404,7 +404,7 @@ def test_select_sliding_intervals_closed_branch():
                               InfoPartition.finest(space), closed_valued=True)
     for z in range(5):
         lo = grid.points[z, 0]
-        assert lo - 1e-9 <= sel.value(0, z)[0] <= lo + 1.0 + 1e-9
+        assert lo - 1e-9 <= sel.values[0, z][0] <= lo + 1.0 + 1e-9
 
 
 def test_select_series_branch_stays_inside():
@@ -437,7 +437,7 @@ def test_select_measurability_under_coarse_partition():
     assert names["selection-measurability"].ok
     assert "trivially" not in names["selection-measurability"].detail
     for z in range(6):
-        assert np.array_equal(sel.value(0, z), sel.value(1, z))
+        assert np.array_equal(sel.values[0, z], sel.values[1, z])
 
 
 def test_series_selection_measurable_under_coarse_partitions():
@@ -814,7 +814,7 @@ def test_least_modulus_matches_the_shortest_path_oracle(table):
     part = InfoPartition(space, ((0, last),) + tuple((t,) for t in range(1, last)))
     sel = caratheodory_select(psi, canonical_witness(psi), part)
     assert next(c for c in sel.checks if c.name == "selection-measurability").ok
-    assert all(sel.value(0, z).tobytes() == sel.value(last, z).tobytes()
+    assert all(sel.values[0, z].tobytes() == sel.values[last, z].tobytes()
                for z in np.flatnonzero(psi.counts[0]))
 
 
@@ -839,7 +839,7 @@ def test_least_modulus_raises_past_the_adjacent_bound():
     assert x[:, 0].tolist() == [1.0, 0.5, 0.0] and bound.tolist() == [0.5]
     assert _modulus(x, edges) == 0.5
     sel = grid_select(psi, 0, tol=1e-9)
-    assert [sel.value(0, z)[0] for z in range(3)] == [1.0, 0.5, 0.0] and sel.modulus == 0.5
+    assert [sel.values[0, z][0] for z in range(3)] == [1.0, 0.5, 0.0] and sel.modulus == 0.5
 
 
 # The per-cell R^1 solve as it stood before the envelopes moved to
@@ -1106,7 +1106,7 @@ def test_caratheodory_select_makes_one_sweep_and_one_draw_per_atom(monkeypatch):
     assert len(sweeps) == 1 and len(draws) == 2
     assert all(d.shape == (4, 6 * 3) for d in draws)  # (restarts - 1, points of the atom)
     assert not np.array_equal(draws[0], draws[1])
-    assert all(np.array_equal(sel.value(0, z), sel.value(2, z)) for z in range(6))
+    assert all(np.array_equal(sel.values[0, z], sel.values[2, z]) for z in range(6))
 
 
 @st.composite

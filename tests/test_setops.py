@@ -789,7 +789,7 @@ def test_warm_projection_sends_a_singular_support_to_the_kernel(monkeypatch):
     tri = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]
     step = _WarmProjector(np.array([tri, tri]))
     step._factor(np.arange(2), np.array([[True, True, False, True], [True, True, False, False]]))
-    assert step.cached.tolist() == [False, True]
+    assert (step.floor[0] < np.inf).tolist() == [False, True]
     sent = []
     kernel = setops._nearest_in_hulls
     monkeypatch.setattr(setops, "_nearest_in_hulls",
@@ -798,7 +798,7 @@ def test_warm_projection_sends_a_singular_support_to_the_kernel(monkeypatch):
     assert np.allclose(step.project(X, np.arange(2)), [[0.5, 0.0], [0.25, 0.0]],
                        rtol=0.0, atol=1e-15)
     assert sent == [1]
-    assert step.cached.all() and step.support.tolist() == [[True, True, False, False]] * 2
+    assert (step.floor[0] < np.inf).all() and step.support.tolist() == [[True, True, False, False]] * 2
 
 
 def test_warm_projection_in_r1_always_takes_the_closed_form(monkeypatch):
@@ -816,7 +816,7 @@ def test_warm_projection_in_r1_always_takes_the_closed_form(monkeypatch):
         got = step.project(X, np.arange(7))
         want = _project_to_intervals(X[:, 0], V.min(axis=1)[:, 0], V.max(axis=1)[:, 0])
         assert got[:, 0].tobytes() == want.tobytes()
-    assert sent == [7, 7, 7] and not step.cached.any()
+    assert sent == [7, 7, 7] and not (step.floor[0] < np.inf).any()
 
 
 @st.composite
@@ -866,7 +866,7 @@ def test_warm_projection_stays_within_the_band_of_the_cold_kernel_along_moving_p
             planted = np.zeros((len(V), m), dtype=bool)
             planted[:, 0] = planted[:, -1] = True
             step._factor(rows, planted)
-            assert np.array_equal(step.cached, (V[:, -1] != V[:, 0]).any(axis=1))
+            assert np.array_equal(step.floor[0] < np.inf, (V[:, -1] != V[:, 0]).any(axis=1))
 
 
 def test_warm_projection_of_one_point_hulls_is_the_point(monkeypatch):
