@@ -27,6 +27,8 @@ from .setops import (
     _distinct,
     _distinct_segments,
     _padded_rows,
+    _project_to_intervals,
+    _row_ends,
     _segment_rows,
     segment_distances,
     segment_margins,
@@ -123,14 +125,17 @@ class Corr:
         one outside is nearest to the nearer end; as fl(a - b) is
         monotone in a and b and fl(d * d) in |d|, the gap is the root of
         the square of the larger overhang, max(lo_t - lo_s, hi_s - hi_t,
-        0.0), bit for bit the kernel's.  In any other dim two single
-        points are measured in closed form.  Every other distinct pair
-        of segments is measured once, by sorted rows in R^1 and padded
-        blocks otherwise.  A table whose nonempty cells all hold one
-        segment is read from its counts alone.  Only gaps are kept:
-        lsc_check and usc_check find the point behind a gap they report.
-        Cached (the table is immutable); cip_verify fills the caches of
-        all witness locals in one such call (_cache_gaps)."""
+        0.0), bit for bit the kernel's.  An R^1 table whose intervals()
+        are built and all saturated is read that way from them alone,
+        with no _packed_gaps call.  In any other dim two single points are
+        measured in closed form.  Every other distinct pair of segments
+        is measured once, by sorted rows in R^1 and padded blocks
+        otherwise.  A table whose nonempty cells all hold one segment is
+        read from its counts alone.  Only gaps are kept: lsc_check and
+        usc_check find the point behind a gap they report.  Cached (the
+        table is immutable); cip_verify fills the caches of all witness
+        locals in one such call (_cache_gaps), and selection._glue_table
+        fills a glued table's from its parts (_cache_glued_gaps)."""
         _cache_gaps([self])
         return self.__dict__["_gap_cache"]
 
@@ -146,6 +151,30 @@ class Corr:
             cell_seg[on] = index
             self.__dict__["_segment_index"] = (segs, cell_seg)
         return self.__dict__["_segment_index"]
+
+    def intervals(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """An R^1 table's read-only (atoms, nodes) lo, hi and full: each
+        cell's hull [lo, hi], the exact least and largest of its values
+        as setops._interval_ends gives them (a -0.0 end is kept, which
+        _saturated_ends' distinct ends may drop), NaN where the cell is
+        empty, and whether its value is saturated in the table
+        (_saturated_ends), True where empty.  Both reduce each row of
+        segment_index() once.  Cached, so the gap table, the
+        irreflexivity and membership passes (_hull_distances) and the
+        least-modulus solve of one table share the work."""
+        if self.dim != 1:
+            raise DomainError(f"intervals are the hulls of an R^1 table, not of R^{self.dim}")
+        if "_intervals" not in self.__dict__:
+            segs, cell_seg = self.segment_index()
+            lo, hi = _row_ends(self.points, segs)
+            full = _saturated_ends(self.points, segs)[2]
+            # the last entries serve cell_seg == -1, an empty cell
+            table = (np.append(lo, np.nan)[cell_seg], np.append(hi, np.nan)[cell_seg],
+                     np.append(full, True)[cell_seg])
+            for end in table:
+                end.flags.writeable = False
+            self.__dict__["_intervals"] = table
+        return self.__dict__["_intervals"]
 
     def segment_margins(self, used: np.ndarray) -> np.ndarray:
         """The interior margin of every point of every row of
@@ -208,12 +237,20 @@ def _cache_gaps(tables: list) -> None:
     every atom's adjacent pairs of all of them, each pair once.  A table
     whose nonempty cells all hold one segment (a Corr.constant table,
     say) is read from its counts alone: 0.0 on every live pair, NaN on
-    the others.  A table on another grid fills its own on first read."""
+    the others.  An R^1 table whose intervals() are built (the
+    irreflexivity pass of an equilibrium or maximal element builds its
+    preference table's) and all saturated is read from them by
+    _hull_gaps, with no sort: a pair's closed form is the kernel's value
+    among any rows (see _packed_gaps), and those ends differ from
+    _saturated_ends' at most in the sign of a zero, which the square
+    drops.  Any other table takes the stacked call, which builds no
+    intervals.  A table on another grid fills its own on first read."""
     todo = [f for f in dict.fromkeys(tables)
             if "_gap_cache" not in f.__dict__ and f.grid is tables[0].grid]
     if not todo:
         return
     pi, pj = todo[0].grid.directed_pair_arrays()
+    fi, fj = pi[:len(pi) // 2], pj[:len(pj) // 2]  # the forward half
     for f in todo:
         on = f.counts > 0
         nonempty = f.bounds[on]
@@ -225,19 +262,29 @@ def _cache_gaps(tables: list) -> None:
                 gaps[holes] = np.where(on[holes][:, pi] & on[holes][:, pj], 0.0, np.nan)
                 gaps.flags.writeable = False
             f.__dict__["_gap_cache"] = gaps
+        elif f.dim == 1 and "_intervals" in f.__dict__ and f.intervals()[2].all():
+            lo, hi, _ = f.intervals()
+            a, b = (np.add.outer(np.arange(len(on)) * on.shape[1], end).ravel() for end in (fi, fj))
+            gaps = _hull_gaps(lo.ravel(), hi.ravel(), a, b)
+            f.__dict__["_gap_cache"] = _forward_first(gaps.reshape(2, 1, len(on), -1))[0]
     todo = [f for f in todo if "_gap_cache" not in f.__dict__]
     if not todo:
         return
     points, bounds = _stacked(todo)
-    pi, pj = pi[:len(pi) // 2], pj[:len(pj) // 2]
     rows = np.arange(bounds.size // 2).reshape(bounds.shape[:-1])
-    gaps = _packed_gaps(points, bounds.reshape(-1, 2), rows[..., pi].ravel(), rows[..., pj].ravel())
-    # (2, tables, atoms, half) -> (tables, atoms, 2 * half), forward halves first
-    gaps = (gaps.reshape((2,) + rows.shape[:2] + (-1,)).transpose(1, 2, 0, 3)
-            .reshape(rows.shape[:2] + (-1,)))
-    gaps.flags.writeable = False
-    for f, g in zip(todo, gaps):
+    gaps = _packed_gaps(points, bounds.reshape(-1, 2), rows.take(fi, axis=-1).ravel(),
+                        rows.take(fj, axis=-1).ravel())
+    for f, g in zip(todo, _forward_first(gaps.reshape((2,) + rows.shape[:2] + (-1,)))):
         f.__dict__["_gap_cache"] = g
+
+
+def _forward_first(gaps: np.ndarray) -> np.ndarray:
+    """(2, tables, atoms, half) gaps, row 0 over the forward half of
+    directed_pair_arrays and row 1 back, as the read-only (tables,
+    atoms, 2 * half) gap tables, forward halves first."""
+    gaps = gaps.transpose(1, 2, 0, 3).reshape(gaps.shape[1:3] + (-1,))
+    gaps.flags.writeable = False
+    return gaps
 
 
 def _packed_gaps(points: np.ndarray, bounds: np.ndarray, a: np.ndarray,
@@ -412,6 +459,58 @@ def _ordered_gaps(points: np.ndarray, bounds: np.ndarray, src: np.ndarray,
                           (x[rows[flat]] - ordered[np.clip(pos, lo, hi)]) ** 2)
         gaps[i:j] = np.sqrt(np.maximum.reduceat(near, begin))
     return gaps
+
+
+def _cache_glued_gaps(glued: Corr, on: np.ndarray, fallback: Corr) -> None:
+    """Fill the gap cache (Corr.directed_gaps) of glued from its parts,
+    with no pass over the whole table.  glued holds one point at every
+    cell of the (atoms, nodes) mask on and fallback's value at every
+    other, nonempty there; fallback lives on glued's atoms, grid and
+    dim, and its points come first in glued's (selection._glue_table).
+    A pair of fallback cells copies fallback's own cached gap.  Two
+    points x and y take the kernel's closed form sqrt(sum((x - y)^2))
+    once, on the forward half, as both directions give the same bits.
+    Only the pairs that cross the domain's boundary are measured, on a
+    table of just the rows they touch: fallback's distinct segments
+    there, then the points.  In R^1 the fallback's value [lo, hi]
+    reaches the point y at the root of the square of max(y - lo, hi -
+    y, 0.0) (_hull_gaps: a single point is saturated), and the point
+    reaches the value through _ordered_gaps; in any other dim both
+    directions go through _packed_gaps.  Every entry is the kernel's
+    bits, as a pair's gaps do not depend on the rows beside it (see
+    _hull_modulus)."""
+    pi, pj = glued.grid.directed_pair_arrays()
+    half = len(pi) // 2
+    pi, pj = pi[:half], pj[:half]
+    src, dst = on.take(pi, axis=1), on.take(pj, axis=1)  # (atoms, half): which end is a point
+    x = glued.points[glued.bounds[..., 0]]  # each cell's first point: its point on on
+    diff = (x.take(pi, axis=1) - x.take(pj, axis=1)).reshape(-1, glued.dim)
+    single = np.sqrt(np.einsum("kd,kd->k", diff, diff)).reshape(src.shape)
+    gaps = np.array(fallback.directed_gaps())
+    for part in (gaps[:, :half], gaps[:, half:]):
+        np.copyto(part, single, where=src & dst)
+    at, k = np.nonzero(src != dst)
+    if len(at):
+        lead = src[at, k]  # the pair's source is the point
+        segs, seg = _distinct_segments(fallback.bounds[at, np.where(lead, pj[k], pi[k])],
+                                       len(fallback.points))
+        # each (point, fallback segment) pair once: both directions depend on nothing else
+        keys, key = np.unique(glued.bounds[at, np.where(lead, pi[k], pj[k]), 0] * len(segs) + seg,
+                              return_inverse=True)
+        first, seg = np.divmod(keys, len(segs))  # the point's row in glued.points, the segment
+        rows = np.concatenate([segs, np.column_stack([first, first + 1])])
+        point = len(segs) + np.arange(len(keys))  # the points' rows, after the segments'
+        if glued.dim == 1:
+            y = glued.points[first, 0]
+            lo, hi = _row_ends(glued.points, segs)
+            toward = _hull_gaps(np.append(lo, y), np.append(hi, y), seg, point)[0]
+            away = _ordered_gaps(glued.points, rows, point, seg)
+        else:
+            away, toward = _packed_gaps(glued.points, rows, point, seg)
+        gaps[at, np.where(lead, k, half + k)] = away[key]
+        gaps[at, np.where(lead, half + k, k)] = toward[key]
+    gaps.flags.writeable = False
+    glued.__dict__["_gap_cache"] = gaps
 
 
 @dataclass
@@ -634,17 +733,23 @@ class CipWitness:
                      for z, a, b in zip(order[cuts[:-1]].tolist(), cuts, cuts[1:]))
 
 
+def _same_grid(a: GridSpace, b: GridSpace) -> bool:
+    """a is b, or holds b's points and b's adjacent pairs in b's order,
+    so that a gap table on either grid lists the other's pairs: the one
+    rule for a table that must live on another's grid."""
+    return a is b or (np.array_equal(a.points, b.points) and all(
+        map(np.array_equal, a.directed_pair_arrays(), b.directed_pair_arrays())))
+
+
 def _ball_radii(psi: Corr, w: CipWitness) -> np.ndarray:
     """The (atoms, nodes) radii of the witness balls: w's radius at every
     cell of psi's section, -inf off it (no ball).  Every consumer's check
-    that w fits psi: raises for the first local off psi's grid (or one
-    with its points and adjacent pairs), atom count or dim, then for the
-    first (t, z) of psi's section without a radius, then for the first
-    node of it without a local."""
-    grid = psi.grid
-    for f, _ in w.groups:  # a local's gap table must list psi's pairs
-        if f.grid is not grid and not (np.array_equal(f.grid.points, grid.points) and all(
-                map(np.array_equal, f.grid.directed_pair_arrays(), grid.directed_pair_arrays()))):
+    that w fits psi: raises for the first local off psi's grid
+    (_same_grid), atom count or dim, then for the first (t, z) of psi's
+    section without a radius, then for the first node of it without a
+    local."""
+    for f, _ in w.groups:
+        if not _same_grid(f.grid, psi.grid):
             raise DomainError("witness locals must live on psi's grid")
         if len(f.space) != len(psi.space) or f.dim != psi.dim:
             raise DomainError("witness locals must live on psi's atoms, in psi's dim")
@@ -740,6 +845,17 @@ class CipReport:
     failures: list = field(default_factory=list)  # (kind, t, z, x, detail)
     inclusion_residual: float = 0.0
     lsc_gap: float = 0.0
+
+
+def _hull_distances(f: Corr, X: np.ndarray, t: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """dist(X[k], hull of f's value at the nonempty cell (t[k], z[k])),
+    bit for bit setops.segment_distances on the cells' rows: in R^1 the
+    closed-form projection onto f.intervals(), which holds the ends that
+    segment_distances would reduce, as its R^1 branch computes it."""
+    if f.dim == 1:
+        lo, hi, _ = f.intervals()
+        return np.abs(X[:, 0] - _project_to_intervals(X[:, 0], lo[t, z], hi[t, z]))
+    return segment_distances(X, f.points, f.bounds[t, z])
 
 
 def _residuals(psi: Corr, tables: list, on: np.ndarray) -> np.ndarray:

@@ -19,6 +19,8 @@ from .corr import (
     Corr,
     GridSpace,
     SET_EQUALITY_TOL,
+    _hull_distances,
+    _same_grid,
     _segments,
     canonical_witness,
     cell_varying,
@@ -34,7 +36,7 @@ from .selection import (
     _select_table,
     caratheodory_select,
 )
-from .setops import PointSet, _distinct, _solve_blocks, segment_distances
+from .setops import PointSet, _distinct, _solve_blocks
 
 JOINT_NODE_CAP = 10_000
 DEFAULT_FIXPOINT_TOL = 1e-6
@@ -295,16 +297,17 @@ def pref_from_payoff(g: GameSpec, i: int, strict_margin: float = 0.0) -> Corr:
 def _reflexive_at(p: Corr, own: np.ndarray) -> tuple[int, int] | None:
     """The first (atom, node) whose own point own[node] lies in the hull
     of its preferred set, or None when p is irreflexive: one
-    segment_distances pass over every nonempty cell, in every dim, with
-    convex_membership's decision at SET_EQUALITY_TOL (its LP fallback
-    only serves distances in (tol, 1e-9], an empty band here)."""
-    cells = np.argwhere(p.counts > 0)  # C order: atom by atom, nodes ascending
-    hit = segment_distances(own[cells[:, 1]], p.points,
-                            p.bounds[cells[:, 0], cells[:, 1]]) <= SET_EQUALITY_TOL
+    _hull_distances pass over every nonempty cell, in every dim (in R^1
+    from p's cached intervals, which its gap table, selection and
+    membership pass read again), with convex_membership's decision at
+    SET_EQUALITY_TOL (its LP fallback only serves distances in (tol,
+    1e-9], an empty band here)."""
+    t, z = np.nonzero(p.counts > 0)  # C order: atom by atom, nodes ascending
+    hit = _hull_distances(p, own[z], t, z) <= SET_EQUALITY_TOL
     if not hit.any():
         return None
-    t, z = cells[int(hit.argmax())]
-    return int(t), int(z)
+    k = int(hit.argmax())
+    return int(t[k]), int(z[k])
 
 
 def _check_irreflexivity(g: GameSpec, prefs: list[Corr]) -> None:
@@ -407,8 +410,11 @@ def random_equilibrium(
     """Certify a profile at which every player's strict-improvement set
     is empty up to eps_eq at every atom.
 
-    prefs holds each player's preference table on the joint grid (as
-    pref_from_payoff builds it) and witnesses its inclusion witness.
+    prefs holds each player's preference table over the game's atom
+    space and on its joint grid (corr._same_grid), as pref_from_payoff
+    builds it, and witnesses its inclusion witness; a table elsewhere,
+    or in another dim than the player's own strategies, raises a
+    DomainError naming the player.
     Verifies irreflexivity and the inclusion property per player, builds
     the selection-plus-fallback tables whose product the profile is a
     fixed point of, and selects the profile by exhaustive enumeration:
@@ -421,6 +427,10 @@ def random_equilibrium(
     if not len(prefs) == len(witnesses) == g.n_players:
         raise DomainError("one preference table and one witness per player are required")
     for i, (p, own) in enumerate(zip(prefs, g.strategy_grids)):
+        if p.space != g.state_space:
+            raise DomainError(f"player {i}'s preference table must live on the game's atom space")
+        if not _same_grid(p.grid, g.joint_grid()):
+            raise DomainError(f"player {i}'s preference table must live on the joint grid")
         if p.dim != own.dim:
             raise DomainError(f"player {i}'s preferred sets need values in R^{own.dim}, "
                               "the player's own strategy space")

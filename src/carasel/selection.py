@@ -23,9 +23,12 @@ from .corr import (
     SET_EQUALITY_TOL,
     _absorbed,
     _ball_radii,
+    _cache_glued_gaps,
+    _hull_distances,
     _pool,
     _reach_masks,
     _residuals,
+    _same_grid,
     _segments,
     cell_varying,
     pool_captured,
@@ -37,12 +40,10 @@ from .reporting import CheckSet
 from .setops import (
     ConvexSet,
     _distinct,
-    _interval_ends,
     _padded_rows,
     _segment_rows,
     _WarmProjector,
     convex_distance,
-    segment_distances,
 )
 
 DEFAULT_SELECTION_TOL = 1e-7
@@ -283,24 +284,26 @@ def _envelope(top: np.ndarray, on: np.ndarray, table: tuple, step: np.ndarray,
     return (value,)
 
 
-def _least_modulus(points: np.ndarray, segs: np.ndarray, atom: np.ndarray, node: np.ndarray,
+def _least_modulus(lo: np.ndarray, hi: np.ndarray, atom: np.ndarray, node: np.ndarray,
                    grid: GridSpace) -> tuple[np.ndarray, np.ndarray]:
     """The selection of least Lipschitz modulus in R^1 for every atom at
-    once, on the cells of _layout (their segs, atoms and nodes of grid),
-    with each atom's modulus L, a lower bound on the modulus of any
-    selection over the adjacent pairs of cells of one atom.
+    once, on the cells of _layout (their atoms and nodes of grid), with
+    each atom's modulus L, a lower bound on the modulus of any selection
+    over the adjacent pairs of cells of one atom.
 
-    Each cell's hull is its interval [lo, hi] (setops._interval_ends).
-    L starts at the adjacent bound max(0, (lo_i - hi_j) / d(i, j)) over
-    the atom's adjacent pairs.  The upper envelope u_i = min_j hi_j + L
-    d_G(i, j) (McShane 1934) and the lower one l_i = max_j lo_j - L
-    d_G(i, j) (Whitney 1934), d_G the path metric of those pairs, are
-    both L-Lipschitz on every pair, and lo <= l, u <= hi.  Where l <= u
-    everywhere, the midpoint lies in every interval with modulus L.
-    Where l_i > u_i, the path from l_i's source j through i to u_i's
-    source k forces a modulus of at least (lo_j - hi_k) / (its length) >
-    L: the envelopes are rebuilt with their paths, L rises to the worst
-    such ratio of the atom, and both are solved again (Dinkelbach 1967).
+    Each cell's hull is its interval [lo, hi]: the exact ends of its
+    values, as Corr.intervals() holds them (setops._interval_ends), so
+    no cell's points are read here.  L starts at the adjacent bound
+    max(0, (lo_i - hi_j) / d(i, j)) over the atom's adjacent pairs.
+    The upper envelope u_i = min_j hi_j + L d_G(i, j) (McShane 1934) and
+    the lower one l_i = max_j lo_j - L d_G(i, j) (Whitney 1934), d_G the
+    path metric of those pairs, are both L-Lipschitz on every pair, and
+    lo <= l, u <= hi.  Where l <= u everywhere, the midpoint lies in
+    every interval with modulus L.  Where l_i > u_i, the path from l_i's
+    source j through i to u_i's source k forces a modulus of at least
+    (lo_j - hi_k) / (its length) > L: the envelopes are rebuilt with
+    their paths, L rises to the worst such ratio of the atom, and both
+    are solved again (Dinkelbach 1967).
     L only rises, through the finite set of path ratios; a rise that
     rounding leaves at L ends the loop.
 
@@ -309,9 +312,8 @@ def _least_modulus(points: np.ndarray, segs: np.ndarray, atom: np.ndarray, node:
     neighbour_table, which they relax over as the grid keeps it (its
     padding distance 1.0 never counts against +inf).  Each round builds
     one (max degree, nodes, atoms) step table dist * L, which both
-    envelopes share.  Returns (cells, 1) points clipped into their
-    intervals and L per atom, atoms ascending."""
-    lo, hi = _interval_ends(points, segs)
+    envelopes share.  Returns (cells, 1) points clipped to their own
+    ends lo and hi, and L per atom, atoms ascending."""
     rank = np.cumsum(np.diff(atom, prepend=-1) > 0) - 1  # atoms ascend over the cells
     table = grid.neighbour_table()
     nodes, near, dist = table
@@ -511,9 +513,11 @@ def _select_table(psi: Corr, phi: Corr, part: InfoPartition, tol: float,
     DomainError unless tol is positive, and a ConstructionError where
     phi is empty on psi's domain, or where a selected point lies farther
     than tol from psi's hull.  That is the one membership pass, over
-    every domain cell of every atom, copies included: the sweep's steps
-    stay in phi's hulls, which phi-inclusion certifies inside psi's, so
-    the sweep has no escape check of its own."""
+    every domain cell of every atom, copies included (corr.
+    _hull_distances: in R^1 from psi's cached intervals, which are
+    phi's own when phi is psi): the sweep's steps stay in phi's hulls,
+    which phi-inclusion certifies inside psi's, so the sweep has no
+    escape check of its own."""
     if not tol > 0:  # NaN too: no residual exceeds it
         raise DomainError("tol must be positive")
     source = _head_map([phi], part)
@@ -521,7 +525,8 @@ def _select_table(psi: Corr, phi: Corr, part: InfoPartition, tol: float,
     segs, atom, node = _layout(phi, on)
     table = np.zeros(psi.counts.shape + (psi.dim,))  # the selected points, by (t, z)
     if len(segs) and phi.dim == 1:
-        table[on] = _least_modulus(phi.points, segs, atom, node, phi.grid)[0]
+        lo, hi, _ = phi.intervals()
+        table[on] = _least_modulus(lo[on], hi[on], atom, node, phi.grid)[0]
     elif len(segs):
         first = np.flatnonzero(np.diff(atom, prepend=-1))  # each atom's first cell
         draws = ()
@@ -547,7 +552,7 @@ def _select_table(psi: Corr, phi: Corr, part: InfoPartition, tol: float,
     missing = np.flatnonzero(phi.counts[t, z] == 0)
     if len(missing):
         raise ConstructionError(f"no selected value at (t={t[missing[0]]}, z={z[missing[0]]})")
-    res = segment_distances(table[t, z], psi.points, psi.bounds[t, z])
+    res = _hull_distances(psi, table[t, z], t, z)
     worst = float(res.max(initial=0.0))
     if worst > tol:
         k = int(res.argmax())
@@ -638,8 +643,9 @@ def glue(
     semicontinuity or cell-constancy check, the glued table must pass it
     too.  Semicontinuity is usc_check's and lsc_check's at the grid's
     adjacency radius, decided for all atoms from both gap tables.  Raises
-    a DomainError unless sel.domain is psi's, or where the fallback is
-    empty off it."""
+    a DomainError unless sel.domain is psi's, unless the fallback lives
+    on psi's atoms and grid (corr._same_grid) in psi's dim, or where the
+    fallback is empty off psi's domain."""
     if not np.array_equal(sel.domain, psi.counts > 0):
         raise DomainError("selection domain differs from the correspondence domain")
     if part is None:
@@ -649,7 +655,16 @@ def glue(
 
 def _glue_table(psi: Corr, table: np.ndarray, fallback: Corr, part: InfoPartition) -> GlueResult:
     """glue's body on an (atoms, nodes, dim) table of selected points, as
-    _select_table gives it, read on psi's domain only."""
+    _select_table gives it, read on psi's domain only.  The glued
+    table's gap cache is filled from its parts (corr._cache_glued_gaps):
+    the points, the fallback's own gap table and the pairs across the
+    domain's boundary, so neither check nor a later directed_gaps()
+    measures the whole table.  The fallback is checked first, as those
+    parts are read in psi's pair order."""
+    if not _same_grid(fallback.grid, psi.grid):
+        raise DomainError("fallback must live on psi's grid")
+    if fallback.space != psi.space or fallback.dim != psi.dim:
+        raise DomainError("fallback must live on psi's atoms, in psi's dim")
     on = psi.counts > 0
     off = np.argwhere(~on & (fallback.counts == 0))
     if len(off):
@@ -659,6 +674,7 @@ def _glue_table(psi: Corr, table: np.ndarray, fallback: Corr, part: InfoPartitio
     bounds = np.array(fallback.bounds)
     bounds[on] = len(fallback.points) + _segments(np.ones(np.count_nonzero(on), dtype=int))
     glued = Corr(psi.space, psi.grid, psi.dim, np.concatenate([fallback.points, table[on]]), bounds)
+    _cache_glued_gaps(glued, on, fallback)
 
     checks = CheckSet()
     for name, upper, sc in (("glue-usc-preserved", True, "u.s.c."),

@@ -215,13 +215,21 @@ def _distinct_segments(segs: np.ndarray, size: int) -> tuple[np.ndarray, np.ndar
 def _interval_ends(points: np.ndarray, segs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The least and the largest value of every nonempty [start, stop)
     row of segs of the (P, 1) points: each row's hull, an interval of
-    R^1.  Each distinct row (_distinct_segments) is reduced once: one
-    minimum and one maximum reduceat over the distinct rows' points back
-    to back.  min and max are exact, so the ends are the row's own."""
+    R^1.  Each distinct row (_distinct_segments) is reduced once
+    (_row_ends)."""
     distinct, row = _distinct_segments(segs, len(points))
-    rows, first = _segment_rows(distinct)
+    lo, hi = _row_ends(points, distinct)
+    return lo[row], hi[row]
+
+
+def _row_ends(points: np.ndarray, segs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_interval_ends of rows given once each: one minimum and one
+    maximum reduceat over the rows' points back to back.  min and max
+    are exact, so the ends are the row's own, and a row's ends do not
+    depend on the rows beside it."""
+    rows, first = _segment_rows(segs)
     x = points[rows, 0]
-    return np.minimum.reduceat(x, first)[row], np.maximum.reduceat(x, first)[row]
+    return np.minimum.reduceat(x, first), np.maximum.reduceat(x, first)
 
 
 def _project_to_intervals(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

@@ -730,6 +730,71 @@ def test_random_equilibrium_rejects_a_table_of_another_dim(value):
                            InfoPartition.finest(space), 0.0)
 
 
+@pytest.mark.parametrize("kind", ["grid", "space"])
+def test_random_equilibrium_rejects_a_table_off_the_game(kind):
+    # a one-atom 3 x 3 game: player 1's (empty) preference table on a
+    # 4-node line grid, or over a 2-atom space, was certified before
+    space = single_atom()
+    g = two_player_game(space, (lambda t, x: 0.0, lambda t, x: 0.0), n_nodes=3)
+    off = (Corr.constant(space, line_grid(4), PointSet.empty(1)) if kind == "grid" else
+           Corr.constant(AtomSpace(("a", "b"), [0.5, 0.5]), g.joint_grid(), PointSet.empty(1)))
+    prefs = [pref_from_payoff(g, 0), off]
+    message = "the joint grid" if kind == "grid" else "the game's atom space"
+    with pytest.raises(DomainError, match=f"player 1's preference table must live on {message}"):
+        random_equilibrium(g, prefs, [canonical_witness(p) for p in prefs],
+                           InfoPartition.finest(space), 0.0)
+
+
+def test_random_equilibrium_takes_a_table_on_an_equal_joint_grid():
+    # a table on another grid object with the joint grid's points and
+    # pairs fits, and certifies as the table on the joint grid itself
+    space = single_atom()
+    g = two_player_game(space, (lambda t, x: -(x[0] - 0.5) ** 2, lambda t, x: -(x[1] - 0.5) ** 2),
+                        n_nodes=5)
+    joint = g.joint_grid()
+    prefs = [pref_from_payoff(g, i) for i in range(2)]
+    twin = GridSpace(joint.points.copy(), mesh=joint.mesh)
+    moved = [prefs[0], Corr(space, twin, 1, prefs[1].points, prefs[1].bounds)]
+    part = InfoPartition.finest(space)
+    got, want = (random_equilibrium(g, ps, [canonical_witness(p) for p in ps], part, 1e-9)
+                 for ps in (moved, prefs))
+    assert [(c.name, c.residual) for c in got.checks] == [(c.name, c.residual)
+                                                          for c in want.checks]
+
+
+def test_random_nash_builds_each_interval_table_once_and_glues_from_parts(monkeypatch):
+    # each preference table's interval table is reduced and ranked once,
+    # for its irreflexivity pass, gap table, selection and membership
+    # pass; each glue hands _ordered_gaps one row per selected point on
+    # its domain's boundary (the constant fallback is one segment), and
+    # the stacked kernel measures no pair at all
+    g, part, eps_eq = _quadratic_game(np.random.default_rng(4), 9, ((0,), (1,), (2,)))
+    prefs, build = [], carasel.equilibria.pref_from_payoff
+    monkeypatch.setattr(carasel.equilibria, "pref_from_payoff",
+                        lambda *args: prefs.append(build(*args)) or prefs[-1])
+    reduced, ranked, kernel_rows, stacked_pairs = Counter(), Counter(), [], []
+    for name, seen in (("_row_ends", reduced), ("_saturated_ends", ranked)):
+        monkeypatch.setattr(carasel.corr, name, lambda points, segs, real=getattr(
+            carasel.corr, name), seen=seen: seen.update([id(points)]) or real(points, segs))
+    ordered, packed = carasel.corr._ordered_gaps, carasel.corr._packed_gaps
+    monkeypatch.setattr(carasel.corr, "_ordered_gaps", lambda points, bounds, src, dst: (
+        kernel_rows.append(len(src)) or ordered(points, bounds, src, dst)))
+    monkeypatch.setattr(carasel.corr, "_packed_gaps", lambda points, bounds, a, b: (
+        stacked_pairs.append(len(a)) or packed(points, bounds, a, b)))
+    assert random_nash(g, part, eps_eq).checks.ok
+    pi, pj = (p[:len(p) // 2] for p in g.joint_grid().directed_pair_arrays())
+    boundary = []
+    for p in prefs:
+        assert reduced[id(p.points)] == ranked[id(p.points)] == 1
+        on = p.counts > 0
+        t, k = np.nonzero(on[:, pi] != on[:, pj])
+        cells = np.unique(t * on.shape[1] + np.where(on[t, pi[k]], pi[k], pj[k]))
+        assert 0 < len(cells) < len(t) < on[:, pi].size
+        boundary.append(len(cells))
+    assert len(prefs) == 2 and kernel_rows == boundary
+    assert sum(stacked_pairs) == 0
+
+
 def test_random_nash_zero_payoffs():
     space = single_atom()
     g = two_player_game(space, (lambda t, x: 0.0, lambda t, x: 0.0), n_nodes=5)

@@ -39,6 +39,8 @@ from carasel import (
 import carasel.corr
 import carasel.grid
 import carasel.selection
+from carasel.corr import SET_EQUALITY_TOL, _hull_distances, _segments
+from carasel.equilibria import _reflexive_at
 from carasel.grid import ADJ_TOL
 from carasel.reporting import CheckSet
 from carasel.selection import Selection
@@ -53,7 +55,12 @@ from carasel.selection import (
     _modulus,
     _select_table,
 )
-from carasel.setops import _nearest_in_hulls, _padded_rows, _project_to_intervals
+from carasel.setops import (
+    _nearest_in_hulls,
+    _padded_rows,
+    _project_to_intervals,
+    segment_distances,
+)
 from conftest import dense_metric, jump_problem, line_grid, same_set, single_atom
 from instances import domain, random_cip_instance
 from test_corr import max_vertex_margin
@@ -674,23 +681,26 @@ def test_sweep_matches_reference_on_uneven_degrees_and_without_edges(dim):
 
 
 def _least_modulus_of(phi):
-    """_least_modulus on the whole domain of phi, with the segs and edges
-    of its layout: (x, bound, segs, edges)."""
+    """_least_modulus on the whole domain of phi, on the interval ends of
+    its layout's segs, with those segs and edges: (x, bound, segs,
+    edges)."""
     on = phi.counts > 0
     segs, atom, node = _layout(phi, on)
-    return (*_least_modulus(phi.points, segs, atom, node, phi.grid), segs, _edges(phi.grid, on))
+    lo, hi = carasel.setops._interval_ends(phi.points, segs)
+    return (*_least_modulus(lo, hi, atom, node, phi.grid), segs, _edges(phi.grid, on))
 
 
 def test_one_dimensional_sweep_takes_interval_ends_not_padded_rows(monkeypatch):
-    # the R^1 solve reads each cell's interval once, as its two ends
+    # the R^1 solve and its membership pass read each cell's interval
+    # from phi.intervals(), as its two ends, and pad no rows
     phi = _random_table(np.random.default_rng(3), 1, _star_grid(9))
     want = _least_modulus_of(phi)
     monkeypatch.setattr(carasel.selection, "_padded_rows",
                         lambda *_: pytest.fail("the R^1 solve padded its rows"))
-    got = _least_modulus_of(phi)
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(got[:2], want[:2]))
-    ends = [phi.points[a:b, 0] for a, b in got[2]]
-    assert all(v.min() <= x <= v.max() for v, x in zip(ends, got[0][:, 0]))
+    got = _select_table(phi, phi, InfoPartition.finest(phi.space), 1e-7)[0][phi.counts > 0]
+    assert got.tobytes() == want[0].tobytes()
+    ends = [phi.points[a:b, 0] for a, b in want[2]]
+    assert all(v.min() <= x <= v.max() for v, x in zip(ends, got[:, 0]))
 
 
 def test_one_dimensional_sweep_makes_no_convex_project_call_per_sweep(monkeypatch):
@@ -942,7 +952,8 @@ def _block_matches_per_cell(psi):
 
     want = _per_cell_least_modulus(psi.points, segs, atom, node, psi.grid, relax=per_cell)
     with mock.patch.object(carasel.selection, "_envelope", blocked):
-        got = _least_modulus(psi.points, segs, atom, node, psi.grid)
+        got = _least_modulus(*carasel.setops._interval_ends(psi.points, segs), atom, node,
+                             psi.grid)
     assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want, strict=True))
     assert len(new_paths) == len(old_paths)
     for (a, b), (c, d) in zip(new_paths, old_paths):
@@ -1272,6 +1283,201 @@ def test_glue_rejects_a_fallback_empty_off_the_domain():
                                   else PointSet.empty(1))
     with pytest.raises(DomainError, match=r"fallback is empty off the domain at \(t=0, z=6\)"):
         glue(psi, sel, fallback)
+
+
+def _glue_fit_case():
+    """A 1-D psi on a 5-node line grid of one atom, empty at nodes 3 and
+    4, with its closed-valued selection."""
+    space, grid = single_atom(), line_grid(5)
+    psi = Corr.from_function(space, grid, 1, lambda t, z: PointSet.of(1, [[0.0]]) if z < 3
+                             else PointSet.empty(1))
+    return psi, caratheodory_select(psi, canonical_witness(psi), InfoPartition.finest(space))
+
+
+@pytest.mark.parametrize("kind", ["dim", "atoms", "nodes", "grid"])
+def test_glue_rejects_a_fallback_that_does_not_fit_psi(kind):
+    # the glued gap table reads the fallback's own in psi's pair order, so
+    # a fallback in another dim, over two atoms, on 7 nodes or on another
+    # 5-node grid is refused first (before: numpy's concatenate
+    # ValueError, an IndexError, a broadcast ValueError, and a glue whose
+    # every check read 0)
+    psi, sel = _glue_fit_case()
+    space, grid, point = psi.space, psi.grid, PointSet.of(1, [[0.5]])
+    fallback = {
+        "dim": Corr.constant(space, grid, PointSet.of(2, [[0.5, 0.5]])),
+        "atoms": Corr.constant(AtomSpace(("a", "b"), [0.5, 0.5]), grid, point),
+        "nodes": Corr.constant(space, line_grid(7), point),
+        "grid": Corr.constant(space, line_grid(5, 0.0, 2.0), point),
+    }[kind]
+    message = "psi's grid" if kind in ("nodes", "grid") else "psi's atoms, in psi's dim"
+    with pytest.raises(DomainError, match=f"fallback must live on {message}"):
+        glue(psi, sel, fallback)
+
+
+def test_glue_takes_a_fallback_on_an_equal_grid():
+    # another grid object with psi's points and pairs fits: the glued
+    # table and its checks are those of a fallback on psi's own grid
+    psi, sel = _glue_fit_case()
+    point = PointSet.of(1, [[0.5], [2.0]])
+    twin = GridSpace(psi.grid.points.copy())
+    assert twin is not psi.grid
+    got = glue(psi, sel, Corr.constant(psi.space, twin, point))
+    want = glue(psi, sel, Corr.constant(psi.space, psi.grid, point))
+    assert got.glued.directed_gaps().tobytes() == want.glued.directed_gaps().tobytes()
+    assert [(c.name, c.residual) for c in got.checks] == [(c.name, c.residual)
+                                                          for c in want.checks]
+
+
+def _same_bits(a, b):
+    """a and b hold the same values bit for bit: the same NaN pattern,
+    and every other entry with its sign of zero."""
+    nan = np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+            and a[~nan].tobytes() == b[~nan].tobytes())
+
+
+def _fresh_gaps(f):
+    """f's directed gaps as a fresh copy of its table measures them, in
+    one stacked _packed_gaps call, with no cache of f's read."""
+    return Corr(f.space, f.grid, f.dim, f.points, f.bounds).directed_gaps()
+
+
+_LEVELS = np.array([-1.0, -0.0, 0.0, 0.5, 1.0])  # ties and both signs of zero
+
+
+def _glue_parts(seed, dim, constant):
+    """psi (holes in its domain, shared and single-point values), a
+    fallback nonempty off psi's domain (Corr.constant, or varying by
+    cell with shared segments and holes on the domain) and a selected
+    point per domain cell, all drawn from seed."""
+    rng = np.random.default_rng(seed)
+    atoms, nodes = int(rng.integers(1, 4)), int(rng.integers(2, 14))
+    grid = line_grid(nodes) if rng.random() < 0.3 else GridSpace(rng.uniform(size=(nodes, 2)))
+    space = AtomSpace(tuple(f"w{t}" for t in range(atoms)), [1.0] * atoms)
+
+    def draw(k):
+        if rng.random() < 0.5:
+            return PointSet.of(dim, rng.choice(_LEVELS, size=(k, dim)))
+        return PointSet.of(dim, rng.normal(size=(k, dim)))
+
+    on = rng.random((atoms, nodes)) < rng.choice([0.0, 0.5, 1.0, rng.uniform()])
+    shared = [draw(int(rng.integers(1, 4))) for _ in range(3)]
+    psi = Corr.from_function(space, grid, dim, lambda t, z: PointSet.empty(dim) if not on[t, z]
+                             else shared[rng.integers(3)] if rng.random() < 0.5
+                             else draw(int(rng.integers(1, 4))))
+    if constant:
+        fallback = Corr.constant(space, grid, draw(int(rng.integers(1, 4))))
+    else:
+        fallback = Corr.from_function(space, grid, dim, lambda t, z: (
+            PointSet.empty(dim) if on[t, z] and rng.random() < 0.3
+            else shared[rng.integers(3)] if rng.random() < 0.4 else draw(int(rng.integers(1, 4)))))
+    table = np.where(on[..., None], rng.choice(_LEVELS, size=on.shape + (dim,))
+                     if rng.random() < 0.5 else rng.normal(size=on.shape + (dim,)), 0.0)
+    return psi, fallback, table
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 2]), st.booleans(), st.booleans())
+def test_glued_gap_table_from_parts_is_a_fresh_measurement(seed, dim, constant, coarse):
+    # the gap cache glue seeds from the selection and the fallback is
+    # read-only and, bit for bit, the table a fresh copy of the glued
+    # table measures, through glue and through _add_glue_checks alike
+    psi, fallback, table = _glue_parts(seed, dim, constant)
+    atoms = len(psi.space)
+    part = (InfoPartition(psi.space, [tuple(range(atoms))]) if coarse
+            else InfoPartition.finest(psi.space))
+    on = psi.counts > 0
+    table.flags.writeable = False
+    results = [glue(psi, Selection(table, on, 0.0, 0.0, CheckSet()), fallback, part)]
+    real = carasel.equilibria._glue_table
+    with mock.patch.object(carasel.equilibria, "_glue_table",
+                           lambda *args: results.append(real(*args)) or results[-1]):
+        carasel.equilibria._add_glue_checks(CheckSet(), psi, canonical_witness(psi), part,
+                                            fallback.points[:1])
+    assert len(results) == 2
+    for f in (res.glued for res in results):
+        gaps = f.__dict__["_gap_cache"]
+        assert not gaps.flags.writeable
+        assert _same_bits(gaps, _fresh_gaps(f))
+        assert f.directed_gaps() is gaps
+    if dim == 2:
+        with pytest.raises(DomainError, match="hulls of an R\\^1 table"):
+            psi.intervals()
+
+
+def _r1_rows(seed, saturated):
+    """A raw R^1 table in Corr's own layout (repeated values and both
+    signs of zero kept) of 1-3 atoms on 2-9 nodes: each cell empty,
+    sharing an earlier cell's segment, or a new row, a shuffled run of
+    consecutive levels with repeats, or (unless saturated) any levels
+    and free values."""
+    rng = np.random.default_rng(seed)
+    atoms, nodes = int(rng.integers(1, 4)), int(rng.integers(2, 10))
+    grid = line_grid(nodes) if rng.random() < 0.5 else GridSpace(rng.uniform(size=(nodes, 2)))
+    levels = np.array([-1.5, -1.0, 0.0, 0.5, 1.0, 2.0])
+    rows, cells = [], np.full((atoms, nodes), -1)
+    for t, z in np.ndindex(atoms, nodes):
+        u = rng.random()
+        if u < 0.25:
+            continue
+        if u < 0.5 and rows:
+            cells[t, z] = rng.integers(len(rows))
+            continue
+        a = int(rng.integers(len(levels)))
+        row = levels[a:a + int(rng.integers(1, 4))]
+        if not saturated and rng.random() < 0.5:
+            row = np.append(rng.choice(levels, size=int(rng.integers(1, 3))), rng.normal())
+        row = rng.permutation(np.repeat(row, rng.integers(1, 3, size=len(row))))
+        rows.append(np.where(row == 0.0, rng.choice([-0.0, 0.0], size=len(row)), row))
+        cells[t, z] = len(rows) - 1
+    sizes = np.array([len(r) for r in rows], dtype=int)
+    segs = np.vstack([_segments(sizes), [[0, 0]]])  # the last row serves the empty cells
+    points = np.concatenate(rows + [np.zeros(0)])[:, None]
+    space = AtomSpace(tuple(f"w{t}" for t in range(atoms)), [1.0] * atoms)
+    return Corr(space, grid, 1, points, segs[cells]), rng
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_r1_interval_readers_match_the_per_call_ends(seed, saturated):
+    # one cached interval table serves the gap table (all saturated: no
+    # stacked kernel), the irreflexivity pass, the membership residuals
+    # and the least-modulus solve, each bit for bit as when it reduced
+    # its own rows' ends (setops._interval_ends)
+    p, rng = _r1_rows(seed, saturated)
+    lo, hi, full = p.intervals()
+    assert not any(a.flags.writeable for a in (lo, hi, full)) and p.intervals()[0] is lo
+    on = p.counts > 0
+    t, z = np.nonzero(on)
+    want_lo, want_hi = carasel.setops._interval_ends(p.points, p.bounds[t, z])
+    assert lo[on].tobytes() == want_lo.tobytes() and hi[on].tobytes() == want_hi.tobytes()
+    assert np.isnan(lo[~on]).all() and np.isnan(hi[~on]).all() and full[~on].all()
+    assert np.array_equal(full[on], carasel.corr._saturated_ends(p.points, p.bounds[t, z])[2])
+    stacked, packed = [], carasel.corr._packed_gaps
+    with mock.patch.object(carasel.corr, "_packed_gaps",
+                           lambda *args: stacked.append(args) or packed(*args)):
+        gaps = p.directed_gaps()
+    assert _same_bits(gaps, _fresh_gaps(p))
+    assert bool(stacked) == (not full.all())
+    # own points and membership probes: levels in and beyond the hulls
+    probes = np.array([-2.0, -1.5, -1.0, -0.0, 0.0, 0.25, 0.5, 1.0, 2.0, 3.0])
+    own = rng.choice(probes, size=(len(p.grid), 1))
+    hit = segment_distances(own[z], p.points, p.bounds[t, z]) <= SET_EQUALITY_TOL
+    first = (int(t[hit.argmax()]), int(z[hit.argmax()])) if hit.any() else None
+    assert _reflexive_at(p, own) == first
+    x = rng.choice(probes, size=(len(t), 1))
+    assert (_hull_distances(p, x, t, z).tobytes()
+            == segment_distances(x, p.points, p.bounds[t, z]).tobytes())
+    if not on.any():
+        return
+    segs, atom, node = _layout(p, on)
+    want = _least_modulus(*carasel.setops._interval_ends(p.points, segs), atom, node, p.grid)
+    got = _least_modulus(lo[on], hi[on], atom, node, p.grid)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want, strict=True))
+    table, worst = _select_table(p, p, InfoPartition.finest(p.space), 1e-7)
+    assert table[on].tobytes() == want[0].tobytes()
+    res = segment_distances(table[t, z], p.points, p.bounds[t, z])
+    assert worst == float(res.max(initial=0.0))
 
 
 def test_selection_values_are_the_table_on_the_domain():
