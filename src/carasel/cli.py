@@ -5,13 +5,14 @@
 
 run parses a problem file, dispatches to the matching pipeline and
 writes a certificate beside the input (suffix .cert.json).  Exit codes:
-0 all checks passed, 1 checks ran and failed, 2 parse error, 3
+0 all checks passed, 1 checks ran and failed, 2 parse error or a file
+that cannot be read as UTF-8 or written (one stderr line names it), 3
 precondition violated, 4 no certificate at the requested tolerance or a
 numerical failure (LinAlgError, QhullError); on exit 4 a no-certificate
-file is still written, its outputs.error naming the cause.
-report pretty-prints a certificate, provenance included, without
-recomputing anything; it exits 2 when the file is missing, is not JSON
-or is not shaped like a certificate.
+file is still written, its outputs.error naming the cause.  report
+pretty-prints a certificate, provenance included, without recomputing
+anything; it exits 2 when the file is missing, unreadable, not UTF-8,
+not JSON or not shaped like a certificate.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ import sys
 from pathlib import Path
 
 from .errors import DomainError, ParseError, PreconditionError
-from .pipelines import Certificate, run_problem
-from .problems import canonical_json, load_problem
+from .pipelines import run_problem
+from .problems import canonical_json, load_problem, read_text
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -77,10 +78,6 @@ def _certificate_path(input_path: Path, out: str | None) -> Path:
     return input_path.with_name(name + ".cert.json")
 
 
-def _write_certificate(cert: Certificate, path: Path) -> None:
-    path.write_text(canonical_json(cert.as_dict()), encoding="utf-8")
-
-
 def cmd_run(args) -> int:
     try:
         overrides = _parse_overrides(args)
@@ -100,7 +97,11 @@ def cmd_run(args) -> int:
         return EXIT_PRECONDITION
 
     path = _certificate_path(Path(args.problem), args.out)
-    _write_certificate(cert, path)
+    try:
+        path.write_text(canonical_json(cert.as_dict()), encoding="utf-8")
+    except OSError as e:
+        print(f"cannot write {path}: {e.strerror}", file=sys.stderr)
+        return EXIT_PARSE
     if cert.status == "no-certificate":
         print(f"no certificate: {cert.outputs['error']}", file=sys.stderr)
         print(f"wrote {path}", file=sys.stderr)
@@ -126,16 +127,12 @@ def _check_certificate_shape(doc) -> None:
 
 def cmd_report(args) -> int:
     path = Path(args.certificate)
-    if not path.exists():
-        print(f"no such file: {path}", file=sys.stderr)
-        return EXIT_PARSE
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(read_text(path))
+        _check_certificate_shape(doc)
     except json.JSONDecodeError as e:
         print(f"parse error (line {e.lineno}, column {e.colno}): {e.msg}", file=sys.stderr)
         return EXIT_PARSE
-    try:
-        _check_certificate_shape(doc)
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_PARSE

@@ -26,9 +26,9 @@ from .setops import (
     _dedup,
     _distinct,
     _distinct_segments,
+    _interval_ends,
     _padded_rows,
     _project_to_intervals,
-    _row_ends,
     _segment_rows,
     segment_distances,
     segment_margins,
@@ -117,25 +117,20 @@ class Corr:
         reach the value at (t, target k); NaN when either side is empty,
         0.0 when both ends share one segment.  The first call computes
         the whole table in one _packed_gaps call, however many adjacent
-        pairs of any atom join each pair of segments.  In R^1 a pair of
-        two saturated values is measured in closed form: a value is
-        saturated when its distinct points are all the distinct points
-        of the table's nonempty cells inside its hull [lo, hi], so a
-        source point inside that hull is one of its points, at 0.0, and
-        one outside is nearest to the nearer end; as fl(a - b) is
-        monotone in a and b and fl(d * d) in |d|, the gap is the root of
-        the square of the larger overhang, max(lo_t - lo_s, hi_s - hi_t,
-        0.0), bit for bit the kernel's.  An R^1 table whose intervals()
-        are built and all saturated is read that way from them alone,
-        with no _packed_gaps call.  In any other dim two single points are
-        measured in closed form.  Every other distinct pair of segments
-        is measured once, by sorted rows in R^1 and padded blocks
-        otherwise.  A table whose nonempty cells all hold one segment is
-        read from its counts alone.  Only gaps are kept: lsc_check and
-        usc_check find the point behind a gap they report.  Cached (the
-        table is immutable); cip_verify fills the caches of all witness
-        locals in one such call (_cache_gaps), and selection._glue_table
-        fills a glued table's from its parts (_cache_glued_gaps)."""
+        pairs of any atom join each pair of segments: in R^1 a pair of
+        two saturated values takes a closed form there from their ends,
+        bit for bit the kernel's, and an R^1 table whose intervals() are
+        built and whose values are all saturated is read that way from
+        them, with no _packed_gaps call (_cache_gaps).  In any other dim
+        two single points are measured in closed form.  Every other
+        distinct pair of segments is measured once, by sorted rows in
+        R^1 and padded blocks otherwise.  A table whose nonempty cells
+        all hold one segment is read from its counts alone.  Only gaps
+        are kept: lsc_check and usc_check find the point behind a gap
+        they report.  Cached (the table is immutable); cip_verify fills
+        the caches of all witness locals in one such call (_cache_gaps),
+        and selection._glue_table fills a glued table's from its parts
+        (_cache_glued_gaps)."""
         _cache_gaps([self])
         return self.__dict__["_gap_cache"]
 
@@ -152,25 +147,20 @@ class Corr:
             self.__dict__["_segment_index"] = (segs, cell_seg)
         return self.__dict__["_segment_index"]
 
-    def intervals(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """An R^1 table's read-only (atoms, nodes) lo, hi and full: each
-        cell's hull [lo, hi], the exact least and largest of its values
-        as setops._interval_ends gives them (a -0.0 end is kept, which
-        _saturated_ends' distinct ends may drop), NaN where the cell is
-        empty, and whether its value is saturated in the table
-        (_saturated_ends), True where empty.  Both reduce each row of
-        segment_index() once.  Cached, so the gap table, the
+    def intervals(self) -> tuple[np.ndarray, np.ndarray]:
+        """An R^1 table's read-only (atoms, nodes) lo and hi: each cell's
+        hull [lo, hi], the exact ends of its values (setops._interval_ends,
+        a -0.0 end kept, each row of segment_index() reduced once), NaN
+        where the cell is empty.  Cached, so the gap table, the inclusion,
         irreflexivity and membership passes (_hull_distances) and the
         least-modulus solve of one table share the work."""
         if self.dim != 1:
             raise DomainError(f"intervals are the hulls of an R^1 table, not of R^{self.dim}")
         if "_intervals" not in self.__dict__:
             segs, cell_seg = self.segment_index()
-            lo, hi = _row_ends(self.points, segs)
-            full = _saturated_ends(self.points, segs)[2]
-            # the last entries serve cell_seg == -1, an empty cell
-            table = (np.append(lo, np.nan)[cell_seg], np.append(hi, np.nan)[cell_seg],
-                     np.append(full, True)[cell_seg])
+            # the last entry serves cell_seg == -1, an empty cell
+            table = tuple(np.append(end, np.nan)[cell_seg]
+                          for end in _interval_ends(self.points, segs))
             for end in table:
                 end.flags.writeable = False
             self.__dict__["_intervals"] = table
@@ -237,14 +227,14 @@ def _cache_gaps(tables: list) -> None:
     every atom's adjacent pairs of all of them, each pair once.  A table
     whose nonempty cells all hold one segment (a Corr.constant table,
     say) is read from its counts alone: 0.0 on every live pair, NaN on
-    the others.  An R^1 table whose intervals() are built (the
-    irreflexivity pass of an equilibrium or maximal element builds its
-    preference table's) and all saturated is read from them by
-    _hull_gaps, with no sort: a pair's closed form is the kernel's value
-    among any rows (see _packed_gaps), and those ends differ from
-    _saturated_ends' at most in the sign of a zero, which the square
-    drops.  Any other table takes the stacked call, which builds no
-    intervals.  A table on another grid fills its own on first read."""
+    the others.  An R^1 table whose intervals() are built (by an
+    irreflexivity pass, say) is ranked by one _saturated_ends call on
+    its segment_index() rows, and if all are saturated read from the
+    intervals by _hull_gaps: a pair's closed form is the kernel's value
+    among any rows (see _packed_gaps), and the square drops the sign of
+    a zero, where alone those ends and _saturated_ends' can differ.  Any
+    other table takes the stacked call, which builds no intervals.  A
+    table on another grid fills its own on first read."""
     todo = [f for f in dict.fromkeys(tables)
             if "_gap_cache" not in f.__dict__ and f.grid is tables[0].grid]
     if not todo:
@@ -262,8 +252,9 @@ def _cache_gaps(tables: list) -> None:
                 gaps[holes] = np.where(on[holes][:, pi] & on[holes][:, pj], 0.0, np.nan)
                 gaps.flags.writeable = False
             f.__dict__["_gap_cache"] = gaps
-        elif f.dim == 1 and "_intervals" in f.__dict__ and f.intervals()[2].all():
-            lo, hi, _ = f.intervals()
+        elif (f.dim == 1 and "_intervals" in f.__dict__
+              and _saturated_ends(f.points, f.segment_index()[0])[2].all()):
+            lo, hi = f.intervals()
             a, b = (np.add.outer(np.arange(len(on)) * on.shape[1], end).ravel() for end in (fi, fj))
             gaps = _hull_gaps(lo.ravel(), hi.ravel(), a, b)
             f.__dict__["_gap_cache"] = _forward_first(gaps.reshape(2, 1, len(on), -1))[0]
@@ -502,7 +493,7 @@ def _cache_glued_gaps(glued: Corr, on: np.ndarray, fallback: Corr) -> None:
         point = len(segs) + np.arange(len(keys))  # the points' rows, after the segments'
         if glued.dim == 1:
             y = glued.points[first, 0]
-            lo, hi = _row_ends(glued.points, segs)
+            lo, hi = _interval_ends(glued.points, segs)
             toward = _hull_gaps(np.append(lo, y), np.append(hi, y), seg, point)[0]
             away = _ordered_gaps(glued.points, rows, point, seg)
         else:
@@ -850,10 +841,10 @@ class CipReport:
 def _hull_distances(f: Corr, X: np.ndarray, t: np.ndarray, z: np.ndarray) -> np.ndarray:
     """dist(X[k], hull of f's value at the nonempty cell (t[k], z[k])),
     bit for bit setops.segment_distances on the cells' rows: in R^1 the
-    closed-form projection onto f.intervals(), which holds the ends that
-    segment_distances would reduce, as its R^1 branch computes it."""
+    kernel's closed form, |x - p| for x's projection p onto the cell's
+    interval in f.intervals(), so each row is reduced once per table."""
     if f.dim == 1:
-        lo, hi, _ = f.intervals()
+        lo, hi = f.intervals()
         return np.abs(X[:, 0] - _project_to_intervals(X[:, 0], lo[t, z], hi[t, z]))
     return segment_distances(X, f.points, f.bounds[t, z])
 
@@ -863,7 +854,7 @@ def _residuals(psi: Corr, tables: list, on: np.ndarray) -> np.ndarray:
     nodes) mask on, for every table F: 0 off it, where F(t, x) is empty
     or is psi's own segment, inf where psi(t, x) is empty, else the max
     distance of F(t, x)'s points from psi's hull (a vertex of it is at
-    exactly 0), by segment_distances calls of RESIDUAL_CHUNK points.
+    exactly 0), by _hull_distances calls of RESIDUAL_CHUNK points.
 
     Each table's residuals are kept on psi, by (atom, node) cell, NaN
     until measured, and only the cells of on not yet measured are
@@ -890,11 +881,11 @@ def _residuals(psi: Corr, tables: list, on: np.ndarray) -> np.ndarray:
         k, t, x = np.nonzero(cells & (psi.counts > 0))
         segs = bounds[k, t, x]
         rows, first = _segment_rows(segs)
-        owner = np.repeat(psi.bounds[t, x], segs[:, 1] - segs[:, 0], axis=0)  # psi's row per point
+        tp, xp = (np.repeat(i, segs[:, 1] - segs[:, 0]) for i in (t, x))  # psi's cell per point
         if len(rows):
-            res[k, t, x] = np.maximum.reduceat(np.concatenate([segment_distances(
-                points[rows[i:i + RESIDUAL_CHUNK]], psi.points, owner[i:i + RESIDUAL_CHUNK])
-                for i in range(0, len(rows), RESIDUAL_CHUNK)]), first)
+            chunks = [slice(i, i + RESIDUAL_CHUNK) for i in range(0, len(rows), RESIDUAL_CHUNK)]
+            res[k, t, x] = np.maximum.reduceat(np.concatenate([
+                _hull_distances(psi, points[rows[c]], tp[c], xp[c]) for c in chunks]), first)
         for f, got, new in zip(tables, res, todo):
             cache[f][new] = got[new]
     return np.where(on, res, 0.0)

@@ -124,11 +124,19 @@ def parse_problem(text: str) -> dict:
     return doc
 
 
+def read_text(path) -> str:
+    """The UTF-8 text of the file at path, or a ParseError naming the
+    path when it is missing, unreadable (a directory, say) or not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as e:
+        raise ParseError(f"cannot read {path}: {e.strerror}") from None
+    except UnicodeDecodeError:
+        raise ParseError(f"cannot read {path}: not UTF-8 text") from None
+
+
 def load_problem(path) -> dict:
-    p = Path(path)
-    if not p.exists():
-        raise ParseError(f"no such file: {p}")
-    return parse_problem(p.read_text(encoding="utf-8"))
+    return parse_problem(read_text(path))
 
 
 def canonical_json(doc) -> str:

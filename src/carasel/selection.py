@@ -514,10 +514,9 @@ def _select_table(psi: Corr, phi: Corr, part: InfoPartition, tol: float,
     phi is empty on psi's domain, or where a selected point lies farther
     than tol from psi's hull.  That is the one membership pass, over
     every domain cell of every atom, copies included (corr.
-    _hull_distances: in R^1 from psi's cached intervals, which are
-    phi's own when phi is psi): the sweep's steps stay in phi's hulls,
-    which phi-inclusion certifies inside psi's, so the sweep has no
-    escape check of its own."""
+    _hull_distances, in R^1 from psi's cached intervals, which ranks no
+    value): the sweep's steps stay in phi's hulls, which phi-inclusion
+    certifies inside psi's, so the sweep has no escape check of its own."""
     if not tol > 0:  # NaN too: no residual exceeds it
         raise DomainError("tol must be positive")
     source = _head_map([phi], part)
@@ -525,7 +524,7 @@ def _select_table(psi: Corr, phi: Corr, part: InfoPartition, tol: float,
     segs, atom, node = _layout(phi, on)
     table = np.zeros(psi.counts.shape + (psi.dim,))  # the selected points, by (t, z)
     if len(segs) and phi.dim == 1:
-        lo, hi, _ = phi.intervals()
+        lo, hi = phi.intervals()
         table[on] = _least_modulus(lo[on], hi[on], atom, node, phi.grid)[0]
     elif len(segs):
         first = np.flatnonzero(np.diff(atom, prepend=-1))  # each atom's first cell

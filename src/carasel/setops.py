@@ -6,10 +6,10 @@ small convex solves: Hausdorff distances, convex membership and
 projection, and ambient interior margins.
 
 The inclusion residual, the irreflexivity test and a selection's
-membership certificate share one grouped pass, segment_distances: the
-distance of each point from the hull of its own segment of one points
-array, from each segment's interval ends in R^1, otherwise one batched
-projection per segment length, no segment padded.
+membership certificate read each point's distance from the hull of its
+own segment: in R^1 from each segment's ends (_interval_ends), once per
+table, otherwise from one batched projection per segment length, no
+segment padded (segment_distances).
 
 scipy is imported inside the two functions that call it (the LP
 fallback of convex membership and the Qhull margins in dimension > 1),
@@ -214,19 +214,10 @@ def _distinct_segments(segs: np.ndarray, size: int) -> tuple[np.ndarray, np.ndar
 
 def _interval_ends(points: np.ndarray, segs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The least and the largest value of every nonempty [start, stop)
-    row of segs of the (P, 1) points: each row's hull, an interval of
-    R^1.  Each distinct row (_distinct_segments) is reduced once
-    (_row_ends)."""
-    distinct, row = _distinct_segments(segs, len(points))
-    lo, hi = _row_ends(points, distinct)
-    return lo[row], hi[row]
-
-
-def _row_ends(points: np.ndarray, segs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_interval_ends of rows given once each: one minimum and one
-    maximum reduceat over the rows' points back to back.  min and max
-    are exact, so the ends are the row's own, and a row's ends do not
-    depend on the rows beside it."""
+    row of segs of the (P, 1) points, each row's hull in R^1: one minimum
+    and one maximum reduceat over the rows back to back, exact, so a
+    row's ends (a -0.0 end kept) are its own whatever rows stand beside
+    it; callers pass each row once (Corr.segment_index())."""
     rows, first = _segment_rows(segs)
     x = points[rows, 0]
     return np.minimum.reduceat(x, first), np.maximum.reduceat(x, first)
@@ -527,17 +518,11 @@ def convex_distance(x, c) -> float | np.ndarray:
 
 def segment_distances(X: np.ndarray, points: np.ndarray, segs: np.ndarray) -> np.ndarray:
     """dist(X[k], hull of the points of the nonempty [start, stop) row
-    segs[k]) for every k.  In R^1 every hull is the interval between its
-    row's ends (_interval_ends), and each distance is |x - p| for x's
-    closed-form projection p, as the kernel's R^1 branch computes it, in
-    one pass over all rows.  Otherwise one convex_distance call per
-    distinct row length k, over the (rows, k, dim) block of the rows of
-    that length.  No row is padded and the kernel's rows do not
-    interact, so every distance has the bits of a lone convex_distance
-    call on its row's hull."""
-    if points.shape[1] == 1:
-        p = _project_to_intervals(X[:, 0], *_interval_ends(points, segs))
-        return np.abs(X[:, 0] - p)
+    segs[k]) for every k: one convex_distance call per distinct row
+    length k, over the (rows, k, dim) block of the rows of that length
+    (in R^1 the kernel's closed form).  No row is padded and the
+    kernel's rows do not interact, so every distance has the bits of a
+    lone convex_distance call on its row's hull."""
     counts = segs[:, 1] - segs[:, 0]
     out = np.empty(len(segs))
     for k in _distinct(counts):

@@ -555,6 +555,37 @@ def test_report_missing_file_exit_2(capsys):
     assert main(["report", "/nonexistent/cert.json"]) == 2
 
 
+def _unreadable(tmp_path, kind):
+    """A path that exists but cannot be read as text: a directory named
+    like a JSON file, or a file of bytes that are not UTF-8."""
+    path = tmp_path / "bad.json"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b'{"kind": "\xff\xfe"}\n')
+    return path
+
+
+@pytest.mark.parametrize("command", ["run", "report"])
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_unreadable_file_exit_2(tmp_path, capsys, command, kind):
+    # one stderr line naming the path, as for a missing file, not a traceback
+    path = _unreadable(tmp_path, kind)
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(path) in err
+
+
+def test_run_out_into_missing_directory_exit_2(tmp_path, capsys):
+    problem = tmp_path / "lsc-canonical.json"
+    problem.write_text((DOCS / "lsc-canonical.json").read_text())
+    dest = tmp_path / "no" / "such" / "x.json"
+    assert main(["run", str(problem), "--out", str(dest)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(dest) in err
+    assert not dest.parent.exists()
+
+
 @pytest.mark.parametrize("mangle", [
     lambda cert: [1, 2],
     lambda cert: {**cert, "checks": [{**cert["checks"][0], "residual": "small"}]},

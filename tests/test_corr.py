@@ -2149,12 +2149,14 @@ def test_witness_family_kernel_call_budget(monkeypatch):
 def test_residuals_measure_only_the_cells_not_yet_kept(monkeypatch):
     """_residuals under a partial mask, then a wider one, returns what a
     psi with no kept residuals returns under each mask, and the second
-    call measures only the points of the cells the first left out."""
+    call measures only the points of the cells the first left out, each
+    against psi's own cell (_hull_distances, one row per point)."""
     measured = []
 
-    def counting(x, *args, kernel=corr.segment_distances):
+    def counting(f, x, t, z, kernel=corr._hull_distances):
+        assert f is psi and len(x) == len(t) == len(z)
         measured.append(len(x))
-        return kernel(x, *args)
+        return kernel(f, x, t, z)
 
     rng = np.random.default_rng(5)
     for dim in (1, 2):
@@ -2165,7 +2167,7 @@ def test_residuals_measure_only_the_cells_not_yet_kept(monkeypatch):
         for on in (narrow, wide):
             want = corr._residuals(Corr(psi.space, psi.grid, dim, psi.points, psi.bounds),
                                    tables, on)
-            monkeypatch.setattr(corr, "segment_distances", counting)
+            monkeypatch.setattr(corr, "_hull_distances", counting)
             measured.clear()
             got = corr._residuals(psi, tables, on)
             monkeypatch.undo()

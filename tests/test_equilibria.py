@@ -763,9 +763,9 @@ def test_random_equilibrium_takes_a_table_on_an_equal_joint_grid():
 
 
 def test_random_nash_builds_each_interval_table_once_and_glues_from_parts(monkeypatch):
-    # each preference table's interval table is reduced and ranked once,
-    # for its irreflexivity pass, gap table, selection and membership
-    # pass; each glue hands _ordered_gaps one row per selected point on
+    # each preference table's interval table is reduced once, for its
+    # irreflexivity pass, gap table, selection and membership pass, and
+    # ranked once, for its gap table; each glue hands _ordered_gaps one row per selected point on
     # its domain's boundary (the constant fallback is one segment), and
     # the stacked kernel measures no pair at all
     g, part, eps_eq = _quadratic_game(np.random.default_rng(4), 9, ((0,), (1,), (2,)))
@@ -773,7 +773,7 @@ def test_random_nash_builds_each_interval_table_once_and_glues_from_parts(monkey
     monkeypatch.setattr(carasel.equilibria, "pref_from_payoff",
                         lambda *args: prefs.append(build(*args)) or prefs[-1])
     reduced, ranked, kernel_rows, stacked_pairs = Counter(), Counter(), [], []
-    for name, seen in (("_row_ends", reduced), ("_saturated_ends", ranked)):
+    for name, seen in (("_interval_ends", reduced), ("_saturated_ends", ranked)):
         monkeypatch.setattr(carasel.corr, name, lambda points, segs, real=getattr(
             carasel.corr, name), seen=seen: seen.update([id(points)]) or real(points, segs))
     ordered, packed = carasel.corr._ordered_gaps, carasel.corr._packed_gaps

@@ -1,5 +1,6 @@
 """Gluing, grid selection, interior series, certified selection, glue."""
 
+import sys
 from unittest import mock
 
 import numpy as np
@@ -1440,19 +1441,20 @@ def _r1_rows(seed, saturated):
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(st.integers(0, 2 ** 32 - 1), st.booleans())
 def test_r1_interval_readers_match_the_per_call_ends(seed, saturated):
-    # one cached interval table serves the gap table (all saturated: no
-    # stacked kernel), the irreflexivity pass, the membership residuals
-    # and the least-modulus solve, each bit for bit as when it reduced
-    # its own rows' ends (setops._interval_ends)
+    # one cached interval table, the hulls alone, serves the gap table
+    # (all saturated, as _saturated_ends ranks them: no stacked kernel),
+    # the irreflexivity pass, the membership residuals and the
+    # least-modulus solve, each bit for bit as when it reduced its own
+    # rows' ends (setops._interval_ends)
     p, rng = _r1_rows(seed, saturated)
-    lo, hi, full = p.intervals()
-    assert not any(a.flags.writeable for a in (lo, hi, full)) and p.intervals()[0] is lo
+    lo, hi = p.intervals()
+    assert not any(a.flags.writeable for a in (lo, hi)) and p.intervals()[0] is lo
     on = p.counts > 0
     t, z = np.nonzero(on)
     want_lo, want_hi = carasel.setops._interval_ends(p.points, p.bounds[t, z])
     assert lo[on].tobytes() == want_lo.tobytes() and hi[on].tobytes() == want_hi.tobytes()
-    assert np.isnan(lo[~on]).all() and np.isnan(hi[~on]).all() and full[~on].all()
-    assert np.array_equal(full[on], carasel.corr._saturated_ends(p.points, p.bounds[t, z])[2])
+    assert np.isnan(lo[~on]).all() and np.isnan(hi[~on]).all()
+    full = carasel.corr._saturated_ends(p.points, p.bounds[t, z])[2]
     stacked, packed = [], carasel.corr._packed_gaps
     with mock.patch.object(carasel.corr, "_packed_gaps",
                            lambda *args: stacked.append(args) or packed(*args)):
@@ -1478,6 +1480,38 @@ def test_r1_interval_readers_match_the_per_call_ends(seed, saturated):
     assert table[on].tobytes() == want[0].tobytes()
     res = segment_distances(table[t, z], p.points, p.bounds[t, z])
     assert worst == float(res.max(initial=0.0))
+
+
+@pytest.mark.parametrize("seed", [30, 38, 48])
+def test_r1_pooled_selection_ranks_values_only_for_gap_tables(seed, monkeypatch):
+    # an R^1 caratheodory_select through a pooled countable witness (phi
+    # is not psi) ranks saturation (_saturated_ends) only for gap tables:
+    # its membership pass reads psi's hulls from the intervals the
+    # inclusion residuals built and ranks nothing
+    inst = random_cip_instance(np.random.default_rng(seed))
+    assert inst.psi.dim == 1 and inst.witness.mode == "countable"
+    phase, callers, pooled = ["solve"], [], []
+    ranked, member, solve = (carasel.corr._saturated_ends, carasel.selection._hull_distances,
+                             carasel.selection._select_table)
+
+    def ranking(points, segs):
+        callers.append((phase[-1], sys._getframe(1).f_code.co_name))
+        return ranked(points, segs)
+
+    def membership(*args):
+        phase.append("membership")
+        try:
+            return member(*args)
+        finally:
+            phase.pop()
+
+    monkeypatch.setattr(carasel.corr, "_saturated_ends", ranking)
+    monkeypatch.setattr(carasel.selection, "_hull_distances", membership)
+    monkeypatch.setattr(carasel.selection, "_select_table", lambda psi, phi, *args: (
+        pooled.append(phi is not psi) or solve(psi, phi, *args)))
+    sel = caratheodory_select(inst.psi, inst.witness, inst.part, eps=inst.eps)
+    assert sel.checks.ok and pooled == [True]
+    assert callers and set(callers) <= {("solve", "_packed_gaps"), ("solve", "_cache_gaps")}
 
 
 def test_selection_values_are_the_table_on_the_domain():

@@ -1,6 +1,7 @@
 """Finite-geometry core: distances, memberships, margins."""
 
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -390,10 +391,19 @@ def test_segment_distances_in_r1_match_the_per_length_kernel_bit_for_bit(monkeyp
     segs = segs[rng.integers(0, len(segs), size=400)]  # every segment shared or repeated
     X = np.concatenate([rng.normal(size=380) * 5.0, [0.0, -0.0] * 5,
                         points[segs[-10:, 0], 0]])[:, None]
-    want = _per_length_distances(X, points, segs)
-    monkeypatch.setattr(setops, "convex_project", lambda *_: pytest.fail("kernel called"))
+    # the closed form on each row's exact ends, a -0.0 end kept
+    lo = np.array([min(points[a:b, 0], key=lambda v: (v, math.copysign(1.0, v))) for a, b in segs])
+    hi = np.array([max(points[a:b, 0], key=lambda v: (v, math.copysign(1.0, v))) for a, b in segs])
+    assert (np.signbit(lo) & (lo == 0.0)).any() and (np.signbit(hi) & (hi == 0.0)).any()
+    closed = np.abs(X[:, 0] - np.minimum(np.maximum(X[:, 0], lo), hi))
+    for ends in ((lo, hi), setops._interval_ends(points, segs)):
+        assert np.abs(X[:, 0] - _project_to_intervals(X[:, 0], *ends)).tobytes() == closed.tobytes()
+    sent = []
+    kernel = setops._nearest_in_hulls
+    monkeypatch.setattr(setops, "_nearest_in_hulls", lambda X, V: sent.append(len(X)) or kernel(X, V))
     got = segment_distances(X, points, segs)
-    assert got.tobytes() == want.tobytes()
+    assert sum(sent) == len(segs)  # R^1 rows take the kernel's own closed form
+    assert got.tobytes() == closed.tobytes() == _per_length_distances(X, points, segs).tobytes()
     assert (got == 0.0).any() and (got > 0.0).any()
 
 
